@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all fmt vet build test race bench bench-all throughput plancache oracle fuzz cancel trace batch shard planner anyk ci
+.PHONY: all fmt vet build test race bench benchmark bench-all throughput plancache oracle fuzz cancel trace batch shard planner anyk ci
 
 all: ci
 
@@ -22,6 +22,12 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# The repo's end-to-end serving benchmark (BENCHMARK.json, benchmark/README.md):
+# all four workloads, 25 s each, every response checked against brute force.
+# Arguments pass through: make benchmark ARGS="--workload sharded-skew --seconds 3".
+benchmark:
+	bash benchmark/run.sh $(ARGS)
 
 # Every registered benchmark mode back to back with default artifact paths;
 # emits each BENCH_*.json plus a BENCH_index.json manifest recording which

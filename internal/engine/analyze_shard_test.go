@@ -24,6 +24,7 @@ ShardMerge  (started=2 pruned=0 early_stopped=0 exhausted=2 pulled=8032 saved=0 
     Limit(20000)  (rows est=8000 act=1037 err=671.5%)
       Rank(1*T1.score + 1*T2.score)  (rows est=8000 act=1037 err=671.5%)
         Sort(1*T1.score + 1*T2.score desc)  (rows est=8000 act=1037 err=671.5%)
+          buffered=1037 emitted=1037
           HashJoin(T2.key = T1.key)  (rows est=8000 act=1037 err=671.5%)
             SeqScan(T2)  (rows est=400 act=60 err=566.7%)
             SeqScan(T1)  (rows est=400 act=52 err=669.2%)
@@ -31,6 +32,7 @@ ShardMerge  (started=2 pruned=0 early_stopped=0 exhausted=2 pulled=8032 saved=0 
     Limit(20000)  (rows est=8000 act=6995 err=14.4%)
       Rank(1*T1.score + 1*T2.score)  (rows est=8000 act=6995 err=14.4%)
         Sort(1*T1.score + 1*T2.score desc)  (rows est=8000 act=6995 err=14.4%)
+          buffered=6995 emitted=6995
           HashJoin(T2.key = T1.key)  (rows est=8000 act=6995 err=14.4%)
             SeqScan(T2)  (rows est=400 act=340 err=17.6%)
             SeqScan(T1)  (rows est=400 act=348 err=14.9%)

@@ -1,9 +1,10 @@
 package exec
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"rankopt/internal/expr"
 	"rankopt/internal/relation"
@@ -311,11 +312,11 @@ func (j *AnyK) build() error {
 	// byKey buckets the current (deeper) level's surviving entries by the
 	// join key their predecessors probe with.
 	sortBucket := func(b []anykEntry) {
-		sort.Slice(b, func(x, y int) bool {
-			if b[x].suffix != b[y].suffix {
-				return b[x].suffix > b[y].suffix
+		slices.SortFunc(b, func(x, y anykEntry) int {
+			if x.suffix != y.suffix {
+				return compareScoreDesc(x.suffix, y.suffix)
 			}
-			return b[x].ord < b[y].ord
+			return cmp.Compare(x.ord, y.ord)
 		})
 	}
 	var byKey map[any][]anykEntry

@@ -361,3 +361,10 @@ func (s *sliceOp) NextBatch(out *Batch, max int) (bool, error) {
 	s.pos = end
 	return true, nil
 }
+
+// lendRest implements tupleLender.
+func (s *sliceOp) lendRest() []relation.Tuple {
+	rest := s.tuples[s.pos:]
+	s.pos = len(s.tuples)
+	return rest[:len(rest):len(rest)]
+}

@@ -46,6 +46,9 @@ type OpStats struct {
 	// PoolHit and PoolMiss count tuple-pool free-list reuses vs fresh
 	// allocations on a rank-join's candidate path.
 	PoolHit, PoolMiss int64
+	// SortBuffered and SortEmitted are the tuples a Sort materialized and the
+	// tuples its consumer read; the incremental sort only ordered the latter.
+	SortBuffered, SortEmitted int64
 }
 
 // EstNextNanos estimates the total pull-side wall time: the per-tuple Next
@@ -71,10 +74,12 @@ type analyzeGauges struct {
 	leftDepth, rightDepth int
 	maxQueue, maxHeap     int
 	poolHit, poolMiss     int
+	sortBuffered          int
+	sortEmitted           int
 }
 
 // gaugeReporter is implemented by operators with internal gauges worth
-// surfacing in EXPLAIN ANALYZE (HRJN, NRJN, MultiHRJN, TopK).
+// surfacing in EXPLAIN ANALYZE (HRJN, NRJN, MultiHRJN, TopK, Sort).
 type gaugeReporter interface {
 	gauges() analyzeGauges
 }
@@ -167,6 +172,8 @@ func (a *Analyzed) captureGauges() {
 		a.stats.MaxHeap = int64(g.maxHeap)
 		a.stats.PoolHit = int64(g.poolHit)
 		a.stats.PoolMiss = int64(g.poolMiss)
+		a.stats.SortBuffered = int64(g.sortBuffered)
+		a.stats.SortEmitted = int64(g.sortEmitted)
 	}
 }
 

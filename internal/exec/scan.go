@@ -49,6 +49,13 @@ func (s *SeqScan) NextBatch(out *Batch, max int) (bool, error) {
 	return true, nil
 }
 
+// lendRest implements tupleLender: the rest of the heap, not a copy of it.
+func (s *SeqScan) lendRest() []relation.Tuple {
+	rest := s.Rel.Tuples()[s.pos:]
+	s.pos += len(rest)
+	return rest[:len(rest):len(rest)]
+}
+
 // Close implements Operator.
 func (s *SeqScan) Close() error { return nil }
 

@@ -7,7 +7,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -67,35 +67,34 @@ type ShardMsg struct {
 // running, and a query-wide cancellation reaches every worker.
 //
 // Contract: after Start has been called, the consumer must keep receiving
-// from Messages until it has seen a Done message from every started shard
-// (workers block sending tuples, but a cancelled worker unblocks via its
-// context and its final Done message is always deliverable — the done side of
-// the channel budget is reserved per shard). Call Wait after the last Done to
-// join the workers. Workers own their pipeline: each worker Opens, drains,
-// and Closes its own ShardInput.Op, so no cross-goroutine operator access
-// ever happens and a stopped shard releases its resources before reporting
-// Done.
+// until it has seen a Done message from every started shard: workers block
+// sending, a cancelled worker abandons its pending tuple via its context, and
+// every worker ends by sending its Done on the same channel. Call Wait after
+// the last Done to join the workers. Workers own their pipeline: each worker
+// Opens, drains, and Closes its own ShardInput.Op, so no cross-goroutine
+// operator access ever happens and a stopped shard releases its resources
+// before reporting Done.
 type ShardScatter struct {
-	inputs  []ShardInput
-	tuples  chan ShardMsg
-	done    chan ShardMsg
+	inputs []ShardInput
+	// msgs carries tuples and Done reports alike. A shard's Done travels
+	// behind its own tuples in the one FIFO, so it cannot be received before
+	// them — on a channel of its own it could, and a coordinator that counted
+	// the shard finished then ended the gather with those tuples unread.
+	msgs    chan ShardMsg
 	cancels []context.CancelFunc
 	wg      sync.WaitGroup
 }
 
-// NewShardScatter prepares a scatter over the inputs with a tuple buffer of
-// buf messages — the backpressure credit that keeps fast shards from running
+// NewShardScatter prepares a scatter over the inputs with a buffer of buf
+// messages — the backpressure credit that keeps fast shards from running
 // arbitrarily far ahead of the coordinator.
 func NewShardScatter(inputs []ShardInput, buf int) *ShardScatter {
 	if buf < 1 {
 		buf = 1
 	}
 	return &ShardScatter{
-		inputs: inputs,
-		tuples: make(chan ShardMsg, buf),
-		// Done messages get a reserved slot per shard so a worker's final
-		// report never blocks, even when the consumer is tearing down.
-		done:    make(chan ShardMsg, len(inputs)),
+		inputs:  inputs,
+		msgs:    make(chan ShardMsg, buf),
 		cancels: make([]context.CancelFunc, len(inputs)),
 	}
 }
@@ -108,7 +107,7 @@ func (s *ShardScatter) Start(ctx context.Context, i int) {
 	go func() {
 		defer s.wg.Done()
 		err := s.drain(sctx, i)
-		s.done <- ShardMsg{Shard: i, Done: true, Err: err}
+		s.msgs <- ShardMsg{Shard: i, Done: true, Err: err}
 	}()
 }
 
@@ -135,7 +134,7 @@ func (s *ShardScatter) drain(ctx context.Context, i int) error {
 			return op.Close()
 		}
 		select {
-		case s.tuples <- ShardMsg{Shard: i, Tuple: t}:
+		case s.msgs <- ShardMsg{Shard: i, Tuple: t}:
 		case <-ctx.Done():
 			_ = op.Close()
 			return CtxErr(ctx)
@@ -145,34 +144,13 @@ func (s *ShardScatter) drain(ctx context.Context, i int) error {
 
 // Recv returns the next message across all started shards. Tuple messages of
 // a shard are delivered before its Done message.
-func (s *ShardScatter) Recv() ShardMsg {
-	// Bias toward tuples so a shard's queued output is consumed before its
-	// completion is observed; once its tuple stream is empty, take the done.
-	select {
-	case m := <-s.tuples:
-		return m
-	default:
-	}
-	select {
-	case m := <-s.tuples:
-		return m
-	case m := <-s.done:
-		return m
-	}
-}
+func (s *ShardScatter) Recv() ShardMsg { return <-s.msgs }
 
 // RecvCtx is Recv that also aborts when ctx is done, returning its typed
 // error instead of a message.
 func (s *ShardScatter) RecvCtx(ctx context.Context) (ShardMsg, error) {
 	select {
-	case m := <-s.tuples:
-		return m, nil
-	default:
-	}
-	select {
-	case m := <-s.tuples:
-		return m, nil
-	case m := <-s.done:
+	case m := <-s.msgs:
 		return m, nil
 	case <-ctx.Done():
 		return ShardMsg{}, CtxErr(ctx)
@@ -421,8 +399,8 @@ func (m *ShardMerge) gather(ctx context.Context) error {
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return m.inputs[order[a]].Ceiling > m.inputs[order[b]].Ceiling
+	slices.SortStableFunc(order, func(a, b int) int {
+		return compareScoreDesc(m.inputs[a].Ceiling, m.inputs[b].Ceiling)
 	})
 
 	buf := 2 * width

@@ -458,3 +458,43 @@ func TestShardScatterStopLatency(t *testing.T) {
 		t.Fatalf("surviving shard delivered %d tuples, want 3", tuples1)
 	}
 }
+
+// TestShardMergeDoneBehindTuples loops the interleaving in which a shard's
+// completion used to overtake its last queued tuples: two shards run at once,
+// the weak one (an endless stream of low scores) is early-stopped as soon as
+// it alone has filled the top-k, and the strong one's ten tuples — the whole
+// answer — arrive around its Done. When that Done was received first and the
+// stopped shard had already reported, the gather ended with the strong shard's
+// tail unread and low scores stayed in the answer.
+func TestShardMergeDoneBehindTuples(t *testing.T) {
+	const k = 10
+	strong := make([]float64, k)
+	for i := range strong {
+		strong[i] = float64(100 - i)
+	}
+	for iter := 0; iter < 3000; iter++ {
+		inputs := []ShardInput{
+			{Op: shardStream(0, strong...), Ceiling: 100},
+			{Op: &descendingForever{start: 50, step: 1}, Ceiling: 50},
+		}
+		m, err := NewShardMerge(inputs, k, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.StartWidth = 2 // both running: what the default width gives any multi-core host
+		out, err := Collect(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := mergeScores(t, out)
+		if len(got) != k {
+			t.Fatalf("iteration %d: %d tuples, want %d", iter, len(got), k)
+		}
+		for i := range got {
+			if got[i] != strong[i] {
+				t.Fatalf("iteration %d: rank %d has score %v, want %v: a shard's tuples were dropped behind its Done (%v)",
+					iter, i+1, got[i], strong[i], got)
+			}
+		}
+	}
+}

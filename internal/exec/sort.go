@@ -1,8 +1,10 @@
 package exec
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"math"
+	"sync"
 
 	"rankopt/internal/expr"
 	"rankopt/internal/relation"
@@ -16,22 +18,91 @@ type SortKey struct {
 
 // Sort materializes its input and emits it ordered by the given keys. It is
 // the "glue a sort operator" enforcer of the paper: it turns any plan into
-// one with a required (interesting) order at the price of being blocking.
+// one with a required (interesting) order at the price of buffering its
+// whole input. It is rank-aware about what it pays for that order: OpenCtx
+// only drains the input and evaluates the keys (O(n)); the order itself is
+// produced by an incremental quicksort (Paredes–Navarro) that each Next
+// advances just far enough to finalize the next position. A consumer that
+// stops after d tuples — a rank join reading its depth, a Limit — pays an
+// expected O(n + d·log d) instead of O(n·log n), and a full drain performs
+// exactly the partitions of an ordinary quicksort.
+//
+// The emitted sequence is that of a stable sort: ties on every key break on
+// arrival order. NULL sorts before every value and NaN before every number
+// (ascending; DESC reverses both), so the order is total.
 type Sort struct {
 	In   Operator
 	Keys []SortKey
 	// Budget, when set, is charged for every buffered input tuple — the full
-	// input, since Sort materializes everything.
+	// input, since Sort materializes everything — until Close.
 	Budget *Budget
+	// SizeHint, when positive, pre-sizes the copy of an input that does not
+	// lend its tuples (the compiler passes the plan's input cardinality), so
+	// the drain does not grow it by doubling.
+	SizeHint int
 
-	buf  []relation.Tuple
-	pos  int
-	acct accountant
-	// Spilled tracks how many tuples were (conceptually) written to runs;
-	// the in-memory implementation records the value for instrumentation
-	// parity with the cost model but never actually spills.
-	Spilled int
+	// The arrays of an open Sort, nil while it is closed.
+	*sortBuffers
+	// tuples is the input in arrival order: the input's own slice when it
+	// lends one (see tupleLender), the copy in sortBuffers.own otherwise.
+	tuples []relation.Tuple
+	// ents[:sorted] is final and ents[:pos] was emitted. buffered is the
+	// drained tuple count, kept past Close for gauges.
+	pos      int
+	sorted   int
+	buffered int
+	rng      uint64
+	cancel   canceller
+	acct     accountant
 }
+
+// sortBuffers are the arrays an open Sort works in.
+type sortBuffers struct {
+	// own receives the tuples of an input that does not lend them; ents is
+	// the permutation of the input the quicksort refines.
+	own  []relation.Tuple
+	ents []sortEnt
+	// pivots is the incremental quicksort's stack: positions (descending
+	// toward the top) whose entry is final, with everything left of it
+	// smaller and everything right of it larger. The segment still to be
+	// refined is ents[sorted:top].
+	pivots []int
+	// vals holds the keys the entries do not encode, len(tieDesc) values per
+	// tuple in arrival order; tieDesc is those keys' direction. Both are
+	// empty in the ranked case (one numeric, non-NULL key).
+	vals    []relation.Value
+	tieDesc []bool
+	batch   *Batch
+}
+
+// sortBufferPool hands a closed Sort's arrays to the next one opened. The
+// engine compiles a fresh Sort per query and per shard, so without it every
+// query allocates — and the collector zeroes, scans and frees — 16 to 40
+// bytes per buffered tuple; at the query rates the incremental sort reaches,
+// that allocation rate is what sized the serving process's heap.
+var sortBufferPool = sync.Pool{New: func() any { return new(sortBuffers) }}
+
+// tupleLender is an input whose remaining output already exists as one
+// immutable tuple slice — a scan of a relation heap, a materialized buffer.
+// Sort orders such a slice in place of a copy of it, which leaves 16 bytes
+// per tuple of its own instead of 40.
+type tupleLender interface {
+	// lendRest returns everything the opened operator has left to emit and
+	// leaves it exhausted. The caller must not write to the slice.
+	lendRest() []relation.Tuple
+}
+
+// sortEnt is one buffered tuple as the quicksort moves it: the order-
+// preserving integer image of its leading key (see sortKeyBits) and its
+// arrival index, which both breaks ties and locates the tuple.
+type sortEnt struct {
+	key uint64
+	seq int
+}
+
+// sortInsertionMax is the segment length at or below which refine finishes a
+// segment by insertion sort instead of partitioning it further.
+const sortInsertionMax = 12
 
 // NewSort constructs a sort enforcer.
 func NewSort(in Operator, keys ...SortKey) *Sort { return &Sort{In: in, Keys: keys} }
@@ -45,100 +116,324 @@ func NewSortByScore(in Operator, score expr.Expr) *Sort {
 // Schema implements Operator.
 func (s *Sort) Schema() *relation.Schema { return s.In.Schema() }
 
-// Open implements Operator: drains the input and sorts.
+// gauges exposes the buffered and emitted counts of the most recent run to
+// the Analyzed collector: their gap is the ordering work a partial read
+// never paid for.
+func (s *Sort) gauges() analyzeGauges {
+	return analyzeGauges{sortBuffered: s.buffered, sortEmitted: s.pos}
+}
+
+// Open implements Operator: drains the input.
 func (s *Sort) Open() error { return s.OpenCtx(context.Background()) }
 
-// OpenCtx implements OperatorCtx: the blocking drain polls the context on
-// the sampling cadence and charges the budget per buffered tuple.
+// OpenCtx implements OperatorCtx: the blocking drain polls the context and
+// charges the budget for every buffered tuple. A failed Open leaves nothing
+// charged.
 func (s *Sort) OpenCtx(ctx context.Context) error {
 	if err := OpenOp(ctx, s.In); err != nil {
 		return err
 	}
-	if err := s.load(ctx); err != nil {
+	if err := s.drain(ctx); err != nil {
 		closeQuietly(s.In)
+		s.release()
 		return err
 	}
 	return nil
 }
 
-// load binds the sort keys and drains the opened input into the buffer.
-func (s *Sort) load(ctx context.Context) error {
+// drain buffers the opened input and evaluates the sort keys, leaving the
+// entries unordered for Next to refine. While every tuple's leading key is
+// numeric and non-NULL — the ranked case — the entries carry it as an
+// ordered integer and most comparisons never leave the entry array; once a
+// tuple breaks that, the leading key joins the others in vals.
+func (s *Sort) drain(ctx context.Context) error {
 	s.acct.releaseAll()
 	s.acct.budget = s.Budget
+	s.cancel.reset(ctx)
+	s.pos, s.sorted, s.buffered = 0, 0, 0
+	s.rng = 0x9E3779B97F4A7C15
+	if s.sortBuffers == nil {
+		s.sortBuffers = sortBufferPool.Get().(*sortBuffers)
+	}
+	s.pivots = s.pivots[:0]
+
+	sch := s.In.Schema()
 	evals := make([]expr.Eval, len(s.Keys))
 	for i, k := range s.Keys {
-		ev, err := k.E.Bind(s.In.Schema())
+		ev, err := k.E.Bind(sch)
 		if err != nil {
 			return err
 		}
 		evals[i] = ev
 	}
-	s.buf = s.buf[:0]
-	s.pos = 0
-	var c canceller
-	c.reset(ctx)
-	type keyed struct {
-		t    relation.Tuple
-		keys []relation.Value
+	if err := s.buffer(ctx); err != nil {
+		return err
 	}
-	var rows []keyed
-	for {
-		if err := c.poll(); err != nil {
+	n := len(s.tuples)
+	s.buffered = n
+	if cap(s.ents) < n {
+		s.ents = make([]sortEnt, n)
+	}
+	s.ents = s.ents[:n]
+
+	encoded := len(s.Keys) > 0
+	for i := 0; encoded && i < n; i++ {
+		if err := s.cancel.poll(); err != nil {
 			return err
 		}
-		t, ok, err := s.In.Next()
+		v, err := evals[0](s.tuples[i])
 		if err != nil {
 			return err
 		}
-		if !ok {
+		f, numeric := v.Float64()
+		if !numeric {
+			encoded = false
 			break
 		}
-		if err := s.acct.charge(1); err != nil {
+		s.ents[i] = sortEnt{key: sortKeyBits(f, s.Keys[0].Desc), seq: i}
+	}
+	tie := s.Keys
+	if encoded {
+		tie, evals = tie[1:], evals[1:]
+	} else {
+		for i := range s.ents {
+			s.ents[i] = sortEnt{seq: i}
+		}
+	}
+	s.tieDesc = s.tieDesc[:0]
+	for _, k := range tie {
+		s.tieDesc = append(s.tieDesc, k.Desc)
+	}
+	s.vals = s.vals[:0]
+	if len(tie) == 0 {
+		return nil
+	}
+	if need := n * len(tie); cap(s.vals) < need {
+		s.vals = make([]relation.Value, 0, need)
+	}
+	for _, t := range s.tuples {
+		if err := s.cancel.poll(); err != nil {
 			return err
 		}
-		ks := make([]relation.Value, len(evals))
-		for i, ev := range evals {
+		for _, ev := range evals {
 			v, err := ev(t)
 			if err != nil {
 				return err
 			}
-			ks[i] = v
+			s.vals = append(s.vals, v)
 		}
-		rows = append(rows, keyed{t: t, keys: ks})
-	}
-	s.Spilled = len(rows)
-	sort.SliceStable(rows, func(i, j int) bool {
-		for c := range s.Keys {
-			cmp := rows[i].keys[c].Compare(rows[j].keys[c])
-			if s.Keys[c].Desc {
-				cmp = -cmp
-			}
-			if cmp != 0 {
-				return cmp < 0
-			}
-		}
-		return false
-	})
-	s.buf = make([]relation.Tuple, len(rows))
-	for i, r := range rows {
-		s.buf[i] = r.t
 	}
 	return nil
 }
 
+// buffer sets tuples to the whole input, charging the budget for it: the
+// input's own slice when it lends one, else a copy gathered batch by batch
+// with one context check per batch.
+func (s *Sort) buffer(ctx context.Context) error {
+	if lender, ok := s.In.(tupleLender); ok {
+		s.tuples = lender.lendRest()
+		return s.acct.charge(len(s.tuples))
+	}
+	if s.batch == nil {
+		s.batch = NewBatch(DefaultBatchSize)
+	}
+	if hint := sizeHint(float64(s.SizeHint)); cap(s.own) < hint {
+		s.own = make([]relation.Tuple, 0, hint)
+	}
+	s.own = s.own[:0]
+	var src batchSource
+	src.reset(ctx, s.In)
+	for {
+		if err := s.cancel.check(); err != nil {
+			return err
+		}
+		ok, err := src.next(s.batch, DefaultBatchSize)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			s.tuples = s.own
+			return nil
+		}
+		if err := s.acct.charge(s.batch.Len()); err != nil {
+			return err
+		}
+		s.own = append(s.own, s.batch.Tuples()...)
+	}
+}
+
+// sortKeyBits maps a numeric key to an integer whose unsigned order is the
+// key's sort order: ascending float order with -0 equal to +0 and NaN below
+// -Inf, complemented for a descending key.
+func sortKeyBits(f float64, desc bool) uint64 {
+	var b uint64 // NaN: below the image of -Inf, which is 0x000F…
+	if f == f {
+		b = math.Float64bits(f + 0) // -0 + 0 is +0
+		if b>>63 != 0 {
+			b = ^b
+		} else {
+			b |= 1 << 63
+		}
+	}
+	if desc {
+		b = ^b
+	}
+	return b
+}
+
+// compareSortKey orders two key values like Value.Compare, except that NaN,
+// which Compare calls equal to every number, sorts below every number: the
+// quicksort needs a total order, and the encoded leading key has the same.
+func compareSortKey(a, b relation.Value) int {
+	if fa, ok := a.Float64(); ok {
+		if fb, ok := b.Float64(); ok {
+			return cmp.Compare(fa, fb)
+		}
+	}
+	return a.Compare(b)
+}
+
+// less is the sort order over entries. It is total — no two entries compare
+// equal — because arrival index is the last tie-break; that is also what
+// makes the emitted sequence the stable sort's.
+func (s *Sort) less(a, b sortEnt) bool {
+	if a.key != b.key {
+		return a.key < b.key
+	}
+	return s.lessTie(a.seq, b.seq)
+}
+
+// lessTie orders two tuples whose encoded keys are equal: by the remaining
+// keys, then by arrival.
+func (s *Sort) lessTie(a, b int) bool {
+	if nk := len(s.tieDesc); nk > 0 {
+		va, vb := s.vals[a*nk:a*nk+nk], s.vals[b*nk:b*nk+nk]
+		for c, desc := range s.tieDesc {
+			if r := compareSortKey(va[c], vb[c]); r != 0 {
+				return (r < 0) != desc
+			}
+		}
+	}
+	return a < b
+}
+
 // Next implements Operator.
 func (s *Sort) Next() (relation.Tuple, bool, error) {
-	if s.pos >= len(s.buf) {
+	if s.sortBuffers == nil || s.pos >= len(s.ents) {
 		return nil, false, nil
 	}
-	t := s.buf[s.pos]
+	if s.pos == s.sorted {
+		if err := s.refine(); err != nil {
+			return nil, false, err
+		}
+	}
+	t := s.tuples[s.ents[s.pos].seq]
 	s.pos++
 	return t, true, nil
 }
 
+// refine finalizes at least the entry at position sorted: it partitions the
+// leftmost unrefined segment, stacking pivots, until that segment is short
+// enough to insertion-sort. A partition pass is bounded by the segment, so
+// the context is checked once per pass over a batch or more of entries.
+func (s *Sort) refine() error {
+	e := s.ents
+	for {
+		lo, hi := s.sorted, len(e)
+		top := len(s.pivots) - 1
+		if top >= 0 {
+			hi = s.pivots[top]
+		}
+		if hi-lo <= sortInsertionMax {
+			for i := lo + 1; i < hi; i++ {
+				x := e[i]
+				j := i
+				for ; j > lo && s.less(x, e[j-1]); j-- {
+					e[j] = e[j-1]
+				}
+				e[j] = x
+			}
+			s.sorted = hi
+			if top >= 0 {
+				// The pivot bounding the segment is final too.
+				s.pivots = s.pivots[:top]
+				s.sorted++
+			}
+			return nil
+		}
+		if hi-lo >= DefaultBatchSize {
+			if err := s.cancel.check(); err != nil {
+				return err
+			}
+		}
+		s.pivots = append(s.pivots, s.partition(lo, hi))
+	}
+}
+
+// partition splits ents[lo:hi] around the median of three randomly placed
+// entries and returns the pivot's final position. Random placement keeps the
+// expected cost linear whatever order the input arrives in; the generator is
+// reseeded per Open, so a run is reproducible (and the output never depends
+// on it: the order is total).
+func (s *Sort) partition(lo, hi int) int {
+	e := s.ents
+	a, b, c := s.pick(lo, hi), s.pick(lo, hi), s.pick(lo, hi)
+	if s.less(e[b], e[a]) {
+		a, b = b, a
+	}
+	if s.less(e[c], e[b]) {
+		b = c
+		if s.less(e[b], e[a]) {
+			b = a
+		}
+	}
+	e[lo], e[b] = e[b], e[lo]
+	pv := e[lo]
+	i, j := lo+1, hi-1
+	for {
+		for i <= j && s.less(e[i], pv) {
+			i++
+		}
+		for i <= j && s.less(pv, e[j]) {
+			j--
+		}
+		if i >= j {
+			break
+		}
+		e[i], e[j] = e[j], e[i]
+		i++
+		j--
+	}
+	e[lo], e[j] = e[j], e[lo]
+	return j
+}
+
+// pick draws a position in [lo, hi) from an xorshift generator.
+func (s *Sort) pick(lo, hi int) int {
+	s.rng ^= s.rng << 13
+	s.rng ^= s.rng >> 7
+	s.rng ^= s.rng << 17
+	return lo + int(s.rng%uint64(hi-lo))
+}
+
+// release returns the arrays to the pool, cleared of the tuples they
+// referenced, and the budget charge with them. The counts gauges reports
+// survive it.
+func (s *Sort) release() {
+	if b := s.sortBuffers; b != nil {
+		clear(b.own)
+		clear(b.vals)
+		if b.batch != nil {
+			b.batch.Reset()
+		}
+		s.sortBuffers, s.tuples = nil, nil
+		sortBufferPool.Put(b)
+	}
+	s.acct.releaseAll()
+}
+
 // Close implements Operator.
 func (s *Sort) Close() error {
-	s.buf = nil
-	s.acct.releaseAll()
+	s.release()
 	return s.In.Close()
 }

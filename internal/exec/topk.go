@@ -1,8 +1,9 @@
 package exec
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"slices"
 
 	"rankopt/internal/expr"
 	"rankopt/internal/relation"
@@ -161,11 +162,11 @@ func (t *TopK) load(ctx context.Context) error {
 	}
 	t.maxHeap = len(h)
 	items := append(topKHeap(nil), h...)
-	sort.Slice(items, func(a, b int) bool {
-		if items[a].score != items[b].score {
-			return items[a].score > items[b].score
+	slices.SortFunc(items, func(a, b topKItem) int {
+		if a.score != b.score {
+			return compareScoreDesc(a.score, b.score)
 		}
-		return items[a].seq < items[b].seq
+		return cmp.Compare(a.seq, b.seq)
 	})
 	t.out = t.out[:0]
 	for _, it := range items {
@@ -173,6 +174,18 @@ func (t *TopK) load(ctx context.Context) error {
 	}
 	t.pos = 0
 	return nil
+}
+
+// compareScoreDesc orders two scores best first. A NaN is unordered against
+// everything, itself included, as under `>`: it compares equal.
+func compareScoreDesc(a, b float64) int {
+	switch {
+	case a > b:
+		return -1
+	case a < b:
+		return 1
+	}
+	return 0
 }
 
 // Next implements Operator.

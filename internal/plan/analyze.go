@@ -124,6 +124,9 @@ func formatAnalyze(b *strings.Builder, n *Node, depth int, ap *AnalyzedPlan, est
 		if n.Op == OpTopK {
 			fmt.Fprintf(b, "%s  heap hwm=%d\n", indent, st.MaxHeap)
 		}
+		if n.Op == OpSort {
+			fmt.Fprintf(b, "%s  buffered=%d emitted=%d\n", indent, st.SortBuffered, st.SortEmitted)
+		}
 	}
 	for _, c := range n.Children {
 		formatAnalyze(b, c, depth+1, ap, est, withTimes)

@@ -111,6 +111,7 @@ func (c *compiler) build(n *Node) (exec.Operator, error) {
 		}
 		s := exec.NewSort(in, n.SortKeys...)
 		s.Budget = c.budget
+		s.SizeHint = int(n.Input().Card)
 		return s, nil
 
 	case OpFilter:
