@@ -43,6 +43,9 @@ type CacheStats struct {
 //     one query, or the same query at a different k, share the template and
 //     skip optimization.
 //
+// A nil *planCache is the disabled cache: every lookup misses and every store
+// and count is dropped, so the planner has one path with the cache on or off.
+//
 // Every entry records the catalog statistics epoch it was planned under;
 // lookups treat entries from older epochs as misses and overwrite them, so
 // RefreshStats/AddTable/CreateIndex invalidate lazily without any
@@ -99,6 +102,9 @@ func (c *planCache) shardFor(key string) *cacheShard {
 // lookupText resolves raw SQL to (fingerprint, k) if this exact text was
 // parsed under the current epoch.
 func (c *planCache) lookupText(sql string, epoch uint64) (fp string, k int, ok bool) {
+	if c == nil {
+		return "", 0, false
+	}
 	s := c.shardFor(sql)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -116,6 +122,9 @@ func (c *planCache) lookupText(sql string, epoch uint64) (fp string, k int, ok b
 // lookupPlan resolves a fingerprint to its cached template under the
 // current catalog-stats epoch and depth-feedback hint epoch.
 func (c *planCache) lookupPlan(fp string, epoch, hintEpoch uint64) (*plan.Template, bool) {
+	if c == nil {
+		return nil, false
+	}
 	s := c.shardFor(fp)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -133,6 +142,9 @@ func (c *planCache) lookupPlan(fp string, epoch, hintEpoch uint64) (*plan.Templa
 
 // storeText records the text → fingerprint mapping.
 func (c *planCache) storeText(sql, fp string, k int, epoch uint64) {
+	if c == nil {
+		return
+	}
 	s := c.shardFor(sql)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -144,6 +156,9 @@ func (c *planCache) storeText(sql, fp string, k int, epoch uint64) {
 
 // storePlan publishes a template under its fingerprint.
 func (c *planCache) storePlan(fp string, tmpl *plan.Template, epoch, hintEpoch uint64) {
+	if c == nil {
+		return
+	}
 	s := c.shardFor(fp)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -151,6 +166,13 @@ func (c *planCache) storePlan(fp string, tmpl *plan.Template, epoch, hintEpoch u
 		evictOne(s.plans)
 	}
 	s.plans[fp] = planEntry{tmpl: tmpl, epoch: epoch, hintEpoch: hintEpoch}
+}
+
+// miss counts a session that ran the full parse+optimize pipeline.
+func (c *planCache) miss() {
+	if c != nil {
+		c.misses.Add(1)
+	}
 }
 
 // evictOne removes an arbitrary entry (Go map iteration order serves as a
@@ -164,6 +186,9 @@ func evictOne[V any](m map[string]V) {
 
 // stats snapshots the counters and entry count.
 func (c *planCache) stats() CacheStats {
+	if c == nil {
+		return CacheStats{}
+	}
 	st := CacheStats{
 		Hits:          c.hits.Load(),
 		Misses:        c.misses.Load(),

@@ -3,12 +3,14 @@ package engine
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"rankopt/internal/catalog"
 	"rankopt/internal/core"
 	"rankopt/internal/plan"
+	"rankopt/internal/trace"
 	"rankopt/internal/workload"
 )
 
@@ -155,10 +157,11 @@ func TestCacheInvalidatedByStatsEpoch(t *testing.T) {
 	}
 }
 
-// TestCachedPlanIdentity is the acceptance check that caching is
-// semantically invisible: for every query shape, a cache-disabled engine and
-// a warm cache-enabled engine must produce the identical Explain string and
-// identical tuples.
+// TestCachedPlanIdentity is the acceptance check that the three ways into the
+// planner are semantically invisible: for every query shape, a cache-disabled
+// engine, a warm cache-enabled engine, and a traced session (which bypasses
+// the warm cache to re-optimize under the decision tracer) must produce the
+// identical Explain string, tuples, fingerprint, and optimizer counters.
 func TestCachedPlanIdentity(t *testing.T) {
 	cat := cacheTestCatalog(t)
 	cold := NewWithConfig(cat, Config{DisablePlanCache: true})
@@ -174,25 +177,59 @@ func TestCachedPlanIdentity(t *testing.T) {
 			t.Fatal(r.Err)
 		}
 	}
+	type outcome struct {
+		explain, fingerprint          string
+		generated, kept, pruned, prot int
+	}
+	outcomeOf := func(r Response) outcome {
+		return outcome{plan.Explain(r.Plan), r.Fingerprint,
+			r.PlansGenerated, r.PlansKept, r.PlansPruned, r.PlansProtected}
+	}
 	for _, sql := range queries {
 		cr := cold.Run(Request{SQL: sql})
 		wr := warm.Run(Request{SQL: sql})
-		if cr.Err != nil || wr.Err != nil {
-			t.Fatalf("%q: cold err=%v warm err=%v", sql, cr.Err, wr.Err)
+		tr := trace.New(sql)
+		xr := warm.Run(Request{SQL: sql, Trace: tr})
+		if cr.Err != nil || wr.Err != nil || xr.Err != nil {
+			t.Fatalf("%q: cold err=%v warm err=%v traced err=%v", sql, cr.Err, wr.Err, xr.Err)
 		}
-		if cr.CacheHit {
-			t.Errorf("%q: cache-disabled engine reported a hit", sql)
+		if cr.CacheHit || xr.CacheHit {
+			t.Errorf("%q: cache-disabled or traced session reported a hit", sql)
 		}
 		if !wr.CacheHit {
 			t.Errorf("%q: warm engine missed", sql)
 		}
-		ce, we := plan.Explain(cr.Plan), plan.Explain(wr.Plan)
-		if ce != we {
-			t.Errorf("%q: plans diverge\ncold:\n%s\nwarm:\n%s", sql, ce, we)
+		if xr.OptTrace == nil {
+			t.Errorf("%q: traced session on a warm cache returned no decision trace", sql)
 		}
-		if !reflect.DeepEqual(cr.Tuples, wr.Tuples) {
-			t.Errorf("%q: tuples diverge between cached and uncached runs", sql)
+		if !strings.Contains(tr.Tree(), "would_hit=true") {
+			t.Errorf("%q: traced session on a warm cache did not record would_hit=true:\n%s", sql, tr.Tree())
 		}
+		co := outcomeOf(cr)
+		for name, r := range map[string]Response{"warm": wr, "traced": xr} {
+			if o := outcomeOf(r); o != co {
+				t.Errorf("%q: %s run diverges from cold\ncold: %+v\n%s: %+v", sql, name, co, name, o)
+			}
+			if !reflect.DeepEqual(cr.Tuples, r.Tuples) {
+				t.Errorf("%q: tuples diverge between cold and %s runs", sql, name)
+			}
+		}
+	}
+	// Traced sessions count as neither hit nor miss, and invalidate nothing.
+	n := uint64(len(queries))
+	if st := warm.CacheStats(); st.Hits != n || st.Misses != n || st.Invalidations != 0 || st.Entries != len(queries) {
+		t.Errorf("warm cache stats = %+v, want %d hits, %d misses, 0 invalidations, %d entries", st, n, n, len(queries))
+	}
+	if st := cold.CacheStats(); st != (CacheStats{}) {
+		t.Errorf("cache-disabled engine counted %+v", st)
+	}
+	// A traced session on an empty cache still stores its template.
+	fresh := New(cat, core.Options{})
+	if r := fresh.Run(Request{SQL: cacheTestSQL, Trace: trace.New(cacheTestSQL)}); r.Err != nil {
+		t.Fatal(r.Err)
+	}
+	if r := fresh.Run(Request{SQL: cacheTestSQL}); !r.CacheHit {
+		t.Error("untraced rerun after a traced session missed the plan cache")
 	}
 }
 

@@ -63,7 +63,6 @@ type Engine struct {
 	// threshold (0 disables the slow-query log entirely).
 	logger    *slog.Logger
 	slowQuery time.Duration
-	perTuple  bool
 	// shards are the per-shard catalogs of the scatter-gather tier (see
 	// shard.go); empty when Config.Shards is 0 or construction failed
 	// (shardErr records why). shardWidth caps concurrently running shards.
@@ -109,12 +108,6 @@ type Config struct {
 	// Logger receives the structured engine logs. nil falls back to
 	// slog.Default() when SlowQuery is set.
 	Logger *slog.Logger
-	// PerTupleExec runs the scalar reference executor: plan roots drain one
-	// tuple per Next instead of batch-at-a-time, and compilation selects
-	// pre-vectorization operator internals (plan.Config.ScalarRef). Kept as
-	// a baseline for benchmarks and for cross-checking batch results.
-	// Production engines leave it false.
-	PerTupleExec bool
 	// Shards, when positive, builds the sharded scatter-gather tier over the
 	// catalog: every table is partitioned into this many shards (each table
 	// needs a catalog.PartitionSpec) and qualifying top-k sessions run one
@@ -151,7 +144,7 @@ func New(cat *catalog.Catalog, opts core.Options) *Engine {
 // NewWithConfig constructs an engine with explicit configuration.
 func NewWithConfig(cat *catalog.Catalog, cfg Config) *Engine {
 	e := &Engine{cat: cat, opts: cfg.Options, defLimits: cfg.DefaultLimits,
-		logger: cfg.Logger, slowQuery: cfg.SlowQuery, perTuple: cfg.PerTupleExec}
+		logger: cfg.Logger, slowQuery: cfg.SlowQuery}
 	if e.logger == nil && e.slowQuery > 0 {
 		e.logger = slog.Default()
 	}
@@ -179,12 +172,7 @@ func NewWithConfig(cat *catalog.Catalog, cfg Config) *Engine {
 
 // CacheStats snapshots the plan cache's hit/miss/invalidation counters and
 // entry count. All zeros when the cache is disabled.
-func (e *Engine) CacheStats() CacheStats {
-	if e.cache == nil {
-		return CacheStats{}
-	}
-	return e.cache.stats()
-}
+func (e *Engine) CacheStats() CacheStats { return e.cache.stats() }
 
 // Request is one query session's input.
 type Request struct {
@@ -318,52 +306,86 @@ func countersOf(res *core.Result) plan.PlanCounters {
 	}
 }
 
-// planFor produces a session-private plan for the SQL text, consulting the
-// plan cache when enabled. The returned tree is always a fresh instantiation
-// (never a shared cached tree), rebound to the query's k and annotated with
-// depth hints.
-func (e *Engine) planFor(sql string) (planInfo, error) {
-	if e.cache == nil {
-		return e.optimizeFresh(sql)
-	}
+// planFor is the one planner path behind every session: it produces a
+// session-private plan for the SQL text, consulting the plan cache (a nil
+// cache misses every lookup and drops every store). The returned tree is
+// always a fresh instantiation (never a shared cached tree), rebound to the
+// query's k and annotated with depth hints, so instantiation behaves
+// identically with the cache on or off. Under a span recorder each stage gets
+// a span and the optimizer runs fresh — single worker, decision tracer
+// attached — so the returned DecisionTrace is complete and deterministic even
+// when the plan cache holds the query; the fresh template still lands in the
+// cache.
+func (e *Engine) planFor(tr *trace.Trace, sql string) (planInfo, *core.DecisionTrace, error) {
 	epoch := e.cat.StatsEpoch()
-	// Level 1: exact query text — skips lexing and parsing.
+	// Level 1: exact query text — skips lexing and parsing. A traced session
+	// only records what the cache would have done.
+	ls := -1
+	if e.cache != nil {
+		ls = tr.Begin("plan-cache", "pipeline")
+	}
+	wouldHit := false
 	if fp, qk, ok := e.cache.lookupText(sql, epoch); ok {
 		if tmpl, ok := e.cache.lookupPlan(fp, epoch, e.hintEpochFor(fp)); ok {
-			e.cache.hits.Add(1)
-			return planInfo{root: tmpl.Instantiate(qk), hit: true, fp: fp, counters: tmpl.Counters, k: qk}, nil
+			if tr == nil {
+				e.cache.hits.Add(1)
+				return planInfo{root: tmpl.Instantiate(qk), hit: true, fp: fp, counters: tmpl.Counters, k: qk}, nil, nil
+			}
+			wouldHit = true
 		}
 	}
+	tr.Annotate(ls, "would_hit", strconv.FormatBool(wouldHit))
+	tr.End(ls)
+	ps := tr.Begin("parse", "pipeline")
 	q, err := sqlparse.Parse(sql)
+	tr.End(ps)
 	if err != nil {
-		return planInfo{}, fmt.Errorf("engine: parse: %w", err)
+		return planInfo{}, nil, fmt.Errorf("engine: parse: %w", err)
 	}
+	fs := tr.Begin("fingerprint", "pipeline")
 	fp := sqlparse.Fingerprint(q)
+	tr.End(fs)
 	e.cache.storeText(sql, fp, q.K, epoch)
 	// hints and hintEpoch are read together so the template stored below is
 	// labeled with exactly the observations the optimizer saw.
 	hints, hintEpoch := e.hintsFor(fp)
-	// Level 2: canonical fingerprint — skips optimization.
-	if tmpl, ok := e.cache.lookupPlan(fp, epoch, hintEpoch); ok {
-		e.cache.hits.Add(1)
-		return planInfo{root: tmpl.Instantiate(q.K), hit: true, fp: fp, counters: tmpl.Counters, k: q.K}, nil
-	}
-	e.cache.misses.Add(1)
 	opts := e.opts
 	opts.DepthHints = hints
+	var dt *core.DecisionTrace
+	if tr != nil {
+		dt = core.NewDecisionTrace()
+		opts.Tracer = dt
+		opts.Workers = 1
+	} else if tmpl, ok := e.cache.lookupPlan(fp, epoch, hintEpoch); ok {
+		// Level 2: canonical fingerprint — skips optimization.
+		e.cache.hits.Add(1)
+		return planInfo{root: tmpl.Instantiate(q.K), hit: true, fp: fp, counters: tmpl.Counters, k: q.K}, nil, nil
+	} else {
+		e.cache.miss()
+	}
 	if len(hints) > 0 {
 		e.met.depthReplans.Add(1)
 	}
+	os := tr.Begin("optimize", "pipeline")
 	res, err := core.Optimize(e.cat, q, opts)
 	if err != nil {
-		return planInfo{}, fmt.Errorf("engine: optimize: %w", err)
+		tr.End(os)
+		return planInfo{}, nil, fmt.Errorf("engine: optimize: %w", err)
 	}
 	e.met.observeGreedy(res)
 	counters := countersOf(res)
+	tr.AnnotateInt(os, "plans_generated", int64(counters.Generated))
+	tr.AnnotateInt(os, "plans_kept", int64(counters.Kept))
+	tr.AnnotateInt(os, "plans_pruned", int64(counters.Pruned))
+	tr.AnnotateInt(os, "plans_protected", int64(counters.Protected))
+	tr.End(os)
 	e.met.observeOptimize(counters)
 	tmpl := plan.NewTemplate(res.Best, q.K, counters)
 	e.cache.storePlan(fp, tmpl, epoch, hintEpoch)
-	return planInfo{root: tmpl.Instantiate(q.K), fp: fp, counters: counters, k: q.K}, nil
+	is := tr.Begin("instantiate", "pipeline")
+	root := tmpl.Instantiate(q.K)
+	tr.End(is)
+	return planInfo{root: root, fp: fp, counters: counters, k: q.K}, dt, nil
 }
 
 // hintEpochFor returns the fingerprint's depth-feedback hint epoch (0 when
@@ -382,92 +404,6 @@ func (e *Engine) hintsFor(fp string) (map[string]estimate.Observed, uint64) {
 		return nil, 0
 	}
 	return e.feedback.snapshot(fp)
-}
-
-// optimizeFresh is the cache-free pipeline: parse and optimize, wrapping the
-// result in a throwaway template so instantiation (clone + depth hints)
-// behaves identically with the cache on or off.
-func (e *Engine) optimizeFresh(sql string) (planInfo, error) {
-	q, err := sqlparse.Parse(sql)
-	if err != nil {
-		return planInfo{}, fmt.Errorf("engine: parse: %w", err)
-	}
-	fp := sqlparse.Fingerprint(q)
-	opts := e.opts
-	if hints, _ := e.hintsFor(fp); len(hints) > 0 {
-		opts.DepthHints = hints
-		e.met.depthReplans.Add(1)
-	}
-	res, err := core.Optimize(e.cat, q, opts)
-	if err != nil {
-		return planInfo{}, fmt.Errorf("engine: optimize: %w", err)
-	}
-	e.met.observeGreedy(res)
-	counters := countersOf(res)
-	e.met.observeOptimize(counters)
-	tmpl := plan.NewTemplate(res.Best, q.K, counters)
-	return planInfo{root: tmpl.Instantiate(q.K), fp: fp, counters: counters, k: q.K}, nil
-}
-
-// planForTraced is planFor under a span recorder: each stage gets a span,
-// and the optimizer runs fresh — single worker, decision tracer attached —
-// so the returned DecisionTrace is complete and deterministic even when the
-// plan cache holds the query. The fresh template still lands in the cache.
-func (e *Engine) planForTraced(tr *trace.Trace, sql string) (planInfo, *core.DecisionTrace, error) {
-	epoch := e.cat.StatsEpoch()
-	if e.cache != nil {
-		// Record what the cache would have done; the session re-optimizes
-		// regardless so the decision trace exists.
-		ls := tr.Begin("plan-cache", "pipeline")
-		wouldHit := false
-		if fp, _, ok := e.cache.lookupText(sql, epoch); ok {
-			_, wouldHit = e.cache.lookupPlan(fp, epoch, e.hintEpochFor(fp))
-		}
-		if wouldHit {
-			tr.Annotate(ls, "would_hit", "true")
-		} else {
-			tr.Annotate(ls, "would_hit", "false")
-		}
-		tr.End(ls)
-	}
-	ps := tr.Begin("parse", "pipeline")
-	q, err := sqlparse.Parse(sql)
-	tr.End(ps)
-	if err != nil {
-		return planInfo{}, nil, fmt.Errorf("engine: parse: %w", err)
-	}
-	fs := tr.Begin("fingerprint", "pipeline")
-	fp := sqlparse.Fingerprint(q)
-	tr.End(fs)
-	dt := core.NewDecisionTrace()
-	opts := e.opts
-	opts.Tracer = dt
-	opts.Workers = 1
-	hints, hintEpoch := e.hintsFor(fp)
-	opts.DepthHints = hints
-	os := tr.Begin("optimize", "pipeline")
-	res, err := core.Optimize(e.cat, q, opts)
-	if err != nil {
-		tr.End(os)
-		return planInfo{}, nil, fmt.Errorf("engine: optimize: %w", err)
-	}
-	e.met.observeGreedy(res)
-	tr.AnnotateInt(os, "plans_generated", int64(res.PlansGenerated))
-	tr.AnnotateInt(os, "plans_kept", int64(res.PlansKept))
-	tr.AnnotateInt(os, "plans_pruned", int64(res.PlansPruned))
-	tr.AnnotateInt(os, "plans_protected", int64(res.PlansProtected))
-	tr.End(os)
-	counters := countersOf(res)
-	e.met.observeOptimize(counters)
-	tmpl := plan.NewTemplate(res.Best, q.K, counters)
-	if e.cache != nil {
-		e.cache.storeText(sql, fp, q.K, epoch)
-		e.cache.storePlan(fp, tmpl, epoch, hintEpoch)
-	}
-	is := tr.Begin("instantiate", "pipeline")
-	root := tmpl.Instantiate(q.K)
-	tr.End(is)
-	return planInfo{root: root, fp: fp, counters: counters, k: q.K}, dt, nil
 }
 
 // Run executes one complete query session and never panics on malformed
@@ -546,16 +482,11 @@ func (e *Engine) run(ctx context.Context, req Request, limits exec.ResourceLimit
 	if err := exec.CtxErr(ctx); err != nil {
 		return fail(err)
 	}
-	var pi planInfo
-	var err error
-	if tr != nil {
-		pi, resp.OptTrace, err = e.planForTraced(tr, req.SQL)
-	} else {
-		pi, err = e.planFor(req.SQL)
-	}
+	pi, dt, err := e.planFor(tr, req.SQL)
 	if err != nil {
 		return fail(err)
 	}
+	resp.OptTrace = dt
 	resp.Plan = pi.root
 	en.k.Store(int64(pi.k))
 	resp.CacheHit = pi.hit
@@ -572,6 +503,10 @@ func (e *Engine) run(ctx context.Context, req Request, limits exec.ResourceLimit
 	if root.CountOps(plan.OpAnyK) > 0 {
 		e.met.anykPlans.Add(1)
 	}
+	// Analyze (and traced) sessions thread a stats collector between every
+	// operator, on either tier; traced sessions synthesize per-operator spans
+	// from the collectors.
+	p := pipelines{collect: req.Analyze || tr != nil, budget: exec.NewBudget(limits)}
 	// Sharded tier: qualifying plans run one pipeline per shard under the
 	// early-stop coordinator — including Analyze and traced sessions, whose
 	// per-shard stats collectors and trace lanes ride the fan-out (the
@@ -582,7 +517,7 @@ func (e *Engine) run(ctx context.Context, req Request, limits exec.ResourceLimit
 		if k, ok := e.shardable(root); ok {
 			en.setState(QueryExecuting)
 			en.sharded.Store(true)
-			if err := e.runSharded(ctx, &resp, root, k, exec.NewBudget(limits), req.Analyze, tr, &en.prog); err != nil {
+			if err := e.runSharded(ctx, &resp, root, k, &p, tr, &en.prog); err != nil {
 				return fail(err)
 			}
 			resp.Elapsed = time.Since(start)
@@ -590,116 +525,129 @@ func (e *Engine) run(ctx context.Context, req Request, limits exec.ResourceLimit
 		}
 		e.met.observeShardFallback(shardFallbackNonShardable)
 	}
-	type tracedJoin struct {
-		node *plan.Node
-		op   exec.StatsReporter
-	}
-	// joins are the plan's rank joins (depth report + feedback); anyks are
-	// its any-k enumerators (histogram observation only — their drained-input
-	// "depths" would poison the rank-join depth feedback).
-	var joins, anyks []tracedJoin
-	var op exec.Operator
-	budget := exec.NewBudget(limits)
 	cs := tr.Begin("compile", "pipeline")
-	if req.Analyze || tr != nil {
-		// Analyze (and traced) sessions thread a stats collector between
-		// every operator; the wrappers forward StatsReporter, so the
-		// rank-join depth report below works identically in both modes, and
-		// traced sessions synthesize per-operator spans from the collectors.
-		op, resp.Analysis, err = plan.CompileAnalyzedLimited(e.cat, root, budget)
-		if err == nil {
-			root.Walk(func(n *plan.Node) {
-				a := resp.Analysis.Collector(n)
-				if a == nil {
-					return
-				}
-				if n.Op.IsRankJoin() {
-					joins = append(joins, tracedJoin{n, a})
-				} else if n.Op == plan.OpAnyK {
-					anyks = append(anyks, tracedJoin{n, a})
-				}
-			})
-		}
-	} else {
-		op, err = plan.CompileWith(e.cat, root, plan.Config{
-			Trace: func(n *plan.Node, o exec.Operator) {
-				sr, ok := o.(exec.StatsReporter)
-				if !ok {
-					return
-				}
-				if n.Op.IsRankJoin() {
-					joins = append(joins, tracedJoin{n, sr})
-				} else if n.Op == plan.OpAnyK {
-					anyks = append(anyks, tracedJoin{n, sr})
-				}
-			},
-			Budget: budget,
-			// PerTupleExec means the whole scalar reference executor, not just
-			// the drain: vectorized internal phases fall back too.
-			ScalarRef: e.perTuple,
-		})
-	}
+	op, err := p.compile(e.cat, root, -1)
 	tr.End(cs)
 	if err != nil {
 		return fail(fmt.Errorf("engine: compile: %w", err))
 	}
+	if p.collect {
+		resp.Analysis = p.runs[0].Analysis
+	}
 	en.setState(QueryExecuting)
-	root_ := exec.WithProgress(op, &en.prog)
 	es := tr.Begin("execute", "pipeline")
 	execStart := time.Now()
-	var tuples []relation.Tuple
-	if e.perTuple {
-		tuples, err = exec.CollectPerTupleCtx(ctx, root_)
-	} else {
-		tuples, err = exec.CollectCtx(ctx, root_)
-	}
+	tuples, err := exec.CollectCtx(ctx, exec.WithProgress(op, &en.prog))
 	tr.AnnotateInt(es, "tuples", int64(len(tuples)))
 	tr.End(es)
-	if tr != nil && resp.Analysis != nil {
+	if tr != nil {
 		addOperatorSpans(tr, es, root, resp.Analysis, execStart)
 	}
 	if err != nil {
 		return fail(fmt.Errorf("engine: execute: %w", err))
 	}
 	resp.Tuples = tuples
-	sch := op.Schema()
-	resp.Columns = make([]string, sch.Len())
-	for i := 0; i < sch.Len(); i++ {
-		resp.Columns[i] = sch.Column(i).QualifiedName()
-	}
-	// Stats are read only after Collect closed the operators: the session
-	// owns the tree, so no other goroutine can observe partial stats. The
-	// estimated depths were annotated on the session's plan clone during
-	// instantiation (plan.AnnotateDepthHints).
-	for _, tj := range joins {
-		st := tj.op.Stats()
-		resp.RankJoins = append(resp.RankJoins, RankJoinStat{
-			Op:    tj.node.Op.String(),
-			Pred:  rankJoinPredLabel(tj.node),
-			Stats: st,
-			EstDL: tj.node.EstDL,
-			EstDR: tj.node.EstDR,
-		})
-		idx := histOpIndex(tj.node.Op)
-		e.met.observeOpDepth(idx, int64(st.LeftDepth))
-		e.met.observeOpDepth(idx, int64(st.RightDepth))
-	}
-	for _, tj := range anyks {
-		st := tj.op.Stats()
-		e.met.observeOpDepth(histOpAnyK, int64(st.LeftDepth))
-		e.met.observeOpDepth(histOpAnyK, int64(st.RightDepth))
-	}
-	if resp.Analysis != nil {
-		e.observeAnalyzedOps(root, resp.Analysis)
-	}
-	if e.feedback != nil && len(joins) > 0 && resp.Fingerprint != "" {
+	e.finish(&resp, op.Schema(), &p)
+	if e.feedback != nil && len(p.joins) > 0 && resp.Fingerprint != "" {
 		demands := rankJoinDemands(root, float64(pi.k))
-		for _, tj := range joins {
-			e.observeDepths(resp.Fingerprint, tj.node, tj.op.Stats(), demands[tj.node])
+		for _, h := range p.joins {
+			e.observeDepths(resp.Fingerprint, h.node, h.op.Stats(), demands[h.node])
 		}
 	}
 	resp.Elapsed = time.Since(start)
 	return resp
+}
+
+// opHandle keeps one compiled operator's stats handle next to its plan node.
+// shard is the pipeline it belongs to (-1 on the unsharded tier).
+type opHandle struct {
+	shard int
+	node  *plan.Node
+	op    exec.StatsReporter
+}
+
+// pipelines is what a session's compiled operator trees — one on the
+// unsharded tier, one per shard on the sharded — leave behind for the
+// post-execution report.
+type pipelines struct {
+	// collect threads a stats collector between every pair of operators.
+	collect bool
+	// budget is the session's shared allowance, charged by every pipeline.
+	budget *exec.Budget
+	// joins are the rank joins (depth report + feedback); anyks are the any-k
+	// enumerators (histogram observation only — their drained-input "depths"
+	// would poison the rank-join depth feedback).
+	joins, anyks []opHandle
+	// runs holds every pipeline's analyzed plan when collect is set.
+	runs []plan.ShardRun
+}
+
+// compile lowers root against cat as pipeline number shard. The stats
+// collectors forward StatsReporter, so one Trace callback finds the rank-join
+// and any-k handles with collection on or off.
+func (p *pipelines) compile(cat *catalog.Catalog, root *plan.Node, shard int) (exec.Operator, error) {
+	var ap *plan.AnalyzedPlan
+	if p.collect {
+		ap = &plan.AnalyzedPlan{}
+		p.runs = append(p.runs, plan.ShardRun{Shard: shard, Root: root, Analysis: ap})
+	}
+	return plan.CompileWith(cat, root, plan.Config{
+		Trace: func(n *plan.Node, o exec.Operator) {
+			sr, ok := o.(exec.StatsReporter)
+			if !ok {
+				return
+			}
+			if n.Op.IsRankJoin() {
+				p.joins = append(p.joins, opHandle{shard, n, sr})
+			} else if n.Op == plan.OpAnyK {
+				p.anyks = append(p.anyks, opHandle{shard, n, sr})
+			}
+		},
+		Budget:  p.budget,
+		Analyze: ap,
+	})
+}
+
+// finish is the shared tail of both tiers: output columns, the rank-join
+// depth report, and the depth/latency histograms. Stats are read only after
+// the drain closed the operators (and joined any shard workers): the session
+// owns the trees, so no other goroutine can observe partial stats. The
+// estimated depths were annotated on the session's plan clone during
+// instantiation (plan.AnnotateDepthHints). Sharded sessions report their
+// per-shard rank joins only when collecting.
+func (e *Engine) finish(resp *Response, sch *relation.Schema, p *pipelines) {
+	resp.Columns = make([]string, sch.Len())
+	for i := 0; i < sch.Len(); i++ {
+		resp.Columns[i] = sch.Column(i).QualifiedName()
+	}
+	for _, h := range p.joins {
+		st := h.op.Stats()
+		idx := histOpIndex(h.node.Op)
+		e.met.observeOpDepth(idx, int64(st.LeftDepth))
+		e.met.observeOpDepth(idx, int64(st.RightDepth))
+		name := h.node.Op.String()
+		if h.shard >= 0 {
+			if !p.collect {
+				continue
+			}
+			name = fmt.Sprintf("%s[shard %d]", name, h.shard)
+		}
+		resp.RankJoins = append(resp.RankJoins, RankJoinStat{
+			Op:    name,
+			Pred:  rankJoinPredLabel(h.node),
+			Stats: st,
+			EstDL: h.node.EstDL,
+			EstDR: h.node.EstDR,
+		})
+	}
+	for _, h := range p.anyks {
+		st := h.op.Stats()
+		e.met.observeOpDepth(histOpAnyK, int64(st.LeftDepth))
+		e.met.observeOpDepth(histOpAnyK, int64(st.RightDepth))
+	}
+	for _, r := range p.runs {
+		e.observeAnalyzedOps(r.Root, r.Analysis)
+	}
 }
 
 // rankJoinDemands replays Algorithm Propagate over the executed plan to

@@ -162,24 +162,13 @@ func shardCeiling(sc *catalog.Catalog, score expr.ScoreSum) float64 {
 
 // runSharded executes the session on the sharded tier: one plan clone
 // rebound and compiled per shard (all charging the session's shared budget),
-// gathered by a ShardMerge whose start width is Config.ShardWidth. Analyze
-// sessions compile every shard pipeline under stats collectors and fill the
-// response's ShardAnalysis; traced sessions additionally get one Chrome lane
-// per shard worker synthesized from the coordinator's per-shard records. It
-// fills the response's tuples, columns, and shard statistics.
-func (e *Engine) runSharded(ctx context.Context, resp *Response, root *plan.Node, k int, budget *exec.Budget, analyze bool, tr *trace.Trace, prog *exec.Progress) error {
+// gathered by a ShardMerge whose start width is Config.ShardWidth. Collecting
+// sessions fill the response's ShardAnalysis; traced sessions additionally
+// get one Chrome lane per shard worker synthesized from the coordinator's
+// per-shard records. It fills the response's tuples, columns, and shard
+// statistics.
+func (e *Engine) runSharded(ctx context.Context, resp *Response, root *plan.Node, k int, p *pipelines, tr *trace.Trace, prog *exec.Progress) error {
 	score := root.Input().Score
-	collect := analyze || tr != nil
-	type shardJoin struct {
-		shard int
-		node  *plan.Node
-		op    exec.StatsReporter
-	}
-	// joins feed the depth histograms and (analyzed) the per-shard depth
-	// report; anyks only feed histograms — their drained-input depths must
-	// stay out of the rank-join feedback path.
-	var joins, anyks []shardJoin
-	var runs []plan.ShardRun
 	inputs := make([]exec.ShardInput, len(e.shards))
 	cs := tr.Begin("compile", "pipeline")
 	for i, sc := range e.shards {
@@ -188,43 +177,7 @@ func (e *Engine) runSharded(ctx context.Context, resp *Response, root *plan.Node
 			tr.End(cs)
 			return fmt.Errorf("engine: shard %d: %w", i, err)
 		}
-		var op exec.Operator
-		var err error
-		shard := i
-		if collect {
-			var ap *plan.AnalyzedPlan
-			op, ap, err = plan.CompileAnalyzedLimited(sc, clone, budget)
-			if err == nil {
-				runs = append(runs, plan.ShardRun{Shard: shard, Root: clone, Analysis: ap})
-				clone.Walk(func(n *plan.Node) {
-					a := ap.Collector(n)
-					if a == nil {
-						return
-					}
-					if n.Op.IsRankJoin() {
-						joins = append(joins, shardJoin{shard, n, a})
-					} else if n.Op == plan.OpAnyK {
-						anyks = append(anyks, shardJoin{shard, n, a})
-					}
-				})
-			}
-		} else {
-			op, err = plan.CompileWith(sc, clone, plan.Config{
-				Trace: func(n *plan.Node, o exec.Operator) {
-					sr, ok := o.(exec.StatsReporter)
-					if !ok {
-						return
-					}
-					if n.Op.IsRankJoin() {
-						joins = append(joins, shardJoin{shard, n, sr})
-					} else if n.Op == plan.OpAnyK {
-						anyks = append(anyks, shardJoin{shard, n, sr})
-					}
-				},
-				Budget:    budget,
-				ScalarRef: e.perTuple,
-			})
-		}
+		op, err := p.compile(sc, clone, i)
 		if err != nil {
 			tr.End(cs)
 			return fmt.Errorf("engine: shard %d compile: %w", i, err)
@@ -232,7 +185,7 @@ func (e *Engine) runSharded(ctx context.Context, resp *Response, root *plan.Node
 		inputs[i] = exec.ShardInput{Op: op, Ceiling: shardCeiling(sc, score)}
 	}
 	tr.End(cs)
-	merge, err := exec.NewShardMerge(inputs, k, budget)
+	merge, err := exec.NewShardMerge(inputs, k, p.budget)
 	if err != nil {
 		return err
 	}
@@ -250,43 +203,16 @@ func (e *Engine) runSharded(ctx context.Context, resp *Response, root *plan.Node
 	// the per-shard operators and coordinator stats here races with nothing.
 	st := merge.Stats()
 	if tr != nil {
-		addShardSpans(tr, es, &st, runs, execStart)
+		addShardSpans(tr, es, &st, p.runs, execStart)
 	}
 	tr.End(es)
 	resp.Tuples = tuples
 	resp.Sharded = true
 	resp.ShardStats = &st
-	sch := merge.Schema()
-	resp.Columns = make([]string, sch.Len())
-	for i := 0; i < sch.Len(); i++ {
-		resp.Columns[i] = sch.Column(i).QualifiedName()
+	if p.collect {
+		resp.ShardAnalysis = &plan.ShardedAnalysis{Stats: st, Shards: p.runs}
 	}
-	if collect {
-		resp.ShardAnalysis = &plan.ShardedAnalysis{Stats: st, Shards: runs}
-	}
-	for _, sj := range joins {
-		jst := sj.op.Stats()
-		idx := histOpIndex(sj.node.Op)
-		e.met.observeOpDepth(idx, int64(jst.LeftDepth))
-		e.met.observeOpDepth(idx, int64(jst.RightDepth))
-		if collect {
-			resp.RankJoins = append(resp.RankJoins, RankJoinStat{
-				Op:    fmt.Sprintf("%s[shard %d]", sj.node.Op.String(), sj.shard),
-				Pred:  rankJoinPredLabel(sj.node),
-				Stats: jst,
-				EstDL: sj.node.EstDL,
-				EstDR: sj.node.EstDR,
-			})
-		}
-	}
-	for _, sj := range anyks {
-		ast := sj.op.Stats()
-		e.met.observeOpDepth(histOpAnyK, int64(ast.LeftDepth))
-		e.met.observeOpDepth(histOpAnyK, int64(ast.RightDepth))
-	}
-	for _, r := range runs {
-		e.observeAnalyzedOps(r.Root, r.Analysis)
-	}
+	e.finish(resp, merge.Schema(), p)
 	e.met.observeSharded(&st, execNanos)
 	return nil
 }

@@ -225,13 +225,10 @@ func (h *HashAggregate) Schema() *relation.Schema {
 	return h.schema
 }
 
-// Open implements Operator: drains the input and aggregates.
-func (h *HashAggregate) Open() error { return h.OpenCtx(context.Background()) }
-
-// OpenCtx implements OperatorCtx: the blocking drain polls the context on
+// Open implements Operator: the blocking drain polls the context on
 // the sampling cadence.
-func (h *HashAggregate) OpenCtx(ctx context.Context) error {
-	if err := OpenOp(ctx, h.In); err != nil {
+func (h *HashAggregate) Open(ctx context.Context) error {
+	if err := h.In.Open(ctx); err != nil {
 		return err
 	}
 	if err := h.load(ctx); err != nil {
@@ -375,15 +372,12 @@ func (s *SortedAggregate) Schema() *relation.Schema {
 	return s.schema
 }
 
-// Open implements Operator.
-func (s *SortedAggregate) Open() error { return s.OpenCtx(context.Background()) }
-
-// OpenCtx implements OperatorCtx, forwarding the context to the input.
-func (s *SortedAggregate) OpenCtx(ctx context.Context) error {
+// Open implements Operator, forwarding the context to the input.
+func (s *SortedAggregate) Open(ctx context.Context) error {
 	if len(s.GroupBy) == 0 {
 		return fmt.Errorf("exec: sorted aggregate needs group columns")
 	}
-	if err := OpenOp(ctx, s.In); err != nil {
+	if err := s.In.Open(ctx); err != nil {
 		return err
 	}
 	sch, err := aggSchema(s.In.Schema(), s.GroupBy, s.Aggs)

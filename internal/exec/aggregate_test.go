@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -126,7 +127,7 @@ func TestAggregateNullHandling(t *testing.T) {
 
 func TestSortedAggregateRequiresGroups(t *testing.T) {
 	s := NewSortedAggregate(NewSeqScan(aggInput()), nil, stdAggs())
-	if err := s.Open(); err == nil {
+	if err := s.Open(context.Background()); err == nil {
 		t.Error("sorted aggregate without groups must fail")
 	}
 }
@@ -134,7 +135,7 @@ func TestSortedAggregateRequiresGroups(t *testing.T) {
 func TestSortedAggregateStreamsInOrder(t *testing.T) {
 	in := NewSort(NewSeqScan(aggInput()), SortKey{E: expr.Col("A", "key")})
 	s := NewSortedAggregate(in, []expr.ColRef{expr.Col("A", "key")}, stdAggs()[:1])
-	if err := s.Open(); err != nil {
+	if err := s.Open(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	var keys []int64

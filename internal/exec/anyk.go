@@ -196,13 +196,10 @@ func (j *AnyK) gauges() analyzeGauges {
 	return g
 }
 
-// Open implements Operator.
-func (j *AnyK) Open() error { return j.OpenCtx(context.Background()) }
-
-// OpenCtx implements OperatorCtx. The build itself is deferred to the first
+// Open implements Operator. The build itself is deferred to the first
 // Next call so cancellation during the (blocking) build surfaces as a Next
 // error like every other operator's pull loop.
-func (j *AnyK) OpenCtx(ctx context.Context) error {
+func (j *AnyK) Open(ctx context.Context) error {
 	j.cancel.reset(ctx)
 	j.acct.releaseAll()
 	j.acct.budget = j.Budget
@@ -211,7 +208,7 @@ func (j *AnyK) OpenCtx(ctx context.Context) error {
 	j.lkeyEvs = make([]expr.Eval, m-1)
 	j.rkeyEvs = make([]expr.Eval, m-1)
 	for i, in := range j.Inputs {
-		if err := OpenOp(ctx, in); err != nil {
+		if err := in.Open(ctx); err != nil {
 			closeQuietly(j.Inputs[:i]...)
 			return err
 		}

@@ -225,7 +225,7 @@ func TestAnyKStatsAndGauges(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Re-open to inspect gauges before Close wipes state.
-	if err := j.Open(); err != nil {
+	if err := j.Open(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := j.Next(); err != nil {
@@ -263,7 +263,7 @@ func TestAnyKQueryCancellation(t *testing.T) {
 	_, j := anykFixture(t, 3, 4000, 0.02, 1300)
 	j.Budget = b
 	ctx, cancel := context.WithCancel(context.Background())
-	if err := j.OpenCtx(ctx); err != nil {
+	if err := j.Open(ctx); err != nil {
 		t.Fatal(err)
 	}
 	cancel()
@@ -296,7 +296,7 @@ func TestAnyKQueryCancellation(t *testing.T) {
 func TestAnyKCancelMidEnumeration(t *testing.T) {
 	_, j := anykFixture(t, 3, 2000, 0.05, 1350)
 	ctx, cancel := context.WithCancel(context.Background())
-	if err := j.OpenCtx(ctx); err != nil {
+	if err := j.Open(ctx); err != nil {
 		t.Fatal(err)
 	}
 	defer j.Close()
@@ -355,7 +355,7 @@ func TestAnyKDepthExceeded(t *testing.T) {
 // room for growth spikes while catching any regression to boxed solutions.
 func TestAnyKPopAllocs(t *testing.T) {
 	_, j := anykFixture(t, 3, 1500, 0.05, 1500)
-	if err := j.Open(); err != nil {
+	if err := j.Open(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	defer j.Close()

@@ -131,7 +131,7 @@ type batchSource struct {
 	cancel canceller
 }
 
-// reset installs the child and the query context (called from OpenCtx).
+// reset installs the child and the query context (called from Open).
 func (s *batchSource) reset(ctx context.Context, op Operator) {
 	s.op = op
 	s.bop, _ = op.(BatchOperator)
@@ -159,45 +159,6 @@ func (s *batchSource) next(out *Batch, max int) (bool, error) {
 	}
 	return out.Len() > 0, nil
 }
-
-// Batched adapts any operator to the batch contract: operators that already
-// implement BatchOperator are returned unchanged, everything else is wrapped
-// in the per-tuple shim. The wrapper forwards OpenCtx so the context still
-// reaches the tree.
-func Batched(op Operator) BatchOperator {
-	if bop, ok := op.(BatchOperator); ok {
-		return bop
-	}
-	return &tupleBatcher{op: op}
-}
-
-// tupleBatcher is the public per-tuple→batch shim behind Batched.
-type tupleBatcher struct {
-	op  Operator
-	src batchSource
-}
-
-func (t *tupleBatcher) Schema() *relation.Schema { return t.op.Schema() }
-
-func (t *tupleBatcher) Open() error { return t.OpenCtx(context.Background()) }
-
-// OpenCtx implements OperatorCtx, retaining ctx for the fill loop's polls.
-func (t *tupleBatcher) OpenCtx(ctx context.Context) error {
-	if err := OpenOp(ctx, t.op); err != nil {
-		return err
-	}
-	t.src.reset(ctx, t.op)
-	return nil
-}
-
-func (t *tupleBatcher) Next() (relation.Tuple, bool, error) { return t.op.Next() }
-
-// NextBatch implements BatchOperator through the shim fill loop.
-func (t *tupleBatcher) NextBatch(out *Batch, max int) (bool, error) {
-	return t.src.next(out, max)
-}
-
-func (t *tupleBatcher) Close() error { return t.op.Close() }
 
 // arenaChunkValues sizes the tupleArena's allocation unit: one make per
 // chunk serves many output tuples, so the per-tuple allocation count of

@@ -348,9 +348,9 @@ func newSlowSource(n int, onNext func(i int)) *slowSource {
 	return &slowSource{schema: rel.Schema(), tuple: rel.Tuples()[0], n: n, onNext: onNext}
 }
 
-func (s *slowSource) Schema() *relation.Schema { return s.schema }
-func (s *slowSource) Open() error              { s.pos = 0; return nil }
-func (s *slowSource) Close() error             { return nil }
+func (s *slowSource) Schema() *relation.Schema   { return s.schema }
+func (s *slowSource) Open(context.Context) error { s.pos = 0; return nil }
+func (s *slowSource) Close() error               { return nil }
 
 func (s *slowSource) Next() (relation.Tuple, bool, error) {
 	if s.pos >= s.n {
@@ -375,7 +375,7 @@ func TestFilterRejectLoopCancellation(t *testing.T) {
 		src := newSlowSource(1_000_000, nil)
 		f := NewFilter(src, pred)
 		ctx, cancel := context.WithCancel(context.Background())
-		if err := f.OpenCtx(ctx); err != nil {
+		if err := f.Open(ctx); err != nil {
 			t.Fatal(err)
 		}
 		cancel()
@@ -397,7 +397,7 @@ func TestFilterRejectLoopCancellation(t *testing.T) {
 		src := newSlowSource(1_000_000, nil)
 		f := NewFilter(src, pred)
 		ctx, cancel := context.WithCancel(context.Background())
-		if err := f.OpenCtx(ctx); err != nil {
+		if err := f.Open(ctx); err != nil {
 			t.Fatal(err)
 		}
 		cancel()
@@ -417,7 +417,7 @@ func TestFilterRejectLoopCancellation(t *testing.T) {
 }
 
 // TestCollectKCtxCancellation covers the CollectK fix: the k-bounded drain
-// now opens through OpenOp with the query context and polls it, so a
+// now opens with the query context and polls it, so a
 // cancelled context stops the pull loop instead of running to k.
 func TestCollectKCtxCancellation(t *testing.T) {
 	t.Run("pre_cancelled", func(t *testing.T) {

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"sort"
 	"testing"
 
@@ -63,7 +64,7 @@ func TestIndexScanBothDirections(t *testing.T) {
 	}
 	// IndexScan without index errors at Open.
 	bad := NewIndexScan(tab.Rel, nil, true)
-	if err := bad.Open(); err == nil {
+	if err := bad.Open(context.Background()); err == nil {
 		t.Error("index scan without index should fail")
 	}
 }
@@ -119,7 +120,7 @@ func TestFilterProjectLimit(t *testing.T) {
 	if l.Schema().Column(0).Name != "x" {
 		t.Error("projected schema name")
 	}
-	if err := NewLimit(p, -1).Open(); err == nil {
+	if err := NewLimit(p, -1).Open(context.Background()); err == nil {
 		t.Error("negative limit must fail")
 	}
 }
@@ -164,7 +165,7 @@ func TestCounterAndHelpers(t *testing.T) {
 	if err != nil || len(got) != 2 || c.Count() != 2 {
 		t.Fatalf("CollectK/Counter: %v %v count=%d", got, err, c.Count())
 	}
-	if err := ErrOperator("boom").Open(); err == nil {
+	if err := ErrOperator("boom").Open(context.Background()); err == nil {
 		t.Error("ErrOperator should fail")
 	}
 	if _, err := Collect(ErrOperator("boom")); err == nil {
@@ -431,7 +432,7 @@ func TestIndexRangeScan(t *testing.T) {
 
 	// Missing index errors at Open.
 	bad := NewIndexRangeScan(tab.Rel, nil, relation.Int(0), relation.Int(1), true, true)
-	if err := bad.Open(); err == nil {
+	if err := bad.Open(context.Background()); err == nil {
 		t.Error("range scan without index must fail")
 	}
 }
@@ -491,7 +492,7 @@ func TestBindErrorsSurfaceAtOpen(t *testing.T) {
 			badCol, badCol, badCol, badCol, nil),
 	}
 	for name, op := range ops {
-		if err := op.Open(); err == nil {
+		if err := op.Open(context.Background()); err == nil {
 			t.Errorf("%s: bad column accepted at Open", name)
 		}
 	}

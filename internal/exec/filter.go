@@ -28,12 +28,9 @@ func NewFilter(in Operator, pred expr.Expr) *Filter { return &Filter{In: in, Pre
 // Schema implements Operator.
 func (f *Filter) Schema() *relation.Schema { return f.In.Schema() }
 
-// Open implements Operator.
-func (f *Filter) Open() error { return f.OpenCtx(context.Background()) }
-
-// OpenCtx implements OperatorCtx, forwarding the context to the input.
-func (f *Filter) OpenCtx(ctx context.Context) error {
-	if err := OpenOp(ctx, f.In); err != nil {
+// Open implements Operator, forwarding the context to the input.
+func (f *Filter) Open(ctx context.Context) error {
+	if err := f.In.Open(ctx); err != nil {
 		return err
 	}
 	ev, err := f.Pred.Bind(f.In.Schema())
@@ -155,12 +152,9 @@ func NewProject(in Operator, items ...ProjectItem) *Project {
 // Schema implements Operator.
 func (p *Project) Schema() *relation.Schema { return p.schema }
 
-// Open implements Operator.
-func (p *Project) Open() error { return p.OpenCtx(context.Background()) }
-
-// OpenCtx implements OperatorCtx, forwarding the context to the input.
-func (p *Project) OpenCtx(ctx context.Context) error {
-	if err := OpenOp(ctx, p.In); err != nil {
+// Open implements Operator, forwarding the context to the input.
+func (p *Project) Open(ctx context.Context) error {
+	if err := p.In.Open(ctx); err != nil {
 		return err
 	}
 	p.evals = make([]expr.Eval, len(p.Items))
@@ -247,16 +241,13 @@ func NewLimit(in Operator, k int) *Limit { return &Limit{In: in, K: k} }
 // Schema implements Operator.
 func (l *Limit) Schema() *relation.Schema { return l.In.Schema() }
 
-// Open implements Operator.
-func (l *Limit) Open() error { return l.OpenCtx(context.Background()) }
-
-// OpenCtx implements OperatorCtx, forwarding the context to the input.
-func (l *Limit) OpenCtx(ctx context.Context) error {
+// Open implements Operator, forwarding the context to the input.
+func (l *Limit) Open(ctx context.Context) error {
 	if l.K < 0 {
 		return fmt.Errorf("exec: negative limit %d", l.K)
 	}
 	l.n = 0
-	if err := OpenOp(ctx, l.In); err != nil {
+	if err := l.In.Open(ctx); err != nil {
 		return err
 	}
 	l.src.reset(ctx, l.In)
@@ -330,12 +321,9 @@ func NewRankAssign(in Operator, score expr.Expr) *RankAssign {
 // Schema implements Operator.
 func (r *RankAssign) Schema() *relation.Schema { return r.schema }
 
-// Open implements Operator.
-func (r *RankAssign) Open() error { return r.OpenCtx(context.Background()) }
-
-// OpenCtx implements OperatorCtx, forwarding the context to the input.
-func (r *RankAssign) OpenCtx(ctx context.Context) error {
-	if err := OpenOp(ctx, r.In); err != nil {
+// Open implements Operator, forwarding the context to the input.
+func (r *RankAssign) Open(ctx context.Context) error {
+	if err := r.In.Open(ctx); err != nil {
 		return err
 	}
 	ev, err := r.Score.Bind(r.In.Schema())

@@ -46,12 +46,9 @@ func NewNestedLoopsJoin(left, right Operator, pred expr.Expr) *NestedLoopsJoin {
 // Schema implements Operator.
 func (j *NestedLoopsJoin) Schema() *relation.Schema { return j.schema }
 
-// Open implements Operator: materializes the inner input.
-func (j *NestedLoopsJoin) Open() error { return j.OpenCtx(context.Background()) }
-
-// OpenCtx implements OperatorCtx; the inner materialization polls the context.
-func (j *NestedLoopsJoin) OpenCtx(ctx context.Context) error {
-	if err := OpenOp(ctx, j.Left); err != nil {
+// Open implements Operator: materializes the inner input, polling the context.
+func (j *NestedLoopsJoin) Open(ctx context.Context) error {
+	if err := j.Left.Open(ctx); err != nil {
 		return err
 	}
 	inner, err := CollectCtx(ctx, j.Right)
@@ -145,15 +142,12 @@ func NewIndexNLJoin(left Operator, innerRel *relation.Relation, innerIdx *catalo
 // Schema implements Operator.
 func (j *IndexNLJoin) Schema() *relation.Schema { return j.schema }
 
-// Open implements Operator.
-func (j *IndexNLJoin) Open() error { return j.OpenCtx(context.Background()) }
-
-// OpenCtx implements OperatorCtx, forwarding the context to the outer input.
-func (j *IndexNLJoin) OpenCtx(ctx context.Context) error {
+// Open implements Operator, forwarding the context to the outer input.
+func (j *IndexNLJoin) Open(ctx context.Context) error {
 	if j.InnerIdx == nil || j.InnerIdx.Tree == nil {
 		return fmt.Errorf("exec: index nested-loops join without inner index")
 	}
-	if err := OpenOp(ctx, j.Left); err != nil {
+	if err := j.Left.Open(ctx); err != nil {
 		return err
 	}
 	keyEv, err := j.OuterKey.Bind(j.Left.Schema())
@@ -283,13 +277,11 @@ func NewHashJoin(left, right Operator, leftKey, rightKey, residual expr.Expr) *H
 // Schema implements Operator.
 func (j *HashJoin) Schema() *relation.Schema { return j.schema }
 
-// Open implements Operator: drains the left input into the hash table.
-func (j *HashJoin) Open() error { return j.OpenCtx(context.Background()) }
-
-// OpenCtx implements OperatorCtx: the blocking build polls the context and
+// Open implements Operator: drains the left input into the hash table; the
+// blocking build polls the context and
 // charges the budget per buffered build tuple.
-func (j *HashJoin) OpenCtx(ctx context.Context) error {
-	if err := OpenOp(ctx, j.Left); err != nil {
+func (j *HashJoin) Open(ctx context.Context) error {
+	if err := j.Left.Open(ctx); err != nil {
 		return err
 	}
 	if err := j.build(ctx); err != nil {
@@ -299,7 +291,7 @@ func (j *HashJoin) OpenCtx(ctx context.Context) error {
 	if err := j.Left.Close(); err != nil {
 		return err
 	}
-	if err := OpenOp(ctx, j.Right); err != nil {
+	if err := j.Right.Open(ctx); err != nil {
 		return err
 	}
 	rKeyEv, err := j.RightKey.Bind(j.Right.Schema())
@@ -660,15 +652,12 @@ func NewSortMergeJoin(left, right Operator, leftKey, rightKey, residual expr.Exp
 // Schema implements Operator.
 func (j *SortMergeJoin) Schema() *relation.Schema { return j.schema }
 
-// Open implements Operator.
-func (j *SortMergeJoin) Open() error { return j.OpenCtx(context.Background()) }
-
-// OpenCtx implements OperatorCtx, forwarding the context to both inputs.
-func (j *SortMergeJoin) OpenCtx(ctx context.Context) error {
-	if err := OpenOp(ctx, j.Left); err != nil {
+// Open implements Operator, forwarding the context to both inputs.
+func (j *SortMergeJoin) Open(ctx context.Context) error {
+	if err := j.Left.Open(ctx); err != nil {
 		return err
 	}
-	if err := OpenOp(ctx, j.Right); err != nil {
+	if err := j.Right.Open(ctx); err != nil {
 		closeQuietly(j.Left)
 		return err
 	}
@@ -839,19 +828,16 @@ func NewSymmetricHashJoin(left, right Operator, leftKey, rightKey, residual expr
 // Schema implements Operator.
 func (j *SymmetricHashJoin) Schema() *relation.Schema { return j.schema }
 
-// Open implements Operator.
-func (j *SymmetricHashJoin) Open() error { return j.OpenCtx(context.Background()) }
-
-// OpenCtx implements OperatorCtx, forwarding the context to both inputs and
+// Open implements Operator, forwarding the context to both inputs and
 // polling it in Next's pull loop.
-func (j *SymmetricHashJoin) OpenCtx(ctx context.Context) error {
+func (j *SymmetricHashJoin) Open(ctx context.Context) error {
 	j.cancel.reset(ctx)
 	j.acct.releaseAll()
 	j.acct.budget = j.Budget
-	if err := OpenOp(ctx, j.Left); err != nil {
+	if err := j.Left.Open(ctx); err != nil {
 		return err
 	}
-	if err := OpenOp(ctx, j.Right); err != nil {
+	if err := j.Right.Open(ctx); err != nil {
 		closeQuietly(j.Left)
 		return err
 	}

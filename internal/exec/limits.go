@@ -43,8 +43,8 @@ type ResourceLimits struct {
 	Deadline time.Time
 	// MaxBufferedTuples caps the tuples buffered across the whole operator
 	// tree at any instant: rank-join ranking queues and hash tables, TopK
-	// heaps, Sort buffers, and HashJoin build tables all charge one shared
-	// budget. Zero means unlimited.
+	// heaps, Sort buffers, HashJoin build tables, and TASelect result rows all
+	// charge one shared budget. Zero means unlimited.
 	MaxBufferedTuples int64
 	// MaxDepthPerInput caps how many tuples a rank-join may consume from any
 	// single input — the direct guard against the runaway-depth failure mode.
@@ -179,7 +179,7 @@ func CtxErr(ctx context.Context) error {
 
 // canceller is the cadence state an operator embeds: poll() returns a typed
 // error on the 1-in-cancelCheckPeriod iteration where the stored context
-// reports done. reset stores the context at OpenCtx time.
+// reports done. reset stores the context at Open time.
 type canceller struct {
 	ctx  context.Context
 	tick uint32

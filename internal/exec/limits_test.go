@@ -92,11 +92,11 @@ func TestBudgetSharedAcrossOperators(t *testing.T) {
 	s1.Budget = b
 	s2 := NewSort(FromTuples(sch, tups), SortKey{E: expr.Col("A", "score"), Desc: true})
 	s2.Budget = b
-	if err := s1.Open(); err != nil {
+	if err := s1.Open(context.Background()); err != nil {
 		t.Fatalf("first sort must fit: %v", err)
 	}
 	defer s1.Close()
-	err := s2.Open()
+	err := s2.Open(context.Background())
 	if err == nil {
 		s2.Close()
 		t.Fatal("second sort must exceed the shared budget")
@@ -108,7 +108,7 @@ func TestBudgetSharedAcrossOperators(t *testing.T) {
 	if err := s1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s2.Open(); err != nil {
+	if err := s2.Open(context.Background()); err != nil {
 		t.Fatalf("after release the second sort must fit: %v", err)
 	}
 	s2.Close()
@@ -161,7 +161,7 @@ func TestCancelMidQueryReleasesBudget(t *testing.T) {
 	b := NewBudget(ResourceLimits{MaxBufferedTuples: 1 << 20})
 	j := limitedHRJN(8000, 20, b)
 	ctx, cancel := context.WithCancel(context.Background())
-	if err := j.OpenCtx(ctx); err != nil {
+	if err := j.Open(ctx); err != nil {
 		t.Fatal(err)
 	}
 	// Pull a few results, then cancel.

@@ -89,12 +89,9 @@ func (j *MultiHRJN) gauges() analyzeGauges {
 	return g
 }
 
-// Open implements Operator.
-func (j *MultiHRJN) Open() error { return j.OpenCtx(context.Background()) }
-
-// OpenCtx implements OperatorCtx, forwarding the context to every input and
+// Open implements Operator, forwarding the context to every input and
 // polling it in Next's pull loop.
-func (j *MultiHRJN) OpenCtx(ctx context.Context) error {
+func (j *MultiHRJN) Open(ctx context.Context) error {
 	j.cancel.reset(ctx)
 	j.acct.releaseAll()
 	j.acct.budget = j.Budget
@@ -102,7 +99,7 @@ func (j *MultiHRJN) OpenCtx(ctx context.Context) error {
 	j.scoreEvs = make([]expr.Eval, m)
 	j.keyEvs = make([]expr.Eval, m)
 	for i, in := range j.Inputs {
-		if err := OpenOp(ctx, in); err != nil {
+		if err := in.Open(ctx); err != nil {
 			closeQuietly(j.Inputs[:i]...)
 			return err
 		}

@@ -1,9 +1,13 @@
 package exec
 
 import (
+	"context"
 	"errors"
+	"runtime"
 	"testing"
+	"time"
 
+	"rankopt/internal/catalog"
 	"rankopt/internal/expr"
 	"rankopt/internal/relation"
 )
@@ -14,9 +18,16 @@ import (
 type lifecycleOp struct {
 	Operator
 	opens, closes int
+	// ctx is the context of the last Open, so tests can verify a parent
+	// forwarded the query context instead of a fresh one.
+	ctx context.Context
 }
 
-func (l *lifecycleOp) Open() error  { l.opens++; return l.Operator.Open() }
+func (l *lifecycleOp) Open(ctx context.Context) error {
+	l.opens++
+	l.ctx = ctx
+	return l.Operator.Open(ctx)
+}
 func (l *lifecycleOp) Close() error { l.closes++; return l.Operator.Close() }
 
 func (l *lifecycleOp) balanced() bool { return l.opens == l.closes }
@@ -25,8 +36,8 @@ func (l *lifecycleOp) balanced() bool { return l.opens == l.closes }
 // whose materialization (Collect) fails inside a parent's Open.
 type nextErrOp struct{ schema *relation.Schema }
 
-func (n nextErrOp) Schema() *relation.Schema { return n.schema }
-func (n nextErrOp) Open() error              { return nil }
+func (n nextErrOp) Schema() *relation.Schema   { return n.schema }
+func (n nextErrOp) Open(context.Context) error { return nil }
 func (n nextErrOp) Next() (relation.Tuple, bool, error) {
 	return nil, false, errors.New("next boom")
 }
@@ -35,64 +46,143 @@ func (n nextErrOp) Close() error { return nil }
 // TestOpenFailureClosesOpenedChildren drives every operator whose Open can
 // fail after a child was already opened, and asserts no child leaks open.
 // Before the fix, a right-input Open failure (or a bind failure) returned
-// with the left input still holding its resources.
+// with the left input still holding its resources. The cancelled cases open
+// every operator that works in Open (or, for the lazy rank joins, in its
+// first Next calls) under an already-cancelled context: the failure must be
+// the typed cancellation error, every child must have been opened under the
+// query context, and no shard worker may outlive the call.
 func TestOpenFailureClosesOpenedChildren(t *testing.T) {
-	rel := makeRel("A", [][3]float64{{0, 1, 0.5}, {1, 1, 0.4}})
+	// 256 descending-score rows: enough for every poll-on-cadence loop to
+	// reach a context check.
+	rows := make([][3]float64, 256)
+	for i := range rows {
+		rows[i] = [3]float64{float64(i), float64(i % 4), 1 - float64(i)/256}
+	}
+	rel := makeRel("A", rows)
 	score := expr.Col("A", "score")
 	key := expr.Col("A", "key")
+	keyRef := expr.ColRef{Table: "A", Name: "key"}
+	eqKey := expr.Bin(expr.OpEq, key, key)
 	badCol := expr.Col("Z", "nope")
 	bad := ErrOperator("open boom")
 	drainFail := nextErrOp{schema: rel.Schema()}
+	count := []AggSpec{{Func: AggCount, As: "c"}}
+	byKey := SortKey{E: key}
+	byScore := SortKey{E: score, Desc: true}
+	cat := catalog.New()
+	cat.AddTable(rel)
+	scoreIdx, _ := cat.CreateIndex("A", "score", false)
+	idIdx, _ := cat.CreateIndex("A", "id", false)
+	taIn := TAInput{Rel: rel, ScoreIdx: scoreIdx, IDIdx: idIdx, ScorePos: 2, IDPos: 0, Weight: 1}
+	must := func(op Operator, err error) Operator {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return op
+	}
 
 	track := func() *lifecycleOp {
 		return &lifecycleOp{Operator: FromTuples(rel.Schema(), rel.Tuples())}
 	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	goroutines := runtime.NumGoroutine()
 
 	cases := []struct {
 		name     string
 		build    func(children ...*lifecycleOp) Operator
 		children int
+		// cancelled opens the operator under an already-cancelled context.
+		cancelled bool
 	}{
 		{"hrjn-right-open-fails", func(c ...*lifecycleOp) Operator {
 			return NewHRJN(c[0], bad, score, score, key, key, nil)
-		}, 1},
+		}, 1, false},
 		{"hrjn-bind-fails", func(c ...*lifecycleOp) Operator {
 			return NewHRJN(c[0], c[1], badCol, score, key, key, nil)
-		}, 2},
+		}, 2, false},
 		{"nrjn-inner-drain-fails", func(c ...*lifecycleOp) Operator {
 			return NewNRJN(c[0], drainFail, score, score, nil)
-		}, 1},
+		}, 1, false},
 		{"nrjn-bind-fails", func(c ...*lifecycleOp) Operator {
 			return NewNRJN(c[0], c[1], badCol, score, nil)
-		}, 2},
+		}, 2, false},
 		{"sort-bind-fails", func(c ...*lifecycleOp) Operator {
 			return NewSort(c[0], SortKey{E: badCol})
-		}, 1},
+		}, 1, false},
 		{"topk-bind-fails", func(c ...*lifecycleOp) Operator {
 			return NewTopK(c[0], badCol, 3)
-		}, 1},
+		}, 1, false},
 		{"filter-bind-fails", func(c ...*lifecycleOp) Operator {
 			return NewFilter(c[0], expr.Bin(expr.OpGt, badCol, expr.IntLit(0)))
-		}, 1},
+		}, 1, false},
 		{"nlj-inner-drain-fails", func(c ...*lifecycleOp) Operator {
 			return NewNestedLoopsJoin(c[0], drainFail, nil)
-		}, 1},
+		}, 1, false},
 		{"hashjoin-build-fails", func(c ...*lifecycleOp) Operator {
 			return NewHashJoin(c[0], c[1], badCol, key, nil)
-		}, 2},
+		}, 2, false},
 		{"hashjoin-probe-bind-fails", func(c ...*lifecycleOp) Operator {
 			return NewHashJoin(c[0], c[1], key, badCol, nil)
-		}, 2},
+		}, 2, false},
 		{"smj-bind-fails", func(c ...*lifecycleOp) Operator {
 			return NewSortMergeJoin(c[0], c[1], badCol, key, nil)
-		}, 2},
+		}, 2, false},
 		{"shj-bind-fails", func(c ...*lifecycleOp) Operator {
 			return NewSymmetricHashJoin(c[0], c[1], badCol, key, nil)
-		}, 2},
+		}, 2, false},
 		{"hashagg-drain-fails", func(c ...*lifecycleOp) Operator {
 			return NewHashAggregate(nextErrOp{schema: rel.Schema()}, nil,
 				[]AggSpec{{Func: AggCount, As: "c"}})
-		}, 0},
+		}, 0, false},
+
+		{"cancelled-sort", func(c ...*lifecycleOp) Operator {
+			return NewSort(c[0], byScore)
+		}, 1, true},
+		{"cancelled-topk", func(c ...*lifecycleOp) Operator {
+			return NewTopK(c[0], score, 3)
+		}, 1, true},
+		{"cancelled-hashjoin", func(c ...*lifecycleOp) Operator {
+			return NewHashJoin(c[0], c[1], key, key, nil)
+		}, 2, true},
+		// The merge join and the sorted aggregate only forward the context;
+		// their sort enforcers (always present in compiled plans) observe it.
+		{"cancelled-smj", func(c ...*lifecycleOp) Operator {
+			return NewSortMergeJoin(NewSort(c[0], byKey), NewSort(c[1], byKey), key, key, nil)
+		}, 2, true},
+		{"cancelled-hashagg", func(c ...*lifecycleOp) Operator {
+			return NewHashAggregate(c[0], nil, count)
+		}, 1, true},
+		{"cancelled-sortedagg", func(c ...*lifecycleOp) Operator {
+			return NewSortedAggregate(NewSort(c[0], byKey), []expr.ColRef{keyRef}, count)
+		}, 1, true},
+		{"cancelled-hrjn", func(c ...*lifecycleOp) Operator {
+			return NewHRJN(c[0], c[1], score, score, key, key, nil)
+		}, 2, true},
+		{"cancelled-nrjn", func(c ...*lifecycleOp) Operator {
+			return NewNRJN(c[0], c[1], score, score, eqKey)
+		}, 2, true},
+		{"cancelled-multihrjn", func(c ...*lifecycleOp) Operator {
+			return must(NewMultiHRJN([]Operator{c[0], c[1]},
+				[]expr.Expr{score, score}, []expr.Expr{key, key}))
+		}, 2, true},
+		{"cancelled-anyk", func(c ...*lifecycleOp) Operator {
+			return must(NewAnyK([]Operator{c[0], c[1]},
+				[]expr.Expr{score, score}, []expr.Expr{key}, []expr.Expr{key}))
+		}, 2, true},
+		{"cancelled-taselect", func(c ...*lifecycleOp) Operator {
+			return must(NewTASelect([]TAInput{taIn, taIn}, 5))
+		}, 0, true},
+		{"cancelled-shardmerge", func(c ...*lifecycleOp) Operator {
+			return must(NewShardMerge(ShardInputs(c[0], c[1]), 5, nil))
+		}, 2, true},
+		{"cancelled-analyzed", func(c ...*lifecycleOp) Operator {
+			return Analyze(NewSort(c[0], byScore))
+		}, 1, true},
+		{"cancelled-progress", func(c ...*lifecycleOp) Operator {
+			return WithProgress(NewSort(c[0], byScore), &Progress{})
+		}, 1, true},
 	}
 	for _, tc := range cases {
 		children := make([]*lifecycleOp, 2)
@@ -100,21 +190,47 @@ func TestOpenFailureClosesOpenedChildren(t *testing.T) {
 			children[i] = track()
 		}
 		op := tc.build(children...)
-		if err := op.Open(); err == nil {
+		ctx := context.Background()
+		if tc.cancelled {
+			ctx = cancelled
+		}
+		err := op.Open(ctx)
+		if err == nil && tc.cancelled {
+			// Lazy operators (HRJN, MultiHRJN, AnyK) do their work in Next.
+			for ok := true; ok && err == nil; {
+				_, ok, err = op.Next()
+			}
+			_ = op.Close()
+		} else if err == nil {
 			t.Errorf("%s: Open unexpectedly succeeded", tc.name)
 			_ = op.Close()
 			continue
+		}
+		if tc.cancelled && !errors.Is(err, ErrQueryCancelled) {
+			t.Errorf("%s: got %v, want ErrQueryCancelled", tc.name, err)
 		}
 		for i := 0; i < tc.children; i++ {
 			c := children[i]
 			if c.opens == 0 {
 				continue // never opened: nothing to release
 			}
-			if !c.balanced() {
+			if c.opens != 1 || !c.balanced() {
 				t.Errorf("%s: child %d leaked: %d opens, %d closes",
 					tc.name, i, c.opens, c.closes)
 			}
+			if tc.cancelled && c.ctx.Err() == nil {
+				t.Errorf("%s: child %d was not opened under the query context", tc.name, i)
+			}
 		}
+	}
+	// ShardMerge joins its workers before Open returns; allow the runtime a
+	// moment to retire them before comparing goroutine counts.
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > goroutines && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > goroutines {
+		t.Errorf("goroutines leaked: %d before, %d after", goroutines, after)
 	}
 }
 
@@ -134,7 +250,7 @@ func TestMultiHRJNOpenFailureClosesOpenedInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Open(); err == nil {
+	if err := j.Open(context.Background()); err == nil {
 		t.Fatal("Open unexpectedly succeeded")
 	}
 	if !c0.balanced() || !c1.balanced() {
@@ -148,7 +264,7 @@ func TestMultiHRJNOpenFailureClosesOpenedInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Open(); err == nil {
+	if err := j.Open(context.Background()); err == nil {
 		t.Fatal("Open with unbindable score unexpectedly succeeded")
 	}
 	if !c0.balanced() || !c1.balanced() {

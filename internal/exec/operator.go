@@ -19,37 +19,17 @@ import (
 type Operator interface {
 	// Schema describes the tuples produced by Next.
 	Schema() *relation.Schema
-	// Open prepares the operator (recursively opening children). When Open
-	// returns an error the operator has already closed every child it
-	// managed to open; callers must not Close a failed operator.
-	Open() error
+	// Open prepares the operator under the query context, recursively opening
+	// children with the same ctx: blocking work (materialization, hash build)
+	// polls it on the cancelCheckPeriod cadence and it is retained for
+	// Next-time polling. When Open returns an error the operator has already
+	// closed every child it managed to open; callers must not Close a failed
+	// operator.
+	Open(ctx context.Context) error
 	// Next returns the next tuple; ok=false signals exhaustion.
 	Next() (t relation.Tuple, ok bool, err error)
 	// Close releases resources (recursively closing children).
 	Close() error
-}
-
-// OperatorCtx is the context-aware open path: operators that buffer, loop,
-// or forward to children implement it so a query context (cancellation,
-// deadline) reaches the whole tree. Plain Operator implementations keep
-// working through the OpenOp shim.
-type OperatorCtx interface {
-	Operator
-	// OpenCtx behaves like Open under the given query context: blocking work
-	// (materialization, hash build) polls ctx on the cancelCheckPeriod
-	// cadence, and the context is retained for Next-time polling. The
-	// Open-failure contract is unchanged: children are already closed.
-	OpenCtx(ctx context.Context) error
-}
-
-// OpenOp opens op under ctx, falling back to the context-free Open for
-// operators that never implemented OpenCtx — the compatibility shim that
-// lets context-aware parents treat every child uniformly.
-func OpenOp(ctx context.Context, op Operator) error {
-	if oc, ok := op.(OperatorCtx); ok {
-		return oc.OpenCtx(ctx)
-	}
-	return op.Open()
 }
 
 // closeQuietly closes already-opened children on an Open failure path. The
@@ -62,50 +42,85 @@ func closeQuietly(ops ...Operator) {
 	}
 }
 
-// Collect opens op, drains it, closes it, and returns all produced tuples.
-// A failed Open needs no Close: per the Operator contract the operator has
-// already released whatever it opened.
-func Collect(op Operator) ([]relation.Tuple, error) {
-	return CollectCtx(context.Background(), op)
-}
+// Arguments of drain, named for its call sites.
+const (
+	pullBatch = false
+	pullTuple = true
+	noLimit   = -1
+	keepRows  = true
+	countRows = false
+)
 
-// CollectCtx collects like Collect under a query context: the tree is opened
-// through OpenOp so every context-aware operator sees ctx, and the drain
-// pulls batch-at-a-time — vectorized roots are drained natively, per-tuple
-// roots through the shim (which polls ctx on the canceller cadence), with
-// one context check per batch either way. On any failure — including
-// cancellation — the tree is closed before returning, so a cancelled query
-// never leaks goroutines, pooled buffers, or open state.
-func CollectCtx(ctx context.Context, op Operator) ([]relation.Tuple, error) {
+// drain is the one open / poll / pull / close-on-error loop behind every
+// exported Collect* and Drain* helper. It pulls batch-at-a-time (vectorized
+// roots natively, per-tuple roots through the batchSource shim, one context
+// check per batch) or, with perTuple, one tuple per Next polling ctx on the
+// canceller cadence. limit < 0 drains to exhaustion; keep retains the tuples,
+// otherwise they are only counted. A failed Open needs no Close: per the
+// Operator contract the operator has already released whatever it opened. On
+// any later failure — including cancellation — the tree is closed before
+// returning, so a cancelled query never leaks goroutines, pooled buffers, or
+// open state; n then counts the tuples pulled before the failure.
+func drain(ctx context.Context, op Operator, perTuple bool, limit int, keep bool) (out []relation.Tuple, n int, err error) {
 	if err := CtxErr(ctx); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	if err := OpenOp(ctx, op); err != nil {
-		return nil, err
+	if err := op.Open(ctx); err != nil {
+		return nil, 0, err
 	}
-	var out []relation.Tuple
-	var src batchSource
-	src.reset(ctx, op)
-	b := NewBatch(DefaultBatchSize)
-	for {
-		if err := CtxErr(ctx); err != nil {
-			_ = op.Close()
-			return nil, err
+	var (
+		src  batchSource
+		b    *Batch
+		poll canceller
+		one  [1]relation.Tuple
+	)
+	if perTuple {
+		poll.reset(ctx)
+	} else {
+		src.reset(ctx, op)
+		b = NewBatch(DefaultBatchSize)
+	}
+	for limit < 0 || n < limit {
+		var got []relation.Tuple
+		var ok bool
+		if perTuple {
+			if err = poll.poll(); err == nil {
+				one[0], ok, err = op.Next()
+				got = one[:]
+			}
+		} else if err = CtxErr(ctx); err == nil {
+			ok, err = src.next(b, DefaultBatchSize)
+			got = b.Tuples()
 		}
-		ok, err := src.next(b, DefaultBatchSize)
 		if err != nil {
 			_ = op.Close()
-			return nil, err
+			return nil, n, err
 		}
 		if !ok {
 			break
 		}
-		out = append(out, b.Tuples()...)
+		n += len(got)
+		if keep {
+			out = append(out, got...)
+		}
 	}
 	if err := op.Close(); err != nil {
-		return nil, err
+		return nil, n, err
 	}
-	return out, nil
+	return out, n, nil
+}
+
+// Collect opens op, drains it, closes it, and returns all produced tuples —
+// CollectCtx for callers without a query context.
+func Collect(op Operator) ([]relation.Tuple, error) {
+	return CollectCtx(context.Background(), op)
+}
+
+// CollectCtx collects every tuple of op under a query context, pulling
+// batch-at-a-time.
+func CollectCtx(ctx context.Context, op Operator) ([]relation.Tuple, error) {
+	out, _, err := drain(ctx, op, pullBatch, noLimit, keepRows)
+	return out, err
 }
 
 // CollectPerTupleCtx is the one-tuple-per-Next reference drain: CollectCtx
@@ -114,34 +129,8 @@ func CollectCtx(ctx context.Context, op Operator) ([]relation.Tuple, error) {
 // every plan through both drains — any batch-vs-tuple divergence fails the
 // comparison.
 func CollectPerTupleCtx(ctx context.Context, op Operator) ([]relation.Tuple, error) {
-	if err := CtxErr(ctx); err != nil {
-		return nil, err
-	}
-	if err := OpenOp(ctx, op); err != nil {
-		return nil, err
-	}
-	var out []relation.Tuple
-	var c canceller
-	c.reset(ctx)
-	for {
-		if err := c.poll(); err != nil {
-			_ = op.Close()
-			return nil, err
-		}
-		t, ok, err := op.Next()
-		if err != nil {
-			_ = op.Close()
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		out = append(out, t)
-	}
-	if err := op.Close(); err != nil {
-		return nil, err
-	}
-	return out, nil
+	out, _, err := drain(ctx, op, pullTuple, noLimit, keepRows)
+	return out, err
 }
 
 // DrainCtx opens op, pulls it to exhaustion batch-at-a-time discarding the
@@ -149,111 +138,30 @@ func CollectPerTupleCtx(ctx context.Context, op Operator) ([]relation.Tuple, err
 // materialization-free drain — row counting, benchmark loops — where the
 // result-buffer cost of CollectCtx would be pure noise.
 func DrainCtx(ctx context.Context, op Operator) (int, error) {
-	if err := CtxErr(ctx); err != nil {
-		return 0, err
-	}
-	if err := OpenOp(ctx, op); err != nil {
-		return 0, err
-	}
-	n := 0
-	var src batchSource
-	src.reset(ctx, op)
-	b := NewBatch(DefaultBatchSize)
-	for {
-		if err := CtxErr(ctx); err != nil {
-			_ = op.Close()
-			return n, err
-		}
-		ok, err := src.next(b, DefaultBatchSize)
-		if err != nil {
-			_ = op.Close()
-			return n, err
-		}
-		if !ok {
-			break
-		}
-		n += b.Len()
-	}
-	if err := op.Close(); err != nil {
-		return n, err
-	}
-	return n, nil
+	_, n, err := drain(ctx, op, pullBatch, noLimit, countRows)
+	return n, err
 }
 
 // DrainPerTupleCtx drains like DrainCtx one tuple per Next — the per-tuple
 // reference side of the batch benchmarks.
 func DrainPerTupleCtx(ctx context.Context, op Operator) (int, error) {
-	if err := CtxErr(ctx); err != nil {
-		return 0, err
-	}
-	if err := OpenOp(ctx, op); err != nil {
-		return 0, err
-	}
-	n := 0
-	var c canceller
-	c.reset(ctx)
-	for {
-		if err := c.poll(); err != nil {
-			_ = op.Close()
-			return n, err
-		}
-		_, ok, err := op.Next()
-		if err != nil {
-			_ = op.Close()
-			return n, err
-		}
-		if !ok {
-			break
-		}
-		n++
-	}
-	if err := op.Close(); err != nil {
-		return n, err
-	}
-	return n, nil
+	_, n, err := drain(ctx, op, pullTuple, noLimit, countRows)
+	return n, err
 }
 
-// CollectK opens op, pulls at most k tuples, closes it — the background-
-// context shim over CollectKCtx, for callers without a query context.
+// CollectK opens op, pulls at most k tuples, closes it — CollectKCtx for
+// callers without a query context.
 func CollectK(op Operator, k int) ([]relation.Tuple, error) {
 	return CollectKCtx(context.Background(), op, k)
 }
 
-// CollectKCtx collects like CollectK under a query context: the tree is
-// opened through OpenOp so every context-aware operator sees ctx, and the
-// drain loop polls ctx on the canceller cadence. It pulls one tuple per Next
-// on purpose — pulling batch-granular here would overpull lazy rank-join
-// roots past k, destroying exactly the early termination top-k callers use
-// CollectK for.
+// CollectKCtx collects like CollectK under a query context. It pulls one
+// tuple per Next on purpose — pulling batch-granular here would overpull lazy
+// rank-join roots past k, destroying exactly the early termination top-k
+// callers use CollectK for.
 func CollectKCtx(ctx context.Context, op Operator, k int) ([]relation.Tuple, error) {
-	if err := CtxErr(ctx); err != nil {
-		return nil, err
-	}
-	if err := OpenOp(ctx, op); err != nil {
-		return nil, err
-	}
-	var out []relation.Tuple
-	var c canceller
-	c.reset(ctx)
-	for len(out) < k {
-		if err := c.poll(); err != nil {
-			_ = op.Close()
-			return nil, err
-		}
-		t, ok, err := op.Next()
-		if err != nil {
-			_ = op.Close()
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		out = append(out, t)
-	}
-	if err := op.Close(); err != nil {
-		return nil, err
-	}
-	return out, nil
+	out, _, err := drain(ctx, op, pullTuple, max(k, 0), keepRows)
+	return out, err
 }
 
 // Counter wraps an operator and counts the tuples pulled through it. The
@@ -272,13 +180,11 @@ func NewCounter(in Operator) *Counter { return &Counter{In: in} }
 // Schema implements Operator.
 func (c *Counter) Schema() *relation.Schema { return c.In.Schema() }
 
-// Open implements Operator; it resets the count.
-func (c *Counter) Open() error { return c.OpenCtx(context.Background()) }
-
-// OpenCtx implements OperatorCtx, forwarding the context to the input.
-func (c *Counter) OpenCtx(ctx context.Context) error {
+// Open implements Operator; it resets the count and forwards the context to
+// the input.
+func (c *Counter) Open(ctx context.Context) error {
 	c.count = 0
-	if err := OpenOp(ctx, c.In); err != nil {
+	if err := c.In.Open(ctx); err != nil {
 		return err
 	}
 	c.src.reset(ctx, c.In)
@@ -316,7 +222,7 @@ type errOp struct{ err error }
 func ErrOperator(msg string) Operator { return errOp{fmt.Errorf("%s", msg)} }
 
 func (e errOp) Schema() *relation.Schema            { return relation.NewSchema() }
-func (e errOp) Open() error                         { return e.err }
+func (e errOp) Open(context.Context) error          { return e.err }
 func (e errOp) Next() (relation.Tuple, bool, error) { return nil, false, e.err }
 func (e errOp) Close() error                        { return nil }
 
@@ -333,9 +239,9 @@ func FromTuples(schema *relation.Schema, tuples []relation.Tuple) Operator {
 	return &sliceOp{schema: schema, tuples: tuples}
 }
 
-func (s *sliceOp) Schema() *relation.Schema { return s.schema }
-func (s *sliceOp) Open() error              { s.pos = 0; return nil }
-func (s *sliceOp) Close() error             { return nil }
+func (s *sliceOp) Schema() *relation.Schema   { return s.schema }
+func (s *sliceOp) Open(context.Context) error { s.pos = 0; return nil }
+func (s *sliceOp) Close() error               { return nil }
 
 func (s *sliceOp) Next() (relation.Tuple, bool, error) {
 	if s.pos >= len(s.tuples) {

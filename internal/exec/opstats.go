@@ -104,13 +104,9 @@ func (a *Analyzed) Schema() *relation.Schema { return a.In.Schema() }
 // Open implements Operator. A failed Open has, per the Operator contract,
 // already closed whatever the inner operator opened, so the wrapper only
 // records and propagates.
-func (a *Analyzed) Open() error { return a.OpenCtx(context.Background()) }
-
-// OpenCtx implements OperatorCtx: the context reaches the wrapped operator
-// even under EXPLAIN ANALYZE.
-func (a *Analyzed) OpenCtx(ctx context.Context) error {
+func (a *Analyzed) Open(ctx context.Context) error {
 	start := time.Now()
-	err := OpenOp(ctx, a.In)
+	err := a.In.Open(ctx)
 	a.stats.OpenNanos += time.Since(start).Nanoseconds()
 	if err != nil {
 		return err

@@ -170,12 +170,9 @@ func WithProgress(op Operator, prog *Progress) Operator {
 // Schema implements Operator.
 func (p *ProgressOp) Schema() *relation.Schema { return p.In.Schema() }
 
-// Open implements Operator.
-func (p *ProgressOp) Open() error { return p.OpenCtx(context.Background()) }
-
-// OpenCtx implements OperatorCtx, forwarding the context to the input.
-func (p *ProgressOp) OpenCtx(ctx context.Context) error {
-	if err := OpenOp(ctx, p.In); err != nil {
+// Open implements Operator, forwarding the context to the input.
+func (p *ProgressOp) Open(ctx context.Context) error {
+	if err := p.In.Open(ctx); err != nil {
 		return err
 	}
 	p.src.reset(ctx, p.In)

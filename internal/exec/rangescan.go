@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 
 	"rankopt/internal/catalog"
@@ -34,7 +35,7 @@ func NewIndexRangeScan(rel *relation.Relation, idx *catalog.Index, lo, hi relati
 func (s *IndexRangeScan) Schema() *relation.Schema { return s.Rel.Schema() }
 
 // Open implements Operator.
-func (s *IndexRangeScan) Open() error {
+func (s *IndexRangeScan) Open(context.Context) error {
 	if s.Idx == nil || s.Idx.Tree == nil {
 		return fmt.Errorf("exec: index range scan without index on %s", s.Rel.Name)
 	}

@@ -224,16 +224,13 @@ func (j *HRJN) gauges() analyzeGauges {
 	}
 }
 
-// Open implements Operator.
-func (j *HRJN) Open() error { return j.OpenCtx(context.Background()) }
-
-// OpenCtx implements OperatorCtx: the context is forwarded to both inputs
+// Open implements Operator: the context is forwarded to both inputs
 // and polled by Next's pull loop on the sampling cadence.
-func (j *HRJN) OpenCtx(ctx context.Context) error {
-	if err := OpenOp(ctx, j.Left); err != nil {
+func (j *HRJN) Open(ctx context.Context) error {
+	if err := j.Left.Open(ctx); err != nil {
 		return err
 	}
-	if err := OpenOp(ctx, j.Right); err != nil {
+	if err := j.Right.Open(ctx); err != nil {
 		closeQuietly(j.Left)
 		return err
 	}
@@ -563,13 +560,10 @@ func (j *NRJN) gauges() analyzeGauges {
 	}
 }
 
-// Open implements Operator: materializes and scores the inner input.
-func (j *NRJN) Open() error { return j.OpenCtx(context.Background()) }
-
-// OpenCtx implements OperatorCtx: inner materialization (the blocking part
+// Open implements Operator: inner materialization (the blocking part
 // of Open) runs under the context, and Next's outer loop polls it.
-func (j *NRJN) OpenCtx(ctx context.Context) error {
-	if err := OpenOp(ctx, j.Left); err != nil {
+func (j *NRJN) Open(ctx context.Context) error {
+	if err := j.Left.Open(ctx); err != nil {
 		return err
 	}
 	if err := j.load(ctx); err != nil {

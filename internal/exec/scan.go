@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 
 	"rankopt/internal/catalog"
@@ -20,7 +21,7 @@ func NewSeqScan(rel *relation.Relation) *SeqScan { return &SeqScan{Rel: rel} }
 func (s *SeqScan) Schema() *relation.Schema { return s.Rel.Schema() }
 
 // Open implements Operator.
-func (s *SeqScan) Open() error { s.pos = 0; return nil }
+func (s *SeqScan) Open(context.Context) error { s.pos = 0; return nil }
 
 // Next implements Operator.
 func (s *SeqScan) Next() (relation.Tuple, bool, error) {
@@ -81,7 +82,7 @@ func NewIndexScan(rel *relation.Relation, idx *catalog.Index, desc bool) *IndexS
 func (s *IndexScan) Schema() *relation.Schema { return s.Rel.Schema() }
 
 // Open implements Operator.
-func (s *IndexScan) Open() error {
+func (s *IndexScan) Open(context.Context) error {
 	if s.Idx == nil || s.Idx.Tree == nil {
 		return fmt.Errorf("exec: index scan without index on %s", s.Rel.Name)
 	}

@@ -115,7 +115,7 @@ func (s *ShardScatter) Start(ctx context.Context, i int) {
 // tuples. The worker closes the pipeline on every exit path.
 func (s *ShardScatter) drain(ctx context.Context, i int) error {
 	op := s.inputs[i].Op
-	if err := OpenOp(ctx, op); err != nil {
+	if err := op.Open(ctx); err != nil {
 		return err
 	}
 	for {
@@ -292,7 +292,7 @@ func (h *mergeHeap) Pop() any {
 // result. At most StartWidth shards run concurrently; the rest wait in
 // descending-ceiling order and are pruned without ever starting when their
 // ceiling fails the same test. Like Sort, the merge is a blocking operator:
-// the gather runs inside OpenCtx and Next replays the buffered winners.
+// the gather runs inside Open and Next replays the buffered winners.
 type ShardMerge struct {
 	inputs []ShardInput
 	k      int
@@ -355,18 +355,15 @@ func NewShardMerge(inputs []ShardInput, k int, budget *Budget) (*ShardMerge, err
 // Schema implements Operator.
 func (m *ShardMerge) Schema() *relation.Schema { return m.schema }
 
-// Open implements Operator.
-func (m *ShardMerge) Open() error { return m.OpenCtx(context.Background()) }
-
 // Stats returns the coordinator's counters for the last gather. Valid after
-// OpenCtx returns (the gather is blocking), including after Close.
+// Open returns (the gather is blocking), including after Close.
 func (m *ShardMerge) Stats() ShardMergeStats { return m.stats }
 
-// OpenCtx implements OperatorCtx: the whole scatter-gather runs here. On
+// Open implements Operator: the whole scatter-gather runs here. On
 // error, every started shard worker has already closed its pipeline and been
 // joined, and pending shards were never opened — the Operator contract's
 // Open-failure guarantee, extended across goroutines.
-func (m *ShardMerge) OpenCtx(ctx context.Context) error {
+func (m *ShardMerge) Open(ctx context.Context) error {
 	m.acct.releaseAll()
 	m.out, m.pos = nil, 0
 	m.stats = ShardMergeStats{Shards: len(m.inputs), KthScore: math.NaN(),

@@ -50,9 +50,9 @@ type descendingForever struct {
 	closes  atomic.Int64
 }
 
-func (d *descendingForever) Schema() *relation.Schema { return shardSchema() }
-func (d *descendingForever) Open() error              { d.opens.Add(1); d.next = d.start; return nil }
-func (d *descendingForever) Close() error             { d.closes.Add(1); return nil }
+func (d *descendingForever) Schema() *relation.Schema   { return shardSchema() }
+func (d *descendingForever) Open(context.Context) error { d.opens.Add(1); d.next = d.start; return nil }
+func (d *descendingForever) Close() error               { d.closes.Add(1); return nil }
 func (d *descendingForever) Next() (relation.Tuple, bool, error) {
 	n := d.emitted.Add(1)
 	s := d.next
@@ -230,7 +230,7 @@ func TestShardMergeMonotonicViolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	openErr := m.Open()
+	openErr := m.Open(context.Background())
 	if openErr == nil || !strings.Contains(openErr.Error(), "descend") {
 		t.Fatalf("Open = %v, want monotonicity error", openErr)
 	}
@@ -252,7 +252,7 @@ func TestShardMergeNaNScore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	openErr := m.Open()
+	openErr := m.Open(context.Background())
 	var ov *ranking.OrderViolationError
 	if !errors.As(openErr, &ov) {
 		t.Fatalf("Open = %v, want wrapped *ranking.OrderViolationError", openErr)
@@ -263,7 +263,7 @@ func TestShardMergeNaNScore(t *testing.T) {
 }
 
 // TestShardMergeWorkerError: one shard's pipeline error fails the whole
-// gather, and every worker is joined and closed before OpenCtx returns.
+// gather, and every worker is joined and closed before Open returns.
 func TestShardMergeWorkerError(t *testing.T) {
 	boom := errors.New("disk on fire")
 	bad := &errAfterOp{schema: shardSchema(), after: 2, err: boom}
@@ -276,7 +276,7 @@ func TestShardMergeWorkerError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Open(); !errors.Is(err, boom) {
+	if err := m.Open(context.Background()); !errors.Is(err, boom) {
 		t.Fatalf("Open = %v, want %v", err, boom)
 	}
 	if weak.opens.Load() != weak.closes.Load() {
@@ -292,9 +292,9 @@ type errAfterOp struct {
 	n      int
 }
 
-func (e *errAfterOp) Schema() *relation.Schema { return e.schema }
-func (e *errAfterOp) Open() error              { e.n = 0; return nil }
-func (e *errAfterOp) Close() error             { return nil }
+func (e *errAfterOp) Schema() *relation.Schema   { return e.schema }
+func (e *errAfterOp) Open(context.Context) error { e.n = 0; return nil }
+func (e *errAfterOp) Close() error               { return nil }
 func (e *errAfterOp) Next() (relation.Tuple, bool, error) {
 	if e.n >= e.after {
 		return nil, false, e.err
@@ -323,15 +323,15 @@ func TestShardMergeQueryCancellation(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 		cancel()
 	}()
-	if err := m.OpenCtx(ctx); !errors.Is(err, ErrQueryCancelled) {
-		t.Fatalf("OpenCtx = %v, want ErrQueryCancelled", err)
+	if err := m.Open(ctx); !errors.Is(err, ErrQueryCancelled) {
+		t.Fatalf("Open = %v, want ErrQueryCancelled", err)
 	}
 	for i, s := range streams {
 		if s.opens.Load() != s.closes.Load() {
 			t.Fatalf("shard %d open/close unbalanced: %d/%d", i, s.opens.Load(), s.closes.Load())
 		}
 	}
-	// OpenCtx joins its workers before returning; allow the runtime a moment
+	// Open joins its workers before returning; allow the runtime a moment
 	// to retire them before comparing goroutine counts.
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
@@ -352,7 +352,7 @@ func TestShardMergeCloseAfterPartialRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Open(); err != nil {
+	if err := m.Open(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok, err := m.Next(); err != nil || !ok {
@@ -375,7 +375,7 @@ func TestShardMergeBudgetExceeded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Open(); !errors.Is(err, ErrBudgetExceeded) {
+	if err := m.Open(context.Background()); !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("Open = %v, want ErrBudgetExceeded", err)
 	}
 	if got := budget.Buffered(); got != 0 {

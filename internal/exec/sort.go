@@ -19,7 +19,7 @@ type SortKey struct {
 // Sort materializes its input and emits it ordered by the given keys. It is
 // the "glue a sort operator" enforcer of the paper: it turns any plan into
 // one with a required (interesting) order at the price of buffering its
-// whole input. It is rank-aware about what it pays for that order: OpenCtx
+// whole input. It is rank-aware about what it pays for that order: Open
 // only drains the input and evaluates the keys (O(n)); the order itself is
 // produced by an incremental quicksort (Paredes–Navarro) that each Next
 // advances just far enough to finalize the next position. A consumer that
@@ -123,14 +123,11 @@ func (s *Sort) gauges() analyzeGauges {
 	return analyzeGauges{sortBuffered: s.buffered, sortEmitted: s.pos}
 }
 
-// Open implements Operator: drains the input.
-func (s *Sort) Open() error { return s.OpenCtx(context.Background()) }
-
-// OpenCtx implements OperatorCtx: the blocking drain polls the context and
+// Open implements Operator: the blocking drain polls the context and
 // charges the budget for every buffered tuple. A failed Open leaves nothing
 // charged.
-func (s *Sort) OpenCtx(ctx context.Context) error {
-	if err := OpenOp(ctx, s.In); err != nil {
+func (s *Sort) Open(ctx context.Context) error {
+	if err := s.In.Open(ctx); err != nil {
 		return err
 	}
 	if err := s.drain(ctx); err != nil {

@@ -149,7 +149,7 @@ func TestSortMatchesStableSort(t *testing.T) {
 			if open == 1 {
 				s.SizeHint = rng.Intn(2 * (n + 1))
 			}
-			if err := s.Open(); err != nil {
+			if err := s.Open(context.Background()); err != nil {
 				t.Fatalf("trial %d open %d: %v", trial, open, err)
 			}
 			for i := 0; i < read; i++ {
@@ -221,7 +221,7 @@ func TestSortAllocsPerOpen(t *testing.T) {
 			s := NewSort(in, keys...)
 			s.SizeHint = len(tups)
 			allocs := testing.AllocsPerRun(5, func() {
-				if err := s.Open(); err != nil {
+				if err := s.Open(context.Background()); err != nil {
 					t.Fatal(err)
 				}
 				for i := 0; i < 40; i++ {
@@ -255,9 +255,9 @@ type cancellingSource struct {
 	closed  int
 }
 
-func (c *cancellingSource) Schema() *relation.Schema { return c.sch }
-func (c *cancellingSource) Open() error              { return nil }
-func (c *cancellingSource) Close() error             { c.closed++; return nil }
+func (c *cancellingSource) Schema() *relation.Schema   { return c.sch }
+func (c *cancellingSource) Open(context.Context) error { return nil }
+func (c *cancellingSource) Close() error               { c.closed++; return nil }
 func (c *cancellingSource) Next() (relation.Tuple, bool, error) {
 	c.emitted++
 	if c.emitted == c.after {
@@ -292,7 +292,7 @@ func TestSortCancelDuringDrain(t *testing.T) {
 		b := NewBudget(ResourceLimits{MaxBufferedTuples: 1 << 30})
 		s := NewSortByScore(in, expr.Col("A", "score"))
 		s.Budget = b
-		err := s.OpenCtx(ctx)
+		err := s.Open(ctx)
 		cancel()
 		if !errors.Is(err, ErrQueryCancelled) {
 			t.Fatalf("batched=%v: want ErrQueryCancelled, got %v", batched, err)
@@ -315,7 +315,7 @@ func TestSortCancelDuringRefine(t *testing.T) {
 	sch, tups := buildRankedInput(20000, 50, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	s := NewSortByScore(FromTuples(sch, tups), expr.Col("A", "key"))
-	if err := s.OpenCtx(ctx); err != nil {
+	if err := s.Open(ctx); err != nil {
 		t.Fatal(err)
 	}
 	cancel()
@@ -335,7 +335,7 @@ func TestSortBudgetLifecycle(t *testing.T) {
 	b := NewBudget(ResourceLimits{MaxBufferedTuples: 1000})
 	s := NewSortByScore(FromTuples(sch, tups), expr.Col("A", "score"))
 	s.Budget = b
-	if err := s.Open(); err != nil {
+	if err := s.Open(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok, err := s.Next(); err != nil || !ok {
@@ -347,7 +347,7 @@ func TestSortBudgetLifecycle(t *testing.T) {
 
 	other := NewSortByScore(FromTuples(sch, tups), expr.Col("A", "score"))
 	other.Budget = b
-	if err := other.Open(); !errors.Is(err, ErrBudgetExceeded) {
+	if err := other.Open(context.Background()); !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("second sort over a shared 1000-tuple budget: want ErrBudgetExceeded, got %v", err)
 	}
 	if b.Buffered() != 700 {

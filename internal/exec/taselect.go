@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 
 	"rankopt/internal/catalog"
@@ -32,11 +33,14 @@ type TASelect struct {
 	Inputs []TAInput
 	// K is the number of ranked results to produce.
 	K int
+	// Budget, when set, is charged for every materialized result row.
+	Budget *Budget
 
 	schema *relation.Schema
 	out    []relation.Tuple
 	pos    int
 	stats  ranking.Stats
+	acct   accountant
 }
 
 // NewTASelect constructs the operator.
@@ -65,21 +69,38 @@ func (t *TASelect) Schema() *relation.Schema { return t.schema }
 // AccessStats returns the sorted/random access counts of the last Open.
 func (t *TASelect) AccessStats() ranking.Stats { return t.stats }
 
+// taAbort is shared by the sources of one TA round. ranking.Source has no
+// error return, so the source whose poll first sees a done context records
+// the typed error here and every source reports exhaustion from then on,
+// which ends ranking.TA's access loop.
+type taAbort struct {
+	cancel canceller
+	err    error
+}
+
 // taSource adapts one input to the ranking package's Source interface.
 type taSource struct {
 	in TAInput
 	it interface {
 		Next() (relation.Value, int, bool)
 	}
+	abort *taAbort
 }
 
-func newTASource(in TAInput) *taSource {
-	return &taSource{in: in, it: in.ScoreIdx.Tree.Descend()}
+func newTASource(in TAInput, abort *taAbort) *taSource {
+	return &taSource{in: in, it: in.ScoreIdx.Tree.Descend(), abort: abort}
 }
 
-// Next implements ranking.SortedAccess.
+// Next implements ranking.SortedAccess, polling the query context on the
+// canceller cadence.
 func (s *taSource) Next() (int64, float64, bool) {
 	for {
+		if s.abort.err == nil {
+			s.abort.err = s.abort.cancel.poll()
+		}
+		if s.abort.err != nil {
+			return 0, 0, false
+		}
 		_, rid, ok := s.it.Next()
 		if !ok {
 			return 0, 0, false
@@ -107,8 +128,25 @@ func (s *taSource) Probe(id int64) (float64, bool) {
 	return v.AsFloat(), true
 }
 
-// Open implements Operator: runs TA, materializes the joined top-k rows.
-func (t *TASelect) Open() error {
+// Open implements Operator: runs TA under the query context and materializes
+// the joined top-k rows, charging each to the budget. A failed Open leaves
+// nothing charged.
+func (t *TASelect) Open(ctx context.Context) error {
+	t.acct.releaseAll()
+	t.acct.budget = t.Budget
+	if err := t.run(ctx); err != nil {
+		t.out = nil
+		t.acct.releaseAll()
+		return err
+	}
+	t.pos = 0
+	return nil
+}
+
+// run is the doubling loop: TA answers that are not join results are
+// discarded, so the demand is re-asked with a doubled k until K rows survive
+// or the inputs are exhausted.
+func (t *TASelect) run(ctx context.Context) error {
 	maxK := 0
 	for _, in := range t.Inputs {
 		if c := in.Rel.Cardinality(); c > maxK {
@@ -119,22 +157,34 @@ func (t *TASelect) Open() error {
 	for i, in := range t.Inputs {
 		weights[i] = in.Weight
 	}
+	var abort taAbort
+	abort.cancel.reset(ctx)
 	ask := t.K
 	for {
+		if err := CtxErr(ctx); err != nil {
+			return err
+		}
 		sources := make([]ranking.Source, len(t.Inputs))
 		for i, in := range t.Inputs {
-			sources[i] = newTASource(in)
+			sources[i] = newTASource(in, &abort)
 		}
 		results, stats, err := ranking.TA(sources, weights, ask)
+		if abort.err != nil {
+			return abort.err
+		}
 		if err != nil {
 			return err
 		}
 		t.stats = stats
 		t.out = t.out[:0]
+		t.acct.releaseAll()
 		for _, r := range results {
 			row, ok := t.fetchRow(r.ID)
 			if !ok {
 				continue // object absent from some input: not a join result
+			}
+			if err := t.acct.charge(1); err != nil {
+				return err
 			}
 			t.out = append(t.out, row)
 			if len(t.out) == t.K {
@@ -142,15 +192,13 @@ func (t *TASelect) Open() error {
 			}
 		}
 		if len(t.out) >= t.K || ask >= maxK || len(results) < ask {
-			break
+			return nil
 		}
 		ask *= 2
 		if ask > maxK {
 			ask = maxK
 		}
 	}
-	t.pos = 0
-	return nil
 }
 
 // fetchRow assembles the joined tuple for an object id; ok=false when the
@@ -180,5 +228,6 @@ func (t *TASelect) Next() (relation.Tuple, bool, error) {
 // Close implements Operator.
 func (t *TASelect) Close() error {
 	t.out = nil
+	t.acct.releaseAll()
 	return nil
 }

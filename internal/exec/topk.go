@@ -98,14 +98,11 @@ func (h topKHeap) fixRoot() {
 	}
 }
 
-// Open implements Operator: drains the input through the bounded heap.
-func (t *TopK) Open() error { return t.OpenCtx(context.Background()) }
-
-// OpenCtx implements OperatorCtx: the blocking drain polls the context on
+// Open implements Operator: the blocking drain polls the context on
 // the sampling cadence, so even this bounded-memory blocking operator obeys
 // cancellation mid-load.
-func (t *TopK) OpenCtx(ctx context.Context) error {
-	if err := OpenOp(ctx, t.In); err != nil {
+func (t *TopK) Open(ctx context.Context) error {
+	if err := t.In.Open(ctx); err != nil {
 		return err
 	}
 	if err := t.load(ctx); err != nil {

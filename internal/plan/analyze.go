@@ -6,16 +6,25 @@ import (
 	"strings"
 	"time"
 
-	"rankopt/internal/catalog"
 	"rankopt/internal/exec"
 )
 
 // AnalyzedPlan maps the nodes of one compiled plan to their runtime stats
-// collectors. It is produced by CompileAnalyzed and consumed by
-// FormatAnalyze after execution; like the operator tree it belongs to a
-// single session.
+// collectors. It is filled by CompileWith (pass a fresh &AnalyzedPlan{} as
+// Config.Analyze) and consumed by FormatAnalyze after execution; like the
+// operator tree it belongs to a single session.
 type AnalyzedPlan struct {
 	ops map[*Node]*exec.Analyzed
+}
+
+// collect wraps node n's operator in a stats collector and records it.
+func (ap *AnalyzedPlan) collect(n *Node, op exec.Operator) exec.Operator {
+	if ap.ops == nil {
+		ap.ops = map[*Node]*exec.Analyzed{}
+	}
+	a := exec.Analyze(op)
+	ap.ops[n] = a
+	return a
 }
 
 // Stats returns the runtime counters collected for plan node n.
@@ -35,31 +44,6 @@ func (ap *AnalyzedPlan) Collector(n *Node) *exec.Analyzed {
 		return nil
 	}
 	return ap.ops[n]
-}
-
-// CompileAnalyzed lowers the plan like Compile but threads an exec.Analyzed
-// stats collector between every pair of operators, returning the wrapped
-// root and the node→collector mapping. The per-tuple overhead is one counter
-// increment per operator boundary plus a 1-in-32 wall-time sample; the
-// per-query overhead is one small wrapper allocation per plan node.
-func CompileAnalyzed(cat *catalog.Catalog, n *Node) (exec.Operator, *AnalyzedPlan, error) {
-	return CompileAnalyzedLimited(cat, n, nil)
-}
-
-// CompileAnalyzedLimited is CompileAnalyzed plus a shared resource budget
-// wired into every buffering operator (see CompileTracedLimited).
-func CompileAnalyzedLimited(cat *catalog.Catalog, n *Node, budget *exec.Budget) (exec.Operator, *AnalyzedPlan, error) {
-	ap := &AnalyzedPlan{ops: map[*Node]*exec.Analyzed{}}
-	c := &compiler{cat: cat, budget: budget, wrap: func(n *Node, op exec.Operator) exec.Operator {
-		a := exec.Analyze(op)
-		ap.ops[n] = a
-		return a
-	}}
-	root, err := c.compile(n)
-	if err != nil {
-		return nil, nil, err
-	}
-	return root, ap, nil
 }
 
 // effectiveK extracts the top-k bound the plan executes under: the topmost

@@ -11,37 +11,28 @@ import (
 // Compile lowers a physical plan into an executable operator tree bound to
 // the given catalog.
 func Compile(cat *catalog.Catalog, n *Node) (exec.Operator, error) {
-	return CompileTraced(cat, n, nil)
-}
-
-// CompileTraced compiles like Compile and additionally invokes trace for
-// every (plan node, compiled operator) pair, letting callers keep handles to
-// instrumented operators — e.g. rank-joins whose measured depths are
-// compared against the optimizer's estimates after execution.
-func CompileTraced(cat *catalog.Catalog, n *Node, trace func(*Node, exec.Operator)) (exec.Operator, error) {
-	return CompileTracedLimited(cat, n, trace, nil)
-}
-
-// CompileLimited compiles like Compile with every buffering operator charged
-// against the shared budget (nil budget compiles the unlimited tree).
-func CompileLimited(cat *catalog.Catalog, n *Node, budget *exec.Budget) (exec.Operator, error) {
-	return CompileTracedLimited(cat, n, nil, budget)
-}
-
-// CompileTracedLimited is CompileTraced plus a shared resource budget wired
-// into every buffering operator (rank-join queues and hash tables, TopK
-// heaps, sorts, hash-join build tables).
-func CompileTracedLimited(cat *catalog.Catalog, n *Node, trace func(*Node, exec.Operator), budget *exec.Budget) (exec.Operator, error) {
-	return CompileWith(cat, n, Config{Trace: trace, Budget: budget})
+	return CompileWith(cat, n, Config{})
 }
 
 // Config collects the compilation knobs for CompileWith; the zero value
 // compiles exactly like Compile.
 type Config struct {
-	// Trace is invoked for every (plan node, compiled operator) pair.
+	// Trace is invoked for every (plan node, compiled operator) pair, letting
+	// callers keep handles to instrumented operators — e.g. rank-joins whose
+	// measured depths are compared against the optimizer's estimates after
+	// execution. Under Analyze the operator is the node's stats collector,
+	// which forwards exec.StatsReporter.
 	Trace func(*Node, exec.Operator)
-	// Budget, when set, is wired into every buffering operator.
+	// Budget, when set, is wired into every buffering operator (rank-join
+	// queues and hash tables, TopK heaps, sorts, hash-join build tables, TA
+	// result rows) so the whole tree draws from one per-query allowance.
 	Budget *exec.Budget
+	// Analyze, when set, threads an exec.Analyzed stats collector between
+	// every pair of operators (EXPLAIN ANALYZE) and records the node→collector
+	// mapping in it. The per-tuple overhead is one counter increment per
+	// operator boundary plus a 1-in-32 wall-time sample; the per-query
+	// overhead is one small wrapper allocation per plan node.
+	Analyze *AnalyzedPlan
 	// ScalarRef compiles the scalar reference executor: operators with a
 	// vectorized internal phase fall back to their pre-batch per-tuple form
 	// (today that is the hash join's build and table layout). Combined with a
@@ -53,22 +44,13 @@ type Config struct {
 
 // CompileWith compiles n under the given configuration.
 func CompileWith(cat *catalog.Catalog, n *Node, cfg Config) (exec.Operator, error) {
-	c := &compiler{cat: cat, trace: cfg.Trace, budget: cfg.Budget, scalarRef: cfg.ScalarRef}
+	c := &compiler{cat: cat, cfg: cfg}
 	return c.compile(n)
 }
 
 type compiler struct {
-	cat   *catalog.Catalog
-	trace func(*Node, exec.Operator)
-	// wrap, when set, replaces every built operator before it is wired into
-	// its parent — the EXPLAIN ANALYZE hook that threads a stats collector
-	// between each pair of operators.
-	wrap func(*Node, exec.Operator) exec.Operator
-	// budget, when set, is installed into every buffering operator so the
-	// whole tree draws from one per-query allowance.
-	budget *exec.Budget
-	// scalarRef selects the scalar reference configuration (Config.ScalarRef).
-	scalarRef bool
+	cat *catalog.Catalog
+	cfg Config
 }
 
 func (c *compiler) compile(n *Node) (exec.Operator, error) {
@@ -76,11 +58,13 @@ func (c *compiler) compile(n *Node) (exec.Operator, error) {
 	if err != nil {
 		return nil, err
 	}
-	if c.wrap != nil {
-		op = c.wrap(n, op)
+	if c.cfg.Analyze != nil {
+		// The collector replaces the built operator before it is wired into
+		// its parent (and before Trace sees it).
+		op = c.cfg.Analyze.collect(n, op)
 	}
-	if c.trace != nil {
-		c.trace(n, op)
+	if c.cfg.Trace != nil {
+		c.cfg.Trace(n, op)
 	}
 	return op, nil
 }
@@ -110,7 +94,7 @@ func (c *compiler) build(n *Node) (exec.Operator, error) {
 			return nil, err
 		}
 		s := exec.NewSort(in, n.SortKeys...)
-		s.Budget = c.budget
+		s.Budget = c.cfg.Budget
 		s.SizeHint = int(n.Input().Card)
 		return s, nil
 
@@ -162,11 +146,16 @@ func (c *compiler) build(n *Node) (exec.Operator, error) {
 			return nil, err
 		}
 		t := exec.NewTopK(in, n.Score, n.K)
-		t.Budget = c.budget
+		t.Budget = c.cfg.Budget
 		return t, nil
 
 	case OpRankAgg:
-		return exec.NewTASelect(n.TAInputs, n.K)
+		ta, err := exec.NewTASelect(n.TAInputs, n.K)
+		if err != nil {
+			return nil, err
+		}
+		ta.Budget = c.cfg.Budget
+		return ta, nil
 
 	case OpIndexRange:
 		tab, err := c.cat.Table(n.Table)
@@ -211,9 +200,9 @@ func (c *compiler) build(n *Node) (exec.Operator, error) {
 			return nil, fmt.Errorf("plan: hash join without equi-predicate")
 		}
 		hj := exec.NewHashJoin(l, r, n.EqPreds[0].L, n.EqPreds[0].R, n.residualAfterPrimary())
-		hj.Budget = c.budget
+		hj.Budget = c.cfg.Budget
 		hj.BuildSizeHint = int(n.Left().Card)
-		hj.PerTupleBuild = c.scalarRef
+		hj.PerTupleBuild = c.cfg.ScalarRef
 		return hj, nil
 
 	case OpMergeJoin:
@@ -242,7 +231,7 @@ func (c *compiler) build(n *Node) (exec.Operator, error) {
 		h.SizeHintL = int(n.EstDL)
 		h.SizeHintR = int(n.EstDR)
 		h.QueueHint = int(n.Sel * n.EstDL * n.EstDR)
-		h.Budget = c.budget
+		h.Budget = c.cfg.Budget
 		return h, nil
 
 	case OpNRJN:
@@ -252,7 +241,7 @@ func (c *compiler) build(n *Node) (exec.Operator, error) {
 		}
 		nr := exec.NewNRJN(l, r, n.LScore, n.RScore, n.fullJoinPred())
 		nr.QueueHint = int(n.Sel * n.EstDL * n.Right().Card)
-		nr.Budget = c.budget
+		nr.Budget = c.cfg.Budget
 		return nr, nil
 
 	case OpAnyK:
@@ -268,7 +257,7 @@ func (c *compiler) build(n *Node) (exec.Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		ak.Budget = c.budget
+		ak.Budget = c.cfg.Budget
 		return ak, nil
 
 	default:

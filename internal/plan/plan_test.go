@@ -1,9 +1,12 @@
 package plan
 
 import (
+	"context"
+	"errors"
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"rankopt/internal/catalog"
 	"rankopt/internal/costmodel"
@@ -365,13 +368,13 @@ func TestPropagateKThroughBlocking(t *testing.T) {
 	}
 }
 
-func TestCompileTracedVisitsEveryNode(t *testing.T) {
+func TestCompileTraceVisitsEveryNode(t *testing.T) {
 	e := newEnv(t, 2, 300, 0.05)
 	j := e.hrjn(e.scoreScan(t, "T1"), e.scoreScan(t, "T2"), "T1", "T2")
 	var visited []OpType
-	op, err := CompileTraced(e.cat, j, func(n *Node, _ exec.Operator) {
+	op, err := CompileWith(e.cat, j, Config{Trace: func(n *Node, _ exec.Operator) {
 		visited = append(visited, n.Op)
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,5 +446,56 @@ func TestAggregateNodeCompileAndCost(t *testing.T) {
 		if len(got) == 0 {
 			t.Fatal("aggregate produced nothing")
 		}
+	}
+}
+
+// TestRankAggHonoursContextAndBudget: a compiled TA plan sees the query
+// context and the session budget. Before Open took a context the operator ran
+// ranking.TA to completion whatever the caller's context said, and its
+// materialized rows were never charged.
+func TestRankAggHonoursContextAndBudget(t *testing.T) {
+	cat, names := workload.Corpus(workload.CorpusConfig{Objects: 50000, Features: 2, Seed: 17})
+	inputs := make([]exec.TAInput, len(names))
+	for i, name := range names {
+		tab, err := cat.Table(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs[i] = exec.TAInput{
+			Rel: tab.Rel, ScoreIdx: cat.IndexOn(name, "score"), IDIdx: cat.IndexOn(name, "id"),
+			ScorePos: 1, IDPos: 0, Weight: 0.5,
+		}
+	}
+	// k of half the corpus forces sorted access deep into both lists: tens of
+	// milliseconds, far past the 1 ms deadline.
+	ta := &Node{Op: OpRankAgg, TAInputs: inputs, K: 25000}
+	compile := func(budget *exec.Budget) exec.Operator {
+		t.Helper()
+		op, err := CompileWith(cat, ta, Config{Budget: budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return op
+	}
+
+	// Open directly: CollectCtx would reject a done context before Open.
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := compile(nil).Open(cancelled); !errors.Is(err, exec.ErrQueryCancelled) {
+		t.Errorf("pre-cancelled ctx: got %v, want ErrQueryCancelled", err)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	if err := compile(nil).Open(ctx); !errors.Is(err, exec.ErrDeadlineExceeded) {
+		t.Errorf("1 ms deadline: got %v, want ErrDeadlineExceeded", err)
+	}
+
+	budget := exec.NewBudget(exec.ResourceLimits{MaxBufferedTuples: 1})
+	if _, err := exec.Collect(compile(budget)); !errors.Is(err, exec.ErrBudgetExceeded) {
+		t.Errorf("1-tuple budget: got %v, want ErrBudgetExceeded", err)
+	}
+	if n := budget.Buffered(); n != 0 {
+		t.Errorf("failed Open left %d tuples charged", n)
 	}
 }
