@@ -78,7 +78,7 @@ shard: build
 planner: build
 	$(GO) run ./cmd/raqo-bench -planner -out BENCH_planner.json
 
-# Any-k enumeration vs MultiHRJN operator sweep (width x k crossover with a
+# Any-k enumeration vs m-way HRJN operator sweep (width x k crossover with a
 # three-way brute-force parity check); emits BENCH_anyk.json and exits nonzero
 # when any answers diverge or no sweep point shows any-k at least 1.5x faster.
 anyk: build

@@ -285,7 +285,7 @@ func AblationMultiwayHRJN() (*Table, error) {
 		for _, d := range mw.Depths() {
 			mwDepth += d
 		}
-		t.AddRow(k, binDepth, binBuf, mwDepth, mw.MaxQueue())
+		t.AddRow(k, binDepth, binBuf, mwDepth, mw.Stats().MaxQueue)
 	}
 	return t, nil
 }

@@ -13,18 +13,20 @@ import (
 	"rankopt/internal/workload"
 )
 
-// AnyKConfig parameterizes the any-k vs MultiHRJN operator sweep over join
-// width × k. Both operators answer the same m-way ranked path join; AnyK
-// consumes the generated (unsorted) relations directly, while MultiHRJN pays
-// for the descending-order inputs its contract demands (a sort per input,
-// exactly what a plan using it would charge). The sweep measures end-to-end
-// top-k wall time, so the comparison matches what the cost model trades off.
+// AnyKConfig parameterizes the any-k vs m-way HRJN operator sweep over join
+// width × k ("MultiHRJN" in the report is exec.NewMultiHRJN, the m-way
+// constructor of the one hash rank join). Both operators answer the same
+// m-way ranked path join; AnyK consumes the generated (unsorted) relations
+// directly, while the m-way HRJN pays for the descending-order inputs its
+// contract demands (a sort per input, exactly what a plan using it would
+// charge). The sweep measures end-to-end top-k wall time, so the comparison
+// matches what the cost model trades off.
 type AnyKConfig struct {
 	// Rows per table.
 	Rows int `json:"rows"`
 	// Selectivity is the join selectivity (key domain = 1/Selectivity), so
 	// the per-key fan-out is Rows*Selectivity — the combinatorial factor
-	// MultiHRJN's eager combine multiplies across levels.
+	// the m-way HRJN's eager combine multiplies across levels.
 	Selectivity float64 `json:"selectivity"`
 	// Widths are the swept join widths (2..8).
 	Widths []int `json:"widths"`
@@ -160,7 +162,7 @@ func runAnyKOperator(rels []*relation.Relation, k int) ([]relation.Tuple, error)
 	return exec.CollectK(j, k)
 }
 
-// runMultiOperator constructs MultiHRJN with the sort enforcers its input
+// runMultiOperator constructs the m-way HRJN with the sort enforcers its input
 // contract requires and collects the top k.
 func runMultiOperator(rels []*relation.Relation, k int) ([]relation.Tuple, error) {
 	m := len(rels)

@@ -27,35 +27,51 @@ func buildRankedInput(n, mod int, seed int64) (*relation.Schema, []relation.Tupl
 }
 
 // TestHRJNAllocsPerTuple pins the steady-state allocation rate of the HRJN
-// hot path. Before the pooled/hand-rolled-heap rewrite this workload cost
-// 13.5 allocs per emitted tuple (container/heap boxing every rankItem, a
-// fresh output tuple per candidate, queue slots never zeroed); after it,
-// ~10.3. The bound sits between the two so any regression back toward
-// per-item boxing fails loudly while normal jitter does not.
+// hot path, through the binary and the m-way constructor alike (one
+// implementation, two ways in). Before the pooled/hand-rolled-heap rewrite
+// this workload cost 13.5 allocs per emitted tuple (container/heap boxing
+// every queued item, a fresh output tuple per candidate, queue slots never
+// zeroed); after it, ~10.3. The bound sits between the two so any regression
+// back toward per-item boxing fails loudly while normal jitter does not.
 func TestHRJNAllocsPerTuple(t *testing.T) {
 	lsch, ltups := buildRankedInput(4000, 200, 1)
 	rsch, rtups := buildRankedInput(4000, 200, 3)
-	const k = 100
-	var emitted int
-	allocs := testing.AllocsPerRun(5, func() {
-		j := NewHRJN(
-			FromTuples(lsch, ltups), FromTuples(rsch, rtups),
-			expr.Col("A", "score"), expr.Col("A", "score"),
-			expr.Col("A", "key"), expr.Col("A", "key"), nil)
-		j.SizeHintL, j.SizeHintR, j.QueueHint = 400, 400, 1024
-		out, err := CollectK(j, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		emitted = len(out)
-	})
-	if emitted != k {
-		t.Fatalf("emitted %d tuples, want %d", emitted, k)
+	score, key := expr.Col("A", "score"), expr.Col("A", "key")
+	builds := map[string]func() *HRJN{
+		"NewHRJN": func() *HRJN {
+			return NewHRJN(FromTuples(lsch, ltups), FromTuples(rsch, rtups),
+				score, score, key, key, nil)
+		},
+		"NewMultiHRJN": func() *HRJN {
+			j, err := NewMultiHRJN(
+				[]Operator{FromTuples(lsch, ltups), FromTuples(rsch, rtups)},
+				[]expr.Expr{score, score}, []expr.Expr{key, key})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return j
+		},
 	}
-	perTuple := allocs / float64(emitted)
-	t.Logf("HRJN: %.1f allocs/run, %.2f allocs/emitted tuple", allocs, perTuple)
-	if perTuple > 12.0 {
-		t.Errorf("HRJN hot path allocates %.2f/tuple, budget 12.0 (pre-optimization was 13.5)", perTuple)
+	const k = 100
+	for name, build := range builds {
+		var emitted int
+		allocs := testing.AllocsPerRun(5, func() {
+			j := build()
+			j.SizeHints[0], j.SizeHints[1], j.QueueHint = 400, 400, 1024
+			out, err := CollectK(j, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			emitted = len(out)
+		})
+		if emitted != k {
+			t.Fatalf("%s: emitted %d tuples, want %d", name, emitted, k)
+		}
+		perTuple := allocs / float64(emitted)
+		t.Logf("%s: %.1f allocs/run, %.2f allocs/emitted tuple", name, allocs, perTuple)
+		if perTuple > 12.0 {
+			t.Errorf("%s hot path allocates %.2f/tuple, budget 12.0 (pre-optimization was 13.5)", name, perTuple)
+		}
 	}
 }
 
@@ -88,21 +104,21 @@ func TestTopKAllocs(t *testing.T) {
 	}
 }
 
-// TestRankQueueReleasesPoppedTuples verifies the GC-retention fix: popping
+// TestScoreQueueReleasesPoppedTuples verifies the GC-retention fix: popping
 // must zero the vacated backing slot so emitted tuples are not pinned by the
 // queue's capacity for the rest of the operator's life.
-func TestRankQueueReleasesPoppedTuples(t *testing.T) {
-	var q rankQueue
+func TestScoreQueueReleasesPoppedTuples(t *testing.T) {
+	var q scoreQueue[relation.Tuple]
 	for i := 0; i < 8; i++ {
-		q.push(rankItem{score: float64(i), seq: i, tuple: relation.Tuple{relation.Int(int64(i))}})
+		q.push(float64(i), relation.Tuple{relation.Int(int64(i))})
 	}
 	for i := 0; i < 3; i++ {
 		q.pop()
 	}
 	// The vacated slots sit between len and the original length.
-	s := q[:8]
+	s := q.items[:8]
 	for i := 5; i < 8; i++ {
-		if s[i].tuple != nil {
+		if s[i].v != nil {
 			t.Errorf("popped slot %d still references its tuple", i)
 		}
 	}

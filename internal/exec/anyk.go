@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"slices"
 
 	"rankopt/internal/expr"
@@ -12,9 +13,9 @@ import (
 
 // AnyK is a Lawler-style any-k ranked enumerator for acyclic multi-way
 // equi-joins arranged as a path: input i joins input i+1 on
-// LeftKeys[i] = RightKeys[i]. Where MultiHRJN eagerly materializes every join
-// combination a new tuple completes (a product of per-key bucket sizes), AnyK
-// builds per-level sorted adjacency once and then pops results from a
+// LeftKeys[i] = RightKeys[i]. Where the m-way HRJN eagerly materializes every
+// join combination a new tuple completes (a product of per-key bucket sizes),
+// AnyK builds per-level sorted adjacency once and then pops results from a
 // priority queue of partial solutions, expanding at most one successor per
 // path position per pop — delay O(m·log) per result after an
 // O(Σ n_i · log n_i) build, independent of the join's output size
@@ -47,26 +48,22 @@ type AnyK struct {
 	// per-input depth limit while draining inputs.
 	Budget *Budget
 
-	schema   *relation.Schema
-	scoreEvs []expr.Eval
-	lkeyEvs  []expr.Eval // lkeyEvs[i] binds LeftKeys[i] to Inputs[i]
-	rkeyEvs  []expr.Eval // rkeyEvs[i] binds RightKeys[i] to Inputs[i+1]
+	schema  *relation.Schema
+	ins     []rankedInput // the shared reader, one per level (unordered)
+	lkeyEvs []expr.Eval   // lkeyEvs[i] binds LeftKeys[i] to Inputs[i]
+	rkeyEvs []expr.Eval   // rkeyEvs[i] binds RightKeys[i] to Inputs[i+1]
 
 	built bool
 	root  []anykEntry
-	pq    anykQueue
-	seq   int
+	// buf queues the pending solutions; every input is read out before the
+	// first one is pushed, so its release step always drains.
+	buf rankBuffer[anykSol]
 	// path and prefix are pop-time scratch (the solution walk), reused so
 	// the hot path does not allocate them.
 	path   []*anykEntry
 	prefix []float64
 
 	cancel canceller
-	acct   accountant
-
-	depths   []int
-	maxQueue int
-	emitted  int
 }
 
 // anykMaxWidth bounds the path width so a solution's index vector fits in a
@@ -85,65 +82,11 @@ type anykEntry struct {
 }
 
 // anykSol is a pending (partial) solution: an index vector selecting one
-// entry per level, its total score, and the deviation level below which the
-// vector is frozen for successor generation.
+// entry per level and the deviation level below which the vector is frozen
+// for successor generation. Its total score is its key in the scoreQueue.
 type anykSol struct {
-	score float64
-	seq   int
-	dev   int8
-	idx   [anykMaxWidth]int32
-}
-
-// anykQueue is a max-heap of pending solutions ordered by score with FIFO
-// tie-breaking, mirroring rankQueue but holding inline index vectors.
-type anykQueue []anykSol
-
-func (q anykQueue) prior(i, j int) bool {
-	if q[i].score != q[j].score {
-		return q[i].score > q[j].score
-	}
-	return q[i].seq < q[j].seq
-}
-
-func (q *anykQueue) push(s anykSol) {
-	*q = append(*q, s)
-	h := *q
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.prior(i, parent) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-}
-
-func (q *anykQueue) pop() anykSol {
-	h := *q
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = anykSol{}
-	h = h[:n]
-	*q = h
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		best := i
-		if l < n && h.prior(l, best) {
-			best = l
-		}
-		if r < n && h.prior(r, best) {
-			best = r
-		}
-		if best == i {
-			break
-		}
-		h[i], h[best] = h[best], h[i]
-		i = best
-	}
-	return top
+	dev int8
+	idx [anykMaxWidth]int32
 }
 
 // NewAnyK constructs the operator; inputs, scores, and adjacent key pairs
@@ -159,39 +102,34 @@ func NewAnyK(inputs []Operator, scores, leftKeys, rightKeys []expr.Expr) (*AnyK,
 		return nil, fmt.Errorf("exec: AnyK arity mismatch (%d inputs, %d scores, %d/%d keys)",
 			len(inputs), len(scores), len(leftKeys), len(rightKeys))
 	}
-	sch := inputs[0].Schema()
-	for _, in := range inputs[1:] {
-		sch = sch.Concat(in.Schema())
-	}
-	return &AnyK{Inputs: inputs, Scores: scores, LeftKeys: leftKeys, RightKeys: rightKeys, schema: sch}, nil
+	return &AnyK{Inputs: inputs, Scores: scores, LeftKeys: leftKeys, RightKeys: rightKeys,
+		schema: concatSchemas(inputs), ins: make([]rankedInput, len(inputs))}, nil
 }
 
 // Schema implements Operator.
 func (j *AnyK) Schema() *relation.Schema { return j.schema }
 
 // Depths returns the number of tuples consumed from each input.
-func (j *AnyK) Depths() []int { return append([]int(nil), j.depths...) }
-
-// MaxQueue returns the solution-queue high-water mark.
-func (j *AnyK) MaxQueue() int { return j.maxQueue }
+func (j *AnyK) Depths() []int {
+	d := make([]int, len(j.ins))
+	for i := range j.ins {
+		d[i] = j.ins[i].depth
+	}
+	return d
+}
 
 // Stats implements StatsReporter: the build drains every input fully, so the
-// reported depths are the input cardinalities after NULL drops.
+// reported depths are the first and last input's cardinalities.
 func (j *AnyK) Stats() RankJoinStats {
-	st := RankJoinStats{MaxQueue: j.maxQueue, Emitted: j.emitted}
-	if len(j.depths) > 0 {
-		st.LeftDepth = j.depths[0]
-		st.RightDepth = j.depths[len(j.depths)-1]
-	}
-	return st
+	return j.buf.stats(j.ins[0].depth, j.ins[len(j.ins)-1].depth)
 }
 
 // gauges exposes the queue high-water mark (and, on a binary path, the two
 // input depths) to the Analyzed collector.
 func (j *AnyK) gauges() analyzeGauges {
-	g := analyzeGauges{maxQueue: j.maxQueue}
-	if len(j.depths) == 2 {
-		g.leftDepth, g.rightDepth = j.depths[0], j.depths[1]
+	g := analyzeGauges{maxQueue: j.buf.maxQueue}
+	if len(j.ins) == 2 {
+		g.leftDepth, g.rightDepth = j.ins[0].depth, j.ins[1].depth
 	}
 	return g
 }
@@ -201,10 +139,8 @@ func (j *AnyK) gauges() analyzeGauges {
 // error like every other operator's pull loop.
 func (j *AnyK) Open(ctx context.Context) error {
 	j.cancel.reset(ctx)
-	j.acct.releaseAll()
-	j.acct.budget = j.Budget
+	j.buf.reset(j.Budget, 0)
 	m := len(j.Inputs)
-	j.scoreEvs = make([]expr.Eval, m)
 	j.lkeyEvs = make([]expr.Eval, m-1)
 	j.rkeyEvs = make([]expr.Eval, m-1)
 	for i, in := range j.Inputs {
@@ -212,33 +148,22 @@ func (j *AnyK) Open(ctx context.Context) error {
 			closeQuietly(j.Inputs[:i]...)
 			return err
 		}
-		var err error
-		if j.scoreEvs[i], err = j.Scores[i].Bind(in.Schema()); err != nil {
+		err := j.ins[i].bind("AnyK", i, in, j.Scores[i], false, j.Budget)
+		if err == nil && i < m-1 {
+			j.lkeyEvs[i], err = j.LeftKeys[i].Bind(in.Schema())
+		}
+		if err == nil && i > 0 {
+			j.rkeyEvs[i-1], err = j.RightKeys[i-1].Bind(in.Schema())
+		}
+		if err != nil {
 			closeQuietly(j.Inputs[:i+1]...)
 			return err
-		}
-		if i < m-1 {
-			if j.lkeyEvs[i], err = j.LeftKeys[i].Bind(in.Schema()); err != nil {
-				closeQuietly(j.Inputs[:i+1]...)
-				return err
-			}
-		}
-		if i > 0 {
-			if j.rkeyEvs[i-1], err = j.RightKeys[i-1].Bind(in.Schema()); err != nil {
-				closeQuietly(j.Inputs[:i+1]...)
-				return err
-			}
 		}
 	}
 	j.built = false
 	j.root = nil
-	j.pq = j.pq[:0]
-	j.seq = 0
 	j.path = make([]*anykEntry, m)
 	j.prefix = make([]float64, m)
-	j.depths = make([]int, m)
-	j.maxQueue = 0
-	j.emitted = 0
 	return nil
 }
 
@@ -246,38 +171,25 @@ func (j *AnyK) Open(ctx context.Context) error {
 // Tuples with a NULL score or a NULL required join key cannot contribute to
 // any result and are dropped.
 func (j *AnyK) drainLevel(i int) ([]anykEntry, error) {
+	in := &j.ins[i]
 	var out []anykEntry
-	for {
+	for !in.done {
 		if err := j.cancel.poll(); err != nil {
 			return nil, err
 		}
-		t, ok, err := j.Inputs[i].Next()
+		t, s, ok, err := in.read()
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
-			return out, nil
-		}
-		j.depths[i]++
-		if err := j.Budget.depthOK(j.depths[i]); err != nil {
-			return nil, err
-		}
-		sv, err := j.scoreEvs[i](t)
-		if err != nil {
-			return nil, err
-		}
-		if sv.IsNull() {
 			continue
 		}
-		s, err := finiteScore(sv.AsFloat(), "AnyK", "path")
-		if err != nil {
-			return nil, err
-		}
-		if err := j.acct.charge(1); err != nil {
+		if err := j.buf.acct.charge(1); err != nil {
 			return nil, err
 		}
 		out = append(out, anykEntry{tuple: t, score: s, ord: int32(len(out))})
 	}
+	return out, nil
 }
 
 // levelKey evaluates ev on the entry's tuple, returning the hash key and
@@ -332,13 +244,13 @@ func (j *AnyK) build() error {
 					return err
 				}
 				if !ok {
-					j.acct.release(1)
+					j.buf.acct.release(1)
 					continue
 				}
 				nxt := byKey[hk]
 				if len(nxt) == 0 {
 					// No completion below: the entry is dead weight.
-					j.acct.release(1)
+					j.buf.acct.release(1)
 					continue
 				}
 				e.next = nxt
@@ -361,7 +273,7 @@ func (j *AnyK) build() error {
 				return err
 			}
 			if !ok {
-				j.acct.release(1)
+				j.buf.acct.release(1)
 				continue
 			}
 			next[hk] = append(next[hk], e)
@@ -377,12 +289,9 @@ func (j *AnyK) build() error {
 	}
 
 	if len(j.root) > 0 {
-		if err := j.acct.charge(1); err != nil {
+		if err := j.buf.offer(j.root[0].suffix, anykSol{}); err != nil {
 			return err
 		}
-		j.pq.push(anykSol{score: j.root[0].suffix, seq: j.seq})
-		j.seq++
-		j.maxQueue = 1
 	}
 	j.built = true
 	return nil
@@ -415,12 +324,11 @@ func (j *AnyK) Next() (relation.Tuple, bool, error) {
 			return nil, false, err
 		}
 	}
-	if len(j.pq) == 0 {
+	sol, ok := j.buf.release(math.Inf(-1), true)
+	if !ok {
 		return nil, false, nil
 	}
 	m := len(j.Inputs)
-	sol := j.pq.pop()
-	j.acct.release(1)
 	j.walk(&sol)
 
 	for lvl := int(sol.dev); lvl < m; lvl++ {
@@ -432,43 +340,30 @@ func (j *AnyK) Next() (relation.Tuple, bool, error) {
 		if int(ni) >= len(bucket) {
 			continue
 		}
-		succ := anykSol{seq: j.seq, dev: int8(lvl)}
+		succ := anykSol{dev: int8(lvl)}
 		copy(succ.idx[:lvl], sol.idx[:lvl])
 		succ.idx[lvl] = ni
-		succ.score = bucket[ni].suffix
+		score := bucket[ni].suffix
 		if lvl > 0 {
-			succ.score += j.prefix[lvl-1]
+			score += j.prefix[lvl-1]
 		}
-		j.seq++
-		if err := j.acct.charge(1); err != nil {
+		if err := j.buf.offer(score, succ); err != nil {
 			return nil, false, err
 		}
-		j.pq.push(succ)
-	}
-	if len(j.pq) > j.maxQueue {
-		j.maxQueue = len(j.pq)
 	}
 
 	out := make(relation.Tuple, 0, j.schema.Len())
 	for lvl := 0; lvl < m; lvl++ {
 		out = append(out, j.path[lvl].tuple...)
 	}
-	j.emitted++
 	return out, true, nil
 }
 
 // Close implements Operator.
 func (j *AnyK) Close() error {
-	var first error
-	for _, in := range j.Inputs {
-		if err := in.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
 	j.root = nil
-	j.pq = nil
 	j.path = nil
 	j.built = false
-	j.acct.releaseAll()
-	return first
+	j.buf.close()
+	return closeAll(j.Inputs)
 }

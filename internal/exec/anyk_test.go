@@ -241,7 +241,7 @@ func TestAnyKStatsAndGauges(t *testing.T) {
 			t.Fatalf("input %d depth %d, want 150", i, d)
 		}
 	}
-	if j.MaxQueue() == 0 {
+	if j.Stats().MaxQueue == 0 {
 		t.Error("queue high-water not recorded")
 	}
 	st := j.Stats()

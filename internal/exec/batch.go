@@ -12,7 +12,7 @@ import (
 // is the throughput ceiling. BatchOperator amortizes all of it across a
 // reusable tuple batch: one interface call, one context check, and one stats
 // update per DefaultBatchSize tuples. Operators that genuinely need
-// incremental pulls for threshold termination (HRJN, NRJN, MultiHRJN, TopK)
+// incremental pulls for threshold termination (HRJN, NRJN, TopK)
 // stay per-tuple; batchSource adapts them transparently, so a pipeline mixes
 // vectorized and per-tuple segments without either side knowing.
 
@@ -124,7 +124,7 @@ type BatchOperator interface {
 // goes through a per-tuple fill loop that polls the retained context on the
 // canceller cadence (so a batch consumer over a per-tuple tree keeps PR 4's
 // "every unbounded loop polls" invariant). This is the shim that lets
-// HRJN/NRJN/MultiHRJN stay per-tuple while the rest of the pipeline batches.
+// HRJN/NRJN stay per-tuple while the rest of the pipeline batches.
 type batchSource struct {
 	bop    BatchOperator
 	op     Operator

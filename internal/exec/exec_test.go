@@ -238,7 +238,6 @@ func TestAllJoinsAgree(t *testing.T) {
 			NewSort(NewSeqScan(a), SortKey{E: lKey}),
 			NewSort(NewSeqScan(b), SortKey{E: rKey}),
 			lKey, rKey, nil),
-		"shj": NewSymmetricHashJoin(NewSeqScan(a), NewSeqScan(b), lKey, rKey, nil),
 	}
 	for name, op := range ops {
 		got, err := Collect(op)
@@ -281,7 +280,6 @@ func TestJoinsWithResidual(t *testing.T) {
 			NewSort(NewSeqScan(a), SortKey{E: lKey}),
 			NewSort(NewSeqScan(b), SortKey{E: rKey}),
 			lKey, rKey, res),
-		"shj": NewSymmetricHashJoin(NewSeqScan(a), NewSeqScan(b), lKey, rKey, res),
 	}
 	for name, op := range ops {
 		got, err := Collect(op)
@@ -457,7 +455,6 @@ func TestErrorPropagation(t *testing.T) {
 		"hash-l":  NewHashJoin(bad, NewSeqScan(good), lKey, rKey, nil),
 		"hash-r":  NewHashJoin(NewSeqScan(good), bad, lKey, rKey, nil),
 		"smj-l":   NewSortMergeJoin(bad, NewSeqScan(good), lKey, rKey, nil),
-		"shj-l":   NewSymmetricHashJoin(bad, NewSeqScan(good), lKey, rKey, nil),
 		"hrjn-l":  NewHRJN(bad, NewSeqScan(good), score, score, lKey, rKey, nil),
 		"hrjn-r":  NewHRJN(NewSeqScan(good), bad, score, score, lKey, rKey, nil),
 		"nrjn-l":  NewNRJN(bad, NewSeqScan(good), score, score, nil),

@@ -792,168 +792,3 @@ func (j *SortMergeJoin) Close() error {
 	}
 	return err2
 }
-
-// SymmetricHashJoin pulls from both inputs alternately, maintaining a hash
-// table per side, and emits matches as soon as both partners have arrived.
-// It is fully pipelined on both inputs but gives no order guarantee; HRJN is
-// its rank-aware extension.
-type SymmetricHashJoin struct {
-	Left, Right       Operator
-	LeftKey, RightKey expr.Expr
-	Residual          expr.Expr
-	// Budget, when set, is charged for every tuple buffered in either table.
-	Budget *Budget
-
-	schema *relation.Schema
-	lKeyEv expr.Eval
-	rKeyEv expr.Eval
-	resEv  expr.Eval
-
-	lTable, rTable map[any][]relation.Tuple
-	lDone, rDone   bool
-	pullLeft       bool
-	pending        []relation.Tuple
-	cancel         canceller
-	acct           accountant
-}
-
-// NewSymmetricHashJoin constructs the join.
-func NewSymmetricHashJoin(left, right Operator, leftKey, rightKey, residual expr.Expr) *SymmetricHashJoin {
-	return &SymmetricHashJoin{
-		Left: left, Right: right, LeftKey: leftKey, RightKey: rightKey, Residual: residual,
-		schema: left.Schema().Concat(right.Schema()),
-	}
-}
-
-// Schema implements Operator.
-func (j *SymmetricHashJoin) Schema() *relation.Schema { return j.schema }
-
-// Open implements Operator, forwarding the context to both inputs and
-// polling it in Next's pull loop.
-func (j *SymmetricHashJoin) Open(ctx context.Context) error {
-	j.cancel.reset(ctx)
-	j.acct.releaseAll()
-	j.acct.budget = j.Budget
-	if err := j.Left.Open(ctx); err != nil {
-		return err
-	}
-	if err := j.Right.Open(ctx); err != nil {
-		closeQuietly(j.Left)
-		return err
-	}
-	if err := j.bind(); err != nil {
-		closeQuietly(j.Left, j.Right)
-		return err
-	}
-	j.lTable = map[any][]relation.Tuple{}
-	j.rTable = map[any][]relation.Tuple{}
-	j.lDone, j.rDone = false, false
-	j.pullLeft = true
-	j.pending = nil
-	return nil
-}
-
-// bind resolves the key and residual evaluators.
-func (j *SymmetricHashJoin) bind() error {
-	var err error
-	if j.lKeyEv, err = j.LeftKey.Bind(j.Left.Schema()); err != nil {
-		return err
-	}
-	if j.rKeyEv, err = j.RightKey.Bind(j.Right.Schema()); err != nil {
-		return err
-	}
-	j.resEv, err = bindPred(j.Residual, j.schema)
-	return err
-}
-
-// step pulls one tuple from the chosen side and queues any new matches.
-func (j *SymmetricHashJoin) step(left bool) error {
-	var (
-		in       Operator
-		keyEv    expr.Eval
-		own      map[any][]relation.Tuple
-		other    map[any][]relation.Tuple
-		doneFlag *bool
-	)
-	if left {
-		in, keyEv, own, other, doneFlag = j.Left, j.lKeyEv, j.lTable, j.rTable, &j.lDone
-	} else {
-		in, keyEv, own, other, doneFlag = j.Right, j.rKeyEv, j.rTable, j.lTable, &j.rDone
-	}
-	t, ok, err := in.Next()
-	if err != nil {
-		return err
-	}
-	if !ok {
-		*doneFlag = true
-		return nil
-	}
-	k, err := keyEv(t)
-	if err != nil {
-		return err
-	}
-	if k.IsNull() {
-		return nil
-	}
-	hk := k.HashKey()
-	if err := j.acct.charge(1); err != nil {
-		return err
-	}
-	own[hk] = append(own[hk], t)
-	for _, m := range other[hk] {
-		var out relation.Tuple
-		if left {
-			out = t.Concat(m)
-		} else {
-			out = m.Concat(t)
-		}
-		pass, err := expr.EvalBool(j.resEv, out)
-		if err != nil {
-			return err
-		}
-		if pass {
-			j.pending = append(j.pending, out)
-		}
-	}
-	return nil
-}
-
-// Next implements Operator.
-func (j *SymmetricHashJoin) Next() (relation.Tuple, bool, error) {
-	for {
-		if err := j.cancel.poll(); err != nil {
-			return nil, false, err
-		}
-		if len(j.pending) > 0 {
-			t := j.pending[0]
-			j.pending = j.pending[1:]
-			return t, true, nil
-		}
-		if j.lDone && j.rDone {
-			return nil, false, nil
-		}
-		// Alternate, falling back to whichever side remains.
-		side := j.pullLeft
-		if j.lDone {
-			side = false
-		} else if j.rDone {
-			side = true
-		}
-		j.pullLeft = !j.pullLeft
-		if err := j.step(side); err != nil {
-			return nil, false, err
-		}
-	}
-}
-
-// Close implements Operator.
-func (j *SymmetricHashJoin) Close() error {
-	j.lTable, j.rTable = nil, nil
-	j.acct.releaseAll()
-	err1 := j.Left.Close()
-	err2 := j.Right.Close()
-	if err1 != nil {
-		return err1
-	}
-	return err2
-}

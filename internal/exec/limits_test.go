@@ -51,6 +51,30 @@ func TestBudgetExceededTyped(t *testing.T) {
 	}
 }
 
+// NRJN charges its inner as it buffers it: an inner larger than the budget
+// fails one batch past the cap. Before the fix load collected all 50 000
+// tuples (and copied them again) before the first charge.
+func TestNRJNBudgetStopsInnerLoad(t *testing.T) {
+	const limit = 100
+	osch, otups := scoredKeyed("L", []float64{3, 2, 1}, []int64{1, 1, 1})
+	isch, itups := buildRankedInput(50000, 100, 1)
+	inner := NewCounter(FromTuples(isch, itups))
+	b := NewBudget(ResourceLimits{MaxBufferedTuples: limit})
+	j := NewNRJN(FromTuples(osch, otups), inner,
+		expr.Col("L", "score"), expr.Col("A", "score"),
+		expr.Bin(expr.OpEq, expr.Col("L", "key"), expr.Col("A", "key")))
+	j.Budget = b
+	if _, err := Collect(j); !errors.Is(err, ErrBudgetExceeded) {
+		t.Fatalf("want ErrBudgetExceeded, got %v", err)
+	}
+	if inner.Count() > limit+DefaultBatchSize {
+		t.Errorf("read %d inner tuples under a %d-tuple budget, want <= %d", inner.Count(), limit, limit+DefaultBatchSize)
+	}
+	if b.Buffered() != 0 {
+		t.Fatalf("budget not released after failed Open: %d still charged", b.Buffered())
+	}
+}
+
 func TestDepthExceededTyped(t *testing.T) {
 	b := NewBudget(ResourceLimits{MaxDepthPerInput: 7})
 	j := limitedHRJN(4000, 5, b)
@@ -224,7 +248,7 @@ func TestBudgetAddsNoAllocations(t *testing.T) {
 				FromTuples(lsch, ltups), FromTuples(rsch, rtups),
 				expr.Col("A", "score"), expr.Col("A", "score"),
 				expr.Col("A", "key"), expr.Col("A", "key"), nil)
-			j.SizeHintL, j.SizeHintR, j.QueueHint = 400, 400, 1024
+			j.SizeHints[0], j.SizeHints[1], j.QueueHint = 400, 400, 1024
 			j.Budget = b
 			if _, err := CollectK(j, k); err != nil {
 				t.Fatal(err)

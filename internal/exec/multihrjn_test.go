@@ -2,6 +2,7 @@ package exec
 
 import (
 	"math"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 )
 
 // multiFixture builds m ranked relations and the operator inputs.
-func multiFixture(t *testing.T, m, n int, sel float64, seed int64) ([]*relation.Relation, *MultiHRJN) {
+func multiFixture(t *testing.T, m, n int, sel float64, seed int64) ([]*relation.Relation, *HRJN) {
 	t.Helper()
 	rels := make([]*relation.Relation, m)
 	inputs := make([]Operator, m)
@@ -33,35 +34,44 @@ func multiFixture(t *testing.T, m, n int, sel float64, seed int64) ([]*relation.
 	return rels, j
 }
 
-// refMultiTopK brute-forces the top-k combined scores of the m-way
-// equi-join on key.
-func refMultiTopK(rels []*relation.Relation, k int) []float64 {
+// refMultiScores brute-forces the combined scores of the m-way equi-join on
+// key, best first. keep, when non-nil, is the residual: it sees one tuple per
+// relation and rejects combinations.
+func refMultiScores(rels []*relation.Relation, keep func(parts []relation.Tuple) bool) []float64 {
 	// Bucket by key per relation.
-	buckets := make([]map[int64][]float64, len(rels))
+	buckets := make([]map[int64][]relation.Tuple, len(rels))
 	for i, r := range rels {
-		buckets[i] = map[int64][]float64{}
+		buckets[i] = map[int64][]relation.Tuple{}
 		for _, tup := range r.Tuples() {
 			key := tup[1].AsInt()
-			buckets[i][key] = append(buckets[i][key], tup[2].AsFloat())
+			buckets[i][key] = append(buckets[i][key], tup)
 		}
 	}
 	var scores []float64
+	parts := make([]relation.Tuple, len(rels))
 	var cross func(key int64, slot int, acc float64)
 	cross = func(key int64, slot int, acc float64) {
 		if slot == len(rels) {
-			scores = append(scores, acc)
+			if keep == nil || keep(parts) {
+				scores = append(scores, acc)
+			}
 			return
 		}
-		for _, s := range buckets[slot][key] {
-			cross(key, slot+1, acc+s)
+		for _, tup := range buckets[slot][key] {
+			parts[slot] = tup
+			cross(key, slot+1, acc+tup[2].AsFloat())
 		}
 	}
-	for key, s0s := range buckets[0] {
-		for _, s0 := range s0s {
-			cross(key, 1, s0)
-		}
+	for key := range buckets[0] {
+		cross(key, 0, 0)
 	}
 	sort.Sort(sort.Reverse(sort.Float64Slice(scores)))
+	return scores
+}
+
+// refMultiTopK is the top-k prefix of refMultiScores without a residual.
+func refMultiTopK(rels []*relation.Relation, k int) []float64 {
+	scores := refMultiScores(rels, nil)
 	if len(scores) > k {
 		scores = scores[:k]
 	}
@@ -123,7 +133,7 @@ func TestMultiHRJNEarlyOut(t *testing.T) {
 			t.Fatalf("input %d depth %d: no early-out", i, d)
 		}
 	}
-	if j.MaxQueue() == 0 {
+	if j.Stats().MaxQueue == 0 {
 		t.Error("queue high-water not recorded")
 	}
 }
@@ -158,6 +168,33 @@ func TestMultiHRJNAgreesWithBinaryTree(t *testing.T) {
 		if math.Abs(combinedScoreM(got[i], 3)-ws) > 1e-9 {
 			t.Fatalf("rank %d: m-way %v vs binary %v", i, combinedScoreM(got[i], 3), ws)
 		}
+	}
+
+	// One implementation, two ways in: over the same two inputs the binary
+	// and the m-way constructor must behave identically, tuple for tuple.
+	bin := NewHRJN(rankedScan(rels[0]), rankedScan(rels[1]),
+		expr.Col("A", "score"), expr.Col("B", "score"),
+		expr.Col("A", "key"), expr.Col("B", "key"), nil)
+	mw, err := NewMultiHRJN(
+		[]Operator{rankedScan(rels[0]), rankedScan(rels[1])},
+		[]expr.Expr{expr.Col("A", "score"), expr.Col("B", "score")},
+		[]expr.Expr{expr.Col("A", "key"), expr.Col("B", "key")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	binOut, err := CollectK(bin, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mwOut, err := CollectK(mw, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(binOut, mwOut) {
+		t.Errorf("NewHRJN and NewMultiHRJN disagree over the same inputs:\n%v\n%v", binOut, mwOut)
+	}
+	if bin.Stats() != mw.Stats() {
+		t.Errorf("Stats differ: binary %+v, m-way %+v", bin.Stats(), mw.Stats())
 	}
 }
 
@@ -203,5 +240,53 @@ func TestMultiHRJNEmptyInput(t *testing.T) {
 	got, err := Collect(j)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty input join = %v, %v", got, err)
+	}
+}
+
+// TestDeadRankJoinStops: once one input is exhausted without ever buffering
+// a tuple no result can form, so the join must report exhaustion instead of
+// reading the other inputs out. Before the fix each of these read all 50 000
+// tuples of the big input to emit nothing.
+func TestDeadRankJoinStops(t *testing.T) {
+	const n = 50000
+	empty := makeRel("E", nil)
+	sch, tups := buildRankedInput(n, 100, 1)
+	eScore, eKey := expr.Col("E", "score"), expr.Col("E", "key")
+	score, key := expr.Col("A", "score"), expr.Col("A", "key")
+	multi := func(ins []Operator, scores, keys []expr.Expr) Operator {
+		j, err := NewMultiHRJN(ins, scores, keys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+	cases := []struct {
+		name  string
+		build func(big Operator) Operator
+	}{
+		{"binary", func(big Operator) Operator {
+			return NewHRJN(NewSeqScan(empty), big, eScore, score, eKey, key, nil)
+		}},
+		{"m-way-2", func(big Operator) Operator {
+			return multi([]Operator{NewSeqScan(empty), big},
+				[]expr.Expr{eScore, score}, []expr.Expr{eKey, key})
+		}},
+		{"m-way-3", func(big Operator) Operator {
+			return multi([]Operator{big, NewSeqScan(empty), FromTuples(sch, tups)},
+				[]expr.Expr{score, eScore, score}, []expr.Expr{key, eKey, key})
+		}},
+		{"nrjn-empty-inner", func(big Operator) Operator {
+			return NewNRJN(big, NewSeqScan(empty), score, eScore, expr.Bin(expr.OpEq, key, eKey))
+		}},
+	}
+	for _, tc := range cases {
+		big := NewCounter(FromTuples(sch, tups))
+		got, err := Collect(tc.build(big))
+		if err != nil || len(got) != 0 {
+			t.Fatalf("%s: dead join = %d tuples, %v", tc.name, len(got), err)
+		}
+		if big.Count() > 1 {
+			t.Errorf("%s: read %d tuples of the live input after the join was dead, want <= 1", tc.name, big.Count())
+		}
 	}
 }

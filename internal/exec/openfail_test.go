@@ -129,9 +129,6 @@ func TestOpenFailureClosesOpenedChildren(t *testing.T) {
 		{"smj-bind-fails", func(c ...*lifecycleOp) Operator {
 			return NewSortMergeJoin(c[0], c[1], badCol, key, nil)
 		}, 2, false},
-		{"shj-bind-fails", func(c ...*lifecycleOp) Operator {
-			return NewSymmetricHashJoin(c[0], c[1], badCol, key, nil)
-		}, 2, false},
 		{"hashagg-drain-fails", func(c ...*lifecycleOp) Operator {
 			return NewHashAggregate(nextErrOp{schema: rel.Schema()}, nil,
 				[]AggSpec{{Func: AggCount, As: "c"}})
@@ -196,7 +193,7 @@ func TestOpenFailureClosesOpenedChildren(t *testing.T) {
 		}
 		err := op.Open(ctx)
 		if err == nil && tc.cancelled {
-			// Lazy operators (HRJN, MultiHRJN, AnyK) do their work in Next.
+			// Lazy operators (HRJN, AnyK) do their work in Next.
 			for ok := true; ok && err == nil; {
 				_, ok, err = op.Next()
 			}

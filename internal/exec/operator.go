@@ -2,9 +2,9 @@
 // (iterator) style: every operator exposes Open/Next/Close and produces
 // tuples of a fixed schema. The package contains the classic relational
 // operators (scans, filter, project, sort, limit, nested-loops / index /
-// sort-merge / hash / symmetric-hash joins) and the paper's rank-join
-// operators HRJN and NRJN, instrumented so experiments can measure the
-// depths (input cardinalities) and buffer sizes the optimizer estimates.
+// sort-merge / hash joins) and the paper's rank-join operators HRJN and
+// NRJN, instrumented so experiments can measure the depths (input
+// cardinalities) and buffer sizes the optimizer estimates.
 package exec
 
 import (
@@ -40,6 +40,28 @@ func closeQuietly(ops ...Operator) {
 			_ = op.Close()
 		}
 	}
+}
+
+// closeAll closes every operator of a multi-input parent, returning the first
+// error.
+func closeAll(ops []Operator) error {
+	var first error
+	for _, op := range ops {
+		if err := op.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// concatSchemas returns the schema of a multi-input join's result: the
+// inputs' schemas concatenated in order.
+func concatSchemas(inputs []Operator) *relation.Schema {
+	sch := inputs[0].Schema()
+	for _, in := range inputs[1:] {
+		sch = sch.Concat(in.Schema())
+	}
+	return sch
 }
 
 // Arguments of drain, named for its call sites.

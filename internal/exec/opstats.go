@@ -79,7 +79,7 @@ type analyzeGauges struct {
 }
 
 // gaugeReporter is implemented by operators with internal gauges worth
-// surfacing in EXPLAIN ANALYZE (HRJN, NRJN, MultiHRJN, TopK, Sort).
+// surfacing in EXPLAIN ANALYZE (HRJN, NRJN, AnyK, TopK, Sort).
 type gaugeReporter interface {
 	gauges() analyzeGauges
 }

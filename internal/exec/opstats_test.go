@@ -121,7 +121,7 @@ func TestAnalyzedHRJNAllocsPerTuple(t *testing.T) {
 			FromTuples(lsch, ltups), FromTuples(rsch, rtups),
 			expr.Col("A", "score"), expr.Col("A", "score"),
 			expr.Col("A", "key"), expr.Col("A", "key"), nil)
-		j.SizeHintL, j.SizeHintR, j.QueueHint = 400, 400, 1024
+		j.SizeHints[0], j.SizeHints[1], j.QueueHint = 400, 400, 1024
 		out, err := CollectK(Analyze(j), k)
 		if err != nil {
 			t.Fatal(err)

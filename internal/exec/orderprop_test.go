@@ -2,6 +2,7 @@ package exec
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -13,7 +14,7 @@ import (
 )
 
 // This file is the order-contract property test: every ranked operator in
-// the executor — HRJN, NRJN, MultiHRJN, TASelect, AnyK, ShardMerge — must
+// the executor — HRJN (binary and m-way), NRJN, TASelect, AnyK, ShardMerge — must
 // emit monotonically non-increasing combined scores with deterministic
 // tie-breaking, across seeded randomized workloads. The monotonicity check
 // reuses ranking.Bounds.Observe, the same machinery the threshold operators
@@ -26,6 +27,8 @@ import (
 type rankedCase struct {
 	name  string
 	build func(seed int64) (Operator, func(relation.Tuple) float64)
+	// want, when set, brute-forces the full expected score sequence.
+	want func(seed int64) []float64
 }
 
 // pathScore sums the m per-input score columns of a (id, key, score)^m
@@ -45,29 +48,18 @@ func propRels(m, n int, sel float64, seed int64) []*relation.Relation {
 	return rels
 }
 
-func rankedOperatorCases(t *testing.T) []rankedCase {
-	t.Helper()
-	return []rankedCase{
-		{"HRJN", func(seed int64) (Operator, func(relation.Tuple) float64) {
-			rels := propRels(2, 220, 0.06, seed)
-			j := NewHRJN(rankedScan(rels[0]), rankedScan(rels[1]),
-				expr.Col("A", "score"), expr.Col("B", "score"),
-				expr.Col("A", "key"), expr.Col("B", "key"), nil)
-			return j, pathScore(2)
-		}},
-		{"NRJN", func(seed int64) (Operator, func(relation.Tuple) float64) {
-			rels := propRels(2, 160, 0.08, seed)
-			j := NewNRJN(rankedScan(rels[0]), rankedScan(rels[1]),
-				expr.Col("A", "score"), expr.Col("B", "score"),
-				expr.Bin(expr.OpEq, expr.Col("A", "key"), expr.Col("B", "key")))
-			return j, pathScore(2)
-		}},
-		{"MultiHRJN", func(seed int64) (Operator, func(relation.Tuple) float64) {
-			rels := propRels(3, 180, 0.06, seed)
-			inputs := make([]Operator, len(rels))
-			scores := make([]expr.Expr, len(rels))
-			keys := make([]expr.Expr, len(rels))
-			for i, r := range rels {
+// multiHRJNCase builds a 3-way HRJN row, configured by tune, whose emitted
+// scores are checked against the brute-force join under the residual keep.
+func multiHRJNCase(t *testing.T, name string, tune func(*HRJN), keep func([]relation.Tuple) bool) rankedCase {
+	rels := func(seed int64) []*relation.Relation { return propRels(3, 180, 0.06, seed) }
+	return rankedCase{
+		name: name,
+		build: func(seed int64) (Operator, func(relation.Tuple) float64) {
+			rs := rels(seed)
+			inputs := make([]Operator, len(rs))
+			scores := make([]expr.Expr, len(rs))
+			keys := make([]expr.Expr, len(rs))
+			for i, r := range rs {
 				inputs[i] = rankedScan(r)
 				scores[i] = expr.Col(r.Name, "score")
 				keys[i] = expr.Col(r.Name, "key")
@@ -76,9 +68,40 @@ func rankedOperatorCases(t *testing.T) []rankedCase {
 			if err != nil {
 				t.Fatal(err)
 			}
+			tune(j)
 			return j, pathScore(3)
+		},
+		want: func(seed int64) []float64 { return refMultiScores(rels(seed), keep) },
+	}
+}
+
+func rankedOperatorCases(t *testing.T) []rankedCase {
+	t.Helper()
+	return []rankedCase{
+		{name: "HRJN", build: func(seed int64) (Operator, func(relation.Tuple) float64) {
+			rels := propRels(2, 220, 0.06, seed)
+			j := NewHRJN(rankedScan(rels[0]), rankedScan(rels[1]),
+				expr.Col("A", "score"), expr.Col("B", "score"),
+				expr.Col("A", "key"), expr.Col("B", "key"), nil)
+			return j, pathScore(2)
 		}},
-		{"AnyK", func(seed int64) (Operator, func(relation.Tuple) float64) {
+		{name: "NRJN", build: func(seed int64) (Operator, func(relation.Tuple) float64) {
+			rels := propRels(2, 160, 0.08, seed)
+			j := NewNRJN(rankedScan(rels[0]), rankedScan(rels[1]),
+				expr.Col("A", "score"), expr.Col("B", "score"),
+				expr.Bin(expr.OpEq, expr.Col("A", "key"), expr.Col("B", "key")))
+			return j, pathScore(2)
+		}},
+		multiHRJNCase(t, "HRJN-3way", func(*HRJN) {}, nil),
+		multiHRJNCase(t, "HRJN-3way-adaptive", func(j *HRJN) { j.Strategy = Adaptive }, nil),
+		multiHRJNCase(t, "HRJN-3way-residual", func(j *HRJN) {
+			j.Residual = expr.Bin(expr.OpGt,
+				expr.Bin(expr.OpAdd, expr.Col("A", "score"), expr.Col("C", "score")),
+				expr.FloatLit(1.0))
+		}, func(parts []relation.Tuple) bool {
+			return parts[0][2].AsFloat()+parts[2][2].AsFloat() > 1.0
+		}),
+		{name: "AnyK", build: func(seed int64) (Operator, func(relation.Tuple) float64) {
 			rels := propRels(3, 180, 0.06, seed)
 			inputs := make([]Operator, len(rels))
 			scores := make([]expr.Expr, len(rels))
@@ -100,7 +123,7 @@ func rankedOperatorCases(t *testing.T) []rankedCase {
 			}
 			return j, pathScore(3)
 		}},
-		{"TASelect", func(seed int64) (Operator, func(relation.Tuple) float64) {
+		{name: "TASelect", build: func(seed int64) (Operator, func(relation.Tuple) float64) {
 			cat, names := workload.Corpus(workload.CorpusConfig{Objects: 400, Features: 3, Seed: seed})
 			weights := []float64{0.5, 0.3, 0.2}
 			inputs := make([]TAInput, len(names))
@@ -127,7 +150,7 @@ func rankedOperatorCases(t *testing.T) []rankedCase {
 			}
 			return ta, score
 		}},
-		{"ShardMerge", func(seed int64) (Operator, func(relation.Tuple) float64) {
+		{name: "ShardMerge", build: func(seed int64) (Operator, func(relation.Tuple) float64) {
 			rng := rand.New(rand.NewSource(seed))
 			inputs := make([]ShardInput, 4)
 			for s := range inputs {
@@ -174,6 +197,17 @@ func TestRankedOrderProperty(t *testing.T) {
 				scores := drainScores(t, op, score)
 				if len(scores) == 0 {
 					t.Fatalf("seed %d: operator emitted nothing — property vacuous", seed)
+				}
+				if c.want != nil {
+					want := c.want(seed)
+					if len(scores) != len(want) {
+						t.Fatalf("seed %d: emitted %d results, brute force has %d", seed, len(scores), len(want))
+					}
+					for i := range want {
+						if math.Abs(scores[i]-want[i]) > 1e-9 {
+							t.Fatalf("seed %d rank %d: score %v, brute force %v", seed, i, scores[i], want[i])
+						}
+					}
 				}
 				bounds := ranking.NewBounds(1)
 				for i, s := range scores {

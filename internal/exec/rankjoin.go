@@ -9,6 +9,14 @@ import (
 	"rankopt/internal/relation"
 )
 
+// This file is the rank-join kernel and the two rank joins built on it. The
+// paper's Section-2 rank join is one idea — ranked inputs, a threshold over
+// their top and last scores, a priority queue that releases a result once it
+// beats the threshold — so its three moving parts exist once: rankedInput
+// reads and validates scored tuples, scoreQueue orders pending results, and
+// rankBuffer.release decides when one may leave. HRJN, NRJN and AnyK differ
+// only in how they find matches.
+
 // scoreEps absorbs floating-point noise when comparing combined scores
 // against the threshold.
 const scoreEps = 1e-9
@@ -16,15 +24,15 @@ const scoreEps = 1e-9
 // finiteScore rejects NaN scores and clamps infinite ones to the finite
 // float range at the rank-join input boundary. The threshold arithmetic adds
 // terms from opposite inputs (e.g. topL+lastR): with topL=+Inf and
-// lastR=-Inf the bound becomes NaN, every `pq[0].score >= threshold-eps`
+// lastR=-Inf the bound becomes NaN, every `score >= threshold-eps`
 // comparison turns false, and early termination is silently disabled — the
 // join degrades to a full drain. Clamping ±Inf to ±MaxFloat64 preserves the
 // score ordering (no finite score exceeds it) while keeping every
 // threshold sum finite; a NaN score has no position in a ranking at all, so
 // it fails loudly like a sort-contract violation.
-func finiteScore(s float64, op, input string) (float64, error) {
+func finiteScore(s float64, op string, input int) (float64, error) {
 	if math.IsNaN(s) {
-		return 0, fmt.Errorf("exec: %s %s input produced NaN score", op, input)
+		return 0, fmt.Errorf("exec: %s input %d produced NaN score", op, input)
 	}
 	if math.IsInf(s, 1) {
 		return math.MaxFloat64, nil
@@ -39,10 +47,10 @@ func finiteScore(s float64, op, input string) (float64, error) {
 type PullStrategy uint8
 
 const (
-	// Alternate strictly alternates between the two inputs.
+	// Alternate rotates round-robin over the live inputs.
 	Alternate PullStrategy = iota
 	// Adaptive pulls from the input under the dominating threshold term
-	// (threshold = max(topL+lastR, lastL+topR)): only that pull can lower
+	// (threshold = max_i(last_i + Σ_{j≠i} top_j)): only that pull can lower
 	// the bound, which pays off when score distributions differ.
 	Adaptive
 )
@@ -50,7 +58,8 @@ const (
 // RankJoinStats captures the measured quantities the paper's Section 5
 // experiments report: the depth reached into each input, the high-water mark
 // of the output priority queue (the operator's ranking buffer), and the
-// number of results emitted.
+// number of results emitted. Operators with more than two inputs report
+// their first and last input as left and right.
 type RankJoinStats struct {
 	LeftDepth  int
 	RightDepth int
@@ -59,138 +68,10 @@ type RankJoinStats struct {
 }
 
 // StatsReporter is implemented by operators that measure their input depths
-// and ranking-buffer usage (HRJN and NRJN); the experiment harness and the
-// CLI use it to compare measurements with the optimizer's estimates.
+// and ranking-buffer usage (HRJN, NRJN and AnyK); the experiment harness and
+// the CLI use it to compare measurements with the optimizer's estimates.
 type StatsReporter interface {
 	Stats() RankJoinStats
-}
-
-// rankItem is a scored join result awaiting release from the priority queue.
-type rankItem struct {
-	score float64
-	seq   int
-	tuple relation.Tuple
-}
-
-// rankQueue is a max-heap on score with FIFO tie-breaking for determinism.
-// It is hand-rolled rather than layered over container/heap: the standard
-// heap's any-typed Push/Pop interface boxes every rankItem, costing two
-// heap allocations per buffered result on the rank joins' per-tuple path.
-// (score, seq) is a strict total order — seq is unique — so the pop order
-// is identical to container/heap's regardless of internal arrangement.
-type rankQueue []rankItem
-
-// prior reports whether element i beats element j (higher score, FIFO ties).
-func (q rankQueue) prior(i, j int) bool {
-	if q[i].score != q[j].score {
-		return q[i].score > q[j].score
-	}
-	return q[i].seq < q[j].seq
-}
-
-// push inserts an item, sifting it up to its heap position.
-func (q *rankQueue) push(it rankItem) {
-	s := append(*q, it)
-	*q = s
-	i := len(s) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !s.prior(i, p) {
-			break
-		}
-		s[i], s[p] = s[p], s[i]
-		i = p
-	}
-}
-
-// pop removes and returns the top item. The vacated slot is zeroed before
-// the slice shrinks so the popped tuple becomes GC-reclaimable as soon as
-// the caller drops it — leaving it in the slice's spare capacity would pin
-// every emitted tuple until the operator closes.
-func (q *rankQueue) pop() rankItem {
-	s := *q
-	n := len(s) - 1
-	s[0], s[n] = s[n], s[0]
-	it := s[n]
-	s[n] = rankItem{}
-	s = s[:n]
-	*q = s
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		best := l
-		if r := l + 1; r < n && s.prior(r, l) {
-			best = r
-		}
-		if !s.prior(best, i) {
-			break
-		}
-		s[i], s[best] = s[best], s[i]
-		i = best
-	}
-	return it
-}
-
-// grow ensures capacity for the optimizer's buffered-results hint without
-// changing length.
-func (q *rankQueue) grow(hint int) {
-	if hint > 0 && cap(*q) < hint {
-		*q = make(rankQueue, 0, hint)
-	} else {
-		*q = (*q)[:0]
-	}
-}
-
-// HRJN is the hash rank-join operator: a symmetric hash join whose output is
-// released in descending combined-score order using the rank-aggregation
-// threshold. Both inputs must arrive in descending order of their score
-// expressions; the operator verifies this contract and fails loudly when it
-// is violated. The combined score is LeftScore + RightScore (the monotone
-// linear combining function of the paper — weights live inside the
-// expressions).
-type HRJN struct {
-	Left, Right Operator
-	// LeftScore and RightScore evaluate each input's score contribution.
-	LeftScore, RightScore expr.Expr
-	// LeftKey and RightKey are the equi-join key expressions.
-	LeftKey, RightKey expr.Expr
-	// Residual is an optional extra join predicate.
-	Residual expr.Expr
-	// Strategy selects the polling policy (default Alternate).
-	Strategy PullStrategy
-	// SizeHintL/SizeHintR/QueueHint are the optimizer's expected input
-	// depths and buffered-result count (plan.Node.EstDL/EstDR and their
-	// product times the join selectivity). They pre-size the hash tables
-	// and the ranking queue so the steady-state pull loop does not rehash
-	// or regrow. Zero means no hint.
-	SizeHintL, SizeHintR, QueueHint int
-	// Budget, when set, is charged for every tuple buffered in the hash
-	// tables and the ranking queue, and consulted for the per-input depth
-	// limit. Nil means unlimited.
-	Budget *Budget
-
-	schema                     *relation.Schema
-	lScore, rScore, lKey, rKey expr.Eval
-	resEv                      expr.Eval
-
-	lTable, rTable map[any][]scored
-	pq             rankQueue
-	seq            int
-	outPool        tuplePool
-
-	topL, lastL  float64
-	topR, lastR  float64
-	lSeen, rSeen int
-	lDone, rDone bool
-	pullLeft     bool
-
-	cancel canceller
-	acct   accountant
-
-	stats RankJoinStats
 }
 
 // scored pairs a tuple with its input score so probes avoid re-evaluation.
@@ -199,214 +80,526 @@ type scored struct {
 	s float64
 }
 
-// NewHRJN constructs the operator.
-func NewHRJN(left, right Operator, leftScore, rightScore, leftKey, rightKey, residual expr.Expr) *HRJN {
-	return &HRJN{
-		Left: left, Right: right,
-		LeftScore: leftScore, RightScore: rightScore,
-		LeftKey: leftKey, RightKey: rightKey, Residual: residual,
-		schema: left.Schema().Concat(right.Schema()),
+// rankedInput is the one scored-input reader of the rank operators: HRJN's
+// inputs, NRJN's outer and inner, and AnyK's levels all consume tuples
+// through it, so the depth cap, the NULL-score drop, the NaN/±Inf boundary
+// and the descending-score contract are each enforced in exactly one place.
+type rankedInput struct {
+	in    Operator
+	score expr.Eval
+	// budget is consulted for the per-input depth cap (nil = unlimited).
+	budget *Budget
+	// op and idx name the input in errors.
+	op  string
+	idx int
+	// ordered inputs must arrive in descending score order; unordered ones
+	// (NRJN's inner, AnyK's levels) are fully drained and only track top.
+	ordered bool
+
+	// top is the best score seen (the first one, on an ordered input) and
+	// last the most recent; seen counts scored tuples and depth every tuple
+	// consumed, so depth matches what a Counter around the input measures.
+	top, last   float64
+	seen, depth int
+	done        bool
+}
+
+// bind resolves the score evaluator against the input's schema and clears
+// the read state (called from Open).
+func (r *rankedInput) bind(op string, idx int, in Operator, score expr.Expr, ordered bool, budget *Budget) error {
+	ev, err := score.Bind(in.Schema())
+	if err != nil {
+		return err
 	}
+	*r = rankedInput{in: in, score: ev, budget: budget, op: op, idx: idx, ordered: ordered}
+	return nil
+}
+
+// read consumes one tuple from the input. ok=false means nothing to join
+// this round: the input is exhausted (done is set) or the tuple was dropped
+// for a NULL score.
+func (r *rankedInput) read() (t relation.Tuple, s float64, ok bool, err error) {
+	t, ok, err = r.in.Next()
+	if err != nil {
+		return nil, 0, false, err
+	}
+	if !ok {
+		r.done = true
+		return nil, 0, false, nil
+	}
+	s, ok, err = r.admit(t)
+	return t, s, ok, err
+}
+
+// admit validates one consumed tuple and folds its score into top/last/seen.
+// The tuple counts toward the depth before any NULL-score drop.
+func (r *rankedInput) admit(t relation.Tuple) (s float64, ok bool, err error) {
+	r.depth++
+	if err := r.budget.depthOK(r.depth); err != nil {
+		return 0, false, err
+	}
+	v, err := r.score(t)
+	if err != nil {
+		return 0, false, err
+	}
+	if v.IsNull() {
+		// NULL scores cannot participate in ranking; drop the tuple.
+		return 0, false, nil
+	}
+	if s, err = finiteScore(v.AsFloat(), r.op, r.idx); err != nil {
+		return 0, false, err
+	}
+	switch {
+	case r.seen == 0:
+		r.top = s
+	case !r.ordered:
+		r.top = math.Max(r.top, s)
+	case s > r.last+scoreEps:
+		return 0, false, fmt.Errorf("exec: %s input %d violated descending-score contract (%v after %v)", r.op, r.idx, s, r.last)
+	}
+	r.last = s
+	r.seen++
+	return s, true, nil
+}
+
+// scoreItem is one queued payload with its release key.
+type scoreItem[T any] struct {
+	score float64
+	seq   int
+	v     T
+}
+
+// scoreQueue is a max-heap on score with FIFO tie-breaking for determinism,
+// holding the rank joins' candidate tuples and AnyK's inline index vectors.
+// It is hand-rolled rather than layered over container/heap: the standard
+// heap's any-typed Push/Pop interface boxes every item, costing two heap
+// allocations per buffered result on the per-tuple path. (score, seq) is a
+// strict total order — seq is unique — so the pop order is identical to
+// container/heap's regardless of internal arrangement.
+type scoreQueue[T any] struct {
+	items []scoreItem[T]
+	seq   int
+}
+
+// prior reports whether element i beats element j (higher score, FIFO ties).
+func (q *scoreQueue[T]) prior(i, j int) bool {
+	a, b := &q.items[i], &q.items[j]
+	if a.score != b.score {
+		return a.score > b.score
+	}
+	return a.seq < b.seq
+}
+
+// push inserts a payload, sifting it up to its heap position.
+func (q *scoreQueue[T]) push(score float64, v T) {
+	q.items = append(q.items, scoreItem[T]{score: score, seq: q.seq, v: v})
+	q.seq++
+	s := q.items
+	i := len(s) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !q.prior(i, p) {
+			break
+		}
+		s[i], s[p] = s[p], s[i]
+		i = p
+	}
+}
+
+// pop removes and returns the top payload. The vacated slot is zeroed before
+// the slice shrinks so a popped tuple becomes GC-reclaimable as soon as the
+// caller drops it — leaving it in the slice's spare capacity would pin every
+// emitted tuple until the operator closes.
+func (q *scoreQueue[T]) pop() T {
+	s := q.items
+	n := len(s) - 1
+	s[0], s[n] = s[n], s[0]
+	v := s[n].v
+	s[n] = scoreItem[T]{}
+	q.items = s[:n]
+	i := 0
+	for {
+		l := 2*i + 1
+		if l >= n {
+			break
+		}
+		best := l
+		if r := l + 1; r < n && q.prior(r, l) {
+			best = r
+		}
+		if !q.prior(best, i) {
+			break
+		}
+		s[i], s[best] = s[best], s[i]
+		i = best
+	}
+	return v
+}
+
+// reset empties the queue, ensuring capacity for the optimizer's
+// buffered-results hint.
+func (q *scoreQueue[T]) reset(hint int) {
+	if hint > 0 && cap(q.items) < hint {
+		q.items = make([]scoreItem[T], 0, hint)
+	} else {
+		q.items = q.items[:0]
+	}
+	q.seq = 0
+}
+
+// rankBuffer is a rank operator's ranking buffer: the score queue, the
+// release step, and the bookkeeping around them. acct is the operator's one
+// accountant — its input buffers (hash tables, the NRJN inner, AnyK's
+// levels) charge it too, so close returns everything the operator holds.
+type rankBuffer[T any] struct {
+	pq       scoreQueue[T]
+	acct     accountant
+	maxQueue int
+	emitted  int
+}
+
+// reset prepares the buffer for a run (called from Open).
+func (b *rankBuffer[T]) reset(budget *Budget, queueHint int) {
+	b.acct.releaseAll()
+	b.acct.budget = budget
+	b.pq.reset(sizeHint(float64(queueHint)))
+	b.maxQueue, b.emitted = 0, 0
+}
+
+// offer charges and queues one pending result.
+func (b *rankBuffer[T]) offer(score float64, v T) error {
+	if err := b.acct.charge(1); err != nil {
+		return err
+	}
+	b.pq.push(score, v)
+	if n := len(b.pq.items); n > b.maxQueue {
+		b.maxQueue = n
+	}
+	return nil
+}
+
+// release is the one release step: the best pending result leaves once it
+// beats the threshold (no unseen combination can outrank it), and the queue
+// drains unconditionally once every input is exhausted.
+func (b *rankBuffer[T]) release(threshold float64, exhausted bool) (v T, ok bool) {
+	if len(b.pq.items) == 0 || !(exhausted || b.pq.items[0].score >= threshold-scoreEps) {
+		return v, false
+	}
+	b.acct.release(1)
+	b.emitted++
+	return b.pq.pop(), true
+}
+
+// close drops the queue and returns every outstanding charge; the counters
+// survive for Stats.
+func (b *rankBuffer[T]) close() {
+	b.pq.items = nil
+	b.acct.releaseAll()
+}
+
+// stats reports the buffer's counters next to the given input depths.
+func (b *rankBuffer[T]) stats(leftDepth, rightDepth int) RankJoinStats {
+	return RankJoinStats{LeftDepth: leftDepth, RightDepth: rightDepth, MaxQueue: b.maxQueue, Emitted: b.emitted}
+}
+
+// HRJN is the hash rank-join operator, binary or m-way: a symmetric hash
+// join over m ranked inputs sharing one equi-join key, whose output is
+// released in descending combined-score order using the rank-aggregation
+// threshold
+//
+//	T = max_i ( last_i + Σ_{j≠i} top_j )
+//
+// over the inputs still live. All inputs must arrive in descending order of
+// their score expressions; the operator verifies this contract and fails
+// loudly when it is violated. The combined score is the sum of the input
+// scores (the monotone linear combining function of the paper — weights live
+// inside the expressions). Compared to a tree of binary HRJNs, one m-way
+// operator keeps a single global threshold and buffers no intermediate
+// partial rankings — the trade the rank-join literature studies against
+// binary composition.
+type HRJN struct {
+	// Inputs are the ranked inputs; a result concatenates one tuple of each
+	// in this order.
+	Inputs []Operator
+	// Scores[i] evaluates input i's score contribution against its schema.
+	Scores []expr.Expr
+	// Keys[i] evaluates input i's join key; results combine tuples sharing
+	// one key value across all inputs.
+	Keys []expr.Expr
+	// Residual is an optional extra join predicate over the result tuple.
+	Residual expr.Expr
+	// Strategy selects the polling policy (default Alternate).
+	Strategy PullStrategy
+	// SizeHints[i] and QueueHint are the optimizer's expected depth into
+	// input i and buffered-result count (plan.Node.EstDL/EstDR and their
+	// product times the join selectivity). They pre-size the hash tables
+	// and the ranking queue so the steady-state pull loop does not rehash
+	// or regrow. The constructors allocate SizeHints zeroed: no hint.
+	SizeHints []int
+	QueueHint int
+	// Budget, when set, is charged for every tuple buffered in the hash
+	// tables and the ranking queue, and consulted for the per-input depth
+	// limit. Nil means unlimited.
+	Budget *Budget
+
+	schema  *relation.Schema
+	ins     []hashInput
+	resEv   expr.Eval
+	buf     rankBuffer[relation.Tuple]
+	outPool tuplePool
+
+	// live counts the inputs not yet exhausted; zero means no further result
+	// can form. next is Alternate's round-robin cursor. thresh and dom cache
+	// the threshold and the input under its dominating term between pulls.
+	live, next int
+	thresh     float64
+	dom        int
+
+	cancel canceller
+}
+
+// hashInput is one HRJN input: the shared reader plus the hash table of the
+// tuples read so far. pick is the tuple combine currently has in this
+// input's slot of the result.
+type hashInput struct {
+	rankedInput
+	key   expr.Eval
+	table map[any][]scored
+	pick  scored
+}
+
+// NewHRJN constructs the binary operator. The operator and its two-element
+// slices share one allocation, so the binary join every compiled plan uses
+// costs no more to build than a fixed-arity struct would.
+func NewHRJN(left, right Operator, leftScore, rightScore, leftKey, rightKey, residual expr.Expr) *HRJN {
+	b := &struct {
+		HRJN
+		inputs       [2]Operator
+		scores, keys [2]expr.Expr
+		hints        [2]int
+		ins          [2]hashInput
+	}{
+		inputs: [2]Operator{left, right},
+		scores: [2]expr.Expr{leftScore, rightScore},
+		keys:   [2]expr.Expr{leftKey, rightKey},
+	}
+	b.HRJN = HRJN{
+		Inputs: b.inputs[:], Scores: b.scores[:], Keys: b.keys[:],
+		Residual: residual, SizeHints: b.hints[:],
+		schema: left.Schema().Concat(right.Schema()), ins: b.ins[:],
+	}
+	return &b.HRJN
+}
+
+// NewMultiHRJN constructs the m-way operator; inputs, scores, and keys must
+// align.
+func NewMultiHRJN(inputs []Operator, scores, keys []expr.Expr) (*HRJN, error) {
+	m := len(inputs)
+	if m < 2 {
+		return nil, fmt.Errorf("exec: HRJN needs >=2 inputs, got %d", m)
+	}
+	if len(scores) != m || len(keys) != m {
+		return nil, fmt.Errorf("exec: HRJN arity mismatch (%d inputs, %d scores, %d keys)",
+			m, len(scores), len(keys))
+	}
+	return &HRJN{
+		Inputs: inputs, Scores: scores, Keys: keys, SizeHints: make([]int, m),
+		schema: concatSchemas(inputs), ins: make([]hashInput, m),
+	}, nil
 }
 
 // Schema implements Operator.
 func (j *HRJN) Schema() *relation.Schema { return j.schema }
 
 // Stats returns the measured depths and buffer high-water mark.
-func (j *HRJN) Stats() RankJoinStats { return j.stats }
+func (j *HRJN) Stats() RankJoinStats {
+	return j.buf.stats(j.ins[0].depth, j.ins[len(j.ins)-1].depth)
+}
+
+// Depths returns the number of tuples consumed from each input.
+func (j *HRJN) Depths() []int {
+	d := make([]int, len(j.ins))
+	for i := range j.ins {
+		d[i] = j.ins[i].depth
+	}
+	return d
+}
 
 // gauges exposes the internal high-water marks to the Analyzed collector.
-func (j *HRJN) gauges() analyzeGauges {
+func (j *HRJN) gauges() analyzeGauges { return rankGauges(j.Stats(), &j.outPool) }
+
+// rankGauges maps a rank join's stats and candidate pool onto the Analyzed
+// collector's gauges.
+func rankGauges(st RankJoinStats, pool *tuplePool) analyzeGauges {
 	return analyzeGauges{
-		leftDepth: j.stats.LeftDepth, rightDepth: j.stats.RightDepth,
-		maxQueue: j.stats.MaxQueue,
-		poolHit:  j.outPool.hit, poolMiss: j.outPool.miss,
+		leftDepth: st.LeftDepth, rightDepth: st.RightDepth,
+		maxQueue: st.MaxQueue,
+		poolHit:  pool.hit, poolMiss: pool.miss,
 	}
 }
 
-// Open implements Operator: the context is forwarded to both inputs
-// and polled by Next's pull loop on the sampling cadence.
+// Open implements Operator: the context is forwarded to every input and
+// polled by Next's pull loop on the sampling cadence.
 func (j *HRJN) Open(ctx context.Context) error {
-	if err := j.Left.Open(ctx); err != nil {
-		return err
-	}
-	if err := j.Right.Open(ctx); err != nil {
-		closeQuietly(j.Left)
-		return err
+	for i, in := range j.Inputs {
+		if err := in.Open(ctx); err != nil {
+			closeQuietly(j.Inputs[:i]...)
+			return err
+		}
 	}
 	if err := j.bind(); err != nil {
-		closeQuietly(j.Left, j.Right)
+		closeQuietly(j.Inputs...)
 		return err
 	}
 	j.cancel.reset(ctx)
-	j.acct.releaseAll()
-	j.acct.budget = j.Budget
-	j.lTable = make(map[any][]scored, sizeHint(float64(j.SizeHintL)))
-	j.rTable = make(map[any][]scored, sizeHint(float64(j.SizeHintR)))
-	j.pq.grow(sizeHint(float64(j.QueueHint)))
+	j.buf.reset(j.Budget, j.QueueHint)
 	j.outPool.reset(j.schema.Len())
-	j.seq = 0
-	j.lSeen, j.rSeen = 0, 0
-	j.lDone, j.rDone = false, false
-	j.pullLeft = true
-	j.stats = RankJoinStats{}
+	j.live, j.next = len(j.ins), 0
+	j.thresh, j.dom = j.bound()
 	return nil
 }
 
-// bind resolves the score, key, and residual evaluators.
+// bind resolves the score, key, and residual evaluators and gives every
+// input an empty hash table.
 func (j *HRJN) bind() error {
+	for i := range j.ins {
+		in := &j.ins[i]
+		if err := in.bind("HRJN", i, j.Inputs[i], j.Scores[i], true, j.Budget); err != nil {
+			return err
+		}
+		var err error
+		if in.key, err = j.Keys[i].Bind(j.Inputs[i].Schema()); err != nil {
+			return err
+		}
+		in.table = make(map[any][]scored, sizeHint(float64(j.SizeHints[i])))
+	}
 	var err error
-	if j.lScore, err = j.LeftScore.Bind(j.Left.Schema()); err != nil {
-		return err
-	}
-	if j.rScore, err = j.RightScore.Bind(j.Right.Schema()); err != nil {
-		return err
-	}
-	if j.lKey, err = j.LeftKey.Bind(j.Left.Schema()); err != nil {
-		return err
-	}
-	if j.rKey, err = j.RightKey.Bind(j.Right.Schema()); err != nil {
-		return err
-	}
 	j.resEv, err = bindPred(j.Residual, j.schema)
 	return err
 }
 
-// threshold upper-bounds the combined score of every join result not yet in
-// the priority queue.
-func (j *HRJN) threshold() float64 {
-	switch {
-	case j.lSeen == 0 || j.rSeen == 0:
-		// Cannot bound anything before seeing one tuple per input.
-		return math.Inf(1)
-	case j.lDone && j.rDone:
-		return math.Inf(-1)
-	case j.lDone:
-		// Only (seen L, new R) combinations remain unseen.
-		return j.topL + j.lastR
-	case j.rDone:
-		return j.lastL + j.topR
-	default:
-		t1 := j.topL + j.lastR
-		t2 := j.lastL + j.topR
-		return math.Max(t1, t2)
+// bound returns the threshold — the upper bound on the combined score of
+// every join result not yet in the priority queue — and the live input under
+// its dominating term. Each term is summed directly, not derived from one
+// shared Σ top: for two inputs that is exactly max(topL+lastR, lastL+topR),
+// with no rounding difference to flip an Adaptive tie.
+func (j *HRJN) bound() (threshold float64, dom int) {
+	for i := range j.ins {
+		if j.ins[i].seen == 0 {
+			// Cannot bound anything before seeing one tuple per input.
+			return math.Inf(1), 0
+		}
 	}
+	threshold, dom = math.Inf(-1), -1
+	for i := range j.ins {
+		if j.ins[i].done {
+			// Only combinations with a new tuple of a live input remain unseen.
+			continue
+		}
+		t := j.ins[i].last
+		for k := range j.ins {
+			if k != i {
+				t += j.ins[k].top
+			}
+		}
+		if dom < 0 || t > threshold {
+			threshold, dom = t, i
+		}
+	}
+	return threshold, dom
 }
 
-// pull consumes one tuple from the chosen side, updating state and queueing
-// any new join results.
-func (j *HRJN) pull(left bool) error {
-	var in Operator
-	if left {
-		in = j.Left
-	} else {
-		in = j.Right
+// choose picks the next input to poll: every live input must deliver one
+// scored tuple before any bound exists, so those go first in index order;
+// after that the strategy decides.
+func (j *HRJN) choose() int {
+	for i := range j.ins {
+		if in := &j.ins[i]; !in.done && in.seen == 0 {
+			return i
+		}
 	}
-	t, ok, err := in.Next()
+	if j.Strategy == Adaptive {
+		// Only pulling the input under the dominating term lowers the
+		// threshold.
+		return j.dom
+	}
+	for j.ins[j.next].done {
+		j.next = (j.next + 1) % len(j.ins)
+	}
+	i := j.next
+	j.next = (i + 1) % len(j.ins)
+	return i
+}
+
+// pull consumes one tuple from input i, updating state and queueing any new
+// join results.
+func (j *HRJN) pull(i int) error {
+	in := &j.ins[i]
+	t, s, ok, err := in.read()
 	if err != nil {
 		return err
+	}
+	if in.done {
+		j.live--
+		if len(in.table) == 0 {
+			// Every result needs a tuple of this input and it buffered none
+			// (empty, or all dropped for NULL scores or keys): the join is
+			// dead, so stop without reading the other inputs out.
+			j.live = 0
+		}
+		return nil
 	}
 	if !ok {
-		if left {
-			j.lDone = true
-		} else {
-			j.rDone = true
-		}
 		return nil
 	}
-	// Depth is the number of tuples read from the input, so the tuple counts
-	// as consumed before any NULL-score drop — matching what a Counter
-	// wrapped around the input would measure.
-	if left {
-		j.stats.LeftDepth++
-		if err := j.Budget.depthOK(j.stats.LeftDepth); err != nil {
-			return err
-		}
-	} else {
-		j.stats.RightDepth++
-		if err := j.Budget.depthOK(j.stats.RightDepth); err != nil {
-			return err
-		}
-	}
-	var s relation.Value
-	if left {
-		s, err = j.lScore(t)
-	} else {
-		s, err = j.rScore(t)
-	}
+	k, err := in.key(t)
 	if err != nil {
 		return err
-	}
-	if s.IsNull() {
-		// NULL scores cannot participate in ranking; drop the tuple.
-		return nil
-	}
-	side := "right"
-	if left {
-		side = "left"
-	}
-	sc, err := finiteScore(s.AsFloat(), "HRJN", side)
-	if err != nil {
-		return err
-	}
-	var k relation.Value
-	if left {
-		k, err = j.lKey(t)
-	} else {
-		k, err = j.rKey(t)
-	}
-	if err != nil {
-		return err
-	}
-	if left {
-		if j.lSeen == 0 {
-			j.topL = sc
-		} else if sc > j.lastL+scoreEps {
-			return fmt.Errorf("exec: HRJN left input violated descending-score contract (%v after %v)", sc, j.lastL)
-		}
-		j.lastL = sc
-		j.lSeen++
-	} else {
-		if j.rSeen == 0 {
-			j.topR = sc
-		} else if sc > j.lastR+scoreEps {
-			return fmt.Errorf("exec: HRJN right input violated descending-score contract (%v after %v)", sc, j.lastR)
-		}
-		j.lastR = sc
-		j.rSeen++
 	}
 	if k.IsNull() {
 		return nil
 	}
 	hk := k.HashKey()
 	// The inserted tuple is buffered in its hash table until Close.
-	if err := j.acct.charge(1); err != nil {
+	if err := j.buf.acct.charge(1); err != nil {
 		return err
 	}
-	if left {
-		j.lTable[hk] = append(j.lTable[hk], scored{t, sc})
-		for _, m := range j.rTable[hk] {
-			if err := j.emit(t, m.t, sc+m.s); err != nil {
-				return err
-			}
-		}
-	} else {
-		j.rTable[hk] = append(j.rTable[hk], scored{t, sc})
-		for _, m := range j.lTable[hk] {
-			if err := j.emit(m.t, t, m.s+sc); err != nil {
-				return err
-			}
+	in.pick = scored{t, s}
+	in.table[hk] = append(in.table[hk], in.pick)
+	return j.combine(hk, 0, i)
+}
+
+// combine enumerates the join combinations the tuple just inserted at input
+// `fixed` completes: every slot except fixed ranges over its matches under
+// hk.
+func (j *HRJN) combine(hk any, slot, fixed int) error {
+	if slot == len(j.ins) {
+		return j.emit()
+	}
+	if slot == fixed {
+		return j.combine(hk, slot+1, fixed)
+	}
+	in := &j.ins[slot]
+	for _, m := range in.table[hk] {
+		in.pick = m
+		if err := j.combine(hk, slot+1, fixed); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// emit pushes a candidate join result through the residual predicate into
-// the priority queue. The concatenated tuple comes from the operator's free
+// emit pushes the picked combination through the residual predicate into the
+// priority queue. The concatenated tuple comes from the operator's free
 // list; a candidate the residual rejects returns there immediately, so
 // selective residuals cost no allocation per rejected match.
-func (j *HRJN) emit(l, r relation.Tuple, score float64) error {
-	out := j.outPool.concat(l, r)
+func (j *HRJN) emit() error {
+	out := j.outPool.get()
+	score := 0.0
+	for i := range j.ins {
+		out = append(out, j.ins[i].pick.t...)
+		score += j.ins[i].pick.s
+	}
 	pass, err := expr.EvalBool(j.resEv, out)
 	if err != nil {
 		return err
@@ -415,41 +608,7 @@ func (j *HRJN) emit(l, r relation.Tuple, score float64) error {
 		j.outPool.put(out)
 		return nil
 	}
-	if err := j.acct.charge(1); err != nil {
-		return err
-	}
-	j.pq.push(rankItem{score: score, seq: j.seq, tuple: out})
-	j.seq++
-	if len(j.pq) > j.stats.MaxQueue {
-		j.stats.MaxQueue = len(j.pq)
-	}
-	return nil
-}
-
-// chooseSide picks the next input to poll.
-func (j *HRJN) chooseSide() bool {
-	if j.lDone {
-		return false
-	}
-	if j.rDone {
-		return true
-	}
-	// Both inputs must deliver one tuple before any bound exists.
-	if j.lSeen == 0 {
-		return true
-	}
-	if j.rSeen == 0 {
-		return false
-	}
-	if j.Strategy == Adaptive {
-		// The threshold is max(topL+lastR, lastL+topR); only pulling the
-		// input under the dominating term lowers it. Pull left when the
-		// lastL+topR term dominates, right otherwise.
-		return j.lastL+j.topR >= j.topL+j.lastR
-	}
-	side := j.pullLeft
-	j.pullLeft = !j.pullLeft
-	return side
+	return j.buf.offer(score, out)
 }
 
 // Next implements Operator. The inner pull loop — unbounded when the
@@ -460,38 +619,26 @@ func (j *HRJN) Next() (relation.Tuple, bool, error) {
 		if err := j.cancel.poll(); err != nil {
 			return nil, false, err
 		}
-		if len(j.pq) > 0 && j.pq[0].score >= j.threshold()-scoreEps {
-			it := j.pq.pop()
-			j.acct.release(1)
-			j.stats.Emitted++
-			return it.tuple, true, nil
+		if t, ok := j.buf.release(j.thresh, j.live == 0); ok {
+			return t, true, nil
 		}
-		if j.lDone && j.rDone {
-			if len(j.pq) > 0 {
-				it := j.pq.pop()
-				j.acct.release(1)
-				j.stats.Emitted++
-				return it.tuple, true, nil
-			}
+		if j.live == 0 {
 			return nil, false, nil
 		}
-		if err := j.pull(j.chooseSide()); err != nil {
+		if err := j.pull(j.choose()); err != nil {
 			return nil, false, err
 		}
+		j.thresh, j.dom = j.bound()
 	}
 }
 
 // Close implements Operator.
 func (j *HRJN) Close() error {
-	j.lTable, j.rTable = nil, nil
-	j.pq = nil
-	j.acct.releaseAll()
-	err1 := j.Left.Close()
-	err2 := j.Right.Close()
-	if err1 != nil {
-		return err1
+	for i := range j.ins {
+		j.ins[i].table, j.ins[i].pick = nil, scored{}
 	}
-	return err2
+	j.buf.close()
+	return closeAll(j.Inputs)
 }
 
 // NRJN is the nested-loops rank-join operator. The outer (left) input must
@@ -512,26 +659,20 @@ type NRJN struct {
 	// buffered-result count (zero = no hint).
 	QueueHint int
 	// Budget, when set, is charged for the materialized inner and every
-	// queued result, and consulted for the outer depth limit.
+	// queued result, and consulted for the per-input depth limit.
 	Budget *Budget
 
 	schema *relation.Schema
-	lScore expr.Eval
 	predEv expr.Eval
 
-	inner    []scored
-	innerMax float64
-	pq       rankQueue
-	seq      int
-	outPool  tuplePool
-	lastL    float64
-	lSeen    int
-	lDone    bool
+	// outer is read one tuple per pull; innerIn is read out at Open into
+	// inner, leaving its top as the best inner score.
+	outer, innerIn rankedInput
+	inner          []scored
+	buf            rankBuffer[relation.Tuple]
+	outPool        tuplePool
 
 	cancel canceller
-	acct   accountant
-
-	stats RankJoinStats
 }
 
 // NewNRJN constructs the operator.
@@ -547,18 +688,12 @@ func NewNRJN(left, right Operator, leftScore, rightScore, pred expr.Expr) *NRJN 
 func (j *NRJN) Schema() *relation.Schema { return j.schema }
 
 // Stats returns the measured depths and buffer high-water mark. RightDepth
-// equals the materialized inner size (the nested-loops strategy consumes the
-// inner fully).
-func (j *NRJN) Stats() RankJoinStats { return j.stats }
+// equals the materialized inner size before NULL-score drops (the
+// nested-loops strategy consumes the inner fully).
+func (j *NRJN) Stats() RankJoinStats { return j.buf.stats(j.outer.depth, j.innerIn.depth) }
 
 // gauges exposes the internal high-water marks to the Analyzed collector.
-func (j *NRJN) gauges() analyzeGauges {
-	return analyzeGauges{
-		leftDepth: j.stats.LeftDepth, rightDepth: j.stats.RightDepth,
-		maxQueue: j.stats.MaxQueue,
-		poolHit:  j.outPool.hit, poolMiss: j.outPool.miss,
-	}
-}
+func (j *NRJN) gauges() analyzeGauges { return rankGauges(j.Stats(), &j.outPool) }
 
 // Open implements Operator: inner materialization (the blocking part
 // of Open) runs under the context, and Next's outer loop polls it.
@@ -567,81 +702,79 @@ func (j *NRJN) Open(ctx context.Context) error {
 		return err
 	}
 	if err := j.load(ctx); err != nil {
-		// The inner was opened and closed inside CollectCtx; only the outer
-		// remains to clean up.
-		closeQuietly(j.Left)
+		// load closed the inner it opened; Close releases the outer and
+		// whatever a partial load charged.
+		_ = j.Close()
 		return err
 	}
 	return nil
 }
 
-// load binds evaluators and materializes the scored inner input.
+// load binds evaluators and materializes the scored inner input, opening and
+// closing it: the inner is read out completely, so it holds nothing Next
+// needs.
 func (j *NRJN) load(ctx context.Context) error {
 	j.cancel.reset(ctx)
-	j.acct.releaseAll()
-	j.acct.budget = j.Budget
+	j.buf.reset(j.Budget, j.QueueHint)
+	j.outPool.reset(j.schema.Len())
+	j.inner = j.inner[:0]
+	if err := j.outer.bind("NRJN", 0, j.Left, j.LeftScore, true, j.Budget); err != nil {
+		return err
+	}
+	if err := j.innerIn.bind("NRJN", 1, j.Right, j.RightScore, false, j.Budget); err != nil {
+		return err
+	}
 	var err error
-	if j.lScore, err = j.LeftScore.Bind(j.Left.Schema()); err != nil {
-		return err
-	}
-	rScore, err := j.RightScore.Bind(j.Right.Schema())
-	if err != nil {
-		return err
-	}
 	if j.predEv, err = bindPred(j.Pred, j.schema); err != nil {
 		return err
 	}
-	inner, err := CollectCtx(ctx, j.Right)
-	if err != nil {
+	if err := j.Right.Open(ctx); err != nil {
 		return err
 	}
-	// The whole inner is buffered until Close.
-	if err := j.acct.charge(len(inner)); err != nil {
-		return err
+	err = j.buffer(ctx)
+	if cerr := j.Right.Close(); err == nil {
+		err = cerr
 	}
-	if cap(j.inner) < len(inner) {
-		j.inner = make([]scored, 0, len(inner))
-	} else {
-		j.inner = j.inner[:0]
-	}
-	j.innerMax = math.Inf(-1)
-	for _, t := range inner {
-		v, err := rScore(t)
-		if err != nil {
+	return err
+}
+
+// buffer streams the opened inner into j.inner batch-at-a-time, charging
+// each batch before it is kept: an inner larger than the budget fails after
+// one batch too many, not after the whole input is in memory.
+func (j *NRJN) buffer(ctx context.Context) error {
+	var src batchSource
+	src.reset(ctx, j.Right)
+	b := NewBatch(DefaultBatchSize)
+	for {
+		if err := j.cancel.check(); err != nil {
 			return err
 		}
-		if v.IsNull() {
-			// NULL-score inner tuples cannot rank but were still consumed:
-			// they count toward RightDepth below.
-			continue
-		}
-		s, err := finiteScore(v.AsFloat(), "NRJN", "inner")
-		if err != nil {
+		ok, err := src.next(b, DefaultBatchSize)
+		if err != nil || !ok {
 			return err
 		}
-		j.inner = append(j.inner, scored{t, s})
-		if s > j.innerMax {
-			j.innerMax = s
+		// The whole inner, NULL-score tuples included, is held until Close.
+		if err := j.buf.acct.charge(b.Len()); err != nil {
+			return err
+		}
+		for _, t := range b.Tuples() {
+			s, ok, err := j.innerIn.admit(t)
+			if err != nil {
+				return err
+			}
+			if ok {
+				j.inner = append(j.inner, scored{t, s})
+			}
 		}
 	}
-	j.pq.grow(sizeHint(float64(j.QueueHint)))
-	j.outPool.reset(j.schema.Len())
-	j.seq = 0
-	j.lSeen = 0
-	j.lDone = false
-	j.stats = RankJoinStats{RightDepth: len(inner)}
-	return nil
 }
 
 // threshold bounds the combined score of unseen join results.
 func (j *NRJN) threshold() float64 {
-	if j.lDone || len(j.inner) == 0 {
-		return math.Inf(-1)
-	}
-	if j.lSeen == 0 {
+	if j.outer.seen == 0 {
 		return math.Inf(1)
 	}
-	return j.lastL + j.innerMax
+	return j.outer.last + j.innerIn.top
 }
 
 // Next implements Operator.
@@ -650,51 +783,22 @@ func (j *NRJN) Next() (relation.Tuple, bool, error) {
 		if err := j.cancel.poll(); err != nil {
 			return nil, false, err
 		}
-		if len(j.pq) > 0 && j.pq[0].score >= j.threshold()-scoreEps {
-			it := j.pq.pop()
-			j.acct.release(1)
-			j.stats.Emitted++
-			return it.tuple, true, nil
+		// Without a scored inner tuple no result can form: stop without
+		// reading the outer out.
+		exhausted := j.outer.done || len(j.inner) == 0
+		if t, ok := j.buf.release(j.threshold(), exhausted); ok {
+			return t, true, nil
 		}
-		if j.lDone {
-			if len(j.pq) > 0 {
-				it := j.pq.pop()
-				j.acct.release(1)
-				j.stats.Emitted++
-				return it.tuple, true, nil
-			}
+		if exhausted {
 			return nil, false, nil
 		}
-		t, ok, err := j.Left.Next()
+		t, s, ok, err := j.outer.read()
 		if err != nil {
 			return nil, false, err
 		}
 		if !ok {
-			j.lDone = true
 			continue
 		}
-		// The tuple was consumed from the outer input: it counts toward the
-		// depth even when a NULL score drops it from ranking.
-		j.stats.LeftDepth++
-		if err := j.Budget.depthOK(j.stats.LeftDepth); err != nil {
-			return nil, false, err
-		}
-		v, err := j.lScore(t)
-		if err != nil {
-			return nil, false, err
-		}
-		if v.IsNull() {
-			continue
-		}
-		s, err := finiteScore(v.AsFloat(), "NRJN", "outer")
-		if err != nil {
-			return nil, false, err
-		}
-		if j.lSeen > 0 && s > j.lastL+scoreEps {
-			return nil, false, fmt.Errorf("exec: NRJN outer input violated descending-score contract (%v after %v)", s, j.lastL)
-		}
-		j.lastL = s
-		j.lSeen++
 		for _, m := range j.inner {
 			out := j.outPool.concat(t, m.t)
 			pass, err := expr.EvalBool(j.predEv, out)
@@ -705,13 +809,8 @@ func (j *NRJN) Next() (relation.Tuple, bool, error) {
 				j.outPool.put(out)
 				continue
 			}
-			if err := j.acct.charge(1); err != nil {
+			if err := j.buf.offer(s+m.s, out); err != nil {
 				return nil, false, err
-			}
-			j.pq.push(rankItem{score: s + m.s, seq: j.seq, tuple: out})
-			j.seq++
-			if len(j.pq) > j.stats.MaxQueue {
-				j.stats.MaxQueue = len(j.pq)
 			}
 		}
 	}
@@ -720,7 +819,6 @@ func (j *NRJN) Next() (relation.Tuple, bool, error) {
 // Close implements Operator.
 func (j *NRJN) Close() error {
 	j.inner = nil
-	j.pq = nil
-	j.acct.releaseAll()
+	j.buf.close()
 	return j.Left.Close()
 }

@@ -48,7 +48,7 @@ type topKItem struct {
 
 // topKHeap is a min-heap on (score, -seq): the root is the weakest kept
 // tuple; later arrivals lose ties so the operator is deterministic and
-// stable. Like rankQueue it is hand-rolled — container/heap's any-typed
+// stable. Like scoreQueue it is hand-rolled — container/heap's any-typed
 // interface would box a topKItem per insertion on the per-input-tuple path.
 type topKHeap []topKItem
 

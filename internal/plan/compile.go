@@ -228,8 +228,7 @@ func (c *compiler) build(n *Node) (exec.Operator, error) {
 		h.Strategy = n.Strategy
 		// Pre-size the hash tables and ranking queue from the depth model
 		// (zero when the plan was not annotated; see AnnotateDepthHints).
-		h.SizeHintL = int(n.EstDL)
-		h.SizeHintR = int(n.EstDR)
+		h.SizeHints[0], h.SizeHints[1] = int(n.EstDL), int(n.EstDR)
 		h.QueueHint = int(n.Sel * n.EstDL * n.EstDR)
 		h.Budget = c.cfg.Budget
 		return h, nil
