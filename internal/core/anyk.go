@@ -139,9 +139,8 @@ func (o *optimizer) anyKPathSound(mask uint64, chosen []logical.JoinPred) bool {
 	for _, jp := range chosen {
 		union(jp.L.String(), jp.R.String())
 	}
-	inMask := o.nameSet(mask)
 	for _, j := range o.joins {
-		if !inMask[j.L.Table] || !inMask[j.R.Table] {
+		if j.lBit&mask == 0 || j.rBit&mask == 0 {
 			continue
 		}
 		if find(j.L.String()) != find(j.R.String()) {
@@ -175,7 +174,7 @@ func (o *optimizer) anyKNode(mask uint64, path []*tableInfo, preds []logical.Joi
 		rkeys[i] = jp.R
 		selProd *= o.cat.JoinSelectivity(jp.L, jp.R)
 	}
-	order, _ := o.rankOrderFor(mask)
+	e := o.entry(mask)
 	return &plan.Node{
 		Op:         plan.OpAnyK,
 		Children:   children,
@@ -186,8 +185,8 @@ func (o *optimizer) anyKNode(mask uint64, path []*tableInfo, preds []logical.Joi
 		// Sel is the representative adjacent-pair selectivity: the cost
 		// model's expected per-key bucket size is Sel times the input card.
 		Sel:   math.Pow(selProd, 1/float64(m-1)),
-		BaseN: o.geoMeanRankedCard(mask),
+		BaseN: e.baseN,
 		P:     o.params,
-		Props: plan.Props{Order: order, Pipelined: false},
+		Props: plan.Props{Order: e.order, Pipelined: false},
 	}
 }

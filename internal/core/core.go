@@ -188,20 +188,29 @@ type optimizer struct {
 	params *costmodel.Params
 	tables []*tableInfo
 	byName map[string]*tableInfo
-	memo   map[uint64][]*plan.Node
-	pc     pruneCounters
-	kmin   float64
+	// termBit[i] is the table bit of o.q.Score.Terms[i] (0 when the term
+	// references no single query table), so a subset's partial score is a
+	// mask test per term.
+	termBit []uint64
+	// entries holds every table subset's facts, indexed by mask (see
+	// entry.go). The DP fills it before enumeration starts and only reads it
+	// afterwards; it stays nil on the greedy path, whose O(n) subsets are
+	// derived on demand by the same constructor.
+	entries []entryInfo
+	// memo holds the retained plans of every subset, indexed by mask.
+	memo [][]memoPlan
+	pc   pruneCounters
+	kmin float64
 	// equiv groups join columns into equivalence classes; joins holds the
 	// transitive closure of the query's join predicates.
 	equiv *equivClasses
-	joins []logical.JoinPred
+	joins []joinInfo
 }
 
-// Optimize plans the query against the catalog.
-func Optimize(cat *catalog.Catalog, q *logical.Query, opts Options) (*Result, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
+// newOptimizer validates nothing and plans nothing: it derives the per-table
+// facts, the join-predicate closure and the cost parameters every planner
+// path starts from.
+func newOptimizer(cat *catalog.Catalog, q *logical.Query, opts Options) (*optimizer, error) {
 	p := opts.Params
 	if p == nil {
 		def := costmodel.Default()
@@ -213,7 +222,6 @@ func Optimize(cat *catalog.Catalog, q *logical.Query, opts Options) (*Result, er
 		opts:   opts,
 		params: p,
 		byName: map[string]*tableInfo{},
-		memo:   map[uint64][]*plan.Node{},
 	}
 	if q.K > 0 {
 		o.kmin = float64(q.K)
@@ -222,14 +230,25 @@ func Optimize(cat *catalog.Catalog, q *logical.Query, opts Options) (*Result, er
 		return nil, err
 	}
 	o.equiv = newEquivClasses(q.Joins)
-	o.joins = o.equiv.closure(q.Joins)
+	o.joins = o.joinInfos(o.equiv.closure(q.Joins))
+	return o, nil
+}
+
+// Optimize plans the query against the catalog.
+func Optimize(cat *catalog.Catalog, q *logical.Query, opts Options) (*Result, error) {
+	if err := q.Validate(); err != nil {
+		return nil, err
+	}
+	o, err := newOptimizer(cat, q, opts)
+	if err != nil {
+		return nil, err
+	}
 
 	planner := PlannerDP
 	fallback := false
 	fallbackReason := ""
 	var best, bestJoin *plan.Node
 	var all []*plan.Node
-	var err error
 	if opts.Planner == PlannerGreedy {
 		if g, reason := o.greedyPlan(); g != nil {
 			planner = PlannerGreedy
@@ -240,10 +259,9 @@ func Optimize(cat *catalog.Catalog, q *logical.Query, opts Options) (*Result, er
 		}
 	}
 	if planner == PlannerDP {
-		o.enumerateBase()
-		o.enumerateJoins()
+		o.runDP()
 		o.traceMemoState()
-		best, bestJoin, all, err = o.finish(o.memo[o.fullMask()])
+		best, bestJoin, all, err = o.finish(planNodes(o.memo[o.fullMask()]))
 	}
 	if err != nil {
 		return nil, err
@@ -262,10 +280,22 @@ func Optimize(cat *catalog.Catalog, q *logical.Query, opts Options) (*Result, er
 		GreedyFallbackReason: fallbackReason,
 	}
 	for mask, plans := range o.memo {
-		res.Memo[o.label(mask)] = plans
-		res.PlansKept += len(plans)
+		if len(plans) > 0 {
+			res.Memo[o.entries[mask].label] = planNodes(plans)
+			res.PlansKept += len(plans)
+		}
 	}
 	return res, nil
+}
+
+// runDP is the System-R enumeration: per-subset facts first (read-only from
+// here on, so the level workers share them freely), then the base access
+// paths, then the join levels.
+func (o *optimizer) runDP() {
+	o.buildEntries()
+	o.memo = make([][]memoPlan, len(o.entries))
+	o.enumerateBase()
+	o.enumerateJoins()
 }
 
 // traceMemoState emits the post-enumeration snapshot to the tracer: the
@@ -283,25 +313,28 @@ func (o *optimizer) traceMemoState() {
 			Note: strings.Join(io.Reasons, "; "),
 		})
 	}
-	masks := make([]uint64, 0, len(o.memo))
-	for mask := range o.memo {
-		masks = append(masks, mask)
+	var masks []uint64
+	for mask, plans := range o.memo {
+		if len(plans) > 0 {
+			masks = append(masks, uint64(mask))
+		}
 	}
 	sort.Slice(masks, func(i, j int) bool {
-		pi, pj := popcount(masks[i]), popcount(masks[j])
-		if pi != pj {
-			return pi < pj
+		ei, ej := &o.entries[masks[i]], &o.entries[masks[j]]
+		if ei.level != ej.level {
+			return ei.level < ej.level
 		}
-		return o.label(masks[i]) < o.label(masks[j])
+		return ei.label < ej.label
 	})
 	for _, mask := range masks {
+		e := &o.entries[mask]
 		for _, p := range o.memo[mask] {
 			tr.OnDecision(Decision{
 				Kind:  DecisionKept,
-				Level: popcount(mask),
-				Entry: o.label(mask),
-				Plan:  plan.Summary(p),
-				Note:  fmt.Sprintf("props %s; cost %.1f at full output", propsNote(p), p.TotalCost()),
+				Level: e.level,
+				Entry: e.label,
+				Plan:  plan.Summary(p.n),
+				Note:  fmt.Sprintf("props %s; cost %.1f at full output", propsNote(p.n), p.n.TotalCost()),
 			})
 		}
 	}
@@ -347,6 +380,10 @@ func (o *optimizer) buildTableInfo() error {
 		o.tables = append(o.tables, ti)
 		o.byName[name] = ti
 	}
+	o.termBit = make([]uint64, len(o.q.Score.Terms))
+	for ix := range o.q.Score.Terms {
+		o.termBit[ix] = o.tableBit(o.q.Score.Terms[ix].Table())
+	}
 	return nil
 }
 
@@ -355,102 +392,12 @@ func (o *optimizer) rankAware() bool {
 	return !o.opts.DisableRankAware && o.q.Ranking()
 }
 
-// mask helpers
-
-func (o *optimizer) maskFor(names ...string) uint64 {
-	var m uint64
-	for _, n := range names {
-		m |= 1 << uint(o.byName[n].idx)
+// tableBit returns the mask bit of a query table (0 for an unknown name).
+func (o *optimizer) tableBit(name string) uint64 {
+	if ti, ok := o.byName[name]; ok {
+		return 1 << uint(ti.idx)
 	}
-	return m
-}
-
-func (o *optimizer) namesOf(mask uint64) []string {
-	var out []string
-	for _, ti := range o.tables {
-		if mask&(1<<uint(ti.idx)) != 0 {
-			out = append(out, ti.name)
-		}
-	}
-	return out
-}
-
-func (o *optimizer) nameSet(mask uint64) map[string]bool {
-	set := map[string]bool{}
-	for _, n := range o.namesOf(mask) {
-		set[n] = true
-	}
-	return set
-}
-
-func (o *optimizer) label(mask uint64) string {
-	return strings.Join(o.namesOf(mask), ",")
-}
-
-// rankedOf returns the ranked tables within a mask (sorted by table order).
-func (o *optimizer) rankedOf(mask uint64) []*tableInfo {
-	var out []*tableInfo
-	for _, ti := range o.tables {
-		if ti.term != nil && mask&(1<<uint(ti.idx)) != 0 {
-			out = append(out, ti)
-		}
-	}
-	return out
-}
-
-// rankOrderFor builds the OrderRank property covering all ranked tables of
-// the mask; ok=false when the mask holds no ranked table.
-func (o *optimizer) rankOrderFor(mask uint64) (plan.OrderProp, bool) {
-	ranked := o.rankedOf(mask)
-	if len(ranked) == 0 {
-		return plan.NoOrder, false
-	}
-	names := make([]string, len(ranked))
-	for i, ti := range ranked {
-		names[i] = ti.name
-	}
-	return plan.RankOrder(names...), true
-}
-
-// scoreFor returns the partial ranking function over the mask's tables.
-func (o *optimizer) scoreFor(mask uint64) expr.ScoreSum {
-	return o.q.ScoreFor(o.nameSet(mask))
-}
-
-// geoMeanRankedCard returns the geometric mean cardinality of the ranked
-// tables under the mask (the depth model's representative n).
-func (o *optimizer) geoMeanRankedCard(mask uint64) float64 {
-	ranked := o.rankedOf(mask)
-	if len(ranked) == 0 {
-		return 1
-	}
-	s := 0.0
-	for _, ti := range ranked {
-		s += math.Log(ti.card)
-	}
-	return math.Exp(s / float64(len(ranked)))
-}
-
-// selectivityBetween collects the (closure) join predicates connecting the
-// two masks, reduced to one predicate per equivalence class, and multiplies
-// their selectivities. Redundant transitive predicates are implied by the
-// retained ones, so counting them would underestimate the join cardinality.
-func (o *optimizer) selectivityBetween(m1, m2 uint64) ([]logical.JoinPred, float64) {
-	left, right := o.nameSet(m1), o.nameSet(m2)
-	var preds []logical.JoinPred
-	for _, j := range o.joins {
-		if left[j.L.Table] && right[j.R.Table] {
-			preds = append(preds, j)
-		} else if left[j.R.Table] && right[j.L.Table] {
-			preds = append(preds, logical.JoinPred{L: j.R, R: j.L})
-		}
-	}
-	preds = o.equiv.reduceByClass(preds)
-	s := 1.0
-	for _, jp := range preds {
-		s *= o.cat.JoinSelectivity(jp.L, jp.R)
-	}
-	return preds, s
+	return 0
 }
 
 // fullMask covers all query tables.
@@ -459,23 +406,4 @@ func (o *optimizer) fullMask() uint64 { return (1 << uint(len(o.tables))) - 1 }
 // sortKeysByScore builds the descending sort keys for a partial score.
 func sortKeysByScore(s expr.ScoreSum) []exec.SortKey {
 	return []exec.SortKey{{E: s, Desc: true}}
-}
-
-// popcount via bits would import math/bits; small helper suffices.
-func popcount(m uint64) int {
-	c := 0
-	for m != 0 {
-		m &= m - 1
-		c++
-	}
-	return c
-}
-
-var _ = fmt.Sprintf // keep fmt for error paths in other files
-
-// sortedNames sorts a copy of names.
-func sortedNames(names []string) []string {
-	out := append([]string(nil), names...)
-	sort.Strings(out)
-	return out
 }

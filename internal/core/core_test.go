@@ -841,17 +841,11 @@ func TestTopKSelectionPlanGenerated(t *testing.T) {
 	}
 	// The TA plan may or may not win on cost, but the detected alternative
 	// must exist and execute correctly when forced. Build it directly.
-	o := &optimizer{
-		cat: cat, q: q, params: res.Best.P,
-		byName: map[string]*tableInfo{}, memo: map[uint64][]*plan.Node{},
-	}
-	if err := o.buildTableInfo(); err != nil {
+	o, err := newOptimizer(cat, q, Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	o.equiv = newEquivClasses(q.Joins)
-	o.joins = o.equiv.closure(q.Joins)
-	o.enumerateBase()
-	o.enumerateJoins()
+	o.runDP()
 	ta := o.topKSelectionPlan()
 	if ta == nil {
 		t.Fatal("top-k selection plan should be detected")

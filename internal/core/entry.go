@@ -1,0 +1,224 @@
+package core
+
+import (
+	"math"
+	"math/bits"
+	"sort"
+	"strings"
+
+	"rankopt/internal/expr"
+	"rankopt/internal/logical"
+	"rankopt/internal/plan"
+)
+
+// This file holds the optimizer's representation: what is derived once per
+// table subset (entryInfo), once per ordered split of a subset (splitInfo)
+// and once per retained plan (memoPlan), so that the enumeration's inner
+// loop does per candidate only what differs per candidate.
+
+// entryInfo is everything the planner asks about one table subset. None of
+// it depends on the plans the subset ends up holding, so it is derived from
+// the mask alone, once.
+type entryInfo struct {
+	// level is the DP size level (number of tables).
+	level int
+	// label names the MEMO entry: the tables in query order, comma-joined.
+	label string
+	// hintSide is the subset's half of a plan.DepthHintKey: the tables in
+	// sorted order, comma-joined.
+	hintSide string
+	// ranked lists the subset's ranked tables in query order.
+	ranked []*tableInfo
+	// order is the OrderRank property over the ranked tables — the
+	// interesting order expression of the subset; NoOrder when none is ranked.
+	order plan.OrderProp
+	// score is the partial ranking function over the subset's tables.
+	score expr.ScoreSum
+	// baseN is the geometric mean cardinality of the ranked tables (the
+	// depth model's representative n); 1 when none is ranked.
+	baseN float64
+	// splits lists the subset's connected ordered splits in enumeration
+	// order. Only the DP fills it (buildEntries).
+	splits []splitInfo
+}
+
+// splitInfo is one ordered (sub, rest) split of a subset with the closure
+// join predicates connecting the two sides, reduced to one per equivalence
+// class, and the product of their selectivities.
+type splitInfo struct {
+	sub, rest uint64
+	preds     []logical.JoinPred
+	sel       float64
+}
+
+// joinInfo is one closure join predicate with the table bits of its two
+// sides, so "does it connect these two subsets" is two mask tests.
+type joinInfo struct {
+	logical.JoinPred
+	lBit, rBit uint64
+}
+
+// memoPlan is one retained plan beside the two costs every dominance test
+// compares. Both are constants of the plan: full is its cost at full output
+// — what Cost(max(a.Card, b.Card)) always evaluates to, since Cost clamps k
+// to the plan's own Card — and atK its cost at the query's k (equal to full
+// when the query has no k or the plan cannot produce k rows). They live
+// here rather than on plan.Node because nodes are cloned on every cache hit
+// and only the optimizer ever compares them.
+type memoPlan struct {
+	n         *plan.Node
+	full, atK float64
+}
+
+// input is a plan in the role of a join input: candidates over it ask what
+// it charges for some number of tuples, thousands of times per split, and
+// nearly always for all of them (full) or for the same prefix as the
+// candidate before (k, atK).
+type input struct {
+	n    *plan.Node
+	full float64
+	// atK is n.Cost(k) for the last below-full demand k; k starts as NaN.
+	k, atK float64
+	// glued is n's storage when n is a sort the current split glued on, and
+	// kept records that a candidate over n entered the MEMO entry: a glued
+	// sort nothing kept is reused by the next split instead of discarded.
+	glued *joinNode
+	kept  bool
+}
+
+func newInput(n *plan.Node, full float64) input {
+	return input{n: n, full: full, k: math.NaN()}
+}
+
+// cost is n.Cost(k): Cost clamps k to the plan's Card and a sort charges
+// the same for any k, so both answer from full; any other demand walks the
+// plan once per distinct k.
+func (in *input) cost(k float64) float64 {
+	if k >= in.n.Card || in.n.Op == plan.OpSort {
+		return in.full
+	}
+	if k != in.k {
+		in.k, in.atK = k, in.n.Cost(k)
+	}
+	return in.atK
+}
+
+// costed evaluates a plan's two pruning endpoints. l and r are the plan's
+// children as costed inputs; nil l means they are not known and the plan is
+// walked.
+func (o *optimizer) costed(n *plan.Node, l, r *input) memoPlan {
+	cost := n.Cost
+	if l != nil {
+		inputCost := func(i int, k float64) float64 {
+			if i == 0 {
+				return l.cost(k)
+			}
+			return r.cost(k)
+		}
+		cost = func(k float64) float64 { return n.CostFrom(k, inputCost) }
+	}
+	mp := memoPlan{n: n, full: cost(n.Card)}
+	mp.atK = mp.full
+	if o.kmin > 0 && o.kmin < n.Card {
+		mp.atK = cost(o.kmin)
+	}
+	return mp
+}
+
+// planNodes strips the cost endpoints off an entry's plans.
+func planNodes(plans []memoPlan) []*plan.Node {
+	out := make([]*plan.Node, len(plans))
+	for i, p := range plans {
+		out[i] = p.n
+	}
+	return out
+}
+
+// joinInfos annotates the closure predicates with their table bits.
+func (o *optimizer) joinInfos(closure []logical.JoinPred) []joinInfo {
+	out := make([]joinInfo, len(closure))
+	for i, j := range closure {
+		out[i] = joinInfo{JoinPred: j, lBit: o.tableBit(j.L.Table), rBit: o.tableBit(j.R.Table)}
+	}
+	return out
+}
+
+// selectivityBetween collects the (closure) join predicates connecting the
+// two masks, reduced to one predicate per equivalence class, and multiplies
+// their selectivities. Redundant transitive predicates are implied by the
+// retained ones, so counting them would underestimate the join cardinality.
+func (o *optimizer) selectivityBetween(m1, m2 uint64) ([]logical.JoinPred, float64) {
+	var preds []logical.JoinPred
+	for _, j := range o.joins {
+		if j.lBit&m1 != 0 && j.rBit&m2 != 0 {
+			preds = append(preds, j.JoinPred)
+		} else if j.rBit&m1 != 0 && j.lBit&m2 != 0 {
+			preds = append(preds, logical.JoinPred{L: j.R, R: j.L})
+		}
+	}
+	preds = o.equiv.reduceByClass(preds)
+	s := 1.0
+	for _, jp := range preds {
+		s *= o.cat.JoinSelectivity(jp.L, jp.R)
+	}
+	return preds, s
+}
+
+// entry returns the facts of a table subset: from the table when the DP
+// built it, derived on the spot for the greedy walk's handful of subsets.
+func (o *optimizer) entry(mask uint64) *entryInfo {
+	if o.entries != nil {
+		return &o.entries[mask]
+	}
+	e := o.newEntry(mask)
+	return &e
+}
+
+// newEntry derives a subset's facts from its mask.
+func (o *optimizer) newEntry(mask uint64) entryInfo {
+	e := entryInfo{level: bits.OnesCount64(mask), order: plan.NoOrder, baseN: 1}
+	names := make([]string, 0, e.level)
+	var rankedNames []string
+	logSum := 0.0
+	for _, ti := range o.tables {
+		if mask&(1<<uint(ti.idx)) == 0 {
+			continue
+		}
+		names = append(names, ti.name)
+		if ti.term != nil {
+			e.ranked = append(e.ranked, ti)
+			rankedNames = append(rankedNames, ti.name)
+			logSum += math.Log(ti.card)
+		}
+	}
+	e.label = strings.Join(names, ",")
+	sort.Strings(names)
+	e.hintSide = strings.Join(names, ",")
+	if len(e.ranked) > 0 {
+		e.order = plan.RankOrder(rankedNames...)
+		e.baseN = math.Exp(logSum / float64(len(e.ranked)))
+	}
+	for ix, bit := range o.termBit {
+		if bit&mask != 0 {
+			e.score.Terms = append(e.score.Terms, o.q.Score.Terms[ix])
+		}
+	}
+	return e
+}
+
+// buildEntries fills the per-subset table for the DP: every subset's facts
+// and, for subsets of two or more tables, every connected ordered split with
+// its reduced predicates and selectivity (no Cartesian products).
+func (o *optimizer) buildEntries() {
+	o.entries = make([]entryInfo, o.fullMask()+1)
+	for mask := uint64(1); mask < uint64(len(o.entries)); mask++ {
+		e := o.newEntry(mask)
+		for sub := (mask - 1) & mask; sub > 0; sub = (sub - 1) & mask {
+			rest := mask ^ sub
+			if preds, s := o.selectivityBetween(sub, rest); len(preds) > 0 {
+				e.splits = append(e.splits, splitInfo{sub: sub, rest: rest, preds: preds, sel: s})
+			}
+		}
+		o.entries[mask] = e
+	}
+}

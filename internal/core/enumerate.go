@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 
 	"rankopt/internal/exec"
@@ -16,24 +17,19 @@ import (
 // (Section 3.1's eager policy).
 func (o *optimizer) enumerateBase() {
 	for _, ti := range o.tables {
-		mask := uint64(1) << uint(ti.idx)
+		acc := o.newAcc(uint64(1) << uint(ti.idx))
 
 		// Heap scan (the DC plan).
-		o.addPlan(mask, o.wrapFilters(ti, &plan.Node{
-			Op:    plan.OpSeqScan,
-			Table: ti.name,
-			Card:  ti.rawCard,
-			P:     o.params,
-			Props: plan.Props{Order: plan.NoOrder, Pipelined: true},
-		}))
+		acc.add(o.cheapBase(ti))
 
 		// Index paths for interesting column orders (join columns, ORDER BY).
-		for _, col := range o.interestingCols(ti.name) {
+		cols := o.interestingCols(ti.name)
+		for _, col := range cols {
 			idx := o.cat.IndexOn(ti.name, col.Col.Name)
 			if idx == nil {
 				continue
 			}
-			o.addPlan(mask, o.wrapFilters(ti, &plan.Node{
+			acc.add(o.wrapFilters(ti, &plan.Node{
 				Op:        plan.OpIndexScan,
 				Table:     ti.name,
 				Index:     idx,
@@ -42,8 +38,6 @@ func (o *optimizer) enumerateBase() {
 				P:         o.params,
 				Props:     plan.Props{Order: plan.ColOrder(col.Col, col.Desc), Pipelined: true},
 			}))
-			// Eagerly enforce the order when no index serves it? The index
-			// exists here; the enforcement branch below covers the rest.
 		}
 
 		// Sargable filters over indexed columns become index range scans:
@@ -52,51 +46,52 @@ func (o *optimizer) enumerateBase() {
 		for _, f := range ti.filters {
 			rs := o.rangeScanFor(ti, f)
 			if rs != nil {
-				o.addPlan(mask, rs)
+				acc.add(rs)
 			}
 		}
 
 		// Enforced column orders for join columns lacking an index.
-		for _, col := range o.interestingCols(ti.name) {
+		for _, col := range cols {
 			if o.cat.IndexOn(ti.name, col.Col.Name) != nil {
 				continue
 			}
-			base := o.cheapBase(ti)
-			o.addPlan(mask, o.sortWrap(base,
+			acc.add(o.sortWrap(o.cheapBase(ti),
 				[]exec.SortKey{{E: col.Col, Desc: col.Desc}},
 				plan.ColOrder(col.Col, col.Desc)))
 		}
 
-		if !o.rankAware() || ti.term == nil {
-			continue
-		}
-		rankProp := plan.RankOrder(ti.name)
+		if o.rankAware() && ti.term != nil {
+			rankProp := plan.RankOrder(ti.name)
 
-		// Natural ranked access: descending index scan on the score column.
-		natural := false
-		if ti.termIsCol {
-			if idx := o.cat.IndexOn(ti.name, ti.termCol.Name); idx != nil {
-				scan := &plan.Node{
-					Op:        plan.OpIndexScan,
-					Table:     ti.name,
-					Index:     idx,
-					IndexDesc: true,
-					Card:      ti.rawCard,
-					LSlab:     ti.termSlab,
-					P:         o.params,
-					Props:     plan.Props{Order: rankProp, Pipelined: true},
+			// Natural ranked access: descending index scan on the score column.
+			natural := false
+			if ti.termIsCol {
+				if idx := o.cat.IndexOn(ti.name, ti.termCol.Name); idx != nil {
+					scan := &plan.Node{
+						Op:        plan.OpIndexScan,
+						Table:     ti.name,
+						Index:     idx,
+						IndexDesc: true,
+						Card:      ti.rawCard,
+						LSlab:     ti.termSlab,
+						P:         o.params,
+						Props:     plan.Props{Order: rankProp, Pipelined: true},
+					}
+					acc.add(o.wrapFilters(ti, scan))
+					natural = true
 				}
-				o.addPlan(mask, o.wrapFilters(ti, scan))
-				natural = true
+			}
+			// Enforced ranked order: sort the cheapest plan by the score term.
+			if !natural && !o.opts.DisableEnforcedRankInputs {
+				s := o.sortWrap(o.cheapBase(ti), sortKeysByScore(expr.Sum(*ti.term)), rankProp)
+				s.LSlab = ti.termSlab
+				acc.add(s)
 			}
 		}
-		// Enforced ranked order: sort the cheapest plan by the score term.
-		if !natural && !o.opts.DisableEnforcedRankInputs {
-			base := o.cheapBase(ti)
-			s := o.sortWrap(base, sortKeysByScore(expr.Sum(*ti.term)), rankProp)
-			s.LSlab = ti.termSlab
-			o.addPlan(mask, s)
-		}
+
+		// Base entries are built sequentially; publish each as it completes.
+		o.memo[acc.mask] = acc.plans
+		o.pc.merge(acc.pc)
 	}
 }
 
@@ -209,35 +204,100 @@ func (o *optimizer) cheapBase(ti *tableInfo) *plan.Node {
 
 // sortWrap glues a sort enforcer producing the given order property.
 func (o *optimizer) sortWrap(p *plan.Node, keys []exec.SortKey, order plan.OrderProp) *plan.Node {
-	return &plan.Node{
+	return o.sortInto(new(joinNode), p, keys, order)
+}
+
+// sortInto is sortWrap into caller-supplied storage (the node and its child
+// slot share one allocation).
+func (o *optimizer) sortInto(w *joinNode, p *plan.Node, keys []exec.SortKey, order plan.OrderProp) *plan.Node {
+	w.kids = [2]*plan.Node{p}
+	w.n = plan.Node{
 		Op:       plan.OpSort,
-		Children: []*plan.Node{p},
+		Children: w.kids[:1],
 		SortKeys: keys,
 		Card:     p.Card,
 		LSlab:    p.LSlab,
 		P:        o.params,
 		Props:    plan.Props{Order: order, Pipelined: false},
 	}
+	return &w.n
 }
 
-// maskAcc accumulates the candidate plans of one MEMO entry during join
+// maskAcc accumulates the candidate plans of one MEMO entry during
 // enumeration. Each mask of a size level is owned by exactly one worker
 // goroutine, which prunes locally; the accumulated lists are merged into the
 // shared memo at the level barrier, so workers never write shared state.
 type maskAcc struct {
 	o     *optimizer
 	mask  uint64
-	plans []*plan.Node
+	e     *entryInfo
+	plans []memoPlan
 	pc    pruneCounters
+	// scratch is where join candidates are assembled: a candidate is costed
+	// and pruned in place and only copied to the heap if it survives. l and
+	// r are its children as costed inputs.
+	scratch joinNode
+	l, r    *input
+	// spare holds the glued sorts of earlier splits that no candidate kept
+	// at the time referenced (see input.kept), for the next split to reuse.
+	spare []*joinNode
 }
 
-// add applies property + cost pruning to the local plan list.
+// joinNode is a plan node allocated together with its (up to two) child
+// slots.
+type joinNode struct {
+	n    plan.Node
+	kids [2]*plan.Node
+}
+
+func (o *optimizer) newAcc(mask uint64) *maskAcc {
+	return &maskAcc{o: o, mask: mask, e: &o.entries[mask]}
+}
+
+// candidate resets the scratch node to proto over the given children (r is
+// nil for a unary-shaped node) and returns it for the caller to finish.
+func (a *maskAcc) candidate(proto *plan.Node, l, r *input) *plan.Node {
+	a.l, a.r = l, r
+	a.scratch.n = *proto
+	a.scratch.kids[0] = l.n
+	a.scratch.n.Children = a.scratch.kids[:1]
+	if r != nil {
+		a.scratch.kids[1] = r.n
+		a.scratch.n.Children = a.scratch.kids[:2]
+	}
+	return &a.scratch.n
+}
+
+// add costs a candidate and applies property + cost pruning to the local
+// plan list. The scratch candidate is costed over its known inputs and, if
+// it survives, moved to the heap here; any other node is walked and stored
+// as given.
 func (a *maskAcc) add(cand *plan.Node) {
 	a.pc.gen++
 	if tr := a.o.opts.Tracer; tr != nil {
-		tr.OnDecision(Decision{Kind: DecisionCandidate, Level: popcount(a.mask), Entry: a.o.label(a.mask)})
+		tr.OnDecision(Decision{Kind: DecisionCandidate, Level: a.e.level, Entry: a.e.label})
 	}
-	a.plans = a.o.insertPruned(a.mask, a.plans, cand, &a.pc)
+	scratch := cand == &a.scratch.n
+	kept := true
+	if a.o.opts.KeepAllPlans {
+		a.plans = append(a.plans, memoPlan{n: cand})
+	} else {
+		var l, r *input
+		if scratch {
+			l, r = a.l, a.r
+		}
+		a.plans, kept = a.o.insertPruned(a.e, a.plans, a.o.costed(cand, l, r), &a.pc)
+	}
+	if kept && scratch {
+		a.l.kept = true
+		if a.r != nil {
+			a.r.kept = true
+		}
+		j := new(joinNode)
+		*j = a.scratch
+		j.n.Children = j.kids[:len(cand.Children)]
+		a.plans[len(a.plans)-1].n = &j.n
+	}
 }
 
 // enumerateJoins runs the bottom-up DP over table subsets, generating every
@@ -251,13 +311,13 @@ func (o *optimizer) enumerateJoins() {
 	for size := 2; size <= n; size++ {
 		var masks []uint64
 		for mask := uint64(1); mask <= full; mask++ {
-			if popcount(mask) == size {
+			if o.entries[mask].level == size {
 				masks = append(masks, mask)
 			}
 		}
 		accs := make([]*maskAcc, len(masks))
 		enumerate := func(i int) {
-			acc := &maskAcc{o: o, mask: masks[i]}
+			acc := o.newAcc(masks[i])
 			o.enumerateMask(acc)
 			accs[i] = acc
 		}
@@ -291,9 +351,7 @@ func (o *optimizer) enumerateJoins() {
 		// reads them. Each entry was built by one worker, so the merge is a
 		// plain move, not a re-pruning.
 		for _, acc := range accs {
-			if len(acc.plans) > 0 {
-				o.memo[acc.mask] = acc.plans
-			}
+			o.memo[acc.mask] = acc.plans
 			o.pc.merge(acc.pc)
 		}
 	}
@@ -302,236 +360,265 @@ func (o *optimizer) enumerateJoins() {
 // enumerateMask generates every join alternative for one subset mask,
 // reading only memo entries of strictly smaller size.
 func (o *optimizer) enumerateMask(acc *maskAcc) {
-	mask := acc.mask
-	for sub := (mask - 1) & mask; sub > 0; sub = (sub - 1) & mask {
-		rest := mask ^ sub
-		p1s, p2s := o.memo[sub], o.memo[rest]
-		if len(p1s) == 0 || len(p2s) == 0 {
-			continue
+	for i := range acc.e.splits {
+		sp := &acc.e.splits[i]
+		if len(o.memo[sp.sub]) > 0 && len(o.memo[sp.rest]) > 0 {
+			o.joinSplit(acc, sp)
 		}
-		preds, s := o.selectivityBetween(sub, rest)
-		if len(preds) == 0 {
-			continue // no Cartesian products
-		}
-		o.joinSplit(acc, sub, rest, preds, s)
 	}
 	// The any-k enumerator covers the whole subset in one operator, so it is
 	// generated per mask rather than per split.
 	o.anyKCandidates(acc)
 }
 
+// sideInput is one memo plan as a join input of one split: the plan itself
+// and, where a join method wants an order the plan lacks, the plan under the
+// glued sort — built and costed once per split and shared by every
+// candidate pairing it.
+type sideInput struct {
+	p input
+	// merge is p ordered on the split's primary join column.
+	merge input
+	// ranked is p ordered on its side's score expression; ranked.n is nil
+	// when the order is missing and may not be enforced.
+	ranked input
+}
+
+// glue returns p under a sort enforcer producing the given order, built in
+// recycled storage when there is some and costed from p's known cost.
+func (a *maskAcc) glue(p *input, keys []exec.SortKey, order plan.OrderProp) input {
+	var j *joinNode
+	if n := len(a.spare); n > 0 {
+		j, a.spare = a.spare[n-1], a.spare[:n-1]
+	} else {
+		j = new(joinNode)
+	}
+	w := a.o.sortInto(j, p.n, keys, order)
+	in := newInput(w, a.o.costed(w, p, nil).full)
+	in.glued = j
+	return in
+}
+
+// sideInputs prepares one side of a split: col is the side's column of the
+// primary join predicate; e describes the side's table subset.
+func (a *maskAcc) sideInputs(plans []memoPlan, col expr.ColRef, e *entryInfo, rankJoins bool) []sideInput {
+	colOrder := plan.ColOrder(col, false)
+	colKeys := []exec.SortKey{{E: col}}
+	var scoreKeys []exec.SortKey
+	if rankJoins {
+		scoreKeys = sortKeysByScore(e.score)
+	}
+	out := make([]sideInput, len(plans))
+	for i, mp := range plans {
+		in := &out[i]
+		in.p = newInput(mp.n, mp.full)
+		in.merge = in.p
+		if !mp.n.Props.Order.Covers(colOrder) {
+			in.merge = a.glue(&in.p, colKeys, colOrder)
+		}
+		if rankJoins {
+			switch {
+			case mp.n.Props.Order.Covers(e.order):
+				in.ranked = in.p
+			case !a.o.opts.DisableEnforcedRankInputs:
+				in.ranked = a.glue(&in.p, scoreKeys, e.order)
+			}
+		}
+	}
+	return out
+}
+
+// release hands the side's glued sorts that no surviving candidate
+// references back for the next split to reuse.
+func (a *maskAcc) release(side []sideInput) {
+	for i := range side {
+		for _, in := range [...]*input{&side[i].merge, &side[i].ranked} {
+			if in.glued != nil && !in.kept {
+				a.spare = append(a.spare, in.glued)
+			}
+		}
+	}
+}
+
 // joinSplit generates all join candidates for one ordered (sub, rest) split.
-func (o *optimizer) joinSplit(acc *maskAcc, sub, rest uint64, preds []logical.JoinPred, s float64) {
-	p1s, p2s := o.memo[sub], o.memo[rest]
-	rankedL := o.rankedOf(sub)
-	rankedR := o.rankedOf(rest)
-	bothRanked := len(rankedL) > 0 && len(rankedR) > 0
+// Everything that is a fact of the split — the order properties each join
+// method produces or requires, the rank-join parameters, the enforced-sort
+// inputs — is settled before the (p1 × p2) loop, which only assembles,
+// costs and prunes.
+func (o *optimizer) joinSplit(acc *maskAcc, sp *splitInfo) {
+	eL, eR := &o.entries[sp.sub], &o.entries[sp.rest]
+	preds, s := sp.preds, sp.sel
+	rankJoins := o.rankAware() && len(eL.ranked) > 0 && len(eR.ranked) > 0
+	lefts := acc.sideInputs(o.memo[sp.sub], preds[0].L, eL, rankJoins)
+	rights := acc.sideInputs(o.memo[sp.rest], preds[0].R, eR, rankJoins)
+
+	join := plan.Node{EqPreds: preds, Sel: s, P: o.params}
+	mergeOrder := plan.ColOrder(preds[0].L, false)
+	var rankJoin plan.Node
+	var fired Decision
+	if rankJoins {
+		rankJoin = o.rankJoinProto(sp.sub, sp.rest, preds, s)
+		rankJoin.Props.Order = acc.e.order
+		if o.opts.Tracer != nil {
+			// An interesting ranking-order expression over each input side
+			// is what licenses the rank-join alternatives for this entry.
+			fired = Decision{
+				Kind:  DecisionOrderFired,
+				Level: acc.e.level,
+				Entry: acc.e.label,
+				Plan:  acc.e.score.String(),
+				Note:  fmt.Sprintf("inputs ordered by %s / %s fire rank-join alternatives", eL.order.Key(), eR.order.Key()),
+			}
+		}
+	}
 
 	// INLJ: inner must be a single base table with an index on the primary
 	// join column; independent of inner subplans.
-	var innerTI *tableInfo
-	if popcount(rest) == 1 {
-		innerTI = o.byName[o.namesOf(rest)[0]]
-	}
-
-	for _, p1 := range p1s {
-		card := s * p1.Card
-		// INLJ generated once per outer plan.
-		if innerTI != nil {
-			if idx := o.cat.IndexOn(innerTI.name, preds[0].R.Name); idx != nil {
-				cand := &plan.Node{
-					Op:        plan.OpINLJ,
-					Children:  []*plan.Node{p1},
-					Table:     innerTI.name,
-					Index:     idx,
-					EqPreds:   preds,
-					Pred:      expr.And(innerTI.filters...),
-					Card:      card * innerTI.card,
-					Sel:       s * innerTI.filtSel,
-					InnerCard: innerTI.rawCard,
-					P:         o.params,
-					Props: plan.Props{
-						Order:     o.preserveOuter(p1.Props, rest),
-						Pipelined: p1.Props.Pipelined,
-					},
-				}
-				acc.add(cand)
+	var inner *tableInfo
+	var inlj plan.Node
+	if eR.level == 1 {
+		ti := o.tables[bits.TrailingZeros64(sp.rest)]
+		if idx := o.cat.IndexOn(ti.name, preds[0].R.Name); idx != nil {
+			inner = ti
+			inlj = plan.Node{
+				Op:        plan.OpINLJ,
+				Table:     ti.name,
+				Index:     idx,
+				EqPreds:   preds,
+				Pred:      expr.And(ti.filters...),
+				Sel:       s * ti.filtSel,
+				InnerCard: ti.rawCard,
+				P:         o.params,
 			}
 		}
+	}
 
-		for _, p2 := range p2s {
+	for i := range lefts {
+		l := &lefts[i]
+		p1 := l.p.n
+		card := s * p1.Card
+		// An order-preserving join streams p1; its order survives unless the
+		// other side contributes score terms.
+		p1Order := preserveOuter(p1.Props, eR)
+		// INLJ generated once per outer plan.
+		if inner != nil {
+			cand := acc.candidate(&inlj, &l.p, nil)
+			cand.Card = card * inner.card
+			cand.Props = plan.Props{Order: p1Order, Pipelined: p1.Props.Pipelined}
+			acc.add(cand)
+		}
+
+		for j := range rights {
+			r := &rights[j]
+			p2 := r.p.n
 			jcard := math.Max(card*p2.Card, 1e-9)
 
 			// Nested loops (outer p1, inner p2 materialized).
-			acc.add(&plan.Node{
-				Op:       plan.OpNLJ,
-				Children: []*plan.Node{p1, p2},
-				EqPreds:  preds,
-				Card:     jcard,
-				Sel:      s,
-				P:        o.params,
-				Props: plan.Props{
-					Order:     o.preserveOuter(p1.Props, rest),
-					Pipelined: p1.Props.Pipelined,
-				},
-			})
+			cand := acc.candidate(&join, &l.p, &r.p)
+			cand.Op = plan.OpNLJ
+			cand.Card = jcard
+			cand.Props = plan.Props{Order: p1Order, Pipelined: p1.Props.Pipelined}
+			acc.add(cand)
 
 			// Hash join (build p1, probe p2; probe order survives).
-			acc.add(&plan.Node{
-				Op:       plan.OpHashJoin,
-				Children: []*plan.Node{p1, p2},
-				EqPreds:  preds,
-				Card:     jcard,
-				Sel:      s,
-				P:        o.params,
-				Props: plan.Props{
-					Order:     o.preserveOuter(p2.Props, sub),
-					Pipelined: p2.Props.Pipelined,
-				},
-			})
+			cand = acc.candidate(&join, &l.p, &r.p)
+			cand.Op = plan.OpHashJoin
+			cand.Card = jcard
+			cand.Props = plan.Props{Order: preserveOuter(p2.Props, eL), Pipelined: p2.Props.Pipelined}
+			acc.add(cand)
 
-			// Sort-merge join on the primary predicate, enforcing input
-			// sorts when the children lack them.
-			lOrd := plan.ColOrder(preds[0].L, false)
-			rOrd := plan.ColOrder(preds[0].R, false)
-			ml := p1
-			if !p1.Props.Order.Covers(lOrd) {
-				ml = o.sortWrap(p1, []exec.SortKey{{E: preds[0].L}}, lOrd)
+			// Sort-merge join on the primary predicate, over inputs sorted
+			// by enforcers where the children lack the order.
+			cand = acc.candidate(&join, &l.merge, &r.merge)
+			cand.Op = plan.OpMergeJoin
+			cand.Card = jcard
+			cand.Props = plan.Props{
+				Order:     mergeOrder,
+				Pipelined: l.merge.n.Props.Pipelined && r.merge.n.Props.Pipelined,
 			}
-			mr := p2
-			if !p2.Props.Order.Covers(rOrd) {
-				mr = o.sortWrap(p2, []exec.SortKey{{E: preds[0].R}}, rOrd)
-			}
-			acc.add(&plan.Node{
-				Op:       plan.OpMergeJoin,
-				Children: []*plan.Node{ml, mr},
-				EqPreds:  preds,
-				Card:     jcard,
-				Sel:      s,
-				P:        o.params,
-				Props: plan.Props{
-					Order:     lOrd,
-					Pipelined: ml.Props.Pipelined && mr.Props.Pipelined,
-				},
-			})
+			acc.add(cand)
 
-			// Rank joins.
-			if o.rankAware() && bothRanked {
-				o.rankJoinCandidates(acc, sub, rest, p1, p2, preds, s, jcard)
+			if !rankJoins {
+				continue
+			}
+			if tr := o.opts.Tracer; tr != nil {
+				// Reported where each pair's rank joins are generated
+				// (Format dedups the per-pair repetition).
+				tr.OnDecision(fired)
+			}
+			// HRJN needs both inputs ranked.
+			if !o.opts.DisableHRJN && l.ranked.n != nil && r.ranked.n != nil {
+				cand = acc.candidate(&rankJoin, &l.ranked, &r.ranked)
+				cand.Op = plan.OpHRJN
+				cand.Card = jcard
+				cand.Props.Pipelined = l.ranked.n.Props.Pipelined && r.ranked.n.Props.Pipelined
+				acc.add(cand)
+			}
+			// NRJN needs only the outer ranked; the inner is materialized.
+			if !o.opts.DisableNRJN && l.ranked.n != nil {
+				cand = acc.candidate(&rankJoin, &l.ranked, &r.p)
+				cand.Op = plan.OpNRJN
+				cand.Card = jcard
+				cand.Props.Pipelined = l.ranked.n.Props.Pipelined
+				acc.add(cand)
 			}
 		}
 	}
+	acc.release(lefts)
+	acc.release(rights)
 }
 
-// rankJoinCandidates emits HRJN and NRJN alternatives for a plan pair,
-// enforcing ranked input orders by glued sorts when allowed.
-func (o *optimizer) rankJoinCandidates(acc *maskAcc, sub, rest uint64, p1, p2 *plan.Node, preds []logical.JoinPred, s, jcard float64) {
-	mask := acc.mask
-	lOrder, _ := o.rankOrderFor(sub)
-	rOrder, _ := o.rankOrderFor(rest)
-	lScore := o.scoreFor(sub)
-	rScore := o.scoreFor(rest)
-
-	if tr := o.opts.Tracer; tr != nil {
-		// An interesting ranking-order expression over each input side is
-		// what licenses the rank-join alternatives for this entry (Format
-		// dedups the per-pair repetition).
-		tr.OnDecision(Decision{
-			Kind:  DecisionOrderFired,
-			Level: popcount(mask),
-			Entry: o.label(mask),
-			Plan:  o.scoreFor(mask).String(),
-			Note:  fmt.Sprintf("inputs ordered by %s / %s fire rank-join alternatives", lOrder.Key(), rOrder.Key()),
-		})
-	}
-
-	rankedInput := func(p *plan.Node, ord plan.OrderProp, score expr.ScoreSum) *plan.Node {
-		if p.Props.Order.Covers(ord) {
-			return p
-		}
-		if o.opts.DisableEnforcedRankInputs {
-			return nil
-		}
-		return o.sortWrap(p, sortKeysByScore(score), ord)
-	}
-
-	outOrder, _ := o.rankOrderFor(mask)
-
-	// HRJN needs both inputs ranked.
-	if !o.opts.DisableHRJN {
-		l := rankedInput(p1, lOrder, lScore)
-		r := rankedInput(p2, rOrder, rScore)
-		if l != nil && r != nil {
-			n := o.rankJoinNode(plan.OpHRJN, l, r, sub, rest, preds, s, jcard)
-			n.Props = plan.Props{
-				Order:     outOrder,
-				Pipelined: l.Props.Pipelined && r.Props.Pipelined,
-			}
-			acc.add(n)
-		}
-	}
-
-	// NRJN needs only the outer ranked; the inner is materialized. Only
-	// generate the natural-outer variant plus the enforced one.
-	if !o.opts.DisableNRJN {
-		l := rankedInput(p1, lOrder, lScore)
-		if l != nil {
-			n := o.rankJoinNode(plan.OpNRJN, l, p2, sub, rest, preds, s, jcard)
-			n.Props = plan.Props{
-				Order:     outOrder,
-				Pipelined: l.Props.Pipelined,
-			}
-			acc.add(n)
-		}
-	}
-}
-
-// rankJoinNode builds a rank-join node over the plans covering masks sub and
-// rest. It is shared by the DP enumeration and the greedy planner so the
-// node shape — and the empirical depth-hint attachment of the feedback loop —
-// live in exactly one place.
-func (o *optimizer) rankJoinNode(op plan.OpType, l, r *plan.Node, sub, rest uint64, preds []logical.JoinPred, s, jcard float64) *plan.Node {
-	mask := sub | rest
-	rankedL := o.rankedOf(sub)
-	rankedR := o.rankedOf(rest)
-	n := &plan.Node{
-		Op:       op,
-		Children: []*plan.Node{l, r},
+// rankJoinProto builds what every rank-join node over the ordered split
+// (sub, rest) shares — scores, depth-model parameters and the feedback
+// loop's empirical depth hint — leaving Op, Children, Card and Props to the
+// caller. It serves the DP enumeration and the greedy planner alike, so the
+// node shape and the hint attachment live in exactly one place.
+func (o *optimizer) rankJoinProto(sub, rest uint64, preds []logical.JoinPred, s float64) plan.Node {
+	eL, eR := o.entry(sub), o.entry(rest)
+	n := plan.Node{
 		EqPreds:  preds,
-		LScore:   o.scoreFor(sub),
-		RScore:   o.scoreFor(rest),
+		LScore:   eL.score,
+		RScore:   eR.score,
 		Strategy: o.opts.Strategy,
-		Card:     jcard,
 		Sel:      s,
-		LLeaves:  len(rankedL),
-		RLeaves:  len(rankedR),
-		BaseN:    o.geoMeanRankedCard(mask),
+		LLeaves:  len(eL.ranked),
+		RLeaves:  len(eR.ranked),
+		BaseN:    o.entry(sub | rest).baseN,
 		P:        o.params,
 	}
-	if len(rankedL) == 1 {
-		n.LSlab = rankedL[0].termSlab
+	if len(eL.ranked) == 1 {
+		n.LSlab = eL.ranked[0].termSlab
 	}
-	if len(rankedR) == 1 {
-		n.RSlab = rankedR[0].termSlab
+	if len(eR.ranked) == 1 {
+		n.RSlab = eR.ranked[0].termSlab
 	}
 	if len(o.opts.DepthHints) > 0 {
-		if ob, ok := o.opts.DepthHints[plan.DepthHintKey(n)]; ok {
-			hint := ob
-			n.DepthHint = &hint
+		if ob, ok := o.opts.DepthHints[eL.hintSide+"|"+eR.hintSide]; ok {
+			n.DepthHint = &ob
 		}
 	}
 	return n
 }
 
+// rankJoinNode builds a heap rank-join node over plans l and r covering
+// masks sub and rest (the greedy planner's entry to rankJoinProto).
+func (o *optimizer) rankJoinNode(op plan.OpType, l, r *plan.Node, sub, rest uint64, preds []logical.JoinPred, s, jcard float64) *plan.Node {
+	n := o.rankJoinProto(sub, rest, preds, s)
+	n.Op = op
+	n.Children = []*plan.Node{l, r}
+	n.Card = jcard
+	return &n
+}
+
 // preserveOuter propagates an input's order property through an
 // order-preserving join: column orders on the streamed side survive; a rank
 // order survives only if the other side contributes no score terms.
-func (o *optimizer) preserveOuter(p plan.Props, otherMask uint64) plan.OrderProp {
+func preserveOuter(p plan.Props, other *entryInfo) plan.OrderProp {
 	switch p.Order.Kind {
 	case plan.OrderCol:
 		return p.Order
 	case plan.OrderRank:
-		if len(o.rankedOf(otherMask)) == 0 {
+		if len(other.ranked) == 0 {
 			return p.Order
 		}
 	}

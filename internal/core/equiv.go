@@ -52,7 +52,6 @@ func (e *equivClasses) union(a, b expr.ColRef) {
 	if ra != rb {
 		e.parent[rb] = ra
 	}
-	_ = e.col
 }
 
 // classOf returns the class representative of a column, or "" if the column

@@ -19,15 +19,16 @@ import (
 // is returned in all — the differential-testing oracle executes each one and
 // asserts identical results.
 func (o *optimizer) finish(plans []*plan.Node) (best, bestJoin *plan.Node, all []*plan.Node, err error) {
+	full := o.entry(o.fullMask())
 	if len(plans) == 0 {
-		return nil, nil, nil, fmt.Errorf("core: no plan found for %s", o.label(o.fullMask()))
+		return nil, nil, nil, fmt.Errorf("core: no plan found for %s", full.label)
 	}
 
 	var required plan.OrderProp
 	var finalKeys []exec.SortKey
 	switch {
 	case o.q.Ranking():
-		required, _ = o.rankOrderFor(o.fullMask())
+		required = full.order
 		finalKeys = sortKeysByScore(o.q.Score)
 	case o.q.OrderBy.Name != "":
 		required = plan.ColOrder(o.q.OrderBy, o.q.OrderDesc)
@@ -239,16 +240,15 @@ func (o *optimizer) topKSelectionPlan() *plan.Node {
 			Weight:   ti.term.Weight,
 		})
 	}
-	order, _ := o.rankOrderFor(o.fullMask())
-	card := math.Min(float64(o.q.K), o.geoMeanRankedCard(o.fullMask()))
+	full := o.entry(o.fullMask())
 	return &plan.Node{
 		Op:       plan.OpRankAgg,
 		TAInputs: inputs,
 		K:        o.q.K,
-		Card:     card,
-		BaseN:    o.geoMeanRankedCard(o.fullMask()),
+		Card:     math.Min(float64(o.q.K), full.baseN),
+		BaseN:    full.baseN,
 		P:        o.params,
-		Props:    plan.Props{Order: order},
+		Props:    plan.Props{Order: full.order},
 	}
 }
 
@@ -266,7 +266,7 @@ func (o *optimizer) bestAggregation(plans []*plan.Node) (*plan.Node, error) {
 		}
 		aggs[i] = exec.AggSpec{Func: fn, Arg: a.Arg, As: a.As}
 	}
-	groups := o.groupCard()
+	groups := o.groupCard(plans[0].Card)
 	kEval := groups
 	if o.q.K > 0 {
 		kEval = math.Min(float64(o.q.K), groups)
@@ -319,7 +319,7 @@ func (o *optimizer) bestAggregation(plans []*plan.Node) (*plan.Node, error) {
 
 // groupCard estimates the number of groups: the product of the group
 // columns' distinct counts, capped by the join output cardinality.
-func (o *optimizer) groupCard() float64 {
+func (o *optimizer) groupCard(joinCard float64) float64 {
 	d := 1.0
 	for _, g := range o.q.GroupBy {
 		if cs := o.cat.ColStats(g.Table, g.Name); cs.Distinct > 0 {
@@ -328,8 +328,8 @@ func (o *optimizer) groupCard() float64 {
 			d *= 100
 		}
 	}
-	if plans := o.memo[o.fullMask()]; len(plans) > 0 && plans[0].Card < d {
-		return math.Max(plans[0].Card, 1)
+	if joinCard < d {
+		return math.Max(joinCard, 1)
 	}
 	return d
 }

@@ -206,8 +206,8 @@ func (o *optimizer) greedyStartCandidates(ti *tableInfo) []*plan.Node {
 // plan that lost the order will be consumed wholesale by the final sort
 // enforcer, so it pays its full cost plus the sort.
 func (o *optimizer) greedyFinalCost(p *plan.Node) float64 {
-	outOrder, haveRank := o.rankOrderFor(o.fullMask())
-	if o.q.Ranking() && !(haveRank && p.Props.Order.Covers(outOrder)) {
+	full := o.entry(o.fullMask())
+	if o.q.Ranking() && !(len(full.ranked) > 0 && p.Props.Order.Covers(full.order)) {
 		return p.Cost(p.Card) + o.params.Sort(p.Card)
 	}
 	k := o.kmin
@@ -234,18 +234,18 @@ func (o *optimizer) greedyJoin(cur *plan.Node, curMask uint64, next *tableInfo, 
 	// Every ranked access variant of next becomes its own candidate — which
 	// input shape wins depends on the depth this join will demand, and the
 	// Cost(k) comparison below is what knows that.
-	if o.rankAware() && !o.opts.DisableHRJN && next.term != nil && len(o.rankedOf(curMask)) > 0 {
-		lOrder, _ := o.rankOrderFor(curMask)
+	eCur, eNext, eOut := o.entry(curMask), o.entry(nextMask), o.entry(mask)
+	if o.rankAware() && !o.opts.DisableHRJN && next.term != nil && len(eCur.ranked) > 0 {
 		l := cur
-		if !cur.Props.Order.Covers(lOrder) {
+		if !cur.Props.Order.Covers(eCur.order) {
 			if o.opts.DisableEnforcedRankInputs {
 				l = nil
 			} else {
-				l = o.sortWrap(cur, sortKeysByScore(o.scoreFor(curMask)), lOrder)
+				l = o.sortWrap(cur, sortKeysByScore(eCur.score), eCur.order)
 			}
 		}
 		if l != nil {
-			outOrder, _ := o.rankOrderFor(mask)
+			outOrder := eOut.order
 			for _, r := range o.greedyRankedVariants(next) {
 				if !r.Props.Order.Covers(plan.RankOrder(next.name)) {
 					continue
@@ -286,7 +286,7 @@ func (o *optimizer) greedyJoin(cur *plan.Node, curMask uint64, next *tableInfo, 
 			InnerCard: next.rawCard,
 			P:         o.params,
 			Props: plan.Props{
-				Order:     o.preserveOuter(cur.Props, nextMask),
+				Order:     preserveOuter(cur.Props, eNext),
 				Pipelined: cur.Props.Pipelined,
 			},
 		})
@@ -295,7 +295,7 @@ func (o *optimizer) greedyJoin(cur *plan.Node, curMask uint64, next *tableInfo, 
 	// Hash join. When the prefix is unranked but next is ranked, build on the
 	// prefix and probe the ranked access so its order survives the join;
 	// otherwise build on next and probe the prefix, preserving its order.
-	if o.rankAware() && next.term != nil && len(o.rankedOf(curMask)) == 0 {
+	if o.rankAware() && next.term != nil && len(eCur.ranked) == 0 {
 		probes := o.greedyRankedVariants(next)
 		if len(probes) == 0 {
 			probes = []*plan.Node{o.cheapBase(next)}
@@ -309,7 +309,7 @@ func (o *optimizer) greedyJoin(cur *plan.Node, curMask uint64, next *tableInfo, 
 				Sel:      s,
 				P:        o.params,
 				Props: plan.Props{
-					Order:     o.preserveOuter(r.Props, curMask),
+					Order:     preserveOuter(r.Props, eCur),
 					Pipelined: r.Props.Pipelined,
 				},
 			})
@@ -325,7 +325,7 @@ func (o *optimizer) greedyJoin(cur *plan.Node, curMask uint64, next *tableInfo, 
 			Sel:      s,
 			P:        o.params,
 			Props: plan.Props{
-				Order:     o.preserveOuter(cur.Props, nextMask),
+				Order:     preserveOuter(cur.Props, eNext),
 				Pipelined: cur.Props.Pipelined,
 			},
 		})
@@ -340,9 +340,8 @@ func (o *optimizer) greedyJoin(cur *plan.Node, curMask uint64, next *tableInfo, 
 	// so it pays its full cost — the greedy mirror of the paper's
 	// First-N-Rows pipeline protection. Without it a pipelined-but-unordered
 	// join looks absurdly cheap at small k and dooms the plan to a full sort.
-	outOrder, haveRank := o.rankOrderFor(mask)
 	evalCost := func(c *plan.Node) float64 {
-		if o.q.Ranking() && !(haveRank && c.Props.Order.Covers(outOrder)) {
+		if o.q.Ranking() && !(len(eOut.ranked) > 0 && c.Props.Order.Covers(eOut.order)) {
 			return c.Cost(c.Card)
 		}
 		return c.Cost(k)

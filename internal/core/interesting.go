@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -35,7 +36,7 @@ func (o *optimizer) interestingOrders() []InterestingOrder {
 	}
 
 	if o.rankAware() {
-		ranked := o.rankedOf(o.fullMask())
+		ranked := o.entry(o.fullMask()).ranked
 		// Single score-term columns.
 		for _, ti := range ranked {
 			add(ti.term.E.String(), "Rank-join")
@@ -44,14 +45,14 @@ func (o *optimizer) interestingOrders() []InterestingOrder {
 		// than the full one feed rank-joins; the full one is the ORDER BY).
 		m := len(ranked)
 		if m >= 2 && m <= 12 {
-			for bits := uint64(1); bits < 1<<uint(m); bits++ {
-				cnt := popcount(bits)
+			for subset := uint64(1); subset < 1<<uint(m); subset++ {
+				cnt := bits.OnesCount64(subset)
 				if cnt < 2 {
 					continue
 				}
 				var terms []expr.ScoreTerm
 				for i := 0; i < m; i++ {
-					if bits&(1<<uint(i)) != 0 {
+					if subset&(1<<uint(i)) != 0 {
 						terms = append(terms, *ranked[i].term)
 					}
 				}

@@ -30,28 +30,17 @@ func (pc *pruneCounters) merge(other pruneCounters) {
 	pc.protected += other.protected
 }
 
-// addPlan inserts a candidate into a MEMO entry directly; only the
-// sequential base-level enumeration (and tests) use it — join levels go
-// through per-mask accumulators so workers never touch the shared memo.
-func (o *optimizer) addPlan(mask uint64, cand *plan.Node) {
-	o.pc.gen++
-	if tr := o.opts.Tracer; tr != nil {
-		tr.OnDecision(Decision{Kind: DecisionCandidate, Level: popcount(mask), Entry: o.label(mask)})
-	}
-	o.memo[mask] = o.insertPruned(mask, o.memo[mask], cand, &o.pc)
-}
-
-// insertPruned adds a candidate to a plan list, applying the paper's
-// property + cost pruning: a plan is pruned iff another plan for the same
-// expression has properties at least as strong AND is at most as expensive
-// at every achievable k (Section 3.3). Existing plans dominated by the
-// candidate are evicted. The receiver is only read, so concurrent workers
-// may call this on disjoint lists; pruning outcomes land in pc and, when a
-// Tracer is attached, as decision events.
-func (o *optimizer) insertPruned(mask uint64, plans []*plan.Node, cand *plan.Node, pc *pruneCounters) []*plan.Node {
-	if o.opts.KeepAllPlans {
-		return append(plans, cand)
-	}
+// insertPruned adds a costed candidate to a plan list, applying the paper's
+// property + cost pruning: a plan is pruned iff another plan for the
+// same expression has properties at least as strong AND is at most as
+// expensive at every achievable k (Section 3.3). Existing plans dominated by
+// the candidate are evicted (plans is filtered in place). kept reports
+// whether the candidate is now the list's last element; the node is stored
+// as given, so a caller that assembled it in scratch space replaces it with
+// a heap copy. The receiver is only read, so concurrent workers may call
+// this on disjoint lists; pruning outcomes land in pc and, when a Tracer is
+// attached, as decision events.
+func (o *optimizer) insertPruned(e *entryInfo, plans []memoPlan, cand memoPlan, pc *pruneCounters) (_ []memoPlan, kept bool) {
 	tr := o.opts.Tracer
 	candProtected := false
 	for _, p := range plans {
@@ -61,15 +50,15 @@ func (o *optimizer) insertPruned(mask uint64, plans []*plan.Node, cand *plan.Nod
 			if tr != nil {
 				tr.OnDecision(Decision{
 					Kind:       DecisionPruned,
-					Level:      popcount(mask),
-					Entry:      o.label(mask),
-					Plan:       plan.Summary(cand),
-					Rival:      plan.Summary(p),
-					CrossoverK: crossoverFor(cand, p),
-					Note:       o.domNote(p, cand),
+					Level:      e.level,
+					Entry:      e.label,
+					Plan:       plan.Summary(cand.n),
+					Rival:      plan.Summary(p.n),
+					CrossoverK: crossoverFor(cand.n, p.n),
+					Note:       o.domNote(p.n, cand.n),
 				})
 			}
-			return plans
+			return plans, false
 		}
 		// The candidate stays in the entry even though p is cheaper at every
 		// achievable k — the First-N-Rows property is doing the protecting.
@@ -80,16 +69,16 @@ func (o *optimizer) insertPruned(mask uint64, plans []*plan.Node, cand *plan.Nod
 			if tr != nil {
 				tr.OnDecision(Decision{
 					Kind:  DecisionProtected,
-					Level: popcount(mask),
-					Entry: o.label(mask),
-					Plan:  plan.Summary(cand),
-					Rival: plan.Summary(p),
+					Level: e.level,
+					Entry: e.label,
+					Plan:  plan.Summary(cand.n),
+					Rival: plan.Summary(p.n),
 					Note:  "pipelined plan kept despite cheaper blocking rival (First-N-Rows)",
 				})
 			}
 		}
 	}
-	kept := make([]*plan.Node, 0, len(plans)+1)
+	survivors := plans[:0]
 	for _, p := range plans {
 		dom, prot := o.dominatesExplained(cand, p)
 		if dom {
@@ -97,12 +86,12 @@ func (o *optimizer) insertPruned(mask uint64, plans []*plan.Node, cand *plan.Nod
 			if tr != nil {
 				tr.OnDecision(Decision{
 					Kind:       DecisionEvicted,
-					Level:      popcount(mask),
-					Entry:      o.label(mask),
-					Plan:       plan.Summary(p),
-					Rival:      plan.Summary(cand),
-					CrossoverK: crossoverFor(p, cand),
-					Note:       o.domNote(cand, p),
+					Level:      e.level,
+					Entry:      e.label,
+					Plan:       plan.Summary(p.n),
+					Rival:      plan.Summary(cand.n),
+					CrossoverK: crossoverFor(p.n, cand.n),
+					Note:       o.domNote(cand.n, p.n),
 				})
 			}
 			continue
@@ -112,23 +101,17 @@ func (o *optimizer) insertPruned(mask uint64, plans []*plan.Node, cand *plan.Nod
 			if tr != nil {
 				tr.OnDecision(Decision{
 					Kind:  DecisionProtected,
-					Level: popcount(mask),
-					Entry: o.label(mask),
-					Plan:  plan.Summary(p),
-					Rival: plan.Summary(cand),
+					Level: e.level,
+					Entry: e.label,
+					Plan:  plan.Summary(p.n),
+					Rival: plan.Summary(cand.n),
 					Note:  "pipelined plan kept despite cheaper blocking rival (First-N-Rows)",
 				})
 			}
 		}
-		kept = append(kept, p)
+		survivors = append(survivors, p)
 	}
-	return append(kept, cand)
-}
-
-// dominates reports whether plan a makes plan b redundant.
-func (o *optimizer) dominates(a, b *plan.Node) bool {
-	dom, _ := o.dominatesExplained(a, b)
-	return dom
+	return append(survivors, cand), true
 }
 
 // dominatesExplained reports whether plan a makes plan b redundant, and —
@@ -141,39 +124,29 @@ func (o *optimizer) dominates(a, b *plan.Node) bool {
 // plans grow monotonically in k, agreement at both endpoints decides the
 // whole range; disagreement is the paper's "keep both" zone around the
 // crossover k*.
-func (o *optimizer) dominatesExplained(a, b *plan.Node) (dom, protected bool) {
-	pa, pb := a.Props, b.Props
-	if o.opts.DisablePipelineProtection {
-		pa.Pipelined, pb.Pipelined = true, true
-	}
-	if pa.Dominates(pb) {
-		return o.costDominates(a, b), false
-	}
-	// Props failed: did only b's Pipelined flag save it? (Moot when the
-	// protection is ablated away — both flags were already forced true.)
-	if o.opts.DisablePipelineProtection || !pb.Pipelined || pa.Pipelined {
+func (o *optimizer) dominatesExplained(a, b memoPlan) (dom, protected bool) {
+	if !a.n.Props.Order.Covers(b.n.Props.Order) {
 		return false, false
 	}
-	pa.Pipelined, pb.Pipelined = true, true
-	if pa.Dominates(pb) && o.costDominates(a, b) {
-		return false, true
+	// a's order is at least as strong; what is left of Props.Dominates is
+	// the Pipelined flag: a must be pipelined whenever b is.
+	if o.opts.DisablePipelineProtection || a.n.Props.Pipelined || !b.n.Props.Pipelined {
+		return costDominates(a, b), false
 	}
-	return false, false
+	// Only b's Pipelined flag saves it — if a also wins on cost, the
+	// First-N-Rows protection is what kept b.
+	return false, costDominates(a, b)
 }
 
 // costDominates reports a at most as expensive as b at both endpoints of
-// the achievable k range.
-func (o *optimizer) costDominates(a, b *plan.Node) bool {
-	na := math.Max(a.Card, b.Card)
-	if a.Cost(na) > b.Cost(na)+costEps {
+// the achievable k range. A plan that cannot produce the query's k rows (or
+// a query without k) has atK == full, which is what Cost's clamp made of
+// that endpoint all along, so no case split on k is needed here.
+func costDominates(a, b memoPlan) bool {
+	if a.full > b.full+costEps {
 		return false
 	}
-	if o.kmin > 0 && o.kmin < na {
-		if a.Cost(o.kmin) > b.Cost(o.kmin)+costEps {
-			return false
-		}
-	}
-	return true
+	return !(a.atK > b.atK+costEps)
 }
 
 // domNote renders the reason a dominated b, for decision traces.

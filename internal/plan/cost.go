@@ -12,7 +12,16 @@ import (
 // the Section 4 depth model to convert k into input depths and recursively
 // charge their children for exactly those depths — the cost-side mirror of
 // Algorithm Propagate. TotalCost is Cost(Card).
-func (n *Node) Cost(k float64) float64 {
+func (n *Node) Cost(k float64) float64 { return n.CostFrom(k, n.inputCost) }
+
+// inputCost is what child i charges to deliver its first k tuples.
+func (n *Node) inputCost(i int, k float64) float64 { return n.Children[i].Cost(k) }
+
+// CostFrom is Cost with the inputs' costs supplied by the caller: input(i, k)
+// must return Children[i].Cost(k). The optimizer costs thousands of
+// candidates over the same few inputs and already knows most of those
+// answers; everything local to n is computed here, identically to Cost.
+func (n *Node) CostFrom(k float64, input func(i int, k float64) float64) float64 {
 	if k > n.Card {
 		k = n.Card
 	}
@@ -30,7 +39,7 @@ func (n *Node) Cost(k float64) float64 {
 
 	case OpSort:
 		in := n.Input()
-		return in.Cost(in.Card) + p.Sort(in.Card)
+		return input(0, in.Card) + p.Sort(in.Card)
 
 	case OpFilter:
 		in := n.Input()
@@ -38,73 +47,72 @@ func (n *Node) Cost(k float64) float64 {
 		if n.Sel > 0 {
 			need = math.Min(k/n.Sel, in.Card)
 		}
-		return in.Cost(need) + need*p.CPUTuple
+		return input(0, need) + need*p.CPUTuple
 
 	case OpNLJ:
 		l, r := n.Left(), n.Right()
 		frac := fraction(k, n.Card)
 		outer := l.Card * frac
 		// Inner is always fully materialized.
-		return l.Cost(outer) + r.Cost(r.Card) + p.NestedLoopCPU(outer, r.Card, k)
+		return input(0, outer) + input(1, r.Card) + p.NestedLoopCPU(outer, r.Card, k)
 
 	case OpINLJ:
 		l := n.Left()
 		frac := fraction(k, n.Card)
 		outer := l.Card * frac
 		matchesPerProbe := n.Sel * n.InnerCard
-		return l.Cost(outer) + outer*p.IndexProbe(matchesPerProbe)
+		return input(0, outer) + outer*p.IndexProbe(matchesPerProbe)
 
 	case OpHashJoin:
 		l, r := n.Left(), n.Right()
 		frac := fraction(k, n.Card)
 		probe := r.Card * frac
-		return l.Cost(l.Card) + p.HashBuild(l.Card) + r.Cost(probe) + p.HashProbe(probe, k)
+		return input(0, l.Card) + p.HashBuild(l.Card) + input(1, probe) + p.HashProbe(probe, k)
 
 	case OpMergeJoin:
 		l, r := n.Left(), n.Right()
 		frac := fraction(k, n.Card)
-		return l.Cost(l.Card*frac) + r.Cost(r.Card*frac) + p.MergeCPU(l.Card*frac, r.Card*frac, k)
+		return input(0, l.Card*frac) + input(1, r.Card*frac) + p.MergeCPU(l.Card*frac, r.Card*frac, k)
 
 	case OpHRJN:
 		dL, dR := n.Depths(k)
-		l, r := n.Left(), n.Right()
 		buffered := n.Sel * dL * dR
-		return l.Cost(dL) + r.Cost(dR) +
+		return input(0, dL) + input(1, dR) +
 			p.HashProbe(dL+dR, buffered) +
 			p.HeapPush(buffered, math.Max(buffered, 2))
 
 	case OpNRJN:
 		dL := n.nrjnOuterDepth(k)
-		l, r := n.Left(), n.Right()
+		r := n.Right()
 		matches := n.Sel * dL * r.Card
-		return l.Cost(dL) + r.Cost(r.Card) +
+		return input(0, dL) + input(1, r.Card) +
 			p.NestedLoopCPU(dL, r.Card, matches) +
 			p.HeapPush(matches, math.Max(matches, 2))
 
 	case OpLimit:
 		kk := math.Min(k, float64(n.K))
-		return n.Input().Cost(kk) + kk*p.CPUTuple
+		return input(0, kk) + kk*p.CPUTuple
 
 	case OpRank, OpProject:
-		return n.Input().Cost(k) + k*p.CPUTuple
+		return input(0, k) + k*p.CPUTuple
 
 	case OpHashAgg:
 		// Blocking: the whole input is consumed and hashed before the first
 		// group emerges.
 		in := n.Input()
-		return in.Cost(in.Card) + p.HashBuild(in.Card) + n.Card*p.CPUTuple
+		return input(0, in.Card) + p.HashBuild(in.Card) + n.Card*p.CPUTuple
 
 	case OpSortAgg:
 		// Streaming: producing k groups consumes the matching input prefix.
 		in := n.Input()
 		frac := fraction(k, n.Card)
-		return in.Cost(in.Card*frac) + in.Card*frac*p.CPUCompare + k*p.CPUTuple
+		return input(0, in.Card*frac) + in.Card*frac*p.CPUCompare + k*p.CPUTuple
 
 	case OpTopK:
 		// Bounded-heap sort: the whole input streams through a K-sized heap
 		// — no sort I/O, O(n log K) CPU.
 		in := n.Input()
-		return in.Cost(in.Card) + p.HeapPush(in.Card, math.Max(float64(n.K), 2))
+		return input(0, in.Card) + p.HeapPush(in.Card, math.Max(float64(n.K), 2))
 
 	case OpRankAgg:
 		// Fagin's TA over m lists of ~BaseN objects: the expected sorted
@@ -132,9 +140,9 @@ func (n *Node) Cost(k float64) float64 {
 		// group size n·sel, not the full input.
 		m := float64(len(n.Children))
 		total := 0.0
-		for _, c := range n.Children {
+		for i, c := range n.Children {
 			g := math.Max(n.Sel*c.Card, 1)
-			total += c.Cost(c.Card) + p.AnyKBuild(c.Card, g)
+			total += input(i, c.Card) + p.AnyKBuild(c.Card, g)
 		}
 		return total + p.AnyKDelay(math.Max(k, 1), m)
 

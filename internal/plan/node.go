@@ -7,6 +7,7 @@
 package plan
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -114,8 +115,8 @@ func RankOrder(tables ...string) OrderProp {
 	return OrderProp{Kind: OrderRank, RankTables: ts}
 }
 
-// Key returns the canonical string of the property, used for MEMO property
-// classes.
+// Key returns the canonical string of the property, for EXPLAIN and trace
+// text; comparisons go through Equal and Covers.
 func (o OrderProp) Key() string {
 	switch o.Kind {
 	case OrderNone:
@@ -132,8 +133,20 @@ func (o OrderProp) Key() string {
 	return "?"
 }
 
-// Equal reports property identity.
-func (o OrderProp) Equal(p OrderProp) bool { return o.Key() == p.Key() }
+// Equal reports property identity: same kind and, per kind, the same column
+// and direction or the same ranked table set.
+func (o OrderProp) Equal(p OrderProp) bool {
+	if o.Kind != p.Kind {
+		return false
+	}
+	switch o.Kind {
+	case OrderCol:
+		return o.Col == p.Col && o.Desc == p.Desc
+	case OrderRank:
+		return slices.Equal(o.RankTables, p.RankTables)
+	}
+	return true
+}
 
 // Covers reports whether having property o satisfies a requirement of p:
 // every property covers DC; otherwise they must be identical.
@@ -151,14 +164,6 @@ type Props struct {
 	// whole inputs — the First-N-Rows property that protects rank-join
 	// plans from being pruned by cheaper blocking plans.
 	Pipelined bool
-}
-
-// Key returns the canonical property-class string.
-func (p Props) Key() string {
-	if p.Pipelined {
-		return p.Order.Key() + "|pipe"
-	}
-	return p.Order.Key() + "|block"
 }
 
 // Dominates reports whether properties p are at least as strong as q:

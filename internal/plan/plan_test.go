@@ -122,9 +122,6 @@ func TestPropsDominance(t *testing.T) {
 	if dcPipe.Dominates(rankPipe) {
 		t.Error("DC cannot dominate ordered")
 	}
-	if rankPipe.Key() == rankBlock.Key() {
-		t.Error("property keys must distinguish pipelining")
-	}
 }
 
 func TestNodeTablesAndWalk(t *testing.T) {
