@@ -1,7 +1,9 @@
 package exec
 
 import (
+	"context"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"rankopt/internal/expr"
@@ -28,11 +30,12 @@ func buildRankedInput(n, mod int, seed int64) (*relation.Schema, []relation.Tupl
 
 // TestHRJNAllocsPerTuple pins the steady-state allocation rate of the HRJN
 // hot path, through the binary and the m-way constructor alike (one
-// implementation, two ways in). Before the pooled/hand-rolled-heap rewrite
-// this workload cost 13.5 allocs per emitted tuple (container/heap boxing
-// every queued item, a fresh output tuple per candidate, queue slots never
-// zeroed); after it, ~10.3. The bound sits between the two so any regression
-// back toward per-item boxing fails loudly while normal jitter does not.
+// implementation, two ways in). With container/heap boxing every queued item
+// this workload cost 13.5 allocs per emitted tuple; with join keys boxed into
+// map[any][]scored and one slice per key, 10.3; on the key table and the
+// chained row store, ~2.7 — the emitted tuple itself plus the amortized
+// growth of the flat arrays. The bound sits just above that, so a boxed key
+// or a per-key slice on the pull path fails loudly.
 func TestHRJNAllocsPerTuple(t *testing.T) {
 	lsch, ltups := buildRankedInput(4000, 200, 1)
 	rsch, rtups := buildRankedInput(4000, 200, 3)
@@ -69,8 +72,8 @@ func TestHRJNAllocsPerTuple(t *testing.T) {
 		}
 		perTuple := allocs / float64(emitted)
 		t.Logf("%s: %.1f allocs/run, %.2f allocs/emitted tuple", name, allocs, perTuple)
-		if perTuple > 12.0 {
-			t.Errorf("%s hot path allocates %.2f/tuple, budget 12.0 (pre-optimization was 13.5)", name, perTuple)
+		if perTuple > 3.0 {
+			t.Errorf("%s hot path allocates %.2f/tuple, budget 3.0 (with boxed keys it was 10.3)", name, perTuple)
 		}
 	}
 }
@@ -121,5 +124,64 @@ func TestScoreQueueReleasesPoppedTuples(t *testing.T) {
 		if s[i].v != nil {
 			t.Errorf("popped slot %d still references its tuple", i)
 		}
+	}
+}
+
+// TestAnyKBuildAllocs pins the any-k build: on recycled arrays (Close hands
+// them to the pool and the next Open, of this or any other operator, takes
+// them back), Open plus the first result allocates a constant handful of
+// objects — bound evaluators, the output tuple, the odd array the pool did
+// not hand back — whatever the input size. The boxed-key build allocated about five objects per input
+// tuple.
+func TestAnyKBuildAllocs(t *testing.T) {
+	for _, n := range []int{2000, 20000} {
+		levels := wideLevels(n, 4)
+		levels = append(levels, levels[0])
+		j := pathAnyK(t, levels, true)
+		run := func() {
+			if err := j.Open(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok, err := j.Next(); err != nil || !ok {
+				t.Fatalf("first result: ok=%v err=%v", ok, err)
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm the pool at this size
+		allocs := testing.AllocsPerRun(5, run)
+		t.Logf("n=%d: %.0f allocs per build + first result", n, allocs)
+		if allocs > 64 {
+			t.Errorf("n=%d: build + first result allocates %.0f objects, want a constant <= 64", n, allocs)
+		}
+	}
+}
+
+// TestRankAssignLimitAllocBytes pins the demand-sized output path of a top-k
+// request's root: Limit(20) over RankAssign carves twenty rows, so it must
+// allocate on the order of twenty rows — not a 164 KB arena chunk and two
+// full-size batches.
+func TestRankAssignLimitAllocBytes(t *testing.T) {
+	sch, tups := buildRankedInput(4000, 200, 1)
+	run := func() {
+		op := NewLimit(NewRankAssign(FromTuples(sch, tups), expr.Col("A", "score")), 20)
+		out, err := Collect(op)
+		if err != nil || len(out) != 20 {
+			t.Fatalf("%d rows, %v", len(out), err)
+		}
+	}
+	run()
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("Limit(20) over RankAssign: %d bytes per run", perRun)
+	if perRun >= 16<<10 {
+		t.Errorf("Limit(20) over RankAssign allocates %d bytes per run, want < 16 KB", perRun)
 	}
 }

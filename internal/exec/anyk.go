@@ -1,11 +1,10 @@
 package exec
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"math"
-	"slices"
+	"sync"
 
 	"rankopt/internal/expr"
 	"rankopt/internal/relation"
@@ -15,15 +14,17 @@ import (
 // equi-joins arranged as a path: input i joins input i+1 on
 // LeftKeys[i] = RightKeys[i]. Where the m-way HRJN eagerly materializes every
 // join combination a new tuple completes (a product of per-key bucket sizes),
-// AnyK builds per-level sorted adjacency once and then pops results from a
+// AnyK builds per-level adjacency once and then pops results from a
 // priority queue of partial solutions, expanding at most one successor per
-// path position per pop — delay O(m·log) per result after an
-// O(Σ n_i · log n_i) build, independent of the join's output size
-// (Tziavelis et al., "Optimal Join Algorithms Meet Top-k").
+// path position per pop — delay O(m·log) per result after an O(Σ n_i)
+// build, independent of the join's output size (Tziavelis et al., "Optimal
+// Join Algorithms Meet Top-k"; the buckets are ordered lazily as in its Lazy
+// variant, so the n·log n of sorting them is paid only where enumeration
+// actually reads).
 //
 // The build phase is bottom-up dynamic programming over the path: each tuple
-// at level i learns its sorted successor bucket at level i+1 (tuples sharing
-// its join key, ordered by best achievable completion) and its own `suffix`
+// at level i learns its successor bucket at level i+1 (tuples sharing its
+// join key, ordered by best achievable completion) and its own `suffix`
 // bound — its score plus the best completion of the remaining path. The
 // enumeration phase then walks a max-heap of index vectors: popping the
 // current best solution and pushing, for each position at or after the pop's
@@ -48,20 +49,17 @@ type AnyK struct {
 	// per-input depth limit while draining inputs.
 	Budget *Budget
 
-	schema  *relation.Schema
-	ins     []rankedInput // the shared reader, one per level (unordered)
-	lkeyEvs []expr.Eval   // lkeyEvs[i] binds LeftKeys[i] to Inputs[i]
-	rkeyEvs []expr.Eval   // rkeyEvs[i] binds RightKeys[i] to Inputs[i+1]
+	schema *relation.Schema
+	ins    []rankedInput // the shared reader, one per level (unordered)
+	lkeys  []keyEval     // lkeys[i] binds LeftKeys[i] to Inputs[i]
+	rkeys  []keyEval     // rkeys[i] binds RightKeys[i] to Inputs[i+1]
 
+	// The arrays of an open AnyK, nil while it is closed.
+	*anykBuffers
 	built bool
-	root  []anykEntry
 	// buf queues the pending solutions; every input is read out before the
 	// first one is pushed, so its release step always drains.
 	buf rankBuffer[anykSol]
-	// path and prefix are pop-time scratch (the solution walk), reused so
-	// the hot path does not allocate them.
-	path   []*anykEntry
-	prefix []float64
 
 	cancel canceller
 }
@@ -70,20 +68,67 @@ type AnyK struct {
 // fixed array and pushes never allocate. Join queries are far narrower.
 const anykMaxWidth = 8
 
-// anykEntry is one input tuple annotated for ranked enumeration: its own
+// anykBuffers is everything an open AnyK builds and enumerates in. The engine
+// compiles a fresh operator per request, so the arrays are recycled through
+// anykBufferPool like the Sort enforcer's: a warm build allocates nothing.
+// Nothing in here outlives Close — the built structure is per session.
+type anykBuffers struct {
+	levels []anykLevel
+	// sorts are the quicksort states of the buckets enumeration has walked
+	// past their best member, at most one per successor pushed.
+	sorts []incSort
+	// queue is the backing array of the pending-solution heap.
+	queue []scoreItem[anykSol]
+	batch *Batch
+	// grp and fill are link's scratch: each entry's bucket (-1 once it is
+	// known to complete no result) and each bucket's write cursor.
+	grp, fill []int32
+	// path and prefix are pop-time scratch: the popped solution's entry at
+	// each level and the running sum of their scores.
+	path   [anykMaxWidth]int32
+	prefix [anykMaxWidth]float64
+}
+
+var anykBufferPool = sync.Pool{New: func() any {
+	return &anykBuffers{levels: make([]anykLevel, 0, anykMaxWidth)}
+}}
+
+// anykLevel is one input annotated for ranked enumeration, as a structure of
+// arrays over its tuples in arrival order: entry e is tuples[e], with its own
 // score contribution, the best total achievable from it to the end of the
-// path (suffix), and its sorted successor bucket at the next level.
-type anykEntry struct {
-	tuple  relation.Tuple
-	score  float64
-	suffix float64
-	next   []anykEntry
-	ord    int32
+// path (suffix) and the bucket of the next level it joins with (succ). The
+// entries that complete at least one result are filed — as (suffix, e)
+// members, best suffix first, arrival order on ties — into one bucket per
+// join key toward the previous level (level 0 has the single root bucket):
+// bucket g is mem[start[g]:start[g+1]].
+//
+// A bucket is ordered only as far as enumeration reads it. The build puts
+// each bucket's best member first — all the suffix recurrence needs — in one
+// linear pass; positions past it are finalized on demand by the incremental
+// quicksort, so a top-k request never orders what it does not visit.
+type anykLevel struct {
+	// tuples is the input itself when it lends its slice (see tupleLender),
+	// else the copy in own.
+	tuples, own []relation.Tuple
+	// score is NaN for a tuple dropped at admission (NULL score).
+	score, suffix []float64
+	succ          []int32
+	// keys maps this level's join key toward the previous level to a bucket.
+	keys  keyTable
+	start []int32
+	mem   []sortEnt
+	// best[g] is the suffix of bucket g's best member, the one number the
+	// previous level's recurrence reads from it.
+	best []float64
+	// lazy[g] is 0 while only bucket g's best member is final, else one more
+	// than the index of its quicksort state in anykBuffers.sorts.
+	lazy []int32
 }
 
 // anykSol is a pending (partial) solution: an index vector selecting one
-// entry per level and the deviation level below which the vector is frozen
-// for successor generation. Its total score is its key in the scoreQueue.
+// bucket position per level and the deviation level below which the vector
+// is frozen for successor generation. Its total score is its key in the
+// scoreQueue.
 type anykSol struct {
 	dev int8
 	idx [anykMaxWidth]int32
@@ -139,10 +184,9 @@ func (j *AnyK) gauges() analyzeGauges {
 // error like every other operator's pull loop.
 func (j *AnyK) Open(ctx context.Context) error {
 	j.cancel.reset(ctx)
-	j.buf.reset(j.Budget, 0)
 	m := len(j.Inputs)
-	j.lkeyEvs = make([]expr.Eval, m-1)
-	j.rkeyEvs = make([]expr.Eval, m-1)
+	j.lkeys = make([]keyEval, m-1)
+	j.rkeys = make([]keyEval, m-1)
 	for i, in := range j.Inputs {
 		if err := in.Open(ctx); err != nil {
 			closeQuietly(j.Inputs[:i]...)
@@ -150,10 +194,10 @@ func (j *AnyK) Open(ctx context.Context) error {
 		}
 		err := j.ins[i].bind("AnyK", i, in, j.Scores[i], false, j.Budget)
 		if err == nil && i < m-1 {
-			j.lkeyEvs[i], err = j.LeftKeys[i].Bind(in.Schema())
+			j.lkeys[i], err = bindKey(j.LeftKeys[i], in.Schema())
 		}
 		if err == nil && i > 0 {
-			j.rkeyEvs[i-1], err = j.RightKeys[i-1].Bind(in.Schema())
+			j.rkeys[i-1], err = bindKey(j.RightKeys[i-1], in.Schema())
 		}
 		if err != nil {
 			closeQuietly(j.Inputs[:i+1]...)
@@ -161,135 +205,188 @@ func (j *AnyK) Open(ctx context.Context) error {
 		}
 	}
 	j.built = false
-	j.root = nil
-	j.path = make([]*anykEntry, m)
-	j.prefix = make([]float64, m)
+	j.buf.reset(j.Budget, 0)
+	if j.anykBuffers == nil {
+		j.anykBuffers = anykBufferPool.Get().(*anykBuffers)
+	}
+	j.levels = j.levels[:m]
+	j.sorts = j.sorts[:0]
+	j.buf.pq.items = j.queue[:0]
 	return nil
 }
 
-// drainLevel consumes input i fully, returning its surviving entries.
-// Tuples with a NULL score or a NULL required join key cannot contribute to
-// any result and are dropped.
-func (j *AnyK) drainLevel(i int) ([]anykEntry, error) {
-	in := &j.ins[i]
-	var out []anykEntry
-	for !in.done {
-		if err := j.cancel.poll(); err != nil {
-			return nil, err
-		}
-		t, s, ok, err := in.read()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			continue
-		}
-		if err := j.buf.acct.charge(1); err != nil {
-			return nil, err
-		}
-		out = append(out, anykEntry{tuple: t, score: s, ord: int32(len(out))})
-	}
-	return out, nil
-}
-
-// levelKey evaluates ev on the entry's tuple, returning the hash key and
-// whether the key is usable (non-NULL).
-func levelKey(ev expr.Eval, e *anykEntry) (any, bool, error) {
-	kv, err := ev(e.tuple)
-	if err != nil {
-		return nil, false, err
-	}
-	if kv.IsNull() {
-		return nil, false, nil
-	}
-	return kv.HashKey(), true, nil
-}
-
-// build runs the bottom-up phase: drain every input, then assign suffix
-// bounds and sorted successor buckets backward along the path.
-func (j *AnyK) build() error {
-	m := len(j.Inputs)
-	levels := make([][]anykEntry, m)
-	for i := 0; i < m; i++ {
-		lv, err := j.drainLevel(i)
-		if err != nil {
+// drainLevel reads input i out into its level batch-natively: an input that
+// lends its tuples is annotated in place, any other is copied batch by batch.
+// Each batch is admitted, then charged for the tuples that scored; a tuple
+// with a NULL score cannot contribute to any result and is marked dropped.
+func (j *AnyK) drainLevel(i int) error {
+	in, lv := &j.ins[i], &j.levels[i]
+	lv.score = lv.score[:0]
+	admit := func(ts []relation.Tuple) error {
+		if err := j.cancel.check(); err != nil {
 			return err
 		}
-		levels[i] = lv
-	}
-
-	// byKey buckets the current (deeper) level's surviving entries by the
-	// join key their predecessors probe with.
-	sortBucket := func(b []anykEntry) {
-		slices.SortFunc(b, func(x, y anykEntry) int {
-			if x.suffix != y.suffix {
-				return compareScoreDesc(x.suffix, y.suffix)
-			}
-			return cmp.Compare(x.ord, y.ord)
-		})
-	}
-	var byKey map[any][]anykEntry
-	for lvl := m - 1; lvl >= 0; lvl-- {
-		var kept []anykEntry
-		for idx := range levels[lvl] {
-			if err := j.cancel.poll(); err != nil {
-				return err
-			}
-			e := levels[lvl][idx]
-			if lvl == m-1 {
-				e.suffix = e.score
-			} else {
-				hk, ok, err := levelKey(j.lkeyEvs[lvl], &e)
-				if err != nil {
-					return err
-				}
-				if !ok {
-					j.buf.acct.release(1)
-					continue
-				}
-				nxt := byKey[hk]
-				if len(nxt) == 0 {
-					// No completion below: the entry is dead weight.
-					j.buf.acct.release(1)
-					continue
-				}
-				e.next = nxt
-				e.suffix = e.score + nxt[0].suffix
-			}
-			kept = append(kept, e)
-		}
-		if lvl == 0 {
-			sortBucket(kept)
-			for i := range kept {
-				kept[i].ord = int32(i)
-			}
-			j.root = kept
-			break
-		}
-		next := make(map[any][]anykEntry, len(kept))
-		for _, e := range kept {
-			hk, ok, err := levelKey(j.rkeyEvs[lvl-1], &e)
+		scored := 0
+		for _, t := range ts {
+			s, ok, err := in.admit(t)
 			if err != nil {
 				return err
 			}
-			if !ok {
-				j.buf.acct.release(1)
+			if ok {
+				scored++
+			} else {
+				s = math.NaN()
+			}
+			lv.score = append(lv.score, s)
+		}
+		return j.buf.acct.charge(scored)
+	}
+	if lender, ok := in.in.(tupleLender); ok {
+		lv.tuples = lender.lendRest()
+		for lo := 0; lo < len(lv.tuples); lo += DefaultBatchSize {
+			if err := admit(lv.tuples[lo:min(lo+DefaultBatchSize, len(lv.tuples))]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if j.batch == nil {
+		j.batch = NewBatch(DefaultBatchSize)
+	}
+	var src batchSource
+	src.reset(j.cancel.ctx, in.in)
+	lv.own = lv.own[:0]
+	for {
+		ok, err := src.next(j.batch, DefaultBatchSize)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			lv.tuples = lv.own
+			return nil
+		}
+		lv.own = append(lv.own, j.batch.Tuples()...)
+		if err := admit(j.batch.Tuples()); err != nil {
+			return err
+		}
+	}
+}
+
+// link is one step of the backward dynamic program: with the next level
+// linked, it gives every entry of level lvl its successor bucket and suffix
+// bound, drops (and releases) the entries that complete no result, and files
+// the rest into this level's buckets with each bucket's best member first.
+func (j *AnyK) link(lvl int) error {
+	lv := &j.levels[lvl]
+	var next *anykLevel
+	if lvl < len(j.levels)-1 {
+		next = &j.levels[lvl+1]
+	}
+	n := len(lv.tuples)
+	lv.suffix = resized(lv.suffix, n)
+	if next != nil {
+		lv.succ = resized(lv.succ, n)
+	}
+	if lvl > 0 {
+		lv.keys.reset(n)
+	}
+	j.grp = resized(j.grp, n)
+	// Pass one sizes the buckets: start[g+1] counts bucket g's members.
+	lv.start = append(lv.start[:0], 0)
+	scored := 0
+	for e, t := range lv.tuples {
+		if err := j.cancel.poll(); err != nil {
+			return err
+		}
+		j.grp[e] = -1
+		s := lv.score[e]
+		if s != s {
+			continue // dropped at admission, never charged
+		}
+		scored++
+		if next != nil {
+			k, err := j.lkeys[lvl].of(t)
+			if err != nil {
+				return err
+			}
+			succ := next.keys.find(k)
+			if succ < 0 {
+				continue // NULL key, or no completion below
+			}
+			lv.succ[e] = succ
+			s += next.best[succ]
+		}
+		lv.suffix[e] = s
+		g := int32(0)
+		if lvl > 0 {
+			k, err := j.rkeys[lvl-1].of(t)
+			if err != nil {
+				return err
+			}
+			if k.IsNull() {
 				continue
 			}
-			next[hk] = append(next[hk], e)
+			g = lv.keys.intern(k)
 		}
-		for hk, b := range next {
-			sortBucket(b)
-			for i := range b {
-				b[i].ord = int32(i)
-			}
-			next[hk] = b
+		if int(g) == len(lv.start)-1 {
+			lv.start = append(lv.start, 0)
 		}
-		byKey = next
+		lv.start[g+1]++
+		j.grp[e] = g
 	}
+	groups := len(lv.start) - 1
+	for g := 0; g < groups; g++ {
+		lv.start[g+1] += lv.start[g]
+	}
+	filed := int(lv.start[groups])
+	// The scored entries that were not filed complete no result.
+	j.buf.acct.release(scored - filed)
 
-	if len(j.root) > 0 {
-		if err := j.buf.offer(j.root[0].suffix, anykSol{}); err != nil {
+	// Pass two files the members bucket by bucket, in arrival order except
+	// that a bucket's best member so far is kept in its first position.
+	lv.mem = resized(lv.mem, filed)
+	j.fill = resized(j.fill, groups)
+	copy(j.fill, lv.start)
+	for e, g := range j.grp {
+		if g < 0 {
+			continue
+		}
+		x := sortEnt{key: sortKeyBits(lv.suffix[e], true), seq: e}
+		p, first := j.fill[g], lv.start[g]
+		j.fill[g]++
+		// A later arrival displaces the best only with a strictly better key.
+		if p > first && x.key < lv.mem[first].key {
+			lv.mem[first], x = x, lv.mem[first]
+		}
+		lv.mem[p] = x
+	}
+	lv.best = resized(lv.best, groups)
+	for g := range lv.best {
+		lv.best[g] = lv.suffix[lv.mem[lv.start[g]].seq]
+	}
+	lv.lazy = resized(lv.lazy, groups)
+	clear(lv.lazy)
+	return nil
+}
+
+// build runs the bottom-up phase: drain every input, then assign suffix
+// bounds and successor buckets backward along the path.
+func (j *AnyK) build() error {
+	for i := range j.levels {
+		if err := j.drainLevel(i); err != nil {
+			return err
+		}
+		if len(j.levels[i].tuples) > math.MaxInt32 {
+			return fmt.Errorf("exec: AnyK input %d exceeds %d tuples", i, math.MaxInt32)
+		}
+	}
+	for lvl := len(j.levels) - 1; lvl >= 0; lvl-- {
+		if err := j.link(lvl); err != nil {
+			return err
+		}
+	}
+	if root := &j.levels[0]; len(root.best) > 0 {
+		if err := j.buf.offer(root.best[0], anykSol{}); err != nil {
 			return err
 		}
 	}
@@ -297,20 +394,33 @@ func (j *AnyK) build() error {
 	return nil
 }
 
-// walk materializes the popped solution's per-level entries and running
-// prefix scores into the reusable scratch.
-func (j *AnyK) walk(s *anykSol) {
-	bucket := j.root
-	for lvl := 0; lvl < len(j.Inputs); lvl++ {
-		e := &bucket[s.idx[lvl]]
-		j.path[lvl] = e
-		if lvl == 0 {
-			j.prefix[0] = e.score
-		} else {
-			j.prefix[lvl] = j.prefix[lvl-1] + e.score
-		}
-		bucket = e.next
+// member returns the entry at position pos of bucket g of level lvl, ordering
+// the bucket as far as pos first; ok=false past the bucket's end.
+func (j *AnyK) member(lvl int, g, pos int32) (e int, ok bool, err error) {
+	lv := &j.levels[lvl]
+	lo, hi := lv.start[g], lv.start[g+1]
+	if pos >= hi-lo {
+		return 0, false, nil
 	}
+	if pos > 0 {
+		if lv.lazy[g] == 0 {
+			// First step past the best member: give the bucket a quicksort
+			// state, reusing a recycled one's pivot stack when there is one.
+			if n := len(j.sorts); n < cap(j.sorts) {
+				j.sorts = j.sorts[:n+1]
+			} else {
+				j.sorts = append(j.sorts, incSort{})
+			}
+			lv.lazy[g] = int32(len(j.sorts))
+			j.sorts[lv.lazy[g]-1].start(lv.mem[lo:hi], 1)
+		}
+		for q := &j.sorts[lv.lazy[g]-1]; q.sorted <= int(pos); {
+			if err := q.refine(&j.cancel); err != nil {
+				return 0, false, err
+			}
+		}
+	}
+	return lv.mem[lo+pos].seq, true, nil
 }
 
 // Next implements Operator: pop the best pending solution, emit it, and push
@@ -328,22 +438,38 @@ func (j *AnyK) Next() (relation.Tuple, bool, error) {
 	if !ok {
 		return nil, false, nil
 	}
-	m := len(j.Inputs)
-	j.walk(&sol)
 
-	for lvl := int(sol.dev); lvl < m; lvl++ {
-		bucket := j.root
+	// Walk the solution: its entry at every level (each position in the
+	// vector was final when the solution was pushed) and the running prefix
+	// scores. bucket[lvl] is the bucket the level's position indexes.
+	var bucket [anykMaxWidth]int32
+	for lvl := range j.levels {
+		lv := &j.levels[lvl]
+		g := bucket[lvl]
+		e := lv.mem[lv.start[g]+sol.idx[lvl]].seq
+		j.path[lvl] = int32(e)
+		j.prefix[lvl] = lv.score[e]
 		if lvl > 0 {
-			bucket = j.path[lvl-1].next
+			j.prefix[lvl] += j.prefix[lvl-1]
 		}
+		if lvl+1 < len(j.levels) {
+			bucket[lvl+1] = lv.succ[e]
+		}
+	}
+
+	for lvl := int(sol.dev); lvl < len(j.levels); lvl++ {
 		ni := sol.idx[lvl] + 1
-		if int(ni) >= len(bucket) {
+		e, ok, err := j.member(lvl, bucket[lvl], ni)
+		if err != nil {
+			return nil, false, err
+		}
+		if !ok {
 			continue
 		}
 		succ := anykSol{dev: int8(lvl)}
 		copy(succ.idx[:lvl], sol.idx[:lvl])
 		succ.idx[lvl] = ni
-		score := bucket[ni].suffix
+		score := j.levels[lvl].suffix[e]
 		if lvl > 0 {
 			score += j.prefix[lvl-1]
 		}
@@ -353,16 +479,31 @@ func (j *AnyK) Next() (relation.Tuple, bool, error) {
 	}
 
 	out := make(relation.Tuple, 0, j.schema.Len())
-	for lvl := 0; lvl < m; lvl++ {
-		out = append(out, j.path[lvl].tuple...)
+	for lvl := range j.levels {
+		out = append(out, j.levels[lvl].tuples[j.path[lvl]]...)
 	}
 	return out, true, nil
 }
 
-// Close implements Operator.
+// Close implements Operator: the arrays go back to the pool cleared of the
+// tuples they referenced, and every outstanding charge is returned.
 func (j *AnyK) Close() error {
-	j.root = nil
-	j.path = nil
+	if b := j.anykBuffers; b != nil {
+		for i := range b.levels {
+			lv := &b.levels[i]
+			clear(lv.own)
+			lv.tuples = nil
+		}
+		for i := range b.sorts {
+			b.sorts[i].ents = nil
+		}
+		if b.batch != nil {
+			b.batch.Reset()
+		}
+		b.queue, j.buf.pq.items = j.buf.pq.items[:0], nil
+		j.anykBuffers = nil
+		anykBufferPool.Put(b)
+	}
 	j.built = false
 	j.buf.close()
 	return closeAll(j.Inputs)

@@ -160,7 +160,7 @@ func (s *batchSource) next(out *Batch, max int) (bool, error) {
 	return out.Len() > 0, nil
 }
 
-// arenaChunkValues sizes the tupleArena's allocation unit: one make per
+// arenaChunkValues caps the tupleArena's allocation unit: one make per
 // chunk serves many output tuples, so the per-tuple allocation count of
 // vectorized Project / RankAssign / hash-join probe drops from one per tuple
 // to one per chunk.
@@ -171,9 +171,22 @@ const arenaChunkValues = 4096
 // to the caller, so the win is purely amortizing the allocation count.
 // Carved tuples use full-capacity slices (len == cap), so a caller growing
 // one with append reallocates instead of clobbering its neighbor.
+//
+// Chunks are sized by demand: the first is as large as the batch the operator
+// announced with reserve, and each later one doubles the last, up to
+// arenaChunkValues. A top-k request whose root carves twenty rows allocates
+// (and the runtime clears) those twenty rows, not a full chunk; a long drain
+// reaches full chunks within a few batches.
 type tupleArena struct {
 	chunk []relation.Value
+	// demand is the size announced for the batch in hand; last is the size of
+	// the most recent chunk.
+	demand, last int
 }
+
+// reserve announces that the operator is about to carve about rows tuples of
+// the given width — one batch's output.
+func (a *tupleArena) reserve(rows, width int) { a.demand = rows * width }
 
 // alloc returns a zeroed tuple of width n.
 func (a *tupleArena) alloc(n int) relation.Tuple {
@@ -181,11 +194,8 @@ func (a *tupleArena) alloc(n int) relation.Tuple {
 		return relation.Tuple{}
 	}
 	if len(a.chunk) < n {
-		size := arenaChunkValues
-		if n > size {
-			size = n
-		}
-		a.chunk = make([]relation.Value, size)
+		a.last = max(n, min(max(a.demand, 2*a.last), arenaChunkValues))
+		a.chunk = make([]relation.Value, a.last)
 	}
 	t := relation.Tuple(a.chunk[:n:n])
 	a.chunk = a.chunk[n:]

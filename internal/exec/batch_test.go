@@ -241,97 +241,6 @@ func TestHashJoinStringKeyMigration(t *testing.T) {
 	}
 }
 
-// TestFloatTableSemantics exercises the open-addressing table directly:
-// normalized-key equality, the min-max filter, NaN unreachability, and
-// growth past the presize cap.
-func TestFloatTableSemantics(t *testing.T) {
-	row := relation.Tuple{relation.Int(0)}
-
-	t.Run("empty_rejects_everything", func(t *testing.T) {
-		ft := newFloatTable(0)
-		for _, f := range []float64{0, 1, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
-			if g := ft.get(f); g != nil {
-				t.Fatalf("empty table returned a group for %v", f)
-			}
-		}
-	})
-
-	t.Run("zero_collapse", func(t *testing.T) {
-		ft := newFloatTable(4)
-		ft.add(math.Copysign(0, -1), row)
-		ft.add(0, row)
-		if g := ft.get(0); len(g) != 2 {
-			t.Fatalf("+0 lookup found %d rows, want 2 (-0 and +0 are one key)", len(g))
-		}
-		if g := ft.get(math.Copysign(0, -1)); len(g) != 2 {
-			t.Fatalf("-0 lookup found %d rows, want 2", len(g))
-		}
-	})
-
-	t.Run("nan_unreachable", func(t *testing.T) {
-		ft := newFloatTable(4)
-		ft.add(math.NaN(), row)
-		ft.add(1, row)
-		if g := ft.get(math.NaN()); g != nil {
-			t.Fatal("NaN probe must never match, as in a built-in map")
-		}
-		if g := ft.get(1); len(g) != 1 {
-			t.Fatalf("real key lookup after NaN insert: %d rows, want 1", len(g))
-		}
-	})
-
-	t.Run("minmax_filter_bounds", func(t *testing.T) {
-		ft := newFloatTable(4)
-		for _, f := range []float64{5, 7.5, 10} {
-			ft.add(f, row)
-		}
-		// NaN inserts must not widen the bounds.
-		ft.add(math.NaN(), row)
-		if ft.lo != 5 || ft.hi != 10 {
-			t.Fatalf("bounds [%v, %v], want [5, 10]", ft.lo, ft.hi)
-		}
-		if ft.get(4.999) != nil || ft.get(10.001) != nil {
-			t.Fatal("out-of-range probe slipped past the min-max filter")
-		}
-		if ft.get(5) == nil || ft.get(10) == nil || ft.get(7.5) == nil {
-			t.Fatal("boundary keys must remain reachable")
-		}
-		if ft.get(6) != nil {
-			t.Fatal("in-range absent key must miss")
-		}
-	})
-
-	t.Run("grow_preserves_keys_and_bounds", func(t *testing.T) {
-		ft := newFloatTable(0) // 16 slots: 1000 distinct keys force many grows
-		for i := 0; i < 1000; i++ {
-			ft.add(float64(i), relation.Tuple{relation.Int(int64(i))})
-			ft.add(float64(i), relation.Tuple{relation.Int(int64(i))}) // duplicate
-		}
-		for i := 0; i < 1000; i++ {
-			g := ft.get(float64(i))
-			if len(g) != 2 {
-				t.Fatalf("key %d: group size %d after grows, want 2", i, len(g))
-			}
-			if g[0][0].AsInt() != int64(i) {
-				t.Fatalf("key %d: wrong group contents", i)
-			}
-		}
-		if ft.lo != 0 || ft.hi != 999 {
-			t.Fatalf("bounds [%v, %v] after grows, want [0, 999]", ft.lo, ft.hi)
-		}
-		if ft.get(-1) != nil || ft.get(1000) != nil {
-			t.Fatal("absent keys must miss after grows")
-		}
-	})
-
-	t.Run("presize_cap", func(t *testing.T) {
-		ft := newFloatTable(1 << 20)
-		if len(ft.keys) != maxInitialSlots {
-			t.Fatalf("huge hint presized %d slots, want cap %d", len(ft.keys), maxInitialSlots)
-		}
-	})
-}
-
 // slowSource emits up to n copies of one (id, key, score) tuple, one per
 // Next, invoking onNext before each pull. Per-tuple only — batch consumers
 // reach it through the shim — which makes it the tool for cancellation

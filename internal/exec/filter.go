@@ -75,7 +75,7 @@ func (f *Filter) Next() (relation.Tuple, bool, error) {
 func (f *Filter) NextBatch(out *Batch, max int) (bool, error) {
 	out.Reset()
 	if f.in == nil {
-		f.in = NewBatch(DefaultBatchSize)
+		f.in = NewBatch(min(max, DefaultBatchSize))
 	}
 	for {
 		if err := f.cancel.check(); err != nil {
@@ -199,12 +199,13 @@ func (p *Project) Next() (relation.Tuple, bool, error) {
 func (p *Project) NextBatch(out *Batch, max int) (bool, error) {
 	out.Reset()
 	if p.in == nil {
-		p.in = NewBatch(DefaultBatchSize)
+		p.in = NewBatch(min(max, DefaultBatchSize))
 	}
 	ok, err := p.src.next(p.in, max)
 	if err != nil || !ok {
 		return false, err
 	}
+	p.arena.reserve(p.in.Len(), len(p.evals))
 	for _, t := range p.in.Tuples() {
 		row := p.arena.alloc(len(p.evals))
 		for i := range p.evals {
@@ -359,12 +360,13 @@ func (r *RankAssign) Next() (relation.Tuple, bool, error) {
 func (r *RankAssign) NextBatch(out *Batch, max int) (bool, error) {
 	out.Reset()
 	if r.in == nil {
-		r.in = NewBatch(DefaultBatchSize)
+		r.in = NewBatch(min(max, DefaultBatchSize))
 	}
 	ok, err := r.src.next(r.in, max)
 	if err != nil || !ok {
 		return false, err
 	}
+	r.arena.reserve(r.in.Len(), r.schema.Len())
 	for _, t := range r.in.Tuples() {
 		v, err := r.ev(t)
 		if err != nil {

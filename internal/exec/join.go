@@ -230,35 +230,31 @@ type HashJoin struct {
 	BuildSizeHint int
 	// PerTupleBuild selects the scalar reference build: the left input is
 	// drained one Next at a time (polling per tuple), keys are evaluated
-	// through the bound expression, and the table is the interface-keyed
-	// generic map — the executor exactly as it was before vectorization.
+	// through the bound expression, and the table is an interface-keyed
+	// built-in map — the executor exactly as it was before vectorization.
 	// The differential oracle and the batch benchmarks run this side against
 	// the vectorized build/probe, which doubles as an independent
-	// implementation check on the open-addressing numeric table.
+	// implementation check on keyTable.
 	PerTupleBuild bool
 
 	schema *relation.Schema
-	// numTable is the common-case build table: join keys in this engine hash
-	// through Value.HashKey, which normalizes every numeric to float64, so an
-	// open-addressing table keyed by float64 directly gives identical match
-	// groups without boxing each key into an interface — and probes cheaply
-	// enough to inline into the vectorized probe loop. table is nil until the
-	// build sees a non-numeric key, at which point numTable migrates into it.
-	numTable *floatTable
-	table    map[any][]relation.Tuple
-	rKeyEv   expr.Eval
-	rKeyIdx  int
-	rKeyFast bool
-	resEv    expr.Eval
-	cur      relation.Tuple
-	matches  []relation.Tuple
-	mpos     int
-	done     bool
-	acct     accountant
-	cancel   canceller
-	src      batchSource
-	in       *Batch
-	arena    tupleArena
+	// keys maps a build key to its group id and groups[id] holds the build
+	// tuples under it, in arrival order. ref is the scalar reference build's
+	// own table, deliberately not a keyTable (see PerTupleBuild).
+	keys    keyTable
+	groups  [][]relation.Tuple
+	ref     map[any][]relation.Tuple
+	rKey    keyEval
+	resEv   expr.Eval
+	cur     relation.Tuple
+	matches []relation.Tuple
+	mpos    int
+	done    bool
+	acct    accountant
+	cancel  canceller
+	src     batchSource
+	in      *Batch
+	arena   tupleArena
 	// kbuf holds one probe batch's normalized key bits (the vectorized
 	// probe's key-extraction pass).
 	kbuf []uint64
@@ -294,7 +290,7 @@ func (j *HashJoin) Open(ctx context.Context) error {
 	if err := j.Right.Open(ctx); err != nil {
 		return err
 	}
-	rKeyEv, err := j.RightKey.Bind(j.Right.Schema())
+	rKey, err := bindKey(j.RightKey, j.Right.Schema())
 	if err != nil {
 		closeQuietly(j.Right)
 		return err
@@ -304,8 +300,7 @@ func (j *HashJoin) Open(ctx context.Context) error {
 		closeQuietly(j.Right)
 		return err
 	}
-	j.rKeyEv, j.resEv = rKeyEv, resEv
-	j.rKeyIdx, j.rKeyFast = expr.ColIndex(j.RightKey, j.Right.Schema())
+	j.rKey, j.resEv = rKey, resEv
 	j.cur = nil
 	j.done = false
 	j.cancel.reset(ctx)
@@ -315,25 +310,23 @@ func (j *HashJoin) Open(ctx context.Context) error {
 
 // build drains the opened left input into the hash table, batch-at-a-time:
 // one context check per batch, key extraction by direct column load when the
-// key is a bare column, and a presized float64-keyed table on the numeric
-// common case.
+// key is a bare column, and a presized key table.
 func (j *HashJoin) build(ctx context.Context) error {
 	j.acct.releaseAll()
 	j.acct.budget = j.Budget
-	lKeyEv, err := j.LeftKey.Bind(j.Left.Schema())
+	lKey, err := bindKey(j.LeftKey, j.Left.Schema())
 	if err != nil {
 		return err
 	}
 	if j.PerTupleBuild {
-		return j.buildPerTuple(ctx, lKeyEv)
+		return j.buildPerTuple(ctx, lKey.ev)
 	}
-	lKeyIdx, lKeyFast := expr.ColIndex(j.LeftKey, j.Left.Schema())
-	hint := j.BuildSizeHint
-	if hint < 0 {
-		hint = 0
-	}
-	j.numTable = newFloatTable(hint)
-	j.table = nil
+	hint := sizeHint(float64(j.BuildSizeHint))
+	j.keys.reset(hint)
+	// The hint counts rows, not distinct keys: the groups start small and
+	// double as keys actually arrive.
+	j.groups = make([][]relation.Tuple, 0, min(hint, DefaultBatchSize))
+	j.ref = nil
 	n := 0
 	var src batchSource
 	src.reset(ctx, j.Left)
@@ -350,14 +343,9 @@ func (j *HashJoin) build(ctx context.Context) error {
 			break
 		}
 		for _, t := range b.Tuples() {
-			var k relation.Value
-			if lKeyFast && lKeyIdx < len(t) {
-				k = t[lKeyIdx]
-			} else {
-				k, err = lKeyEv(t)
-				if err != nil {
-					return err
-				}
+			k, err := lKey.of(t)
+			if err != nil {
+				return err
 			}
 			if k.IsNull() {
 				continue
@@ -375,10 +363,10 @@ func (j *HashJoin) build(ctx context.Context) error {
 
 // buildPerTuple is the scalar reference build (PerTupleBuild): one Next per
 // left tuple with a cancellation poll each pull, closure key evaluation, and
-// interface-keyed insertion — no direct column loads, no numeric fast table.
+// interface-keyed insertion — no direct column loads, no key table.
 func (j *HashJoin) buildPerTuple(ctx context.Context, lKeyEv expr.Eval) error {
-	j.numTable = nil
-	j.table = map[any][]relation.Tuple{}
+	j.groups = nil
+	j.ref = map[any][]relation.Tuple{}
 	n := 0
 	var c canceller
 	c.reset(ctx)
@@ -403,48 +391,44 @@ func (j *HashJoin) buildPerTuple(ctx context.Context, lKeyEv expr.Eval) error {
 		if err := j.acct.charge(1); err != nil {
 			return err
 		}
-		hk := k.HashKey()
-		j.table[hk] = append(j.table[hk], t)
+		hk, g := j.refGroup(k)
+		j.ref[hk] = append(g, t)
 		n++
 	}
 	j.MaxTable = n
 	return nil
 }
 
-// insert files one build tuple under its key, migrating the numeric fast
-// table into the generic one the first time a non-numeric key appears. The
-// migration keys the copied groups by their float64 directly — exactly the
-// value HashKey produces for numerics — so lookups stay consistent.
-func (j *HashJoin) insert(k relation.Value, t relation.Tuple) {
-	if j.table == nil {
-		if k.Numeric() {
-			j.numTable.add(k.AsFloat(), t)
-			return
-		}
-		j.table = make(map[any][]relation.Tuple, j.numTable.n+1)
-		j.numTable.each(func(f float64, ts []relation.Tuple) {
-			j.table[f] = ts
-		})
-		j.numTable = nil
-	}
+// refGroup returns the reference table's map key for k and the tuples
+// already under it.
+func (j *HashJoin) refGroup(k relation.Value) (any, []relation.Tuple) {
 	hk := k.HashKey()
-	j.table[hk] = append(j.table[hk], t)
+	return hk, j.ref[hk]
+}
+
+// insert files one build tuple under its key.
+func (j *HashJoin) insert(k relation.Value, t relation.Tuple) {
+	if id := int(j.keys.intern(k)); id < len(j.groups) {
+		j.groups[id] = append(j.groups[id], t)
+	} else {
+		j.groups = append(j.groups, []relation.Tuple{t})
+	}
 }
 
 // lookup returns the build tuples matching probe key k (nil for NULL — SQL
 // equi-joins never match on NULL).
 func (j *HashJoin) lookup(k relation.Value) []relation.Tuple {
-	if k.IsNull() {
-		return nil
+	if j.ref != nil {
+		if k.IsNull() {
+			return nil
+		}
+		_, g := j.refGroup(k)
+		return g
 	}
-	if j.table != nil {
-		return j.table[k.HashKey()]
+	if id := j.keys.find(k); id >= 0 {
+		return j.groups[id]
 	}
-	f, ok := k.Float64()
-	if !ok {
-		return nil
-	}
-	return j.numTable.get(f)
+	return nil
 }
 
 // Next implements Operator.
@@ -462,7 +446,7 @@ func (j *HashJoin) Next() (relation.Tuple, bool, error) {
 				j.done = true
 				return nil, false, nil
 			}
-			k, err := j.rKeyEv(t)
+			k, err := j.rKey.ev(t)
 			if err != nil {
 				return nil, false, err
 			}
@@ -494,7 +478,7 @@ func (j *HashJoin) Next() (relation.Tuple, bool, error) {
 func (j *HashJoin) NextBatch(out *Batch, max int) (bool, error) {
 	out.Reset()
 	if j.in == nil {
-		j.in = NewBatch(DefaultBatchSize)
+		j.in = NewBatch(min(max, DefaultBatchSize))
 	}
 	for {
 		if j.done {
@@ -511,9 +495,12 @@ func (j *HashJoin) NextBatch(out *Batch, max int) (bool, error) {
 			j.done = true
 			return false, nil
 		}
-		if j.rKeyFast && j.Residual == nil && j.numTable != nil {
-			// The hot shape: bare-column numeric key, no residual, numeric
-			// build table — probed column-at-a-time in two passes. Pass one
+		// One match per probe tuple is the guess; a wider fan-out grows the
+		// chunks geometrically.
+		j.arena.reserve(j.in.Len(), j.schema.Len())
+		if j.rKey.bare && j.Residual == nil && j.ref == nil && j.keys.other == nil {
+			// The hot shape: bare-column key, no residual, every build key
+			// numeric — probed column-at-a-time in two passes. Pass one
 			// extracts and normalizes every key's bit pattern into kbuf,
 			// applying the build side's min-max join filter: keys outside
 			// the reachable range — with NULL, non-numeric, and NaN keys,
@@ -524,7 +511,7 @@ func (j *HashJoin) NextBatch(out *Batch, max int) (bool, error) {
 			// dependence chain (Value load → hash → table load), so
 			// consecutive table probes overlap in the pipeline instead of
 			// serializing on each other's cache misses.
-			nt := j.numTable
+			nt := &j.keys
 			keys := nt.keys
 			if len(keys) == 0 {
 				return false, fmt.Errorf("exec: hash join probe against uninitialized build table")
@@ -533,7 +520,7 @@ func (j *HashJoin) NextBatch(out *Batch, max int) (bool, error) {
 			// Indexing through len(keys)-1 (a power of two) lets the compiler
 			// drop the bounds checks inside the walk.
 			mask := uint64(len(keys)) - 1
-			ki := j.rKeyIdx
+			ki := j.rKey.col
 			in := j.in.Tuples()
 			if cap(j.kbuf) < len(in) {
 				j.kbuf = make([]uint64, len(in))
@@ -565,7 +552,7 @@ func (j *HashJoin) NextBatch(out *Batch, max int) (bool, error) {
 					kb := keys[i&mask]
 					if kb == fb {
 						t := in[x]
-						for _, m := range nt.groups[i&mask] {
+						for _, m := range j.groups[nt.ids[i&mask]] {
 							out.Append(j.arena.concat(m, t))
 						}
 						break
@@ -578,14 +565,9 @@ func (j *HashJoin) NextBatch(out *Batch, max int) (bool, error) {
 			}
 		} else {
 			for _, t := range j.in.Tuples() {
-				var k relation.Value
-				if j.rKeyFast && j.rKeyIdx < len(t) {
-					k = t[j.rKeyIdx]
-				} else {
-					k, err = j.rKeyEv(t)
-					if err != nil {
-						return false, err
-					}
+				k, err := j.rKey.of(t)
+				if err != nil {
+					return false, err
 				}
 				if j.Residual == nil {
 					for _, m := range j.lookup(k) {
@@ -613,8 +595,7 @@ func (j *HashJoin) NextBatch(out *Batch, max int) (bool, error) {
 
 // Close implements Operator.
 func (j *HashJoin) Close() error {
-	j.table = nil
-	j.numTable = nil
+	j.keys, j.groups, j.ref = keyTable{}, nil, nil
 	j.acct.releaseAll()
 	return j.Right.Close()
 }

@@ -1,0 +1,174 @@
+package exec
+
+import (
+	"math"
+	"testing"
+
+	"rankopt/internal/relation"
+)
+
+// TestKeyTableSemantics exercises the table directly: normalized-key
+// equality, Int/Float widening, NaN unreachability, the min-max filter, the
+// generic half for strings and bools, and dense ids that survive growth.
+func TestKeyTableSemantics(t *testing.T) {
+	fresh := func(hint int) *keyTable {
+		kt := new(keyTable)
+		kt.reset(hint)
+		return kt
+	}
+	f, i, str := relation.Float, relation.Int, relation.String_
+
+	t.Run("empty_rejects_everything", func(t *testing.T) {
+		kt := fresh(0)
+		probes := []relation.Value{f(0), f(1), f(-1), f(math.NaN()), f(math.Inf(1)), f(math.Inf(-1)),
+			i(0), str(""), relation.Bool(false), relation.Null()}
+		for _, k := range probes {
+			if id := kt.find(k); id != -1 {
+				t.Fatalf("empty table found %v as group %d", k, id)
+			}
+		}
+	})
+
+	t.Run("zero_is_one_key", func(t *testing.T) {
+		kt := fresh(4)
+		neg := kt.intern(f(math.Copysign(0, -1)))
+		if pos := kt.intern(f(0)); pos != neg {
+			t.Fatalf("+0 interned as group %d, -0 as %d: they are one key", pos, neg)
+		}
+		if kt.find(f(0)) != neg || kt.find(f(math.Copysign(0, -1))) != neg || kt.find(i(0)) != neg {
+			t.Fatal("±0 and Int(0) must all find the one zero group")
+		}
+	})
+
+	t.Run("int_float_widening", func(t *testing.T) {
+		kt := fresh(4)
+		a := kt.intern(i(3))
+		if b := kt.intern(f(3)); b != a {
+			t.Fatalf("Int(3) is group %d, Float(3) group %d", a, b)
+		}
+		if kt.find(f(3)) != a || kt.find(i(3)) != a {
+			t.Fatal("either spelling must find the group")
+		}
+		if kt.find(f(3.5)) != -1 {
+			t.Fatal("in-range absent key must miss")
+		}
+	})
+
+	t.Run("nan_never_matches", func(t *testing.T) {
+		kt := fresh(4)
+		nan := kt.intern(f(math.NaN()))
+		one := kt.intern(f(1))
+		if nan == one {
+			t.Fatal("NaN shares a group with a real key")
+		}
+		if kt.find(f(math.NaN())) != -1 {
+			t.Fatal("NaN probe must never match, as in a built-in map")
+		}
+		if kt.find(f(1)) != one {
+			t.Fatal("real key lost after a NaN insert")
+		}
+		// NaN inserts must not widen the filter.
+		if kt.lo != 1 || kt.hi != 1 {
+			t.Fatalf("bounds [%v, %v], want [1, 1]", kt.lo, kt.hi)
+		}
+	})
+
+	t.Run("minmax_filter_bounds", func(t *testing.T) {
+		kt := fresh(4)
+		for _, v := range []float64{5, 7.5, 10} {
+			kt.intern(f(v))
+		}
+		if kt.lo != 5 || kt.hi != 10 {
+			t.Fatalf("bounds [%v, %v], want [5, 10]", kt.lo, kt.hi)
+		}
+		if kt.find(f(4.999)) != -1 || kt.find(f(10.001)) != -1 || kt.find(f(6)) != -1 {
+			t.Fatal("absent keys must miss, in range or out")
+		}
+		if kt.find(f(5)) < 0 || kt.find(f(10)) < 0 || kt.find(f(7.5)) < 0 {
+			t.Fatal("boundary keys must remain reachable")
+		}
+	})
+
+	t.Run("strings_and_bools", func(t *testing.T) {
+		kt := fresh(4)
+		x, tr, one := kt.intern(str("x")), kt.intern(relation.Bool(true)), kt.intern(i(1))
+		if x == tr || tr == one || x == one {
+			t.Fatalf("\"x\", TRUE and 1 must be three groups, got %d %d %d", x, tr, one)
+		}
+		if kt.intern(str("x")) != x || kt.find(str("x")) != x || kt.find(relation.Bool(true)) != tr {
+			t.Fatal("generic keys must find their group")
+		}
+		if kt.find(str("y")) != -1 || kt.find(relation.Bool(false)) != -1 || kt.find(relation.Null()) != -1 {
+			t.Fatal("absent generic keys and NULL must miss")
+		}
+	})
+
+	t.Run("numeric_then_generic_mid_build", func(t *testing.T) {
+		// The first keys are numeric, then a string arrives, then more
+		// numerics: ids stay dense in order of first appearance and every key
+		// stays reachable — nothing migrates.
+		kt := fresh(0)
+		keys := []relation.Value{i(1), f(2), str("x"), i(3), str("y"), f(1), str("x")}
+		want := []int32{0, 1, 2, 3, 4, 0, 2}
+		for n, k := range keys {
+			if id := kt.intern(k); id != want[n] {
+				t.Fatalf("key %d (%v): group %d, want %d", n, k, id, want[n])
+			}
+		}
+		for n, k := range keys {
+			if id := kt.find(k); id != want[n] {
+				t.Fatalf("find %v: group %d, want %d", k, id, want[n])
+			}
+		}
+		if kt.groups != 5 {
+			t.Fatalf("%d groups, want 5", kt.groups)
+		}
+	})
+
+	t.Run("ids_dense_and_stable_across_grows", func(t *testing.T) {
+		kt := fresh(0) // 16 slots: 1000 distinct keys force many grows
+		slots := len(kt.keys)
+		for n := 0; n < 1000; n++ {
+			if id := kt.intern(i(int64(n) * 7)); id != int32(n) {
+				t.Fatalf("key %d interned as group %d, want the next dense id", n, id)
+			}
+			if id := kt.intern(f(float64(n) * 7)); id != int32(n) { // duplicate
+				t.Fatalf("key %d re-interned as group %d", n, id)
+			}
+		}
+		if len(kt.keys) <= slots {
+			t.Fatal("table never grew")
+		}
+		for n := 0; n < 1000; n++ {
+			if id := kt.find(i(int64(n) * 7)); id != int32(n) {
+				t.Fatalf("key %d: group %d after grows, want %d", n, id, n)
+			}
+		}
+		if kt.lo != 0 || kt.hi != 999*7 {
+			t.Fatalf("bounds [%v, %v] after grows, want [0, %d]", kt.lo, kt.hi, 999*7)
+		}
+		if kt.find(i(-1)) != -1 || kt.find(i(3)) != -1 || kt.find(i(7000)) != -1 {
+			t.Fatal("absent keys must miss after grows")
+		}
+	})
+
+	t.Run("presize_cap_and_reuse", func(t *testing.T) {
+		kt := fresh(1 << 20)
+		if len(kt.keys) != maxInitialSlots {
+			t.Fatalf("huge hint presized %d slots, want cap %d", len(kt.keys), maxInitialSlots)
+		}
+		kt.intern(i(1))
+		kt.intern(str("x"))
+		keys := &kt.keys[0]
+		kt.reset(100)
+		if &kt.keys[0] != keys {
+			t.Fatal("reset to a smaller size must keep the arrays")
+		}
+		if kt.find(i(1)) != -1 || kt.find(str("x")) != -1 || kt.groups != 0 {
+			t.Fatal("reset must forget every key")
+		}
+		if id := kt.intern(i(9)); id != 0 {
+			t.Fatalf("first key after reset is group %d", id)
+		}
+	})
+}

@@ -133,8 +133,8 @@ func TestAnalyzedHRJNAllocsPerTuple(t *testing.T) {
 	}
 	perTuple := allocs / float64(emitted)
 	t.Logf("analyzed HRJN: %.1f allocs/run, %.2f allocs/emitted tuple", allocs, perTuple)
-	if perTuple > 12.0 {
-		t.Errorf("analyzed HRJN hot path allocates %.2f/tuple, budget 12.0 (same as bare operator)", perTuple)
+	if perTuple > 3.0 {
+		t.Errorf("analyzed HRJN hot path allocates %.2f/tuple, budget 3.0 (same as bare operator)", perTuple)
 	}
 }
 

@@ -1,0 +1,87 @@
+package exec
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"rankopt/internal/expr"
+	"rankopt/internal/relation"
+)
+
+// idScored builds one feature table of the deep-dig shape: n rows
+// (id, score), every id once, in shuffled order. With sorted set the rows
+// come best score first, the input contract of HRJN.
+func idScored(table string, n int, seed int64, sorted bool) (*relation.Schema, []relation.Tuple) {
+	sch := relation.NewSchema(
+		relation.Column{Table: table, Name: "id", Kind: relation.KindInt},
+		relation.Column{Table: table, Name: "score", Kind: relation.KindFloat},
+	)
+	rng := rand.New(rand.NewSource(seed))
+	ids := rng.Perm(n)
+	tuples := make([]relation.Tuple, n)
+	for i := range tuples {
+		score := rng.Float64()
+		if sorted {
+			score = float64(n-i) / float64(n)
+		}
+		tuples[i] = relation.Tuple{relation.Int(int64(ids[i])), relation.Float(score)}
+	}
+	return sch, tuples
+}
+
+// BenchmarkAnyKBuild is one deep-dig request at the operator: a fresh AnyK
+// over m id-joined 5 000-row inputs, opened, read for k results and closed —
+// the build is all of it, as on the workload.
+func BenchmarkAnyKBuild(b *testing.B) {
+	const n = 5000
+	for _, m := range []int{2, 3} {
+		schemas := make([]*relation.Schema, m)
+		tuples := make([][]relation.Tuple, m)
+		scores := make([]expr.Expr, m)
+		keys := make([]expr.Expr, m)
+		for i := 0; i < m; i++ {
+			tab := string(rune('A' + i))
+			schemas[i], tuples[i] = idScored(tab, n, int64(100+i), false)
+			scores[i], keys[i] = expr.Col(tab, "score"), expr.Col(tab, "id")
+		}
+		for _, k := range []int{10, 100} {
+			b.Run(fmt.Sprintf("%dway/k=%d", m, k), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					ins := make([]Operator, m)
+					for x := range ins {
+						ins[x] = FromTuples(schemas[x], tuples[x])
+					}
+					j, err := NewAnyK(ins, scores, keys[:m-1], keys[1:])
+					if err != nil {
+						b.Fatal(err)
+					}
+					out, err := CollectK(j, k)
+					if err != nil || len(out) != k {
+						b.Fatalf("%d results, %v", len(out), err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkHRJNPull is the rank-join pull path alone: a binary HRJN over two
+// sorted 20 000-row id-joined inputs read for k = 50, no hints — every pull
+// inserts into one hash table and probes the other.
+func BenchmarkHRJNPull(b *testing.B) {
+	const n, k = 20000, 50
+	lsch, ltup := idScored("A", n, 1, true)
+	rsch, rtup := idScored("B", n, 2, true)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		j := NewHRJN(FromTuples(lsch, ltup), FromTuples(rsch, rtup),
+			expr.Col("A", "score"), expr.Col("B", "score"),
+			expr.Col("A", "id"), expr.Col("B", "id"), nil)
+		out, err := CollectK(j, k)
+		if err != nil || len(out) != k {
+			b.Fatalf("%d results, %v", len(out), err)
+		}
+	}
+}

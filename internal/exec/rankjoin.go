@@ -118,6 +118,15 @@ func (r *rankedInput) bind(op string, idx int, in Operator, score expr.Expr, ord
 // read consumes one tuple from the input. ok=false means nothing to join
 // this round: the input is exhausted (done is set) or the tuple was dropped
 // for a NULL score.
+//
+// It is one Next per call on purpose. The readers behind a threshold (HRJN's
+// inputs, NRJN's outer) stop as soon as the bound allows, and which tuple
+// they pull next depends on the tuple just read; a read-ahead batch would
+// over-pull a child rank join or IndexScan past that point — more depth, more
+// buffered tuples — and change the pull order the depth counts and queue
+// sequence numbers follow. The readers that drain their input whatever they
+// find (NRJN's inner, AnyK's levels, Sort) go through batchSource or
+// tupleLender and call admit directly.
 func (r *rankedInput) read() (t relation.Tuple, s float64, ok bool, err error) {
 	t, ok, err = r.in.Next()
 	if err != nil {
@@ -332,9 +341,10 @@ type HRJN struct {
 	Strategy PullStrategy
 	// SizeHints[i] and QueueHint are the optimizer's expected depth into
 	// input i and buffered-result count (plan.Node.EstDL/EstDR and their
-	// product times the join selectivity). They pre-size the hash tables
-	// and the ranking queue so the steady-state pull loop does not rehash
-	// or regrow. The constructors allocate SizeHints zeroed: no hint.
+	// product times the join selectivity). They pre-size the hash tables, up
+	// to rankPresizeMax tuples, and the ranking queue, so a shallow pull loop
+	// does not rehash or regrow. The constructors allocate SizeHints zeroed:
+	// no hint.
 	SizeHints []int
 	QueueHint int
 	// Budget, when set, is charged for every tuple buffered in the hash
@@ -359,13 +369,47 @@ type HRJN struct {
 }
 
 // hashInput is one HRJN input: the shared reader plus the hash table of the
-// tuples read so far. pick is the tuple combine currently has in this
-// input's slot of the result.
+// tuples read so far — rows holds them in arrival order, keys maps a join key
+// to its group id, and chains[id] threads the group's rows through their next
+// links, so a group is walked in insertion order. pick is the tuple combine
+// currently has in this input's slot of the result.
 type hashInput struct {
 	rankedInput
-	key   expr.Eval
-	table map[any][]scored
-	pick  scored
+	key    keyEval
+	keys   keyTable
+	rows   []hashRow
+	chains []rowChain
+	pick   scored
+}
+
+// hashRow is one buffered tuple and the next row of its key group (-1 at the
+// group's end).
+type hashRow struct {
+	scored
+	next int32
+}
+
+// rowChain is a key group's first and last row.
+type rowChain struct{ head, tail int32 }
+
+// rankPresizeMax caps how many tuples a depth hint pre-sizes an input's hash
+// table for. Hints are whole-table estimates even on a rebound per-shard
+// plan, and a query that stops after a few pulls should not allocate (and the
+// collector scan) tables for a depth it never reaches; past the cap the
+// storage doubles as tuples actually arrive.
+const rankPresizeMax = 64
+
+// insert buffers pick under key k.
+func (in *hashInput) insert(k relation.Value) {
+	row := int32(len(in.rows))
+	in.rows = append(in.rows, hashRow{in.pick, -1})
+	if g := int(in.keys.intern(k)); g < len(in.chains) {
+		c := &in.chains[g]
+		in.rows[c.tail].next = row
+		c.tail = row
+	} else {
+		in.chains = append(in.chains, rowChain{row, row})
+	}
 }
 
 // NewHRJN constructs the binary operator. The operator and its two-element
@@ -468,10 +512,13 @@ func (j *HRJN) bind() error {
 			return err
 		}
 		var err error
-		if in.key, err = j.Keys[i].Bind(j.Inputs[i].Schema()); err != nil {
+		if in.key, err = bindKey(j.Keys[i], j.Inputs[i].Schema()); err != nil {
 			return err
 		}
-		in.table = make(map[any][]scored, sizeHint(float64(j.SizeHints[i])))
+		hint := min(sizeHint(float64(j.SizeHints[i])), rankPresizeMax)
+		in.keys.reset(hint)
+		in.rows = make([]hashRow, 0, hint)
+		in.chains = in.chains[:0]
 	}
 	var err error
 	j.resEv, err = bindPred(j.Residual, j.schema)
@@ -541,7 +588,7 @@ func (j *HRJN) pull(i int) error {
 	}
 	if in.done {
 		j.live--
-		if len(in.table) == 0 {
+		if len(in.rows) == 0 {
 			// Every result needs a tuple of this input and it buffered none
 			// (empty, or all dropped for NULL scores or keys): the join is
 			// dead, so stop without reading the other inputs out.
@@ -552,37 +599,40 @@ func (j *HRJN) pull(i int) error {
 	if !ok {
 		return nil
 	}
-	k, err := in.key(t)
+	k, err := in.key.of(t)
 	if err != nil {
 		return err
 	}
 	if k.IsNull() {
 		return nil
 	}
-	hk := k.HashKey()
 	// The inserted tuple is buffered in its hash table until Close.
 	if err := j.buf.acct.charge(1); err != nil {
 		return err
 	}
 	in.pick = scored{t, s}
-	in.table[hk] = append(in.table[hk], in.pick)
-	return j.combine(hk, 0, i)
+	in.insert(k)
+	return j.combine(k, 0, i)
 }
 
 // combine enumerates the join combinations the tuple just inserted at input
 // `fixed` completes: every slot except fixed ranges over its matches under
-// hk.
-func (j *HRJN) combine(hk any, slot, fixed int) error {
+// key k, in the order they were read.
+func (j *HRJN) combine(k relation.Value, slot, fixed int) error {
 	if slot == len(j.ins) {
 		return j.emit()
 	}
 	if slot == fixed {
-		return j.combine(hk, slot+1, fixed)
+		return j.combine(k, slot+1, fixed)
 	}
 	in := &j.ins[slot]
-	for _, m := range in.table[hk] {
-		in.pick = m
-		if err := j.combine(hk, slot+1, fixed); err != nil {
+	g := in.keys.find(k)
+	if g < 0 {
+		return nil
+	}
+	for r := in.chains[g].head; r >= 0; r = in.rows[r].next {
+		in.pick = in.rows[r].scored
+		if err := j.combine(k, slot+1, fixed); err != nil {
 			return err
 		}
 	}
@@ -635,7 +685,8 @@ func (j *HRJN) Next() (relation.Tuple, bool, error) {
 // Close implements Operator.
 func (j *HRJN) Close() error {
 	for i := range j.ins {
-		j.ins[i].table, j.ins[i].pick = nil, scored{}
+		in := &j.ins[i]
+		in.keys, in.rows, in.chains, in.pick = keyTable{}, nil, nil, scored{}
 	}
 	j.buf.close()
 	return closeAll(j.Inputs)

@@ -46,33 +46,22 @@ type Sort struct {
 	// tuples is the input in arrival order: the input's own slice when it
 	// lends one (see tupleLender), the copy in sortBuffers.own otherwise.
 	tuples []relation.Tuple
-	// ents[:sorted] is final and ents[:pos] was emitted. buffered is the
-	// drained tuple count, kept past Close for gauges.
+	// ents[:pos] was emitted. buffered is the drained tuple count, kept past
+	// Close for gauges.
 	pos      int
-	sorted   int
 	buffered int
-	rng      uint64
 	cancel   canceller
 	acct     accountant
 }
 
 // sortBuffers are the arrays an open Sort works in.
 type sortBuffers struct {
-	// own receives the tuples of an input that does not lend them; ents is
-	// the permutation of the input the quicksort refines.
-	own  []relation.Tuple
-	ents []sortEnt
-	// pivots is the incremental quicksort's stack: positions (descending
-	// toward the top) whose entry is final, with everything left of it
-	// smaller and everything right of it larger. The segment still to be
-	// refined is ents[sorted:top].
-	pivots []int
-	// vals holds the keys the entries do not encode, len(tieDesc) values per
-	// tuple in arrival order; tieDesc is those keys' direction. Both are
-	// empty in the ranked case (one numeric, non-NULL key).
-	vals    []relation.Value
-	tieDesc []bool
-	batch   *Batch
+	// own receives the tuples of an input that does not lend them.
+	own []relation.Tuple
+	// The quicksort refines ents, the permutation of the input; its vals and
+	// tieDesc are empty in the ranked case (one numeric, non-NULL key).
+	incSort
+	batch *Batch
 }
 
 // sortBufferPool hands a closed Sort's arrays to the next one opened. The
@@ -91,18 +80,6 @@ type tupleLender interface {
 	// leaves it exhausted. The caller must not write to the slice.
 	lendRest() []relation.Tuple
 }
-
-// sortEnt is one buffered tuple as the quicksort moves it: the order-
-// preserving integer image of its leading key (see sortKeyBits) and its
-// arrival index, which both breaks ties and locates the tuple.
-type sortEnt struct {
-	key uint64
-	seq int
-}
-
-// sortInsertionMax is the segment length at or below which refine finishes a
-// segment by insertion sort instead of partitioning it further.
-const sortInsertionMax = 12
 
 // NewSort constructs a sort enforcer.
 func NewSort(in Operator, keys ...SortKey) *Sort { return &Sort{In: in, Keys: keys} }
@@ -147,12 +124,10 @@ func (s *Sort) drain(ctx context.Context) error {
 	s.acct.releaseAll()
 	s.acct.budget = s.Budget
 	s.cancel.reset(ctx)
-	s.pos, s.sorted, s.buffered = 0, 0, 0
-	s.rng = 0x9E3779B97F4A7C15
+	s.pos, s.buffered = 0, 0
 	if s.sortBuffers == nil {
 		s.sortBuffers = sortBufferPool.Get().(*sortBuffers)
 	}
-	s.pivots = s.pivots[:0]
 
 	sch := s.In.Schema()
 	evals := make([]expr.Eval, len(s.Keys))
@@ -168,10 +143,7 @@ func (s *Sort) drain(ctx context.Context) error {
 	}
 	n := len(s.tuples)
 	s.buffered = n
-	if cap(s.ents) < n {
-		s.ents = make([]sortEnt, n)
-	}
-	s.ents = s.ents[:n]
+	s.start(resized(s.ents, n), 0)
 
 	encoded := len(s.Keys) > 0
 	for i := 0; encoded && i < n; i++ {
@@ -290,127 +262,19 @@ func compareSortKey(a, b relation.Value) int {
 	return a.Compare(b)
 }
 
-// less is the sort order over entries. It is total — no two entries compare
-// equal — because arrival index is the last tie-break; that is also what
-// makes the emitted sequence the stable sort's.
-func (s *Sort) less(a, b sortEnt) bool {
-	if a.key != b.key {
-		return a.key < b.key
-	}
-	return s.lessTie(a.seq, b.seq)
-}
-
-// lessTie orders two tuples whose encoded keys are equal: by the remaining
-// keys, then by arrival.
-func (s *Sort) lessTie(a, b int) bool {
-	if nk := len(s.tieDesc); nk > 0 {
-		va, vb := s.vals[a*nk:a*nk+nk], s.vals[b*nk:b*nk+nk]
-		for c, desc := range s.tieDesc {
-			if r := compareSortKey(va[c], vb[c]); r != 0 {
-				return (r < 0) != desc
-			}
-		}
-	}
-	return a < b
-}
-
 // Next implements Operator.
 func (s *Sort) Next() (relation.Tuple, bool, error) {
 	if s.sortBuffers == nil || s.pos >= len(s.ents) {
 		return nil, false, nil
 	}
 	if s.pos == s.sorted {
-		if err := s.refine(); err != nil {
+		if err := s.refine(&s.cancel); err != nil {
 			return nil, false, err
 		}
 	}
 	t := s.tuples[s.ents[s.pos].seq]
 	s.pos++
 	return t, true, nil
-}
-
-// refine finalizes at least the entry at position sorted: it partitions the
-// leftmost unrefined segment, stacking pivots, until that segment is short
-// enough to insertion-sort. A partition pass is bounded by the segment, so
-// the context is checked once per pass over a batch or more of entries.
-func (s *Sort) refine() error {
-	e := s.ents
-	for {
-		lo, hi := s.sorted, len(e)
-		top := len(s.pivots) - 1
-		if top >= 0 {
-			hi = s.pivots[top]
-		}
-		if hi-lo <= sortInsertionMax {
-			for i := lo + 1; i < hi; i++ {
-				x := e[i]
-				j := i
-				for ; j > lo && s.less(x, e[j-1]); j-- {
-					e[j] = e[j-1]
-				}
-				e[j] = x
-			}
-			s.sorted = hi
-			if top >= 0 {
-				// The pivot bounding the segment is final too.
-				s.pivots = s.pivots[:top]
-				s.sorted++
-			}
-			return nil
-		}
-		if hi-lo >= DefaultBatchSize {
-			if err := s.cancel.check(); err != nil {
-				return err
-			}
-		}
-		s.pivots = append(s.pivots, s.partition(lo, hi))
-	}
-}
-
-// partition splits ents[lo:hi] around the median of three randomly placed
-// entries and returns the pivot's final position. Random placement keeps the
-// expected cost linear whatever order the input arrives in; the generator is
-// reseeded per Open, so a run is reproducible (and the output never depends
-// on it: the order is total).
-func (s *Sort) partition(lo, hi int) int {
-	e := s.ents
-	a, b, c := s.pick(lo, hi), s.pick(lo, hi), s.pick(lo, hi)
-	if s.less(e[b], e[a]) {
-		a, b = b, a
-	}
-	if s.less(e[c], e[b]) {
-		b = c
-		if s.less(e[b], e[a]) {
-			b = a
-		}
-	}
-	e[lo], e[b] = e[b], e[lo]
-	pv := e[lo]
-	i, j := lo+1, hi-1
-	for {
-		for i <= j && s.less(e[i], pv) {
-			i++
-		}
-		for i <= j && s.less(pv, e[j]) {
-			j--
-		}
-		if i >= j {
-			break
-		}
-		e[i], e[j] = e[j], e[i]
-		i++
-		j--
-	}
-	e[lo], e[j] = e[j], e[lo]
-	return j
-}
-
-// pick draws a position in [lo, hi) from an xorshift generator.
-func (s *Sort) pick(lo, hi int) int {
-	s.rng ^= s.rng << 13
-	s.rng ^= s.rng >> 7
-	s.rng ^= s.rng << 17
-	return lo + int(s.rng%uint64(hi-lo))
 }
 
 // release returns the arrays to the pool, cleared of the tuples they

@@ -421,15 +421,3 @@ func (s ScoreSum) Bind(sch *relation.Schema) (Eval, error) {
 		return relation.Float(total), nil
 	}, nil
 }
-
-// Subset returns a new ScoreSum containing only the terms whose table is in
-// tables. The result preserves term order.
-func (s ScoreSum) Subset(tables map[string]bool) ScoreSum {
-	var out []ScoreTerm
-	for _, t := range s.Terms {
-		if tables[t.Table()] {
-			out = append(out, t)
-		}
-	}
-	return ScoreSum{Terms: out}
-}

@@ -203,17 +203,12 @@ func TestScoreSumEval(t *testing.T) {
 	}
 }
 
-func TestScoreSumSubsetAndTables(t *testing.T) {
+func TestScoreSumTables(t *testing.T) {
 	s := Sum(
 		ScoreTerm{0.3, Col("A", "c1")},
-		ScoreTerm{0.3, Col("B", "c1")},
 		ScoreTerm{0.3, Col("C", "c1")},
 	)
-	sub := s.Subset(map[string]bool{"A": true, "C": true})
-	if len(sub.Terms) != 2 {
-		t.Fatalf("Subset kept %d terms", len(sub.Terms))
-	}
-	ts := Tables(sub)
+	ts := Tables(s)
 	if len(ts) != 2 || ts[0] != "A" || ts[1] != "C" {
 		t.Errorf("Tables = %v", ts)
 	}

@@ -89,12 +89,6 @@ func (q *Query) RankedTables() []string {
 	return out
 }
 
-// ScoreFor returns the partial ranking function restricted to the given
-// table set — f1(SL) in the paper's join-eligibility rule.
-func (q *Query) ScoreFor(tables map[string]bool) expr.ScoreSum {
-	return q.Score.Subset(tables)
-}
-
 // TableIndex returns the position of a table in q.Tables, or -1.
 func (q *Query) TableIndex(name string) int {
 	for i, t := range q.Tables {

@@ -65,7 +65,7 @@ func TestValidateErrors(t *testing.T) {
 	}
 }
 
-func TestRankedTablesAndScoreFor(t *testing.T) {
+func TestRankedTables(t *testing.T) {
 	q := q2()
 	if !q.Ranking() {
 		t.Fatal("q2 is a ranking query")
@@ -73,10 +73,6 @@ func TestRankedTablesAndScoreFor(t *testing.T) {
 	rt := q.RankedTables()
 	if len(rt) != 3 || rt[0] != "A" || rt[2] != "C" {
 		t.Fatalf("RankedTables = %v", rt)
-	}
-	sub := q.ScoreFor(map[string]bool{"A": true, "C": true})
-	if len(sub.Terms) != 2 {
-		t.Fatalf("ScoreFor kept %d terms", len(sub.Terms))
 	}
 	// Non-ranking query.
 	q.Score = expr.ScoreSum{}

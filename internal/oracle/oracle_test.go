@@ -64,6 +64,24 @@ func TestShardedDifferentialCorpus(t *testing.T) {
 	}
 }
 
+// TestShardedSeed77ScatterDone pins the one reproducer that was ever checked
+// in under oracle_failures/: seed 77, a 4-way top-11, came back from shards=4
+// with rank 7 missing (brute force 2.158…, plan 1.843…) when ShardScatter let
+// a shard's Done overtake the last tuples it had queued. Done has travelled
+// in-band on the tuple channel since, and the case passes; it was a race, so
+// it is run twenty times.
+func TestShardedSeed77ScatterDone(t *testing.T) {
+	c := Generate(77)
+	if c.Tables != 4 || c.K != 11 {
+		t.Fatalf("seed 77 no longer generates the 4-way top-11 case: %d tables, k=%d", c.Tables, c.K)
+	}
+	for run := 0; run < 20; run++ {
+		if _, err := RunSharded(Generate(77), 4); err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+	}
+}
+
 // TestGenerateDeterministic pins that a seed reproduces its case exactly —
 // the property that makes a one-line reproducer sufficient.
 func TestGenerateDeterministic(t *testing.T) {
