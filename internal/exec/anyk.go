@@ -123,6 +123,42 @@ type anykLevel struct {
 	// lazy[g] is 0 while only bucket g's best member is final, else one more
 	// than the index of its quicksort state in anykBuffers.sorts.
 	lazy []int32
+	// img is what the level reads from column images instead of its tuples.
+	img levelImages
+}
+
+// levelImages are the column images one AnyK level reads in place of its
+// tuples when its input is a bare SeqScan (see bindImages): the score's when
+// it is a ScoreSum of numeric columns, each join key's when the key is a bare
+// numeric column. Whatever has no image is evaluated on the tuple, so a level
+// whose images cover score and keys touches a stored tuple only to emit it.
+type levelImages struct {
+	// terms are the score's weighted columns in ScoreSum term order, empty
+	// when the score is evaluated on the tuple.
+	terms []imageTerm
+	// lkey and rkey image the level's join keys toward the next and the
+	// previous level; nil reads the key through its keyEval.
+	lkey, rkey *relation.ColumnImage
+}
+
+// imageTerm is one weighted column of a ScoreSum.
+type imageTerm struct {
+	w   float64
+	img *relation.ColumnImage
+}
+
+// score returns entry e's score and whether it is NULL, computed as
+// ScoreSum.Bind computes it — the same terms in the same order, the same
+// arithmetic, NULL as soon as one term is.
+func (im *levelImages) score(e int) (float64, bool) {
+	total := 0.0
+	for _, t := range im.terms {
+		if t.img.IsNull(e) {
+			return 0, true
+		}
+		total += t.w * t.img.Vals[e]
+	}
+	return total, false
 }
 
 // anykSol is a pending (partial) solution: an index vector selecting one
@@ -216,19 +252,29 @@ func (j *AnyK) Open(ctx context.Context) error {
 }
 
 // drainLevel reads input i out into its level batch-natively: an input that
-// lends its tuples is annotated in place, any other is copied batch by batch.
-// Each batch is admitted, then charged for the tuples that scored; a tuple
-// with a NULL score cannot contribute to any result and is marked dropped.
+// lends its tuples is annotated in place (from its column images when it is a
+// bare stored scan), any other is copied batch by batch. Each batch is
+// admitted, then charged for the tuples that scored; a tuple with a NULL
+// score cannot contribute to any result and is marked dropped.
 func (j *AnyK) drainLevel(i int) error {
 	in, lv := &j.ins[i], &j.levels[i]
 	lv.score = lv.score[:0]
-	admit := func(ts []relation.Tuple) error {
+	lv.img = levelImages{terms: lv.img.terms[:0]}
+	// admit admits entries [lo, hi) of the level as one batch.
+	admit := func(lo, hi int) error {
 		if err := j.cancel.check(); err != nil {
 			return err
 		}
 		scored := 0
-		for _, t := range ts {
-			s, ok, err := in.admit(t)
+		for e := lo; e < hi; e++ {
+			var s float64
+			var ok bool
+			var err error
+			if len(lv.img.terms) > 0 {
+				s, ok, err = in.admitScore(lv.img.score(e))
+			} else {
+				s, ok, err = in.admit(lv.tuples[e])
+			}
 			if err != nil {
 				return err
 			}
@@ -242,9 +288,16 @@ func (j *AnyK) drainLevel(i int) error {
 		return j.buf.acct.charge(scored)
 	}
 	if lender, ok := in.in.(tupleLender); ok {
+		// A scan nothing has read from lends its whole heap, which its
+		// relation's column images — fetched after the lend — cover.
+		scan, whole := in.in.(*SeqScan)
+		whole = whole && scan.pos == 0
 		lv.tuples = lender.lendRest()
+		if whole {
+			j.bindImages(i, scan.Rel)
+		}
 		for lo := 0; lo < len(lv.tuples); lo += DefaultBatchSize {
-			if err := admit(lv.tuples[lo:min(lo+DefaultBatchSize, len(lv.tuples))]); err != nil {
+			if err := admit(lo, min(lo+DefaultBatchSize, len(lv.tuples))); err != nil {
 				return err
 			}
 		}
@@ -262,13 +315,41 @@ func (j *AnyK) drainLevel(i int) error {
 			return err
 		}
 		if !ok {
-			lv.tuples = lv.own
 			return nil
 		}
+		lo := len(lv.own)
 		lv.own = append(lv.own, j.batch.Tuples()...)
-		if err := admit(j.batch.Tuples()); err != nil {
+		lv.tuples = lv.own
+		if err := admit(lo, len(lv.own)); err != nil {
 			return err
 		}
+	}
+}
+
+// bindImages points level i at the column images of rel, the stored relation
+// whose whole heap the level's input lent — the heap only grows, so an image
+// taken after the lend covers every lent row. The handles go into the level's
+// pooled array, so a warm build allocates nothing for them.
+func (j *AnyK) bindImages(i int, rel *relation.Relation) {
+	im := &j.levels[i].img
+	if sum, ok := j.Scores[i].(expr.ScoreSum); ok {
+		for _, t := range sum.Terms {
+			var c *relation.ColumnImage
+			if col, ok := expr.ColIndex(t.E, rel.Schema()); ok {
+				c = rel.ColumnImage(col)
+			}
+			if c == nil {
+				im.terms = im.terms[:0]
+				break
+			}
+			im.terms = append(im.terms, imageTerm{t.Weight, c})
+		}
+	}
+	if i < len(j.lkeys) && j.lkeys[i].bare {
+		im.lkey = rel.ColumnImage(j.lkeys[i].col)
+	}
+	if i > 0 && j.rkeys[i-1].bare {
+		im.rkey = rel.ColumnImage(j.rkeys[i-1].col)
 	}
 }
 
@@ -288,13 +369,16 @@ func (j *AnyK) link(lvl int) error {
 		lv.succ = resized(lv.succ, n)
 	}
 	if lvl > 0 {
-		lv.keys.reset(n)
+		lv.keys.reset(n, levelLoad)
 	}
 	j.grp = resized(j.grp, n)
-	// Pass one sizes the buckets: start[g+1] counts bucket g's members.
+	// Pass one sizes the buckets: start[g+1] counts bucket g's members. Each
+	// key comes from the level's column image of it when there is one, else
+	// from the tuple.
+	lk, rk := lv.img.lkey, lv.img.rkey
 	lv.start = append(lv.start[:0], 0)
 	scored := 0
-	for e, t := range lv.tuples {
+	for e := 0; e < n; e++ {
 		if err := j.cancel.poll(); err != nil {
 			return err
 		}
@@ -305,11 +389,18 @@ func (j *AnyK) link(lvl int) error {
 		}
 		scored++
 		if next != nil {
-			k, err := j.lkeys[lvl].of(t)
-			if err != nil {
-				return err
+			succ := int32(-1)
+			if lk != nil {
+				if !lk.IsNull(e) {
+					succ = next.keys.findFloat(lk.Vals[e])
+				}
+			} else {
+				k, err := j.lkeys[lvl].of(lv.tuples[e])
+				if err != nil {
+					return err
+				}
+				succ = next.keys.find(k)
 			}
-			succ := next.keys.find(k)
 			if succ < 0 {
 				continue // NULL key, or no completion below
 			}
@@ -319,14 +410,21 @@ func (j *AnyK) link(lvl int) error {
 		lv.suffix[e] = s
 		g := int32(0)
 		if lvl > 0 {
-			k, err := j.rkeys[lvl-1].of(t)
-			if err != nil {
-				return err
+			if rk != nil {
+				if rk.IsNull(e) {
+					continue
+				}
+				g = lv.keys.internFloat(rk.Vals[e])
+			} else {
+				k, err := j.rkeys[lvl-1].of(lv.tuples[e])
+				if err != nil {
+					return err
+				}
+				if k.IsNull() {
+					continue
+				}
+				g = lv.keys.intern(k)
 			}
-			if k.IsNull() {
-				continue
-			}
-			g = lv.keys.intern(k)
 		}
 		if int(g) == len(lv.start)-1 {
 			lv.start = append(lv.start, 0)
@@ -493,6 +591,8 @@ func (j *AnyK) Close() error {
 			lv := &b.levels[i]
 			clear(lv.own)
 			lv.tuples = nil
+			clear(lv.img.terms[:cap(lv.img.terms)])
+			lv.img = levelImages{terms: lv.img.terms[:0]}
 		}
 		for i := range b.sorts {
 			b.sorts[i].ents = nil

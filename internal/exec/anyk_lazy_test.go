@@ -64,22 +64,28 @@ func pathLevels(rng *rand.Rand, m, n int) [][]relation.Tuple {
 // their slice (FromTuples) or hide it behind a per-tuple operator.
 func pathAnyK(t testing.TB, levels [][]relation.Tuple, lend bool) *AnyK {
 	t.Helper()
-	m := len(levels)
-	ins := make([]Operator, m)
-	scores := make([]expr.Expr, m)
-	lkeys := make([]expr.Expr, m-1)
-	rkeys := make([]expr.Expr, m-1)
+	ins := make([]Operator, len(levels))
+	scores := make([]expr.Expr, len(levels))
 	for i := range levels {
-		tab := string(rune('A' + i))
 		ins[i] = FromTuples(pathSchemas[i], levels[i])
 		if !lend {
 			ins[i] = &perTupleOnly{ins[i]}
 		}
-		scores[i] = expr.Col(tab, "score")
-		if i < m-1 {
-			lkeys[i] = expr.Col(tab, "lk")
-			rkeys[i] = expr.Col(string(rune('A'+i+1)), "rk")
-		}
+		scores[i] = expr.Col(string(rune('A'+i)), "score")
+	}
+	return anyKOver(t, ins, scores)
+}
+
+// anyKOver builds the path operator over the given inputs and scores, level
+// i joining level i+1 on lk = rk.
+func anyKOver(t testing.TB, ins []Operator, scores []expr.Expr) *AnyK {
+	t.Helper()
+	m := len(ins)
+	lkeys := make([]expr.Expr, m-1)
+	rkeys := make([]expr.Expr, m-1)
+	for i := 0; i < m-1; i++ {
+		lkeys[i] = expr.Col(string(rune('A'+i)), "lk")
+		rkeys[i] = expr.Col(string(rune('A'+i+1)), "rk")
 	}
 	j, err := NewAnyK(ins, scores, lkeys, rkeys)
 	if err != nil {

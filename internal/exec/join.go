@@ -322,7 +322,7 @@ func (j *HashJoin) build(ctx context.Context) error {
 		return j.buildPerTuple(ctx, lKey.ev)
 	}
 	hint := sizeHint(float64(j.BuildSizeHint))
-	j.keys.reset(hint)
+	j.keys.reset(hint, probeLoad)
 	// The hint counts rows, not distinct keys: the groups start small and
 	// double as keys actually arrive.
 	j.groups = make([][]relation.Tuple, 0, min(hint, DefaultBatchSize))

@@ -30,13 +30,26 @@ import (
 // that nothing can ever look up, where a built-in map would give each its own
 // unreachable slot; no lookup can observe the difference.
 //
-// The table grows at ¼ load: unsuccessful probes (the common case on a
-// selective join) then walk ~1.2 slots even with linear-probing clustering;
-// the halved-footprint ½-load variant measured slower on a streaming probe
-// despite its better cache residency. Ids are stable across grows.
+// The load a table grows at is chosen at reset. The probe-heavy tables
+// (HashJoin's build, HRJN's inputs, NRJN's inner) grow at ¼: unsuccessful
+// probes, the common case on a selective join, then walk ~1.2 slots even with
+// linear-probing clustering, and the halved-footprint ½-load variant measured
+// slower on a streaming probe despite its better cache residency
+// (BenchmarkHRJNPull, ~4 % slower at ½). AnyK's levels grow at ½: each is
+// probed once per entry of the level before it, mostly successfully, and
+// sized for every row of its input; on deep-dig the column-image build held
+// 7–9 % more resident memory than its parent with ¼-load levels and 1–3 %
+// with ½, at the same qps. Ids are stable across grows.
 const (
 	emptyKeyBits = 0x7FF8000000000001 // reserved NaN payload: empty slot
 	nanKeyBits   = 0x7FF8000000000000 // canonical NaN stored for NaN keys
+)
+
+// The two loads, as the shift that turns the occupied count into the slot
+// count it needs: a table grows once used<<load reaches its capacity.
+const (
+	probeLoad = 2 // ¼
+	levelLoad = 1 // ½
 )
 
 type keyTable struct {
@@ -50,6 +63,8 @@ type keyTable struct {
 	// bits — indexing by the product's low bits would collapse such key sets
 	// into a handful of clusters.
 	shift uint
+	// load is the table's grow threshold (probeLoad or levelLoad).
+	load uint
 	// used counts occupied slots (distinct numeric keys), for the grow
 	// threshold; groups counts the ids handed out, numeric and generic.
 	used   int
@@ -73,11 +88,12 @@ type keyTable struct {
 // actually arrive; each grow reinserts only the distinct keys seen.
 const maxInitialSlots = 1 << 16
 
-// reset empties the table and sizes it for about hint distinct keys, keeping
-// its arrays when they are large enough. A table must be reset before use.
-func (kt *keyTable) reset(hint int) {
+// reset empties the table and sizes it for about hint distinct keys at the
+// given load, keeping its arrays when they are large enough. A table must be
+// reset before use.
+func (kt *keyTable) reset(hint int, load uint) {
 	capacity, p := 16, uint(4)
-	for capacity < maxInitialSlots && capacity/4 < hint {
+	for capacity < maxInitialSlots && capacity>>load < hint {
 		capacity <<= 1
 		p++
 	}
@@ -89,7 +105,7 @@ func (kt *keyTable) reset(hint int) {
 	for i := range kt.keys {
 		kt.keys[i] = emptyKeyBits
 	}
-	kt.shift = 64 - p
+	kt.shift, kt.load = 64-p, load
 	kt.used, kt.groups = 0, 0
 	kt.lo, kt.hi = math.Inf(1), math.Inf(-1)
 	kt.other = nil
@@ -125,6 +141,12 @@ func (kt *keyTable) intern(k relation.Value) int32 {
 	if !ok {
 		return kt.otherID(k, true)
 	}
+	return kt.internFloat(f)
+}
+
+// internFloat is intern's numeric entry point, for a key already widened to
+// float64 (a Value's numeric payload or a column image entry).
+func (kt *keyTable) internFloat(f float64) int32 {
 	// NaN compares false both ways, so NaN keys leave the filter untouched.
 	if f < kt.lo {
 		kt.lo = f
@@ -133,7 +155,7 @@ func (kt *keyTable) intern(k relation.Value) int32 {
 		kt.hi = f
 	}
 	b := normBits(f)
-	if kt.used*4 >= len(kt.keys) {
+	if kt.used<<kt.load >= len(kt.keys) {
 		// At the load threshold: double first, so the walk below always ends
 		// on a claimable slot.
 		kt.grow()
@@ -188,6 +210,12 @@ func (kt *keyTable) find(k relation.Value) int32 {
 		}
 		return kt.otherID(k, false)
 	}
+	return kt.findFloat(f)
+}
+
+// findFloat is find's numeric entry point, for a key already widened to
+// float64.
+func (kt *keyTable) findFloat(f float64) int32 {
 	// Negated so NaN (which compares false both ways) is rejected too.
 	if !(f >= kt.lo && f <= kt.hi) {
 		return -1

@@ -9,13 +9,15 @@ import (
 
 // TestKeyTableSemantics exercises the table directly: normalized-key
 // equality, Int/Float widening, NaN unreachability, the min-max filter, the
-// generic half for strings and bools, and dense ids that survive growth.
+// generic half for strings and bools, and dense ids that survive growth at
+// either load.
 func TestKeyTableSemantics(t *testing.T) {
-	fresh := func(hint int) *keyTable {
+	freshAt := func(hint int, load uint) *keyTable {
 		kt := new(keyTable)
-		kt.reset(hint)
+		kt.reset(hint, load)
 		return kt
 	}
+	fresh := func(hint int) *keyTable { return freshAt(hint, probeLoad) }
 	f, i, str := relation.Float, relation.Int, relation.String_
 
 	t.Run("empty_rejects_everything", func(t *testing.T) {
@@ -126,29 +128,31 @@ func TestKeyTableSemantics(t *testing.T) {
 	})
 
 	t.Run("ids_dense_and_stable_across_grows", func(t *testing.T) {
-		kt := fresh(0) // 16 slots: 1000 distinct keys force many grows
-		slots := len(kt.keys)
-		for n := 0; n < 1000; n++ {
-			if id := kt.intern(i(int64(n) * 7)); id != int32(n) {
-				t.Fatalf("key %d interned as group %d, want the next dense id", n, id)
+		for _, load := range []uint{probeLoad, levelLoad} {
+			kt := freshAt(0, load) // 16 slots: 1000 distinct keys force many grows
+			slots := len(kt.keys)
+			for n := 0; n < 1000; n++ {
+				if id := kt.intern(i(int64(n) * 7)); id != int32(n) {
+					t.Fatalf("load %d: key %d interned as group %d, want the next dense id", load, n, id)
+				}
+				if id := kt.internFloat(float64(n) * 7); id != int32(n) { // duplicate
+					t.Fatalf("load %d: key %d re-interned as group %d", load, n, id)
+				}
 			}
-			if id := kt.intern(f(float64(n) * 7)); id != int32(n) { // duplicate
-				t.Fatalf("key %d re-interned as group %d", n, id)
+			if len(kt.keys) <= slots || kt.used<<load >= len(kt.keys) {
+				t.Fatalf("load %d: %d keys in %d slots (from %d): the table must grow before its load", load, kt.used, len(kt.keys), slots)
 			}
-		}
-		if len(kt.keys) <= slots {
-			t.Fatal("table never grew")
-		}
-		for n := 0; n < 1000; n++ {
-			if id := kt.find(i(int64(n) * 7)); id != int32(n) {
-				t.Fatalf("key %d: group %d after grows, want %d", n, id, n)
+			for n := 0; n < 1000; n++ {
+				if id := kt.findFloat(float64(n) * 7); id != int32(n) {
+					t.Fatalf("load %d: key %d: group %d after grows, want %d", load, n, id, n)
+				}
 			}
-		}
-		if kt.lo != 0 || kt.hi != 999*7 {
-			t.Fatalf("bounds [%v, %v] after grows, want [0, %d]", kt.lo, kt.hi, 999*7)
-		}
-		if kt.find(i(-1)) != -1 || kt.find(i(3)) != -1 || kt.find(i(7000)) != -1 {
-			t.Fatal("absent keys must miss after grows")
+			if kt.lo != 0 || kt.hi != 999*7 {
+				t.Fatalf("load %d: bounds [%v, %v] after grows, want [0, %d]", load, kt.lo, kt.hi, 999*7)
+			}
+			if kt.find(i(-1)) != -1 || kt.find(i(3)) != -1 || kt.find(i(7000)) != -1 {
+				t.Fatalf("load %d: absent keys must miss after grows", load)
+			}
 		}
 	})
 
@@ -160,7 +164,7 @@ func TestKeyTableSemantics(t *testing.T) {
 		kt.intern(i(1))
 		kt.intern(str("x"))
 		keys := &kt.keys[0]
-		kt.reset(100)
+		kt.reset(100, probeLoad)
 		if &kt.keys[0] != keys {
 			t.Fatal("reset to a smaller size must keep the arrays")
 		}

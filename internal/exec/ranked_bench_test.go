@@ -32,37 +32,56 @@ func idScored(table string, n int, seed int64, sorted bool) (*relation.Schema, [
 
 // BenchmarkAnyKBuild is one deep-dig request at the operator: a fresh AnyK
 // over m id-joined 5 000-row inputs, opened, read for k results and closed —
-// the build is all of it, as on the workload.
+// the build is all of it, as on the workload, whose scores are one-term
+// ScoreSums. The inputs are lent slices (every score and key read from the
+// tuple) or, under stored/, SeqScans of stored relations, whose levels read
+// the relations' column images.
 func BenchmarkAnyKBuild(b *testing.B) {
 	const n = 5000
 	for _, m := range []int{2, 3} {
 		schemas := make([]*relation.Schema, m)
 		tuples := make([][]relation.Tuple, m)
+		rels := make([]*relation.Relation, m)
 		scores := make([]expr.Expr, m)
 		keys := make([]expr.Expr, m)
 		for i := 0; i < m; i++ {
 			tab := string(rune('A' + i))
 			schemas[i], tuples[i] = idScored(tab, n, int64(100+i), false)
-			scores[i], keys[i] = expr.Col(tab, "score"), expr.Col(tab, "id")
+			rels[i] = relation.New(tab, schemas[i])
+			for _, t := range tuples[i] {
+				rels[i].MustAppend(t)
+			}
+			scores[i] = expr.Sum(expr.ScoreTerm{Weight: 1, E: expr.Col(tab, "score")})
+			keys[i] = expr.Col(tab, "id")
 		}
-		for _, k := range []int{10, 100} {
-			b.Run(fmt.Sprintf("%dway/k=%d", m, k), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					ins := make([]Operator, m)
-					for x := range ins {
-						ins[x] = FromTuples(schemas[x], tuples[x])
-					}
-					j, err := NewAnyK(ins, scores, keys[:m-1], keys[1:])
-					if err != nil {
-						b.Fatal(err)
-					}
-					out, err := CollectK(j, k)
-					if err != nil || len(out) != k {
-						b.Fatalf("%d results, %v", len(out), err)
-					}
+		for _, stored := range []bool{false, true} {
+			for _, k := range []int{10, 100} {
+				name := fmt.Sprintf("%dway/k=%d", m, k)
+				if stored {
+					name = fmt.Sprintf("%dway/stored/k=%d", m, k)
 				}
-			})
+				b.Run(name, func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						ins := make([]Operator, m)
+						for x := range ins {
+							if stored {
+								ins[x] = NewSeqScan(rels[x])
+							} else {
+								ins[x] = FromTuples(schemas[x], tuples[x])
+							}
+						}
+						j, err := NewAnyK(ins, scores, keys[:m-1], keys[1:])
+						if err != nil {
+							b.Fatal(err)
+						}
+						out, err := CollectK(j, k)
+						if err != nil || len(out) != k {
+							b.Fatalf("%d results, %v", len(out), err)
+						}
+					}
+				})
+			}
 		}
 	}
 }

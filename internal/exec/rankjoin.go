@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"rankopt/internal/expr"
 	"rankopt/internal/relation"
@@ -143,8 +144,7 @@ func (r *rankedInput) read() (t relation.Tuple, s float64, ok bool, err error) {
 // admit validates one consumed tuple and folds its score into top/last/seen.
 // The tuple counts toward the depth before any NULL-score drop.
 func (r *rankedInput) admit(t relation.Tuple) (s float64, ok bool, err error) {
-	r.depth++
-	if err := r.budget.depthOK(r.depth); err != nil {
+	if err := r.count(); err != nil {
 		return 0, false, err
 	}
 	v, err := r.score(t)
@@ -155,14 +155,43 @@ func (r *rankedInput) admit(t relation.Tuple) (s float64, ok bool, err error) {
 		// NULL scores cannot participate in ranking; drop the tuple.
 		return 0, false, nil
 	}
-	if s, err = finiteScore(v.AsFloat(), r.op, r.idx); err != nil {
+	return r.fold(v.AsFloat())
+}
+
+// admitScore is admit for a tuple whose score was read without it (AnyK's
+// column images): the same depth count and cap, NULL drop and fold, in the
+// same order.
+func (r *rankedInput) admitScore(v float64, null bool) (s float64, ok bool, err error) {
+	if err := r.count(); err != nil {
+		return 0, false, err
+	}
+	if null {
+		return 0, false, nil
+	}
+	return r.fold(v)
+}
+
+// count counts one consumed tuple toward the depth and checks the cap.
+func (r *rankedInput) count() error {
+	r.depth++
+	return r.budget.depthOK(r.depth)
+}
+
+// fold passes a non-NULL score through finiteScore and the descending
+// contract into top/last/seen.
+func (r *rankedInput) fold(v float64) (s float64, ok bool, err error) {
+	if s, err = finiteScore(v, r.op, r.idx); err != nil {
 		return 0, false, err
 	}
 	switch {
 	case r.seen == 0:
 		r.top = s
 	case !r.ordered:
-		r.top = math.Max(r.top, s)
+		// s is finite, so a compare is the max; which zero top keeps on a
+		// ±0 tie cannot change a threshold test.
+		if s > r.top {
+			r.top = s
+		}
 	case s > r.last+scoreEps:
 		return 0, false, fmt.Errorf("exec: %s input %d violated descending-score contract (%v after %v)", r.op, r.idx, s, r.last)
 	}
@@ -400,16 +429,25 @@ type rowChain struct{ head, tail int32 }
 const rankPresizeMax = 64
 
 // insert buffers pick under key k.
-func (in *hashInput) insert(k relation.Value) {
+func (in *hashInput) insert(k relation.Value) { in.file(in.keys.intern(k)) }
+
+// file buffers pick at the tail of group g's chain; g equal to the number of
+// chains opens the next one.
+func (in *hashInput) file(g int32) {
 	row := int32(len(in.rows))
 	in.rows = append(in.rows, hashRow{in.pick, -1})
-	if g := int(in.keys.intern(k)); g < len(in.chains) {
+	if int(g) < len(in.chains) {
 		c := &in.chains[g]
 		in.rows[c.tail].next = row
 		c.tail = row
 	} else {
 		in.chains = append(in.chains, rowChain{row, row})
 	}
+}
+
+// release drops the buffered tuples and the table (the Close path).
+func (in *hashInput) release() {
+	in.keys, in.rows, in.chains, in.pick = keyTable{}, nil, nil, scored{}
 }
 
 // NewHRJN constructs the binary operator. The operator and its two-element
@@ -516,7 +554,7 @@ func (j *HRJN) bind() error {
 			return err
 		}
 		hint := min(sizeHint(float64(j.SizeHints[i])), rankPresizeMax)
-		in.keys.reset(hint)
+		in.keys.reset(hint, probeLoad)
 		in.rows = make([]hashRow, 0, hint)
 		in.chains = in.chains[:0]
 	}
@@ -685,8 +723,7 @@ func (j *HRJN) Next() (relation.Tuple, bool, error) {
 // Close implements Operator.
 func (j *HRJN) Close() error {
 	for i := range j.ins {
-		in := &j.ins[i]
-		in.keys, in.rows, in.chains, in.pick = keyTable{}, nil, nil, scored{}
+		j.ins[i].release()
 	}
 	j.buf.close()
 	return closeAll(j.Inputs)
@@ -695,17 +732,26 @@ func (j *HRJN) Close() error {
 // NRJN is the nested-loops rank-join operator. The outer (left) input must
 // arrive in descending score order; the inner input is materialized at Open
 // (it need not be sorted — this is the paper's "at least one sorted input"
-// join choice). For each outer tuple all inner matches are found by a linear
-// scan; the only ranking state is the priority queue. The threshold after
-// consuming an outer tuple with score s is s + max(inner score), since every
-// unseen combination involves a deeper outer tuple.
+// join choice). Each outer tuple is tested against the inner tuples that can
+// match it — those under its key when the join has a primary equi-join key,
+// else all of them — in inner order; the only ranking state is the priority
+// queue. The threshold after consuming an outer tuple with score s is
+// s + max(inner score), since every unseen combination involves a deeper
+// outer tuple.
 type NRJN struct {
 	Left, Right Operator
 	// LeftScore and RightScore evaluate each input's score contribution.
 	LeftScore, RightScore expr.Expr
-	// Pred is the full join predicate over the concatenated tuple (NRJN
-	// performs no hashing, so any predicate works, not just equi-joins).
+	// Pred is the full join predicate over the concatenated tuple; any
+	// predicate works, not just equi-joins.
 	Pred expr.Expr
+	// LeftKey (over Left) and RightKey (over Right), when set, are an
+	// equi-join conjunct of Pred — the compiler passes the plan's primary
+	// one. The inner is then filed by its key in the executor's key table,
+	// and an outer tuple meets only the inner tuples under its key: like HRJN
+	// and HashJoin, a NULL or NaN key matches nothing. Unset, every inner
+	// tuple is one chain.
+	LeftKey, RightKey expr.Expr
 	// QueueHint pre-sizes the ranking queue from the optimizer's estimated
 	// buffered-result count (zero = no hint).
 	QueueHint int
@@ -715,13 +761,15 @@ type NRJN struct {
 
 	schema *relation.Schema
 	predEv expr.Eval
+	lkey   keyEval
 
-	// outer is read one tuple per pull; innerIn is read out at Open into
-	// inner, leaving its top as the best inner score.
-	outer, innerIn rankedInput
-	inner          []scored
-	buf            rankBuffer[relation.Tuple]
-	outPool        tuplePool
+	// outer is read one tuple per pull; inner is read out at Open into its
+	// chains — one per key, in inner order — leaving its top as the best
+	// inner score.
+	outer   rankedInput
+	inner   hashInput
+	buf     rankBuffer[relation.Tuple]
+	outPool tuplePool
 
 	cancel canceller
 }
@@ -741,7 +789,7 @@ func (j *NRJN) Schema() *relation.Schema { return j.schema }
 // Stats returns the measured depths and buffer high-water mark. RightDepth
 // equals the materialized inner size before NULL-score drops (the
 // nested-loops strategy consumes the inner fully).
-func (j *NRJN) Stats() RankJoinStats { return j.buf.stats(j.outer.depth, j.innerIn.depth) }
+func (j *NRJN) Stats() RankJoinStats { return j.buf.stats(j.outer.depth, j.inner.depth) }
 
 // gauges exposes the internal high-water marks to the Analyzed collector.
 func (j *NRJN) gauges() analyzeGauges { return rankGauges(j.Stats(), &j.outPool) }
@@ -761,6 +809,9 @@ func (j *NRJN) Open(ctx context.Context) error {
 	return nil
 }
 
+// keyed reports whether the inner is filed by key.
+func (j *NRJN) keyed() bool { return j.LeftKey != nil && j.RightKey != nil }
+
 // load binds evaluators and materializes the scored inner input, opening and
 // closing it: the inner is read out completely, so it holds nothing Next
 // needs.
@@ -768,14 +819,26 @@ func (j *NRJN) load(ctx context.Context) error {
 	j.cancel.reset(ctx)
 	j.buf.reset(j.Budget, j.QueueHint)
 	j.outPool.reset(j.schema.Len())
-	j.inner = j.inner[:0]
 	if err := j.outer.bind("NRJN", 0, j.Left, j.LeftScore, true, j.Budget); err != nil {
 		return err
 	}
-	if err := j.innerIn.bind("NRJN", 1, j.Right, j.RightScore, false, j.Budget); err != nil {
+	in := &j.inner
+	if err := in.bind("NRJN", 1, j.Right, j.RightScore, false, j.Budget); err != nil {
 		return err
 	}
+	in.rows, in.chains = in.rows[:0], in.chains[:0]
 	var err error
+	if j.keyed() {
+		// Sized for one batch of distinct keys, so a typical inner never
+		// regrows it.
+		in.keys.reset(DefaultBatchSize, probeLoad)
+		if j.lkey, err = bindKey(j.LeftKey, j.Left.Schema()); err != nil {
+			return err
+		}
+		if in.key, err = bindKey(j.RightKey, j.Right.Schema()); err != nil {
+			return err
+		}
+	}
 	if j.predEv, err = bindPred(j.Pred, j.schema); err != nil {
 		return err
 	}
@@ -789,13 +852,15 @@ func (j *NRJN) load(ctx context.Context) error {
 	return err
 }
 
-// buffer streams the opened inner into j.inner batch-at-a-time, charging
+// buffer streams the opened inner into its chains batch-at-a-time, charging
 // each batch before it is kept: an inner larger than the budget fails after
-// one batch too many, not after the whole input is in memory.
+// one batch too many, not after the whole input is in memory. A scored tuple
+// under a NULL key joins nothing and is not filed.
 func (j *NRJN) buffer(ctx context.Context) error {
 	var src batchSource
 	src.reset(ctx, j.Right)
 	b := NewBatch(DefaultBatchSize)
+	in, keyed := &j.inner, j.keyed()
 	for {
 		if err := j.cancel.check(); err != nil {
 			return err
@@ -808,14 +873,28 @@ func (j *NRJN) buffer(ctx context.Context) error {
 		if err := j.buf.acct.charge(b.Len()); err != nil {
 			return err
 		}
+		in.rows = slices.Grow(in.rows, b.Len())
 		for _, t := range b.Tuples() {
-			s, ok, err := j.innerIn.admit(t)
+			s, ok, err := in.admit(t)
 			if err != nil {
 				return err
 			}
-			if ok {
-				j.inner = append(j.inner, scored{t, s})
+			if !ok {
+				continue
 			}
+			g := int32(0)
+			if keyed {
+				k, err := in.key.of(t)
+				if err != nil {
+					return err
+				}
+				if k.IsNull() {
+					continue
+				}
+				g = in.keys.intern(k)
+			}
+			in.pick = scored{t, s}
+			in.file(g)
 		}
 	}
 }
@@ -825,7 +904,24 @@ func (j *NRJN) threshold() float64 {
 	if j.outer.seen == 0 {
 		return math.Inf(1)
 	}
-	return j.outer.last + j.innerIn.top
+	return j.outer.last + j.inner.top
+}
+
+// matches returns the head of the inner chain outer tuple t can match, -1
+// when there is none.
+func (j *NRJN) matches(t relation.Tuple) (int32, error) {
+	g := int32(0)
+	if j.keyed() {
+		k, err := j.lkey.of(t)
+		if err != nil {
+			return -1, err
+		}
+		g = j.inner.keys.find(k)
+	}
+	if g < 0 || int(g) >= len(j.inner.chains) {
+		return -1, nil
+	}
+	return j.inner.chains[g].head, nil
 }
 
 // Next implements Operator.
@@ -836,7 +932,7 @@ func (j *NRJN) Next() (relation.Tuple, bool, error) {
 		}
 		// Without a scored inner tuple no result can form: stop without
 		// reading the outer out.
-		exhausted := j.outer.done || len(j.inner) == 0
+		exhausted := j.outer.done || j.inner.seen == 0
 		if t, ok := j.buf.release(j.threshold(), exhausted); ok {
 			return t, true, nil
 		}
@@ -850,7 +946,12 @@ func (j *NRJN) Next() (relation.Tuple, bool, error) {
 		if !ok {
 			continue
 		}
-		for _, m := range j.inner {
+		r, err := j.matches(t)
+		if err != nil {
+			return nil, false, err
+		}
+		for ; r >= 0; r = j.inner.rows[r].next {
+			m := &j.inner.rows[r]
 			out := j.outPool.concat(t, m.t)
 			pass, err := expr.EvalBool(j.predEv, out)
 			if err != nil {
@@ -869,7 +970,7 @@ func (j *NRJN) Next() (relation.Tuple, bool, error) {
 
 // Close implements Operator.
 func (j *NRJN) Close() error {
-	j.inner = nil
+	j.inner.release()
 	j.buf.close()
 	return j.Left.Close()
 }

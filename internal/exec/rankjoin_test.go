@@ -195,6 +195,36 @@ func TestNRJNTopKMatchesReference(t *testing.T) {
 	}
 }
 
+// A keyed NRJN tests each outer tuple against its key's chain only, but
+// offers what the one-chain NRJN offers, in the same order: the same rows,
+// ties included, the same depths and the same queue high-water mark.
+func TestNRJNKeyedMatchesOneChain(t *testing.T) {
+	pred := expr.And(expr.Bin(expr.OpEq, expr.Col("A", "key"), expr.Col("B", "key")),
+		expr.Bin(expr.OpLt, expr.Col("A", "id"), expr.Col("B", "id")))
+	for seed := int64(1); seed <= 20; seed++ {
+		a := workload.Ranked(workload.RankedConfig{Name: "A", N: 300, Selectivity: 0.05, Seed: seed})
+		b := workload.Ranked(workload.RankedConfig{Name: "B", N: 300, Selectivity: 0.05, Seed: seed + 100})
+		for _, k := range []int{5, 1 << 30} {
+			var rows [2][]relation.Tuple
+			var stats [2]RankJoinStats
+			for x, keyed := range []bool{false, true} {
+				j := NewNRJN(rankedScan(a), NewSeqScan(b), expr.Col("A", "score"), expr.Col("B", "score"), pred)
+				if keyed {
+					j.LeftKey, j.RightKey = expr.Col("A", "key"), expr.Col("B", "key")
+				}
+				var err error
+				if rows[x], err = CollectK(j, k); err != nil {
+					t.Fatal(err)
+				}
+				stats[x] = j.Stats()
+			}
+			if at, ok := sameRows(rows[0], rows[1]); !ok || stats[0] != stats[1] {
+				t.Fatalf("seed %d k=%d: keyed NRJN diverges at row %d (stats %+v vs %+v)", seed, k, at, stats[1], stats[0])
+			}
+		}
+	}
+}
+
 func TestNRJNEarlyOutOnOuter(t *testing.T) {
 	a := workload.Ranked(workload.RankedConfig{Name: "A", N: 3000, Selectivity: 0.01, Seed: 101})
 	b := workload.Ranked(workload.RankedConfig{Name: "B", N: 3000, Selectivity: 0.01, Seed: 102})

@@ -239,6 +239,9 @@ func (c *compiler) build(n *Node) (exec.Operator, error) {
 			return nil, err
 		}
 		nr := exec.NewNRJN(l, r, n.LScore, n.RScore, n.fullJoinPred())
+		if len(n.EqPreds) > 0 {
+			nr.LeftKey, nr.RightKey = n.EqPreds[0].L, n.EqPreds[0].R
+		}
 		nr.QueueHint = int(n.Sel * n.EstDL * n.Right().Card)
 		nr.Budget = c.cfg.Budget
 		return nr, nil

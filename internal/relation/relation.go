@@ -3,6 +3,8 @@ package relation
 import (
 	"fmt"
 	"sort"
+	"sync"
+	"sync/atomic"
 )
 
 // DefaultPageSize is the number of tuples per simulated disk page. The cost
@@ -18,6 +20,11 @@ type Relation struct {
 	schema   *Schema
 	tuples   []Tuple
 	PageSize int
+
+	// images are the heap's column images (see ColumnImage); imageMu
+	// serializes their builds.
+	images  atomic.Pointer[imageSet]
+	imageMu sync.Mutex
 }
 
 // New creates an empty relation with the given name and schema.
