@@ -1,240 +1,26 @@
 // Command raqo-bench regenerates the paper's evaluation artifacts: every
 // figure and table of "Rank-aware Query Optimization" (SIGMOD 2004) plus the
-// ablation studies, printed as aligned text tables.
+// ablation studies, printed as aligned text tables. Serving performance is
+// measured by the end-to-end benchmark instead (bash benchmark/run.sh).
 //
 // Usage:
 //
 //	raqo-bench                 # list experiments
 //	raqo-bench all             # run everything
 //	raqo-bench fig6 fig13      # run selected experiments
-//	raqo-bench -concurrency    # concurrent-session throughput sweep,
-//	                           # written to BENCH_throughput.json
-//	raqo-bench -plancache      # plan-cache cold/warm sweep, written to
-//	                           # BENCH_plancache.json
-//	raqo-bench -analyze        # depth-model accuracy sweep (estimated vs
-//	                           # executed rank-join depths), written to
-//	                           # BENCH_analyze.json; exits nonzero when the
-//	                           # mean relative error exceeds -maxerr
-//	raqo-bench -cancel         # cancellation-under-load latency benchmark
-//	                           # (p50/p99 cancel-to-return), written to
-//	                           # BENCH_cancel.json; exits nonzero when any
-//	                           # session returns a mistyped error
-//	raqo-bench -trace          # tracing on/off throughput comparison on the
-//	                           # single path and the sharded tier, written to
-//	                           # BENCH_trace.json; exits nonzero when traced
-//	                           # sessions record nothing, slow down past
-//	                           # -maxslowdown, or traced sharded sessions slow
-//	                           # down past -maxshardslowdown
-//	raqo-bench -batch          # batch vs per-tuple executor comparison with
-//	                           # tuple-level parity checking, written to
-//	                           # BENCH_batch.json; exits nonzero when the two
-//	                           # executor paths disagree
-//	raqo-bench -shard          # sharded scatter-gather scaling sweep over
-//	                           # shard counts 1/2/4/8 on the skewed
-//	                           # range-partitioned workload, written to
-//	                           # BENCH_shard.json; exits nonzero when shard=4
-//	                           # throughput is below -minspeedup x shard=1 or
-//	                           # the bounds never stopped a shard early
-//	raqo-bench -anyk           # any-k enumeration vs MultiHRJN sweep over
-//	                           # join width x k with three-way correctness
-//	                           # checking, written to BENCH_anyk.json; exits
-//	                           # nonzero when the answers diverge or no sweep
-//	                           # point shows any-k beating MultiHRJN by
-//	                           # -minanykspeedup
-//	raqo-bench -planner        # two-speed planner comparison: DP vs greedy
-//	                           # planning wall time and chosen-plan cost over
-//	                           # a selectivity sweep, with executed top-k
-//	                           # parity, written to BENCH_planner.json; exits
-//	                           # nonzero when the greedy path plans less than
-//	                           # -minplanspeedup times faster, any greedy
-//	                           # plan costs more than 1+-maxqualityloss of
-//	                           # the DP's, the answers diverge, or greedy
-//	                           # silently fell back to the DP
-//	raqo-bench -bench-all      # run every registered benchmark mode with its
-//	                           # default artifact path and write a
-//	                           # BENCH_index.json manifest recording each
-//	                           # bench's artifact and gate outcome; exits
-//	                           # nonzero when any bench fails
-//
-// The -concurrency mode runs a fixed batch of top-k sessions over one shared
-// catalog at each worker count (-workers, default 1,2,4,8), prints the
-// resulting table, and writes the JSON artifact to -out.
-//
-// The -plancache mode replays one repeated-query batch against a
-// cache-disabled engine (cold: parse + optimize every session) and a primed
-// cache-enabled engine (warm: plan-cache hit every session), reporting
-// throughput and allocations per query for both.
-//
-// The -analyze mode executes the canonical ranked-join shapes at several k
-// values with EXPLAIN ANALYZE instrumentation, compares each rank-join's
-// Section-4 depth estimates against the executed depths, and gates on the
-// mean relative error — CI's depth-model regression smoke test.
-//
-// The -trace mode replays one repeated-query batch through a primed engine
-// with tracing off (the production hot path) and with a span recorder on
-// every session, reporting qps and allocations per query for both sides —
-// CI's tracing-overhead smoke test. The off side is the number to compare
-// across revisions; the gate requires the traced side to actually record
-// spans and decisions and to stay under -maxslowdown.
-//
-// The -batch mode drains the vectorized operator pipelines (scan, filter,
-// projection, hash join) one tuple per Next and batch-at-a-time over the same
-// inputs, reports the speedups, and gates on exact tuple-level parity between
-// the two executor paths. Speedups are single-threaded ratios, so they remain
-// meaningful at GOMAXPROCS=1; a warning still flags single-CPU runs so the
-// artifact's context is visible in CI logs.
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"strconv"
-	"strings"
 
 	"rankopt/internal/bench"
 )
 
 func main() {
-	var (
-		concurrency  = flag.Bool("concurrency", false, "run the concurrent-session throughput sweep")
-		plancache    = flag.Bool("plancache", false, "run the plan-cache cold/warm sweep")
-		analyze      = flag.Bool("analyze", false, "run the depth-model accuracy sweep")
-		cancelBench  = flag.Bool("cancel", false, "run the cancellation-under-load latency benchmark")
-		traceBench   = flag.Bool("trace", false, "run the tracing on/off overhead comparison")
-		batchBench   = flag.Bool("batch", false, "run the batch vs per-tuple executor comparison")
-		shardBench   = flag.Bool("shard", false, "run the sharded scatter-gather scaling sweep")
-		planBench    = flag.Bool("planner", false, "run the DP vs greedy planner comparison")
-		anykBench    = flag.Bool("anyk", false, "run the any-k vs MultiHRJN operator sweep")
-		minSpeedup   = flag.Float64("minspeedup", 1.5, "fail when shard=4 qps is below this multiple of shard=1 (-shard)")
-		minPlanSpd   = flag.Float64("minplanspeedup", 10.0, "fail when greedy planning is below this speedup over the DP (-planner)")
-		minAnyKSpd   = flag.Float64("minanykspeedup", 1.5, "fail when no sweep point shows any-k beating MultiHRJN by this factor (-anyk)")
-		maxQuality   = flag.Float64("maxqualityloss", 0.2, "fail when a greedy plan costs more than 1+this times the DP plan (-planner)")
-		maxErr       = flag.Float64("maxerr", 3.0, "fail when the sweep's mean relative depth error exceeds this (-analyze)")
-		maxSlowdown  = flag.Float64("maxslowdown", 50.0, "fail when traced sessions are this many times slower than untraced (-trace)")
-		maxShardSlow = flag.Float64("maxshardslowdown", 1.5, "fail when traced sharded sessions are this many times slower than untraced (-trace)")
-		benchAll     = flag.Bool("bench-all", false, "run every benchmark mode and write a BENCH_index.json manifest")
-		out          = flag.String("out", "", "artifact path (defaults per mode)")
-		rows         = flag.Int("rows", 0, "override rows per table (sweep modes)")
-		queries      = flag.Int("queries", 0, "override sessions per point (sweep modes)")
-		workers      = flag.String("workers", "", "override comma-separated worker counts (sweeps) or one lane count (-cancel)")
-		optWorkers   = flag.Int("opt-workers", 0, "optimizer DP workers per session (-concurrency)")
-	)
-	flag.Parse()
-
-	if *concurrency {
-		path := *out
-		if path == "" {
-			path = "BENCH_throughput.json"
-		}
-		if err := runConcurrency(path, *rows, *queries, *workers, *optWorkers); err != nil {
-			fmt.Fprintln(os.Stderr, "raqo-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *plancache {
-		path := *out
-		if path == "" {
-			path = "BENCH_plancache.json"
-		}
-		if err := runPlanCache(path, *rows, *queries, *workers); err != nil {
-			fmt.Fprintln(os.Stderr, "raqo-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *analyze {
-		path := *out
-		if path == "" {
-			path = "BENCH_analyze.json"
-		}
-		if err := runAnalyze(path, *rows, *maxErr); err != nil {
-			fmt.Fprintln(os.Stderr, "raqo-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *traceBench {
-		path := *out
-		if path == "" {
-			path = "BENCH_trace.json"
-		}
-		if err := runTrace(path, *rows, *queries, *maxSlowdown, *maxShardSlow); err != nil {
-			fmt.Fprintln(os.Stderr, "raqo-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *batchBench {
-		path := *out
-		if path == "" {
-			path = "BENCH_batch.json"
-		}
-		if err := runBatch(path, *rows); err != nil {
-			fmt.Fprintln(os.Stderr, "raqo-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *shardBench {
-		path := *out
-		if path == "" {
-			path = "BENCH_shard.json"
-		}
-		if err := runShard(path, *rows, *queries, *minSpeedup); err != nil {
-			fmt.Fprintln(os.Stderr, "raqo-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *planBench {
-		path := *out
-		if path == "" {
-			path = "BENCH_planner.json"
-		}
-		if err := runPlanner(path, *rows, *minPlanSpd, *maxQuality); err != nil {
-			fmt.Fprintln(os.Stderr, "raqo-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *anykBench {
-		path := *out
-		if path == "" {
-			path = "BENCH_anyk.json"
-		}
-		if err := runAnyK(path, *rows, *minAnyKSpd); err != nil {
-			fmt.Fprintln(os.Stderr, "raqo-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *cancelBench {
-		path := *out
-		if path == "" {
-			path = "BENCH_cancel.json"
-		}
-		if err := runCancel(path, *rows, *queries, *workers); err != nil {
-			fmt.Fprintln(os.Stderr, "raqo-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *benchAll {
-		if err := runBenchAll(*maxErr, *maxSlowdown, *maxShardSlow, *minSpeedup, *minPlanSpd, *maxQuality, *minAnyKSpd); err != nil {
-			fmt.Fprintln(os.Stderr, "raqo-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	args := flag.Args()
+	args := os.Args[1:]
 	if len(args) == 0 {
-		fmt.Println("usage: raqo-bench all | <experiment>... | -concurrency | -plancache | -analyze | -cancel | -trace | -batch | -shard | -planner | -anyk")
+		fmt.Println("usage: raqo-bench all | <experiment>...")
 		fmt.Println("experiments:")
 		for _, e := range bench.All() {
 			fmt.Printf("  %-10s %s\n", e.Name, e.What)
@@ -262,313 +48,4 @@ func main() {
 		}
 		fmt.Println(tab)
 	}
-}
-
-func runConcurrency(out string, rows, queries int, workers string, optWorkers int) error {
-	cfg := bench.DefaultThroughputConfig()
-	if rows > 0 {
-		cfg.Rows = rows
-	}
-	if queries > 0 {
-		cfg.Queries = queries
-	}
-	if optWorkers > 0 {
-		cfg.OptWorkers = optWorkers
-	}
-	if workers != "" {
-		cfg.Workers = nil
-		for _, f := range strings.Split(workers, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil || n < 1 {
-				return fmt.Errorf("bad -workers value %q", f)
-			}
-			cfg.Workers = append(cfg.Workers, n)
-		}
-	}
-	rep, err := bench.Throughput(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println(rep.Table())
-	data, err := rep.JSON()
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
-	return nil
-}
-
-func runAnalyze(out string, rows int, maxErr float64) error {
-	cfg := bench.DefaultAnalyzeConfig()
-	if rows > 0 {
-		cfg.Rows = rows
-	}
-	rep, err := bench.Analyze(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println(rep.Table())
-	data, err := rep.JSON()
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
-	return rep.CheckBound(maxErr)
-}
-
-func runTrace(out string, rows, queries int, maxSlowdown, maxShardSlowdown float64) error {
-	cfg := bench.DefaultTraceOverheadConfig()
-	if rows > 0 {
-		cfg.Rows = rows
-	}
-	if queries > 0 {
-		cfg.Queries = queries
-	}
-	rep, err := bench.TraceOverhead(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println(rep.Table())
-	if sht := rep.ShardedTable(); sht != nil {
-		fmt.Println(sht)
-	}
-	data, err := rep.JSON()
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
-	if err := rep.CheckOverhead(maxSlowdown); err != nil {
-		return err
-	}
-	return rep.CheckShardedOverhead(maxShardSlowdown)
-}
-
-func runBatch(out string, rows int) error {
-	if runtime.GOMAXPROCS(0) == 1 {
-		fmt.Fprintln(os.Stderr, "raqo-bench: warning: GOMAXPROCS=1 — parallel speedups are invisible on this run; batch-vs-tuple ratios are single-threaded and remain valid (the artifact records gomaxprocs and cpus, so the run's context is machine-readable)")
-	}
-	cfg := bench.DefaultBatchConfig()
-	if rows > 0 {
-		cfg.Rows = rows
-	}
-	rep, err := bench.BatchExec(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println(rep.Table())
-	data, err := rep.JSON()
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
-	// The parity gate: a divergence between the executor paths fails the run.
-	return rep.CheckParity()
-}
-
-func runShard(out string, rows, queries int, minSpeedup float64) error {
-	cfg := bench.DefaultShardConfig()
-	if rows > 0 {
-		cfg.Rows = rows
-	}
-	if queries > 0 {
-		cfg.Queries = queries
-	}
-	rep, err := bench.Shard(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println(rep.Table())
-	data, err := rep.JSON()
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
-	// The scaling gate: shard=4 must beat shard=1 by minSpeedup with a
-	// nonzero early-stop rate.
-	return rep.CheckScaling(minSpeedup)
-}
-
-func runPlanner(out string, rows int, minSpeedup, maxQualityLoss float64) error {
-	cfg := bench.DefaultPlannerConfig()
-	if rows > 0 {
-		cfg.Rows = rows
-	}
-	rep, err := bench.Planner(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println(rep.Table())
-	data, err := rep.JSON()
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
-	// The two-speed gate: greedy must earn its keep on planning time without
-	// giving up plan quality or answer correctness.
-	return rep.CheckGates(minSpeedup, maxQualityLoss)
-}
-
-func runAnyK(out string, rows int, minSpeedup float64) error {
-	cfg := bench.DefaultAnyKConfig()
-	if rows > 0 {
-		cfg.Rows = rows
-	}
-	rep, err := bench.AnyK(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println(rep.Table())
-	data, err := rep.JSON()
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
-	// The crossover gate: the answers must agree everywhere and any-k must
-	// win somewhere, or the DP has nothing to bank on when it picks AnyK.
-	return rep.CheckGates(minSpeedup)
-}
-
-func runCancel(out string, rows, sessions int, workers string) error {
-	cfg := bench.DefaultCancelConfig()
-	if rows > 0 {
-		cfg.Rows = rows
-	}
-	if sessions > 0 {
-		cfg.Sessions = sessions
-	}
-	if workers != "" {
-		n, err := strconv.Atoi(strings.TrimSpace(workers))
-		if err != nil || n < 1 {
-			return fmt.Errorf("bad -workers value %q (cancel mode takes one count)", workers)
-		}
-		cfg.Workers = n
-	}
-	rep, err := bench.Cancel(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println(rep.Table())
-	data, err := rep.JSON()
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
-	return rep.CheckTyped()
-}
-
-func runPlanCache(out string, rows, queries int, workers string) error {
-	cfg := bench.DefaultPlanCacheConfig()
-	if rows > 0 {
-		cfg.Rows = rows
-	}
-	if queries > 0 {
-		cfg.Queries = queries
-	}
-	if workers != "" {
-		cfg.Workers = nil
-		for _, f := range strings.Split(workers, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil || n < 1 {
-				return fmt.Errorf("bad -workers value %q", f)
-			}
-			cfg.Workers = append(cfg.Workers, n)
-		}
-	}
-	rep, err := bench.PlanCache(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println(rep.Table())
-	data, err := rep.JSON()
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
-	return nil
-}
-
-// benchIndexEntry is one row of the BENCH_index.json manifest.
-type benchIndexEntry struct {
-	Name     string `json:"name"`
-	Artifact string `json:"artifact"`
-	OK       bool   `json:"ok"`
-	Error    string `json:"error,omitempty"`
-}
-
-// runBenchAll runs every registered benchmark mode back to back with its
-// default artifact path, then writes BENCH_index.json recording what ran and
-// whether each gate held. All benches run even after a failure so one bad
-// gate still leaves a complete set of artifacts; the first failure is
-// returned at the end.
-func runBenchAll(maxErr, maxSlowdown, maxShardSlowdown, minSpeedup, minPlanSpd, maxQuality, minAnyKSpd float64) error {
-	benches := []struct {
-		name     string
-		artifact string
-		run      func(string) error
-	}{
-		{"concurrency", "BENCH_throughput.json", func(p string) error { return runConcurrency(p, 0, 0, "", 0) }},
-		{"plancache", "BENCH_plancache.json", func(p string) error { return runPlanCache(p, 0, 0, "") }},
-		{"analyze", "BENCH_analyze.json", func(p string) error { return runAnalyze(p, 0, maxErr) }},
-		{"trace", "BENCH_trace.json", func(p string) error { return runTrace(p, 0, 0, maxSlowdown, maxShardSlowdown) }},
-		{"batch", "BENCH_batch.json", func(p string) error { return runBatch(p, 0) }},
-		{"shard", "BENCH_shard.json", func(p string) error { return runShard(p, 0, 0, minSpeedup) }},
-		{"planner", "BENCH_planner.json", func(p string) error { return runPlanner(p, 0, minPlanSpd, maxQuality) }},
-		{"anyk", "BENCH_anyk.json", func(p string) error { return runAnyK(p, 0, minAnyKSpd) }},
-		{"cancel", "BENCH_cancel.json", func(p string) error { return runCancel(p, 0, 0, "") }},
-	}
-	manifest := struct {
-		GoMaxProcs int               `json:"gomaxprocs"`
-		CPUs       int               `json:"cpus"`
-		Benches    []benchIndexEntry `json:"benches"`
-	}{GoMaxProcs: runtime.GOMAXPROCS(0), CPUs: runtime.NumCPU()}
-	var firstFail error
-	for _, b := range benches {
-		fmt.Printf("=== bench %s -> %s ===\n", b.name, b.artifact)
-		entry := benchIndexEntry{Name: b.name, Artifact: b.artifact, OK: true}
-		if err := b.run(b.artifact); err != nil {
-			entry.OK = false
-			entry.Error = err.Error()
-			fmt.Fprintf(os.Stderr, "raqo-bench: %s: %v\n", b.name, err)
-			if firstFail == nil {
-				firstFail = fmt.Errorf("%s: %w", b.name, err)
-			}
-		}
-		manifest.Benches = append(manifest.Benches, entry)
-	}
-	data, err := json.MarshalIndent(manifest, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile("BENCH_index.json", append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Println("wrote BENCH_index.json")
-	return firstFail
 }

@@ -28,17 +28,7 @@ func All() []Experiment {
 		{"dists", "Ablation: depth-model robustness across score distributions", AblationDistributions},
 		{"topksort", "Ablation: full sort vs bounded-heap top-k sort", AblationTopKSort},
 		{"mway", "Ablation: m-way HRJN vs binary HRJN tree", AblationMultiwayHRJN},
-		{"anyk", "Any-k enumeration vs MultiHRJN crossover", func() (*Table, error) {
-			r, err := AnyK(DefaultAnyKConfig())
-			if err != nil {
-				return nil, err
-			}
-			return r.Table(), nil
-		}},
 		{"taplan", "Ablation: Fagin-TA plan vs optimizer's winner", AblationRankAggregate},
-		{"throughput", "Concurrent session throughput at 1/2/4/8 workers", ThroughputExperiment},
-		{"plancache", "Plan cache: cold vs warm throughput and allocations", PlanCacheExperiment},
-		{"batch", "Batch vs per-tuple execution on scan/filter/project/hash-join", BatchExecExperiment},
 	}
 }
 

@@ -98,15 +98,8 @@ type Options struct {
 	Strategy exec.PullStrategy
 	// Params overrides the cost-model parameters (nil means defaults).
 	Params *costmodel.Params
-	// Workers bounds the goroutines enumerating join plans within each DP
-	// size level (levels are the enumeration's only dependency barrier).
-	// 0 or 1 enumerates sequentially; the plans produced are identical
-	// either way, since every memo entry is built by exactly one worker.
-	Workers int
 	// Tracer, when non-nil, observes every enumeration and pruning decision
-	// (see tracer.go). Implementations must be safe for concurrent calls
-	// when Workers > 1; for a deterministic event order run with Workers <=
-	// 1, which the engine does for traced sessions.
+	// (see tracer.go), in the enumeration's deterministic order.
 	Tracer Tracer
 	// Planner selects the join-order strategy: the System-R DP (default) or
 	// the greedy fast path (see PlannerGreedy).
@@ -289,8 +282,7 @@ func Optimize(cat *catalog.Catalog, q *logical.Query, opts Options) (*Result, er
 }
 
 // runDP is the System-R enumeration: per-subset facts first (read-only from
-// here on, so the level workers share them freely), then the base access
-// paths, then the join levels.
+// here on), then the base access paths, then the join levels.
 func (o *optimizer) runDP() {
 	o.buildEntries()
 	o.memo = make([][]memoPlan, len(o.entries))

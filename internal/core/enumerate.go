@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync"
 
 	"rankopt/internal/exec"
 	"rankopt/internal/expr"
@@ -89,7 +88,7 @@ func (o *optimizer) enumerateBase() {
 			}
 		}
 
-		// Base entries are built sequentially; publish each as it completes.
+		// Publish each entry as it completes.
 		o.memo[acc.mask] = acc.plans
 		o.pc.merge(acc.pc)
 	}
@@ -224,9 +223,9 @@ func (o *optimizer) sortInto(w *joinNode, p *plan.Node, keys []exec.SortKey, ord
 }
 
 // maskAcc accumulates the candidate plans of one MEMO entry during
-// enumeration. Each mask of a size level is owned by exactly one worker
-// goroutine, which prunes locally; the accumulated lists are merged into the
-// shared memo at the level barrier, so workers never write shared state.
+// enumeration: candidates are pruned against the entry's local list, which
+// is published to the memo (and its counters folded into the optimizer's)
+// once the entry is complete.
 type maskAcc struct {
 	o     *optimizer
 	mask  uint64
@@ -301,57 +300,20 @@ func (a *maskAcc) add(cand *plan.Node) {
 }
 
 // enumerateJoins runs the bottom-up DP over table subsets, generating every
-// join alternative for every connected split of every subset. Within one
-// size level every mask depends only on strictly smaller entries, so the
-// masks of a level are enumerated across Options.Workers goroutines; the
-// level boundary is the only synchronization point.
+// join alternative for every connected split of every subset. Masks are
+// visited in size-level order and each publishes its plans as it completes:
+// a mask reads only strictly smaller entries, all finished at earlier levels.
 func (o *optimizer) enumerateJoins() {
 	n := len(o.tables)
 	full := o.fullMask()
 	for size := 2; size <= n; size++ {
-		var masks []uint64
 		for mask := uint64(1); mask <= full; mask++ {
-			if o.entries[mask].level == size {
-				masks = append(masks, mask)
+			if o.entries[mask].level != size {
+				continue
 			}
-		}
-		accs := make([]*maskAcc, len(masks))
-		enumerate := func(i int) {
-			acc := o.newAcc(masks[i])
+			acc := o.newAcc(mask)
 			o.enumerateMask(acc)
-			accs[i] = acc
-		}
-		workers := o.opts.Workers
-		if workers > len(masks) {
-			workers = len(masks)
-		}
-		if workers <= 1 {
-			for i := range masks {
-				enumerate(i)
-			}
-		} else {
-			idx := make(chan int)
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := range idx {
-						enumerate(i)
-					}
-				}()
-			}
-			for i := range masks {
-				idx <- i
-			}
-			close(idx)
-			wg.Wait()
-		}
-		// Level barrier: publish every mask's plans before the next level
-		// reads them. Each entry was built by one worker, so the merge is a
-		// plain move, not a re-pruning.
-		for _, acc := range accs {
-			o.memo[acc.mask] = acc.plans
+			o.memo[mask] = acc.plans
 			o.pc.merge(acc.pc)
 		}
 	}

@@ -28,7 +28,7 @@ func newEquivClasses(joins []logical.JoinPred) *equivClasses {
 func (e *equivClasses) key(c expr.ColRef) string { return c.String() }
 
 // find walks to the class root without path compression: lookups stay pure
-// reads, so concurrent plan-enumeration workers can share the structure.
+// reads.
 func (e *equivClasses) find(k string) string {
 	for {
 		p, ok := e.parent[k]

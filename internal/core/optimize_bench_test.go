@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"rankopt/internal/workload"
@@ -32,32 +33,21 @@ func TestOptimizeAllocs(t *testing.T) {
 //
 //	go test -run '^$' -bench Optimize -cpuprofile cpu.out ./internal/core
 //
-// answers "where did core.optimize_ms go". 4way-w2 is the same query with
-// two level workers (Options.Workers).
+// answers "where did core.optimize_ms go".
 func BenchmarkOptimize(b *testing.B) {
 	cat, _ := workload.RankedSet(5, workload.RankedConfig{N: 1500, Selectivity: 0.01, Seed: 2004})
 	all := churnShape{
 		tables:  []string{"T1", "T2", "T3", "T4", "T5"},
 		weights: []float64{0.1, 0.2, 0.3, 0.4, 0.5},
 	}
-	for _, bc := range []struct {
-		name    string
-		width   int
-		workers int
-	}{
-		{"3way", 3, 0},
-		{"4way", 4, 0},
-		{"4way-w2", 4, 2},
-		{"5way", 5, 0},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			s := churnShape{tables: all.tables[:bc.width], weights: all.weights[:bc.width]}
+	for _, width := range []int{3, 4, 5} {
+		b.Run(fmt.Sprintf("%dway", width), func(b *testing.B) {
+			s := churnShape{tables: all.tables[:width], weights: all.weights[:width]}
 			q := s.query(b, 10)
-			opts := Options{Workers: bc.workers}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := Optimize(cat, q, opts); err != nil {
+				if _, err := Optimize(cat, q, Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -14,7 +14,7 @@ const costEps = 1e-9
 // considered, candidates rejected by an existing dominator, existing plans
 // evicted by a stronger candidate, and pipelined plans that a cheaper
 // blocking plan would have removed but for the First-N-Rows protection.
-// Join-level workers each own a private copy merged at the level barrier.
+// Each MEMO entry tallies its own, merged into the total once it completes.
 type pruneCounters struct {
 	gen       int
 	pruned    int
@@ -22,7 +22,7 @@ type pruneCounters struct {
 	protected int
 }
 
-// merge folds a worker's counters into the optimizer total.
+// merge folds an entry's counters into the optimizer total.
 func (pc *pruneCounters) merge(other pruneCounters) {
 	pc.gen += other.gen
 	pc.pruned += other.pruned
@@ -37,9 +37,8 @@ func (pc *pruneCounters) merge(other pruneCounters) {
 // the candidate are evicted (plans is filtered in place). kept reports
 // whether the candidate is now the list's last element; the node is stored
 // as given, so a caller that assembled it in scratch space replaces it with
-// a heap copy. The receiver is only read, so concurrent workers may call
-// this on disjoint lists; pruning outcomes land in pc and, when a Tracer is
-// attached, as decision events.
+// a heap copy. Pruning outcomes land in pc and, when a Tracer is attached,
+// as decision events.
 func (o *optimizer) insertPruned(e *entryInfo, plans []memoPlan, cand memoPlan, pc *pruneCounters) (_ []memoPlan, kept bool) {
 	tr := o.opts.Tracer
 	candProtected := false

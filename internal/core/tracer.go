@@ -86,10 +86,8 @@ type Decision struct {
 	Note string
 }
 
-// Tracer observes optimizer decisions. Implementations must tolerate calls
-// from multiple goroutines: with Options.Workers > 1 the DP levels prune in
-// parallel (events within one MEMO entry still arrive in order, because one
-// worker owns each entry).
+// Tracer observes optimizer decisions. One optimization calls it from one
+// goroutine, in enumeration order.
 type Tracer interface {
 	OnDecision(Decision)
 }
@@ -163,9 +161,7 @@ func (dt *DecisionTrace) CountKind(k DecisionKind) int {
 // interesting orders first, then every MEMO entry grouped by DP level with
 // its candidate count and pruning events, then the final cost comparison.
 // The rendering is deterministic — entries sort by (level, label) and
-// within-entry order follows the enumeration, which is deterministic when
-// the optimizer ran sequentially (the engine forces Workers=1 for traced
-// sessions).
+// within-entry order follows the enumeration.
 func (dt *DecisionTrace) Format() string {
 	dt.mu.Lock()
 	decisions := append([]Decision(nil), dt.decisions...)

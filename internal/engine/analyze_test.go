@@ -1,12 +1,14 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
 	"rankopt/internal/core"
 	"rankopt/internal/plan"
+	"rankopt/internal/workload"
 )
 
 // goldenAnalyze is the byte-exact EXPLAIN ANALYZE tree for the seeded 3-way
@@ -127,5 +129,56 @@ func TestAnalyzeEmptyInput(t *testing.T) {
 	out := plan.FormatAnalyze(resp.Plan, resp.Analysis, false)
 	if strings.Contains(out, "NaN") || strings.Contains(out, "Inf") {
 		t.Errorf("EXPLAIN ANALYZE rendered a degenerate estimate:\n%s", out)
+	}
+}
+
+// TestAnalyzedDepthAccuracy is the engine-path depth-model gate: analyzed
+// sessions over the three 2-way rotations and the 3-way join of a RankedSet
+// catalog, at several k, must report estimated and executed depths for every
+// rank join, and the Section-4 estimates must stay within a mean relative
+// error (|est-act|/max(act,1), both sides of every join) of 3.0. This
+// catalog measures 0.485; TestFig13Accuracy checks the estimator alone, this
+// checks the depths the compiled plans actually reach.
+func TestAnalyzedDepthAccuracy(t *testing.T) {
+	cat, _ := workload.RankedSet(3, workload.RankedConfig{N: 4000, Selectivity: 0.005, Seed: 7})
+	eng := New(cat, core.Options{})
+	shapes := []string{
+		"SELECT * FROM T1, T2 WHERE T1.key = T2.key ORDER BY T1.score + T2.score DESC LIMIT %d",
+		"SELECT * FROM T2, T3 WHERE T2.key = T3.key ORDER BY T2.score + T3.score DESC LIMIT %d",
+		"SELECT * FROM T1, T3 WHERE T1.key = T3.key ORDER BY T1.score + T3.score DESC LIMIT %d",
+		"SELECT * FROM T1, T2, T3 WHERE T1.key = T2.key AND T2.key = T3.key ORDER BY T1.score + T2.score + T3.score DESC LIMIT %d",
+	}
+	relErr := func(est float64, act int) float64 {
+		return math.Abs(est-float64(act)) / math.Max(float64(act), 1)
+	}
+	var errSum float64
+	var sides int
+	for _, k := range []int{1, 10, 50, 100} {
+		for _, shape := range shapes {
+			sql := fmt.Sprintf(shape, k)
+			resp := eng.Run(Request{SQL: sql, Analyze: true})
+			if resp.Err != nil {
+				t.Fatalf("%s: %v", sql, resp.Err)
+			}
+			if len(resp.RankJoins) == 0 {
+				t.Errorf("%s: plan has no rank join", sql)
+			}
+			for _, rj := range resp.RankJoins {
+				if rj.EstDL <= 0 || rj.EstDR <= 0 || rj.Stats.LeftDepth <= 0 || rj.Stats.RightDepth <= 0 {
+					t.Errorf("%s: %s(%s) depths est %.1f/%.1f act %d/%d, want all positive",
+						sql, rj.Op, rj.Pred, rj.EstDL, rj.EstDR, rj.Stats.LeftDepth, rj.Stats.RightDepth)
+				}
+				errSum += relErr(rj.EstDL, rj.Stats.LeftDepth) + relErr(rj.EstDR, rj.Stats.RightDepth)
+				sides += 2
+			}
+		}
+	}
+	if sides == 0 {
+		t.Fatal("no rank-join depths observed")
+	}
+	mean := errSum / float64(sides)
+	t.Logf("mean relative depth error %.3f over %d rank joins", mean, sides/2)
+	if mean > 3.0 {
+		t.Errorf("mean relative depth error %.2f exceeds 3.0", mean)
 	}
 }

@@ -9,9 +9,7 @@
 // read it, so they need no locks. Everything mutable — the optimizer's
 // MEMO, compiled operator trees, rank-join stats — is private to one
 // session, except the plan cache, which is sharded and internally
-// synchronized. Within a session the optimizer may additionally parallelize
-// its DP levels (core.Options.Workers); the two levels of parallelism
-// compose.
+// synchronized.
 //
 // The plan cache sits between parsing and optimization: a session whose
 // query text was seen before skips both; a session whose canonical
@@ -201,9 +199,9 @@ type Request struct {
 	// fingerprint → plan-cache → optimize → compile → execute, with nested
 	// per-operator spans synthesized from the runtime stats) into the given
 	// recorder, and attaches an optimizer decision tracer: the session runs a
-	// fresh single-worker optimization so Response.OptTrace carries a
-	// deterministic pruning explanation even when the plan cache would have
-	// hit. A nil Trace costs exactly one nil compare per stage.
+	// fresh optimization so Response.OptTrace carries a deterministic pruning
+	// explanation even when the plan cache would have hit. A nil Trace costs
+	// exactly one nil compare per stage.
 	Trace *trace.Trace
 }
 
@@ -355,7 +353,6 @@ func (e *Engine) planFor(tr *trace.Trace, sql string) (planInfo, *core.DecisionT
 	if tr != nil {
 		dt = core.NewDecisionTrace()
 		opts.Tracer = dt
-		opts.Workers = 1
 	} else if tmpl, ok := e.cache.lookupPlan(fp, epoch, hintEpoch); ok {
 		// Level 2: canonical fingerprint — skips optimization.
 		e.cache.hits.Add(1)
@@ -510,9 +507,8 @@ func (e *Engine) run(ctx context.Context, req Request, limits exec.ResourceLimit
 	// Sharded tier: qualifying plans run one pipeline per shard under the
 	// early-stop coordinator — including Analyze and traced sessions, whose
 	// per-shard stats collectors and trace lanes ride the fan-out (the
-	// optimizer *decision* trace above stays single-worker for determinism;
-	// only execution is parallel). Plans the partitioning cannot cover fall
-	// back and are counted by reason.
+	// optimizer runs once above; only execution is parallel). Plans the
+	// partitioning cannot cover fall back and are counted by reason.
 	if len(e.shards) > 0 {
 		if k, ok := e.shardable(root); ok {
 			en.setState(QueryExecuting)

@@ -120,25 +120,6 @@ func TestConcurrentSessionsMatchSequential(t *testing.T) {
 	}
 }
 
-// TestConcurrentSessionsWithParallelOptimizer layers both levels of
-// parallelism: concurrent sessions whose optimizers each enumerate DP
-// levels with their own worker pools.
-func TestConcurrentSessionsWithParallelOptimizer(t *testing.T) {
-	seqEng := testEngine(t, core.Options{})
-	parEng := testEngine(t, core.Options{Workers: 4})
-	reqs := testRequests(12, false)
-	want := stripElapsed(seqEng.RunAll(reqs, 1))
-	got := stripElapsed(parEng.RunAll(reqs, 8))
-	for i := range got {
-		if got[i].Err != nil {
-			t.Fatalf("%s: %v", reqs[i].ID, got[i].Err)
-		}
-		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Errorf("%s: parallel-optimizer response diverged", reqs[i].ID)
-		}
-	}
-}
-
 // TestPool exercises the long-lived serving front: submissions from many
 // goroutines, per-submission response channels, idempotent Close.
 func TestPool(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"rankopt/internal/catalog"
 	"rankopt/internal/core"
 	"rankopt/internal/plan"
+	"rankopt/internal/trace"
 	"rankopt/internal/workload"
 )
 
@@ -190,5 +191,88 @@ func TestShardedConcurrentSessions(t *testing.T) {
 				t.Fatalf("%s row %d diverged under concurrency", reqs[i].ID, j)
 			}
 		}
+	}
+}
+
+// skewedShardCatalog is the rank-aware early-stop workload in small: two
+// tables range-partitioned on the join key whose scores are a function of the
+// key (ScoreByKey), so the global top-k lives in the highest-key shard and
+// every other shard's a-priori ceiling can be beaten.
+func skewedShardCatalog(t *testing.T) *catalog.Catalog {
+	t.Helper()
+	const rows, keys = 4000, 100
+	cat := catalog.New()
+	for i, name := range []string{"T1", "T2"} {
+		cat.AddTable(workload.Ranked(workload.RankedConfig{
+			Name: name, N: rows, Selectivity: 1.0 / keys, Seed: 29 + int64(i)*7919, ScoreByKey: 1,
+		}))
+		if _, err := cat.CreateIndex(name, "key", false); err != nil {
+			t.Fatal(err)
+		}
+		spec := catalog.PartitionSpec{Column: "key", Kind: catalog.PartitionRange, Lo: 0, Hi: keys}
+		if err := cat.SetPartition(name, spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return cat
+}
+
+const skewedShardSQL = "SELECT * FROM T1, T2 WHERE T1.key = T2.key ORDER BY T1.score + T2.score DESC LIMIT 10"
+
+// TestShardedBoundsSkipShards: on the skewed catalog the coordinator's bounds
+// must do work — some shard is pruned before starting or stopped early, so
+// fewer shards start than sessions × shards. Counts, not timings: the skipped
+// shard work is the rank-aware speed-up, whatever the CPU count.
+func TestShardedBoundsSkipShards(t *testing.T) {
+	const shards, sessions = 4, 8
+	eng := NewWithConfig(skewedShardCatalog(t), Config{Shards: shards})
+	if err := eng.ShardError(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < sessions; i++ {
+		resp := eng.Run(Request{SQL: skewedShardSQL})
+		if resp.Err != nil {
+			t.Fatal(resp.Err)
+		}
+		if !resp.Sharded {
+			t.Fatalf("session %d fell back to the single path", i)
+		}
+	}
+	m := eng.Snapshot()
+	if m.ShardsPruned+m.ShardsEarlyStopped == 0 {
+		t.Errorf("no shard was pruned or stopped early (started %d)", m.ShardsStarted)
+	}
+	if m.ShardsStarted >= shards*sessions {
+		t.Errorf("ShardsStarted = %d, want < %d", m.ShardsStarted, shards*sessions)
+	}
+}
+
+// TestTracedShardedSession: a traced session on a sharded engine stays on the
+// scatter-gather path and records one shard span per shard.
+func TestTracedShardedSession(t *testing.T) {
+	const shards = 4
+	eng := NewWithConfig(skewedShardCatalog(t), Config{Shards: shards})
+	if err := eng.ShardError(); err != nil {
+		t.Fatal(err)
+	}
+	tr := trace.New(skewedShardSQL)
+	resp := eng.Run(Request{SQL: skewedShardSQL, Trace: tr})
+	if resp.Err != nil {
+		t.Fatal(resp.Err)
+	}
+	if !resp.Sharded {
+		t.Fatal("traced session fell back to the single path")
+	}
+	var shardSpans int
+	for _, sp := range tr.Spans() {
+		if sp.Cat == "shard" {
+			shardSpans++
+		}
+	}
+	if shardSpans < shards {
+		t.Errorf("traced session recorded %d shard spans, want >= %d", shardSpans, shards)
+	}
+	if n := eng.Snapshot().ShardFallbacksByReason["traced"]; n != 0 {
+		t.Errorf("traced fallbacks = %d, want 0", n)
 	}
 }

@@ -514,7 +514,7 @@ func TestBatchDrainAllocBudgets(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			allocs := testing.AllocsPerRun(5, func() {
-				if _, err := DrainCtx(ctx, c.mk()); err != nil {
+				if _, _, err := drain(ctx, c.mk(), pullBatch, noLimit, countRows); err != nil {
 					t.Fatal(err)
 				}
 			})

@@ -232,8 +232,8 @@ type HashJoin struct {
 	// drained one Next at a time (polling per tuple), keys are evaluated
 	// through the bound expression, and the table is an interface-keyed
 	// built-in map — the executor exactly as it was before vectorization.
-	// The differential oracle and the batch benchmarks run this side against
-	// the vectorized build/probe, which doubles as an independent
+	// The differential oracle and the batch parity tests run this side
+	// against the vectorized build/probe, which doubles as an independent
 	// implementation check on keyTable.
 	PerTupleBuild bool
 

@@ -74,7 +74,7 @@ const (
 )
 
 // drain is the one open / poll / pull / close-on-error loop behind every
-// exported Collect* and Drain* helper. It pulls batch-at-a-time (vectorized
+// exported Collect* helper. It pulls batch-at-a-time (vectorized
 // roots natively, per-tuple roots through the batchSource shim, one context
 // check per batch) or, with perTuple, one tuple per Next polling ctx on the
 // canceller cadence. limit < 0 drains to exhaustion; keep retains the tuples,
@@ -146,29 +146,12 @@ func CollectCtx(ctx context.Context, op Operator) ([]relation.Tuple, error) {
 }
 
 // CollectPerTupleCtx is the one-tuple-per-Next reference drain: CollectCtx
-// exactly as it behaved before batch execution landed. The batch benchmarks
-// use it as the baseline side, and the differential oracle cross-checks
-// every plan through both drains — any batch-vs-tuple divergence fails the
-// comparison.
+// exactly as it behaved before batch execution landed. The differential
+// oracle cross-checks every plan through both drains — any batch-vs-tuple
+// divergence fails the comparison.
 func CollectPerTupleCtx(ctx context.Context, op Operator) ([]relation.Tuple, error) {
 	out, _, err := drain(ctx, op, pullTuple, noLimit, keepRows)
 	return out, err
-}
-
-// DrainCtx opens op, pulls it to exhaustion batch-at-a-time discarding the
-// tuples, closes it, and returns the tuple count. It is the
-// materialization-free drain — row counting, benchmark loops — where the
-// result-buffer cost of CollectCtx would be pure noise.
-func DrainCtx(ctx context.Context, op Operator) (int, error) {
-	_, n, err := drain(ctx, op, pullBatch, noLimit, countRows)
-	return n, err
-}
-
-// DrainPerTupleCtx drains like DrainCtx one tuple per Next — the per-tuple
-// reference side of the batch benchmarks.
-func DrainPerTupleCtx(ctx context.Context, op Operator) (int, error) {
-	_, n, err := drain(ctx, op, pullTuple, noLimit, countRows)
-	return n, err
 }
 
 // CollectK opens op, pulls at most k tuples, closes it — CollectKCtx for

@@ -37,8 +37,8 @@ type Config struct {
 	// vectorized internal phase fall back to their pre-batch per-tuple form
 	// (today that is the hash join's build and table layout). Combined with a
 	// per-tuple drain this reproduces the executor exactly as it was before
-	// batch execution landed — the baseline the batch benchmarks measure
-	// against and the independent side of the differential oracle.
+	// batch execution landed — the independent side of the differential
+	// oracle.
 	ScalarRef bool
 }
 
