@@ -224,8 +224,8 @@ func printMetrics(w io.Writer, eng *engine.Engine) {
 	fmt.Fprintf(w, "depth feedback: observations=%d accepted=%d replans=%d\n",
 		m.DepthObservations, m.DepthAccepted, m.DepthReplans)
 	if m.ShardedQueries > 0 || m.ShardFallbacks > 0 {
-		fmt.Fprintf(w, "sharded: queries=%d fallbacks=%d%s started=%d pruned=%d early-stopped=%d saved=%d\n",
-			m.ShardedQueries, m.ShardFallbacks, reasonSuffix(m.ShardFallbacksByReason),
+		fmt.Fprintf(w, "sharded: queries=%d fallbacks=%d started=%d pruned=%d early-stopped=%d saved=%d\n",
+			m.ShardedQueries, m.ShardFallbacks,
 			m.ShardsStarted, m.ShardsPruned, m.ShardsEarlyStopped, m.ShardTuplesSaved)
 	}
 	if len(m.GreedyFallbacksByReason) > 0 {

@@ -5,8 +5,9 @@
 //
 // The example answers the query two ways:
 //
-//  1. as a top-k *selection* with classic rank-aggregation algorithms (TA
-//     and NRA) over the per-feature ranked lists, and
+//  1. as a top-k *selection* with the engine's Threshold Algorithm operator
+//     (exec.TASelect: sorted access through each feature's score index,
+//     random access through its id index), and
 //  2. as a top-k *join* through the rank-aware optimizer, which builds a
 //     pipeline of HRJN operators over the feature relations,
 //
@@ -24,7 +25,6 @@ import (
 	"rankopt/internal/expr"
 	"rankopt/internal/logical"
 	"rankopt/internal/plan"
-	"rankopt/internal/ranking"
 	"rankopt/internal/workload"
 )
 
@@ -46,52 +46,42 @@ func main() {
 }
 
 // topKSelection treats each feature relation as a ranked list of the same
-// objects and aggregates with TA and NRA.
+// objects and aggregates them with TA.
 func topKSelection(cat *catalog.Catalog, features []string, weights []float64) {
-	lists := make([]*ranking.ListSource, len(features))
+	inputs := make([]exec.TAInput, len(features))
 	for i, f := range features {
 		tab, err := cat.Table(f)
 		if err != nil {
 			log.Fatal(err)
 		}
-		ids := make([]int64, tab.Rel.Cardinality())
-		scores := make([]float64, tab.Rel.Cardinality())
-		for j, tup := range tab.Rel.Tuples() {
-			ids[j] = tup[0].AsInt()
-			scores[j] = tup[1].AsFloat()
+		inputs[i] = exec.TAInput{
+			Rel:      tab.Rel,
+			ScoreIdx: cat.IndexOn(f, "score"),
+			IDIdx:    cat.IndexOn(f, "id"),
+			ScorePos: 1, IDPos: 0,
+			Weight: weights[i],
 		}
-		lists[i] = ranking.NewListSource(ids, scores)
 	}
-
-	srcs := make([]ranking.Source, len(lists))
-	for i, l := range lists {
-		srcs[i] = l
+	ta, err := exec.NewTASelect(inputs, topK)
+	if err != nil {
+		log.Fatal(err)
 	}
-	taRes, taStats, err := ranking.TA(srcs, weights, topK)
+	rows, err := exec.Collect(ta)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("-- top-k selection via TA (sorted + random access) --")
-	for i, r := range taRes {
-		fmt.Printf("  %2d. object %4d  score %.4f\n", i+1, r.ID, r.Score)
+	for i, row := range rows {
+		// One (id, score) pair per feature, in feature order.
+		score := 0.0
+		for f, w := range weights {
+			score += w * row[2*f+1].AsFloat()
+		}
+		fmt.Printf("  %2d. object %4d  score %.4f\n", i+1, row[0].AsInt(), score)
 	}
+	st := ta.AccessStats()
 	fmt.Printf("  effort: %d sorted + %d random accesses (naive scan: %d)\n\n",
-		taStats.TotalSorted(), taStats.TotalRandom(), objects*len(features))
-
-	for _, l := range lists {
-		l.Reset()
-	}
-	sorted := make([]ranking.SortedAccess, len(lists))
-	for i, l := range lists {
-		sorted[i] = l
-	}
-	nraRes, nraStats, err := ranking.NRA(sorted, weights, topK)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("-- top-k selection via NRA (sorted access only) --")
-	fmt.Printf("  same top-%d set: %v\n", topK, sameSet(taRes, nraRes))
-	fmt.Printf("  effort: %d sorted accesses\n\n", nraStats.TotalSorted())
+		st.TotalSorted(), st.TotalRandom(), objects*len(features))
 }
 
 // topKJoin runs the same similarity query through the rank-aware optimizer
@@ -138,17 +128,4 @@ func topKJoin(cat *catalog.Catalog, features []string, weights []float64) {
 	}
 	fmt.Printf("\n  estimated top rank-join depths for k=%d: dL=%.0f dR=%.0f (of %d tuples)\n",
 		topK, tree.DL, tree.DR, objects)
-}
-
-func sameSet(a, b []ranking.Result) bool {
-	set := map[int64]bool{}
-	for _, r := range a {
-		set[r.ID] = true
-	}
-	for _, r := range b {
-		if !set[r.ID] {
-			return false
-		}
-	}
-	return true
 }

@@ -17,10 +17,8 @@ const degree = 64
 // Tree is a B+tree from Value keys to row-id lists. Duplicate keys are
 // supported: all row ids for equal keys live in one leaf entry.
 type Tree struct {
-	root   node
-	height int
-	size   int // number of (key,rid) pairs
-	keys   int // number of distinct keys
+	root node
+	size int // number of (key,rid) pairs
 }
 
 type node interface {
@@ -59,83 +57,18 @@ func New() *Tree { return &Tree{root: &leaf{}} }
 // Len returns the number of (key, rid) pairs stored.
 func (t *Tree) Len() int { return t.size }
 
-// DistinctKeys returns the number of distinct keys stored.
-func (t *Tree) DistinctKeys() int { return t.keys }
-
-// Height returns the number of levels below the root (0 for a lone leaf).
-func (t *Tree) Height() int { return t.height }
-
 // Insert adds a (key, rid) pair. NULL keys are rejected: SQL indexes do not
 // index NULLs in this engine.
 func (t *Tree) Insert(key relation.Value, rid int) error {
 	if key.IsNull() {
 		return fmt.Errorf("btree: cannot index NULL key")
 	}
-	before := t.countsProbe(key)
 	sep, right, split := t.root.insert(key, rid)
 	if split {
 		t.root = &inner{keys: []relation.Value{sep}, children: []node{t.root, right}}
-		t.height++
 	}
 	t.size++
-	if !before {
-		t.keys++
-	}
 	return nil
-}
-
-// countsProbe reports whether key already exists.
-func (t *Tree) countsProbe(key relation.Value) bool {
-	l, i := t.root.seek(key)
-	if l == nil || i >= len(l.entries) {
-		return false
-	}
-	return l.entries[i].key.Equal(key)
-}
-
-// Delete removes one (key, rid) pair, reporting whether it was present.
-// Leaves are allowed to underflow: this tree serves an in-memory,
-// append-mostly index, so structural rebalancing is deliberately lazy —
-// iterators skip empty leaves and lookups tolerate them. An index with heavy
-// churn should be rebuilt via the catalog.
-func (t *Tree) Delete(key relation.Value, rid int) bool {
-	if key.IsNull() {
-		return false
-	}
-	l, i := t.root.seek(key)
-	if l == nil || i >= len(l.entries) || !l.entries[i].key.Equal(key) {
-		return false
-	}
-	rids := l.entries[i].rids
-	for j, r := range rids {
-		if r == rid {
-			l.entries[i].rids = append(rids[:j], rids[j+1:]...)
-			t.size--
-			if len(l.entries[i].rids) == 0 {
-				l.entries = append(l.entries[:i], l.entries[i+1:]...)
-				t.keys--
-			}
-			return true
-		}
-	}
-	return false
-}
-
-// DeleteKey removes every rid stored under key, returning how many were
-// removed.
-func (t *Tree) DeleteKey(key relation.Value) int {
-	if key.IsNull() {
-		return 0
-	}
-	l, i := t.root.seek(key)
-	if l == nil || i >= len(l.entries) || !l.entries[i].key.Equal(key) {
-		return 0
-	}
-	n := len(l.entries[i].rids)
-	l.entries = append(l.entries[:i], l.entries[i+1:]...)
-	t.size -= n
-	t.keys--
-	return n
 }
 
 // Lookup returns the row ids stored under key (nil if absent).

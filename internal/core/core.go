@@ -94,8 +94,6 @@ type Options struct {
 	// input to the differential-testing oracle. Combine with KeepAllPlans to
 	// exercise plans pruning would normally discard.
 	CollectAllPlans bool
-	// Strategy is the HRJN polling policy for compiled plans.
-	Strategy exec.PullStrategy
 	// Params overrides the cost-model parameters (nil means defaults).
 	Params *costmodel.Params
 	// Tracer, when non-nil, observes every enumeration and pruning decision

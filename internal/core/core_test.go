@@ -272,7 +272,6 @@ func TestAblationSwitchesStillCorrect(t *testing.T) {
 		"noHRJN":     {DisableHRJN: true},
 		"noNRJN":     {DisableNRJN: true},
 		"noEnforced": {DisableEnforcedRankInputs: true},
-		"adaptive":   {Strategy: exec.Adaptive},
 		"noPipe":     {DisablePipelineProtection: true},
 	} {
 		res, err := Optimize(cat, q, opts)

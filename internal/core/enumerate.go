@@ -538,15 +538,14 @@ func (o *optimizer) joinSplit(acc *maskAcc, sp *splitInfo) {
 func (o *optimizer) rankJoinProto(sub, rest uint64, preds []logical.JoinPred, s float64) plan.Node {
 	eL, eR := o.entry(sub), o.entry(rest)
 	n := plan.Node{
-		EqPreds:  preds,
-		LScore:   eL.score,
-		RScore:   eR.score,
-		Strategy: o.opts.Strategy,
-		Sel:      s,
-		LLeaves:  len(eL.ranked),
-		RLeaves:  len(eR.ranked),
-		BaseN:    o.entry(sub | rest).baseN,
-		P:        o.params,
+		EqPreds: preds,
+		LScore:  eL.score,
+		RScore:  eR.score,
+		Sel:     s,
+		LLeaves: len(eL.ranked),
+		RLeaves: len(eR.ranked),
+		BaseN:   o.entry(sub | rest).baseN,
+		P:       o.params,
 	}
 	if len(eL.ranked) == 1 {
 		n.LSlab = eL.ranked[0].termSlab

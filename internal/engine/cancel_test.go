@@ -177,8 +177,8 @@ func TestAdmissionTimeout(t *testing.T) {
 }
 
 // TestConcurrentCancelNoLeaks is the -race stress: many concurrent sessions,
-// half cancelled mid-flight, a pool closed under load — afterwards the
-// goroutine count settles back (no leaked workers or stuck sessions).
+// half cancelled mid-flight, half under deadlines — afterwards the goroutine
+// count settles back (no leaked workers or stuck sessions).
 func TestConcurrentCancelNoLeaks(t *testing.T) {
 	before := runtime.NumGoroutine()
 	eng := heavyEngine(t, Config{MaxConcurrent: 4})
@@ -212,23 +212,6 @@ func TestConcurrentCancelNoLeaks(t *testing.T) {
 				}
 			}
 		}(i)
-	}
-	// A pool closing under concurrent submissions, with per-request deadlines.
-	pool := eng.NewPool(3)
-	var results []<-chan Response
-	for i := 0; i < 6; i++ {
-		results = append(results, pool.Submit(Request{
-			ID: fmt.Sprintf("p%d", i), SQL: heavySQL,
-			Deadline: time.Now().Add(15 * time.Millisecond),
-		}))
-	}
-	pool.Close()
-	for i, ch := range results {
-		resp := <-ch
-		if resp.Err != nil && !errors.Is(resp.Err, exec.ErrDeadlineExceeded) &&
-			!errors.Is(resp.Err, ErrPoolClosed) {
-			t.Errorf("p%d: unexpected error %v", i, resp.Err)
-		}
 	}
 	wg.Wait()
 	// Goroutines wind down asynchronously; retry before declaring a leak.

@@ -28,7 +28,6 @@ import (
 	"math"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"rankopt/internal/catalog"
@@ -508,7 +507,7 @@ func (e *Engine) run(ctx context.Context, req Request, limits exec.ResourceLimit
 	// early-stop coordinator — including Analyze and traced sessions, whose
 	// per-shard stats collectors and trace lanes ride the fan-out (the
 	// optimizer runs once above; only execution is parallel). Plans the
-	// partitioning cannot cover fall back and are counted by reason.
+	// partitioning cannot cover fall back and are counted.
 	if len(e.shards) > 0 {
 		if k, ok := e.shardable(root); ok {
 			en.setState(QueryExecuting)
@@ -519,7 +518,7 @@ func (e *Engine) run(ctx context.Context, req Request, limits exec.ResourceLimit
 			resp.Elapsed = time.Since(start)
 			return resp
 		}
-		e.met.observeShardFallback(shardFallbackNonShardable)
+		e.met.shardFallbacks.Add(1)
 	}
 	cs := tr.Begin("compile", "pipeline")
 	op, err := p.compile(e.cat, root, -1)
@@ -754,37 +753,4 @@ func (e *Engine) observeAnalyzedOps(root *plan.Node, ap *plan.AnalyzedPlan) {
 			e.met.observeOpDepth(histOpTopK, st.MaxHeap)
 		}
 	})
-}
-
-// RunAll fans the requests across the given number of concurrent session
-// workers and returns the responses in request order. workers is clamped to
-// [1, len(reqs)].
-func (e *Engine) RunAll(reqs []Request, workers int) []Response {
-	out := make([]Response, len(reqs))
-	if workers > len(reqs) {
-		workers = len(reqs)
-	}
-	if workers <= 1 {
-		for i, r := range reqs {
-			out[i] = e.Run(r)
-		}
-		return out
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				out[i] = e.Run(reqs[i])
-			}
-		}()
-	}
-	for i := range reqs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	return out
 }

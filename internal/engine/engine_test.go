@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"rankopt/internal/core"
@@ -76,6 +77,24 @@ func TestRunCapturesErrors(t *testing.T) {
 	}
 }
 
+// runAll runs the requests over the given number of concurrent session
+// workers and returns the responses in request order.
+func runAll(eng *Engine, reqs []Request, workers int) []Response {
+	out := make([]Response, len(reqs))
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < len(reqs); i += workers {
+				out[i] = eng.Run(reqs[i])
+			}
+		}()
+	}
+	wg.Wait()
+	return out
+}
+
 // stripElapsed zeroes the fields that legitimately vary between runs —
 // wall-clock time, the session-private plan pointer, and whether the plan
 // cache happened to be warm — so concurrent and sequential responses
@@ -98,9 +117,9 @@ func stripElapsed(rs []Response) []Response {
 func TestConcurrentSessionsMatchSequential(t *testing.T) {
 	eng := testEngine(t, core.Options{})
 	reqs := testRequests(24, true)
-	want := stripElapsed(eng.RunAll(reqs, 1))
+	want := stripElapsed(runAll(eng, reqs, 1))
 	for _, workers := range []int{2, 8, 16} {
-		got := stripElapsed(eng.RunAll(reqs, workers))
+		got := stripElapsed(runAll(eng, reqs, workers))
 		if len(got) != len(want) {
 			t.Fatalf("workers=%d: %d responses, want %d", workers, len(got), len(want))
 		}
@@ -118,34 +137,4 @@ func TestConcurrentSessionsMatchSequential(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestPool exercises the long-lived serving front: submissions from many
-// goroutines, per-submission response channels, idempotent Close.
-func TestPool(t *testing.T) {
-	eng := testEngine(t, core.Options{})
-	pool := eng.NewPool(8)
-	reqs := testRequests(16, true)
-	chans := make([]<-chan Response, len(reqs))
-	for i, r := range reqs {
-		chans[i] = pool.Submit(r)
-	}
-	want := stripElapsed(eng.RunAll(reqs, 1))
-	for i, ch := range chans {
-		got := <-ch
-		got.Elapsed = 0
-		got.Plan = nil
-		got.CacheHit = false
-		ge, we := got.Err, want[i].Err
-		if (ge == nil) != (we == nil) {
-			t.Errorf("%s: err %v, want %v", reqs[i].ID, ge, we)
-			continue
-		}
-		got.Err, want[i].Err = nil, nil
-		if !reflect.DeepEqual(got, want[i]) {
-			t.Errorf("%s: pooled response diverged from sequential run", reqs[i].ID)
-		}
-	}
-	pool.Close()
-	pool.Close() // idempotent
 }

@@ -1,8 +1,8 @@
 package engine
 
 // This file is the engine-wide observability layer: every query session,
-// whatever goroutine runs it, lands in one block of atomic counters plus a
-// fixed-bucket latency histogram. Snapshot() exposes the aggregate
+// whatever goroutine runs it, lands in one block of atomic counters plus
+// fixed-bucket histograms. Snapshot() exposes the aggregate
 // programmatically and DebugMux serves it over HTTP (stdlib only) as
 // Prometheus-style text at /metrics and as a JSON document at /debug/engine.
 
@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
@@ -23,7 +24,7 @@ import (
 	"rankopt/internal/plan"
 )
 
-// latencyBucketBounds are the histogram's inclusive upper bounds. The
+// latencyBucketBounds are the latency histograms' inclusive upper bounds. The
 // geometric 1-2.5-5 ladder spans sub-millisecond cache hits up to
 // multi-second cold optimizer runs; an implicit overflow bucket catches the
 // rest. Fixed buckets keep observation allocation-free and lock-free.
@@ -82,9 +83,9 @@ func histOpIndex(op plan.OpType) int {
 // k≈1 lookups to full-input drains.
 var opDepthBounds = [...]int64{1, 4, 16, 64, 256, 1024, 4096, 16384, 65536}
 
-// opLatencyBoundsNanos reuse the session latency ladder for per-operator
-// wall time.
-var opLatencyBoundsNanos = func() []int64 {
+// latencyBoundsNanos is the latency ladder in nanoseconds, the unit every
+// latency histogram (sessions and per-operator wall time) observes in.
+var latencyBoundsNanos = func() []int64 {
 	out := make([]int64, len(latencyBucketBounds))
 	for i, d := range latencyBucketBounds {
 		out[i] = d.Nanoseconds()
@@ -92,8 +93,9 @@ var opLatencyBoundsNanos = func() []int64 {
 	return out
 }()
 
-// opHist is one lock-free fixed-bucket histogram. The bucket array is sized
-// for the larger (latency) bound ladder; the depth family uses a prefix.
+// opHist is the engine's one lock-free fixed-bucket histogram. The bucket
+// array is sized for the larger (latency) bound ladder; the depth family uses
+// a prefix.
 type opHist struct {
 	count   atomic.Uint64
 	sum     atomic.Uint64
@@ -134,19 +136,6 @@ func (h *opHist) quantile(bounds []int64, q float64) float64 {
 	}
 	return float64(bounds[len(bounds)-1])
 }
-
-// Shard fallback reasons: why a session on a sharded engine ran the single
-// path anyway. After the shard-aware analyze work, analyze/traced sessions
-// run sharded too, so those two labels stay structurally zero — kept so
-// dashboards watching the old aggregate see where the fallbacks went.
-const (
-	shardFallbackNonShardable = iota
-	shardFallbackAnalyze
-	shardFallbackTraced
-	numShardFallbackReasons
-)
-
-var shardFallbackReasonNames = [numShardFallbackReasons]string{"non_shardable", "analyze", "traced"}
 
 // greedyReasonNames spell the `reason` label of raqo_greedy_fallbacks_total;
 // the order must match greedyReasonIndex.
@@ -194,12 +183,13 @@ type metrics struct {
 	slowQueries atomic.Uint64
 
 	// shardedQueries..shardTuplesSaved aggregate the scatter-gather tier:
-	// sessions served by the coordinator, sessions that fell back to the
-	// single path despite sharding being on, and the coordinator's shard
-	// outcomes (started / pruned before starting / cancelled mid-stream by
-	// the bound test) with the shard output the bounds avoided pulling.
+	// sessions served by the coordinator, sessions whose plan the
+	// partitioning could not cover (they run the single path despite
+	// sharding being on), and the coordinator's shard outcomes (started /
+	// pruned before starting / cancelled mid-stream by the bound test) with
+	// the shard output the bounds avoided pulling.
 	shardedQueries     atomic.Uint64
-	shardFallbacks     [numShardFallbackReasons]atomic.Uint64
+	shardFallbacks     atomic.Uint64
 	shardsStarted      atomic.Uint64
 	shardsPruned       atomic.Uint64
 	shardsEarlyStopped atomic.Uint64
@@ -238,8 +228,8 @@ type metrics struct {
 	depthAccepted     atomic.Uint64
 	depthReplans      atomic.Uint64
 
-	latencySumNanos atomic.Int64
-	latency         [numLatencyBuckets]atomic.Uint64
+	// latency is the session latency histogram (nanoseconds).
+	latency opHist
 }
 
 // observeOptimize folds one fresh optimizer run's counters into the
@@ -262,12 +252,7 @@ func (m *metrics) observeSharded(st *exec.ShardMergeStats, execNanos int64) {
 	m.shardsEarlyStopped.Add(uint64(st.EarlyStopped))
 	m.shardTuplesSaved.Add(uint64(st.TuplesSaved))
 	m.opDepth[histOpShardMerge].observe(opDepthBounds[:], int64(st.TuplesPulled))
-	m.opLatency[histOpShardMerge].observe(opLatencyBoundsNanos, execNanos)
-}
-
-// observeShardFallback counts one single-path session on a sharded engine.
-func (m *metrics) observeShardFallback(reason int) {
-	m.shardFallbacks[reason].Add(1)
+	m.opLatency[histOpShardMerge].observe(latencyBoundsNanos, execNanos)
 }
 
 // observeGreedy counts a greedy-planner fallback by reason.
@@ -290,27 +275,8 @@ func (m *metrics) observeOpDepth(idx int, v int64) {
 
 func (m *metrics) observeOpLatency(idx int, nanos int64) {
 	if idx >= 0 {
-		m.opLatency[idx].observe(opLatencyBoundsNanos, nanos)
+		m.opLatency[idx].observe(latencyBoundsNanos, nanos)
 	}
-}
-
-// shardFallbackTotal sums the reason-labeled fallback counters.
-func (m *metrics) shardFallbackTotal() uint64 {
-	var total uint64
-	for i := range m.shardFallbacks {
-		total += m.shardFallbacks[i].Load()
-	}
-	return total
-}
-
-// bucketFor maps a session latency to its histogram bucket.
-func bucketFor(d time.Duration) int {
-	for i, b := range latencyBucketBounds {
-		if d <= b {
-			return i
-		}
-	}
-	return len(latencyBucketBounds)
 }
 
 // observe folds one finished session into the counters.
@@ -333,8 +299,7 @@ func (m *metrics) observe(resp *Response, analyzed bool) {
 		m.analyzed.Add(1)
 	}
 	m.tuples.Add(uint64(len(resp.Tuples)))
-	m.latencySumNanos.Add(resp.Elapsed.Nanoseconds())
-	m.latency[bucketFor(resp.Elapsed)].Add(1)
+	m.latency.observe(latencyBoundsNanos, resp.Elapsed.Nanoseconds())
 }
 
 // LatencyBucket is one cumulative histogram step of a Metrics snapshot.
@@ -369,15 +334,14 @@ type Metrics struct {
 	SlowQueries   uint64 `json:"slow_queries"`
 
 	// ShardedQueries..ShardTuplesSaved report the scatter-gather tier (all
-	// zero on an unsharded engine). ShardFallbacks is the total;
-	// ShardFallbacksByReason splits it (non_shardable / analyze / traced).
-	ShardedQueries         uint64            `json:"sharded_queries"`
-	ShardFallbacks         uint64            `json:"shard_fallbacks"`
-	ShardFallbacksByReason map[string]uint64 `json:"shard_fallbacks_by_reason"`
-	ShardsStarted          uint64            `json:"shards_started"`
-	ShardsPruned           uint64            `json:"shards_pruned"`
-	ShardsEarlyStopped     uint64            `json:"shards_early_stopped"`
-	ShardTuplesSaved       uint64            `json:"shard_tuples_saved"`
+	// zero on an unsharded engine). ShardFallbacks counts sessions whose plan
+	// the partitioning could not cover.
+	ShardedQueries     uint64 `json:"sharded_queries"`
+	ShardFallbacks     uint64 `json:"shard_fallbacks"`
+	ShardsStarted      uint64 `json:"shards_started"`
+	ShardsPruned       uint64 `json:"shards_pruned"`
+	ShardsEarlyStopped uint64 `json:"shards_early_stopped"`
+	ShardTuplesSaved   uint64 `json:"shard_tuples_saved"`
 
 	// GreedyFallbacksByReason counts PlannerGreedy sessions that fell back
 	// to the DP, by cause (empty map when the greedy planner is unused).
@@ -494,7 +458,7 @@ func (e *Engine) Snapshot() Metrics {
 		TracedQueries:      e.met.traced.Load(),
 		SlowQueries:        e.met.slowQueries.Load(),
 		ShardedQueries:     e.met.shardedQueries.Load(),
-		ShardFallbacks:     e.met.shardFallbackTotal(),
+		ShardFallbacks:     e.met.shardFallbacks.Load(),
 		ShardsStarted:      e.met.shardsStarted.Load(),
 		ShardsPruned:       e.met.shardsPruned.Load(),
 		ShardsEarlyStopped: e.met.shardsEarlyStopped.Load(),
@@ -508,10 +472,6 @@ func (e *Engine) Snapshot() Metrics {
 		DepthAccepted:      e.met.depthAccepted.Load(),
 		DepthReplans:       e.met.depthReplans.Load(),
 		Runtime:            readRuntimeStats(),
-	}
-	m.ShardFallbacksByReason = map[string]uint64{}
-	for i, name := range shardFallbackReasonNames {
-		m.ShardFallbacksByReason[name] = e.met.shardFallbacks[i].Load()
 	}
 	m.GreedyFallbacksByReason = map[string]uint64{}
 	for i, name := range greedyReasonNames {
@@ -529,27 +489,27 @@ func (e *Engine) Snapshot() Metrics {
 			DepthP99:         d.quantile(opDepthBounds[:], 0.99),
 			LatencyCount:     l.count.Load(),
 			LatencySumNanos:  l.sum.Load(),
-			LatencyP50Millis: l.quantile(opLatencyBoundsNanos, 0.50) / 1e6,
-			LatencyP99Millis: l.quantile(opLatencyBoundsNanos, 0.99) / 1e6,
+			LatencyP50Millis: l.quantile(latencyBoundsNanos, 0.50) / 1e6,
+			LatencyP99Millis: l.quantile(latencyBoundsNanos, 0.99) / 1e6,
 		})
 	}
 	cs := e.CacheStats()
 	m.CacheHits, m.CacheMisses = cs.Hits, cs.Misses
 	m.CacheInvalidations, m.CacheEntries = cs.Invalidations, cs.Entries
+	lat := &e.met.latency
 	if m.Queries > 0 {
-		m.AvgLatencyMillis = float64(e.met.latencySumNanos.Load()) / float64(m.Queries) / 1e6
+		m.AvgLatencyMillis = float64(lat.sum.Load()) / float64(m.Queries) / 1e6
 	}
 	var cum uint64
-	total := m.Queries
-	for i := 0; i < numLatencyBuckets; i++ {
-		cum += e.met.latency[i].Load()
+	for i := range lat.buckets {
+		cum += lat.buckets[i].Load()
 		m.LatencyBuckets = append(m.LatencyBuckets, LatencyBucket{
 			UpperBoundMillis: bucketBoundMillis(i),
 			CumulativeCount:  cum,
 		})
 	}
-	m.P50LatencyMillis = quantileBound(&e.met, total, 0.50)
-	m.P99LatencyMillis = quantileBound(&e.met, total, 0.99)
+	m.P50LatencyMillis = lat.quantile(latencyBoundsNanos, 0.50) / 1e6
+	m.P99LatencyMillis = lat.quantile(latencyBoundsNanos, 0.99) / 1e6
 	return m
 }
 
@@ -559,30 +519,6 @@ func bucketBoundMillis(i int) float64 {
 		return -1
 	}
 	return float64(latencyBucketBounds[i]) / 1e6
-}
-
-// quantileBound returns the upper bound (ms) of the first bucket whose
-// cumulative count reaches q·total; the overflow bucket reports the largest
-// finite bound (the estimate saturates there).
-func quantileBound(m *metrics, total uint64, q float64) float64 {
-	if total == 0 {
-		return 0
-	}
-	need := uint64(q * float64(total))
-	if need == 0 {
-		need = 1
-	}
-	var cum uint64
-	for i := 0; i < numLatencyBuckets; i++ {
-		cum += m.latency[i].Load()
-		if cum >= need {
-			if i >= len(latencyBucketBounds) {
-				break
-			}
-			return float64(latencyBucketBounds[i]) / 1e6
-		}
-	}
-	return float64(latencyBucketBounds[len(latencyBucketBounds)-1]) / 1e6
 }
 
 // DebugMux returns an http.Handler (stdlib ServeMux) exposing the engine:
@@ -634,10 +570,7 @@ func (e *Engine) serveMetricsText(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(w, "# TYPE raqo_traced_queries_total counter\nraqo_traced_queries_total %d\n", m.TracedQueries)
 	fmt.Fprintf(w, "# TYPE raqo_slow_queries_total counter\nraqo_slow_queries_total %d\n", m.SlowQueries)
 	fmt.Fprintf(w, "# TYPE raqo_sharded_queries_total counter\nraqo_sharded_queries_total %d\n", m.ShardedQueries)
-	fmt.Fprintf(w, "# TYPE raqo_shard_fallbacks_total counter\n")
-	for _, name := range shardFallbackReasonNames {
-		fmt.Fprintf(w, "raqo_shard_fallbacks_total{reason=%q} %d\n", name, m.ShardFallbacksByReason[name])
-	}
+	fmt.Fprintf(w, "# TYPE raqo_shard_fallbacks_total counter\nraqo_shard_fallbacks_total{reason=\"non_shardable\"} %d\n", m.ShardFallbacks)
 	fmt.Fprintf(w, "# TYPE raqo_greedy_fallbacks_total counter\n")
 	for i, name := range greedyReasonNames {
 		fmt.Fprintf(w, "raqo_greedy_fallbacks_total{reason=%q} %d\n", name, e.met.greedyFallbacks[i].Load())
@@ -659,15 +592,7 @@ func (e *Engine) serveMetricsText(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(w, "# TYPE raqo_gc_cycles_total counter\nraqo_gc_cycles_total %d\n", m.Runtime.GCCycles)
 	fmt.Fprintf(w, "# TYPE raqo_gc_pause_p99_seconds gauge\nraqo_gc_pause_p99_seconds %g\n", m.Runtime.GCPauseP99Micros/1e6)
 	fmt.Fprintf(w, "# TYPE raqo_query_latency_seconds histogram\n")
-	for _, b := range m.LatencyBuckets {
-		le := "+Inf"
-		if b.UpperBoundMillis >= 0 {
-			le = fmt.Sprintf("%g", b.UpperBoundMillis/1e3)
-		}
-		fmt.Fprintf(w, "raqo_query_latency_seconds_bucket{le=%q} %d\n", le, b.CumulativeCount)
-	}
-	fmt.Fprintf(w, "raqo_query_latency_seconds_sum %g\n", float64(e.met.latencySumNanos.Load())/1e9)
-	fmt.Fprintf(w, "raqo_query_latency_seconds_count %d\n", m.Queries)
+	writeLatencyHist(w, "raqo_query_latency_seconds", "", &e.met.latency)
 	fmt.Fprintf(w, "# TYPE raqo_operator_depth histogram\n")
 	for i, name := range histOpNames {
 		h := &e.met.opDepth[i]
@@ -683,17 +608,26 @@ func (e *Engine) serveMetricsText(w http.ResponseWriter, _ *http.Request) {
 	}
 	fmt.Fprintf(w, "# TYPE raqo_operator_latency_seconds histogram\n")
 	for i, name := range histOpNames {
-		h := &e.met.opLatency[i]
-		var cum uint64
-		for bi, bound := range opLatencyBoundsNanos {
-			cum += h.buckets[bi].Load()
-			fmt.Fprintf(w, "raqo_operator_latency_seconds_bucket{op=%q,le=\"%g\"} %d\n", name, float64(bound)/1e9, cum)
-		}
-		cum += h.buckets[len(opLatencyBoundsNanos)].Load()
-		fmt.Fprintf(w, "raqo_operator_latency_seconds_bucket{op=%q,le=\"+Inf\"} %d\n", name, cum)
-		fmt.Fprintf(w, "raqo_operator_latency_seconds_sum{op=%q} %g\n", name, float64(h.sum.Load())/1e9)
-		fmt.Fprintf(w, "raqo_operator_latency_seconds_count{op=%q} %d\n", name, h.count.Load())
+		writeLatencyHist(w, "raqo_operator_latency_seconds", fmt.Sprintf("op=%q", name), &e.met.opLatency[i])
 	}
+}
+
+// writeLatencyHist writes one latency histogram's series in seconds; label is
+// the series' label pair (op="HRJN"), empty for the session histogram.
+func writeLatencyHist(w io.Writer, name, label string, h *opHist) {
+	sel, prefix := "", ""
+	if label != "" {
+		sel, prefix = "{"+label+"}", label+","
+	}
+	var cum uint64
+	for i, bound := range latencyBoundsNanos {
+		cum += h.buckets[i].Load()
+		fmt.Fprintf(w, "%s_bucket{%sle=\"%g\"} %d\n", name, prefix, float64(bound)/1e9, cum)
+	}
+	cum += h.buckets[len(latencyBoundsNanos)].Load()
+	fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n", name, prefix, cum)
+	fmt.Fprintf(w, "%s_sum%s %g\n", name, sel, float64(h.sum.Load())/1e9)
+	fmt.Fprintf(w, "%s_count%s %d\n", name, sel, h.count.Load())
 }
 
 // serveDebugJSON writes the JSON snapshot.

@@ -67,23 +67,24 @@ func TestSnapshotCountsSessions(t *testing.T) {
 }
 
 // TestQuantileBound pins the fixed-bucket quantile estimate on a hand-built
-// histogram: 90 sessions in the 1ms bucket, 10 in the 100ms bucket.
+// latency histogram: 90 observations in the 1ms bucket, 10 in the 100ms
+// bucket.
 func TestQuantileBound(t *testing.T) {
-	var m metrics
+	var h opHist
+	if got := h.quantile(latencyBoundsNanos, 0.99); got != 0 {
+		t.Errorf("empty histogram p99 = %g, want 0", got)
+	}
 	for i := 0; i < 90; i++ {
-		m.latency[bucketFor(800*time.Microsecond)].Add(1)
+		h.observe(latencyBoundsNanos, (800 * time.Microsecond).Nanoseconds())
 	}
 	for i := 0; i < 10; i++ {
-		m.latency[bucketFor(80*time.Millisecond)].Add(1)
+		h.observe(latencyBoundsNanos, (80 * time.Millisecond).Nanoseconds())
 	}
-	if got := quantileBound(&m, 100, 0.50); got != 1.0 {
+	if got := h.quantile(latencyBoundsNanos, 0.50) / 1e6; got != 1.0 {
 		t.Errorf("p50 = %gms, want 1", got)
 	}
-	if got := quantileBound(&m, 100, 0.99); got != 100.0 {
+	if got := h.quantile(latencyBoundsNanos, 0.99) / 1e6; got != 100.0 {
 		t.Errorf("p99 = %gms, want 100", got)
-	}
-	if got := quantileBound(&m, 0, 0.99); got != 0 {
-		t.Errorf("empty histogram p99 = %g, want 0", got)
 	}
 }
 
@@ -135,5 +136,50 @@ func TestDebugMuxEndpoints(t *testing.T) {
 	}
 	if len(m.LatencyBuckets) != numLatencyBuckets {
 		t.Errorf("/debug/engine has %d latency buckets, want %d", len(m.LatencyBuckets), numLatencyBuckets)
+	}
+
+	// Every session-latency line, from an engine fed known latencies: two on
+	// the first bound (bounds are inclusive), one just past it, one mid-ladder,
+	// one on the last bound and one in the overflow bucket.
+	fed := testEngine(t, core.Options{})
+	for _, d := range []time.Duration{0, 100 * time.Microsecond, 101 * time.Microsecond,
+		7 * time.Millisecond, 2500 * time.Millisecond, 3 * time.Second} {
+		fed.met.observe(&Response{Elapsed: d}, false)
+	}
+	fsrv := httptest.NewServer(fed.DebugMux())
+	defer fsrv.Close()
+	resp, err = fsrv.Client().Get(fsrv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	var got []string
+	for _, line := range strings.Split(string(body), "\n") {
+		if strings.HasPrefix(line, "raqo_query_latency_seconds") {
+			got = append(got, line)
+		}
+	}
+	want := []string{
+		`raqo_query_latency_seconds_bucket{le="0.0001"} 2`,
+		`raqo_query_latency_seconds_bucket{le="0.00025"} 3`,
+		`raqo_query_latency_seconds_bucket{le="0.0005"} 3`,
+		`raqo_query_latency_seconds_bucket{le="0.001"} 3`,
+		`raqo_query_latency_seconds_bucket{le="0.0025"} 3`,
+		`raqo_query_latency_seconds_bucket{le="0.005"} 3`,
+		`raqo_query_latency_seconds_bucket{le="0.01"} 4`,
+		`raqo_query_latency_seconds_bucket{le="0.025"} 4`,
+		`raqo_query_latency_seconds_bucket{le="0.05"} 4`,
+		`raqo_query_latency_seconds_bucket{le="0.1"} 4`,
+		`raqo_query_latency_seconds_bucket{le="0.25"} 4`,
+		`raqo_query_latency_seconds_bucket{le="0.5"} 4`,
+		`raqo_query_latency_seconds_bucket{le="1"} 4`,
+		`raqo_query_latency_seconds_bucket{le="2.5"} 5`,
+		`raqo_query_latency_seconds_bucket{le="+Inf"} 6`,
+		`raqo_query_latency_seconds_sum 5.507201`,
+		`raqo_query_latency_seconds_count 6`,
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("latency exposition:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

@@ -392,7 +392,6 @@ func TestMetricsTextLints(t *testing.T) {
 	promLint(t, text)
 	for _, want := range []string{
 		`raqo_shard_fallbacks_total{reason="non_shardable"}`,
-		`raqo_shard_fallbacks_total{reason="analyze"} 0`,
 		`raqo_greedy_fallbacks_total{reason="single_table"} 1`,
 		`raqo_operator_depth_bucket{op="HRJN",le="+Inf"}`,
 		`raqo_operator_depth_bucket{op="ShardMerge",le="+Inf"}`,

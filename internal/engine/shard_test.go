@@ -111,12 +111,8 @@ func TestShardedFallbacks(t *testing.T) {
 	if resp.ShardStats == nil || len(resp.ShardStats.PerShard) != 2 {
 		t.Fatalf("per-shard outcome rows missing: %+v", resp.ShardStats)
 	}
-	m := eng.Snapshot()
-	if m.ShardFallbacks == 0 {
-		t.Fatalf("fallback metric not incremented: %+v", m)
-	}
-	if m.ShardFallbacksByReason["non_shardable"] != m.ShardFallbacks {
-		t.Fatalf("fallbacks must all be non_shardable: %+v", m.ShardFallbacksByReason)
+	if m := eng.Snapshot(); m.ShardFallbacks != 1 {
+		t.Fatalf("shard fallbacks = %d, want 1 (the projected query)", m.ShardFallbacks)
 	}
 	out := plan.FormatShardedAnalyze(resp.Plan, resp.ShardAnalysis, false)
 	for _, want := range []string{"sharded over 2 shards", "shard 0:", "shard 1:", "ceiling est="} {
@@ -177,8 +173,8 @@ func TestShardedConcurrentSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 	reqs := testRequests(16, false)
-	want := stripElapsed(eng.RunAll(reqs, 1))
-	got := stripElapsed(eng.RunAll(reqs, 8))
+	want := stripElapsed(runAll(eng, reqs, 1))
+	got := stripElapsed(runAll(eng, reqs, 8))
 	for i := range got {
 		if got[i].Err != nil {
 			t.Fatalf("%s: %v", reqs[i].ID, got[i].Err)
@@ -271,8 +267,5 @@ func TestTracedShardedSession(t *testing.T) {
 	}
 	if shardSpans < shards {
 		t.Errorf("traced session recorded %d shard spans, want >= %d", shardSpans, shards)
-	}
-	if n := eng.Snapshot().ShardFallbacksByReason["traced"]; n != 0 {
-		t.Errorf("traced fallbacks = %d, want 0", n)
 	}
 }

@@ -92,9 +92,6 @@ func (b *Batch) SetView(ts []relation.Tuple) {
 // exceed the target size for one round.
 func (b *Batch) Append(t relation.Tuple) { b.tuples = append(b.tuples, t) }
 
-// Extend appends a run of tuples in one copy.
-func (b *Batch) Extend(ts []relation.Tuple) { b.tuples = append(b.tuples, ts...) }
-
 // Truncate drops every tuple beyond the first n (stale headers stay in the
 // backing array under the same bounded-pinning rule as Reset).
 func (b *Batch) Truncate(n int) {

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"errors"
 	"sort"
 	"testing"
 
@@ -158,17 +159,35 @@ func TestRankAssign(t *testing.T) {
 	}
 }
 
+// counted wraps in with WithProgress, the production counting wrapper, and
+// returns a reader of how many tuples have been pulled through it.
+func counted(in Operator) (Operator, func() int) {
+	var p Progress
+	return WithProgress(in, &p), func() int { return int(p.Snapshot().Emitted) }
+}
+
+// errOp is a degenerate operator that fails on Open.
+type errOp struct{ err error }
+
+// errOperator returns an operator whose Open fails with message msg.
+func errOperator(msg string) Operator { return errOp{errors.New(msg)} }
+
+func (e errOp) Schema() *relation.Schema            { return relation.NewSchema() }
+func (e errOp) Open(context.Context) error          { return e.err }
+func (e errOp) Next() (relation.Tuple, bool, error) { return nil, false, e.err }
+func (e errOp) Close() error                        { return nil }
+
 func TestCounterAndHelpers(t *testing.T) {
 	rel := makeRel("A", [][3]float64{{0, 1, 0.1}, {1, 2, 0.2}, {2, 3, 0.3}})
-	c := NewCounter(NewSeqScan(rel))
+	c, n := counted(NewSeqScan(rel))
 	got, err := CollectK(c, 2)
-	if err != nil || len(got) != 2 || c.Count() != 2 {
-		t.Fatalf("CollectK/Counter: %v %v count=%d", got, err, c.Count())
+	if err != nil || len(got) != 2 || n() != 2 {
+		t.Fatalf("CollectK/WithProgress: %v %v count=%d", got, err, n())
 	}
-	if err := ErrOperator("boom").Open(context.Background()); err == nil {
-		t.Error("ErrOperator should fail")
+	if err := errOperator("boom").Open(context.Background()); err == nil {
+		t.Error("errOperator should fail")
 	}
-	if _, err := Collect(ErrOperator("boom")); err == nil {
+	if _, err := Collect(errOperator("boom")); err == nil {
 		t.Error("Collect should propagate Open error")
 	}
 }
@@ -439,7 +458,7 @@ func TestIndexRangeScan(t *testing.T) {
 // instead of swallowing them.
 func TestErrorPropagation(t *testing.T) {
 	good := makeRel("A", [][3]float64{{0, 1, 0.5}})
-	bad := ErrOperator("boom")
+	bad := errOperator("boom")
 	lKey, rKey := expr.Col("A", "key"), expr.Col("A", "key")
 	score := expr.Col("A", "score")
 

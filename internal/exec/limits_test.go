@@ -58,7 +58,7 @@ func TestNRJNBudgetStopsInnerLoad(t *testing.T) {
 	const limit = 100
 	osch, otups := scoredKeyed("L", []float64{3, 2, 1}, []int64{1, 1, 1})
 	isch, itups := buildRankedInput(50000, 100, 1)
-	inner := NewCounter(FromTuples(isch, itups))
+	inner, innerN := counted(FromTuples(isch, itups))
 	b := NewBudget(ResourceLimits{MaxBufferedTuples: limit})
 	j := NewNRJN(FromTuples(osch, otups), inner,
 		expr.Col("L", "score"), expr.Col("A", "score"),
@@ -67,8 +67,8 @@ func TestNRJNBudgetStopsInnerLoad(t *testing.T) {
 	if _, err := Collect(j); !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("want ErrBudgetExceeded, got %v", err)
 	}
-	if inner.Count() > limit+DefaultBatchSize {
-		t.Errorf("read %d inner tuples under a %d-tuple budget, want <= %d", inner.Count(), limit, limit+DefaultBatchSize)
+	if innerN() > limit+DefaultBatchSize {
+		t.Errorf("read %d inner tuples under a %d-tuple budget, want <= %d", innerN(), limit, limit+DefaultBatchSize)
 	}
 	if b.Buffered() != 0 {
 		t.Fatalf("budget not released after failed Open: %d still charged", b.Buffered())

@@ -280,13 +280,13 @@ func TestDeadRankJoinStops(t *testing.T) {
 		}},
 	}
 	for _, tc := range cases {
-		big := NewCounter(FromTuples(sch, tups))
+		big, bigN := counted(FromTuples(sch, tups))
 		got, err := Collect(tc.build(big))
 		if err != nil || len(got) != 0 {
 			t.Fatalf("%s: dead join = %d tuples, %v", tc.name, len(got), err)
 		}
-		if big.Count() > 1 {
-			t.Errorf("%s: read %d tuples of the live input after the join was dead, want <= 1", tc.name, big.Count())
+		if bigN() > 1 {
+			t.Errorf("%s: read %d tuples of the live input after the join was dead, want <= 1", tc.name, bigN())
 		}
 	}
 }

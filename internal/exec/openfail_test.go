@@ -64,7 +64,7 @@ func TestOpenFailureClosesOpenedChildren(t *testing.T) {
 	keyRef := expr.ColRef{Table: "A", Name: "key"}
 	eqKey := expr.Bin(expr.OpEq, key, key)
 	badCol := expr.Col("Z", "nope")
-	bad := ErrOperator("open boom")
+	bad := errOperator("open boom")
 	drainFail := nextErrOp{schema: rel.Schema()}
 	count := []AggSpec{{Func: AggCount, As: "c"}}
 	byKey := SortKey{E: key}
@@ -242,7 +242,7 @@ func TestMultiHRJNOpenFailureClosesOpenedInputs(t *testing.T) {
 
 	c0 := &lifecycleOp{Operator: FromTuples(rel.Schema(), rel.Tuples())}
 	c1 := &lifecycleOp{Operator: FromTuples(rel.Schema(), rel.Tuples())}
-	j, err := NewMultiHRJN([]Operator{c0, c1, ErrOperator("boom")},
+	j, err := NewMultiHRJN([]Operator{c0, c1, errOperator("boom")},
 		[]expr.Expr{score, score, score}, []expr.Expr{key, key, key})
 	if err != nil {
 		t.Fatal(err)
@@ -289,12 +289,12 @@ func nullScoreInput(name string, scores []any) Operator {
 }
 
 // TestHRJNDepthCountsNullScoreTuples: depth is the number of tuples read
-// from an input — exactly what a Counter around the input measures — so a
+// from an input — exactly what a counting wrapper around the input measures — so a
 // tuple dropped for a NULL score still counts. Before the fix the stats
 // mirrored lSeen/rSeen, which skip NULL-score tuples.
 func TestHRJNDepthCountsNullScoreTuples(t *testing.T) {
-	left := NewCounter(nullScoreInput("A", []any{0.9, nil, 0.8, nil}))
-	right := NewCounter(nullScoreInput("B", []any{0.7, nil, 0.5}))
+	left, leftN := counted(nullScoreInput("A", []any{0.9, nil, 0.8, nil}))
+	right, rightN := counted(nullScoreInput("B", []any{0.7, nil, 0.5}))
 	j := NewHRJN(left, right,
 		expr.Col("A", "score"), expr.Col("B", "score"),
 		expr.Col("A", "key"), expr.Col("B", "key"), nil)
@@ -306,9 +306,9 @@ func TestHRJNDepthCountsNullScoreTuples(t *testing.T) {
 		t.Fatalf("got %d results, want 4", len(tuples))
 	}
 	st := j.Stats()
-	if st.LeftDepth != left.Count() || st.RightDepth != right.Count() {
-		t.Errorf("stats depths (%d,%d) disagree with Counter measurements (%d,%d)",
-			st.LeftDepth, st.RightDepth, left.Count(), right.Count())
+	if st.LeftDepth != leftN() || st.RightDepth != rightN() {
+		t.Errorf("stats depths (%d,%d) disagree with counted pulls (%d,%d)",
+			st.LeftDepth, st.RightDepth, leftN(), rightN())
 	}
 	if st.LeftDepth != 4 || st.RightDepth != 3 {
 		t.Errorf("depths (%d,%d) must include NULL-score tuples, want (4,3)",
@@ -320,7 +320,7 @@ func TestHRJNDepthCountsNullScoreTuples(t *testing.T) {
 // depth counts NULL-score tuples that were consumed, and the inner depth is
 // the full materialized input size before NULL filtering.
 func TestNRJNDepthCountsNullScoreTuples(t *testing.T) {
-	outer := NewCounter(nullScoreInput("A", []any{0.9, nil, 0.8}))
+	outer, outerN := counted(nullScoreInput("A", []any{0.9, nil, 0.8}))
 	inner := nullScoreInput("B", []any{0.7, nil, nil, 0.5})
 	j := NewNRJN(outer, inner,
 		expr.Col("A", "score"), expr.Col("B", "score"),
@@ -333,8 +333,8 @@ func TestNRJNDepthCountsNullScoreTuples(t *testing.T) {
 		t.Fatalf("got %d results, want 4", len(tuples))
 	}
 	st := j.Stats()
-	if st.LeftDepth != outer.Count() {
-		t.Errorf("outer depth %d disagrees with Counter %d", st.LeftDepth, outer.Count())
+	if st.LeftDepth != outerN() {
+		t.Errorf("outer depth %d disagrees with counted pulls %d", st.LeftDepth, outerN())
 	}
 	if st.LeftDepth != 3 {
 		t.Errorf("outer depth %d must include the NULL-score tuple, want 3", st.LeftDepth)
@@ -347,8 +347,8 @@ func TestNRJNDepthCountsNullScoreTuples(t *testing.T) {
 // TestMultiHRJNDepthCountsNullScoreTuples extends the invariant to the m-way
 // operator's per-input depth vector.
 func TestMultiHRJNDepthCountsNullScoreTuples(t *testing.T) {
-	in0 := NewCounter(nullScoreInput("A", []any{0.9, nil, 0.8}))
-	in1 := NewCounter(nullScoreInput("B", []any{0.7, nil, nil, 0.5}))
+	in0, in0N := counted(nullScoreInput("A", []any{0.9, nil, 0.8}))
+	in1, in1N := counted(nullScoreInput("B", []any{0.7, nil, nil, 0.5}))
 	j, err := NewMultiHRJN([]Operator{in0, in1},
 		[]expr.Expr{expr.Col("A", "score"), expr.Col("B", "score")},
 		[]expr.Expr{expr.Col("A", "key"), expr.Col("B", "key")})
@@ -359,8 +359,8 @@ func TestMultiHRJNDepthCountsNullScoreTuples(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := j.Depths()
-	if d[0] != in0.Count() || d[1] != in1.Count() {
-		t.Errorf("depths %v disagree with Counters (%d,%d)", d, in0.Count(), in1.Count())
+	if d[0] != in0N() || d[1] != in1N() {
+		t.Errorf("depths %v disagree with counted pulls (%d,%d)", d, in0N(), in1N())
 	}
 	if d[0] != 3 || d[1] != 4 {
 		t.Errorf("depths %v must include NULL-score tuples, want [3 4]", d)

@@ -9,7 +9,6 @@ package exec
 
 import (
 	"context"
-	"fmt"
 
 	"rankopt/internal/relation"
 )
@@ -168,68 +167,6 @@ func CollectKCtx(ctx context.Context, op Operator, k int) ([]relation.Tuple, err
 	out, _, err := drain(ctx, op, pullTuple, max(k, 0), keepRows)
 	return out, err
 }
-
-// Counter wraps an operator and counts the tuples pulled through it. The
-// experiment harness uses counters to measure operator depths (the number of
-// input tuples a rank-join consumed). It forwards the batch contract, so
-// counting does not knock a vectorized pipeline back to per-tuple pulls.
-type Counter struct {
-	In    Operator
-	count int
-	src   batchSource
-}
-
-// NewCounter wraps in.
-func NewCounter(in Operator) *Counter { return &Counter{In: in} }
-
-// Schema implements Operator.
-func (c *Counter) Schema() *relation.Schema { return c.In.Schema() }
-
-// Open implements Operator; it resets the count and forwards the context to
-// the input.
-func (c *Counter) Open(ctx context.Context) error {
-	c.count = 0
-	if err := c.In.Open(ctx); err != nil {
-		return err
-	}
-	c.src.reset(ctx, c.In)
-	return nil
-}
-
-// Next implements Operator.
-func (c *Counter) Next() (relation.Tuple, bool, error) {
-	t, ok, err := c.In.Next()
-	if ok {
-		c.count++
-	}
-	return t, ok, err
-}
-
-// NextBatch implements BatchOperator, counting whole batches at once.
-func (c *Counter) NextBatch(out *Batch, max int) (bool, error) {
-	ok, err := c.src.next(out, max)
-	if ok {
-		c.count += out.Len()
-	}
-	return ok, err
-}
-
-// Close implements Operator.
-func (c *Counter) Close() error { return c.In.Close() }
-
-// Count returns the number of tuples pulled since Open.
-func (c *Counter) Count() int { return c.count }
-
-// errOp is a degenerate operator that fails on Open; useful in tests.
-type errOp struct{ err error }
-
-// ErrOperator returns an operator whose Open fails with message msg.
-func ErrOperator(msg string) Operator { return errOp{fmt.Errorf("%s", msg)} }
-
-func (e errOp) Schema() *relation.Schema            { return relation.NewSchema() }
-func (e errOp) Open(context.Context) error          { return e.err }
-func (e errOp) Next() (relation.Tuple, bool, error) { return nil, false, e.err }
-func (e errOp) Close() error                        { return nil }
 
 // sliceOp replays a fixed tuple slice; the building block for materialized
 // inputs and for tests.

@@ -150,8 +150,8 @@ func (p *Progress) Snapshot() ProgressSnapshot {
 
 // ProgressOp wraps a single-path plan root and counts emitted tuples into a
 // shared Progress block with one atomic add per tuple (per batch on the
-// vectorized path). It forwards the batch contract like Counter, so wrapping
-// a vectorized root does not knock it back to per-tuple pulls.
+// vectorized path). It forwards the batch contract, so wrapping a vectorized
+// root does not knock it back to per-tuple pulls.
 type ProgressOp struct {
 	In   Operator
 	prog *Progress

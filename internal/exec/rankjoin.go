@@ -99,7 +99,7 @@ type rankedInput struct {
 
 	// top is the best score seen (the first one, on an ordered input) and
 	// last the most recent; seen counts scored tuples and depth every tuple
-	// consumed, so depth matches what a Counter around the input measures.
+	// consumed, so depth matches the tuples pulled from the input.
 	top, last   float64
 	seen, depth int
 	done        bool

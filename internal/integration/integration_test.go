@@ -139,9 +139,6 @@ func TestFuzzRankedQueries(t *testing.T) {
 		if rng.Intn(4) == 0 {
 			opts.DisableRankAware = true
 		}
-		if rng.Intn(4) == 0 {
-			opts.Strategy = exec.Adaptive
-		}
 		got := optimizedScores(t, cat, q, opts)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: %d results, want %d", trial, len(got), len(want))

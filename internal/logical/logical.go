@@ -6,7 +6,6 @@ package logical
 
 import (
 	"fmt"
-	"sort"
 
 	"rankopt/internal/expr"
 )
@@ -72,32 +71,6 @@ func (q *Query) Grouped() bool { return len(q.GroupBy) > 0 }
 
 // Ranking reports whether the query asks for ranked (top-k by score) output.
 func (q *Query) Ranking() bool { return len(q.Score.Terms) > 0 }
-
-// RankedTables returns the sorted set of tables contributing score terms.
-func (q *Query) RankedTables() []string {
-	set := map[string]bool{}
-	for _, t := range q.Score.Terms {
-		if tab := t.Table(); tab != "" {
-			set[tab] = true
-		}
-	}
-	out := make([]string, 0, len(set))
-	for t := range set {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// TableIndex returns the position of a table in q.Tables, or -1.
-func (q *Query) TableIndex(name string) int {
-	for i, t := range q.Tables {
-		if t == name {
-			return i
-		}
-	}
-	return -1
-}
 
 // Validate checks structural consistency: distinct known tables, join
 // predicates and filters referencing known tables, score terms confined to
@@ -206,21 +179,6 @@ func (q *Query) connected() bool {
 		}
 	}
 	return len(seen) == len(q.Tables)
-}
-
-// JoinsBetween returns the join predicates connecting a table in left with a
-// table in right.
-func (q *Query) JoinsBetween(left, right map[string]bool) []JoinPred {
-	var out []JoinPred
-	for _, j := range q.Joins {
-		if left[j.L.Table] && right[j.R.Table] {
-			out = append(out, j)
-		} else if left[j.R.Table] && right[j.L.Table] {
-			// Normalize so L refers to the left set.
-			out = append(out, JoinPred{L: j.R, R: j.L})
-		}
-	}
-	return out
 }
 
 // FiltersFor returns the filters that apply to the given table.

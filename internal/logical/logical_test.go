@@ -65,43 +65,6 @@ func TestValidateErrors(t *testing.T) {
 	}
 }
 
-func TestRankedTables(t *testing.T) {
-	q := q2()
-	if !q.Ranking() {
-		t.Fatal("q2 is a ranking query")
-	}
-	rt := q.RankedTables()
-	if len(rt) != 3 || rt[0] != "A" || rt[2] != "C" {
-		t.Fatalf("RankedTables = %v", rt)
-	}
-	// Non-ranking query.
-	q.Score = expr.ScoreSum{}
-	if q.Ranking() || len(q.RankedTables()) != 0 {
-		t.Error("score-less query must not rank")
-	}
-}
-
-func TestJoinsBetween(t *testing.T) {
-	q := q2()
-	ab := q.JoinsBetween(map[string]bool{"A": true}, map[string]bool{"B": true})
-	if len(ab) != 1 || ab[0].L.Table != "A" {
-		t.Fatalf("JoinsBetween(A,B) = %v", ab)
-	}
-	// Reversed orientation normalizes L to the left set.
-	ba := q.JoinsBetween(map[string]bool{"B": true}, map[string]bool{"A": true})
-	if len(ba) != 1 || ba[0].L.Table != "B" {
-		t.Fatalf("JoinsBetween(B,A) = %v", ba)
-	}
-	ac := q.JoinsBetween(map[string]bool{"A": true}, map[string]bool{"C": true})
-	if len(ac) != 0 {
-		t.Fatalf("A and C are not directly joined: %v", ac)
-	}
-	abc := q.JoinsBetween(map[string]bool{"A": true, "B": true}, map[string]bool{"C": true})
-	if len(abc) != 1 || abc[0].L.Table != "B" {
-		t.Fatalf("JoinsBetween(AB,C) = %v", abc)
-	}
-}
-
 func TestFiltersForAndTableIndex(t *testing.T) {
 	q := q2()
 	fa := expr.Bin(expr.OpGt, expr.Col("A", "c1"), expr.FloatLit(0.5))
@@ -116,9 +79,6 @@ func TestFiltersForAndTableIndex(t *testing.T) {
 	}
 	if len(q.FiltersFor("C")) != 0 {
 		t.Error("C has no filters")
-	}
-	if q.TableIndex("B") != 1 || q.TableIndex("Z") != -1 {
-		t.Error("TableIndex mismatch")
 	}
 }
 

@@ -20,6 +20,15 @@ type AnyKReport struct {
 	Results int
 }
 
+// anyKOnly are RunAnyK's optimizer options: every plan collected, the
+// competing ranked operators disabled.
+var anyKOnly = core.Options{
+	CollectAllPlans:      true,
+	DisableHRJN:          true,
+	DisableNRJN:          true,
+	DisableRankAggregate: true,
+}
+
 // RunAnyK is the any-k-focused differential pass: optimize the case with the
 // competing ranked operators disabled (HRJN, NRJN, and the TA aggregate) so
 // the any-k enumerator must carry the ranked property class, assert the
@@ -37,12 +46,7 @@ func RunAnyK(c Case) (AnyKReport, error) {
 		return AnyKReport{}, err
 	}
 
-	res, err := core.Optimize(c.cat, q, core.Options{
-		CollectAllPlans:      true,
-		DisableHRJN:          true,
-		DisableNRJN:          true,
-		DisableRankAggregate: true,
-	})
+	res, err := core.Optimize(c.cat, q, anyKOnly)
 	if err != nil {
 		return AnyKReport{}, fmt.Errorf("seed %d: optimize %q: %w", c.Seed, c.SQL, err)
 	}

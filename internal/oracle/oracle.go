@@ -341,6 +341,3 @@ func head(s []float64) []float64 {
 	}
 	return s
 }
-
-// CatalogOf exposes a case's catalog (for external harnesses and debugging).
-func CatalogOf(c Case) *catalog.Catalog { return c.cat }

@@ -281,28 +281,6 @@ func PropagateK(root *Node, k float64, visit func(n *Node, k float64)) {
 	}
 }
 
-// EstimateTree mirrors the rank-join structure of the plan into an
-// estimate.Node tree so Algorithm Propagate can annotate expected depths for
-// the experiment harness. Non-rank-join unary operators are transparent;
-// scans become leaves; traditional joins collapse to leaves with their
-// output cardinality (their inputs are consumed wholesale anyway).
-func (n *Node) EstimateTree() *estimate.Node {
-	switch {
-	case n.Op.IsRankJoin():
-		return estimate.Join(n.Left().EstimateTree(), n.Right().EstimateTree(), n.Sel)
-	case len(n.Children) == 1:
-		return n.Input().EstimateTree()
-	case len(n.Children) == 0:
-		slab := 0.0
-		if n.LSlab > 0 {
-			slab = n.LSlab
-		}
-		return estimate.Leaf(n.Card, slab)
-	default:
-		return estimate.Leaf(n.Card, 0)
-	}
-}
-
 func maxInt(a, b int) int {
 	if a > b {
 		return a

@@ -9,20 +9,8 @@ import (
 // names, key details, estimated cardinality, total cost, and properties.
 func Explain(n *Node) string {
 	var b strings.Builder
-	explain(&b, n, 0)
+	explainAt(&b, n, 0, n.Card)
 	return b.String()
-}
-
-// ExplainK renders the plan with costs evaluated at the given k.
-func ExplainK(n *Node, k int) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "top-k = %d\n", k)
-	explainAt(&b, n, 0, float64(k))
-	return b.String()
-}
-
-func explain(b *strings.Builder, n *Node, depth int) {
-	explainAt(b, n, depth, n.Card)
 }
 
 func explainAt(b *strings.Builder, n *Node, depth int, k float64) {

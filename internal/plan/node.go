@@ -198,8 +198,6 @@ type Node struct {
 	// LScore and RScore are the per-input ranking contributions of a
 	// rank-join node.
 	LScore, RScore expr.ScoreSum
-	// Strategy selects the HRJN polling policy.
-	Strategy exec.PullStrategy
 
 	// SortKeys define OpSort output order.
 	SortKeys []exec.SortKey

@@ -305,24 +305,6 @@ func TestExplainOutput(t *testing.T) {
 			t.Errorf("Explain missing %q in:\n%s", want, out)
 		}
 	}
-	outK := ExplainK(j, 10)
-	if !strings.Contains(outK, "top-k = 10") {
-		t.Error("ExplainK missing header")
-	}
-}
-
-func TestEstimateTreeMirrorsRankJoins(t *testing.T) {
-	e := newEnv(t, 3, 1000, 0.01)
-	j12 := e.hrjn(e.scoreScan(t, "T1"), e.scoreScan(t, "T2"), "T1", "T2")
-	top := e.hrjn(j12, e.scoreScan(t, "T3"), "T1", "T3")
-	top.LLeaves = 2
-	est := top.EstimateTree()
-	if est.Leaves() != 3 {
-		t.Fatalf("estimate tree leaves = %d", est.Leaves())
-	}
-	if est.Left.IsLeaf() || !est.Right.IsLeaf() {
-		t.Error("estimate tree shape mismatch")
-	}
 }
 
 func TestPropagateKThroughRankJoins(t *testing.T) {

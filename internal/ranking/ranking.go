@@ -1,10 +1,9 @@
-// Package ranking implements classic rank-aggregation algorithms over
-// ranked lists: Fagin's Threshold Algorithm (TA), the No-Random-Access
-// algorithm (NRA), and Borda positional counting as a baseline. These solve
-// the paper's "top-k selection" problem class (all lists rank the same
-// object set); the rank-join operators in package exec solve the "top-k
-// join" class. The algorithms share the threshold machinery the paper's
-// rank-join operators encapsulate.
+// Package ranking implements Fagin's Threshold Algorithm (TA) over ranked
+// lists — the paper's "top-k selection" problem class (all lists rank the
+// same object set), which exec.TASelect compiles from the optimizer's
+// rank-aggregation plan; the rank-join operators in package exec solve the
+// "top-k join" class. Bounds is the threshold machinery TA shares with the
+// sharded coordinator merge.
 package ranking
 
 import (
@@ -34,8 +33,7 @@ type Source interface {
 // Result is one aggregated answer.
 type Result struct {
 	ID int64
-	// Score is the exact aggregate for TA/Borda; for NRA it is the lower
-	// bound at termination (exact once every list reported the object).
+	// Score is the object's exact aggregate.
 	Score float64
 }
 
@@ -61,62 +59,6 @@ func (s Stats) TotalSorted() int { return s.total(s.SortedAccesses) }
 
 // TotalRandom returns the total random accesses across lists.
 func (s Stats) TotalRandom() int { return s.total(s.RandomAccesses) }
-
-// ListSource is an in-memory Source backed by explicit (id, score) pairs.
-type ListSource struct {
-	ids    []int64
-	scores []float64
-	byID   map[int64]float64
-	pos    int
-}
-
-// NewListSource builds a source from parallel id/score slices, sorting them
-// descending by score.
-func NewListSource(ids []int64, scores []float64) *ListSource {
-	if len(ids) != len(scores) {
-		panic(fmt.Sprintf("ranking: %d ids vs %d scores", len(ids), len(scores)))
-	}
-	idx := make([]int, len(ids))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return scores[idx[a]] > scores[idx[b]] })
-	s := &ListSource{
-		ids:    make([]int64, len(ids)),
-		scores: make([]float64, len(ids)),
-		byID:   make(map[int64]float64, len(ids)),
-	}
-	for i, j := range idx {
-		s.ids[i] = ids[j]
-		s.scores[i] = scores[j]
-	}
-	for i := range ids {
-		s.byID[ids[i]] = scores[i]
-	}
-	return s
-}
-
-// Next implements SortedAccess.
-func (s *ListSource) Next() (int64, float64, bool) {
-	if s.pos >= len(s.ids) {
-		return 0, 0, false
-	}
-	id, sc := s.ids[s.pos], s.scores[s.pos]
-	s.pos++
-	return id, sc, true
-}
-
-// Probe implements RandomAccess.
-func (s *ListSource) Probe(id int64) (float64, bool) {
-	sc, ok := s.byID[id]
-	return sc, ok
-}
-
-// Reset rewinds sorted access to the top.
-func (s *ListSource) Reset() { s.pos = 0 }
-
-// Len returns the list length.
-func (s *ListSource) Len() int { return len(s.ids) }
 
 // resultHeap is a min-heap on score, keeping the current best-k.
 type resultHeap []Result
@@ -223,147 +165,5 @@ func TA(lists []Source, weights []float64, k int) ([]Result, Stats, error) {
 	}
 	out := append([]Result(nil), best...)
 	sortResults(out)
-	return out, stats, nil
-}
-
-// nraCand tracks one partially seen object during NRA.
-type nraCand struct {
-	id    int64
-	known []bool
-	lower float64
-}
-
-// NRA runs the No-Random-Access algorithm: round-robin sorted access only.
-// An object's lower bound counts its known weighted scores (unknown lists
-// contribute their minimum, assumed 0); its upper bound fills unknown lists
-// with that list's last-seen score. Terminate when the k-th best lower bound
-// is at least every other candidate's upper bound and the unseen-object
-// upper bound. Scores must be non-negative.
-func NRA(lists []SortedAccess, weights []float64, k int) ([]Result, Stats, error) {
-	m := len(lists)
-	if err := validate(m, weights, k); err != nil {
-		return nil, Stats{}, err
-	}
-	stats := Stats{SortedAccesses: make([]int, m), RandomAccesses: make([]int, m)}
-	bounds := NewBounds(m)
-	cands := map[int64]*nraCand{}
-
-	upper := func(c *nraCand) float64 {
-		u := c.lower
-		for i := 0; i < m; i++ {
-			if !c.known[i] && !bounds.Exhausted(i) {
-				u += weights[i] * bounds.Upper(i)
-			}
-		}
-		return u
-	}
-	for {
-		for i := 0; i < m; i++ {
-			if bounds.Exhausted(i) {
-				continue
-			}
-			id, sc, ok := lists[i].Next()
-			if !ok {
-				bounds.Exhaust(i)
-				continue
-			}
-			if sc < 0 {
-				return nil, stats, fmt.Errorf("ranking: NRA requires non-negative scores, got %v", sc)
-			}
-			stats.SortedAccesses[i]++
-			if err := bounds.Observe(i, sc); err != nil {
-				return nil, stats, err
-			}
-			c := cands[id]
-			if c == nil {
-				c = &nraCand{id: id, known: make([]bool, m)}
-				cands[id] = c
-			}
-			if !c.known[i] {
-				c.known[i] = true
-				c.lower += weights[i] * sc
-			}
-		}
-		// Check the stopping condition once per round.
-		if len(cands) >= k {
-			all := make([]*nraCand, 0, len(cands))
-			for _, c := range cands {
-				all = append(all, c)
-			}
-			sort.Slice(all, func(a, b int) bool {
-				if all[a].lower != all[b].lower {
-					return all[a].lower > all[b].lower
-				}
-				return all[a].id < all[b].id
-			})
-			kth := all[k-1].lower
-			// Upper bound of any unseen object.
-			unseenU := 0.0
-			for i := 0; i < m; i++ {
-				if !bounds.Exhausted(i) {
-					unseenU += weights[i] * bounds.Upper(i)
-				}
-			}
-			ok := kth >= unseenU
-			for _, c := range all[k:] {
-				if !ok {
-					break
-				}
-				if upper(c) > kth {
-					ok = false
-				}
-			}
-			if ok || bounds.AllExhausted() {
-				out := make([]Result, 0, k)
-				for _, c := range all[:k] {
-					out = append(out, Result{ID: c.id, Score: c.lower})
-				}
-				return out, stats, nil
-			}
-		} else if bounds.AllExhausted() {
-			out := make([]Result, 0, len(cands))
-			for _, c := range cands {
-				out = append(out, Result{ID: c.id, Score: c.lower})
-			}
-			sortResults(out)
-			return out, stats, nil
-		}
-	}
-}
-
-// Borda scores each object by positional votes: an object ranked p-th in a
-// list of n contributes weight*(n-p). It reads every list fully — the
-// linear-time consistency baseline the paper cites (Borda's method), useful
-// as a cheap but rank-only-approximate comparator.
-func Borda(lists []SortedAccess, weights []float64, k int) ([]Result, Stats, error) {
-	m := len(lists)
-	if err := validate(m, weights, k); err != nil {
-		return nil, Stats{}, err
-	}
-	stats := Stats{SortedAccesses: make([]int, m), RandomAccesses: make([]int, m)}
-	votes := map[int64]float64{}
-	for i, l := range lists {
-		var entries []int64
-		for {
-			id, _, ok := l.Next()
-			if !ok {
-				break
-			}
-			stats.SortedAccesses[i]++
-			entries = append(entries, id)
-		}
-		n := len(entries)
-		for p, id := range entries {
-			votes[id] += weights[i] * float64(n-p-1)
-		}
-	}
-	out := make([]Result, 0, len(votes))
-	for id, v := range votes {
-		out = append(out, Result{ID: id, Score: v})
-	}
-	sortResults(out)
-	if len(out) > k {
-		out = out[:k]
-	}
 	return out, stats, nil
 }

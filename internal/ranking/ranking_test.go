@@ -8,9 +8,46 @@ import (
 	"testing/quick"
 )
 
+// listSource is an in-memory Source over explicit (id, score) pairs, kept in
+// descending score order.
+type listSource struct {
+	ids    []int64
+	scores []float64
+	byID   map[int64]float64
+	pos    int
+}
+
+func newListSource(ids []int64, scores []float64) *listSource {
+	idx := make([]int, len(ids))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(a, b int) bool { return scores[idx[a]] > scores[idx[b]] })
+	s := &listSource{byID: make(map[int64]float64, len(ids))}
+	for _, j := range idx {
+		s.ids = append(s.ids, ids[j])
+		s.scores = append(s.scores, scores[j])
+		s.byID[ids[j]] = scores[j]
+	}
+	return s
+}
+
+func (s *listSource) Next() (int64, float64, bool) {
+	if s.pos >= len(s.ids) {
+		return 0, 0, false
+	}
+	s.pos++
+	return s.ids[s.pos-1], s.scores[s.pos-1], true
+}
+
+func (s *listSource) Probe(id int64) (float64, bool) {
+	sc, ok := s.byID[id]
+	return sc, ok
+}
+
 // genLists builds m lists over n shared objects with independent uniform
 // scores, returning sources plus the exact aggregate per object.
-func genLists(m, n int, weights []float64, seed int64) ([]*ListSource, map[int64]float64) {
+func genLists(m, n int, weights []float64, seed int64) ([]Source, map[int64]float64) {
 	rng := rand.New(rand.NewSource(seed))
 	scores := make([][]float64, m)
 	for i := range scores {
@@ -23,9 +60,9 @@ func genLists(m, n int, weights []float64, seed int64) ([]*ListSource, map[int64
 	for j := range ids {
 		ids[j] = int64(j)
 	}
-	lists := make([]*ListSource, m)
+	lists := make([]Source, m)
 	for i := range lists {
-		lists[i] = NewListSource(ids, scores[i])
+		lists[i] = newListSource(ids, scores[i])
 	}
 	exact := map[int64]float64{}
 	for j := 0; j < n; j++ {
@@ -55,26 +92,10 @@ func exactTopK(exact map[int64]float64, k int) []Result {
 	return out
 }
 
-func asSources(ls []*ListSource) []Source {
-	out := make([]Source, len(ls))
-	for i, l := range ls {
-		out[i] = l
-	}
-	return out
-}
-
-func asSorted(ls []*ListSource) []SortedAccess {
-	out := make([]SortedAccess, len(ls))
-	for i, l := range ls {
-		out[i] = l
-	}
-	return out
-}
-
 func TestTAMatchesExact(t *testing.T) {
 	weights := []float64{0.5, 0.3, 0.2}
 	lists, exact := genLists(3, 500, weights, 7)
-	got, stats, err := TA(asSources(lists), weights, 10)
+	got, stats, err := TA(lists, weights, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,74 +117,18 @@ func TestTAMatchesExact(t *testing.T) {
 	}
 }
 
-func TestNRAMatchesExactSet(t *testing.T) {
-	weights := []float64{0.4, 0.6}
-	lists, exact := genLists(2, 400, weights, 11)
-	got, stats, err := NRA(asSorted(lists), weights, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := exactTopK(exact, 8)
-	if len(got) != 8 {
-		t.Fatalf("NRA returned %d results", len(got))
-	}
-	// NRA guarantees the correct top-k SET (order by lower bounds).
-	wantSet := map[int64]bool{}
-	for _, r := range want {
-		wantSet[r.ID] = true
-	}
-	for _, r := range got {
-		if !wantSet[r.ID] {
-			t.Fatalf("NRA returned %d which is not in the exact top-8", r.ID)
-		}
-	}
-	if stats.TotalRandom() != 0 {
-		t.Error("NRA must not use random access")
-	}
-}
-
-func TestNRAEarlyOut(t *testing.T) {
-	weights := []float64{1, 1}
-	lists, _ := genLists(2, 5000, weights, 13)
-	_, stats, err := NRA(asSorted(lists), weights, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.TotalSorted() >= 10000 {
-		t.Errorf("NRA did no early-out: %d sorted accesses", stats.TotalSorted())
-	}
-}
-
-func TestBordaPrefersConsensus(t *testing.T) {
-	// Object 0 is ranked first everywhere; Borda must rank it first.
-	ids := []int64{0, 1, 2}
-	l1 := NewListSource(ids, []float64{0.9, 0.5, 0.1})
-	l2 := NewListSource(ids, []float64{0.8, 0.2, 0.6})
-	got, stats, err := Borda([]SortedAccess{l1, l2}, []float64{1, 1}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0].ID != 0 {
-		t.Fatalf("Borda top = %+v", got[0])
-	}
-	// Borda reads everything.
-	if stats.TotalSorted() != 6 {
-		t.Errorf("Borda sorted accesses = %d", stats.TotalSorted())
-	}
-}
-
 func TestValidation(t *testing.T) {
 	lists, _ := genLists(2, 10, []float64{1, 1}, 3)
-	if _, _, err := TA(asSources(lists), []float64{1}, 5); err == nil {
+	if _, _, err := TA(lists, []float64{1}, 5); err == nil {
 		t.Error("weight arity must be validated")
 	}
-	if _, _, err := TA(asSources(lists), []float64{1, -1}, 5); err == nil {
+	if _, _, err := TA(lists, []float64{1, -1}, 5); err == nil {
 		t.Error("negative weights must be rejected")
 	}
-	if _, _, err := NRA(asSorted(lists), []float64{1, 1}, 0); err == nil {
+	if _, _, err := TA(lists, []float64{1, 1}, 0); err == nil {
 		t.Error("k=0 must be rejected")
 	}
-	if _, _, err := Borda(nil, nil, 5); err == nil {
+	if _, _, err := TA(nil, nil, 5); err == nil {
 		t.Error("empty lists must be rejected")
 	}
 }
@@ -171,7 +136,7 @@ func TestValidation(t *testing.T) {
 func TestKLargerThanObjects(t *testing.T) {
 	weights := []float64{1, 1}
 	lists, exact := genLists(2, 5, weights, 17)
-	got, _, err := TA(asSources(lists), weights, 50)
+	got, _, err := TA(lists, weights, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,73 +149,20 @@ func TestKLargerThanObjects(t *testing.T) {
 			t.Fatalf("TA order wrong with k>n")
 		}
 	}
-	for i := range lists {
-		lists[i].Reset()
-	}
-	gotN, _, err := NRA(asSorted(lists), weights, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gotN) != 5 {
-		t.Fatalf("NRA with k>n returned %d", len(gotN))
-	}
 }
 
-func TestListSource(t *testing.T) {
-	s := NewListSource([]int64{5, 6, 7}, []float64{0.2, 0.9, 0.5})
-	id, sc, ok := s.Next()
-	if !ok || id != 6 || sc != 0.9 {
-		t.Fatalf("first = %d/%v", id, sc)
-	}
-	if v, ok := s.Probe(5); !ok || v != 0.2 {
-		t.Error("probe failed")
-	}
-	if _, ok := s.Probe(99); ok {
-		t.Error("probe of absent id should fail")
-	}
-	s.Reset()
-	if id, _, _ := s.Next(); id != 6 {
-		t.Error("reset failed")
-	}
-	if s.Len() != 3 {
-		t.Error("len")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("mismatched slices must panic")
-		}
-	}()
-	NewListSource([]int64{1}, []float64{1, 2})
-}
-
-// Property: TA and NRA agree with brute force across random instances.
-func TestTAandNRAProperty(t *testing.T) {
+// Property: TA agrees with brute force across random instances.
+func TestTAProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		weights := []float64{0.3, 0.7}
 		lists, exact := genLists(2, 120, weights, seed)
 		want := exactTopK(exact, 6)
-		got, _, err := TA(asSources(lists), weights, 6)
+		got, _, err := TA(lists, weights, 6)
 		if err != nil || len(got) != 6 {
 			return false
 		}
 		for i := range want {
 			if got[i].ID != want[i].ID {
-				return false
-			}
-		}
-		for i := range lists {
-			lists[i].Reset()
-		}
-		gotN, _, err := NRA(asSorted(lists), weights, 6)
-		if err != nil || len(gotN) != 6 {
-			return false
-		}
-		wantSet := map[int64]bool{}
-		for _, r := range want {
-			wantSet[r.ID] = true
-		}
-		for _, r := range gotN {
-			if !wantSet[r.ID] {
 				return false
 			}
 		}
@@ -267,19 +179,7 @@ func BenchmarkTA(b *testing.B) {
 		b.StopTimer()
 		lists, _ := genLists(3, 2000, weights, int64(i))
 		b.StartTimer()
-		if _, _, err := TA(asSources(lists), weights, 10); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkNRA(b *testing.B) {
-	weights := []float64{0.5, 0.5}
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		lists, _ := genLists(2, 2000, weights, int64(i))
-		b.StartTimer()
-		if _, _, err := NRA(asSorted(lists), weights, 10); err != nil {
+		if _, _, err := TA(lists, weights, 10); err != nil {
 			b.Fatal(err)
 		}
 	}

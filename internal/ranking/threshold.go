@@ -8,7 +8,7 @@ import (
 // OrderViolationError reports a source that broke the descending-order
 // contract Bounds depends on: it emitted a score above its own bound, or a
 // NaN, which cannot be ordered at all. Silently keeping the stale-tight bound
-// would let threshold-style pruning (TA, NRA, the sharded merge) cut a source
+// would let threshold-style pruning (TA, the sharded merge) cut a source
 // that could still beat the k-th score — wrong answers instead of a loud
 // failure.
 type OrderViolationError struct {
@@ -36,8 +36,8 @@ func orderSlack(u float64) float64 {
 }
 
 // Bounds tracks per-source upper bounds for threshold-style early
-// termination. It is the machinery shared by TA, NRA, and the sharded
-// coordinator merge: every source emits scores in descending order, so the
+// termination. It is the machinery shared by TA and the sharded coordinator
+// merge: every source emits scores in descending order, so the
 // last observed score bounds everything the source can still produce, an
 // optional a-priori ceiling (e.g. derived from per-shard statistics) bounds a
 // source before it has emitted anything, and an exhausted source can produce
@@ -110,17 +110,4 @@ func (b *Bounds) Upper(i int) float64 {
 		return math.Inf(-1)
 	}
 	return b.upper[i]
-}
-
-// MaxUpper returns the best score any source can still produce — the
-// coordinator's stopping test: once MaxUpper is no better than the k-th
-// buffered score, no source can change the top k.
-func (b *Bounds) MaxUpper() float64 {
-	best := math.Inf(-1)
-	for i := range b.upper {
-		if u := b.Upper(i); u > best {
-			best = u
-		}
-	}
-	return best
 }

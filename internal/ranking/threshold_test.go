@@ -11,7 +11,7 @@ func TestBoundsLifecycle(t *testing.T) {
 	if b.Len() != 3 {
 		t.Fatalf("Len = %d", b.Len())
 	}
-	if !math.IsInf(b.Upper(0), 1) || !math.IsInf(b.MaxUpper(), 1) {
+	if !math.IsInf(b.Upper(0), 1) {
 		t.Fatal("unobserved bounds must be +Inf")
 	}
 	b.SetCeiling(0, 10)
@@ -31,14 +31,14 @@ func TestBoundsLifecycle(t *testing.T) {
 	if err := b.Observe(1, 4); err != nil {
 		t.Fatal(err)
 	}
-	if b.MaxUpper() != math.Inf(1) { // list 2 still unobserved
-		t.Fatalf("MaxUpper = %v", b.MaxUpper())
+	if !math.IsInf(b.Upper(2), 1) { // list 2 still unobserved
+		t.Fatalf("Upper(2) = %v", b.Upper(2))
 	}
 	if err := b.Observe(2, 5); err != nil {
 		t.Fatal(err)
 	}
-	if b.MaxUpper() != 7 {
-		t.Fatalf("MaxUpper = %v, want 7", b.MaxUpper())
+	if b.Upper(1) != 4 || b.Upper(2) != 5 {
+		t.Fatalf("Upper(1), Upper(2) = %v, %v, want 4, 5", b.Upper(1), b.Upper(2))
 	}
 	b.Exhaust(0)
 	if !b.Exhausted(0) || !math.IsInf(b.Upper(0), -1) {
@@ -52,8 +52,10 @@ func TestBoundsLifecycle(t *testing.T) {
 	if !b.AllExhausted() {
 		t.Fatal("all lists exhausted")
 	}
-	if !math.IsInf(b.MaxUpper(), -1) {
-		t.Fatalf("MaxUpper after exhaustion = %v", b.MaxUpper())
+	for i := 0; i < b.Len(); i++ {
+		if !math.IsInf(b.Upper(i), -1) {
+			t.Fatalf("Upper(%d) after exhaustion = %v", i, b.Upper(i))
+		}
 	}
 }
 

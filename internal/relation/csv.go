@@ -8,54 +8,9 @@ import (
 	"strings"
 )
 
-// WriteCSV serializes the relation: a header row of "name:KIND" cells
-// followed by one row per tuple. NULLs serialize as empty cells (so string
-// columns cannot round-trip empty strings — a documented limitation).
-func (r *Relation) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	sch := r.Schema()
-	header := make([]string, sch.Len())
-	for i := 0; i < sch.Len(); i++ {
-		c := sch.Column(i)
-		header[i] = c.Name + ":" + c.Kind.String()
-	}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	row := make([]string, sch.Len())
-	for _, tup := range r.Tuples() {
-		for i, v := range tup {
-			row[i] = encodeValue(v)
-		}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-func encodeValue(v Value) string {
-	switch v.Kind() {
-	case KindNull:
-		return ""
-	case KindInt:
-		return strconv.FormatInt(v.AsInt(), 10)
-	case KindFloat:
-		return strconv.FormatFloat(v.AsFloat(), 'g', -1, 64)
-	case KindString:
-		return v.AsString()
-	case KindBool:
-		if v.AsBool() {
-			return "true"
-		}
-		return "false"
-	}
-	return ""
-}
-
-// ReadCSV parses a relation written by WriteCSV (or hand-authored in the
-// same format), qualifying every column with the given table name.
+// ReadCSV parses a relation from CSV — a header row of "name:KIND" cells
+// followed by one row per tuple, empty cells reading as NULL — qualifying
+// every column with the given table name.
 func ReadCSV(rd io.Reader, name string) (*Relation, error) {
 	cr := csv.NewReader(rd)
 	header, err := cr.Read()

@@ -95,16 +95,6 @@ func (s *Schema) Project(idxs []int) *Schema {
 	return NewSchema(cols...)
 }
 
-// HasTable reports whether any column is qualified by the given table name.
-func (s *Schema) HasTable(table string) bool {
-	for _, c := range s.cols {
-		if c.Table == table {
-			return true
-		}
-	}
-	return false
-}
-
 // String renders the schema as "(A.c1 INTEGER, A.c2 DOUBLE)".
 func (s *Schema) String() string {
 	var b strings.Builder

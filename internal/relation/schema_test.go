@@ -52,9 +52,6 @@ func TestSchemaConcatAndProject(t *testing.T) {
 
 func TestSchemaHasTableAndString(t *testing.T) {
 	s := twoTableSchema()
-	if !s.HasTable("A") || s.HasTable("Z") {
-		t.Error("HasTable mismatch")
-	}
 	want := "(A.c1 DOUBLE, A.c2 INTEGER, B.c1 DOUBLE)"
 	if s.String() != want {
 		t.Errorf("String() = %q, want %q", s.String(), want)
