@@ -507,43 +507,60 @@ func (e *Engine) run(ctx context.Context, req Request, limits exec.ResourceLimit
 	// early-stop coordinator — including Analyze and traced sessions, whose
 	// per-shard stats collectors and trace lanes ride the fan-out (the
 	// optimizer runs once above; only execution is parallel). Plans the
-	// partitioning cannot cover fall back and are counted.
-	if len(e.shards) > 0 {
-		if k, ok := e.shardable(root); ok {
-			en.setState(QueryExecuting)
-			en.sharded.Store(true)
-			if err := e.runSharded(ctx, &resp, root, k, &p, tr, &en.prog); err != nil {
-				return fail(err)
-			}
-			resp.Elapsed = time.Since(start)
-			return resp
-		}
+	// partitioning cannot cover fall back and are counted. The tiers differ
+	// only in the root operator: the single tier's reports progress through
+	// a wrapper, the coordinator reports its own.
+	k, sharded := e.shardable(root)
+	if len(e.shards) > 0 && !sharded {
 		e.met.shardFallbacks.Add(1)
 	}
+	var (
+		op    exec.Operator
+		merge *exec.ShardMerge
+	)
 	cs := tr.Begin("compile", "pipeline")
-	op, err := p.compile(e.cat, root, -1)
+	if sharded {
+		en.sharded.Store(true)
+		merge, err = e.shardMerge(root, k, &p, &en.prog)
+		op = merge
+	} else if op, err = p.compile(e.cat, root, -1); err != nil {
+		err = fmt.Errorf("engine: compile: %w", err)
+	} else {
+		op = exec.WithProgress(op, &en.prog)
+		if p.collect {
+			resp.Analysis = p.runs[0].Analysis
+		}
+	}
 	tr.End(cs)
 	if err != nil {
-		return fail(fmt.Errorf("engine: compile: %w", err))
-	}
-	if p.collect {
-		resp.Analysis = p.runs[0].Analysis
+		return fail(err)
 	}
 	en.setState(QueryExecuting)
 	es := tr.Begin("execute", "pipeline")
 	execStart := time.Now()
-	tuples, err := exec.CollectCtx(ctx, exec.WithProgress(op, &en.prog))
-	tr.AnnotateInt(es, "tuples", int64(len(tuples)))
+	tuples, err := exec.CollectCtx(ctx, op)
+	execNanos := time.Since(execStart).Nanoseconds()
 	tr.End(es)
-	if tr != nil {
-		addOperatorSpans(tr, es, root, resp.Analysis, execStart)
+	if sharded && err == nil {
+		// The shard workers were joined before the gather returned, so reading
+		// the per-shard operators and coordinator stats here races with nothing.
+		st := merge.Stats()
+		resp.Sharded, resp.ShardStats = true, &st
+		if p.collect {
+			resp.ShardAnalysis = &plan.ShardedAnalysis{Stats: st, Shards: p.runs}
+		}
+		e.met.observeSharded(&st, execNanos)
+	}
+	// A failed gather has no shard outcomes to lay out.
+	if tr != nil && (!sharded || err == nil) {
+		addExecSpans(tr, es, execStart, root, &resp, p.runs, len(tuples))
 	}
 	if err != nil {
 		return fail(fmt.Errorf("engine: execute: %w", err))
 	}
 	resp.Tuples = tuples
 	e.finish(&resp, op.Schema(), &p)
-	if e.feedback != nil && len(p.joins) > 0 && resp.Fingerprint != "" {
+	if !sharded && e.feedback != nil && len(p.joins) > 0 && resp.Fingerprint != "" {
 		demands := rankJoinDemands(root, float64(pi.k))
 		for _, h := range p.joins {
 			e.observeDepths(resp.Fingerprint, h.node, h.op.Stats(), demands[h.node])
@@ -696,13 +713,21 @@ func mirrorHintKey(n *plan.Node) string {
 	return strings.Join(n.Right().Tables(), ",") + "|" + strings.Join(n.Left().Tables(), ",")
 }
 
-// addOperatorSpans synthesizes one span per executed operator from the
-// analyzed plan's runtime stats, after execution finished (the per-tuple
-// path records nothing — the 1-in-32 sampled collectors already ran). Spans
-// land under the execute span on one Chrome lane per plan depth, laid
-// end-to-end from the execute start: durations are real measurements
-// (Open wall time plus the extrapolated Next time), positions are layout.
-func addOperatorSpans(tr *trace.Trace, parent int, root *plan.Node, ap *plan.AnalyzedPlan, execStart time.Time) {
+// addExecSpans synthesizes the execute span's contents from the runtime
+// stats, after execution finished (the per-tuple path records nothing — the
+// 1-in-32 sampled collectors already ran). A sharded session gets one lane
+// per shard worker (addShardSpans). A single-tier session gets the tuple
+// count and one span per executed operator on one Chrome lane per plan
+// depth, laid end-to-end from the execute start: durations are real
+// measurements (Open wall time plus the extrapolated Next time), positions
+// are layout.
+func addExecSpans(tr *trace.Trace, parent int, execStart time.Time, root *plan.Node, resp *Response, runs []plan.ShardRun, tuples int) {
+	if resp.ShardStats != nil {
+		addShardSpans(tr, parent, resp.ShardStats, runs, execStart)
+		return
+	}
+	tr.AnnotateInt(parent, "tuples", int64(tuples))
+	ap := resp.Analysis
 	cursors := map[int]time.Time{}
 	var walk func(n *plan.Node, depth int)
 	walk = func(n *plan.Node, depth int) {

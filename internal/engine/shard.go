@@ -12,7 +12,6 @@ package engine
 // changes which queries are answerable.
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"strconv"
@@ -160,61 +159,31 @@ func shardCeiling(sc *catalog.Catalog, score expr.ScoreSum) float64 {
 	return total
 }
 
-// runSharded executes the session on the sharded tier: one plan clone
-// rebound and compiled per shard (all charging the session's shared budget),
-// gathered by a ShardMerge whose start width is Config.ShardWidth. Collecting
-// sessions fill the response's ShardAnalysis; traced sessions additionally
-// get one Chrome lane per shard worker synthesized from the coordinator's
-// per-shard records. It fills the response's tuples, columns, and shard
-// statistics.
-func (e *Engine) runSharded(ctx context.Context, resp *Response, root *plan.Node, k int, p *pipelines, tr *trace.Trace, prog *exec.Progress) error {
+// shardMerge builds the sharded tier's root: one plan clone rebound and
+// compiled per shard (all charging the session's shared budget), gathered by
+// a ShardMerge whose start width is Config.ShardWidth and which reports the
+// session's progress into prog.
+func (e *Engine) shardMerge(root *plan.Node, k int, p *pipelines, prog *exec.Progress) (*exec.ShardMerge, error) {
 	score := root.Input().Score
 	inputs := make([]exec.ShardInput, len(e.shards))
-	cs := tr.Begin("compile", "pipeline")
 	for i, sc := range e.shards {
 		clone := root.Clone()
 		if err := plan.Rebind(clone, sc); err != nil {
-			tr.End(cs)
-			return fmt.Errorf("engine: shard %d: %w", i, err)
+			return nil, fmt.Errorf("engine: shard %d: %w", i, err)
 		}
 		op, err := p.compile(sc, clone, i)
 		if err != nil {
-			tr.End(cs)
-			return fmt.Errorf("engine: shard %d compile: %w", i, err)
+			return nil, fmt.Errorf("engine: shard %d compile: %w", i, err)
 		}
 		inputs[i] = exec.ShardInput{Op: op, Ceiling: shardCeiling(sc, score)}
 	}
-	tr.End(cs)
 	merge, err := exec.NewShardMerge(inputs, k, p.budget)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	merge.StartWidth = e.shardWidth
 	merge.Progress = prog
-	es := tr.Begin("execute", "pipeline")
-	execStart := time.Now()
-	tuples, err := exec.CollectPerTupleCtx(ctx, merge)
-	execNanos := time.Since(execStart).Nanoseconds()
-	if err != nil {
-		tr.End(es)
-		return fmt.Errorf("engine: execute: %w", err)
-	}
-	// The shard workers were joined before the gather returned, so reading
-	// the per-shard operators and coordinator stats here races with nothing.
-	st := merge.Stats()
-	if tr != nil {
-		addShardSpans(tr, es, &st, p.runs, execStart)
-	}
-	tr.End(es)
-	resp.Tuples = tuples
-	resp.Sharded = true
-	resp.ShardStats = &st
-	if p.collect {
-		resp.ShardAnalysis = &plan.ShardedAnalysis{Stats: st, Shards: p.runs}
-	}
-	e.finish(resp, merge.Schema(), p)
-	e.met.observeSharded(&st, execNanos)
-	return nil
+	return merge, nil
 }
 
 // addShardSpans synthesizes the sharded execute trace: one Chrome lane per

@@ -157,11 +157,11 @@ func TestAnyKBuildAllocs(t *testing.T) {
 		}
 		lent := measure(pathAnyK(t, levels, true))
 		t.Logf("n=%d: %.0f allocs per build + first result", n, lent)
+		if raceBuild {
+			continue // the pool drops arrays at random: neither the bound nor the comparison holds
+		}
 		if lent > 64 {
 			t.Errorf("n=%d: build + first result allocates %.0f objects, want a constant <= 64", n, lent)
-		}
-		if raceBuild {
-			continue // the pool drops arrays at random: no exact comparison
 		}
 		// The same with the optimizer's one-term ScoreSum scores, over lent
 		// slices and over stored scans.

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"container/heap"
 	"context"
 	"errors"
 	"fmt"
@@ -15,17 +14,16 @@ import (
 	"rankopt/internal/relation"
 )
 
-// This file is the scatter-gather serving tier's executor half. ShardScatter
-// fans one query out to per-shard operator pipelines, each on its own worker
-// goroutine under its own cancellable context; ShardMerge is the coordinator
-// operator that gathers the shard streams and applies the paper's Section-3
-// bounding argument across shards: every shard emits its local top-k in
-// descending score order, so a shard's last-emitted score (or, before it has
-// emitted anything, an a-priori ceiling computed from shard statistics)
-// bounds everything it can still produce. Once the global top-k buffer is
-// full, any shard whose bound cannot beat the k-th buffered score is
-// cancelled immediately — and a shard whose ceiling already fails the test is
-// never started at all.
+// This file is the scatter-gather serving tier's executor half: ShardMerge,
+// the coordinator operator. It runs each shard's pipeline on its own worker
+// goroutine under its own cancellable context, gathers the shard streams, and
+// applies the paper's Section-3 bounding argument across shards: every shard
+// emits its local top-k in descending score order, so a shard's last-emitted
+// score (or, before it has emitted anything, an a-priori ceiling computed
+// from shard statistics) bounds everything it can still produce. Once the
+// global top-k buffer is full, any shard whose bound cannot beat the k-th
+// buffered score is cancelled immediately — and a shard whose ceiling
+// already fails the test is never started at all.
 
 // ShardInput is one shard's pipeline as seen by the coordinator.
 type ShardInput struct {
@@ -36,154 +34,8 @@ type ShardInput struct {
 	// Ceiling is an a-priori upper bound on any score the shard can produce,
 	// typically derived from shard statistics. It must be a true bound; use
 	// math.Inf(1) when unknown. The zero value 0 is a real (and very tight)
-	// bound, so forgetting to set Ceiling silently prunes shards — build
-	// inputs with ShardInputs when no statistics are available.
+	// bound, so forgetting to set Ceiling silently prunes shards.
 	Ceiling float64
-}
-
-// ShardInputs wraps bare operators as unbounded shard inputs (Ceiling +Inf).
-func ShardInputs(ops ...Operator) []ShardInput {
-	ins := make([]ShardInput, len(ops))
-	for i, op := range ops {
-		ins[i] = ShardInput{Op: op, Ceiling: math.Inf(1)}
-	}
-	return ins
-}
-
-// ShardMsg is one event on a scatter's message stream: a tuple from a shard,
-// or the shard's completion (Done=true, with the shard's terminal error if
-// any). Per shard, all tuple messages precede its done message.
-type ShardMsg struct {
-	Shard int
-	Tuple relation.Tuple
-	Done  bool
-	Err   error
-}
-
-// ShardScatter runs shard pipelines on worker goroutines and multiplexes
-// their output onto one bounded message channel — the fan-out half of the
-// scatter-gather tier. Each Started shard gets its own context derived from
-// the query context, so Stop cancels exactly one shard while the query keeps
-// running, and a query-wide cancellation reaches every worker.
-//
-// Contract: after Start has been called, the consumer must keep receiving
-// until it has seen a Done message from every started shard: workers block
-// sending, a cancelled worker abandons its pending tuple via its context, and
-// every worker ends by sending its Done on the same channel. Call Wait after
-// the last Done to join the workers. Workers own their pipeline: each worker
-// Opens, drains, and Closes its own ShardInput.Op, so no cross-goroutine
-// operator access ever happens and a stopped shard releases its resources
-// before reporting Done.
-type ShardScatter struct {
-	inputs []ShardInput
-	// msgs carries tuples and Done reports alike. A shard's Done travels
-	// behind its own tuples in the one FIFO, so it cannot be received before
-	// them — on a channel of its own it could, and a coordinator that counted
-	// the shard finished then ended the gather with those tuples unread.
-	msgs    chan ShardMsg
-	cancels []context.CancelFunc
-	wg      sync.WaitGroup
-}
-
-// NewShardScatter prepares a scatter over the inputs with a buffer of buf
-// messages — the backpressure credit that keeps fast shards from running
-// arbitrarily far ahead of the coordinator.
-func NewShardScatter(inputs []ShardInput, buf int) *ShardScatter {
-	if buf < 1 {
-		buf = 1
-	}
-	return &ShardScatter{
-		inputs:  inputs,
-		msgs:    make(chan ShardMsg, buf),
-		cancels: make([]context.CancelFunc, len(inputs)),
-	}
-}
-
-// Start launches shard i's worker under a context derived from ctx.
-func (s *ShardScatter) Start(ctx context.Context, i int) {
-	sctx, cancel := context.WithCancel(ctx)
-	s.cancels[i] = cancel
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		err := s.drain(sctx, i)
-		s.msgs <- ShardMsg{Shard: i, Done: true, Err: err}
-	}()
-}
-
-// drain runs shard i's pipeline to exhaustion (or cancellation), forwarding
-// tuples. The worker closes the pipeline on every exit path.
-func (s *ShardScatter) drain(ctx context.Context, i int) error {
-	op := s.inputs[i].Op
-	if err := op.Open(ctx); err != nil {
-		return err
-	}
-	for {
-		// One unconditional check per tuple: a Stop must not cost more than
-		// one in-flight tuple of extra shard work.
-		if err := CtxErr(ctx); err != nil {
-			_ = op.Close()
-			return err
-		}
-		t, ok, err := op.Next()
-		if err != nil {
-			_ = op.Close()
-			return err
-		}
-		if !ok {
-			return op.Close()
-		}
-		select {
-		case s.msgs <- ShardMsg{Shard: i, Tuple: t}:
-		case <-ctx.Done():
-			_ = op.Close()
-			return CtxErr(ctx)
-		}
-	}
-}
-
-// Recv returns the next message across all started shards. Tuple messages of
-// a shard are delivered before its Done message.
-func (s *ShardScatter) Recv() ShardMsg { return <-s.msgs }
-
-// RecvCtx is Recv that also aborts when ctx is done, returning its typed
-// error instead of a message.
-func (s *ShardScatter) RecvCtx(ctx context.Context) (ShardMsg, error) {
-	select {
-	case m := <-s.msgs:
-		return m, nil
-	case <-ctx.Done():
-		return ShardMsg{}, CtxErr(ctx)
-	}
-}
-
-// Stop cancels shard i's context. The worker unblocks, closes its pipeline,
-// and reports Done (typically with ErrQueryCancelled).
-func (s *ShardScatter) Stop(i int) {
-	if c := s.cancels[i]; c != nil {
-		c()
-	}
-}
-
-// StopAll cancels every started shard.
-func (s *ShardScatter) StopAll() {
-	for _, c := range s.cancels {
-		if c != nil {
-			c()
-		}
-	}
-}
-
-// Wait joins all worker goroutines and releases the per-shard contexts. Only
-// call it after every started shard's Done message has been received.
-func (s *ShardScatter) Wait() {
-	s.wg.Wait()
-	for i, c := range s.cancels {
-		if c != nil {
-			c()
-			s.cancels[i] = nil
-		}
-	}
 }
 
 // Shard outcome causes, one per way a shard's stream can end.
@@ -251,44 +103,10 @@ type ShardMergeStats struct {
 	PerShard []ShardOutcome `json:"per_shard,omitempty"`
 }
 
-// mergeEntry is one buffered candidate in the coordinator's top-k heap.
-type mergeEntry struct {
-	score float64
-	shard int
-	seq   int
-	tuple relation.Tuple
-}
-
-// mergeHeap is a min-heap on score keeping the current global top-k; among
-// equal scores the later (shard, seq) sorts lower so evictions and the final
-// order are deterministic.
-type mergeHeap []mergeEntry
-
-func (h mergeHeap) Len() int { return len(h) }
-func (h mergeHeap) Less(i, j int) bool {
-	if h[i].score != h[j].score {
-		return h[i].score < h[j].score
-	}
-	if h[i].shard != h[j].shard {
-		return h[i].shard > h[j].shard
-	}
-	return h[i].seq > h[j].seq
-}
-func (h mergeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *mergeHeap) Push(x any)   { *h = append(*h, x.(mergeEntry)) }
-func (h *mergeHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = mergeEntry{}
-	*h = old[:n-1]
-	return e
-}
-
-// ShardMerge is the coordinator operator: it gathers the shard pipelines
-// through a ShardScatter and produces the global top-k in descending score
-// order, using ranking.Bounds to stop pulling from — and immediately cancel —
-// any shard whose best possible remaining score cannot beat the current k-th
+// ShardMerge is the coordinator operator: it runs the shard pipelines on
+// worker goroutines and produces the global top-k in descending score order,
+// using ranking.Bounds to stop pulling from — and immediately cancel — any
+// shard whose best possible remaining score cannot beat the current k-th
 // result. At most StartWidth shards run concurrently; the rest wait in
 // descending-ceiling order and are pruned without ever starting when their
 // ceiling fails the same test. Like Sort, the merge is a blocking operator:
@@ -400,15 +218,14 @@ func (m *ShardMerge) gather(ctx context.Context) error {
 		return compareScoreDesc(m.inputs[a].Ceiling, m.inputs[b].Ceiling)
 	})
 
-	buf := 2 * width
-	if buf > 2*n {
-		buf = 2 * n
-	}
-	scatter := NewShardScatter(m.inputs, buf)
-
 	var (
-		h       mergeHeap
-		seq     int
+		// msgs is the workers' one channel. Its buffer, two messages per
+		// shard that can run at once, is the backpressure credit that keeps
+		// fast shards from running far ahead of the gather.
+		msgs    = make(chan shardMsg, min(2*width, 2*n))
+		cancels = make([]context.CancelFunc, n) // one per started shard
+		wg      sync.WaitGroup
+		h       = make(ranking.Heap[relation.Tuple], 0, sizeHint(float64(m.k)))
 		next    int // cursor into order: shards not yet started or pruned
 		running int
 		live    = make([]bool, n)
@@ -417,12 +234,19 @@ func (m *ShardMerge) gather(ctx context.Context) error {
 		failure error
 	)
 	full := func() bool { return len(h) >= m.k }
-	kth := func() float64 { return h[0].score }
+	kth := func() float64 { return h[0].Score }
+	cancelAll := func() {
+		for _, c := range cancels {
+			if c != nil {
+				c()
+			}
+		}
+	}
 	fail := func(err error) {
 		if failure == nil {
 			failure = err
 		}
-		scatter.StopAll()
+		cancelAll()
 	}
 	// beaten reports that shard i cannot contribute to the final top-k.
 	beaten := func(i int) bool { return full() && bounds.Upper(i) <= kth() }
@@ -441,7 +265,14 @@ func (m *ShardMerge) gather(ctx context.Context) error {
 				m.Progress.ShardFinished(false)
 				continue
 			}
-			scatter.Start(ctx, i)
+			sctx, cancel := context.WithCancel(ctx)
+			cancels[i] = cancel
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				err := runShard(sctx, i, m.inputs[i].Op, msgs)
+				msgs <- shardMsg{shard: i, done: true, err: err}
+			}()
 			live[i] = true
 			running++
 			m.stats.Started++
@@ -459,7 +290,7 @@ func (m *ShardMerge) gather(ctx context.Context) error {
 			if live[i] && !stopped[i] && bounds.Upper(i) <= kth() {
 				m.stats.PerShard[i].Bound = bounds.Upper(i)
 				m.stats.PerShard[i].Cause = ShardCauseEarlyStopped
-				scatter.Stop(i)
+				cancels[i]()
 				stopped[i] = true
 				m.stats.EarlyStopped++
 				if saved := m.k - pulled[i]; saved > 0 {
@@ -469,46 +300,48 @@ func (m *ShardMerge) gather(ctx context.Context) error {
 		}
 	}
 
+	// Every started worker ends by sending its done report, so receiving until
+	// none is running is what lets each one exit.
 	startMore()
 	for running > 0 {
-		var msg ShardMsg
+		// Once aborting, every worker is cancelled: stop watching ctx and
+		// keep receiving so each can deliver its remaining tuples and done.
+		var quit <-chan struct{}
 		if failure == nil {
-			var err error
-			msg, err = scatter.RecvCtx(ctx)
-			if err != nil {
-				fail(err)
-				continue
-			}
-		} else {
-			// Aborting: every worker is cancelled; keep draining so each can
-			// deliver its remaining tuples and its Done report.
-			msg = scatter.Recv()
+			quit = ctx.Done()
 		}
-		if msg.Done {
+		var msg shardMsg
+		select {
+		case msg = <-msgs:
+		case <-quit:
+			fail(CtxErr(ctx))
+			continue
+		}
+		if msg.done {
 			running--
-			live[msg.Shard] = false
-			wasStopped := stopped[msg.Shard]
-			out := &m.stats.PerShard[msg.Shard]
+			live[msg.shard] = false
+			wasStopped := stopped[msg.shard]
+			out := &m.stats.PerShard[msg.shard]
 			if !wasStopped {
 				// Capture the live bound before Exhaust collapses it.
-				out.Bound = bounds.Upper(msg.Shard)
+				out.Bound = bounds.Upper(msg.shard)
 			}
-			bounds.Exhaust(msg.Shard)
+			bounds.Exhaust(msg.shard)
 			out.EndAt = time.Now()
-			out.Pulled = pulled[msg.Shard]
+			out.Pulled = pulled[msg.shard]
 			switch {
-			case msg.Err == nil:
+			case msg.err == nil:
 				if !wasStopped {
 					m.stats.Exhausted++
 					out.Cause = ShardCauseExhausted
 				}
 				// A stopped shard that still drained cleanly keeps its
 				// early_stopped cause: the bound test ended it.
-			case wasStopped && errors.Is(msg.Err, ErrQueryCancelled):
+			case wasStopped && errors.Is(msg.err, ErrQueryCancelled):
 				// The stop we asked for; not a query failure.
 			default:
 				out.Cause = ShardCauseError
-				fail(msg.Err)
+				fail(msg.err)
 			}
 			m.Progress.ShardFinished(true)
 			if failure == nil {
@@ -520,69 +353,113 @@ func (m *ShardMerge) gather(ctx context.Context) error {
 		if failure != nil {
 			continue
 		}
-		if err := m.absorb(msg, bounds, pulled, &h, &seq); err != nil {
+		if err := m.absorb(msg, bounds, pulled, &h); err != nil {
 			fail(err)
 			continue
 		}
 		reap()
 		startMore()
 	}
-	scatter.Wait()
+	wg.Wait()
+	cancelAll() // release the finished shards' contexts
 	if failure != nil {
 		return failure
 	}
 	m.Progress.SetMerging()
 
-	// Assemble the winners: pop ascending, fill descending, copy each tuple
-	// and rewrite its rank column to the global rank.
-	out := make([]relation.Tuple, len(h))
-	for i := len(out) - 1; i >= 0; i-- {
-		e := heap.Pop(&h).(mergeEntry)
-		t := make(relation.Tuple, len(e.tuple))
-		copy(t, e.tuple)
+	// Assemble the winners best first, copied into one value block (the shard
+	// pipelines that produced them are closed) with the rank column rewritten
+	// to the global rank.
+	h.SortBest()
+	w := m.schema.Len()
+	block := make([]relation.Value, len(h)*w)
+	m.out = make([]relation.Tuple, len(h))
+	for i, e := range h {
+		t := relation.Tuple(block[i*w : (i+1)*w : (i+1)*w])
+		copy(t, e.Val)
 		if m.rankCol >= 0 {
 			t[m.rankCol] = relation.Int(int64(i + 1))
 		}
-		out[i] = t
+		m.out[i] = t
 	}
-	m.out = out
-	if len(out) > 0 {
-		last := out[len(out)-1]
-		if v, ok := last[m.scoreCol].Float64(); ok {
+	if len(m.out) > 0 {
+		if v, ok := m.out[len(m.out)-1][m.scoreCol].Float64(); ok {
 			m.stats.KthScore = v
 		}
 	}
 	return nil
 }
 
+// shardMsg is one event on the gather's channel: a tuple from a shard, or the
+// shard's completion (done, with its terminal error if any). A shard's done
+// travels behind its own tuples in the one FIFO, so it cannot be received
+// before them — on a channel of its own it could, and the gather would count
+// the shard finished and end with those tuples unread.
+type shardMsg struct {
+	shard int
+	tuple relation.Tuple
+	done  bool
+	err   error
+}
+
+// runShard is shard i's worker: it drains the pipeline to exhaustion or
+// cancellation, forwarding its tuples on msgs. The worker owns the pipeline —
+// it opens it and closes it on every exit path — so no operator is touched
+// from two goroutines, and a stopped shard has released its resources before
+// its done report goes out.
+func runShard(ctx context.Context, i int, op Operator, msgs chan<- shardMsg) error {
+	if err := op.Open(ctx); err != nil {
+		return err
+	}
+	for {
+		// One unconditional check per tuple: a stop must not cost more than
+		// one in-flight tuple of extra shard work.
+		if err := CtxErr(ctx); err != nil {
+			_ = op.Close()
+			return err
+		}
+		t, ok, err := op.Next()
+		if err != nil {
+			_ = op.Close()
+			return err
+		}
+		if !ok {
+			return op.Close()
+		}
+		select {
+		case msgs <- shardMsg{shard: i, tuple: t}:
+		case <-ctx.Done():
+			_ = op.Close()
+			return CtxErr(ctx)
+		}
+	}
+}
+
 // absorb folds one shard tuple into the bounds and the top-k heap.
-func (m *ShardMerge) absorb(msg ShardMsg, bounds *ranking.Bounds, pulled []int, h *mergeHeap, seq *int) error {
+func (m *ShardMerge) absorb(msg shardMsg, bounds *ranking.Bounds, pulled []int, h *ranking.Heap[relation.Tuple]) error {
 	score := math.Inf(-1) // NULL scores sort after everything, like ORDER BY
-	if v := msg.Tuple[m.scoreCol]; !v.IsNull() {
+	if v := msg.tuple[m.scoreCol]; !v.IsNull() {
 		if f, ok := v.Float64(); ok {
 			score = f
 		}
 	}
-	if err := bounds.Observe(msg.Shard, score); err != nil {
+	if err := bounds.Observe(msg.shard, score); err != nil {
 		return fmt.Errorf("exec: shard stream broke the descending-order contract: %w", err)
 	}
-	pulled[msg.Shard]++
+	// Equal scores keep the lower shard, then its earlier arrival: the tie
+	// key is the shard number over the shard's arrival count.
+	tie := int64(msg.shard)<<32 | int64(pulled[msg.shard])
+	pulled[msg.shard]++
 	m.stats.TuplesPulled++
-	e := mergeEntry{score: score, shard: msg.Shard, seq: *seq, tuple: msg.Tuple}
-	*seq++
-	if len(*h) < m.k {
+	if h.Offer(ranking.Entry[relation.Tuple]{Score: score, Tie: tie, Val: msg.tuple}, m.k) {
 		if err := m.acct.charge(1); err != nil {
 			return err
 		}
-		heap.Push(h, e)
-	} else if score > (*h)[0].score {
-		(*h)[0] = e
-		heap.Fix(h, 0)
 	}
 	if m.Progress != nil {
 		m.Progress.SetEmitted(int64(len(*h)))
 		if len(*h) >= m.k {
-			m.Progress.SetKth((*h)[0].score)
+			m.Progress.SetKth((*h)[0].Score)
 		}
 		best := math.Inf(-1)
 		for i := range m.inputs {
@@ -593,6 +470,18 @@ func (m *ShardMerge) absorb(msg ShardMsg, bounds *ranking.Bounds, pulled []int, 
 		m.Progress.SetBound(best)
 	}
 	return nil
+}
+
+// compareScoreDesc orders two scores best first. A NaN is unordered against
+// everything, itself included, as under `>`: it compares equal.
+func compareScoreDesc(a, b float64) int {
+	switch {
+	case a > b:
+		return -1
+	case a < b:
+		return 1
+	}
+	return 0
 }
 
 // Next implements Operator, replaying the merged winners in rank order.

@@ -1,11 +1,10 @@
 package exec
 
 import (
-	"cmp"
 	"context"
-	"slices"
 
 	"rankopt/internal/expr"
+	"rankopt/internal/ranking"
 	"rankopt/internal/relation"
 )
 
@@ -39,65 +38,6 @@ func NewTopK(in Operator, score expr.Expr, k int) *TopK {
 // Schema implements Operator.
 func (t *TopK) Schema() *relation.Schema { return t.In.Schema() }
 
-// topKItem pairs a tuple with its score inside the bounded heap.
-type topKItem struct {
-	score float64
-	seq   int
-	tuple relation.Tuple
-}
-
-// topKHeap is a min-heap on (score, -seq): the root is the weakest kept
-// tuple; later arrivals lose ties so the operator is deterministic and
-// stable. Like scoreQueue it is hand-rolled — container/heap's any-typed
-// interface would box a topKItem per insertion on the per-input-tuple path.
-type topKHeap []topKItem
-
-// weaker reports whether element i loses to element j (lower score; on a
-// tie the later arrival is weaker).
-func (h topKHeap) weaker(i, j int) bool {
-	if h[i].score != h[j].score {
-		return h[i].score < h[j].score
-	}
-	return h[i].seq > h[j].seq
-}
-
-// push inserts an item, sifting it up.
-func (h *topKHeap) push(it topKItem) {
-	s := append(*h, it)
-	*h = s
-	i := len(s) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !s.weaker(i, p) {
-			break
-		}
-		s[i], s[p] = s[p], s[i]
-		i = p
-	}
-}
-
-// fixRoot restores the heap after the root (the weakest kept tuple) was
-// replaced in place.
-func (h topKHeap) fixRoot() {
-	n := len(h)
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		weakest := l
-		if r := l + 1; r < n && h.weaker(r, l) {
-			weakest = r
-		}
-		if !h.weaker(weakest, i) {
-			break
-		}
-		h[i], h[weakest] = h[weakest], h[i]
-		i = weakest
-	}
-}
-
 // Open implements Operator: the blocking drain polls the context on
 // the sampling cadence, so even this bounded-memory blocking operator obeys
 // cancellation mid-load.
@@ -122,8 +62,10 @@ func (t *TopK) load(ctx context.Context) error {
 	}
 	var c canceller
 	c.reset(ctx)
-	h := make(topKHeap, 0, sizeHint(float64(t.K)))
-	seq := 0
+	// The bounded heap's tie key is the arrival order: later arrivals lose
+	// ties, so the operator is deterministic and stable.
+	h := make(ranking.Heap[relation.Tuple], 0, sizeHint(float64(t.K)))
+	var seq int64
 	for {
 		if err := c.poll(); err != nil {
 			return err
@@ -142,47 +84,23 @@ func (t *TopK) load(ctx context.Context) error {
 		if v.IsNull() {
 			continue
 		}
-		s := v.AsFloat()
-		switch {
-		case len(h) < t.K:
-			// Only heap growth charges the budget; steady-state replacement
-			// keeps the footprint at K.
+		// Only heap growth charges the budget; steady-state replacement
+		// keeps the footprint at K.
+		if h.Offer(ranking.Entry[relation.Tuple]{Score: v.AsFloat(), Tie: seq, Val: tup}, t.K) {
 			if err := t.acct.charge(1); err != nil {
 				return err
 			}
-			h.push(topKItem{score: s, seq: seq, tuple: tup})
-		case s > h[0].score:
-			h[0] = topKItem{score: s, seq: seq, tuple: tup}
-			h.fixRoot()
 		}
 		seq++
 	}
 	t.maxHeap = len(h)
-	items := append(topKHeap(nil), h...)
-	slices.SortFunc(items, func(a, b topKItem) int {
-		if a.score != b.score {
-			return compareScoreDesc(a.score, b.score)
-		}
-		return cmp.Compare(a.seq, b.seq)
-	})
+	h.SortBest()
 	t.out = t.out[:0]
-	for _, it := range items {
-		t.out = append(t.out, it.tuple)
+	for _, e := range h {
+		t.out = append(t.out, e.Val)
 	}
 	t.pos = 0
 	return nil
-}
-
-// compareScoreDesc orders two scores best first. A NaN is unordered against
-// everything, itself included, as under `>`: it compares equal.
-func compareScoreDesc(a, b float64) int {
-	switch {
-	case a > b:
-		return -1
-	case a < b:
-		return 1
-	}
-	return 0
 }
 
 // Next implements Operator.

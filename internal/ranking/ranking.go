@@ -3,11 +3,11 @@
 // same object set), which exec.TASelect compiles from the optimizer's
 // rank-aggregation plan; the rank-join operators in package exec solve the
 // "top-k join" class. Bounds is the threshold machinery TA shares with the
-// sharded coordinator merge.
+// sharded coordinator merge, and Heap the top-k buffer TA shares with it and
+// with exec.TopK.
 package ranking
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 )
@@ -60,19 +60,84 @@ func (s Stats) TotalSorted() int { return s.total(s.SortedAccesses) }
 // TotalRandom returns the total random accesses across lists.
 func (s Stats) TotalRandom() int { return s.total(s.RandomAccesses) }
 
-// resultHeap is a min-heap on score, keeping the current best-k.
-type resultHeap []Result
+// Entry is one candidate in a top-k Heap: its score, a tie key, and the
+// payload it stands for.
+type Entry[T any] struct {
+	Score float64
+	// Tie orders equal scores: the larger key is the weaker entry (a later
+	// arrival, a higher shard).
+	Tie int64
+	Val T
+}
 
-func (h resultHeap) Len() int           { return len(h) }
-func (h resultHeap) Less(i, j int) bool { return h[i].Score < h[j].Score }
-func (h resultHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *resultHeap) Push(x any)        { *h = append(*h, x.(Result)) }
-func (h *resultHeap) Pop() any {
-	old := *h
-	n := len(old)
-	r := old[n-1]
-	*h = old[:n-1]
-	return r
+// Heap is the bounded min-heap a top-k buffer keeps its best entries in,
+// ordered by (Score, -Tie): the root is the weakest kept entry, so a full
+// heap turns a candidate away with one comparison. TA, exec.TopK and
+// exec.ShardMerge all buffer through it. It is hand-rolled over a typed slice
+// — container/heap's any-typed Push and Pop box an entry per call — and sifts
+// exactly as container/heap does, so the same entries survive ties.
+type Heap[T any] []Entry[T]
+
+// Offer keeps e if the heap holds fewer than k entries, or if e outscores the
+// weakest kept entry, which it then replaces. A candidate that only ties the
+// weakest score is turned away. Offer reports whether the heap grew.
+func (h *Heap[T]) Offer(e Entry[T], k int) (grew bool) {
+	s := *h
+	if len(s) < k {
+		s = append(s, e)
+		*h = s
+		for i := len(s) - 1; i > 0; {
+			p := (i - 1) / 2
+			if !s.weaker(i, p) {
+				break
+			}
+			s[i], s[p] = s[p], s[i]
+			i = p
+		}
+		return true
+	}
+	if len(s) > 0 && e.Score > s[0].Score {
+		s[0] = e
+		s.down(len(s))
+	}
+	return false
+}
+
+// SortBest orders the entries best first, in place: a heapsort that moves the
+// weakest entry to the back one at a time. h is no longer a heap afterwards.
+func (h Heap[T]) SortBest() {
+	for n := len(h) - 1; n > 0; n-- {
+		h[0], h[n] = h[n], h[0]
+		h.down(n)
+	}
+}
+
+// weaker reports whether entry i loses to entry j: a lower score or, on a
+// tie, the larger tie key.
+func (h Heap[T]) weaker(i, j int) bool {
+	if h[i].Score != h[j].Score {
+		return h[i].Score < h[j].Score
+	}
+	return h[i].Tie > h[j].Tie
+}
+
+// down sifts the root down within the first n entries.
+func (h Heap[T]) down(n int) {
+	for i := 0; ; {
+		l := 2*i + 1
+		if l >= n {
+			return
+		}
+		w := l
+		if r := l + 1; r < n && h.weaker(r, l) {
+			w = r
+		}
+		if !h.weaker(w, i) {
+			return
+		}
+		h[i], h[w] = h[w], h[i]
+		i = w
+	}
 }
 
 func validate(m int, weights []float64, k int) error {
@@ -114,7 +179,7 @@ func TA(lists []Source, weights []float64, k int) ([]Result, Stats, error) {
 	stats := Stats{SortedAccesses: make([]int, m), RandomAccesses: make([]int, m)}
 	bounds := NewBounds(m)
 	seen := map[int64]bool{}
-	var best resultHeap
+	var best Heap[int64]
 
 	for !bounds.AllExhausted() {
 		for i := 0; i < m; i++ {
@@ -144,12 +209,7 @@ func TA(lists []Source, weights []float64, k int) ([]Result, Stats, error) {
 					total += weights[j] * s
 				}
 			}
-			if len(best) < k {
-				heap.Push(&best, Result{ID: id, Score: total})
-			} else if total > best[0].Score {
-				best[0] = Result{ID: id, Score: total}
-				heap.Fix(&best, 0)
-			}
+			best.Offer(Entry[int64]{Score: total, Val: id}, k)
 		}
 		// Threshold: the best possible score of any unseen object. Every
 		// non-exhausted list was observed this round, so Upper is finite.
@@ -163,7 +223,10 @@ func TA(lists []Source, weights []float64, k int) ([]Result, Stats, error) {
 			break
 		}
 	}
-	out := append([]Result(nil), best...)
+	out := make([]Result, len(best))
+	for i, e := range best {
+		out[i] = Result{ID: e.Val, Score: e.Score}
+	}
 	sortResults(out)
 	return out, stats, nil
 }
