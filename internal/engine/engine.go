@@ -541,6 +541,7 @@ func (e *Engine) run(ctx context.Context, req Request, limits exec.ResourceLimit
 	tuples, err := exec.CollectCtx(ctx, op)
 	execNanos := time.Since(execStart).Nanoseconds()
 	tr.End(es)
+	p.gathered()
 	if sharded && err == nil {
 		// The shard workers were joined before the gather returned, so reading
 		// the per-shard operators and coordinator stats here races with nothing.
@@ -579,8 +580,8 @@ type opHandle struct {
 }
 
 // pipelines is what a session's compiled operator trees — one on the
-// unsharded tier, one per shard on the sharded — leave behind for the
-// post-execution report.
+// unsharded tier, one per started shard on the sharded — leave behind for
+// the post-execution report.
 type pipelines struct {
 	// collect threads a stats collector between every pair of operators.
 	collect bool
@@ -592,6 +593,23 @@ type pipelines struct {
 	joins, anyks []opHandle
 	// runs holds every pipeline's analyzed plan when collect is set.
 	runs []plan.ShardRun
+	// shards are the sharded tier's per-shard slots (see shard.go): each is
+	// written only by the goroutine that builds its pipeline, and gathered
+	// folds them into the fields above once the gather has joined its workers.
+	shards []shardPipeline
+}
+
+// gathered folds the per-shard slots into p in ascending shard order, so the
+// rank-join report and the shard analysis are deterministic. Call it only
+// after the gather returned: its workers are joined by then.
+func (p *pipelines) gathered() {
+	for i := range p.shards {
+		s := &p.shards[i].pipelines
+		p.joins = append(p.joins, s.joins...)
+		p.anyks = append(p.anyks, s.anyks...)
+		p.runs = append(p.runs, s.runs...)
+	}
+	p.shards = nil
 }
 
 // compile lowers root against cat as pipeline number shard. The stats

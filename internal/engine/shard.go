@@ -4,14 +4,18 @@ package engine
 // When Config.Shards is set, the engine builds per-shard catalogs once at
 // construction (zero-copy partitions of the parent heaps, per-shard stats and
 // indexes) and routes every qualifying top-k session through the coordinator
-// path: the optimizer runs once against the full catalog, the winning plan is
-// cloned and rebound per shard, and an exec.ShardMerge gathers the shard
-// pipelines under the rank-aware early-stop bounds. Sessions whose plan shape
+// path: the optimizer runs once against the full catalog, every shard gets an
+// a-priori score ceiling from its statistics, and an exec.ShardMerge gathers
+// the shard pipelines under the rank-aware early-stop bounds. A shard's
+// pipeline — the winning plan cloned, rebound to the shard catalog and
+// compiled — is built only when the gather starts the shard, so a shard
+// pruned on its ceiling costs no plan work at all. Sessions whose plan shape
 // or partitioning cannot be sharded safely fall back to the single-engine
 // path (counted in the shard_fallbacks metric), so enabling sharding never
 // changes which queries are answerable.
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strconv"
@@ -21,6 +25,7 @@ import (
 	"rankopt/internal/exec"
 	"rankopt/internal/expr"
 	"rankopt/internal/plan"
+	"rankopt/internal/relation"
 	"rankopt/internal/trace"
 )
 
@@ -159,23 +164,14 @@ func shardCeiling(sc *catalog.Catalog, score expr.ScoreSum) float64 {
 	return total
 }
 
-// shardMerge builds the sharded tier's root: one plan clone rebound and
-// compiled per shard (all charging the session's shared budget), gathered by
-// a ShardMerge whose start width is Config.ShardWidth and which reports the
-// session's progress into prog.
+// shardMerge builds the sharded tier's root: a ShardMerge over one input per
+// shard (see shardInputs), all charging the session's shared budget, whose
+// start width is Config.ShardWidth and which reports the session's progress
+// into prog.
 func (e *Engine) shardMerge(root *plan.Node, k int, p *pipelines, prog *exec.Progress) (*exec.ShardMerge, error) {
-	score := root.Input().Score
-	inputs := make([]exec.ShardInput, len(e.shards))
-	for i, sc := range e.shards {
-		clone := root.Clone()
-		if err := plan.Rebind(clone, sc); err != nil {
-			return nil, fmt.Errorf("engine: shard %d: %w", i, err)
-		}
-		op, err := p.compile(sc, clone, i)
-		if err != nil {
-			return nil, fmt.Errorf("engine: shard %d compile: %w", i, err)
-		}
-		inputs[i] = exec.ShardInput{Op: op, Ceiling: shardCeiling(sc, score)}
+	inputs, err := p.shardInputs(e.shards, root)
+	if err != nil {
+		return nil, err
 	}
 	merge, err := exec.NewShardMerge(inputs, k, p.budget)
 	if err != nil {
@@ -184,6 +180,96 @@ func (e *Engine) shardMerge(root *plan.Node, k int, p *pipelines, prog *exec.Pro
 	merge.StartWidth = e.shardWidth
 	merge.Progress = prog
 	return merge, nil
+}
+
+// shardInputs gives the gather one input per shard catalog, with p.shards as
+// the shards' slots. Every ceiling is computed first (shardCeiling is pure and
+// allocation-free, so it is not cached). Only the shard the gather launches
+// first — the highest ceiling, ties to the lower index — is compiled here: it
+// always starts, because nothing can be beaten before the buffer holds k
+// tuples, and its schema is every shard's. Every other input is its lazy
+// slot. Should the launch order disagree with this pick (NaN ceilings), the
+// cost is one compiled pipeline that never opens, not a wrong answer.
+func (p *pipelines) shardInputs(shards []*catalog.Catalog, root *plan.Node) ([]exec.ShardInput, error) {
+	score := root.Input().Score
+	p.shards = make([]shardPipeline, len(shards))
+	inputs := make([]exec.ShardInput, len(shards))
+	first := 0
+	for i, sc := range shards {
+		p.shards[i] = shardPipeline{pipelines: pipelines{collect: p.collect, budget: p.budget},
+			shard: i, cat: sc, root: root}
+		inputs[i].Ceiling = shardCeiling(sc, score)
+		if inputs[i].Ceiling > inputs[first].Ceiling {
+			first = i
+		}
+	}
+	op, err := p.shards[first].build()
+	if err != nil {
+		return nil, err
+	}
+	schema := op.Schema()
+	for i := range inputs {
+		p.shards[i].schema = schema
+		inputs[i].Op = &p.shards[i]
+	}
+	inputs[first].Op = op
+	return inputs, nil
+}
+
+// shardPipeline is one shard's slot on the sharded tier: the rank-join,
+// any-k and analyzed-plan handles its compile leaves behind, written only by
+// the goroutine that builds it. As an exec.Operator it is the shard's input
+// until the gather starts it: Open clones the session plan, rebinds the clone
+// to the shard catalog and compiles it — on the shard's worker goroutine —
+// then opens the result, so a shard the gather prunes is never built.
+type shardPipeline struct {
+	pipelines
+	shard  int
+	cat    *catalog.Catalog
+	root   *plan.Node
+	schema *relation.Schema
+	op     exec.Operator // nil until Open built it
+}
+
+// build clones root, rebinds the clone to the shard catalog and compiles it
+// into the slot.
+func (s *shardPipeline) build() (exec.Operator, error) {
+	clone := s.root.Clone()
+	if err := plan.Rebind(clone, s.cat); err != nil {
+		return nil, fmt.Errorf("engine: shard %d: %w", s.shard, err)
+	}
+	op, err := s.compile(s.cat, clone, s.shard)
+	if err != nil {
+		return nil, fmt.Errorf("engine: shard %d compile: %w", s.shard, err)
+	}
+	return op, nil
+}
+
+// Schema implements exec.Operator: the schema every shard pipeline shares.
+func (s *shardPipeline) Schema() *relation.Schema { return s.schema }
+
+// Open implements exec.Operator, building the pipeline on first use. A build
+// error fails Open with nothing opened.
+func (s *shardPipeline) Open(ctx context.Context) error {
+	if s.op == nil {
+		op, err := s.build()
+		if err != nil {
+			return err
+		}
+		s.op = op
+	}
+	return s.op.Open(ctx)
+}
+
+// Next implements exec.Operator.
+func (s *shardPipeline) Next() (relation.Tuple, bool, error) { return s.op.Next() }
+
+// Close implements exec.Operator; a slot never built has nothing to close.
+func (s *shardPipeline) Close() error {
+	if s.op == nil {
+		return nil
+	}
+	return s.op.Close()
 }
 
 // addShardSpans synthesizes the sharded execute trace: one Chrome lane per

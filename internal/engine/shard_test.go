@@ -193,19 +193,19 @@ func TestShardedConcurrentSessions(t *testing.T) {
 // skewedShardCatalog is the rank-aware early-stop workload in small: two
 // tables range-partitioned on the join key whose scores are a function of the
 // key (ScoreByKey), so the global top-k lives in the highest-key shard and
-// every other shard's a-priori ceiling can be beaten.
-func skewedShardCatalog(t *testing.T) *catalog.Catalog {
+// every other shard's a-priori ceiling can be beaten. rows is per table; keys
+// spread evenly over the key range the shards split.
+func skewedShardCatalog(t *testing.T, rows, keys int) *catalog.Catalog {
 	t.Helper()
-	const rows, keys = 4000, 100
 	cat := catalog.New()
 	for i, name := range []string{"T1", "T2"} {
 		cat.AddTable(workload.Ranked(workload.RankedConfig{
-			Name: name, N: rows, Selectivity: 1.0 / keys, Seed: 29 + int64(i)*7919, ScoreByKey: 1,
+			Name: name, N: rows, Selectivity: 1 / float64(keys), Seed: 29 + int64(i)*7919, ScoreByKey: 1,
 		}))
 		if _, err := cat.CreateIndex(name, "key", false); err != nil {
 			t.Fatal(err)
 		}
-		spec := catalog.PartitionSpec{Column: "key", Kind: catalog.PartitionRange, Lo: 0, Hi: keys}
+		spec := catalog.PartitionSpec{Column: "key", Kind: catalog.PartitionRange, Lo: 0, Hi: float64(keys)}
 		if err := cat.SetPartition(name, spec); err != nil {
 			t.Fatal(err)
 		}
@@ -221,7 +221,7 @@ const skewedShardSQL = "SELECT * FROM T1, T2 WHERE T1.key = T2.key ORDER BY T1.s
 // shard work is the rank-aware speed-up, whatever the CPU count.
 func TestShardedBoundsSkipShards(t *testing.T) {
 	const shards, sessions = 4, 8
-	eng := NewWithConfig(skewedShardCatalog(t), Config{Shards: shards})
+	eng := NewWithConfig(skewedShardCatalog(t, 4000, 100), Config{Shards: shards})
 	if err := eng.ShardError(); err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestShardedBoundsSkipShards(t *testing.T) {
 // scatter-gather path and records one shard span per shard.
 func TestTracedShardedSession(t *testing.T) {
 	const shards = 4
-	eng := NewWithConfig(skewedShardCatalog(t), Config{Shards: shards})
+	eng := NewWithConfig(skewedShardCatalog(t, 4000, 100), Config{Shards: shards})
 	if err := eng.ShardError(); err != nil {
 		t.Fatal(err)
 	}
