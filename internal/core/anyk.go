@@ -19,7 +19,7 @@ import (
 // against binary and m-way HRJN trees on equal footing; nothing here special-cases
 // its selection.
 
-// anyKPathWidthCap mirrors exec's anykMaxWidth: wider paths cannot compile.
+// anyKPathWidthCap mirrors exec's maxJoinWidth: wider paths cannot compile.
 const anyKPathWidthCap = 8
 
 // anyKCandidates adds the any-k alternative for one MEMO entry when the

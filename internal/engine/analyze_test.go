@@ -19,12 +19,12 @@ const goldenAnalyze = `EXPLAIN ANALYZE (k=10)
 Limit(10)  (rows est=10 act=10 err=0.0%)
   Rank(1*T1.score + 1*T2.score + 1*T3.score)  (rows est=10 act=10 err=0.0%)
     HRJN(T3.key = T2.key)  (rows est=10 act=10 err=0.0%)
-      depths: dL est=300 act=53 err=466.0% | dR est=23 act=52 err=56.7% | queue hwm=43 | pool hit=0 miss=49
+      depths: dL est=300 act=53 err=466.0% | dR est=23 act=52 err=56.7% | queue hwm=43
       Sort(1*T3.score desc)  (rows est=300 act=53 err=466.0%)
         buffered=2000 emitted=53
         SeqScan(T3)  (rows est=2000 act=2000 err=0.0%)
       HRJN(T2.key = T1.key)  (rows est=23 act=52 err=56.7%)
-        depths: dL est=95 act=116 err=18.2% | dR est=95 act=115 err=17.5% | queue hwm=74 | pool hit=0 miss=124
+        depths: dL est=95 act=116 err=18.2% | dR est=95 act=115 err=17.5% | queue hwm=74
         Sort(1*T2.score desc)  (rows est=95 act=116 err=18.2%)
           buffered=2000 emitted=116
           SeqScan(T2)  (rows est=2000 act=2000 err=0.0%)

@@ -64,10 +64,6 @@ type AnyK struct {
 	cancel canceller
 }
 
-// anykMaxWidth bounds the path width so a solution's index vector fits in a
-// fixed array and pushes never allocate. Join queries are far narrower.
-const anykMaxWidth = 8
-
 // anykBuffers is everything an open AnyK builds and enumerates in. The engine
 // compiles a fresh operator per request, so the arrays are recycled through
 // anykBufferPool like the Sort enforcer's: a warm build allocates nothing.
@@ -85,12 +81,12 @@ type anykBuffers struct {
 	grp, fill []int32
 	// path and prefix are pop-time scratch: the popped solution's entry at
 	// each level and the running sum of their scores.
-	path   [anykMaxWidth]int32
-	prefix [anykMaxWidth]float64
+	path   [maxJoinWidth]int32
+	prefix [maxJoinWidth]float64
 }
 
 var anykBufferPool = sync.Pool{New: func() any {
-	return &anykBuffers{levels: make([]anykLevel, 0, anykMaxWidth)}
+	return &anykBuffers{levels: make([]anykLevel, 0, maxJoinWidth)}
 }}
 
 // anykLevel is one input annotated for ranked enumeration, as a structure of
@@ -167,17 +163,17 @@ func (im *levelImages) score(e int) (float64, bool) {
 // scoreQueue.
 type anykSol struct {
 	dev int8
-	idx [anykMaxWidth]int32
+	idx [maxJoinWidth]int32
 }
 
 // NewAnyK constructs the operator; inputs, scores, and adjacent key pairs
-// must align, and the path width is capped at anykMaxWidth.
+// must align, and the path width is capped at maxJoinWidth.
 func NewAnyK(inputs []Operator, scores, leftKeys, rightKeys []expr.Expr) (*AnyK, error) {
 	if len(inputs) < 2 {
 		return nil, fmt.Errorf("exec: AnyK needs >=2 inputs, got %d", len(inputs))
 	}
-	if len(inputs) > anykMaxWidth {
-		return nil, fmt.Errorf("exec: AnyK supports at most %d inputs, got %d", anykMaxWidth, len(inputs))
+	if len(inputs) > maxJoinWidth {
+		return nil, fmt.Errorf("exec: AnyK supports at most %d inputs, got %d", maxJoinWidth, len(inputs))
 	}
 	if len(scores) != len(inputs) || len(leftKeys) != len(inputs)-1 || len(rightKeys) != len(inputs)-1 {
 		return nil, fmt.Errorf("exec: AnyK arity mismatch (%d inputs, %d scores, %d/%d keys)",
@@ -540,7 +536,7 @@ func (j *AnyK) Next() (relation.Tuple, bool, error) {
 	// Walk the solution: its entry at every level (each position in the
 	// vector was final when the solution was pushed) and the running prefix
 	// scores. bucket[lvl] is the bucket the level's position indexes.
-	var bucket [anykMaxWidth]int32
+	var bucket [maxJoinWidth]int32
 	for lvl := range j.levels {
 		lv := &j.levels[lvl]
 		g := bucket[lvl]

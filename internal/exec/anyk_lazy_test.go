@@ -16,7 +16,7 @@ import (
 // The any-k path fixtures of this file: every level has the columns
 // (id, lk, rk, score) and level i joins level i+1 on lk = rk.
 var pathSchemas = func() []*relation.Schema {
-	s := make([]*relation.Schema, anykMaxWidth)
+	s := make([]*relation.Schema, maxJoinWidth)
 	for i := range s {
 		tab := string(rune('A' + i))
 		s[i] = relation.NewSchema(

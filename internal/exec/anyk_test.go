@@ -149,9 +149,9 @@ func TestAnyKValidation(t *testing.T) {
 		[]expr.Expr{key}, []expr.Expr{key}); err == nil {
 		t.Error("arity mismatch must be rejected")
 	}
-	wide := make([]Operator, anykMaxWidth+1)
-	scores := make([]expr.Expr, anykMaxWidth+1)
-	keys := make([]expr.Expr, anykMaxWidth)
+	wide := make([]Operator, maxJoinWidth+1)
+	scores := make([]expr.Expr, maxJoinWidth+1)
+	keys := make([]expr.Expr, maxJoinWidth)
 	for i := range wide {
 		wide[i] = NewSeqScan(rel)
 		scores[i] = score
@@ -160,7 +160,7 @@ func TestAnyKValidation(t *testing.T) {
 		keys[i] = key
 	}
 	if _, err := NewAnyK(wide, scores, keys, keys); err == nil {
-		t.Errorf("width beyond %d must be rejected", anykMaxWidth)
+		t.Errorf("width beyond %d must be rejected", maxJoinWidth)
 	}
 }
 

@@ -24,10 +24,9 @@ const DefaultBatchSize = 256
 
 // Batch is a reusable slice of tuples — the unit of batch-at-a-time
 // execution. A batch is filled one of two ways: appended into its own
-// recycled backing array (the tuplePool discipline applied to whole
-// batches — one allocation per Open, not per pull), or pointed at a
-// borrowed read-only view of an existing tuple slice (SetView — how SeqScan
-// hands out a window of the heap with zero copies). The tuples inside
+// recycled backing array (one allocation per Open, not per pull), or
+// pointed at a borrowed read-only view of an existing tuple slice (SetView —
+// how SeqScan hands out a window of the heap with zero copies). The tuples inside
 // follow the same ownership rule as Next: once handed to the caller they
 // are caller-owned and never recycled.
 type Batch struct {
@@ -164,8 +163,8 @@ func (s *batchSource) next(out *Batch, max int) (bool, error) {
 const arenaChunkValues = 4096
 
 // tupleArena hands out caller-owned output tuples carved from shared value
-// chunks. Unlike tuplePool it never recycles: every tuple it returns escapes
-// to the caller, so the win is purely amortizing the allocation count.
+// chunks. It never recycles: every tuple it returns escapes to the caller, so
+// the win is purely amortizing the allocation count.
 // Carved tuples use full-capacity slices (len == cap), so a caller growing
 // one with append reallocates instead of clobbering its neighbor.
 //

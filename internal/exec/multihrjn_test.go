@@ -210,6 +210,19 @@ func TestMultiHRJNValidation(t *testing.T) {
 		[]expr.Expr{expr.Col("A", "key"), expr.Col("A", "key")}); err == nil {
 		t.Error("arity mismatch must be rejected")
 	}
+	// A queued combination holds one row index per input in a fixed array.
+	wide := make([]Operator, maxJoinWidth+1)
+	scores := make([]expr.Expr, len(wide))
+	keys := make([]expr.Expr, len(wide))
+	for i := range wide {
+		wide[i], scores[i], keys[i] = rankedScan(rel), expr.Col("A", "score"), expr.Col("A", "key")
+	}
+	if _, err := NewMultiHRJN(wide[:maxJoinWidth], scores[:maxJoinWidth], keys[:maxJoinWidth]); err != nil {
+		t.Errorf("width %d must be accepted: %v", maxJoinWidth, err)
+	}
+	if _, err := NewMultiHRJN(wide, scores, keys); err == nil {
+		t.Errorf("width beyond %d must be rejected", maxJoinWidth)
+	}
 }
 
 func TestMultiHRJNContractViolation(t *testing.T) {

@@ -10,7 +10,7 @@ import (
 // OpStats are the runtime counters EXPLAIN ANALYZE reports for one operator.
 // Every field is a plain scalar — no interfaces, maps, or slices — so
 // collecting them on the per-tuple path costs a handful of integer stores
-// and zero allocations. Depth, queue, heap, and pool fields are filled from
+// and zero allocations. Depth, queue, heap, and sort fields are filled from
 // the wrapped operator's own gauges (see analyzeGauges) and stay zero for
 // operators without that internal state.
 type OpStats struct {
@@ -43,9 +43,6 @@ type OpStats struct {
 	MaxQueue int64
 	// MaxHeap is the bounded-heap high-water mark of a TopK sort.
 	MaxHeap int64
-	// PoolHit and PoolMiss count tuple-pool free-list reuses vs fresh
-	// allocations on a rank-join's candidate path.
-	PoolHit, PoolMiss int64
 	// SortBuffered and SortEmitted are the tuples a Sort materialized and the
 	// tuples its consumer read; the incremental sort only ordered the latter.
 	SortBuffered, SortEmitted int64
@@ -67,13 +64,12 @@ func (s OpStats) EstNextNanos() int64 {
 // so the sampling test is a mask, not a division.
 const nextSamplePeriod = 32
 
-// analyzeGauges are the internal high-water marks and pool counters an
-// operator hands to its Analyzed collector. Operators without such state
-// simply do not implement gaugeReporter.
+// analyzeGauges are the internal high-water marks and counters an operator
+// hands to its Analyzed collector. Operators without such state simply do not
+// implement gaugeReporter.
 type analyzeGauges struct {
 	leftDepth, rightDepth int
 	maxQueue, maxHeap     int
-	poolHit, poolMiss     int
 	sortBuffered          int
 	sortEmitted           int
 }
@@ -166,8 +162,6 @@ func (a *Analyzed) captureGauges() {
 		a.stats.RightDepth = int64(g.rightDepth)
 		a.stats.MaxQueue = int64(g.maxQueue)
 		a.stats.MaxHeap = int64(g.maxHeap)
-		a.stats.PoolHit = int64(g.poolHit)
-		a.stats.PoolMiss = int64(g.poolMiss)
 		a.stats.SortBuffered = int64(g.sortBuffered)
 		a.stats.SortEmitted = int64(g.sortEmitted)
 	}

@@ -17,10 +17,26 @@ import (
 // reads and validates scored tuples, scoreQueue orders pending results, and
 // rankBuffer.release decides when one may leave. HRJN, NRJN and AnyK differ
 // only in how they find matches.
+//
+// A pending result is queued by reference — row indices into the operator's
+// own buffers — and its output row is built only when release hands it out.
+// The queue grows with the depths reached (the Section-4 model's
+// d_L·d_R·s), while only k results ever leave it, so a candidate that is
+// queued and then dropped at Close costs its queue slot and nothing else.
 
 // scoreEps absorbs floating-point noise when comparing combined scores
 // against the threshold.
 const scoreEps = 1e-9
+
+// maxJoinWidth bounds how many inputs one rank operator joins, so a queued
+// candidate — an HRJN combination, an AnyK solution — is an index vector that
+// fits in a fixed array and queuing it never allocates. Join queries are far
+// narrower.
+const maxJoinWidth = 8
+
+// rowRefs is a queued HRJN combination: one row index into each input's
+// hashInput.rows, in input order.
+type rowRefs [maxJoinWidth]int32
 
 // finiteScore rejects NaN scores and clamps infinite ones to the finite
 // float range at the rank-join input boundary. The threshold arithmetic adds
@@ -208,12 +224,13 @@ type scoreItem[T any] struct {
 }
 
 // scoreQueue is a max-heap on score with FIFO tie-breaking for determinism,
-// holding the rank joins' candidate tuples and AnyK's inline index vectors.
-// It is hand-rolled rather than layered over container/heap: the standard
-// heap's any-typed Push/Pop interface boxes every item, costing two heap
-// allocations per buffered result on the per-tuple path. (score, seq) is a
-// strict total order — seq is unique — so the pop order is identical to
-// container/heap's regardless of internal arrangement.
+// holding every rank operator's candidates by reference: HRJN's and AnyK's
+// inline index vectors, NRJN's (outer tuple, inner row) pairs. It is
+// hand-rolled rather than layered over container/heap: the standard heap's
+// any-typed Push/Pop interface boxes every item, costing two heap allocations
+// per buffered result on the per-tuple path. (score, seq) is a strict total
+// order — seq is unique — so the pop order is identical to container/heap's
+// regardless of internal arrangement.
 type scoreQueue[T any] struct {
 	items []scoreItem[T]
 	seq   int
@@ -245,9 +262,9 @@ func (q *scoreQueue[T]) push(score float64, v T) {
 }
 
 // pop removes and returns the top payload. The vacated slot is zeroed before
-// the slice shrinks so a popped tuple becomes GC-reclaimable as soon as the
-// caller drops it — leaving it in the slice's spare capacity would pin every
-// emitted tuple until the operator closes.
+// the slice shrinks so whatever a popped payload references becomes
+// GC-reclaimable as soon as the caller drops it — leaving it in the slice's
+// spare capacity would pin it until the operator closes.
 func (q *scoreQueue[T]) pop() T {
 	s := q.items
 	n := len(s) - 1
@@ -381,11 +398,14 @@ type HRJN struct {
 	// limit. Nil means unlimited.
 	Budget *Budget
 
-	schema  *relation.Schema
-	ins     []hashInput
-	resEv   expr.Eval
-	buf     rankBuffer[relation.Tuple]
-	outPool tuplePool
+	schema *relation.Schema
+	ins    []hashInput
+	resEv  expr.Eval
+	buf    rankBuffer[rowRefs]
+	// pick is the combination combine is enumerating, and scratch the one
+	// row the residual is evaluated on.
+	pick    rowRefs
+	scratch relation.Tuple
 
 	// live counts the inputs not yet exhausted; zero means no further result
 	// can form. next is Alternate's round-robin cursor. thresh and dom cache
@@ -400,15 +420,14 @@ type HRJN struct {
 // hashInput is one HRJN input: the shared reader plus the hash table of the
 // tuples read so far — rows holds them in arrival order, keys maps a join key
 // to its group id, and chains[id] threads the group's rows through their next
-// links, so a group is walked in insertion order. pick is the tuple combine
-// currently has in this input's slot of the result.
+// links, so a group is walked in insertion order. A row stays put until
+// Close, so a queued candidate can name it by index.
 type hashInput struct {
 	rankedInput
 	key    keyEval
 	keys   keyTable
 	rows   []hashRow
 	chains []rowChain
-	pick   scored
 }
 
 // hashRow is one buffered tuple and the next row of its key group (-1 at the
@@ -428,14 +447,32 @@ type rowChain struct{ head, tail int32 }
 // storage doubles as tuples actually arrive.
 const rankPresizeMax = 64
 
-// insert buffers pick under key k.
-func (in *hashInput) insert(k relation.Value) { in.file(in.keys.intern(k)) }
+// sizeHint clamps an optimizer estimate into a sane pre-allocation bound:
+// negative, zero, and NaN hints mean "unknown" and huge hints (from
+// degenerate estimates, including +Inf) must not commit memory up front.
+// The first guard is written !(est > 0) rather than est <= 0 because NaN
+// compares false to everything: est <= 0 would pass NaN through to the
+// second guard (also false) and into int(NaN), whose result is
+// platform-undefined.
+func sizeHint(est float64) int {
+	const maxHint = 1 << 16
+	if !(est > 0) {
+		return 0
+	}
+	if est > maxHint {
+		return maxHint
+	}
+	return int(est)
+}
 
-// file buffers pick at the tail of group g's chain; g equal to the number of
+// insert buffers sc under key k.
+func (in *hashInput) insert(k relation.Value, sc scored) { in.file(in.keys.intern(k), sc) }
+
+// file buffers sc at the tail of group g's chain; g equal to the number of
 // chains opens the next one.
-func (in *hashInput) file(g int32) {
+func (in *hashInput) file(g int32, sc scored) {
 	row := int32(len(in.rows))
-	in.rows = append(in.rows, hashRow{in.pick, -1})
+	in.rows = append(in.rows, hashRow{sc, -1})
 	if int(g) < len(in.chains) {
 		c := &in.chains[g]
 		in.rows[c.tail].next = row
@@ -447,7 +484,7 @@ func (in *hashInput) file(g int32) {
 
 // release drops the buffered tuples and the table (the Close path).
 func (in *hashInput) release() {
-	in.keys, in.rows, in.chains, in.pick = keyTable{}, nil, nil, scored{}
+	in.keys, in.rows, in.chains = keyTable{}, nil, nil
 }
 
 // NewHRJN constructs the binary operator. The operator and its two-element
@@ -474,11 +511,14 @@ func NewHRJN(left, right Operator, leftScore, rightScore, leftKey, rightKey, res
 }
 
 // NewMultiHRJN constructs the m-way operator; inputs, scores, and keys must
-// align.
+// align, and the width is capped at maxJoinWidth.
 func NewMultiHRJN(inputs []Operator, scores, keys []expr.Expr) (*HRJN, error) {
 	m := len(inputs)
 	if m < 2 {
 		return nil, fmt.Errorf("exec: HRJN needs >=2 inputs, got %d", m)
+	}
+	if m > maxJoinWidth {
+		return nil, fmt.Errorf("exec: HRJN supports at most %d inputs, got %d", maxJoinWidth, m)
 	}
 	if len(scores) != m || len(keys) != m {
 		return nil, fmt.Errorf("exec: HRJN arity mismatch (%d inputs, %d scores, %d keys)",
@@ -508,16 +548,11 @@ func (j *HRJN) Depths() []int {
 }
 
 // gauges exposes the internal high-water marks to the Analyzed collector.
-func (j *HRJN) gauges() analyzeGauges { return rankGauges(j.Stats(), &j.outPool) }
+func (j *HRJN) gauges() analyzeGauges { return rankGauges(j.Stats()) }
 
-// rankGauges maps a rank join's stats and candidate pool onto the Analyzed
-// collector's gauges.
-func rankGauges(st RankJoinStats, pool *tuplePool) analyzeGauges {
-	return analyzeGauges{
-		leftDepth: st.LeftDepth, rightDepth: st.RightDepth,
-		maxQueue: st.MaxQueue,
-		poolHit:  pool.hit, poolMiss: pool.miss,
-	}
+// rankGauges maps a rank join's stats onto the Analyzed collector's gauges.
+func rankGauges(st RankJoinStats) analyzeGauges {
+	return analyzeGauges{leftDepth: st.LeftDepth, rightDepth: st.RightDepth, maxQueue: st.MaxQueue}
 }
 
 // Open implements Operator: the context is forwarded to every input and
@@ -535,7 +570,6 @@ func (j *HRJN) Open(ctx context.Context) error {
 	}
 	j.cancel.reset(ctx)
 	j.buf.reset(j.Budget, j.QueueHint)
-	j.outPool.reset(j.schema.Len())
 	j.live, j.next = len(j.ins), 0
 	j.thresh, j.dom = j.bound()
 	return nil
@@ -648,8 +682,8 @@ func (j *HRJN) pull(i int) error {
 	if err := j.buf.acct.charge(1); err != nil {
 		return err
 	}
-	in.pick = scored{t, s}
-	in.insert(k)
+	in.insert(k, scored{t, s})
+	j.pick[i] = int32(len(in.rows) - 1)
 	return j.combine(k, 0, i)
 }
 
@@ -669,7 +703,7 @@ func (j *HRJN) combine(k relation.Value, slot, fixed int) error {
 		return nil
 	}
 	for r := in.chains[g].head; r >= 0; r = in.rows[r].next {
-		in.pick = in.rows[r].scored
+		j.pick[slot] = r
 		if err := j.combine(k, slot+1, fixed); err != nil {
 			return err
 		}
@@ -677,26 +711,31 @@ func (j *HRJN) combine(k relation.Value, slot, fixed int) error {
 	return nil
 }
 
-// emit pushes the picked combination through the residual predicate into the
-// priority queue. The concatenated tuple comes from the operator's free
-// list; a candidate the residual rejects returns there immediately, so
-// selective residuals cost no allocation per rejected match.
+// emit queues the picked combination, by reference, if it passes the
+// residual. The residual sees the combination on the operator's one scratch
+// row, so a rejected candidate allocates nothing and an accepted one only its
+// queue slot: its output row is built when release hands it out.
 func (j *HRJN) emit() error {
-	out := j.outPool.get()
 	score := 0.0
 	for i := range j.ins {
-		out = append(out, j.ins[i].pick.t...)
-		score += j.ins[i].pick.s
+		score += j.ins[i].rows[j.pick[i]].s
 	}
-	pass, err := expr.EvalBool(j.resEv, out)
-	if err != nil {
-		return err
+	if j.Residual != nil {
+		j.scratch = j.row(j.scratch[:0], &j.pick)
+		pass, err := expr.EvalBool(j.resEv, j.scratch)
+		if err != nil || !pass {
+			return err
+		}
 	}
-	if !pass {
-		j.outPool.put(out)
-		return nil
+	return j.buf.offer(score, j.pick)
+}
+
+// row appends combination c's input rows, in input order, to dst.
+func (j *HRJN) row(dst relation.Tuple, c *rowRefs) relation.Tuple {
+	for i := range j.ins {
+		dst = append(dst, j.ins[i].rows[c[i]].t...)
 	}
-	return j.buf.offer(score, out)
+	return dst
 }
 
 // Next implements Operator. The inner pull loop — unbounded when the
@@ -707,8 +746,8 @@ func (j *HRJN) Next() (relation.Tuple, bool, error) {
 		if err := j.cancel.poll(); err != nil {
 			return nil, false, err
 		}
-		if t, ok := j.buf.release(j.thresh, j.live == 0); ok {
-			return t, true, nil
+		if c, ok := j.buf.release(j.thresh, j.live == 0); ok {
+			return j.row(make(relation.Tuple, 0, j.schema.Len()), &c), true, nil
 		}
 		if j.live == 0 {
 			return nil, false, nil
@@ -726,6 +765,7 @@ func (j *HRJN) Close() error {
 		j.ins[i].release()
 	}
 	j.buf.close()
+	j.scratch = nil
 	return closeAll(j.Inputs)
 }
 
@@ -766,12 +806,20 @@ type NRJN struct {
 	// outer is read one tuple per pull; inner is read out at Open into its
 	// chains — one per key, in inner order — leaving its top as the best
 	// inner score.
-	outer   rankedInput
-	inner   hashInput
-	buf     rankBuffer[relation.Tuple]
-	outPool tuplePool
+	outer rankedInput
+	inner hashInput
+	buf   rankBuffer[outerPair]
+	// scratch is the one row Pred is evaluated on.
+	scratch relation.Tuple
 
 	cancel canceller
+}
+
+// outerPair is a queued NRJN candidate: the outer tuple, referenced as the
+// outer input returned it, and the inner row it pairs with.
+type outerPair struct {
+	outer relation.Tuple
+	inner int32
 }
 
 // NewNRJN constructs the operator.
@@ -792,7 +840,7 @@ func (j *NRJN) Schema() *relation.Schema { return j.schema }
 func (j *NRJN) Stats() RankJoinStats { return j.buf.stats(j.outer.depth, j.inner.depth) }
 
 // gauges exposes the internal high-water marks to the Analyzed collector.
-func (j *NRJN) gauges() analyzeGauges { return rankGauges(j.Stats(), &j.outPool) }
+func (j *NRJN) gauges() analyzeGauges { return rankGauges(j.Stats()) }
 
 // Open implements Operator: inner materialization (the blocking part
 // of Open) runs under the context, and Next's outer loop polls it.
@@ -818,7 +866,6 @@ func (j *NRJN) keyed() bool { return j.LeftKey != nil && j.RightKey != nil }
 func (j *NRJN) load(ctx context.Context) error {
 	j.cancel.reset(ctx)
 	j.buf.reset(j.Budget, j.QueueHint)
-	j.outPool.reset(j.schema.Len())
 	if err := j.outer.bind("NRJN", 0, j.Left, j.LeftScore, true, j.Budget); err != nil {
 		return err
 	}
@@ -893,8 +940,7 @@ func (j *NRJN) buffer(ctx context.Context) error {
 				}
 				g = in.keys.intern(k)
 			}
-			in.pick = scored{t, s}
-			in.file(g)
+			in.file(g, scored{t, s})
 		}
 	}
 }
@@ -933,8 +979,8 @@ func (j *NRJN) Next() (relation.Tuple, bool, error) {
 		// Without a scored inner tuple no result can form: stop without
 		// reading the outer out.
 		exhausted := j.outer.done || j.inner.seen == 0
-		if t, ok := j.buf.release(j.threshold(), exhausted); ok {
-			return t, true, nil
+		if c, ok := j.buf.release(j.threshold(), exhausted); ok {
+			return j.row(make(relation.Tuple, 0, j.schema.Len()), c), true, nil
 		}
 		if exhausted {
 			return nil, false, nil
@@ -951,26 +997,33 @@ func (j *NRJN) Next() (relation.Tuple, bool, error) {
 			return nil, false, err
 		}
 		for ; r >= 0; r = j.inner.rows[r].next {
-			m := &j.inner.rows[r]
-			out := j.outPool.concat(t, m.t)
-			pass, err := expr.EvalBool(j.predEv, out)
-			if err != nil {
-				return nil, false, err
+			c := outerPair{t, r}
+			if j.Pred != nil {
+				j.scratch = j.row(j.scratch[:0], c)
+				pass, err := expr.EvalBool(j.predEv, j.scratch)
+				if err != nil {
+					return nil, false, err
+				}
+				if !pass {
+					continue
+				}
 			}
-			if !pass {
-				j.outPool.put(out)
-				continue
-			}
-			if err := j.buf.offer(s+m.s, out); err != nil {
+			if err := j.buf.offer(s+j.inner.rows[r].s, c); err != nil {
 				return nil, false, err
 			}
 		}
 	}
 }
 
+// row appends candidate c's outer tuple and inner row to dst.
+func (j *NRJN) row(dst relation.Tuple, c outerPair) relation.Tuple {
+	return append(append(dst, c.outer...), j.inner.rows[c.inner].t...)
+}
+
 // Close implements Operator.
 func (j *NRJN) Close() error {
 	j.inner.release()
 	j.buf.close()
+	j.scratch = nil
 	return j.Left.Close()
 }

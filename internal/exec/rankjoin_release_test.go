@@ -1,0 +1,178 @@
+package exec
+
+import (
+	"context"
+	"fmt"
+	"slices"
+	"testing"
+
+	"rankopt/internal/expr"
+	"rankopt/internal/relation"
+)
+
+// tagged builds n tuples (key, score, tag) under table name: keys cycle mod
+// `mod`, scores strictly descend, and tags spread over 0..99 so a check on
+// the tags of a pair can reject any share of the pairs.
+func tagged(name string, n, mod, seed int) (*relation.Schema, []relation.Tuple) {
+	sch := relation.NewSchema(
+		relation.Column{Table: name, Name: "key", Kind: relation.KindInt},
+		relation.Column{Table: name, Name: "score", Kind: relation.KindFloat},
+		relation.Column{Table: name, Name: "tag", Kind: relation.KindInt},
+	)
+	tuples := make([]relation.Tuple, n)
+	for i := range tuples {
+		tuples[i] = relation.Tuple{
+			relation.Int(int64((i*7 + seed) % mod)),
+			relation.Float(float64(n - i)),
+			relation.Int(int64((i*37 + seed) % 100)),
+		}
+	}
+	return sch, tuples
+}
+
+// TestRankJoinResidualAllocs runs HRJN with a Residual and NRJN with a
+// non-equi conjunct in Pred: both check L.tag + R.tag < c on every pair of
+// equal keys. The rank joins evaluate the check on one reused scratch row and
+// build an output row only on release, so
+//   - at every cutoff c — passing all pairs, most of them rejected, nearly all
+//     rejected — the answer is the brute-force join's;
+//   - every released row is its own array, shared with no other released row
+//     and not with the scratch row;
+//   - a rejected candidate allocates nothing: with every pair rejected,
+//     doubling both inputs quadruples the candidates but adds only the
+//     doubling of the inputs' row stores.
+func TestRankJoinResidualAllocs(t *testing.T) {
+	const mod = 15
+	lkey, rkey := expr.Col("L", "key"), expr.Col("R", "key")
+	lscore, rscore := expr.Col("L", "score"), expr.Col("R", "score")
+	below := func(c int64) expr.Expr {
+		return expr.Bin(expr.OpLt, expr.Bin(expr.OpAdd, expr.Col("L", "tag"), expr.Col("R", "tag")), expr.IntLit(c))
+	}
+	joins := map[string]func(l, r Operator, c int64) Operator{
+		"HRJN": func(l, r Operator, c int64) Operator {
+			return NewHRJN(l, r, lscore, rscore, lkey, rkey, below(c))
+		},
+		"NRJN": func(l, r Operator, c int64) Operator {
+			j := NewNRJN(l, r, lscore, rscore, expr.And(expr.Bin(expr.OpEq, lkey, rkey), below(c)))
+			j.LeftKey, j.RightKey = lkey, rkey
+			return j
+		},
+	}
+	for name, build := range joins {
+		t.Run(name, func(t *testing.T) {
+			lsch, ltups := tagged("L", 300, mod, 1)
+			rsch, rtups := tagged("R", 300, mod, 4)
+			for _, c := range []int64{200, 20, 2} {
+				want := bruteForceTagged(ltups, rtups, c)
+				got := drainOwned(t, build(FromTuples(lsch, ltups), FromTuples(rsch, rtups), c))
+				if len(got) != len(want) {
+					t.Fatalf("c=%d: %d rows, want %d", c, len(got), len(want))
+				}
+				for i := 1; i < len(got); i++ {
+					if got[i][1].AsFloat()+got[i][4].AsFloat() > got[i-1][1].AsFloat()+got[i-1][4].AsFloat() {
+						t.Fatalf("c=%d: row %d outranks row %d", c, i, i-1)
+					}
+				}
+				if !slices.Equal(rowSet(got), rowSet(want)) {
+					t.Fatalf("c=%d: answer differs from brute force", c)
+				}
+			}
+
+			if raceBuild {
+				return
+			}
+			rejectAll := func(n int) float64 {
+				lsch, ltups := tagged("L", n, mod, 1)
+				rsch, rtups := tagged("R", n, mod, 4)
+				return testing.AllocsPerRun(5, func() {
+					out, err := Collect(build(FromTuples(lsch, ltups), FromTuples(rsch, rtups), 0))
+					if err != nil || len(out) != 0 {
+						t.Fatalf("%d rows, %v; want none", len(out), err)
+					}
+				})
+			}
+			small, large := rejectAll(300), rejectAll(600)
+			t.Logf("every pair rejected: %.0f allocs over 6 000 candidates, %.0f over 24 000", small, large)
+			if large > small+8 {
+				t.Errorf("rejecting 18 000 more candidates cost %.0f more allocations, want <= 8", large-small)
+			}
+		})
+	}
+}
+
+// drainOwned drains op one Next at a time and, before closing it, stamps
+// every released row with its own index and the operator's scratch row with
+// -1: a row that shared a backing array with another, or with the scratch,
+// would then read another stamp. It returns copies of the rows as released.
+func drainOwned(t *testing.T, op Operator) []relation.Tuple {
+	t.Helper()
+	if err := op.Open(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	var out []relation.Tuple
+	for {
+		tup, ok, err := op.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		out = append(out, tup)
+	}
+	rows := make([]relation.Tuple, len(out))
+	for i, tup := range out {
+		rows[i] = slices.Clone(tup)
+		for c := range tup {
+			tup[c] = relation.Int(int64(i))
+		}
+	}
+	var scratch relation.Tuple
+	switch j := op.(type) {
+	case *HRJN:
+		scratch = j.scratch
+	case *NRJN:
+		scratch = j.scratch
+	}
+	if len(out) > 0 && scratch == nil {
+		t.Fatal("the check was never evaluated on the scratch row")
+	}
+	for c := range scratch {
+		scratch[c] = relation.Int(-1)
+	}
+	for i, tup := range out {
+		for c, v := range tup {
+			if v.AsInt() != int64(i) {
+				t.Fatalf("released row %d shares its array: column %d reads stamp %v", i, c, v)
+			}
+		}
+	}
+	if err := op.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
+// bruteForceTagged is the reference answer: every pair with equal keys whose
+// tags sum below c, as L ++ R rows.
+func bruteForceTagged(l, r []relation.Tuple, c int64) []relation.Tuple {
+	var out []relation.Tuple
+	for _, lt := range l {
+		for _, rt := range r {
+			if lt[0].Equal(rt[0]) && lt[2].AsInt()+rt[2].AsInt() < c {
+				out = append(out, append(slices.Clone(lt), rt...))
+			}
+		}
+	}
+	return out
+}
+
+// rowSet renders rows as a sorted multiset.
+func rowSet(rows []relation.Tuple) []string {
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		out[i] = fmt.Sprint(r)
+	}
+	slices.Sort(out)
+	return out
+}

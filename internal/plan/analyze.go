@@ -99,11 +99,11 @@ func formatAnalyze(b *strings.Builder, n *Node, depth int, ap *AnalyzedPlan, est
 		}
 		b.WriteByte('\n')
 		if n.Op.IsRankJoin() {
-			fmt.Fprintf(b, "%s  depths: dL est=%.0f act=%d err=%s | dR est=%.0f act=%d err=%s | queue hwm=%d | pool hit=%d miss=%d\n",
+			fmt.Fprintf(b, "%s  depths: dL est=%.0f act=%d err=%s | dR est=%.0f act=%d err=%s | queue hwm=%d\n",
 				indent,
 				n.EstDL, st.LeftDepth, relErrPct(n.EstDL, st.LeftDepth),
 				n.EstDR, st.RightDepth, relErrPct(n.EstDR, st.RightDepth),
-				st.MaxQueue, st.PoolHit, st.PoolMiss)
+				st.MaxQueue)
 		}
 		if n.Op == OpTopK {
 			fmt.Fprintf(b, "%s  heap hwm=%d\n", indent, st.MaxHeap)
