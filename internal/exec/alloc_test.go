@@ -34,10 +34,11 @@ func buildRankedInput(n, mod int, seed int64) (*relation.Schema, []relation.Tupl
 // this workload cost 13.5 allocs per emitted tuple; with join keys boxed into
 // map[any][]scored and one slice per key, 10.3; on the key table and the
 // chained row store, ~2.7; with candidates queued as row references and a
-// row built only on release, ~1.7 — the emitted tuple itself plus the
-// amortized growth of the flat arrays. The bound sits just above that, so a
-// boxed key, a per-key slice or a row built per queued candidate on the pull
-// path fails loudly.
+// row built only on release, ~1.7; with the hash tables taken from
+// hashStorePool instead of allocated per run, ~1.3 — the emitted tuple itself
+// plus the ranking queue's growth. The bound sits just above that, so a boxed
+// key, a per-key slice, a row built per queued candidate or a hash table
+// allocated per run fails loudly.
 func TestHRJNAllocsPerTuple(t *testing.T) {
 	lsch, ltups := buildRankedInput(4000, 200, 1)
 	rsch, rtups := buildRankedInput(4000, 200, 3)
@@ -62,7 +63,7 @@ func TestHRJNAllocsPerTuple(t *testing.T) {
 		var emitted int
 		allocs := testing.AllocsPerRun(5, func() {
 			j := build()
-			j.SizeHints[0], j.SizeHints[1], j.QueueHint = 400, 400, 1024
+			j.QueueHint = 1024
 			out, err := CollectK(j, k)
 			if err != nil {
 				t.Fatal(err)
@@ -74,8 +75,11 @@ func TestHRJNAllocsPerTuple(t *testing.T) {
 		}
 		perTuple := allocs / float64(emitted)
 		t.Logf("%s: %.1f allocs/run, %.2f allocs/emitted tuple", name, allocs, perTuple)
-		if perTuple > 2.0 {
-			t.Errorf("%s hot path allocates %.2f/tuple, budget 2.0 (with boxed keys it was 10.3)", name, perTuple)
+		if raceBuild {
+			continue // the pool drops stores at random
+		}
+		if perTuple > 1.5 {
+			t.Errorf("%s hot path allocates %.2f/tuple, budget 1.5 (with boxed keys it was 10.3)", name, perTuple)
 		}
 	}
 }

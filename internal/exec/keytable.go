@@ -88,12 +88,23 @@ type keyTable struct {
 // actually arrive; each grow reinserts only the distinct keys seen.
 const maxInitialSlots = 1 << 16
 
+// maxReusedSlots caps the spare capacity a reset keeps. Every reset clears
+// the slots it keeps, so a reused table larger than its next user needs costs
+// that user a clear of at most this many slots — about what allocating and
+// clearing a fresh 256-slot table costs — and a pool drops larger arrays
+// instead of holding them (hashInput.release).
+const maxReusedSlots = 1 << 10
+
 // reset empties the table and sizes it for about hint distinct keys at the
-// given load, keeping its arrays when they are large enough. A table must be
-// reset before use.
+// given load. A table whose arrays are already larger — one reused by a
+// reopened operator or handed on by a pool — keeps them at their full
+// capacity up to maxReusedSlots, so a key count its last user reached needs
+// no grow. Ids still follow first appearance, whatever the slot count. A
+// table must be reset before use.
 func (kt *keyTable) reset(hint int, load uint) {
 	capacity, p := 16, uint(4)
-	for capacity < maxInitialSlots && capacity>>load < hint {
+	spare := min(cap(kt.keys), maxReusedSlots)
+	for capacity < maxInitialSlots && (capacity>>load < hint || capacity<<1 <= spare) {
 		capacity <<= 1
 		p++
 	}

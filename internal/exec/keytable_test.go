@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -165,8 +166,8 @@ func TestKeyTableSemantics(t *testing.T) {
 		kt.intern(str("x"))
 		keys := &kt.keys[0]
 		kt.reset(100, probeLoad)
-		if &kt.keys[0] != keys {
-			t.Fatal("reset to a smaller size must keep the arrays")
+		if &kt.keys[0] != keys || len(kt.keys) != maxReusedSlots {
+			t.Fatalf("reset to a smaller size kept %d slots, want the arrays at the reuse cap %d", len(kt.keys), maxReusedSlots)
 		}
 		if kt.find(i(1)) != -1 || kt.find(str("x")) != -1 || kt.groups != 0 {
 			t.Fatal("reset must forget every key")
@@ -175,4 +176,59 @@ func TestKeyTableSemantics(t *testing.T) {
 			t.Fatalf("first key after reset is group %d", id)
 		}
 	})
+
+	t.Run("reuse_keeps_grown_capacity", func(t *testing.T) {
+		// A pooled table comes back at the size its last user grew it to, up
+		// to maxReusedSlots: the next user's keys need no grow, and ids still
+		// follow first appearance. A table grown far past the cap is reset to
+		// the cap, so a small next user clears no more than that.
+		kt := fresh(0)
+		for n := 0; n < 200; n++ {
+			kt.intern(i(int64(n)))
+		}
+		grown := len(kt.keys)
+		kt.reset(0, probeLoad)
+		if len(kt.keys) != grown {
+			t.Fatalf("reset kept %d of %d slots", len(kt.keys), grown)
+		}
+		for n := 0; n < 200; n++ {
+			if id := kt.intern(i(int64(199 - n))); id != int32(n) {
+				t.Fatalf("key %d after reuse: group %d, want %d", 199-n, id, n)
+			}
+		}
+		if len(kt.keys) != grown {
+			t.Fatalf("the reused table grew from %d to %d slots", grown, len(kt.keys))
+		}
+		for len(kt.keys) < maxInitialSlots {
+			kt.intern(i(int64(kt.groups)))
+		}
+		kt.reset(1, probeLoad)
+		if len(kt.keys) != maxReusedSlots {
+			t.Fatalf("a small reset kept %d slots of a %d-slot table, want the reuse cap %d", len(kt.keys), maxInitialSlots, maxReusedSlots)
+		}
+		if kt.find(i(1)) != -1 || kt.intern(i(5)) != 0 {
+			t.Fatal("the capped reset must forget every key")
+		}
+	})
+}
+
+// BenchmarkKeyTableReset prices what a small user of a table pays: "fresh"
+// allocates and clears the 256 slots a hint of 64 asks for; "reused-N"
+// resets a table whose arrays hold N slots, which clears min(N,
+// maxReusedSlots) of them.
+func BenchmarkKeyTableReset(b *testing.B) {
+	b.Run("fresh", func(b *testing.B) {
+		for n := 0; n < b.N; n++ {
+			var kt keyTable
+			kt.reset(64, probeLoad)
+		}
+	})
+	for _, slots := range []int{maxReusedSlots, maxInitialSlots} {
+		b.Run(fmt.Sprintf("reused-%d", slots), func(b *testing.B) {
+			kt := keyTable{keys: make([]uint64, slots), ids: make([]int32, slots)}
+			for n := 0; n < b.N; n++ {
+				kt.reset(1, probeLoad)
+			}
+		})
+	}
 }

@@ -248,7 +248,7 @@ func TestBudgetAddsNoAllocations(t *testing.T) {
 				FromTuples(lsch, ltups), FromTuples(rsch, rtups),
 				expr.Col("A", "score"), expr.Col("A", "score"),
 				expr.Col("A", "key"), expr.Col("A", "key"), nil)
-			j.SizeHints[0], j.SizeHints[1], j.QueueHint = 400, 400, 1024
+			j.QueueHint = 1024
 			j.Budget = b
 			if _, err := CollectK(j, k); err != nil {
 				t.Fatal(err)
@@ -257,6 +257,9 @@ func TestBudgetAddsNoAllocations(t *testing.T) {
 	}
 	without := run(nil)
 	with := run(NewBudget(ResourceLimits{MaxBufferedTuples: 1 << 20, MaxDepthPerInput: 1 << 20}))
+	if raceBuild {
+		return // the pool drops stores at random: the two counts differ by chance
+	}
 	// Identical workload, deterministic operators: the budgeted run may not
 	// allocate a single extra object per run, let alone per tuple.
 	if with > without {

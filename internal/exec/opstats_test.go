@@ -121,7 +121,7 @@ func TestAnalyzedHRJNAllocsPerTuple(t *testing.T) {
 			FromTuples(lsch, ltups), FromTuples(rsch, rtups),
 			expr.Col("A", "score"), expr.Col("A", "score"),
 			expr.Col("A", "key"), expr.Col("A", "key"), nil)
-		j.SizeHints[0], j.SizeHints[1], j.QueueHint = 400, 400, 1024
+		j.QueueHint = 1024
 		out, err := CollectK(Analyze(j), k)
 		if err != nil {
 			t.Fatal(err)
@@ -133,8 +133,11 @@ func TestAnalyzedHRJNAllocsPerTuple(t *testing.T) {
 	}
 	perTuple := allocs / float64(emitted)
 	t.Logf("analyzed HRJN: %.1f allocs/run, %.2f allocs/emitted tuple", allocs, perTuple)
-	if perTuple > 2.0 {
-		t.Errorf("analyzed HRJN hot path allocates %.2f/tuple, budget 2.0 (same as bare operator)", perTuple)
+	if raceBuild {
+		return // the pool drops stores at random
+	}
+	if perTuple > 1.5 {
+		t.Errorf("analyzed HRJN hot path allocates %.2f/tuple, budget 1.5 (same as bare operator)", perTuple)
 	}
 }
 

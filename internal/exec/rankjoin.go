@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"rankopt/internal/expr"
 	"rankopt/internal/relation"
@@ -385,13 +386,11 @@ type HRJN struct {
 	Residual expr.Expr
 	// Strategy selects the polling policy (default Alternate).
 	Strategy PullStrategy
-	// SizeHints[i] and QueueHint are the optimizer's expected depth into
-	// input i and buffered-result count (plan.Node.EstDL/EstDR and their
-	// product times the join selectivity). They pre-size the hash tables, up
-	// to rankPresizeMax tuples, and the ranking queue, so a shallow pull loop
-	// does not rehash or regrow. The constructors allocate SizeHints zeroed:
-	// no hint.
-	SizeHints []int
+	// QueueHint is the optimizer's expected buffered-result count (the
+	// product of plan.Node.EstDL and EstDR times the join selectivity, zero =
+	// no hint); it pre-sizes the ranking queue, which is per request. The hash
+	// tables need no hint: they come from hashStorePool at the capacity their
+	// last user grew them to, up to the pool's caps.
 	QueueHint int
 	// Budget, when set, is charged for every tuple buffered in the hash
 	// tables and the ranking queue, and consulted for the per-input depth
@@ -417,18 +416,32 @@ type HRJN struct {
 	cancel canceller
 }
 
-// hashInput is one HRJN input: the shared reader plus the hash table of the
-// tuples read so far — rows holds them in arrival order, keys maps a join key
-// to its group id, and chains[id] threads the group's rows through their next
-// links, so a group is walked in insertion order. A row stays put until
-// Close, so a queued candidate can name it by index.
+// hashInput is one HRJN input, or NRJN's inner: the shared reader plus the
+// hash table of the tuples read so far, held in a pooled hashStore between
+// Open and Close.
 type hashInput struct {
 	rankedInput
-	key    keyEval
+	key keyEval
+	*hashStore
+}
+
+// hashStore is a rank join's hash table over one input: rows holds the
+// buffered tuples in arrival order, keys maps a join key to its group id, and
+// chains[id] threads the group's rows through their next links, so a group is
+// walked in insertion order. A row stays put until Close, so a queued
+// candidate can name it by index.
+type hashStore struct {
 	keys   keyTable
 	rows   []hashRow
 	chains []rowChain
 }
+
+// hashStorePool hands a closed rank join's hash tables to the next one
+// opened, as sortBufferPool and anykBufferPool do for Sort and AnyK: the
+// engine compiles a fresh HRJN or NRJN per request, and a warm one neither
+// allocates its tables nor regrows them. A pooled store carries capacity,
+// never content. The ranking queue stays per request (DESIGN §7).
+var hashStorePool = sync.Pool{New: func() any { return new(hashStore) }}
 
 // hashRow is one buffered tuple and the next row of its key group (-1 at the
 // group's end).
@@ -440,12 +453,43 @@ type hashRow struct {
 // rowChain is a key group's first and last row.
 type rowChain struct{ head, tail int32 }
 
-// rankPresizeMax caps how many tuples a depth hint pre-sizes an input's hash
-// table for. Hints are whole-table estimates even on a rebound per-shard
-// plan, and a query that stops after a few pulls should not allocate (and the
-// collector scan) tables for a depth it never reaches; past the cap the
-// storage doubles as tuples actually arrive.
-const rankPresizeMax = 64
+// take gives the input an empty store from the pool, first returning the one
+// a reopened join still holds. The caller resets its key table.
+func (in *hashInput) take() {
+	in.release()
+	in.hashStore = hashStorePool.Get().(*hashStore)
+}
+
+// maxPooledRows caps the rows and key groups a store carries back into the
+// pool, as maxReusedSlots caps its key table. The pool pays off when the next
+// join needs tables about the size the last one grew; a join that buffered
+// more (a deep dig, a large NRJN inner) hands its store back without those
+// arrays, so the pool never keeps one large request's tables alive.
+const maxPooledRows = 1 << 12
+
+// release returns the input's store to the pool (Close and the failed-Open
+// path). Clearing rows[:len] leaves rows[:cap] free of tuples: the store came
+// out of the pool that way and only appends wrote to it since.
+func (in *hashInput) release() {
+	st := in.hashStore
+	if st == nil {
+		return
+	}
+	clear(st.rows)
+	st.rows, st.chains = st.rows[:0], st.chains[:0]
+	if cap(st.rows) > maxPooledRows {
+		st.rows = nil
+	}
+	if cap(st.chains) > maxPooledRows {
+		st.chains = nil
+	}
+	if cap(st.keys.keys) > maxReusedSlots {
+		st.keys = keyTable{}
+	}
+	st.keys.other = nil
+	in.hashStore = nil
+	hashStorePool.Put(st)
+}
 
 // sizeHint clamps an optimizer estimate into a sane pre-allocation bound:
 // negative, zero, and NaN hints mean "unknown" and huge hints (from
@@ -482,11 +526,6 @@ func (in *hashInput) file(g int32, sc scored) {
 	}
 }
 
-// release drops the buffered tuples and the table (the Close path).
-func (in *hashInput) release() {
-	in.keys, in.rows, in.chains = keyTable{}, nil, nil
-}
-
 // NewHRJN constructs the binary operator. The operator and its two-element
 // slices share one allocation, so the binary join every compiled plan uses
 // costs no more to build than a fixed-arity struct would.
@@ -495,7 +534,6 @@ func NewHRJN(left, right Operator, leftScore, rightScore, leftKey, rightKey, res
 		HRJN
 		inputs       [2]Operator
 		scores, keys [2]expr.Expr
-		hints        [2]int
 		ins          [2]hashInput
 	}{
 		inputs: [2]Operator{left, right},
@@ -503,8 +541,7 @@ func NewHRJN(left, right Operator, leftScore, rightScore, leftKey, rightKey, res
 		keys:   [2]expr.Expr{leftKey, rightKey},
 	}
 	b.HRJN = HRJN{
-		Inputs: b.inputs[:], Scores: b.scores[:], Keys: b.keys[:],
-		Residual: residual, SizeHints: b.hints[:],
+		Inputs: b.inputs[:], Scores: b.scores[:], Keys: b.keys[:], Residual: residual,
 		schema: left.Schema().Concat(right.Schema()), ins: b.ins[:],
 	}
 	return &b.HRJN
@@ -525,7 +562,7 @@ func NewMultiHRJN(inputs []Operator, scores, keys []expr.Expr) (*HRJN, error) {
 			m, len(scores), len(keys))
 	}
 	return &HRJN{
-		Inputs: inputs, Scores: scores, Keys: keys, SizeHints: make([]int, m),
+		Inputs: inputs, Scores: scores, Keys: keys,
 		schema: concatSchemas(inputs), ins: make([]hashInput, m),
 	}, nil
 }
@@ -565,6 +602,7 @@ func (j *HRJN) Open(ctx context.Context) error {
 		}
 	}
 	if err := j.bind(); err != nil {
+		j.release()
 		closeQuietly(j.Inputs...)
 		return err
 	}
@@ -576,7 +614,7 @@ func (j *HRJN) Open(ctx context.Context) error {
 }
 
 // bind resolves the score, key, and residual evaluators and gives every
-// input an empty hash table.
+// input an empty hash table from the pool.
 func (j *HRJN) bind() error {
 	for i := range j.ins {
 		in := &j.ins[i]
@@ -587,10 +625,8 @@ func (j *HRJN) bind() error {
 		if in.key, err = bindKey(j.Keys[i], j.Inputs[i].Schema()); err != nil {
 			return err
 		}
-		hint := min(sizeHint(float64(j.SizeHints[i])), rankPresizeMax)
-		in.keys.reset(hint, probeLoad)
-		in.rows = make([]hashRow, 0, hint)
-		in.chains = in.chains[:0]
+		in.take()
+		in.keys.reset(0, probeLoad)
 	}
 	var err error
 	j.resEv, err = bindPred(j.Residual, j.schema)
@@ -759,11 +795,16 @@ func (j *HRJN) Next() (relation.Tuple, bool, error) {
 	}
 }
 
-// Close implements Operator.
-func (j *HRJN) Close() error {
+// release returns every input's hash table to the pool.
+func (j *HRJN) release() {
 	for i := range j.ins {
 		j.ins[i].release()
 	}
+}
+
+// Close implements Operator.
+func (j *HRJN) Close() error {
+	j.release()
 	j.buf.close()
 	j.scratch = nil
 	return closeAll(j.Inputs)
@@ -873,7 +914,7 @@ func (j *NRJN) load(ctx context.Context) error {
 	if err := in.bind("NRJN", 1, j.Right, j.RightScore, false, j.Budget); err != nil {
 		return err
 	}
-	in.rows, in.chains = in.rows[:0], in.chains[:0]
+	in.take()
 	var err error
 	if j.keyed() {
 		// Sized for one batch of distinct keys, so a typical inner never

@@ -225,9 +225,8 @@ func (c *compiler) build(n *Node) (exec.Operator, error) {
 		}
 		h := exec.NewHRJN(l, r, n.LScore, n.RScore,
 			n.EqPreds[0].L, n.EqPreds[0].R, n.residualAfterPrimary())
-		// Pre-size the hash tables and ranking queue from the depth model
-		// (zero when the plan was not annotated; see AnnotateDepthHints).
-		h.SizeHints[0], h.SizeHints[1] = int(n.EstDL), int(n.EstDR)
+		// Pre-size the ranking queue from the depth model (zero when the
+		// plan was not annotated; see AnnotateDepthHints).
 		h.QueueHint = int(n.Sel * n.EstDL * n.EstDR)
 		h.Budget = c.cfg.Budget
 		return h, nil

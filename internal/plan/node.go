@@ -246,9 +246,9 @@ type Node struct {
 	LSlab, RSlab     float64
 
 	// EstDL/EstDR are the depth-model estimates for a rank-join node at the
-	// query's k, filled by AnnotateDepthHints; the compiler passes them to
-	// the executor as hash-table and queue pre-sizing hints. Zero means "no
-	// hint" (operators start empty and grow, exactly as before).
+	// query's k, filled by AnnotateDepthHints; the compiler turns them into
+	// the executor's ranking-queue pre-sizing hint. Zero means "no hint" (the
+	// queue starts empty and grows).
 	EstDL, EstDR float64
 
 	// DepthHint, when non-nil on a rank-join node, carries empirically

@@ -101,9 +101,8 @@ func RebindK(root *Node, k int) {
 
 // AnnotateDepthHints walks the plan pushing the requested output count down
 // (Algorithm Propagate) and records each rank-join's estimated input depths
-// in EstDL/EstDR. The compiler turns these into hash-table and ranking-queue
-// pre-sizing hints so the executor's hot path avoids rehash and regrow
-// cycles.
+// in EstDL/EstDR. The compiler turns these into ranking-queue pre-sizing
+// hints so the executor's pull loop avoids regrow cycles.
 func AnnotateDepthHints(root *Node, k float64) {
 	PropagateK(root, k, func(n *Node, nk float64) {
 		if n.Op.IsRankJoin() {
