@@ -11,7 +11,6 @@ import (
 	"sort"
 	"sync/atomic"
 
-	"rankopt/internal/btree"
 	"rankopt/internal/expr"
 	"rankopt/internal/relation"
 )
@@ -37,16 +36,21 @@ type TableStats struct {
 	Cols  map[string]ColStats
 }
 
-// Index is a secondary B+tree index over a single column. The underlying
-// tree supports both ascending and descending scans, so one index serves
-// both directions.
+// Index is a secondary index over a single column: the column's sorted image
+// (relation.SortedImage), which serves ascending and descending scans, range
+// scans and point lookups alike.
 type Index struct {
 	Name      string
 	Table     string
 	Column    string
 	Clustered bool
-	Tree      *btree.Tree
+
+	rel *relation.Relation
+	pos int
 }
+
+// Image returns the index's sorted image over the heap as it is now.
+func (idx *Index) Image() *relation.SortedImage { return idx.rel.SortedImage(idx.pos) }
 
 // Table is a catalog entry: the heap relation plus its indexes and stats.
 type Table struct {
@@ -108,7 +112,8 @@ func (c *Catalog) Names() []string {
 	return out
 }
 
-// CreateIndex builds a B+tree index on table.column. clustered marks the
+// CreateIndex builds the sorted image of table.column and registers it as an
+// index; the build happens here, not at the first query. clustered marks the
 // index as clustered for costing purposes (at most one per table is
 // meaningful, but this is not enforced — it is a costing hint).
 func (c *Catalog) CreateIndex(table, column string, clustered bool) (*Index, error) {
@@ -124,29 +129,22 @@ func (c *Catalog) CreateIndex(table, column string, clustered bool) (*Index, err
 			return nil, err
 		}
 	}
-	tree := btree.New()
-	for rid, tup := range t.Rel.Tuples() {
-		if tup[pos].IsNull() {
-			continue
-		}
-		if err := tree.Insert(tup[pos], rid); err != nil {
-			return nil, err
-		}
-	}
 	idx := &Index{
 		Name:      fmt.Sprintf("idx_%s_%s", table, column),
 		Table:     table,
 		Column:    column,
 		Clustered: clustered,
-		Tree:      tree,
+		rel:       t.Rel,
+		pos:       pos,
 	}
+	idx.Image()
 	t.Indexes = append(t.Indexes, idx)
 	c.bumpEpoch()
 	return idx, nil
 }
 
 // DropIndex removes the index over table.column, reporting whether one
-// existed.
+// existed, and releases the column's sorted image.
 func (c *Catalog) DropIndex(table, column string) bool {
 	t, ok := c.tables[table]
 	if !ok {
@@ -155,6 +153,7 @@ func (c *Catalog) DropIndex(table, column string) bool {
 	for i, idx := range t.Indexes {
 		if idx.Column == column {
 			t.Indexes = append(t.Indexes[:i], t.Indexes[i+1:]...)
+			idx.rel.DropSortedImage(idx.pos)
 			c.bumpEpoch()
 			return true
 		}
@@ -162,9 +161,8 @@ func (c *Catalog) DropIndex(table, column string) bool {
 	return false
 }
 
-// RebuildIndex drops and recreates the index over table.column from the
-// current heap contents — the remedy for indexes degraded by churn (the
-// B+tree deletes lazily and never rebalances).
+// RebuildIndex drops and recreates the index over table.column, building its
+// sorted image again from the current heap contents.
 func (c *Catalog) RebuildIndex(table, column string) (*Index, error) {
 	var clustered bool
 	if old := c.IndexOn(table, column); old != nil {

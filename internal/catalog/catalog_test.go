@@ -4,26 +4,21 @@ import (
 	"math"
 	"testing"
 
-	"rankopt/internal/btree"
 	"rankopt/internal/expr"
 	"rankopt/internal/relation"
 )
 
-// distinctKeys counts the distinct keys of an index by walking it in order.
-func distinctKeys(tr *btree.Tree) int {
+// distinctKeys counts the distinct keys of an index by walking its image in
+// order.
+func distinctKeys(idx *Index) int {
+	img := idx.Image()
 	n := 0
-	var last relation.Value
-	it := tr.Ascend()
-	for {
-		k, _, ok := it.Next()
-		if !ok {
-			return n
-		}
-		if n == 0 || !k.Equal(last) {
+	for i := range img.Rids {
+		if i == 0 || !img.Key(i).Equal(img.Key(i-1)) {
 			n++
-			last = k
 		}
 	}
+	return n
 }
 
 func makeTable(name string, n int) *relation.Relation {
@@ -97,10 +92,10 @@ func TestCreateIndexAndLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := distinctKeys(idx.Tree); n != 10 {
+	if n := distinctKeys(idx); n != 10 {
 		t.Errorf("index distinct keys = %d", n)
 	}
-	rids := idx.Tree.Lookup(relation.Int(3))
+	rids := idx.Image().Lookup(relation.Int(3))
 	if len(rids) != 20 {
 		t.Errorf("Lookup(grp=3) = %d rids, want 20", len(rids))
 	}
@@ -132,8 +127,8 @@ func TestIndexSkipsNulls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if idx.Tree.Len() != 1 {
-		t.Errorf("index should skip NULLs, len=%d", idx.Tree.Len())
+	if n := len(idx.Image().Rids); n != 1 {
+		t.Errorf("index should skip NULLs, len=%d", n)
 	}
 }
 
@@ -210,11 +205,13 @@ func TestDropAndRebuildIndex(t *testing.T) {
 	if c.DropIndex("A", "grp") || c.DropIndex("Z", "x") {
 		t.Fatal("dropping absent indexes should report false")
 	}
-	// Rebuild creates the index fresh, preserving the clustered flag when
-	// one existed.
-	if _, err := c.CreateIndex("A", "grp", true); err != nil {
+	// Rebuild creates the index fresh — its sorted image built again, not
+	// taken from the cache — preserving the clustered flag when one existed.
+	old, err := c.CreateIndex("A", "grp", true)
+	if err != nil {
 		t.Fatal(err)
 	}
+	oldImage := old.Image()
 	idx, err := c.RebuildIndex("A", "grp")
 	if err != nil {
 		t.Fatal(err)
@@ -222,7 +219,10 @@ func TestDropAndRebuildIndex(t *testing.T) {
 	if !idx.Clustered {
 		t.Error("rebuild should keep the clustered flag")
 	}
-	if n := distinctKeys(idx.Tree); n != 10 {
+	if idx.Image() == oldImage {
+		t.Error("rebuild should build the sorted image again")
+	}
+	if n := distinctKeys(idx); n != 10 {
 		t.Errorf("rebuilt index keys = %d", n)
 	}
 	// Rebuild with no prior index works too (unclustered default).

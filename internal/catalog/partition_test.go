@@ -77,8 +77,8 @@ func TestShardHashPartition(t *testing.T) {
 		}
 		if idx := sc.IndexOn("A", "score"); idx == nil {
 			t.Fatalf("shard %d lost the score index", i)
-		} else if idx.Tree.Len() != tab.Rel.Cardinality() {
-			t.Fatalf("shard %d index covers %d of %d tuples", i, idx.Tree.Len(), tab.Rel.Cardinality())
+		} else if n := len(idx.Image().Rids); n != tab.Rel.Cardinality() {
+			t.Fatalf("shard %d index covers %d of %d tuples", i, n, tab.Rel.Cardinality())
 		}
 		if spec, ok := sc.PartitionOf("A"); !ok || spec.Kind != PartitionHash {
 			t.Fatalf("shard %d lost the partition spec", i)

@@ -58,7 +58,7 @@ func (p Params) SeqScan(total, produced float64) float64 {
 	return p.Pages(produced)*p.SeqPage + produced*p.CPUTuple
 }
 
-// IndexScan is the cost of retrieving `produced` tuples through a B+tree in
+// IndexScan is the cost of retrieving `produced` tuples through an index in
 // key order. A clustered index reads sequential pages; an unclustered index
 // pays one random page access per tuple (the classic worst-case charge).
 func (p Params) IndexScan(produced float64, clustered bool) float64 {
@@ -88,8 +88,8 @@ func (p Params) Sort(card float64) float64 {
 	return 2*pages*passes*p.SeqPage + cpu
 }
 
-// IndexProbe is the cost of one B+tree lookup returning `matches` tuples:
-// a random page access for the traversal plus one per matching tuple fetch.
+// IndexProbe is the cost of one index lookup returning `matches` tuples:
+// a random page access for the search plus one per matching tuple fetch.
 func (p Params) IndexProbe(matches float64) float64 {
 	return p.RandPage + matches*(p.RandPage+p.CPUTuple)
 }

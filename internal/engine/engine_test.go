@@ -113,7 +113,7 @@ func stripElapsed(rs []Response) []Response {
 // least 8 workers run a mixed batch (including failing queries) over one
 // shared catalog, and every response — tuples, stats, errors — must match
 // the sequential run. Run under -race this doubles as the data-race check
-// on the shared catalog, B+trees, and per-session optimizer state.
+// on the shared catalog, its images, and per-session optimizer state.
 func TestConcurrentSessionsMatchSequential(t *testing.T) {
 	eng := testEngine(t, core.Options{})
 	reqs := testRequests(24, true)

@@ -62,7 +62,7 @@ func (q *incSort) lessTie(a, b int) bool {
 	if nk := len(q.tieDesc); nk > 0 {
 		va, vb := q.vals[a*nk:a*nk+nk], q.vals[b*nk:b*nk+nk]
 		for c, desc := range q.tieDesc {
-			if r := compareSortKey(va[c], vb[c]); r != 0 {
+			if r := relation.CompareSortKey(va[c], vb[c]); r != 0 {
 				return (r < 0) != desc
 			}
 		}

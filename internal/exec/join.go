@@ -108,8 +108,10 @@ func (j *NestedLoopsJoin) Close() error {
 	return j.Left.Close()
 }
 
-// IndexNLJoin joins by probing a B+tree index on the inner relation per
-// outer tuple. It preserves the outer order and is fully pipelined.
+// IndexNLJoin joins by looking each outer tuple's key up in an index on the
+// inner relation: a binary search in the index's sorted image, whose equal
+// run is the matches in heap order. It preserves the outer order and is
+// fully pipelined.
 type IndexNLJoin struct {
 	Left     Operator
 	InnerRel *relation.Relation
@@ -122,6 +124,7 @@ type IndexNLJoin struct {
 	schema  *relation.Schema
 	keyEv   expr.Eval
 	resEv   expr.Eval
+	img     *relation.SortedImage
 	cur     relation.Tuple
 	matches []int
 	mpos    int
@@ -144,7 +147,7 @@ func (j *IndexNLJoin) Schema() *relation.Schema { return j.schema }
 
 // Open implements Operator, forwarding the context to the outer input.
 func (j *IndexNLJoin) Open(ctx context.Context) error {
-	if j.InnerIdx == nil || j.InnerIdx.Tree == nil {
+	if j.InnerIdx == nil {
 		return fmt.Errorf("exec: index nested-loops join without inner index")
 	}
 	if err := j.Left.Open(ctx); err != nil {
@@ -161,6 +164,7 @@ func (j *IndexNLJoin) Open(ctx context.Context) error {
 		return err
 	}
 	j.keyEv, j.resEv = keyEv, resEv
+	j.img = j.InnerIdx.Image()
 	j.cur = nil
 	j.done = false
 	j.Probes = 0
@@ -189,11 +193,7 @@ func (j *IndexNLJoin) Next() (relation.Tuple, bool, error) {
 			j.cur = t
 			j.mpos = 0
 			j.Probes++
-			if key.IsNull() {
-				j.matches = nil
-			} else {
-				j.matches = j.InnerIdx.Tree.Lookup(key)
-			}
+			j.matches = j.img.Lookup(key)
 		}
 		for j.mpos < len(j.matches) {
 			rid := j.matches[j.mpos]

@@ -20,10 +20,8 @@ type IndexRangeScan struct {
 	Lo, Hi       relation.Value
 	HasLo, HasHi bool
 
-	it interface {
-		Next() (relation.Value, int, bool)
-	}
-	done bool
+	// rids are the image positions in range not yet read.
+	rids []int
 }
 
 // NewIndexRangeScan constructs the scan.
@@ -34,39 +32,36 @@ func NewIndexRangeScan(rel *relation.Relation, idx *catalog.Index, lo, hi relati
 // Schema implements Operator.
 func (s *IndexRangeScan) Schema() *relation.Schema { return s.Rel.Schema() }
 
-// Open implements Operator.
+// Open implements Operator: two binary searches in the index's sorted image
+// bound the run of rows in range.
 func (s *IndexRangeScan) Open(context.Context) error {
-	if s.Idx == nil || s.Idx.Tree == nil {
+	if s.Idx == nil {
 		return fmt.Errorf("exec: index range scan without index on %s", s.Rel.Name)
 	}
+	img := s.Idx.Image()
+	lo, hi := 0, len(img.Rids)
 	if s.HasLo {
-		s.it = s.Idx.Tree.AscendFrom(s.Lo)
-	} else {
-		s.it = s.Idx.Tree.Ascend()
+		lo = img.Seek(s.Lo)
 	}
-	s.done = false
+	if s.HasHi {
+		hi = max(lo, img.SeekPast(s.Hi))
+	}
+	s.rids = img.Rids[lo:hi]
 	return nil
 }
 
 // Next implements Operator.
 func (s *IndexRangeScan) Next() (relation.Tuple, bool, error) {
-	if s.done {
+	if len(s.rids) == 0 {
 		return nil, false, nil
 	}
-	k, rid, ok := s.it.Next()
-	if !ok {
-		s.done = true
-		return nil, false, nil
-	}
-	if s.HasHi && k.Compare(s.Hi) > 0 {
-		s.done = true
-		return nil, false, nil
-	}
+	rid := s.rids[0]
+	s.rids = s.rids[1:]
 	return s.Rel.Tuple(rid), true, nil
 }
 
 // Close implements Operator.
 func (s *IndexRangeScan) Close() error {
-	s.it = nil
+	s.rids = nil
 	return nil
 }

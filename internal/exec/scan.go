@@ -60,17 +60,18 @@ func (s *SeqScan) lendRest() []relation.Tuple {
 // Close implements Operator.
 func (s *SeqScan) Close() error { return nil }
 
-// IndexScan reads a relation through a B+tree index in key order.
-// Descending scans deliver the sorted access rank-joins require (highest
-// score first).
+// IndexScan reads a relation through an index in key order: it walks the
+// index's sorted image forward, or backward for a descending scan — the
+// sorted access rank joins require (highest score first), equal keys in
+// reverse heap order.
 type IndexScan struct {
 	Rel  *relation.Relation
 	Idx  *catalog.Index
 	Desc bool
 
-	it interface {
-		Next() (relation.Value, int, bool)
-	}
+	// rids are the image positions not yet read: the scan takes from the
+	// front, or from the back when Desc.
+	rids []int
 }
 
 // NewIndexScan constructs an index-ordered scan.
@@ -83,40 +84,50 @@ func (s *IndexScan) Schema() *relation.Schema { return s.Rel.Schema() }
 
 // Open implements Operator.
 func (s *IndexScan) Open(context.Context) error {
-	if s.Idx == nil || s.Idx.Tree == nil {
+	if s.Idx == nil {
 		return fmt.Errorf("exec: index scan without index on %s", s.Rel.Name)
 	}
-	if s.Desc {
-		s.it = s.Idx.Tree.Descend()
-	} else {
-		s.it = s.Idx.Tree.Ascend()
-	}
+	s.rids = s.Idx.Image().Rids
 	return nil
+}
+
+// next takes the next row id in scan order; ok is false when none is left.
+func (s *IndexScan) next() (rid int, ok bool) {
+	n := len(s.rids)
+	if n == 0 {
+		return 0, false
+	}
+	if s.Desc {
+		rid, s.rids = s.rids[n-1], s.rids[:n-1]
+	} else {
+		rid, s.rids = s.rids[0], s.rids[1:]
+	}
+	return rid, true
 }
 
 // Next implements Operator.
 func (s *IndexScan) Next() (relation.Tuple, bool, error) {
-	_, rid, ok := s.it.Next()
+	rid, ok := s.next()
 	if !ok {
 		return nil, false, nil
 	}
-	if rid < 0 || rid >= s.Rel.Cardinality() {
+	if rid >= s.Rel.Cardinality() {
 		return nil, false, fmt.Errorf("exec: index %s holds rid %d beyond relation %s", s.Idx.Name, rid, s.Rel.Name)
 	}
 	return s.Rel.Tuple(rid), true, nil
 }
 
-// NextBatch implements BatchOperator: the tree iterator advances per rid but
-// the interface-call and validity-check overhead is amortized per batch.
+// NextBatch implements BatchOperator: the interface-call and validity-check
+// overhead is amortized per batch.
 func (s *IndexScan) NextBatch(out *Batch, max int) (bool, error) {
 	out.Reset()
 	n := s.Rel.Cardinality()
 	for out.Len() < max {
-		_, rid, ok := s.it.Next()
+		rid, ok := s.next()
 		if !ok {
 			break
 		}
-		if rid < 0 || rid >= n {
+		if rid >= n {
 			return false, fmt.Errorf("exec: index %s holds rid %d beyond relation %s", s.Idx.Name, rid, s.Rel.Name)
 		}
 		out.Append(s.Rel.Tuple(rid))
@@ -125,4 +136,4 @@ func (s *IndexScan) NextBatch(out *Batch, max int) (bool, error) {
 }
 
 // Close implements Operator.
-func (s *IndexScan) Close() error { s.it = nil; return nil }
+func (s *IndexScan) Close() error { s.rids = nil; return nil }

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"cmp"
 	"context"
 	"math"
 	"sync"
@@ -248,18 +247,6 @@ func sortKeyBits(f float64, desc bool) uint64 {
 		b = ^b
 	}
 	return b
-}
-
-// compareSortKey orders two key values like Value.Compare, except that NaN,
-// which Compare calls equal to every number, sorts below every number: the
-// quicksort needs a total order, and the encoded leading key has the same.
-func compareSortKey(a, b relation.Value) int {
-	if fa, ok := a.Float64(); ok {
-		if fb, ok := b.Float64(); ok {
-			return cmp.Compare(fa, fb)
-		}
-	}
-	return a.Compare(b)
 }
 
 // Next implements Operator.

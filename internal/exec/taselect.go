@@ -78,17 +78,19 @@ type taAbort struct {
 	err    error
 }
 
-// taSource adapts one input to the ranking package's Source interface.
+// taSource adapts one input to the ranking package's Source interface:
+// sorted access walks the score index's image backward (highest score
+// first), random access looks the id up in the id index's image.
 type taSource struct {
 	in TAInput
-	it interface {
-		Next() (relation.Value, int, bool)
-	}
+	// rids are the score image's positions not yet read, taken from the back.
+	rids  []int
+	ids   *relation.SortedImage
 	abort *taAbort
 }
 
 func newTASource(in TAInput, abort *taAbort) *taSource {
-	return &taSource{in: in, it: in.ScoreIdx.Tree.Descend(), abort: abort}
+	return &taSource{in: in, rids: in.ScoreIdx.Image().Rids, ids: in.IDIdx.Image(), abort: abort}
 }
 
 // Next implements ranking.SortedAccess, polling the query context on the
@@ -101,11 +103,12 @@ func (s *taSource) Next() (int64, float64, bool) {
 		if s.abort.err != nil {
 			return 0, 0, false
 		}
-		_, rid, ok := s.it.Next()
-		if !ok {
+		n := len(s.rids)
+		if n == 0 {
 			return 0, 0, false
 		}
-		tup := s.in.Rel.Tuple(rid)
+		tup := s.in.Rel.Tuple(s.rids[n-1])
+		s.rids = s.rids[:n-1]
 		id := tup[s.in.IDPos]
 		score := tup[s.in.ScorePos]
 		if id.IsNull() || score.IsNull() {
@@ -117,7 +120,7 @@ func (s *taSource) Next() (int64, float64, bool) {
 
 // Probe implements ranking.RandomAccess.
 func (s *taSource) Probe(id int64) (float64, bool) {
-	rids := s.in.IDIdx.Tree.Lookup(relation.Int(id))
+	rids := s.ids.Lookup(relation.Int(id))
 	if len(rids) == 0 {
 		return 0, false
 	}
@@ -206,7 +209,7 @@ func (t *TASelect) run(ctx context.Context) error {
 func (t *TASelect) fetchRow(id int64) (relation.Tuple, bool) {
 	out := make(relation.Tuple, 0, t.schema.Len())
 	for _, in := range t.Inputs {
-		rids := in.IDIdx.Tree.Lookup(relation.Int(id))
+		rids := in.IDIdx.Image().Lookup(relation.Int(id))
 		if len(rids) == 0 {
 			return nil, false
 		}

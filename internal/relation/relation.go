@@ -21,8 +21,8 @@ type Relation struct {
 	tuples   []Tuple
 	PageSize int
 
-	// images are the heap's column images (see ColumnImage); imageMu
-	// serializes their builds.
+	// images are the heap's column and sorted images (see ColumnImage and
+	// SortedImage); imageMu serializes their builds.
 	images  atomic.Pointer[imageSet]
 	imageMu sync.Mutex
 }

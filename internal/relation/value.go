@@ -5,6 +5,7 @@
 package relation
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
 )
@@ -197,6 +198,18 @@ func (v Value) Compare(o Value) int {
 	default:
 		panic(fmt.Sprintf("relation: comparing %s values", v.kind))
 	}
+}
+
+// CompareSortKey is the total order that sorts and sorted images share:
+// Compare, except that NaN, which Compare calls equal to every number, sorts
+// below every number and equals only NaN.
+func CompareSortKey(a, b Value) int {
+	if fa, ok := a.Float64(); ok {
+		if fb, ok := b.Float64(); ok {
+			return cmp.Compare(fa, fb)
+		}
+	}
+	return a.Compare(b)
 }
 
 // Equal reports whether two values compare equal.

@@ -153,7 +153,7 @@ func TestCorpus(t *testing.T) {
 			t.Fatalf("%s missing id index", n)
 		}
 		for i := 0; i < 300; i++ {
-			rids := idx.Tree.Lookup(relation.Int(int64(i)))
+			rids := idx.Image().Lookup(relation.Int(int64(i)))
 			if len(rids) != 1 {
 				t.Fatalf("%s id %d appears %d times", n, i, len(rids))
 			}
