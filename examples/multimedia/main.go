@@ -6,8 +6,9 @@
 // The example answers the query two ways:
 //
 //  1. as a top-k *selection* with the engine's Threshold Algorithm operator
-//     (exec.TASelect: sorted access through each feature's score index,
-//     random access through its id index), and
+//     (exec.TA, on the same rank kernel as the rank joins: sorted access
+//     through each feature's score index, random access through its id
+//     index), and
 //  2. as a top-k *join* through the rank-aware optimizer, which builds a
 //     pipeline of HRJN operators over the feature relations,
 //
@@ -62,11 +63,11 @@ func topKSelection(cat *catalog.Catalog, features []string, weights []float64) {
 			Weight: weights[i],
 		}
 	}
-	ta, err := exec.NewTASelect(inputs, topK)
+	ta, err := exec.NewTA(inputs)
 	if err != nil {
 		log.Fatal(err)
 	}
-	rows, err := exec.Collect(ta)
+	rows, err := exec.CollectK(ta, topK)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -79,9 +80,9 @@ func topKSelection(cat *catalog.Catalog, features []string, weights []float64) {
 		}
 		fmt.Printf("  %2d. object %4d  score %.4f\n", i+1, row[0].AsInt(), score)
 	}
-	st := ta.AccessStats()
+	sorted, random := ta.Accesses()
 	fmt.Printf("  effort: %d sorted + %d random accesses (naive scan: %d)\n\n",
-		st.TotalSorted(), st.TotalRandom(), objects*len(features))
+		sorted, random, objects*len(features))
 }
 
 // topKJoin runs the same similarity query through the rank-aware optimizer

@@ -853,7 +853,9 @@ func TestTopKSelectionPlanGenerated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := exec.Collect(op)
+	// The TA operator is pipelined; the query's LIMIT sits in the plan tail,
+	// so the bare node is read to k.
+	got, err := exec.CollectK(op, ta.K)
 	if err != nil {
 		t.Fatal(err)
 	}

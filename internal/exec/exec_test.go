@@ -529,11 +529,11 @@ func TestTASelectMatchesJoinReference(t *testing.T) {
 		}
 	}
 	const k = 8
-	ta, err := NewTASelect(inputs, k)
+	ta, err := NewTA(inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Collect(ta)
+	got, err := CollectK(ta, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -557,8 +557,8 @@ func TestTASelectMatchesJoinReference(t *testing.T) {
 		}
 	}
 	// Early-out: TA must not read all 3*1500 entries.
-	if ta.AccessStats().TotalSorted() >= 4500 {
-		t.Errorf("TA did no early-out: %d sorted accesses", ta.AccessStats().TotalSorted())
+	if sorted, _ := ta.Accesses(); sorted >= 4500 {
+		t.Errorf("TA did no early-out: %d sorted accesses", sorted)
 	}
 }
 
@@ -572,28 +572,13 @@ func mathAbs(x float64) float64 {
 func TestTASelectSkipsPartialObjects(t *testing.T) {
 	// Object 1 is missing from B: it must not appear even though its
 	// aggregate-with-zeros might rank.
-	mk := func(name string, ids []int64, scores []float64) TAInput {
-		sch := relation.NewSchema(
-			relation.Column{Table: name, Name: "id", Kind: relation.KindInt},
-			relation.Column{Table: name, Name: "score", Kind: relation.KindFloat},
-		)
-		rel := relation.New(name, sch)
-		for i := range ids {
-			rel.MustAppend(relation.Tuple{relation.Int(ids[i]), relation.Float(scores[i])})
-		}
-		cat := catalog.New()
-		cat.AddTable(rel)
-		si, _ := cat.CreateIndex(name, "score", false)
-		ii, _ := cat.CreateIndex(name, "id", false)
-		return TAInput{Rel: rel, ScoreIdx: si, IDIdx: ii, ScorePos: 1, IDPos: 0, Weight: 1}
-	}
-	a := mk("A", []int64{0, 1, 2}, []float64{0.5, 0.99, 0.4})
-	b := mk("B", []int64{0, 2}, []float64{0.6, 0.5})
-	ta, err := NewTASelect([]TAInput{a, b}, 2)
+	a := newTAList("A", []int64{0, 1, 2}, []float64{0.5, 0.99, 0.4}, 1)
+	b := newTAList("B", []int64{0, 2}, []float64{0.6, 0.5}, 1)
+	ta, err := NewTA([]TAInput{a, b})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Collect(ta)
+	got, err := CollectK(ta, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -612,19 +597,24 @@ func TestTASelectSkipsPartialObjects(t *testing.T) {
 }
 
 func TestTASelectValidation(t *testing.T) {
-	if _, err := NewTASelect(nil, 5); err == nil {
+	if _, err := NewTA(nil); err == nil {
 		t.Error("no inputs must fail")
 	}
 	cat, names := workload.Corpus(workload.CorpusConfig{Objects: 10, Features: 1, Seed: 1})
 	tab, _ := cat.Table(names[0])
 	in := TAInput{Rel: tab.Rel, ScoreIdx: cat.IndexOn(names[0], "score"),
 		IDIdx: cat.IndexOn(names[0], "id"), ScorePos: 1, IDPos: 0, Weight: 1}
-	if _, err := NewTASelect([]TAInput{in}, 0); err == nil {
-		t.Error("k=0 must fail")
+	if _, err := NewTA(make([]TAInput, maxJoinWidth+1)); err == nil {
+		t.Errorf("more than %d inputs must fail", maxJoinWidth)
 	}
-	bad := in
-	bad.IDIdx = nil
-	if _, err := NewTASelect([]TAInput{bad}, 3); err == nil {
-		t.Error("missing index must fail")
+	for _, drop := range []func(*TAInput){
+		func(in *TAInput) { in.IDIdx = nil },
+		func(in *TAInput) { in.ScoreIdx = nil },
+	} {
+		bad := in
+		drop(&bad)
+		if _, err := NewTA([]TAInput{in, bad}); err == nil {
+			t.Error("missing index must fail")
+		}
 	}
 }

@@ -10,11 +10,11 @@ import (
 
 // This file is the robustness layer of the executor: typed errors for
 // cancellation and resource exhaustion, per-query ResourceLimits, and the
-// shared atomic Budget that buffering operators (rank-join queues and hash
-// tables, the TopK heap, Sort buffers, HashJoin build tables) charge for
-// every tuple they hold. A runaway rank-join — deep cL/cR reads when the
-// Section 4 depth estimates miss — now fails with a typed error instead of
-// growing its queues until the process OOMs.
+// shared atomic Budget that buffering operators (rank-join and TA queues,
+// rank-join hash tables, the TopK heap, Sort buffers, HashJoin build tables)
+// charge for every tuple they hold. A runaway rank-join — deep cL/cR reads
+// when the Section 4 depth estimates miss — now fails with a typed error
+// instead of growing its queues until the process OOMs.
 
 // Typed failure causes. ErrDeadlineExceeded and ErrQueryCancelled wrap their
 // context counterparts so errors.Is works against either name;
@@ -42,9 +42,9 @@ type ResourceLimits struct {
 	// the engine derives before admission, so the deadline covers queue wait.
 	Deadline time.Time
 	// MaxBufferedTuples caps the tuples buffered across the whole operator
-	// tree at any instant: rank-join ranking queues and hash tables, TopK
-	// heaps, Sort buffers, HashJoin build tables, and TASelect result rows all
-	// charge one shared budget. Zero means unlimited.
+	// tree at any instant: rank-join and TA ranking queues, rank-join hash
+	// tables, TopK heaps, Sort buffers and HashJoin build tables all charge
+	// one shared budget. Zero means unlimited.
 	MaxBufferedTuples int64
 	// MaxDepthPerInput caps how many tuples a rank-join may consume from any
 	// single input — the direct guard against the runaway-depth failure mode.

@@ -168,8 +168,8 @@ func TestOpenFailureClosesOpenedChildren(t *testing.T) {
 			return must(NewAnyK([]Operator{c[0], c[1]},
 				[]expr.Expr{score, score}, []expr.Expr{key}, []expr.Expr{key}))
 		}, 2, true},
-		{"cancelled-taselect", func(c ...*lifecycleOp) Operator {
-			return must(NewTASelect([]TAInput{taIn, taIn}, 5))
+		{"cancelled-ta", func(c ...*lifecycleOp) Operator {
+			return must(NewTA([]TAInput{taIn, taIn}))
 		}, 0, true},
 		{"cancelled-shardmerge", func(c ...*lifecycleOp) Operator {
 			return must(NewShardMerge(ShardInputs(c[0], c[1]), 5, nil))

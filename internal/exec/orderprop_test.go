@@ -14,7 +14,7 @@ import (
 )
 
 // This file is the order-contract property test: every ranked operator in
-// the executor — HRJN (binary and m-way), NRJN, TASelect, AnyK, ShardMerge — must
+// the executor — HRJN (binary and m-way), NRJN, TA, AnyK, ShardMerge — must
 // emit monotonically non-increasing combined scores with deterministic
 // tie-breaking, across seeded randomized workloads. The monotonicity check
 // reuses ranking.Bounds.Observe, the same machinery the threshold operators
@@ -137,7 +137,7 @@ func rankedOperatorCases(t *testing.T) []rankedCase {
 					Weight: weights[i],
 				}
 			}
-			ta, err := NewTASelect(inputs, 25)
+			ta, err := NewTA(inputs)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -16,8 +16,8 @@ import (
 // their top and last scores, a priority queue that releases a result once it
 // beats the threshold — so its three moving parts exist once: rankedInput
 // reads and validates scored tuples, scoreQueue orders pending results, and
-// rankBuffer.release decides when one may leave. HRJN, NRJN and AnyK differ
-// only in how they find matches.
+// rankBuffer.release decides when one may leave. HRJN, NRJN, AnyK and TA
+// (ta.go) differ only in how they find matches.
 //
 // A pending result is queued by reference — row indices into the operator's
 // own buffers — and its output row is built only when release hands it out.
@@ -30,13 +30,13 @@ import (
 const scoreEps = 1e-9
 
 // maxJoinWidth bounds how many inputs one rank operator joins, so a queued
-// candidate — an HRJN combination, an AnyK solution — is an index vector that
-// fits in a fixed array and queuing it never allocates. Join queries are far
-// narrower.
+// candidate — an HRJN combination, an AnyK solution, a TA object — is an
+// index vector that fits in a fixed array and queuing it never allocates.
+// Join queries are far narrower.
 const maxJoinWidth = 8
 
-// rowRefs is a queued HRJN combination: one row index into each input's
-// hashInput.rows, in input order.
+// rowRefs is a queued HRJN combination — one row index into each input's
+// hashInput.rows, in input order — or a TA object, one heap row per list.
 type rowRefs [maxJoinWidth]int32
 
 // finiteScore rejects NaN scores and clamps infinite ones to the finite

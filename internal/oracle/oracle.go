@@ -41,6 +41,8 @@ type Case struct {
 
 	cat   *catalog.Catalog
 	names []string
+	// idJoin marks a GenerateTA case: (id, score) lists joined on id.
+	idJoin bool
 }
 
 // Report summarizes one successful differential run.
@@ -53,6 +55,8 @@ type Report struct {
 	// GreedyFallback reports whether the greedy planner cross-check fell
 	// back to the DP for this case (single-table shapes do).
 	GreedyFallback bool
+	// TAPlans is how many of the executed plans carried the TA operator.
+	TAPlans int
 }
 
 // scoreTerm is one weighted table contribution of the generated query.
@@ -134,6 +138,11 @@ func Generate(seed int64) Case {
 // scores, sort descending, cut at k. Plain Go over raw tuples — no operator
 // under test participates.
 func (c Case) bruteForce(terms []scoreTerm, filters map[string]int64) ([]float64, error) {
+	// Schema is (id, key, score), or (id, score) joined on id.
+	key, score := 1, 2
+	if c.idJoin {
+		key, score = 0, 1
+	}
 	// Group each table's (weighted score) contributions by key.
 	byKey := make([]map[int64][]float64, len(c.names))
 	for i, name := range c.names {
@@ -143,11 +152,10 @@ func (c Case) bruteForce(terms []scoreTerm, filters map[string]int64) ([]float64
 		}
 		groups := map[int64][]float64{}
 		for _, t := range tab.Rel.Tuples() {
-			// Schema is (id, key, score).
 			if bound, ok := filters[name]; ok && t[0].AsInt() >= bound {
 				continue
 			}
-			groups[t[1].AsInt()] = append(groups[t[1].AsInt()], terms[i].weight*t[2].AsFloat())
+			groups[t[key].AsInt()] = append(groups[t[key].AsInt()], terms[i].weight*t[score].AsFloat())
 		}
 		byKey[i] = groups
 	}
@@ -227,7 +235,9 @@ func Run(c Case) (Report, error) {
 	if len(res.AllPlans) == 0 {
 		return Report{}, fmt.Errorf("seed %d: optimizer returned no plans", c.Seed)
 	}
+	rep := Report{SQL: c.SQL, Plans: len(res.AllPlans), Results: len(want)}
 	for pi, root := range res.AllPlans {
+		rep.TAPlans += min(root.CountOps(plan.OpRankAgg), 1)
 		// Every plan executes twice — batch-at-a-time (the production drain)
 		// and as the scalar reference executor (ScalarRef compile, one tuple
 		// per Next) — from two independent compilations, so leftover operator
@@ -292,7 +302,8 @@ func Run(c Case) (Report, error) {
 			c.Seed, err, c.SQL, plan.Explain(gres.Best))
 	}
 
-	return Report{SQL: c.SQL, Plans: len(res.AllPlans), Results: len(want), GreedyFallback: gres.GreedyFallback}, nil
+	rep.GreedyFallback = gres.GreedyFallback
+	return rep, nil
 }
 
 // compareTuples asserts two result sets are identical: same count, same

@@ -4,7 +4,9 @@ import (
 	"fmt"
 
 	"rankopt/internal/catalog"
+	"rankopt/internal/core"
 	"rankopt/internal/engine"
+	"rankopt/internal/plan"
 	"rankopt/internal/sqlparse"
 )
 
@@ -23,9 +25,11 @@ type ShardReport struct {
 // RunSharded executes the case through full engines — one unsharded, one per
 // shard count — and asserts every top-k score sequence agrees with the
 // brute-force reference. The catalog is hash-partitioned on the join key, so
-// every generated query (chain equi-joins on "key") is co-partitioned and
-// eligible for the scatter-gather path; a run that nonetheless falls back is
-// still checked for correctness but not counted as sharded.
+// every generated query (chain equi-joins on "key", or on "id" for a TA case)
+// is co-partitioned and eligible for the scatter-gather path; a run that
+// nonetheless falls back is still checked for correctness but not counted as
+// sharded. TA cases run under taChosen, and every engine must execute the TA
+// plan.
 func RunSharded(c Case, counts ...int) (ShardReport, error) {
 	q, err := sqlparse.Parse(c.SQL)
 	if err != nil {
@@ -35,8 +39,12 @@ func RunSharded(c Case, counts ...int) (ShardReport, error) {
 	if err != nil {
 		return ShardReport{}, err
 	}
+	col, opts := "key", core.Options{}
+	if c.idJoin {
+		col, opts = "id", taChosen
+	}
 	for _, name := range c.names {
-		spec := catalog.PartitionSpec{Column: "key", Kind: catalog.PartitionHash}
+		spec := catalog.PartitionSpec{Column: col, Kind: catalog.PartitionHash}
 		if err := c.cat.SetPartition(name, spec); err != nil {
 			return ShardReport{}, fmt.Errorf("seed %d: partition %s: %w", c.Seed, name, err)
 		}
@@ -59,6 +67,10 @@ func RunSharded(c Case, counts ...int) (ShardReport, error) {
 		if err := compareScores(want, got); err != nil {
 			return fmt.Errorf("seed %d %s: %w\nquery: %s", c.Seed, label, err, c.SQL)
 		}
+		if c.idJoin && resp.Plan.CountOps(plan.OpRankAgg) == 0 {
+			return fmt.Errorf("seed %d %s: engine did not run the TA plan\nquery: %s\n%s",
+				c.Seed, label, c.SQL, plan.Explain(resp.Plan))
+		}
 		if resp.Sharded {
 			rep.Sharded++
 		} else if wantSharded {
@@ -68,12 +80,12 @@ func RunSharded(c Case, counts ...int) (ShardReport, error) {
 		return nil
 	}
 
-	single := engine.NewWithConfig(c.cat, engine.Config{})
+	single := engine.NewWithConfig(c.cat, engine.Config{Options: opts})
 	if err := check("unsharded", single, false); err != nil {
 		return ShardReport{}, err
 	}
 	for _, n := range counts {
-		eng := engine.NewWithConfig(c.cat, engine.Config{Shards: n})
+		eng := engine.NewWithConfig(c.cat, engine.Config{Options: opts, Shards: n})
 		if err := check(fmt.Sprintf("shards=%d", n), eng, true); err != nil {
 			return ShardReport{}, err
 		}

@@ -24,8 +24,8 @@ type Config struct {
 	// which forwards exec.StatsReporter.
 	Trace func(*Node, exec.Operator)
 	// Budget, when set, is wired into every buffering operator (rank-join
-	// queues and hash tables, TopK heaps, sorts, hash-join build tables, TA
-	// result rows) so the whole tree draws from one per-query allowance.
+	// and TA queues and hash tables, TopK heaps, sorts, hash-join build
+	// tables) so the whole tree draws from one per-query allowance.
 	Budget *exec.Budget
 	// Analyze, when set, threads an exec.Analyzed stats collector between
 	// every pair of operators (EXPLAIN ANALYZE) and records the node→collector
@@ -150,7 +150,7 @@ func (c *compiler) build(n *Node) (exec.Operator, error) {
 		return t, nil
 
 	case OpRankAgg:
-		ta, err := exec.NewTASelect(n.TAInputs, n.K)
+		ta, err := exec.NewTA(n.TAInputs)
 		if err != nil {
 			return nil, err
 		}

@@ -429,9 +429,8 @@ func TestAggregateNodeCompileAndCost(t *testing.T) {
 }
 
 // TestRankAggHonoursContextAndBudget: a compiled TA plan sees the query
-// context and the session budget. Before Open took a context the operator ran
-// ranking.TA to completion whatever the caller's context said, and its
-// materialized rows were never charged.
+// context and the session budget. The operator is pipelined, so the work —
+// and every check — happens in the drain that reads its k rows, not in Open.
 func TestRankAggHonoursContextAndBudget(t *testing.T) {
 	cat, names := workload.Corpus(workload.CorpusConfig{Objects: 50000, Features: 2, Seed: 17})
 	inputs := make([]exec.TAInput, len(names))
@@ -457,24 +456,23 @@ func TestRankAggHonoursContextAndBudget(t *testing.T) {
 		return op
 	}
 
-	// Open directly: CollectCtx would reject a done context before Open.
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := compile(nil).Open(cancelled); !errors.Is(err, exec.ErrQueryCancelled) {
+	if _, err := exec.CollectKCtx(cancelled, compile(nil), ta.K); !errors.Is(err, exec.ErrQueryCancelled) {
 		t.Errorf("pre-cancelled ctx: got %v, want ErrQueryCancelled", err)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
-	if err := compile(nil).Open(ctx); !errors.Is(err, exec.ErrDeadlineExceeded) {
+	if _, err := exec.CollectKCtx(ctx, compile(nil), ta.K); !errors.Is(err, exec.ErrDeadlineExceeded) {
 		t.Errorf("1 ms deadline: got %v, want ErrDeadlineExceeded", err)
 	}
 
 	budget := exec.NewBudget(exec.ResourceLimits{MaxBufferedTuples: 1})
-	if _, err := exec.Collect(compile(budget)); !errors.Is(err, exec.ErrBudgetExceeded) {
+	if _, err := exec.CollectK(compile(budget), ta.K); !errors.Is(err, exec.ErrBudgetExceeded) {
 		t.Errorf("1-tuple budget: got %v, want ErrBudgetExceeded", err)
 	}
 	if n := budget.Buffered(); n != 0 {
-		t.Errorf("failed Open left %d tuples charged", n)
+		t.Errorf("failed drain left %d tuples charged", n)
 	}
 }

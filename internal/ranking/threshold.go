@@ -8,7 +8,7 @@ import (
 // OrderViolationError reports a source that broke the descending-order
 // contract Bounds depends on: it emitted a score above its own bound, or a
 // NaN, which cannot be ordered at all. Silently keeping the stale-tight bound
-// would let threshold-style pruning (TA, the sharded merge) cut a source
+// would let threshold-style pruning (the sharded merge) cut a source
 // that could still beat the k-th score — wrong answers instead of a loud
 // failure.
 type OrderViolationError struct {
@@ -36,12 +36,11 @@ func orderSlack(u float64) float64 {
 }
 
 // Bounds tracks per-source upper bounds for threshold-style early
-// termination. It is the machinery shared by TA and the sharded coordinator
-// merge: every source emits scores in descending order, so the
-// last observed score bounds everything the source can still produce, an
-// optional a-priori ceiling (e.g. derived from per-shard statistics) bounds a
-// source before it has emitted anything, and an exhausted source can produce
-// nothing at all.
+// termination; it is the sharded coordinator merge's threshold state. Every
+// source emits scores in descending order, so the last observed score bounds
+// everything the source can still produce, an optional a-priori ceiling
+// (e.g. derived from per-shard statistics) bounds a source before it has
+// emitted anything, and an exhausted source can produce nothing at all.
 //
 // Bounds is not safe for concurrent use; callers serialize access (the
 // coordinator observes from a single merge goroutine).
@@ -58,9 +57,6 @@ func NewBounds(n int) *Bounds {
 	}
 	return b
 }
-
-// Len returns the number of tracked sources.
-func (b *Bounds) Len() int { return len(b.upper) }
 
 // SetCeiling tightens source i's bound with an a-priori ceiling, typically
 // computed from statistics before the source has produced anything. Looser
@@ -88,19 +84,6 @@ func (b *Bounds) Observe(i int, score float64) error {
 
 // Exhaust marks source i as having no further output.
 func (b *Bounds) Exhaust(i int) { b.exhausted[i] = true }
-
-// Exhausted reports whether source i is exhausted.
-func (b *Bounds) Exhausted(i int) bool { return b.exhausted[i] }
-
-// AllExhausted reports whether every source is exhausted.
-func (b *Bounds) AllExhausted() bool {
-	for _, e := range b.exhausted {
-		if !e {
-			return false
-		}
-	}
-	return true
-}
 
 // Upper returns the best score source i can still produce: -Inf once
 // exhausted, +Inf before any observation or ceiling, otherwise the tightest

@@ -209,28 +209,33 @@ func (s *SortedImage) Key(i int) Value { return s.rows[s.Rids[i]][s.col] }
 
 // Seek returns the first position whose key is at least key, len(Rids) when
 // there is none.
-func (s *SortedImage) Seek(key Value) int { return s.search(key, 0, false) }
+func (s *SortedImage) Seek(key Value) int { return s.search(key, false) }
 
 // SeekPast returns the first position whose key is above key, len(Rids) when
 // there is none.
-func (s *SortedImage) SeekPast(key Value) int { return s.search(key, 0, true) }
+func (s *SortedImage) SeekPast(key Value) int { return s.search(key, true) }
 
 // Lookup returns the rows whose key equals key, in heap order, as a subslice
 // of Rids that callers must not modify. A NULL or NaN key equals nothing, as
-// in a hash join.
+// in a hash join. The equal run is walked rather than searched: a caller
+// reads every row of it anyway, and a unique key's run ends at the next
+// position.
 func (s *SortedImage) Lookup(key Value) []int {
 	if f, ok := key.Float64(); key.IsNull() || ok && f != f {
 		return nil
 	}
 	lo := s.Seek(key)
-	hi := s.search(key, lo, true)
+	hi := lo
+	for hi < len(s.Rids) && CompareSortKey(s.Key(hi), key) == 0 {
+		hi++
+	}
 	return s.Rids[lo:hi:hi]
 }
 
-// search is the binary search over positions from..len(Rids) behind Seek
-// (past false: first key >= key) and SeekPast (past true: first key > key).
-func (s *SortedImage) search(key Value, from int, past bool) int {
-	lo, hi := from, len(s.Rids)
+// search is the binary search behind Seek (past false: first key >= key) and
+// SeekPast (past true: first key > key).
+func (s *SortedImage) search(key Value, past bool) int {
+	lo, hi := 0, len(s.Rids)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if c := CompareSortKey(s.Key(mid), key); c < 0 || past && c == 0 {
