@@ -424,7 +424,9 @@ func runQuery(w io.Writer, eng *engine.Engine, sql string, o queryOpts) error {
 	} else if o.Analyze && resp.Analysis != nil {
 		fmt.Fprint(w, plan.FormatAnalyze(resp.Plan, resp.Analysis, true))
 	} else {
-		fmt.Fprint(w, plan.Explain(resp.Plan))
+		// A plain session's plan is its template's, bound to the k the
+		// template was built at; print it at this request's.
+		fmt.Fprint(w, plan.Explain(plan.NewTemplate(resp.Plan, resp.K, plan.PlanCounters{}).Instantiate(resp.K)))
 	}
 	if o.TraceJSON != "" {
 		if err := writeChromeTrace(o.TraceJSON, tr); err != nil {

@@ -7,15 +7,16 @@
 // Concurrency model: the catalog (relations, indexes, statistics) is
 // treated as immutable once an Engine is constructed over it; sessions only
 // read it, so they need no locks. Everything mutable — the optimizer's
-// MEMO, compiled operator trees, rank-join stats — is private to one
-// session, except the plan cache, which is sharded and internally
-// synchronized.
+// MEMO, rank-join stats — is private to one session, except the plan cache,
+// which is sharded and internally synchronized. A compiled operator tree
+// belongs to its cached template and is lent to one session at a time.
 //
 // The plan cache sits between parsing and optimization: a session whose
 // query text was seen before skips both; a session whose canonical
 // fingerprint (see sqlparse.Fingerprint — the top-k bound is parameterized
-// out) matches a cached template skips optimization and only re-instantiates
-// a session-private operator tree from the shared immutable template.
+// out) matches a cached template skips optimization, and a plain one also
+// skips compilation: it borrows one of the template's compiled operator
+// trees, arms it with its own k and limits, and hands it back after Close.
 // Catalog statistics changes (RefreshStats, AddTable, CreateIndex, ...)
 // bump the catalog's stats epoch, which lazily invalidates every cached
 // plan built under the old statistics.
@@ -228,9 +229,15 @@ type Response struct {
 	Columns []string
 	// Tuples is the full result set in output order.
 	Tuples []relation.Tuple
-	// Plan is the session's physical plan (session-private; callers may
-	// render it with plan.Explain).
+	// Plan is the session's physical plan; render it with plan.Explain. On
+	// a plain session it is the cached template's shared plan, which every
+	// session of the template reads: callers must not modify it, and its
+	// Limit/TopK bounds are the template's k, not necessarily this session's.
+	// ExplainOnly, Analyze and traced sessions get a private copy rebound to
+	// their k.
 	Plan *plan.Node
+	// K is the session's top-k bound (0 = unbounded).
+	K int
 	// CacheHit reports whether the plan came from the plan cache (at either
 	// the text or the fingerprint level) rather than a fresh optimizer run.
 	CacheHit bool
@@ -281,15 +288,18 @@ func rankJoinPredLabel(n *plan.Node) string {
 	return "<no predicate>"
 }
 
-// planInfo is one session's planning outcome: the session-private
-// instantiated tree plus the provenance the Response reports.
+// planInfo is one session's planning outcome: the template, the plan the
+// session runs, and the provenance the Response reports.
 type planInfo struct {
+	tmpl *plan.Template
+	// root is the template's shared plan, or the session's private
+	// instantiation once run made one.
 	root     *plan.Node
 	hit      bool
 	fp       string
 	counters plan.PlanCounters
-	// k is the session's top-k bound (0 = unbounded), kept for the depth-
-	// feedback capture: observations are scaled per-join from it.
+	// k is the session's top-k bound (0 = unbounded). Every consumer of the
+	// session's k reads it here: the shared plan carries the template's.
 	k int
 }
 
@@ -303,16 +313,14 @@ func countersOf(res *core.Result) plan.PlanCounters {
 	}
 }
 
-// planFor is the one planner path behind every session: it produces a
-// session-private plan for the SQL text, consulting the plan cache (a nil
-// cache misses every lookup and drops every store). The returned tree is
-// always a fresh instantiation (never a shared cached tree), rebound to the
-// query's k and annotated with depth hints, so instantiation behaves
-// identically with the cache on or off. Under a span recorder each stage gets
-// a span and the optimizer runs fresh — single worker, decision tracer
-// attached — so the returned DecisionTrace is complete and deterministic even
-// when the plan cache holds the query; the fresh template still lands in the
-// cache.
+// planFor is the one planner path behind every session: it produces the
+// template for the SQL text, consulting the plan cache (a nil cache misses
+// every lookup and drops every store), so a session behaves identically with
+// the cache on or off. The returned root is the template's shared plan. Under
+// a span recorder each stage gets a span and the optimizer runs fresh —
+// single worker, decision tracer attached — so the returned DecisionTrace is
+// complete and deterministic even when the plan cache holds the query; the
+// fresh template still lands in the cache.
 func (e *Engine) planFor(tr *trace.Trace, sql string) (planInfo, *core.DecisionTrace, error) {
 	epoch := e.cat.StatsEpoch()
 	// Level 1: exact query text — skips lexing and parsing. A traced session
@@ -326,7 +334,7 @@ func (e *Engine) planFor(tr *trace.Trace, sql string) (planInfo, *core.DecisionT
 		if tmpl, ok := e.cache.lookupPlan(fp, epoch, e.hintEpochFor(fp)); ok {
 			if tr == nil {
 				e.cache.hits.Add(1)
-				return planInfo{root: tmpl.Instantiate(qk), hit: true, fp: fp, counters: tmpl.Counters, k: qk}, nil, nil
+				return planInfo{tmpl: tmpl, root: tmpl.Root(), hit: true, fp: fp, counters: tmpl.Counters, k: qk}, nil, nil
 			}
 			wouldHit = true
 		}
@@ -355,7 +363,7 @@ func (e *Engine) planFor(tr *trace.Trace, sql string) (planInfo, *core.DecisionT
 	} else if tmpl, ok := e.cache.lookupPlan(fp, epoch, hintEpoch); ok {
 		// Level 2: canonical fingerprint — skips optimization.
 		e.cache.hits.Add(1)
-		return planInfo{root: tmpl.Instantiate(q.K), hit: true, fp: fp, counters: tmpl.Counters, k: q.K}, nil, nil
+		return planInfo{tmpl: tmpl, root: tmpl.Root(), hit: true, fp: fp, counters: tmpl.Counters, k: q.K}, nil, nil
 	} else {
 		e.cache.miss()
 	}
@@ -378,10 +386,7 @@ func (e *Engine) planFor(tr *trace.Trace, sql string) (planInfo, *core.DecisionT
 	e.met.observeOptimize(counters)
 	tmpl := plan.NewTemplate(res.Best, q.K, counters)
 	e.cache.storePlan(fp, tmpl, epoch, hintEpoch)
-	is := tr.Begin("instantiate", "pipeline")
-	root := tmpl.Instantiate(q.K)
-	tr.End(is)
-	return planInfo{root: root, fp: fp, counters: counters, k: q.K}, dt, nil
+	return planInfo{tmpl: tmpl, root: tmpl.Root(), fp: fp, counters: counters, k: q.K}, dt, nil
 }
 
 // hintEpochFor returns the fingerprint's depth-feedback hint epoch (0 when
@@ -482,8 +487,19 @@ func (e *Engine) run(ctx context.Context, req Request, limits exec.ResourceLimit
 	if err != nil {
 		return fail(err)
 	}
+	// Analyze (and traced) sessions thread a stats collector between every
+	// operator, on either tier; traced sessions synthesize per-operator spans
+	// from the collectors. They, and EXPLAIN, print their plan, so they run a
+	// private copy rebound to their k through freshly compiled trees; a plain
+	// session runs the shared plan through the template's pooled trees.
+	collect := req.Analyze || tr != nil
+	if collect || req.ExplainOnly {
+		is := tr.Begin("instantiate", "pipeline")
+		pi.root = pi.tmpl.Instantiate(pi.k)
+		tr.End(is)
+	}
 	resp.OptTrace = dt
-	resp.Plan = pi.root
+	resp.Plan, resp.K = pi.root, pi.k
 	en.k.Store(int64(pi.k))
 	resp.CacheHit = pi.hit
 	resp.Fingerprint = pi.fp
@@ -499,46 +515,50 @@ func (e *Engine) run(ctx context.Context, req Request, limits exec.ResourceLimit
 	if root.CountOps(plan.OpAnyK) > 0 {
 		e.met.anykPlans.Add(1)
 	}
-	// Analyze (and traced) sessions thread a stats collector between every
-	// operator, on either tier; traced sessions synthesize per-operator spans
-	// from the collectors.
-	p := pipelines{collect: req.Analyze || tr != nil, budget: exec.NewBudget(limits)}
+	p := pipelines{collect: collect, tmpl: pi.tmpl, k: pi.k}
 	// Sharded tier: qualifying plans run one pipeline per shard under the
 	// early-stop coordinator — including Analyze and traced sessions, whose
 	// per-shard stats collectors and trace lanes ride the fan-out (the
 	// optimizer runs once above; only execution is parallel). Plans the
 	// partitioning cannot cover fall back and are counted. The tiers differ
-	// only in the root operator: the single tier's reports progress through
-	// a wrapper, the coordinator reports its own.
-	k, sharded := e.shardable(root)
+	// only in the root operator: the single tier's tree reports progress
+	// itself, the coordinator reports its own.
+	sharded := e.shardable(root, pi.k)
 	if len(e.shards) > 0 && !sharded {
 		e.met.shardFallbacks.Add(1)
 	}
 	var (
 		op    exec.Operator
+		batch *exec.Batch
 		merge *exec.ShardMerge
 	)
 	cs := tr.Begin("compile", "pipeline")
 	if sharded {
 		en.sharded.Store(true)
-		merge, err = e.shardMerge(root, k, &p, &en.prog)
+		p.budget = exec.NewBudget(limits)
+		merge, err = e.shardMerge(root, &p, &en.prog)
 		op = merge
-	} else if op, err = p.compile(e.cat, root, -1); err != nil {
-		err = fmt.Errorf("engine: compile: %w", err)
 	} else {
-		op = exec.WithProgress(op, &en.prog)
-		if p.collect {
-			resp.Analysis = p.runs[0].Analysis
+		var t *plan.Tree
+		if t, err = p.tree(e.cat, root, -1); err != nil {
+			err = fmt.Errorf("engine: compile: %w", err)
+		} else {
+			t.Arm(pi.k, limits, &en.prog)
+			op, batch = t.Root, t.Batch()
+			if p.collect {
+				resp.Analysis = p.runs[0].Analysis
+			}
 		}
 	}
 	tr.End(cs)
 	if err != nil {
+		p.release()
 		return fail(err)
 	}
 	en.setState(QueryExecuting)
 	es := tr.Begin("execute", "pipeline")
 	execStart := time.Now()
-	tuples, err := exec.CollectCtx(ctx, op)
+	tuples, err := exec.CollectBatch(ctx, op, batch)
 	execNanos := time.Since(execStart).Nanoseconds()
 	tr.End(es)
 	p.gathered()
@@ -557,40 +577,42 @@ func (e *Engine) run(ctx context.Context, req Request, limits exec.ResourceLimit
 		addExecSpans(tr, es, execStart, root, &resp, p.runs, len(tuples))
 	}
 	if err != nil {
+		p.release()
 		return fail(fmt.Errorf("engine: execute: %w", err))
 	}
 	resp.Tuples = tuples
-	e.finish(&resp, op.Schema(), &p)
-	if !sharded && e.feedback != nil && len(p.joins) > 0 && resp.Fingerprint != "" {
-		demands := rankJoinDemands(root, float64(pi.k))
-		for _, h := range p.joins {
-			e.observeDepths(resp.Fingerprint, h.node, h.op.Stats(), demands[h.node])
-		}
-	}
+	e.finish(&resp, &p)
+	p.release()
 	resp.Elapsed = time.Since(start)
 	return resp
 }
 
-// opHandle keeps one compiled operator's stats handle next to its plan node.
-// shard is the pipeline it belongs to (-1 on the unsharded tier).
-type opHandle struct {
+// sessionTree is one compiled tree a session ran, with the pipeline it
+// belongs to (-1 on the unsharded tier, else its shard).
+type sessionTree struct {
 	shard int
-	node  *plan.Node
-	op    exec.StatsReporter
+	tree  *plan.Tree
 }
 
-// pipelines is what a session's compiled operator trees — one on the
-// unsharded tier, one per started shard on the sharded — leave behind for
-// the post-execution report.
+// pipelines is what a session's operator trees — one on the unsharded tier,
+// one per started shard on the sharded — leave behind for the
+// post-execution report.
 type pipelines struct {
 	// collect threads a stats collector between every pair of operators.
+	// Collecting sessions compile their trees fresh and keep none.
 	collect bool
-	// budget is the session's shared allowance, charged by every pipeline.
+	// tmpl lends and takes back the trees of a plain session (nil: compile
+	// fresh and keep none); k is the session's top-k bound.
+	tmpl *plan.Template
+	k    int
+	// budget is the session's shared allowance on the sharded tier, charged
+	// by every shard pipeline and the coordinator (an unsharded tree arms its
+	// own).
 	budget *exec.Budget
-	// joins are the rank joins (depth report + feedback); anyks are the any-k
-	// enumerators (histogram observation only — their drained-input "depths"
-	// would poison the rank-join depth feedback).
-	joins, anyks []opHandle
+	// trees are the trees the session ran, in pipeline order; columns are
+	// the output column names they share.
+	trees   []sessionTree
+	columns []string
 	// runs holds every pipeline's analyzed plan when collect is set.
 	runs []plan.ShardRun
 	// shards are the sharded tier's per-shard slots (see shard.go): each is
@@ -605,117 +627,134 @@ type pipelines struct {
 func (p *pipelines) gathered() {
 	for i := range p.shards {
 		s := &p.shards[i].pipelines
-		p.joins = append(p.joins, s.joins...)
-		p.anyks = append(p.anyks, s.anyks...)
+		p.trees = append(p.trees, s.trees...)
 		p.runs = append(p.runs, s.runs...)
 	}
 	p.shards = nil
 }
 
-// compile lowers root against cat as pipeline number shard. The stats
-// collectors forward StatsReporter, so one Trace callback finds the rank-join
-// and any-k handles with collection on or off.
-func (p *pipelines) compile(cat *catalog.Catalog, root *plan.Node, shard int) (exec.Operator, error) {
-	var ap *plan.AnalyzedPlan
-	if p.collect {
-		ap = &plan.AnalyzedPlan{}
-		p.runs = append(p.runs, plan.ShardRun{Shard: shard, Root: root, Analysis: ap})
+// tree returns a tree for root on cat as pipeline number shard: a pooled one
+// of the template when the session is plain and one is free, else a fresh
+// compile — of a clone rebound to the shard catalog, on the sharded tier.
+func (p *pipelines) tree(cat *catalog.Catalog, root *plan.Node, shard int) (*plan.Tree, error) {
+	var t *plan.Tree
+	if !p.collect && p.tmpl != nil {
+		t = p.tmpl.Take(shard + 1)
 	}
-	return plan.CompileWith(cat, root, plan.Config{
-		Trace: func(n *plan.Node, o exec.Operator) {
-			sr, ok := o.(exec.StatsReporter)
-			if !ok {
-				return
+	if t == nil {
+		if shard >= 0 {
+			root = root.Clone()
+			if err := plan.Rebind(root, cat); err != nil {
+				return nil, fmt.Errorf("engine: shard %d: %w", shard, err)
 			}
-			if n.Op.IsRankJoin() {
-				p.joins = append(p.joins, opHandle{shard, n, sr})
-			} else if n.Op == plan.OpAnyK {
-				p.anyks = append(p.anyks, opHandle{shard, n, sr})
+		}
+		var ap *plan.AnalyzedPlan
+		if p.collect {
+			ap = &plan.AnalyzedPlan{}
+		}
+		var err error
+		if t, err = plan.CompileTree(cat, root, plan.Config{Analyze: ap}); err != nil {
+			if shard >= 0 {
+				err = fmt.Errorf("engine: shard %d compile: %w", shard, err)
 			}
-		},
-		Budget:  p.budget,
-		Analyze: ap,
-	})
+			return nil, err
+		}
+		if p.collect {
+			p.runs = append(p.runs, plan.ShardRun{Shard: shard, Root: root, Analysis: ap})
+		}
+	}
+	p.trees = append(p.trees, sessionTree{shard, t})
+	p.columns = t.Columns
+	return t, nil
+}
+
+// release hands a plain session's trees back to its template once it no
+// longer reads them.
+func (p *pipelines) release() {
+	if p.collect || p.tmpl == nil {
+		return
+	}
+	for _, st := range p.trees {
+		p.tmpl.Put(st.shard+1, st.tree)
+	}
+	for i := range p.shards {
+		for _, st := range p.shards[i].trees {
+			p.tmpl.Put(st.shard+1, st.tree)
+		}
+	}
+	p.trees, p.shards = nil, nil
 }
 
 // finish is the shared tail of both tiers: output columns, the rank-join
-// depth report, and the depth/latency histograms. Stats are read only after
-// the drain closed the operators (and joined any shard workers): the session
-// owns the trees, so no other goroutine can observe partial stats. The
-// estimated depths were annotated on the session's plan clone during
-// instantiation (plan.AnnotateDepthHints). Sharded sessions report their
-// per-shard rank joins only when collecting.
-func (e *Engine) finish(resp *Response, sch *relation.Schema, p *pipelines) {
-	resp.Columns = make([]string, sch.Len())
-	for i := 0; i < sch.Len(); i++ {
-		resp.Columns[i] = sch.Column(i).QualifiedName()
-	}
-	for _, h := range p.joins {
-		st := h.op.Stats()
-		idx := histOpIndex(h.node.Op)
-		e.met.observeOpDepth(idx, int64(st.LeftDepth))
-		e.met.observeOpDepth(idx, int64(st.RightDepth))
-		name := h.node.Op.String()
-		if h.shard >= 0 {
-			if !p.collect {
-				continue
+// depth report with the depth model's estimates at the session's k, the
+// depth-feedback capture, and the depth/latency histograms. Stats are read
+// only after the drain closed the operators (and joined any shard workers):
+// the session holds the trees, so no other goroutine can observe partial
+// stats. Sharded sessions report their per-shard rank joins only when
+// collecting, and feed no depth feedback.
+func (e *Engine) finish(resp *Response, p *pipelines) {
+	resp.Columns = append([]string(nil), p.columns...)
+	feedback := e.feedback != nil && resp.Fingerprint != ""
+	for _, st := range p.trees {
+		for _, h := range st.tree.Joins {
+			stats := h.Op.Stats()
+			idx := histOpIndex(h.Node.Op)
+			e.met.observeOpDepth(idx, int64(stats.LeftDepth))
+			e.met.observeOpDepth(idx, int64(stats.RightDepth))
+			name := h.Node.Op.String()
+			if st.shard >= 0 {
+				if !p.collect {
+					continue
+				}
+				name = fmt.Sprintf("%s[shard %d]", name, st.shard)
 			}
-			name = fmt.Sprintf("%s[shard %d]", name, h.shard)
+			demand, _ := plan.DemandAt(st.tree.Plan, p.k, h.Node)
+			estDL, estDR := h.Node.Depths(demand)
+			resp.RankJoins = append(resp.RankJoins, RankJoinStat{
+				Op:    name,
+				Pred:  rankJoinPredLabel(h.Node),
+				Stats: stats,
+				EstDL: estDL,
+				EstDR: estDR,
+			})
+			if feedback && st.shard < 0 {
+				e.observeDepths(resp.Fingerprint, h.Node, stats, demand, estDL, estDR)
+			}
 		}
-		resp.RankJoins = append(resp.RankJoins, RankJoinStat{
-			Op:    name,
-			Pred:  rankJoinPredLabel(h.node),
-			Stats: st,
-			EstDL: h.node.EstDL,
-			EstDR: h.node.EstDR,
-		})
-	}
-	for _, h := range p.anyks {
-		st := h.op.Stats()
-		e.met.observeOpDepth(histOpAnyK, int64(st.LeftDepth))
-		e.met.observeOpDepth(histOpAnyK, int64(st.RightDepth))
+		// An any-k enumerator's "depths" are its drained inputs: histogram
+		// only, never depth feedback.
+		for _, h := range st.tree.AnyKs {
+			stats := h.Op.Stats()
+			e.met.observeOpDepth(histOpAnyK, int64(stats.LeftDepth))
+			e.met.observeOpDepth(histOpAnyK, int64(stats.RightDepth))
+		}
 	}
 	for _, r := range p.runs {
 		e.observeAnalyzedOps(r.Root, r.Analysis)
 	}
 }
 
-// rankJoinDemands replays Algorithm Propagate over the executed plan to
-// recover the output count each rank-join was asked for — the k an
-// empirical depth observation is anchored to.
-func rankJoinDemands(root *plan.Node, k float64) map[*plan.Node]float64 {
-	if k <= 0 {
-		k = root.Card
-	}
-	out := map[*plan.Node]float64{}
-	plan.PropagateK(root, k, func(n *plan.Node, nk float64) {
-		if n.Op.IsRankJoin() {
-			out[n] = nk
-		}
-	})
-	return out
-}
-
 // observeDepths is the depth-feedback capture: when a rank-join's measured
-// depths exceed the estimates by the configured ratio, the observation is
-// recorded under BOTH orientations of its table split (depths swapped) —
-// the DP enumerates mirrored splits, so the hint must match whichever side
-// the re-optimization puts left. An accepted observation bumps the
-// fingerprint's hint epoch, lazily invalidating its cached plan.
-func (e *Engine) observeDepths(fp string, n *plan.Node, st exec.RankJoinStats, demand float64) {
+// depths exceed the estimates estDL/estDR at the join's demand by the
+// configured ratio, the observation is recorded under BOTH orientations of
+// its table split (depths swapped) — the DP enumerates mirrored splits, so
+// the hint must match whichever side the re-optimization puts left. An
+// accepted observation bumps the fingerprint's hint epoch, lazily
+// invalidating its cached plan.
+func (e *Engine) observeDepths(fp string, n *plan.Node, st exec.RankJoinStats, demand, estDL, estDR float64) {
 	aL, aR := float64(st.LeftDepth), float64(st.RightDepth)
 	if n.Op == plan.OpNRJN {
 		// An NRJN drains its inner wholesale by construction, so the
 		// measured right depth says nothing about the model — comparing it
-		// against EstDR flags every NRJN as mis-estimated forever, and
+		// against estDR flags every NRJN as mis-estimated forever, and
 		// recording the full inner cardinality would poison the mirrored
 		// HRJN candidates at re-plan time. Only the outer depth is a real
 		// estimate; keep the model's inner figure in the observation.
-		if aL <= e.fbRatio*math.Max(n.EstDL, 1) {
+		if aL <= e.fbRatio*math.Max(estDL, 1) {
 			return
 		}
-		aR = math.Max(n.EstDR, 1)
-	} else if aL <= e.fbRatio*math.Max(n.EstDL, 1) && aR <= e.fbRatio*math.Max(n.EstDR, 1) {
+		aR = math.Max(estDR, 1)
+	} else if aL <= e.fbRatio*math.Max(estDL, 1) && aR <= e.fbRatio*math.Max(estDR, 1) {
 		return
 	}
 	k := math.Max(demand, 1)

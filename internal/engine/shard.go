@@ -7,9 +7,10 @@ package engine
 // path: the optimizer runs once against the full catalog, every shard gets an
 // a-priori score ceiling from its statistics, and an exec.ShardMerge gathers
 // the shard pipelines under the rank-aware early-stop bounds. A shard's
-// pipeline — the winning plan cloned, rebound to the shard catalog and
-// compiled — is built only when the gather starts the shard, so a shard
-// pruned on its ceiling costs no plan work at all. Sessions whose plan shape
+// pipeline — one of the template's pooled trees for that shard, or the
+// winning plan cloned, rebound to the shard catalog and compiled — is taken
+// only when the gather starts the shard, so a shard pruned on its ceiling
+// costs no plan work at all. Sessions whose plan shape
 // or partitioning cannot be sharded safely fall back to the single-engine
 // path (counted in the shard_fallbacks metric), so enabling sharding never
 // changes which queries are answerable.
@@ -36,11 +37,11 @@ func (e *Engine) ShardCount() int { return len(e.shards) }
 // table without a partition spec); nil when sharding is off or active.
 func (e *Engine) ShardError() error { return e.shardErr }
 
-// shardable reports whether the session's plan can run on the sharded tier,
-// returning the global k. The requirements are exactly the ones the
+// shardable reports whether the session's plan can run on the sharded tier
+// at the session's top-k bound k. The requirements are exactly the ones the
 // correctness argument needs:
 //
-//   - the root is Limit(k>0) over Rank — the coordinator merges on the score
+//   - k > 0 and the root is Limit over Rank — the coordinator merges on the score
 //     column Rank appends and rewrites its rank column, so both must be the
 //     plan's final output (an explicit SELECT list compiles a Project above
 //     the Limit and falls back);
@@ -48,21 +49,21 @@ func (e *Engine) ShardError() error { return e.shardErr }
 //   - every join node equates partition columns of its two sides under
 //     compatible specs, so joining tuples always co-locate on one shard and
 //     the union of per-shard join results is the global join result.
-func (e *Engine) shardable(root *plan.Node) (int, bool) {
+func (e *Engine) shardable(root *plan.Node, k int) bool {
 	if len(e.shards) == 0 || root == nil {
-		return 0, false
+		return false
 	}
-	if root.Op != plan.OpLimit || root.K <= 0 || len(root.Children) != 1 {
-		return 0, false
+	if root.Op != plan.OpLimit || k <= 0 || len(root.Children) != 1 {
+		return false
 	}
 	rank := root.Input()
 	if rank.Op != plan.OpRank || len(rank.Children) != 1 {
-		return 0, false
+		return false
 	}
 	body := rank.Input()
 	for _, t := range body.Tables() {
 		if _, ok := e.cat.PartitionOf(t); !ok {
-			return 0, false
+			return false
 		}
 	}
 	ok := true
@@ -81,10 +82,7 @@ func (e *Engine) shardable(root *plan.Node) (int, bool) {
 			}
 		}
 	})
-	if !ok {
-		return 0, false
-	}
-	return root.K, true
+	return ok
 }
 
 // joinCoPartitioned reports whether some equi-predicate of the join equates
@@ -164,16 +162,16 @@ func shardCeiling(sc *catalog.Catalog, score expr.ScoreSum) float64 {
 	return total
 }
 
-// shardMerge builds the sharded tier's root: a ShardMerge over one input per
-// shard (see shardInputs), all charging the session's shared budget, whose
-// start width is Config.ShardWidth and which reports the session's progress
-// into prog.
-func (e *Engine) shardMerge(root *plan.Node, k int, p *pipelines, prog *exec.Progress) (*exec.ShardMerge, error) {
+// shardMerge builds the sharded tier's root: a ShardMerge for the session's
+// k over one input per shard (see shardInputs), all charging the session's
+// shared budget, whose start width is Config.ShardWidth and which reports
+// the session's progress into prog.
+func (e *Engine) shardMerge(root *plan.Node, p *pipelines, prog *exec.Progress) (*exec.ShardMerge, error) {
 	inputs, err := p.shardInputs(e.shards, root)
 	if err != nil {
 		return nil, err
 	}
-	merge, err := exec.NewShardMerge(inputs, k, p.budget)
+	merge, err := exec.NewShardMerge(inputs, p.k, p.budget)
 	if err != nil {
 		return nil, err
 	}
@@ -185,18 +183,18 @@ func (e *Engine) shardMerge(root *plan.Node, k int, p *pipelines, prog *exec.Pro
 // shardInputs gives the gather one input per shard catalog, with p.shards as
 // the shards' slots. Every ceiling is computed first (shardCeiling is pure and
 // allocation-free, so it is not cached). Only the shard the gather launches
-// first — the highest ceiling, ties to the lower index — is compiled here: it
+// first — the highest ceiling, ties to the lower index — is built here: it
 // always starts, because nothing can be beaten before the buffer holds k
 // tuples, and its schema is every shard's. Every other input is its lazy
 // slot. Should the launch order disagree with this pick (NaN ceilings), the
-// cost is one compiled pipeline that never opens, not a wrong answer.
+// cost is one built pipeline that never opens, not a wrong answer.
 func (p *pipelines) shardInputs(shards []*catalog.Catalog, root *plan.Node) ([]exec.ShardInput, error) {
 	score := root.Input().Score
 	p.shards = make([]shardPipeline, len(shards))
 	inputs := make([]exec.ShardInput, len(shards))
 	first := 0
 	for i, sc := range shards {
-		p.shards[i] = shardPipeline{pipelines: pipelines{collect: p.collect, budget: p.budget},
+		p.shards[i] = shardPipeline{pipelines: pipelines{collect: p.collect, tmpl: p.tmpl, k: p.k, budget: p.budget},
 			shard: i, cat: sc, root: root}
 		inputs[i].Ceiling = shardCeiling(sc, score)
 		if inputs[i].Ceiling > inputs[first].Ceiling {
@@ -207,6 +205,7 @@ func (p *pipelines) shardInputs(shards []*catalog.Catalog, root *plan.Node) ([]e
 	if err != nil {
 		return nil, err
 	}
+	p.columns = p.shards[first].columns
 	schema := op.Schema()
 	for i := range inputs {
 		p.shards[i].schema = schema
@@ -216,12 +215,13 @@ func (p *pipelines) shardInputs(shards []*catalog.Catalog, root *plan.Node) ([]e
 	return inputs, nil
 }
 
-// shardPipeline is one shard's slot on the sharded tier: the rank-join,
-// any-k and analyzed-plan handles its compile leaves behind, written only by
-// the goroutine that builds it. As an exec.Operator it is the shard's input
-// until the gather starts it: Open clones the session plan, rebinds the clone
-// to the shard catalog and compiles it — on the shard's worker goroutine —
-// then opens the result, so a shard the gather prunes is never built.
+// shardPipeline is one shard's slot on the sharded tier: the tree and
+// analyzed-plan handles its build leaves behind, written only by the
+// goroutine that builds it. As an exec.Operator it is the shard's input
+// until the gather starts it: Open takes the template's pooled tree for the
+// shard or compiles one from a clone of the session plan rebound to the shard
+// catalog — on the shard's worker goroutine — then opens it, so a shard the
+// gather prunes is never built.
 type shardPipeline struct {
 	pipelines
 	shard  int
@@ -231,18 +231,15 @@ type shardPipeline struct {
 	op     exec.Operator // nil until Open built it
 }
 
-// build clones root, rebinds the clone to the shard catalog and compiles it
-// into the slot.
+// build gives the slot its shard's tree, armed to charge the session budget
+// at the session's k.
 func (s *shardPipeline) build() (exec.Operator, error) {
-	clone := s.root.Clone()
-	if err := plan.Rebind(clone, s.cat); err != nil {
-		return nil, fmt.Errorf("engine: shard %d: %w", s.shard, err)
-	}
-	op, err := s.compile(s.cat, clone, s.shard)
+	t, err := s.tree(s.cat, s.root, s.shard)
 	if err != nil {
-		return nil, fmt.Errorf("engine: shard %d compile: %w", s.shard, err)
+		return nil, err
 	}
-	return op, nil
+	t.Share(s.k, s.budget)
+	return t.Root, nil
 }
 
 // Schema implements exec.Operator: the schema every shard pipeline shares.

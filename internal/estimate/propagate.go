@@ -116,7 +116,7 @@ func Propagate(root *Node, k float64, mode Mode) error {
 	// k cannot exceed the node's total output. A zero-output node — an empty
 	// base input or a vanishing selectivity product — short-circuits: the
 	// Section-4 estimators are undefined there (an unclamped k yields NaN/Inf
-	// depths that would poison executor pre-sizing via depth hints), and the
+	// depths that would poison every estimate below it), and the
 	// true depths are bounded by what the children deliver: in the worst case
 	// the operator exhausts both inputs to prove no result exists. Every
 	// field stays finite.

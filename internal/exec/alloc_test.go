@@ -63,7 +63,6 @@ func TestHRJNAllocsPerTuple(t *testing.T) {
 		var emitted int
 		allocs := testing.AllocsPerRun(5, func() {
 			j := build()
-			j.QueueHint = 1024
 			out, err := CollectK(j, k)
 			if err != nil {
 				t.Fatal(err)

@@ -64,8 +64,8 @@ type AnyK struct {
 	cancel canceller
 }
 
-// anykBuffers is everything an open AnyK builds and enumerates in. The engine
-// compiles a fresh operator per request, so the arrays are recycled through
+// anykBuffers is everything an open AnyK builds and enumerates in. An AnyK
+// keeps none of it between runs, so the arrays are recycled through
 // anykBufferPool like the Sort enforcer's: a warm build allocates nothing.
 // Nothing in here outlives Close — the built structure is per session.
 type anykBuffers struct {
@@ -217,33 +217,52 @@ func (j *AnyK) gauges() analyzeGauges {
 func (j *AnyK) Open(ctx context.Context) error {
 	j.cancel.reset(ctx)
 	m := len(j.Inputs)
-	j.lkeys = make([]keyEval, m-1)
-	j.rkeys = make([]keyEval, m-1)
 	for i, in := range j.Inputs {
 		if err := in.Open(ctx); err != nil {
 			closeQuietly(j.Inputs[:i]...)
 			return err
 		}
-		err := j.ins[i].bind("AnyK", i, in, j.Scores[i], false, j.Budget)
-		if err == nil && i < m-1 {
-			j.lkeys[i], err = bindKey(j.LeftKeys[i], in.Schema())
-		}
-		if err == nil && i > 0 {
-			j.rkeys[i-1], err = bindKey(j.RightKeys[i-1], in.Schema())
-		}
-		if err != nil {
-			closeQuietly(j.Inputs[:i+1]...)
-			return err
-		}
+	}
+	if err := j.bind(); err != nil {
+		closeQuietly(j.Inputs...)
+		return err
+	}
+	budget := j.Budget.bound()
+	for i := range j.ins {
+		j.ins[i].reset(budget)
 	}
 	j.built = false
-	j.buf.reset(j.Budget, 0)
+	j.buf.reset(budget)
 	if j.anykBuffers == nil {
 		j.anykBuffers = anykBufferPool.Get().(*anykBuffers)
 	}
 	j.levels = j.levels[:m]
 	j.sorts = j.sorts[:0]
 	j.buf.pq.items = j.queue[:0]
+	return nil
+}
+
+// bind resolves the score and key evaluators on the first Open; a reopened
+// enumerator keeps them.
+func (j *AnyK) bind() error {
+	if j.lkeys != nil {
+		return nil
+	}
+	m := len(j.Inputs)
+	lkeys, rkeys := make([]keyEval, m-1), make([]keyEval, m-1)
+	for i, in := range j.Inputs {
+		err := j.ins[i].bind("AnyK", i, in, j.Scores[i], false)
+		if err == nil && i < m-1 {
+			lkeys[i], err = bindKey(j.LeftKeys[i], in.Schema())
+		}
+		if err == nil && i > 0 {
+			rkeys[i-1], err = bindKey(j.RightKeys[i-1], in.Schema())
+		}
+		if err != nil {
+			return err
+		}
+	}
+	j.lkeys, j.rkeys = lkeys, rkeys
 	return nil
 }
 

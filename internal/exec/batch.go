@@ -76,6 +76,17 @@ func (b *Batch) Reset() {
 	b.tuples = b.own[:0]
 }
 
+// drop empties the batch and clears its array of the tuples it referenced,
+// keeping its capacity: an operator that keeps its batch across Close and
+// Open holds no tuple of a finished run. A nil batch is a no-op.
+func (b *Batch) drop() {
+	if b == nil {
+		return
+	}
+	clear(b.own[:cap(b.own)])
+	b.tuples, b.viewed = b.own[:0], false
+}
+
 // SetView points the batch at a borrowed read-only tuple slice with zero
 // copying — the vectorized-scan fill. The view is capped at its length, so
 // a later append reallocates instead of writing into the borrowed array.

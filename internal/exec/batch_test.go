@@ -514,7 +514,7 @@ func TestBatchDrainAllocBudgets(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			allocs := testing.AllocsPerRun(5, func() {
-				if _, _, err := drain(ctx, c.mk(), pullBatch, noLimit, countRows); err != nil {
+				if _, _, err := drain(ctx, c.mk(), nil, pullBatch, noLimit, countRows); err != nil {
 					t.Fatal(err)
 				}
 			})

@@ -33,13 +33,15 @@ func (f *Filter) Open(ctx context.Context) error {
 	if err := f.In.Open(ctx); err != nil {
 		return err
 	}
-	ev, err := f.Pred.Bind(f.In.Schema())
-	if err != nil {
-		closeQuietly(f.In)
-		return err
+	if f.ev == nil {
+		ev, err := f.Pred.Bind(f.In.Schema())
+		if err != nil {
+			closeQuietly(f.In)
+			return err
+		}
+		f.ev = ev
+		f.fast, f.hasFast = expr.CompileCmp(f.Pred, f.In.Schema())
 	}
-	f.ev = ev
-	f.fast, f.hasFast = expr.CompileCmp(f.Pred, f.In.Schema())
 	f.cancel.reset(ctx)
 	f.src.reset(ctx, f.In)
 	return nil
@@ -114,7 +116,10 @@ func (f *Filter) NextBatch(out *Batch, max int) (bool, error) {
 }
 
 // Close implements Operator.
-func (f *Filter) Close() error { return f.In.Close() }
+func (f *Filter) Close() error {
+	f.in.drop()
+	return f.In.Close()
+}
 
 // ProjectItem is one output column of a projection: an expression and the
 // name it is exposed under.
@@ -157,22 +162,34 @@ func (p *Project) Open(ctx context.Context) error {
 	if err := p.In.Open(ctx); err != nil {
 		return err
 	}
-	p.evals = make([]expr.Eval, len(p.Items))
-	p.colIdx = make([]int, len(p.Items))
+	if err := p.bind(); err != nil {
+		closeQuietly(p.In)
+		return err
+	}
+	p.src.reset(ctx, p.In)
+	return nil
+}
+
+// bind resolves the item evaluators on the first Open; a reopened
+// projection keeps them.
+func (p *Project) bind() error {
+	if p.evals != nil {
+		return nil
+	}
+	evals, colIdx := make([]expr.Eval, len(p.Items)), make([]int, len(p.Items))
 	for i, it := range p.Items {
 		ev, err := it.E.Bind(p.In.Schema())
 		if err != nil {
-			closeQuietly(p.In)
 			return err
 		}
-		p.evals[i] = ev
+		evals[i] = ev
 		if idx, ok := expr.ColIndex(it.E, p.In.Schema()); ok {
-			p.colIdx[i] = idx
+			colIdx[i] = idx
 		} else {
-			p.colIdx[i] = -1
+			colIdx[i] = -1
 		}
 	}
-	p.src.reset(ctx, p.In)
+	p.evals, p.colIdx = evals, colIdx
 	return nil
 }
 
@@ -225,7 +242,11 @@ func (p *Project) NextBatch(out *Batch, max int) (bool, error) {
 }
 
 // Close implements Operator.
-func (p *Project) Close() error { return p.In.Close() }
+func (p *Project) Close() error {
+	p.in.drop()
+	p.arena = tupleArena{}
+	return p.In.Close()
+}
 
 // Limit stops after K tuples — the top-k cut that makes rank plans early-out.
 type Limit struct {
@@ -327,12 +348,14 @@ func (r *RankAssign) Open(ctx context.Context) error {
 	if err := r.In.Open(ctx); err != nil {
 		return err
 	}
-	ev, err := r.Score.Bind(r.In.Schema())
-	if err != nil {
-		closeQuietly(r.In)
-		return err
+	if r.ev == nil {
+		ev, err := r.Score.Bind(r.In.Schema())
+		if err != nil {
+			closeQuietly(r.In)
+			return err
+		}
+		r.ev = ev
 	}
-	r.ev = ev
 	r.rank = 0
 	r.src.reset(ctx, r.In)
 	return nil
@@ -383,4 +406,8 @@ func (r *RankAssign) NextBatch(out *Batch, max int) (bool, error) {
 }
 
 // Close implements Operator.
-func (r *RankAssign) Close() error { return r.In.Close() }
+func (r *RankAssign) Close() error {
+	r.in.drop()
+	r.arena = tupleArena{}
+	return r.In.Close()
+}

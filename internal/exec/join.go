@@ -241,9 +241,11 @@ type HashJoin struct {
 	// keys maps a build key to its group id and groups[id] holds the build
 	// tuples under it, in arrival order. ref is the scalar reference build's
 	// own table, deliberately not a keyTable (see PerTupleBuild).
-	keys    keyTable
-	groups  [][]relation.Tuple
-	ref     map[any][]relation.Tuple
+	keys   keyTable
+	groups [][]relation.Tuple
+	ref    map[any][]relation.Tuple
+	// lKey, rKey and resEv are bound on the first Open.
+	lKey    keyEval
 	rKey    keyEval
 	resEv   expr.Eval
 	cur     relation.Tuple
@@ -275,8 +277,18 @@ func (j *HashJoin) Schema() *relation.Schema { return j.schema }
 
 // Open implements Operator: drains the left input into the hash table; the
 // blocking build polls the context and
-// charges the budget per buffered build tuple.
+// charges the budget per buffered build tuple. A failed Open drops the table
+// and returns its charge.
 func (j *HashJoin) Open(ctx context.Context) error {
+	if err := j.open(ctx); err != nil {
+		j.keys, j.groups, j.ref = keyTable{}, nil, nil
+		j.acct.releaseAll()
+		return err
+	}
+	return nil
+}
+
+func (j *HashJoin) open(ctx context.Context) error {
 	if err := j.Left.Open(ctx); err != nil {
 		return err
 	}
@@ -290,17 +302,19 @@ func (j *HashJoin) Open(ctx context.Context) error {
 	if err := j.Right.Open(ctx); err != nil {
 		return err
 	}
-	rKey, err := bindKey(j.RightKey, j.Right.Schema())
-	if err != nil {
-		closeQuietly(j.Right)
-		return err
+	if j.resEv == nil {
+		rKey, err := bindKey(j.RightKey, j.Right.Schema())
+		if err != nil {
+			closeQuietly(j.Right)
+			return err
+		}
+		resEv, err := bindPred(j.Residual, j.schema)
+		if err != nil {
+			closeQuietly(j.Right)
+			return err
+		}
+		j.rKey, j.resEv = rKey, resEv
 	}
-	resEv, err := bindPred(j.Residual, j.schema)
-	if err != nil {
-		closeQuietly(j.Right)
-		return err
-	}
-	j.rKey, j.resEv = rKey, resEv
 	j.cur = nil
 	j.done = false
 	j.cancel.reset(ctx)
@@ -313,11 +327,15 @@ func (j *HashJoin) Open(ctx context.Context) error {
 // key is a bare column, and a presized key table.
 func (j *HashJoin) build(ctx context.Context) error {
 	j.acct.releaseAll()
-	j.acct.budget = j.Budget
-	lKey, err := bindKey(j.LeftKey, j.Left.Schema())
-	if err != nil {
-		return err
+	j.acct.budget = j.Budget.bound()
+	if j.lKey.ev == nil {
+		lKey, err := bindKey(j.LeftKey, j.Left.Schema())
+		if err != nil {
+			return err
+		}
+		j.lKey = lKey
 	}
+	lKey := j.lKey
 	if j.PerTupleBuild {
 		return j.buildPerTuple(ctx, lKey.ev)
 	}
@@ -596,6 +614,8 @@ func (j *HashJoin) NextBatch(out *Batch, max int) (bool, error) {
 // Close implements Operator.
 func (j *HashJoin) Close() error {
 	j.keys, j.groups, j.ref = keyTable{}, nil, nil
+	j.in.drop()
+	j.arena = tupleArena{}
 	j.acct.releaseAll()
 	return j.Right.Close()
 }

@@ -61,10 +61,19 @@ func (l ResourceLimits) Enabled() bool {
 // One Budget serves the whole operator tree, so the cap is global, not
 // per-operator. All methods are nil-safe: a nil *Budget means "no limits"
 // and costs one pointer test on the hot path.
+//
+// A compiled tree that serves many sessions owns one Budget, wired into its
+// operators once, and re-arms it before each session: Arm with the
+// session's limits, or Share to charge a session budget the tree does not
+// own (a shard pipeline of the sharded tier). Operators resolve the budget
+// they charge at Open (see bound), so an unarmed or unlimited one costs them
+// nothing.
 type Budget struct {
 	maxBuffered int64
 	maxDepth    int64
 	buffered    atomic.Int64
+	// shared, when set by Share, is the budget this one stands for.
+	shared *Budget
 }
 
 // NewBudget builds the budget enforcing l's tuple and depth caps, or nil
@@ -75,6 +84,32 @@ func NewBudget(l ResourceLimits) *Budget {
 		return nil
 	}
 	return &Budget{maxBuffered: l.MaxBufferedTuples, maxDepth: l.MaxDepthPerInput}
+}
+
+// Arm readies a tree-owned budget for its next session under limits l. The
+// tree must not be open: Arm writes plain fields the operators read at Open.
+func (b *Budget) Arm(l ResourceLimits) {
+	b.maxBuffered, b.maxDepth, b.shared = l.MaxBufferedTuples, l.MaxDepthPerInput, nil
+}
+
+// Share readies a tree-owned budget to forward its next session's charges
+// to s (nil = no limits), like Arm.
+func (b *Budget) Share(s *Budget) {
+	b.maxBuffered, b.maxDepth, b.shared = 0, 0, s
+}
+
+// bound resolves the budget an operator opened now charges: the shared
+// budget, b itself when it sets a limit, or nil when no limit applies.
+func (b *Budget) bound() *Budget {
+	switch {
+	case b == nil:
+		return nil
+	case b.shared != nil:
+		return b.shared
+	case b.maxBuffered <= 0 && b.maxDepth <= 0:
+		return nil
+	}
+	return b
 }
 
 // Buffered returns the tuples currently charged against the budget.

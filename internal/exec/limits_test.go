@@ -153,6 +153,34 @@ func TestTopKBudgetIsHeapBound(t *testing.T) {
 	}
 }
 
+// A blocking operator whose Open fails over budget has charged the tuples it
+// buffered before the cap; per the Operator contract nobody Closes it, so
+// the failed Open itself must hand them back. TopK and HashJoin kept them.
+func TestFailedOpenReturnsBudget(t *testing.T) {
+	sch, tups := buildRankedInput(5000, 100, 1)
+	for name, build := range map[string]func(*Budget) Operator{
+		"TopK": func(b *Budget) Operator {
+			tk := NewTopK(FromTuples(sch, tups), expr.Col("A", "score"), 100)
+			tk.Budget = b
+			return tk
+		},
+		"HashJoin": func(b *Budget) Operator {
+			hj := NewHashJoin(FromTuples(sch, tups), FromTuples(sch, tups),
+				expr.Col("A", "key"), expr.Col("A", "key"), nil)
+			hj.Budget = b
+			return hj
+		},
+	} {
+		b := NewBudget(ResourceLimits{MaxBufferedTuples: 10})
+		if _, err := Collect(build(b)); !errors.Is(err, ErrBudgetExceeded) {
+			t.Fatalf("%s: want ErrBudgetExceeded, got %v", name, err)
+		}
+		if n := b.Buffered(); n != 0 {
+			t.Errorf("%s: failed Open left %d tuples charged", name, n)
+		}
+	}
+}
+
 func TestCancelledContextTyped(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -248,7 +276,6 @@ func TestBudgetAddsNoAllocations(t *testing.T) {
 				FromTuples(lsch, ltups), FromTuples(rsch, rtups),
 				expr.Col("A", "score"), expr.Col("A", "score"),
 				expr.Col("A", "key"), expr.Col("A", "key"), nil)
-			j.QueueHint = 1024
 			j.Budget = b
 			if _, err := CollectK(j, k); err != nil {
 				t.Fatal(err)

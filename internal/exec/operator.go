@@ -75,14 +75,16 @@ const (
 // drain is the one open / poll / pull / close-on-error loop behind every
 // exported Collect* helper. It pulls batch-at-a-time (vectorized
 // roots natively, per-tuple roots through the batchSource shim, one context
-// check per batch) or, with perTuple, one tuple per Next polling ctx on the
-// canceller cadence. limit < 0 drains to exhaustion; keep retains the tuples,
-// otherwise they are only counted. A failed Open needs no Close: per the
+// check per batch) into b — a fresh DefaultBatchSize batch when nil — or,
+// with perTuple, one tuple per Next polling ctx on the canceller cadence.
+// limit < 0 drains to exhaustion; keep retains the tuples, otherwise they are
+// only counted. A caller's batch comes back empty and cleared of the tuples
+// it carried. A failed Open needs no Close: per the
 // Operator contract the operator has already released whatever it opened. On
 // any later failure — including cancellation — the tree is closed before
 // returning, so a cancelled query never leaks goroutines, pooled buffers, or
 // open state; n then counts the tuples pulled before the failure.
-func drain(ctx context.Context, op Operator, perTuple bool, limit int, keep bool) (out []relation.Tuple, n int, err error) {
+func drain(ctx context.Context, op Operator, b *Batch, perTuple bool, limit int, keep bool) (out []relation.Tuple, n int, err error) {
 	if err := CtxErr(ctx); err != nil {
 		return nil, 0, err
 	}
@@ -91,7 +93,6 @@ func drain(ctx context.Context, op Operator, perTuple bool, limit int, keep bool
 	}
 	var (
 		src  batchSource
-		b    *Batch
 		poll canceller
 		one  [1]relation.Tuple
 	)
@@ -99,7 +100,11 @@ func drain(ctx context.Context, op Operator, perTuple bool, limit int, keep bool
 		poll.reset(ctx)
 	} else {
 		src.reset(ctx, op)
-		b = NewBatch(DefaultBatchSize)
+		if b == nil {
+			b = NewBatch(DefaultBatchSize)
+		} else {
+			defer b.drop()
+		}
 	}
 	for limit < 0 || n < limit {
 		var got []relation.Tuple
@@ -140,7 +145,14 @@ func Collect(op Operator) ([]relation.Tuple, error) {
 // CollectCtx collects every tuple of op under a query context, pulling
 // batch-at-a-time.
 func CollectCtx(ctx context.Context, op Operator) ([]relation.Tuple, error) {
-	out, _, err := drain(ctx, op, pullBatch, noLimit, keepRows)
+	return CollectBatch(ctx, op, nil)
+}
+
+// CollectBatch is CollectCtx pulling into the caller's batch b (a fresh one
+// when nil), which a compiled tree keeps across sessions. b comes back
+// empty, cleared of the tuples it carried.
+func CollectBatch(ctx context.Context, op Operator, b *Batch) ([]relation.Tuple, error) {
+	out, _, err := drain(ctx, op, b, pullBatch, noLimit, keepRows)
 	return out, err
 }
 
@@ -149,7 +161,7 @@ func CollectCtx(ctx context.Context, op Operator) ([]relation.Tuple, error) {
 // oracle cross-checks every plan through both drains — any batch-vs-tuple
 // divergence fails the comparison.
 func CollectPerTupleCtx(ctx context.Context, op Operator) ([]relation.Tuple, error) {
-	out, _, err := drain(ctx, op, pullTuple, noLimit, keepRows)
+	out, _, err := drain(ctx, op, nil, pullTuple, noLimit, keepRows)
 	return out, err
 }
 
@@ -164,7 +176,7 @@ func CollectK(op Operator, k int) ([]relation.Tuple, error) {
 // rank-join roots past k, destroying exactly the early termination top-k
 // callers use CollectK for.
 func CollectKCtx(ctx context.Context, op Operator, k int) ([]relation.Tuple, error) {
-	out, _, err := drain(ctx, op, pullTuple, max(k, 0), keepRows)
+	out, _, err := drain(ctx, op, nil, pullTuple, max(k, 0), keepRows)
 	return out, err
 }
 

@@ -14,7 +14,8 @@ import (
 // the wrapped operator's own gauges (see analyzeGauges) and stay zero for
 // operators without that internal state.
 type OpStats struct {
-	// Opens counts successful Open calls (re-opened operators accumulate).
+	// Opens counts successful Open calls: 1 after a run, 0 after a failed
+	// Open.
 	Opens int64
 	// NextCalls counts Next invocations, including the exhausted ones.
 	NextCalls int64
@@ -83,8 +84,9 @@ type gaugeReporter interface {
 // Analyzed wraps any operator with EXPLAIN ANALYZE collection: tuple counts
 // on every call, wall time on Open and on a 1-in-32 sample of Next calls.
 // The wrapper adds no allocation to the per-tuple path; its one map-free
-// OpStats struct lives inline. Counters accumulate across re-opens; gauges
-// reflect the wrapped operator's most recent run.
+// OpStats struct lives inline. Open starts the counters afresh, so a tree
+// reused across sessions reports each session's own figures; gauges reflect
+// the wrapped operator's most recent run.
 type Analyzed struct {
 	In    Operator
 	stats OpStats
@@ -101,9 +103,10 @@ func (a *Analyzed) Schema() *relation.Schema { return a.In.Schema() }
 // already closed whatever the inner operator opened, so the wrapper only
 // records and propagates.
 func (a *Analyzed) Open(ctx context.Context) error {
+	a.stats = OpStats{}
 	start := time.Now()
 	err := a.In.Open(ctx)
-	a.stats.OpenNanos += time.Since(start).Nanoseconds()
+	a.stats.OpenNanos = time.Since(start).Nanoseconds()
 	if err != nil {
 		return err
 	}

@@ -121,7 +121,6 @@ func TestAnalyzedHRJNAllocsPerTuple(t *testing.T) {
 			FromTuples(lsch, ltups), FromTuples(rsch, rtups),
 			expr.Col("A", "score"), expr.Col("A", "score"),
 			expr.Col("A", "key"), expr.Col("A", "key"), nil)
-		j.QueueHint = 1024
 		out, err := CollectK(Analyze(j), k)
 		if err != nil {
 			t.Fatal(err)

@@ -167,6 +167,11 @@ func WithProgress(op Operator, prog *Progress) Operator {
 	return &ProgressOp{In: op, prog: prog}
 }
 
+// Report points the counting at prog (nil counts nothing): a compiled tree
+// that serves many sessions keeps its ProgressOp and retargets it at each
+// session's block before opening it.
+func (p *ProgressOp) Report(prog *Progress) { p.prog = prog }
+
 // Schema implements Operator.
 func (p *ProgressOp) Schema() *relation.Schema { return p.In.Schema() }
 

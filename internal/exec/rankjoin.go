@@ -122,15 +122,23 @@ type rankedInput struct {
 	done        bool
 }
 
-// bind resolves the score evaluator against the input's schema and clears
-// the read state (called from Open).
-func (r *rankedInput) bind(op string, idx int, in Operator, score expr.Expr, ordered bool, budget *Budget) error {
+// bind resolves the score evaluator against the input's schema and names the
+// input for errors. An operator binds its inputs the first time it opens and
+// keeps them bound: a reopened operator reads the same schemas.
+func (r *rankedInput) bind(op string, idx int, in Operator, score expr.Expr, ordered bool) error {
 	ev, err := score.Bind(in.Schema())
 	if err != nil {
 		return err
 	}
-	*r = rankedInput{in: in, score: ev, budget: budget, op: op, idx: idx, ordered: ordered}
+	*r = rankedInput{in: in, score: ev, op: op, idx: idx, ordered: ordered}
 	return nil
+}
+
+// reset clears the read state for a run whose depth cap budget enforces
+// (called from Open).
+func (r *rankedInput) reset(budget *Budget) {
+	r.budget = budget
+	r.top, r.last, r.seen, r.depth, r.done = 0, 0, 0, 0, false
 }
 
 // read consumes one tuple from the input. ok=false means nothing to join
@@ -292,15 +300,40 @@ func (q *scoreQueue[T]) pop() T {
 	return v
 }
 
-// reset empties the queue, ensuring capacity for the optimizer's
-// buffered-results hint.
-func (q *scoreQueue[T]) reset(hint int) {
-	if hint > 0 && cap(q.items) < hint {
-		q.items = make([]scoreItem[T], 0, hint)
-	} else {
-		q.items = q.items[:0]
+// queuePool hands a closed rank operator's queue array to the next one
+// opened, as hashStorePool does for its hash tables, so a warm operator
+// neither allocates its queue nor regrows it. A pooled array carries
+// capacity, never content, and one past maxPooledQueue is not kept.
+type queuePool[T any] struct{ sync.Pool }
+
+// maxPooledQueue caps the queue items a pooled array carries (48 kB of HRJN
+// candidates). Shallow top-k pulls fit; a deep dig's queue is dropped at
+// Close and the next one grows its own, so the pool never keeps the deep
+// pulls' queues alive between requests.
+const maxPooledQueue = 1 << 10
+
+// Queue arrays by payload: HRJN combinations and TA objects, NRJN pairs.
+var (
+	refsQueues queuePool[rowRefs]
+	pairQueues queuePool[outerPair]
+)
+
+// take returns an empty array from the pool, in the holder it travels in.
+func (p *queuePool[T]) take() *[]scoreItem[T] {
+	if a, ok := p.Get().(*[]scoreItem[T]); ok {
+		return a
 	}
-	q.seq = 0
+	return new([]scoreItem[T])
+}
+
+// give returns items to the pool in holder a, cleared of the payloads it held.
+func (p *queuePool[T]) give(a *[]scoreItem[T], items []scoreItem[T]) {
+	if cap(items) > maxPooledQueue {
+		items = nil
+	}
+	clear(items)
+	*a = items[:0]
+	p.Put(a)
 }
 
 // rankBuffer is a rank operator's ranking buffer: the score queue, the
@@ -312,13 +345,21 @@ type rankBuffer[T any] struct {
 	acct     accountant
 	maxQueue int
 	emitted  int
+	// pool supplies the queue's array, held in arr between reset and close
+	// (nil: AnyK keeps its queue with the rest of its pooled buffers).
+	pool *queuePool[T]
+	arr  *[]scoreItem[T]
 }
 
-// reset prepares the buffer for a run (called from Open).
-func (b *rankBuffer[T]) reset(budget *Budget, queueHint int) {
+// reset prepares the buffer for a run charging budget (called from Open).
+func (b *rankBuffer[T]) reset(budget *Budget) {
 	b.acct.releaseAll()
 	b.acct.budget = budget
-	b.pq.reset(sizeHint(float64(queueHint)))
+	if b.pool != nil && b.arr == nil {
+		b.arr = b.pool.take()
+		b.pq.items = *b.arr
+	}
+	b.pq.items, b.pq.seq = b.pq.items[:0], 0
 	b.maxQueue, b.emitted = 0, 0
 }
 
@@ -346,9 +387,13 @@ func (b *rankBuffer[T]) release(threshold float64, exhausted bool) (v T, ok bool
 	return b.pq.pop(), true
 }
 
-// close drops the queue and returns every outstanding charge; the counters
-// survive for Stats.
+// close hands the queue's array back to its pool and returns every
+// outstanding charge; the counters survive for Stats.
 func (b *rankBuffer[T]) close() {
+	if b.arr != nil {
+		b.pool.give(b.arr, b.pq.items)
+		b.arr = nil
+	}
 	b.pq.items = nil
 	b.acct.releaseAll()
 }
@@ -386,12 +431,6 @@ type HRJN struct {
 	Residual expr.Expr
 	// Strategy selects the polling policy (default Alternate).
 	Strategy PullStrategy
-	// QueueHint is the optimizer's expected buffered-result count (the
-	// product of plan.Node.EstDL and EstDR times the join selectivity, zero =
-	// no hint); it pre-sizes the ranking queue, which is per request. The hash
-	// tables need no hint: they come from hashStorePool at the capacity their
-	// last user grew them to, up to the pool's caps.
-	QueueHint int
 	// Budget, when set, is charged for every tuple buffered in the hash
 	// tables and the ranking queue, and consulted for the per-input depth
 	// limit. Nil means unlimited.
@@ -437,10 +476,10 @@ type hashStore struct {
 }
 
 // hashStorePool hands a closed rank join's hash tables to the next one
-// opened, as sortBufferPool and anykBufferPool do for Sort and AnyK: the
-// engine compiles a fresh HRJN or NRJN per request, and a warm one neither
-// allocates its tables nor regrows them. A pooled store carries capacity,
-// never content. The ranking queue stays per request (DESIGN §7).
+// opened, as sortBufferPool and anykBufferPool do for Sort and AnyK: a
+// compiled tree keeps no run-time buffers between sessions, and a warm join
+// neither allocates its tables nor regrows them. A pooled store carries
+// capacity, never content. The ranking queue has its own pool (queuePool).
 var hashStorePool = sync.Pool{New: func() any { return new(hashStore) }}
 
 // hashRow is one buffered tuple and the next row of its key group (-1 at the
@@ -543,6 +582,7 @@ func NewHRJN(left, right Operator, leftScore, rightScore, leftKey, rightKey, res
 	b.HRJN = HRJN{
 		Inputs: b.inputs[:], Scores: b.scores[:], Keys: b.keys[:], Residual: residual,
 		schema: left.Schema().Concat(right.Schema()), ins: b.ins[:],
+		buf: rankBuffer[rowRefs]{pool: &refsQueues},
 	}
 	return &b.HRJN
 }
@@ -564,6 +604,7 @@ func NewMultiHRJN(inputs []Operator, scores, keys []expr.Expr) (*HRJN, error) {
 	return &HRJN{
 		Inputs: inputs, Scores: scores, Keys: keys,
 		schema: concatSchemas(inputs), ins: make([]hashInput, m),
+		buf: rankBuffer[rowRefs]{pool: &refsQueues},
 	}, nil
 }
 
@@ -602,35 +643,45 @@ func (j *HRJN) Open(ctx context.Context) error {
 		}
 	}
 	if err := j.bind(); err != nil {
-		j.release()
 		closeQuietly(j.Inputs...)
 		return err
 	}
+	budget := j.Budget.bound()
+	for i := range j.ins {
+		in := &j.ins[i]
+		in.reset(budget)
+		in.take()
+		in.keys.reset(0, probeLoad)
+	}
 	j.cancel.reset(ctx)
-	j.buf.reset(j.Budget, j.QueueHint)
+	j.buf.reset(budget)
 	j.live, j.next = len(j.ins), 0
 	j.thresh, j.dom = j.bound()
 	return nil
 }
 
-// bind resolves the score, key, and residual evaluators and gives every
-// input an empty hash table from the pool.
+// bind resolves the score, key, and residual evaluators on the first Open;
+// a reopened join keeps them.
 func (j *HRJN) bind() error {
+	if j.resEv != nil {
+		return nil
+	}
 	for i := range j.ins {
 		in := &j.ins[i]
-		if err := in.bind("HRJN", i, j.Inputs[i], j.Scores[i], true, j.Budget); err != nil {
+		if err := in.bind("HRJN", i, j.Inputs[i], j.Scores[i], true); err != nil {
 			return err
 		}
 		var err error
 		if in.key, err = bindKey(j.Keys[i], j.Inputs[i].Schema()); err != nil {
 			return err
 		}
-		in.take()
-		in.keys.reset(0, probeLoad)
 	}
-	var err error
-	j.resEv, err = bindPred(j.Residual, j.schema)
-	return err
+	ev, err := bindPred(j.Residual, j.schema)
+	if err != nil {
+		return err
+	}
+	j.resEv = ev
+	return nil
 }
 
 // bound returns the threshold — the upper bound on the combined score of
@@ -833,9 +884,6 @@ type NRJN struct {
 	// and HashJoin, a NULL or NaN key matches nothing. Unset, every inner
 	// tuple is one chain.
 	LeftKey, RightKey expr.Expr
-	// QueueHint pre-sizes the ranking queue from the optimizer's estimated
-	// buffered-result count (zero = no hint).
-	QueueHint int
 	// Budget, when set, is charged for the materialized inner and every
 	// queued result, and consulted for the per-input depth limit.
 	Budget *Budget
@@ -869,6 +917,7 @@ func NewNRJN(left, right Operator, leftScore, rightScore, pred expr.Expr) *NRJN 
 		Left: left, Right: right,
 		LeftScore: leftScore, RightScore: rightScore, Pred: pred,
 		schema: left.Schema().Concat(right.Schema()),
+		buf:    rankBuffer[outerPair]{pool: &pairQueues},
 	}
 }
 
@@ -906,34 +955,24 @@ func (j *NRJN) keyed() bool { return j.LeftKey != nil && j.RightKey != nil }
 // needs.
 func (j *NRJN) load(ctx context.Context) error {
 	j.cancel.reset(ctx)
-	j.buf.reset(j.Budget, j.QueueHint)
-	if err := j.outer.bind("NRJN", 0, j.Left, j.LeftScore, true, j.Budget); err != nil {
+	budget := j.Budget.bound()
+	j.buf.reset(budget)
+	if err := j.bind(); err != nil {
 		return err
 	}
 	in := &j.inner
-	if err := in.bind("NRJN", 1, j.Right, j.RightScore, false, j.Budget); err != nil {
-		return err
-	}
+	j.outer.reset(budget)
+	in.reset(budget)
 	in.take()
-	var err error
 	if j.keyed() {
 		// Sized for one batch of distinct keys, so a typical inner never
 		// regrows it.
 		in.keys.reset(DefaultBatchSize, probeLoad)
-		if j.lkey, err = bindKey(j.LeftKey, j.Left.Schema()); err != nil {
-			return err
-		}
-		if in.key, err = bindKey(j.RightKey, j.Right.Schema()); err != nil {
-			return err
-		}
-	}
-	if j.predEv, err = bindPred(j.Pred, j.schema); err != nil {
-		return err
 	}
 	if err := j.Right.Open(ctx); err != nil {
 		return err
 	}
-	err = j.buffer(ctx)
+	err := j.buffer(ctx)
 	if cerr := j.Right.Close(); err == nil {
 		err = cerr
 	}
@@ -984,6 +1023,36 @@ func (j *NRJN) buffer(ctx context.Context) error {
 			in.file(g, scored{t, s})
 		}
 	}
+}
+
+// bind resolves the score, key and predicate evaluators on the first Open; a
+// reopened join keeps them.
+func (j *NRJN) bind() error {
+	if j.predEv != nil {
+		return nil
+	}
+	if err := j.outer.bind("NRJN", 0, j.Left, j.LeftScore, true); err != nil {
+		return err
+	}
+	in := &j.inner
+	if err := in.bind("NRJN", 1, j.Right, j.RightScore, false); err != nil {
+		return err
+	}
+	var err error
+	if j.keyed() {
+		if j.lkey, err = bindKey(j.LeftKey, j.Left.Schema()); err != nil {
+			return err
+		}
+		if in.key, err = bindKey(j.RightKey, j.Right.Schema()); err != nil {
+			return err
+		}
+	}
+	ev, err := bindPred(j.Pred, j.schema)
+	if err != nil {
+		return err
+	}
+	j.predEv = ev
+	return nil
 }
 
 // threshold bounds the combined score of unseen join results.

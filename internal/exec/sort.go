@@ -40,6 +40,8 @@ type Sort struct {
 	// the drain does not grow it by doubling.
 	SizeHint int
 
+	// evals are the bound key evaluators, one per key.
+	evals []expr.Eval
 	// The arrays of an open Sort, nil while it is closed.
 	*sortBuffers
 	// tuples is the input in arrival order: the input's own slice when it
@@ -63,11 +65,11 @@ type sortBuffers struct {
 	batch *Batch
 }
 
-// sortBufferPool hands a closed Sort's arrays to the next one opened. The
-// engine compiles a fresh Sort per query and per shard, so without it every
-// query allocates — and the collector zeroes, scans and frees — 16 to 40
-// bytes per buffered tuple; at the query rates the incremental sort reaches,
-// that allocation rate is what sized the serving process's heap.
+// sortBufferPool hands a closed Sort's arrays to the next one opened. A Sort
+// keeps no arrays between runs (an idle compiled tree holds none), so without
+// it every query allocates — and the collector zeroes, scans and frees — 16
+// to 40 bytes per buffered tuple; at the query rates the incremental sort
+// reaches, that allocation rate is what sized the serving process's heap.
 var sortBufferPool = sync.Pool{New: func() any { return new(sortBuffers) }}
 
 // tupleLender is an input whose remaining output already exists as one
@@ -121,22 +123,16 @@ func (s *Sort) Open(ctx context.Context) error {
 // tuple breaks that, the leading key joins the others in vals.
 func (s *Sort) drain(ctx context.Context) error {
 	s.acct.releaseAll()
-	s.acct.budget = s.Budget
+	s.acct.budget = s.Budget.bound()
 	s.cancel.reset(ctx)
 	s.pos, s.buffered = 0, 0
 	if s.sortBuffers == nil {
 		s.sortBuffers = sortBufferPool.Get().(*sortBuffers)
 	}
-
-	sch := s.In.Schema()
-	evals := make([]expr.Eval, len(s.Keys))
-	for i, k := range s.Keys {
-		ev, err := k.E.Bind(sch)
-		if err != nil {
-			return err
-		}
-		evals[i] = ev
+	if err := s.bind(); err != nil {
+		return err
 	}
+	evals := s.evals
 	if err := s.buffer(ctx); err != nil {
 		return err
 	}
@@ -191,6 +187,24 @@ func (s *Sort) drain(ctx context.Context) error {
 			s.vals = append(s.vals, v)
 		}
 	}
+	return nil
+}
+
+// bind resolves the key evaluators on the first Open; a reopened Sort keeps
+// them.
+func (s *Sort) bind() error {
+	if s.evals != nil {
+		return nil
+	}
+	evals := make([]expr.Eval, len(s.Keys))
+	for i, k := range s.Keys {
+		ev, err := k.E.Bind(s.In.Schema())
+		if err != nil {
+			return err
+		}
+		evals[i] = ev
+	}
+	s.evals = evals
 	return nil
 }
 

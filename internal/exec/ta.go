@@ -79,7 +79,8 @@ func NewTA(inputs []TAInput) (*TA, error) {
 			sch = sch.Concat(in.Rel.Schema())
 		}
 	}
-	return &TA{Inputs: inputs, schema: sch, ins: make([]taList, len(inputs))}, nil
+	return &TA{Inputs: inputs, schema: sch, ins: make([]taList, len(inputs)),
+		buf: rankBuffer[rowRefs]{pool: &refsQueues}}, nil
 }
 
 // Schema implements Operator.
@@ -101,13 +102,14 @@ func (t *TA) Open(ctx context.Context) error {
 		return err
 	}
 	t.cancel.reset(ctx)
-	t.buf.reset(t.Budget, 0)
+	budget := t.Budget.bound()
+	t.buf.reset(budget)
 	t.seen.reset(0, probeLoad)
 	t.next, t.probes, t.exhausted = 0, 0, false
 	for i := range t.ins {
 		in := &t.Inputs[i]
 		t.ins[i] = taList{
-			rankedInput: rankedInput{budget: t.Budget, op: "TA", idx: i, ordered: true},
+			rankedInput: rankedInput{budget: budget, op: "TA", idx: i, ordered: true},
 			rids:        in.ScoreIdx.Image().Rids,
 			ids:         in.IDIdx.Image(),
 		}

@@ -21,6 +21,8 @@ type TopK struct {
 	// Budget, when set, is charged for every tuple held in the bounded heap.
 	Budget *Budget
 
+	// ev is the score evaluator, bound on the first Open.
+	ev      expr.Eval
 	out     []relation.Tuple
 	pos     int
 	maxHeap int
@@ -46,6 +48,7 @@ func (t *TopK) Open(ctx context.Context) error {
 		return err
 	}
 	if err := t.load(ctx); err != nil {
+		t.acct.releaseAll()
 		closeQuietly(t.In)
 		return err
 	}
@@ -55,11 +58,15 @@ func (t *TopK) Open(ctx context.Context) error {
 // load binds the score and drains the opened input through the heap.
 func (t *TopK) load(ctx context.Context) error {
 	t.acct.releaseAll()
-	t.acct.budget = t.Budget
-	ev, err := t.Score.Bind(t.In.Schema())
-	if err != nil {
-		return err
+	t.acct.budget = t.Budget.bound()
+	if t.ev == nil {
+		ev, err := t.Score.Bind(t.In.Schema())
+		if err != nil {
+			return err
+		}
+		t.ev = ev
 	}
+	ev := t.ev
 	var c canceller
 	c.reset(ctx)
 	// The bounded heap's tie key is the arrival order: later arrivals lose

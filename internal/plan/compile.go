@@ -26,6 +26,7 @@ type Config struct {
 	// Budget, when set, is wired into every buffering operator (rank-join
 	// and TA queues and hash tables, TopK heaps, sorts, hash-join build
 	// tables) so the whole tree draws from one per-query allowance.
+	// CompileTree wires the tree's own budget instead.
 	Budget *exec.Budget
 	// Analyze, when set, threads an exec.Analyzed stats collector between
 	// every pair of operators (EXPLAIN ANALYZE) and records the node→collector
@@ -51,12 +52,17 @@ func CompileWith(cat *catalog.Catalog, n *Node, cfg Config) (exec.Operator, erro
 type compiler struct {
 	cat *catalog.Catalog
 	cfg Config
+	// tree, when set, records the operators CompileTree re-arms and reports.
+	tree *Tree
 }
 
 func (c *compiler) compile(n *Node) (exec.Operator, error) {
 	op, err := c.build(n)
 	if err != nil {
 		return nil, err
+	}
+	if c.tree != nil {
+		c.tree.note(n, op)
 	}
 	if c.cfg.Analyze != nil {
 		// The collector replaces the built operator before it is wired into
@@ -225,9 +231,6 @@ func (c *compiler) build(n *Node) (exec.Operator, error) {
 		}
 		h := exec.NewHRJN(l, r, n.LScore, n.RScore,
 			n.EqPreds[0].L, n.EqPreds[0].R, n.residualAfterPrimary())
-		// Pre-size the ranking queue from the depth model (zero when the
-		// plan was not annotated; see AnnotateDepthHints).
-		h.QueueHint = int(n.Sel * n.EstDL * n.EstDR)
 		h.Budget = c.cfg.Budget
 		return h, nil
 
@@ -240,7 +243,6 @@ func (c *compiler) build(n *Node) (exec.Operator, error) {
 		if len(n.EqPreds) > 0 {
 			nr.LeftKey, nr.RightKey = n.EqPreds[0].L, n.EqPreds[0].R
 		}
-		nr.QueueHint = int(n.Sel * n.EstDL * n.Right().Card)
 		nr.Budget = c.cfg.Budget
 		return nr, nil
 

@@ -258,27 +258,59 @@ func (n *Node) nrjnOuterDepth(k float64) float64 {
 // (Algorithm Propagate), blocking and streaming operators receive their
 // natural demands. visit is called with each node and its required k.
 func PropagateK(root *Node, k float64, visit func(n *Node, k float64)) {
-	if k > root.Card {
-		k = root.Card
+	propagate(root, 0, k, func(n *Node, nk float64) bool { visit(n, nk); return false })
+}
+
+// propagate is PropagateK over the plan as RebindK(root, bound) would leave
+// it (bound 0: as it is), read without writing it: the Limit/TopK/RankAgg
+// bounds become bound and the cardinalities RebindK refreshes are
+// recomputed (cardAt). It stops once visit returns true, and reports
+// whether it did.
+func propagate(n *Node, bound int, k float64, visit func(n *Node, k float64) bool) bool {
+	k = math.Min(k, cardAt(n, bound))
+	if visit(n, k) {
+		return true
 	}
-	visit(root, k)
 	switch {
-	case root.Op.IsRankJoin():
-		dL, dR := root.Depths(k)
-		PropagateK(root.Left(), dL, visit)
-		PropagateK(root.Right(), dR, visit)
-	case root.Op == OpLimit:
-		PropagateK(root.Input(), math.Min(k, float64(root.K)), visit)
-	case root.Op == OpSort || root.Op == OpHashAgg || root.Op == OpTopK:
+	case n.Op.IsRankJoin():
+		dL, dR := n.Depths(k)
+		return propagate(n.Left(), bound, dL, visit) || propagate(n.Right(), bound, dR, visit)
+	case n.Op == OpLimit:
+		lk := n.K
+		if bound > 0 {
+			lk = bound
+		}
+		return propagate(n.Input(), bound, math.Min(k, float64(lk)), visit)
+	case n.Op == OpSort || n.Op == OpHashAgg || n.Op == OpTopK:
 		// Blocking: the child is consumed fully.
-		PropagateK(root.Input(), root.Input().Card, visit)
-	case len(root.Children) == 1:
-		PropagateK(root.Input(), k, visit)
-	default:
-		for _, c := range root.Children {
-			PropagateK(c, c.Card, visit)
+		return propagate(n.Input(), bound, cardAt(n.Input(), bound), visit)
+	case len(n.Children) == 1:
+		return propagate(n.Input(), bound, k, visit)
+	}
+	for _, c := range n.Children {
+		if propagate(c, bound, cardAt(c, bound), visit) {
+			return true
 		}
 	}
+	return false
+}
+
+// cardAt is n.Card as RebindK(root, bound) leaves it (bound 0: as it is).
+func cardAt(n *Node, bound int) float64 {
+	if bound <= 0 {
+		return n.Card
+	}
+	switch n.Op {
+	case OpLimit, OpTopK:
+		return math.Min(float64(bound), cardAt(n.Input(), bound))
+	case OpRankAgg:
+		return math.Min(float64(bound), math.Max(n.BaseN, 1))
+	case OpRank, OpProject:
+		if len(n.Children) == 1 {
+			return cardAt(n.Input(), bound)
+		}
+	}
+	return n.Card
 }
 
 func maxInt(a, b int) int {

@@ -246,9 +246,8 @@ type Node struct {
 	LSlab, RSlab     float64
 
 	// EstDL/EstDR are the depth-model estimates for a rank-join node at the
-	// query's k, filled by AnnotateDepthHints; the compiler turns them into
-	// the executor's ranking-queue pre-sizing hint. Zero means "no hint" (the
-	// queue starts empty and grows).
+	// query's k, filled by AnnotateDepthHints on an instantiated plan for
+	// EXPLAIN ANALYZE (zero on a template's shared plan).
 	EstDL, EstDR float64
 
 	// DepthHint, when non-nil on a rank-join node, carries empirically

@@ -1,13 +1,19 @@
 package plan
 
-import "math"
+import (
+	"math"
+	"runtime"
+	"sync"
+)
 
 // Template is a reusable physical plan: the immutable output of one
-// optimizer run, held by the engine's plan cache and instantiated once per
-// session. The split matters for concurrency — the cached tree is shared by
-// every session that hits the cache, so nothing may ever mutate it. All
-// per-session state (the k rebinding, the depth-hint annotation, and the
-// compiled operator tree) lives on a fresh Clone.
+// optimizer run, held by the engine's plan cache, plus the compiled operator
+// trees its sessions hand back. The plan tree is shared by every session
+// that hits the cache, so nothing may ever mutate it. A plain session takes
+// a compiled tree (Take), arms it with its own k and limits, and returns it
+// after Close (Put); it reads its k-dependent estimates from the shared plan
+// through DemandAt. Sessions that print or annotate their plan (EXPLAIN,
+// EXPLAIN ANALYZE, traced) work on a private Instantiate copy instead.
 type Template struct {
 	root *Node
 	// k is the top-k bound the plan was optimized for (0 = unbounded).
@@ -15,6 +21,13 @@ type Template struct {
 	// Counters preserve the optimizer's enumeration and pruning work so
 	// cache hits can still report it.
 	Counters PlanCounters
+
+	// free holds the compiled trees no session has, one list per pool slot
+	// (see Take), each at most GOMAXPROCS long — as many as can run at
+	// once. It is a plain list under mu rather than a sync.Pool, so a warm
+	// session finds a tree whatever the collector did.
+	mu   sync.Mutex
+	free [][]*Tree
 }
 
 // PlanCounters is one optimizer run's enumeration and pruning tally: plans
@@ -37,15 +50,49 @@ func NewTemplate(root *Node, k int, counters PlanCounters) *Template {
 // K returns the bound the template was optimized at.
 func (t *Template) K() int { return t.k }
 
+// Root returns the shared plan tree. Callers must not write to it.
+func (t *Template) Root() *Node { return t.root }
+
+// Take hands out one of the template's compiled trees for pool slot (0 for
+// the unsharded tier, 1+i for shard i), or nil when none is free and the
+// caller must compile one. A template replaced in the plan cache takes its
+// trees with it.
+func (t *Template) Take(slot int) *Tree {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if slot >= len(t.free) || len(t.free[slot]) == 0 {
+		return nil
+	}
+	l := t.free[slot]
+	tree := l[len(l)-1]
+	l[len(l)-1] = nil
+	t.free[slot] = l[:len(l)-1]
+	return tree
+}
+
+// Put hands a closed tree back to slot's free list, which keeps at most
+// GOMAXPROCS trees and drops the rest.
+func (t *Template) Put(slot int, tree *Tree) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for slot >= len(t.free) {
+		t.free = append(t.free, nil)
+	}
+	if len(t.free[slot]) < runtime.GOMAXPROCS(0) {
+		t.free[slot] = append(t.free[slot], tree)
+	}
+}
+
 // Instantiate returns a session-private copy of the plan, rebound to the
-// requested k and annotated with depth hints for executor pre-sizing. The
-// fingerprint the cache keys on parameterizes k out, so a template built at
-// one k serves queries at another: the plan shape is reused and only the
-// Limit/TopK/TA bounds are patched — the standard parameterized-plan trade
-// (the shape was costed at the original k, the results stay exact).
+// requested k (when positive) and annotated with the rank joins' depth
+// estimates for EXPLAIN ANALYZE. The fingerprint the cache keys on
+// parameterizes k out, so a template built at one k serves queries at
+// another: the plan shape is reused and only the Limit/TopK/TA bounds are
+// patched — the standard parameterized-plan trade (the shape was costed at
+// the original k, the results stay exact).
 func (t *Template) Instantiate(k int) *Node {
 	root := t.root.Clone()
-	if k > 0 && k != t.k {
+	if k > 0 {
 		RebindK(root, k)
 	}
 	effK := float64(k)
@@ -101,12 +148,29 @@ func RebindK(root *Node, k int) {
 
 // AnnotateDepthHints walks the plan pushing the requested output count down
 // (Algorithm Propagate) and records each rank-join's estimated input depths
-// in EstDL/EstDR. The compiler turns these into ranking-queue pre-sizing
-// hints so the executor's pull loop avoids regrow cycles.
+// in EstDL/EstDR, which EXPLAIN ANALYZE prints next to the measured ones.
 func AnnotateDepthHints(root *Node, k float64) {
 	PropagateK(root, k, func(n *Node, nk float64) {
 		if n.Op.IsRankJoin() {
 			n.EstDL, n.EstDR = n.Depths(nk)
 		}
 	})
+}
+
+// DemandAt is the output count Algorithm Propagate asks of node target at
+// top-k bound k (0 = unbounded): what PropagateK over Instantiate(k) passes
+// target, read from the shared plan without copying it. Rank joins sit below
+// every k-bearing operator, so their own Depths inputs are the same on the
+// shared plan and on an instantiation. ok is false when target is not in the
+// plan.
+func DemandAt(root *Node, k int, target *Node) (demand float64, ok bool) {
+	nk := float64(k)
+	if k <= 0 {
+		k, nk = 0, root.Card
+	}
+	ok = propagate(root, k, nk, func(n *Node, d float64) bool {
+		demand = d
+		return n == target
+	})
+	return demand, ok
 }
