@@ -46,5 +46,4 @@ func BenchmarkAblationJoinChoices(b *testing.B)         { runExperiment(b, "join
 func BenchmarkAblationPruning(b *testing.B)             { runExperiment(b, "pruning") }
 func BenchmarkAblationDistributions(b *testing.B)       { runExperiment(b, "dists") }
 func BenchmarkAblationTopKSort(b *testing.B)            { runExperiment(b, "topksort") }
-func BenchmarkAblationMultiwayHRJN(b *testing.B)        { runExperiment(b, "mway") }
 func BenchmarkAblationRankAggregate(b *testing.B)       { runExperiment(b, "taplan") }

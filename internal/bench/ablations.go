@@ -164,7 +164,7 @@ func AblationDistributions() (*Table, error) {
 		{"power-high (dense top)", workload.DistPowerHigh},
 	}
 	for _, dc := range dists {
-		p := buildPlanPDist(n, s, 33, exec.Alternate, dc.d)
+		p := buildPlanPDist(n, s, 33, dc.d)
 		topSt, leftSt, _, err := p.run(k)
 		if err != nil {
 			return nil, err
@@ -226,66 +226,6 @@ func AblationTopKSort() (*Table, error) {
 			return nil, err
 		}
 		t.AddRow(k, rank, full, topk)
-	}
-	return t, nil
-}
-
-// AblationMultiwayHRJN compares the m-way rank-join against the balanced
-// binary HRJN tree on the Plan P workload: one global threshold and no
-// intermediate partial rankings versus composable binary operators with
-// per-level buffers.
-func AblationMultiwayHRJN() (*Table, error) {
-	const (
-		n = 3000
-		s = 0.01
-	)
-	t := &Table{
-		Title: "Ablation: m-way HRJN vs binary HRJN tree (4 inputs, n=3000, s=0.01)",
-		Columns: []string{"k", "binary: total depth", "binary: max buffer",
-			"m-way: total depth", "m-way: max buffer"},
-	}
-	for _, k := range []int{10, 50, 100, 200} {
-		// Binary tree (Plan P).
-		p := buildPlanP(n, s, 42, exec.Alternate)
-		topSt, leftSt, rightSt, err := p.run(k)
-		if err != nil {
-			return nil, err
-		}
-		binDepth := leftSt.LeftDepth + leftSt.RightDepth + rightSt.LeftDepth + rightSt.RightDepth
-		binBuf := topSt.MaxQueue
-		if leftSt.MaxQueue > binBuf {
-			binBuf = leftSt.MaxQueue
-		}
-		if rightSt.MaxQueue > binBuf {
-			binBuf = rightSt.MaxQueue
-		}
-
-		// m-way over the same relations.
-		cat, names := workload.RankedSet(4, workload.RankedConfig{N: n, Selectivity: s, Seed: 42})
-		inputs := make([]exec.Operator, 4)
-		scores := make([]expr.Expr, 4)
-		keys := make([]expr.Expr, 4)
-		for i, name := range names {
-			tab, err := cat.Table(name)
-			if err != nil {
-				return nil, err
-			}
-			inputs[i] = exec.NewIndexScan(tab.Rel, cat.IndexOn(name, "score"), true)
-			scores[i] = expr.Col(name, "score")
-			keys[i] = expr.Col(name, "key")
-		}
-		mw, err := exec.NewMultiHRJN(inputs, scores, keys)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := exec.CollectK(mw, k); err != nil {
-			return nil, err
-		}
-		mwDepth := 0
-		for _, d := range mw.Depths() {
-			mwDepth += d
-		}
-		t.AddRow(k, binDepth, binBuf, mwDepth, mw.Stats().MaxQueue)
 	}
 	return t, nil
 }

@@ -87,7 +87,7 @@ func Fig13() (*Table, error) {
 		Columns: append([]string{"k"}, depthColumns...),
 	}
 	for _, k := range []int{10, 25, 50, 75, 100, 150, 200} {
-		p := buildPlanP(n, s, 42, exec.Alternate)
+		p := buildPlanP(n, s, 42)
 		topSt, leftSt, _, err := p.run(k)
 		if err != nil {
 			return nil, err
@@ -113,7 +113,7 @@ func Fig14() (*Table, error) {
 		Columns: append([]string{"selectivity"}, depthColumns...),
 	}
 	for _, s := range []float64{0.002, 0.005, 0.01, 0.02, 0.05, 0.1} {
-		p := buildPlanP(n, s, 77, exec.Alternate)
+		p := buildPlanP(n, s, 77)
 		topSt, leftSt, _, err := p.run(k)
 		if err != nil {
 			return nil, err
@@ -143,7 +143,7 @@ func Fig15() (*Table, error) {
 			"estimated UB (avg)", "estimated UB (worst)"},
 	}
 	for _, k := range []int{10, 25, 50, 75, 100, 150, 200} {
-		p := buildPlanP(n, s, 11, exec.Alternate)
+		p := buildPlanP(n, s, 11)
 		_, leftSt, _, err := p.run(k)
 		if err != nil {
 			return nil, err

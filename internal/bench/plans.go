@@ -84,12 +84,12 @@ type planP struct {
 
 // buildPlanP generates four ranked relations with the target join
 // selectivity and wires up the operator tree.
-func buildPlanP(n int, s float64, seed int64, strategy exec.PullStrategy) *planP {
-	return buildPlanPDist(n, s, seed, strategy, workload.DistUniform)
+func buildPlanP(n int, s float64, seed int64) *planP {
+	return buildPlanPDist(n, s, seed, workload.DistUniform)
 }
 
 // buildPlanPDist is buildPlanP with a configurable score distribution.
-func buildPlanPDist(n int, s float64, seed int64, strategy exec.PullStrategy, dist workload.ScoreDist) *planP {
+func buildPlanPDist(n int, s float64, seed int64, dist workload.ScoreDist) *planP {
 	cat, names := workload.RankedSet(4, workload.RankedConfig{N: n, Selectivity: s, Seed: seed, Dist: dist})
 	scan := func(name string) exec.Operator {
 		tab, err := cat.Table(name)
@@ -110,15 +110,12 @@ func buildPlanPDist(n int, s float64, seed int64, strategy exec.PullStrategy, di
 	left := exec.NewHRJN(scan(names[0]), scan(names[1]),
 		score(names[0]), score(names[1]),
 		expr.Col(names[0], "key"), expr.Col(names[1], "key"), nil)
-	left.Strategy = strategy
 	right := exec.NewHRJN(scan(names[2]), scan(names[3]),
 		score(names[2]), score(names[3]),
 		expr.Col(names[2], "key"), expr.Col(names[3], "key"), nil)
-	right.Strategy = strategy
 	top := exec.NewHRJN(left, right,
 		pairScore(names[0], names[1]), pairScore(names[2], names[3]),
 		expr.Col(names[0], "key"), expr.Col(names[2], "key"), nil)
-	top.Strategy = strategy
 	slab := cat.ColStats(names[0], "score").Slab
 	return &planP{top: top, left: left, right: right, cat: cat, n: n, s: s, slab: slab}
 }

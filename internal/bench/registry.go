@@ -27,7 +27,6 @@ func All() []Experiment {
 		{"pruning", "Ablation: pruning ingredients", AblationPruning},
 		{"dists", "Ablation: depth-model robustness across score distributions", AblationDistributions},
 		{"topksort", "Ablation: full sort vs bounded-heap top-k sort", AblationTopKSort},
-		{"mway", "Ablation: m-way HRJN vs binary HRJN tree", AblationMultiwayHRJN},
 		{"taplan", "Ablation: Fagin-TA plan vs optimizer's winner", AblationRankAggregate},
 	}
 }

@@ -16,8 +16,8 @@ import (
 // grow with the product of per-key group sizes. The candidate carries the
 // OrderRank interesting-order property over all its tables, so the Section
 // 3.3 machinery compares it against sort plans at the crossover k and
-// against binary and m-way HRJN trees on equal footing; nothing here special-cases
-// its selection.
+// against HRJN trees on equal footing; nothing here special-cases its
+// selection.
 
 // anyKPathWidthCap mirrors exec's maxJoinWidth: wider paths cannot compile.
 const anyKPathWidthCap = 8

@@ -29,57 +29,40 @@ func buildRankedInput(n, mod int, seed int64) (*relation.Schema, []relation.Tupl
 }
 
 // TestHRJNAllocsPerTuple pins the steady-state allocation rate of the HRJN
-// hot path, through the binary and the m-way constructor alike (one
-// implementation, two ways in). With container/heap boxing every queued item
-// this workload cost 13.5 allocs per emitted tuple; with join keys boxed into
-// map[any][]scored and one slice per key, 10.3; on the key table and the
-// chained row store, ~2.7; with candidates queued as row references and a
-// row built only on release, ~1.7; with the hash tables taken from
-// hashStorePool instead of allocated per run, ~1.3 — the emitted tuple itself
-// plus the ranking queue's growth. The bound sits just above that, so a boxed
-// key, a per-key slice, a row built per queued candidate or a hash table
-// allocated per run fails loudly.
+// hot path. With container/heap boxing every queued item this workload cost
+// 13.5 allocs per emitted tuple; with join keys boxed into map[any][]scored
+// and one slice per key, 10.3; on the key table and the chained row store,
+// ~2.7; with candidates queued as row references and a row built only on
+// release, ~1.7; with the hash tables taken from hashStorePool instead of
+// allocated per run, ~1.3 — the emitted tuple itself plus the ranking queue's
+// growth. The bound sits just above that, so a boxed key, a per-key slice, a
+// row built per queued candidate or a hash table allocated per run fails
+// loudly.
 func TestHRJNAllocsPerTuple(t *testing.T) {
 	lsch, ltups := buildRankedInput(4000, 200, 1)
 	rsch, rtups := buildRankedInput(4000, 200, 3)
 	score, key := expr.Col("A", "score"), expr.Col("A", "key")
-	builds := map[string]func() *HRJN{
-		"NewHRJN": func() *HRJN {
-			return NewHRJN(FromTuples(lsch, ltups), FromTuples(rsch, rtups),
-				score, score, key, key, nil)
-		},
-		"NewMultiHRJN": func() *HRJN {
-			j, err := NewMultiHRJN(
-				[]Operator{FromTuples(lsch, ltups), FromTuples(rsch, rtups)},
-				[]expr.Expr{score, score}, []expr.Expr{key, key})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return j
-		},
-	}
 	const k = 100
-	for name, build := range builds {
-		var emitted int
-		allocs := testing.AllocsPerRun(5, func() {
-			j := build()
-			out, err := CollectK(j, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			emitted = len(out)
-		})
-		if emitted != k {
-			t.Fatalf("%s: emitted %d tuples, want %d", name, emitted, k)
+	var emitted int
+	allocs := testing.AllocsPerRun(5, func() {
+		j := NewHRJN(FromTuples(lsch, ltups), FromTuples(rsch, rtups),
+			score, score, key, key, nil)
+		out, err := CollectK(j, k)
+		if err != nil {
+			t.Fatal(err)
 		}
-		perTuple := allocs / float64(emitted)
-		t.Logf("%s: %.1f allocs/run, %.2f allocs/emitted tuple", name, allocs, perTuple)
-		if raceBuild {
-			continue // the pool drops stores at random
-		}
-		if perTuple > 1.5 {
-			t.Errorf("%s hot path allocates %.2f/tuple, budget 1.5 (with boxed keys it was 10.3)", name, perTuple)
-		}
+		emitted = len(out)
+	})
+	if emitted != k {
+		t.Fatalf("emitted %d tuples, want %d", emitted, k)
+	}
+	perTuple := allocs / float64(emitted)
+	t.Logf("%.1f allocs/run, %.2f allocs/emitted tuple", allocs, perTuple)
+	if raceBuild {
+		return // the pool drops stores at random
+	}
+	if perTuple > 1.5 {
+		t.Errorf("hot path allocates %.2f/tuple, budget 1.5 (with boxed keys it was 10.3)", perTuple)
 	}
 }
 

@@ -12,11 +12,11 @@ import (
 
 // AnyK is a Lawler-style any-k ranked enumerator for acyclic multi-way
 // equi-joins arranged as a path: input i joins input i+1 on
-// LeftKeys[i] = RightKeys[i]. Where the m-way HRJN eagerly materializes every
-// join combination a new tuple completes (a product of per-key bucket sizes),
-// AnyK builds per-level adjacency once and then pops results from a
-// priority queue of partial solutions, expanding at most one successor per
-// path position per pop — delay O(m·log) per result after an O(Σ n_i)
+// LeftKeys[i] = RightKeys[i]. Where a tree of HRJNs, over inputs that must
+// first arrive sorted, buffers every join combination a new tuple completes
+// at each level (a product of per-key bucket sizes), AnyK builds per-level
+// adjacency once and then pops results from a priority queue of partial
+// solutions, expanding at most one successor per path position per pop — delay O(m·log) per result after an O(Σ n_i)
 // build, independent of the join's output size (Tziavelis et al., "Optimal
 // Join Algorithms Meet Top-k"; the buckets are ordered lazily as in its Lazy
 // variant, so the n·log n of sorting them is paid only where enumeration

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"sort"
 	"testing"
 	"time"
 
@@ -44,6 +45,59 @@ func anykFixture(t *testing.T, m, n int, sel float64, seed int64) ([]*relation.R
 	return rels, j
 }
 
+// refMultiScores brute-forces the combined scores of the m-way equi-join on
+// key, best first. keep, when non-nil, is the residual: it sees one tuple per
+// relation and rejects combinations.
+func refMultiScores(rels []*relation.Relation, keep func(parts []relation.Tuple) bool) []float64 {
+	// Bucket by key per relation.
+	buckets := make([]map[int64][]relation.Tuple, len(rels))
+	for i, r := range rels {
+		buckets[i] = map[int64][]relation.Tuple{}
+		for _, tup := range r.Tuples() {
+			key := tup[1].AsInt()
+			buckets[i][key] = append(buckets[i][key], tup)
+		}
+	}
+	var scores []float64
+	parts := make([]relation.Tuple, len(rels))
+	var cross func(key int64, slot int, acc float64)
+	cross = func(key int64, slot int, acc float64) {
+		if slot == len(rels) {
+			if keep == nil || keep(parts) {
+				scores = append(scores, acc)
+			}
+			return
+		}
+		for _, tup := range buckets[slot][key] {
+			parts[slot] = tup
+			cross(key, slot+1, acc+tup[2].AsFloat())
+		}
+	}
+	for key := range buckets[0] {
+		cross(key, 0, 0)
+	}
+	sort.Sort(sort.Reverse(sort.Float64Slice(scores)))
+	return scores
+}
+
+// refMultiTopK is the top-k prefix of refMultiScores without a residual.
+func refMultiTopK(rels []*relation.Relation, k int) []float64 {
+	scores := refMultiScores(rels, nil)
+	if len(scores) > k {
+		scores = scores[:k]
+	}
+	return scores
+}
+
+func combinedScoreM(tup relation.Tuple, m int) float64 {
+	// Each input contributes 3 columns (id, key, score); score at offset 2.
+	total := 0.0
+	for i := 0; i < m; i++ {
+		total += tup[i*3+2].AsFloat()
+	}
+	return total
+}
+
 func TestAnyKTopKMatchesReference(t *testing.T) {
 	for _, m := range []int{2, 3, 4} {
 		rels, j := anykFixture(t, m, 250, 0.05, 1100+int64(m))
@@ -60,42 +114,6 @@ func TestAnyKTopKMatchesReference(t *testing.T) {
 			if math.Abs(combinedScoreM(got[i], m)-want[i]) > 1e-9 {
 				t.Fatalf("m=%d rank %d: %v, want %v", m, i, combinedScoreM(got[i], m), want[i])
 			}
-		}
-	}
-}
-
-// The full enumeration must agree with MultiHRJN result-for-result on
-// scores: same join, same ranking, different algorithm.
-func TestAnyKAgreesWithMultiHRJN(t *testing.T) {
-	rels, j := anykFixture(t, 3, 200, 0.06, 1150)
-	got, err := Collect(j)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inputs := make([]Operator, len(rels))
-	scores := make([]expr.Expr, len(rels))
-	keys := make([]expr.Expr, len(rels))
-	for i, r := range rels {
-		inputs[i] = rankedScan(r)
-		scores[i] = expr.Col(r.Name, "score")
-		keys[i] = expr.Col(r.Name, "key")
-	}
-	h, err := NewMultiHRJN(inputs, scores, keys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Collect(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("AnyK emitted %d results, MultiHRJN %d", len(got), len(want))
-	}
-	for i := range want {
-		gs := combinedScoreM(got[i], 3)
-		ws := combinedScoreM(want[i], 3)
-		if math.Abs(gs-ws) > 1e-9 {
-			t.Fatalf("rank %d: AnyK %v vs MultiHRJN %v", i, gs, ws)
 		}
 	}
 }

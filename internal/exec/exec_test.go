@@ -484,14 +484,6 @@ func TestErrorPropagation(t *testing.T) {
 			t.Errorf("%s: child failure swallowed", name)
 		}
 	}
-	mw, err := NewMultiHRJN([]Operator{bad, NewSeqScan(good)},
-		[]expr.Expr{score, score}, []expr.Expr{lKey, rKey})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Collect(mw); err == nil {
-		t.Error("multihrjn: child failure swallowed")
-	}
 }
 
 // Binding failures (unknown columns) must surface at Open, not panic.

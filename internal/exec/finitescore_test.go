@@ -80,30 +80,6 @@ func TestNRJNOppositeInfinitiesStillTerminateEarly(t *testing.T) {
 	}
 }
 
-// And through MultiHRJN, whose global threshold sums tops across all inputs.
-func TestMultiHRJNOppositeInfinitiesStillTerminateEarly(t *testing.T) {
-	asch, atups := scoredKeyed("A", []float64{inf, 10, 9}, []int64{1, 1, 1})
-	bsch, btups := scoredKeyed("B", []float64{-inf, -inf, -inf}, []int64{1, 1, 1})
-	j, err := NewMultiHRJN(
-		[]Operator{FromTuples(asch, atups), FromTuples(bsch, btups)},
-		[]expr.Expr{expr.Col("A", "score"), expr.Col("B", "score")},
-		[]expr.Expr{expr.Col("A", "key"), expr.Col("B", "key")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := CollectK(j, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 1 {
-		t.Fatalf("emitted %d tuples, want 1", len(out))
-	}
-	d := j.Depths()
-	if d[0] != 1 || d[1] != 1 {
-		t.Errorf("depths = %v, want [1 1]: NaN threshold disabled early termination", d)
-	}
-}
-
 // A NaN score has no position in a ranking; the rank joins must fail loudly
 // instead of feeding it into the threshold and heap arithmetic.
 func TestRankJoinsRejectNaNScores(t *testing.T) {
@@ -123,16 +99,5 @@ func TestRankJoinsRejectNaNScores(t *testing.T) {
 		expr.Bin(expr.OpEq, expr.Col("L", "key"), expr.Col("R", "key")))
 	if _, err := Collect(n); err == nil || !strings.Contains(err.Error(), "NaN score") {
 		t.Errorf("NRJN error = %v, want NaN score rejection", err)
-	}
-
-	m, err := NewMultiHRJN(
-		[]Operator{FromTuples(lsch, ltups), FromTuples(rsch, rtups)},
-		[]expr.Expr{expr.Col("L", "score"), expr.Col("R", "score")},
-		[]expr.Expr{expr.Col("L", "key"), expr.Col("R", "key")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Collect(m); err == nil || !strings.Contains(err.Error(), "NaN score") {
-		t.Errorf("MultiHRJN error = %v, want NaN score rejection", err)
 	}
 }

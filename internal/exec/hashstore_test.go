@@ -190,7 +190,7 @@ func TestHashStorePoolAfterAbort(t *testing.T) {
 		{"open", 1 << 30, func(b *Budget) (*HRJN, []*hashStore, error) {
 			j := hrjn()
 			j.Budget = b
-			j.Keys[1] = expr.Col("R", "missing")
+			j.RightKey = expr.Col("R", "missing")
 			return j, nil, j.Open(context.Background())
 		}, nil},
 	} {

@@ -160,10 +160,6 @@ func TestOpenFailureClosesOpenedChildren(t *testing.T) {
 		{"cancelled-nrjn", func(c ...*lifecycleOp) Operator {
 			return NewNRJN(c[0], c[1], score, score, eqKey)
 		}, 2, true},
-		{"cancelled-multihrjn", func(c ...*lifecycleOp) Operator {
-			return must(NewMultiHRJN([]Operator{c[0], c[1]},
-				[]expr.Expr{score, score}, []expr.Expr{key, key}))
-		}, 2, true},
 		{"cancelled-anyk", func(c ...*lifecycleOp) Operator {
 			return must(NewAnyK([]Operator{c[0], c[1]},
 				[]expr.Expr{score, score}, []expr.Expr{key}, []expr.Expr{key}))
@@ -228,44 +224,6 @@ func TestOpenFailureClosesOpenedChildren(t *testing.T) {
 	}
 	if after := runtime.NumGoroutine(); after > goroutines {
 		t.Errorf("goroutines leaked: %d before, %d after", goroutines, after)
-	}
-}
-
-// TestMultiHRJNOpenFailureClosesOpenedInputs covers the m-way operator: when
-// input i fails to open, inputs 0..i-1 must be closed; when binding fails,
-// all inputs must be closed.
-func TestMultiHRJNOpenFailureClosesOpenedInputs(t *testing.T) {
-	rel := makeRel("A", [][3]float64{{0, 1, 0.5}})
-	score := expr.Col("A", "score")
-	key := expr.Col("A", "key")
-	badCol := expr.Col("Z", "nope")
-
-	c0 := &lifecycleOp{Operator: FromTuples(rel.Schema(), rel.Tuples())}
-	c1 := &lifecycleOp{Operator: FromTuples(rel.Schema(), rel.Tuples())}
-	j, err := NewMultiHRJN([]Operator{c0, c1, errOperator("boom")},
-		[]expr.Expr{score, score, score}, []expr.Expr{key, key, key})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Open(context.Background()); err == nil {
-		t.Fatal("Open unexpectedly succeeded")
-	}
-	if !c0.balanced() || !c1.balanced() {
-		t.Errorf("opened inputs leaked: c0 %d/%d, c1 %d/%d", c0.opens, c0.closes, c1.opens, c1.closes)
-	}
-
-	c0 = &lifecycleOp{Operator: FromTuples(rel.Schema(), rel.Tuples())}
-	c1 = &lifecycleOp{Operator: FromTuples(rel.Schema(), rel.Tuples())}
-	j, err = NewMultiHRJN([]Operator{c0, c1},
-		[]expr.Expr{badCol, score}, []expr.Expr{key, key})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Open(context.Background()); err == nil {
-		t.Fatal("Open with unbindable score unexpectedly succeeded")
-	}
-	if !c0.balanced() || !c1.balanced() {
-		t.Errorf("bind failure leaked inputs: c0 %d/%d, c1 %d/%d", c0.opens, c0.closes, c1.opens, c1.closes)
 	}
 }
 
@@ -341,28 +299,5 @@ func TestNRJNDepthCountsNullScoreTuples(t *testing.T) {
 	}
 	if st.RightDepth != 4 {
 		t.Errorf("inner depth %d must be the raw materialized size, want 4", st.RightDepth)
-	}
-}
-
-// TestMultiHRJNDepthCountsNullScoreTuples extends the invariant to the m-way
-// operator's per-input depth vector.
-func TestMultiHRJNDepthCountsNullScoreTuples(t *testing.T) {
-	in0, in0N := counted(nullScoreInput("A", []any{0.9, nil, 0.8}))
-	in1, in1N := counted(nullScoreInput("B", []any{0.7, nil, nil, 0.5}))
-	j, err := NewMultiHRJN([]Operator{in0, in1},
-		[]expr.Expr{expr.Col("A", "score"), expr.Col("B", "score")},
-		[]expr.Expr{expr.Col("A", "key"), expr.Col("B", "key")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Collect(j); err != nil {
-		t.Fatal(err)
-	}
-	d := j.Depths()
-	if d[0] != in0N() || d[1] != in1N() {
-		t.Errorf("depths %v disagree with counted pulls (%d,%d)", d, in0N(), in1N())
-	}
-	if d[0] != 3 || d[1] != 4 {
-		t.Errorf("depths %v must include NULL-score tuples, want [3 4]", d)
 	}
 }

@@ -14,9 +14,9 @@ import (
 )
 
 // This file is the order-contract property test: every ranked operator in
-// the executor — HRJN (binary and m-way), NRJN, TA, AnyK, ShardMerge — must
-// emit monotonically non-increasing combined scores with deterministic
-// tie-breaking, across seeded randomized workloads. The monotonicity check
+// the executor — HRJN, NRJN, TA, AnyK, ShardMerge — must emit monotonically
+// non-increasing combined scores with deterministic tie-breaking, across
+// seeded randomized workloads. The monotonicity check
 // reuses ranking.Bounds.Observe, the same machinery the threshold operators
 // trust at runtime, so a violation here surfaces as the production
 // *ranking.OrderViolationError rather than a bespoke test assertion.
@@ -48,28 +48,19 @@ func propRels(m, n int, sel float64, seed int64) []*relation.Relation {
 	return rels
 }
 
-// multiHRJNCase builds a 3-way HRJN row, configured by tune, whose emitted
-// scores are checked against the brute-force join under the residual keep.
-func multiHRJNCase(t *testing.T, name string, tune func(*HRJN), keep func([]relation.Tuple) bool) rankedCase {
-	rels := func(seed int64) []*relation.Relation { return propRels(3, 180, 0.06, seed) }
+// hrjnCase builds an HRJN row, configured by tune, whose emitted scores are
+// checked against the brute-force join under the residual keep.
+func hrjnCase(name string, tune func(*HRJN), keep func([]relation.Tuple) bool) rankedCase {
+	rels := func(seed int64) []*relation.Relation { return propRels(2, 220, 0.06, seed) }
 	return rankedCase{
 		name: name,
 		build: func(seed int64) (Operator, func(relation.Tuple) float64) {
 			rs := rels(seed)
-			inputs := make([]Operator, len(rs))
-			scores := make([]expr.Expr, len(rs))
-			keys := make([]expr.Expr, len(rs))
-			for i, r := range rs {
-				inputs[i] = rankedScan(r)
-				scores[i] = expr.Col(r.Name, "score")
-				keys[i] = expr.Col(r.Name, "key")
-			}
-			j, err := NewMultiHRJN(inputs, scores, keys)
-			if err != nil {
-				t.Fatal(err)
-			}
+			j := NewHRJN(rankedScan(rs[0]), rankedScan(rs[1]),
+				expr.Col("A", "score"), expr.Col("B", "score"),
+				expr.Col("A", "key"), expr.Col("B", "key"), nil)
 			tune(j)
-			return j, pathScore(3)
+			return j, pathScore(2)
 		},
 		want: func(seed int64) []float64 { return refMultiScores(rels(seed), keep) },
 	}
@@ -92,14 +83,13 @@ func rankedOperatorCases(t *testing.T) []rankedCase {
 				expr.Bin(expr.OpEq, expr.Col("A", "key"), expr.Col("B", "key")))
 			return j, pathScore(2)
 		}},
-		multiHRJNCase(t, "HRJN-3way", func(*HRJN) {}, nil),
-		multiHRJNCase(t, "HRJN-3way-adaptive", func(j *HRJN) { j.Strategy = Adaptive }, nil),
-		multiHRJNCase(t, "HRJN-3way-residual", func(j *HRJN) {
-			j.Residual = expr.Bin(expr.OpGt,
-				expr.Bin(expr.OpAdd, expr.Col("A", "score"), expr.Col("C", "score")),
-				expr.FloatLit(1.0))
+		hrjnCase("HRJN-adaptive", func(j *HRJN) { j.Strategy = Adaptive }, nil),
+		// The residual is not monotone in the combined score, so it rejects
+		// candidates on both sides of every threshold.
+		hrjnCase("HRJN-residual", func(j *HRJN) {
+			j.Residual = expr.Bin(expr.OpGt, expr.Col("A", "score"), expr.Col("B", "score"))
 		}, func(parts []relation.Tuple) bool {
-			return parts[0][2].AsFloat()+parts[2][2].AsFloat() > 1.0
+			return parts[0][2].AsFloat() > parts[1][2].AsFloat()
 		}),
 		{name: "AnyK", build: func(seed int64) (Operator, func(relation.Tuple) float64) {
 			rels := propRels(3, 180, 0.06, seed)

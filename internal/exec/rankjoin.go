@@ -35,8 +35,8 @@ const scoreEps = 1e-9
 // Join queries are far narrower.
 const maxJoinWidth = 8
 
-// rowRefs is a queued HRJN combination — one row index into each input's
-// hashInput.rows, in input order — or a TA object, one heap row per list.
+// rowRefs is a queued HRJN combination — its left and right row indices
+// into the inputs' hashInput.rows — or a TA object, one heap row per list.
 type rowRefs [maxJoinWidth]int32
 
 // finiteScore rejects NaN scores and clamps infinite ones to the finite
@@ -65,10 +65,10 @@ func finiteScore(s float64, op string, input int) (float64, error) {
 type PullStrategy uint8
 
 const (
-	// Alternate rotates round-robin over the live inputs.
+	// Alternate polls the two inputs in turn while both are live.
 	Alternate PullStrategy = iota
 	// Adaptive pulls from the input under the dominating threshold term
-	// (threshold = max_i(last_i + Σ_{j≠i} top_j)): only that pull can lower
+	// (threshold = max(lastL+topR, topL+lastR)): only that pull can lower
 	// the bound, which pays off when score distributions differ.
 	Adaptive
 )
@@ -403,30 +403,25 @@ func (b *rankBuffer[T]) stats(leftDepth, rightDepth int) RankJoinStats {
 	return RankJoinStats{LeftDepth: leftDepth, RightDepth: rightDepth, MaxQueue: b.maxQueue, Emitted: b.emitted}
 }
 
-// HRJN is the hash rank-join operator, binary or m-way: a symmetric hash
-// join over m ranked inputs sharing one equi-join key, whose output is
-// released in descending combined-score order using the rank-aggregation
-// threshold
+// HRJN is the hash rank-join operator: a symmetric hash join over two
+// ranked inputs whose output is released in descending combined-score order
+// using the threshold
 //
-//	T = max_i ( last_i + Σ_{j≠i} top_j )
+//	T = max(lastL + topR, topL + lastR)
 //
-// over the inputs still live. All inputs must arrive in descending order of
+// over the inputs still live. Both inputs must arrive in descending order of
 // their score expressions; the operator verifies this contract and fails
 // loudly when it is violated. The combined score is the sum of the input
 // scores (the monotone linear combining function of the paper — weights live
-// inside the expressions). Compared to a tree of binary HRJNs, one m-way
-// operator keeps a single global threshold and buffers no intermediate
-// partial rankings — the trade the rank-join literature studies against
-// binary composition.
+// inside the expressions). Wider joins are trees of HRJNs, as in the paper's
+// plans, with k propagated down them (Section 4).
 type HRJN struct {
-	// Inputs are the ranked inputs; a result concatenates one tuple of each
-	// in this order.
-	Inputs []Operator
-	// Scores[i] evaluates input i's score contribution against its schema.
-	Scores []expr.Expr
-	// Keys[i] evaluates input i's join key; results combine tuples sharing
-	// one key value across all inputs.
-	Keys []expr.Expr
+	Left, Right Operator
+	// LeftScore and RightScore evaluate each input's score contribution.
+	LeftScore, RightScore expr.Expr
+	// LeftKey (over Left) and RightKey (over Right) are the equi-join key;
+	// results pair tuples sharing one key value.
+	LeftKey, RightKey expr.Expr
 	// Residual is an optional extra join predicate over the result tuple.
 	Residual expr.Expr
 	// Strategy selects the polling policy (default Alternate).
@@ -437,16 +432,14 @@ type HRJN struct {
 	Budget *Budget
 
 	schema *relation.Schema
-	ins    []hashInput
+	ins    [2]hashInput
 	resEv  expr.Eval
 	buf    rankBuffer[rowRefs]
-	// pick is the combination combine is enumerating, and scratch the one
-	// row the residual is evaluated on.
-	pick    rowRefs
+	// scratch is the one row the residual is evaluated on.
 	scratch relation.Tuple
 
 	// live counts the inputs not yet exhausted; zero means no further result
-	// can form. next is Alternate's round-robin cursor. thresh and dom cache
+	// can form. next is the input Alternate polls next. thresh and dom cache
 	// the threshold and the input under its dominating term between pulls.
 	live, next int
 	thresh     float64
@@ -565,65 +558,22 @@ func (in *hashInput) file(g int32, sc scored) {
 	}
 }
 
-// NewHRJN constructs the binary operator. The operator and its two-element
-// slices share one allocation, so the binary join every compiled plan uses
-// costs no more to build than a fixed-arity struct would.
+// NewHRJN constructs the operator.
 func NewHRJN(left, right Operator, leftScore, rightScore, leftKey, rightKey, residual expr.Expr) *HRJN {
-	b := &struct {
-		HRJN
-		inputs       [2]Operator
-		scores, keys [2]expr.Expr
-		ins          [2]hashInput
-	}{
-		inputs: [2]Operator{left, right},
-		scores: [2]expr.Expr{leftScore, rightScore},
-		keys:   [2]expr.Expr{leftKey, rightKey},
-	}
-	b.HRJN = HRJN{
-		Inputs: b.inputs[:], Scores: b.scores[:], Keys: b.keys[:], Residual: residual,
-		schema: left.Schema().Concat(right.Schema()), ins: b.ins[:],
-		buf: rankBuffer[rowRefs]{pool: &refsQueues},
-	}
-	return &b.HRJN
-}
-
-// NewMultiHRJN constructs the m-way operator; inputs, scores, and keys must
-// align, and the width is capped at maxJoinWidth.
-func NewMultiHRJN(inputs []Operator, scores, keys []expr.Expr) (*HRJN, error) {
-	m := len(inputs)
-	if m < 2 {
-		return nil, fmt.Errorf("exec: HRJN needs >=2 inputs, got %d", m)
-	}
-	if m > maxJoinWidth {
-		return nil, fmt.Errorf("exec: HRJN supports at most %d inputs, got %d", maxJoinWidth, m)
-	}
-	if len(scores) != m || len(keys) != m {
-		return nil, fmt.Errorf("exec: HRJN arity mismatch (%d inputs, %d scores, %d keys)",
-			m, len(scores), len(keys))
-	}
 	return &HRJN{
-		Inputs: inputs, Scores: scores, Keys: keys,
-		schema: concatSchemas(inputs), ins: make([]hashInput, m),
-		buf: rankBuffer[rowRefs]{pool: &refsQueues},
-	}, nil
+		Left: left, Right: right,
+		LeftScore: leftScore, RightScore: rightScore,
+		LeftKey: leftKey, RightKey: rightKey, Residual: residual,
+		schema: left.Schema().Concat(right.Schema()),
+		buf:    rankBuffer[rowRefs]{pool: &refsQueues},
+	}
 }
 
 // Schema implements Operator.
 func (j *HRJN) Schema() *relation.Schema { return j.schema }
 
 // Stats returns the measured depths and buffer high-water mark.
-func (j *HRJN) Stats() RankJoinStats {
-	return j.buf.stats(j.ins[0].depth, j.ins[len(j.ins)-1].depth)
-}
-
-// Depths returns the number of tuples consumed from each input.
-func (j *HRJN) Depths() []int {
-	d := make([]int, len(j.ins))
-	for i := range j.ins {
-		d[i] = j.ins[i].depth
-	}
-	return d
-}
+func (j *HRJN) Stats() RankJoinStats { return j.buf.stats(j.ins[0].depth, j.ins[1].depth) }
 
 // gauges exposes the internal high-water marks to the Analyzed collector.
 func (j *HRJN) gauges() analyzeGauges { return rankGauges(j.Stats()) }
@@ -633,17 +583,18 @@ func rankGauges(st RankJoinStats) analyzeGauges {
 	return analyzeGauges{leftDepth: st.LeftDepth, rightDepth: st.RightDepth, maxQueue: st.MaxQueue}
 }
 
-// Open implements Operator: the context is forwarded to every input and
+// Open implements Operator: the context is forwarded to both inputs and
 // polled by Next's pull loop on the sampling cadence.
 func (j *HRJN) Open(ctx context.Context) error {
-	for i, in := range j.Inputs {
-		if err := in.Open(ctx); err != nil {
-			closeQuietly(j.Inputs[:i]...)
-			return err
-		}
+	if err := j.Left.Open(ctx); err != nil {
+		return err
+	}
+	if err := j.Right.Open(ctx); err != nil {
+		closeQuietly(j.Left)
+		return err
 	}
 	if err := j.bind(); err != nil {
-		closeQuietly(j.Inputs...)
+		closeQuietly(j.Left, j.Right)
 		return err
 	}
 	budget := j.Budget.bound()
@@ -666,13 +617,17 @@ func (j *HRJN) bind() error {
 	if j.resEv != nil {
 		return nil
 	}
-	for i := range j.ins {
+	sides := [2]struct {
+		in         Operator
+		score, key expr.Expr
+	}{{j.Left, j.LeftScore, j.LeftKey}, {j.Right, j.RightScore, j.RightKey}}
+	for i, sd := range sides {
 		in := &j.ins[i]
-		if err := in.bind("HRJN", i, j.Inputs[i], j.Scores[i], true); err != nil {
+		if err := in.bind("HRJN", i, sd.in, sd.score, true); err != nil {
 			return err
 		}
 		var err error
-		if in.key, err = bindKey(j.Keys[i], j.Inputs[i].Schema()); err != nil {
+		if in.key, err = bindKey(sd.key, sd.in.Schema()); err != nil {
 			return err
 		}
 	}
@@ -686,38 +641,30 @@ func (j *HRJN) bind() error {
 
 // bound returns the threshold — the upper bound on the combined score of
 // every join result not yet in the priority queue — and the live input under
-// its dominating term. Each term is summed directly, not derived from one
-// shared Σ top: for two inputs that is exactly max(topL+lastR, lastL+topR),
-// with no rounding difference to flip an Adaptive tie.
+// its dominating term. Each term is summed directly, so no rounding
+// difference between them can flip an Adaptive tie.
 func (j *HRJN) bound() (threshold float64, dom int) {
-	for i := range j.ins {
-		if j.ins[i].seen == 0 {
-			// Cannot bound anything before seeing one tuple per input.
-			return math.Inf(1), 0
-		}
+	l, r := &j.ins[0], &j.ins[1]
+	if l.seen == 0 || r.seen == 0 {
+		// Cannot bound anything before seeing one tuple per input.
+		return math.Inf(1), 0
 	}
+	// Only combinations with a new tuple of a live input remain unseen.
 	threshold, dom = math.Inf(-1), -1
-	for i := range j.ins {
-		if j.ins[i].done {
-			// Only combinations with a new tuple of a live input remain unseen.
-			continue
-		}
-		t := j.ins[i].last
-		for k := range j.ins {
-			if k != i {
-				t += j.ins[k].top
-			}
-		}
-		if dom < 0 || t > threshold {
-			threshold, dom = t, i
+	if !l.done {
+		threshold, dom = l.last+r.top, 0
+	}
+	if !r.done {
+		if t := l.top + r.last; dom < 0 || t > threshold {
+			threshold, dom = t, 1
 		}
 	}
 	return threshold, dom
 }
 
-// choose picks the next input to poll: every live input must deliver one
-// scored tuple before any bound exists, so those go first in index order;
-// after that the strategy decides.
+// choose picks the next input to poll: each live input must deliver one
+// scored tuple before any bound exists, so those go first, left before
+// right; after that the strategy decides.
 func (j *HRJN) choose() int {
 	for i := range j.ins {
 		if in := &j.ins[i]; !in.done && in.seen == 0 {
@@ -729,16 +676,18 @@ func (j *HRJN) choose() int {
 		// threshold.
 		return j.dom
 	}
-	for j.ins[j.next].done {
-		j.next = (j.next + 1) % len(j.ins)
-	}
+	// Alternate: the input due next unless it is done, then the other.
 	i := j.next
-	j.next = (i + 1) % len(j.ins)
+	if j.ins[i].done {
+		i = 1 - i
+	}
+	j.next = 1 - i
 	return i
 }
 
-// pull consumes one tuple from input i, updating state and queueing any new
-// join results.
+// pull consumes one tuple from input i, updating state and queueing the join
+// results it completes with the other input's tuples under the same key, in
+// the order they were read.
 func (j *HRJN) pull(i int) error {
 	in := &j.ins[i]
 	t, s, ok, err := in.read()
@@ -750,7 +699,7 @@ func (j *HRJN) pull(i int) error {
 		if len(in.rows) == 0 {
 			// Every result needs a tuple of this input and it buffered none
 			// (empty, or all dropped for NULL scores or keys): the join is
-			// dead, so stop without reading the other inputs out.
+			// dead, so stop without reading the other input out.
 			j.live = 0
 		}
 		return nil
@@ -770,59 +719,41 @@ func (j *HRJN) pull(i int) error {
 		return err
 	}
 	in.insert(k, scored{t, s})
-	j.pick[i] = int32(len(in.rows) - 1)
-	return j.combine(k, 0, i)
-}
-
-// combine enumerates the join combinations the tuple just inserted at input
-// `fixed` completes: every slot except fixed ranges over its matches under
-// key k, in the order they were read.
-func (j *HRJN) combine(k relation.Value, slot, fixed int) error {
-	if slot == len(j.ins) {
-		return j.emit()
-	}
-	if slot == fixed {
-		return j.combine(k, slot+1, fixed)
-	}
-	in := &j.ins[slot]
-	g := in.keys.find(k)
+	other := &j.ins[1-i]
+	g := other.keys.find(k)
 	if g < 0 {
 		return nil
 	}
-	for r := in.chains[g].head; r >= 0; r = in.rows[r].next {
-		j.pick[slot] = r
-		if err := j.combine(k, slot+1, fixed); err != nil {
+	var c rowRefs
+	c[i] = int32(len(in.rows) - 1)
+	for r := other.chains[g].head; r >= 0; r = other.rows[r].next {
+		c[1-i] = r
+		if err := j.emit(&c); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// emit queues the picked combination, by reference, if it passes the
-// residual. The residual sees the combination on the operator's one scratch
-// row, so a rejected candidate allocates nothing and an accepted one only its
-// queue slot: its output row is built when release hands it out.
-func (j *HRJN) emit() error {
-	score := 0.0
-	for i := range j.ins {
-		score += j.ins[i].rows[j.pick[i]].s
-	}
+// emit queues combination c, by reference, if it passes the residual. The
+// residual sees the combination on the operator's one scratch row, so a
+// rejected candidate allocates nothing and an accepted one only its queue
+// slot: its output row is built when release hands it out.
+func (j *HRJN) emit(c *rowRefs) error {
+	score := j.ins[0].rows[c[0]].s + j.ins[1].rows[c[1]].s
 	if j.Residual != nil {
-		j.scratch = j.row(j.scratch[:0], &j.pick)
+		j.scratch = j.row(j.scratch[:0], c)
 		pass, err := expr.EvalBool(j.resEv, j.scratch)
 		if err != nil || !pass {
 			return err
 		}
 	}
-	return j.buf.offer(score, j.pick)
+	return j.buf.offer(score, *c)
 }
 
-// row appends combination c's input rows, in input order, to dst.
+// row appends combination c's left and right rows to dst.
 func (j *HRJN) row(dst relation.Tuple, c *rowRefs) relation.Tuple {
-	for i := range j.ins {
-		dst = append(dst, j.ins[i].rows[c[i]].t...)
-	}
-	return dst
+	return append(append(dst, j.ins[0].rows[c[0]].t...), j.ins[1].rows[c[1]].t...)
 }
 
 // Next implements Operator. The inner pull loop — unbounded when the
@@ -846,19 +777,18 @@ func (j *HRJN) Next() (relation.Tuple, bool, error) {
 	}
 }
 
-// release returns every input's hash table to the pool.
-func (j *HRJN) release() {
-	for i := range j.ins {
-		j.ins[i].release()
-	}
-}
-
 // Close implements Operator.
 func (j *HRJN) Close() error {
-	j.release()
+	j.ins[0].release()
+	j.ins[1].release()
 	j.buf.close()
 	j.scratch = nil
-	return closeAll(j.Inputs)
+	err1 := j.Left.Close()
+	err2 := j.Right.Close()
+	if err1 != nil {
+		return err1
+	}
+	return err2
 }
 
 // NRJN is the nested-loops rank-join operator. The outer (left) input must

@@ -329,7 +329,9 @@ func TestHRJNAdaptiveDepths(t *testing.T) {
 	if adSt.LeftDepth == 0 || adSt.RightDepth == 0 {
 		t.Fatal("adaptive depths not recorded")
 	}
-	if adSt.RightDepth < adSt.LeftDepth {
+	// Strictly: blind alternation reads both inputs to the same depth, so a
+	// tie would mean the strategy was ignored.
+	if adSt.RightDepth <= adSt.LeftDepth {
 		t.Errorf("adaptive should dig the flat-scored input deeper: left=%d right=%d",
 			adSt.LeftDepth, adSt.RightDepth)
 	}
@@ -338,8 +340,8 @@ func TestHRJNAdaptiveDepths(t *testing.T) {
 		t.Fatal(err)
 	}
 	alSt := al.Stats()
-	if adSt.LeftDepth+adSt.RightDepth > alSt.LeftDepth+alSt.RightDepth {
-		t.Errorf("adaptive consumed more than alternate: %d vs %d",
+	if adSt.LeftDepth+adSt.RightDepth >= alSt.LeftDepth+alSt.RightDepth {
+		t.Errorf("adaptive consumed no less than alternate: %d vs %d",
 			adSt.LeftDepth+adSt.RightDepth, alSt.LeftDepth+alSt.RightDepth)
 	}
 }
@@ -369,6 +371,42 @@ func BenchmarkJoinThenSortTop10(b *testing.B) {
 		s := NewSortByScore(h, score)
 		if _, err := CollectK(s, 10); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestDeadRankJoinStops: once one input is exhausted without ever buffering
+// a tuple no result can form, so the join must report exhaustion instead of
+// reading the other input out. Before the fix each of these read all 50 000
+// tuples of the big input to emit nothing.
+func TestDeadRankJoinStops(t *testing.T) {
+	const n = 50000
+	empty := makeRel("E", nil)
+	sch, tups := buildRankedInput(n, 100, 1)
+	eScore, eKey := expr.Col("E", "score"), expr.Col("E", "key")
+	score, key := expr.Col("A", "score"), expr.Col("A", "key")
+	cases := []struct {
+		name  string
+		build func(big Operator) Operator
+	}{
+		{"hrjn-empty-left", func(big Operator) Operator {
+			return NewHRJN(NewSeqScan(empty), big, eScore, score, eKey, key, nil)
+		}},
+		{"hrjn-empty-right", func(big Operator) Operator {
+			return NewHRJN(big, NewSeqScan(empty), score, eScore, key, eKey, nil)
+		}},
+		{"nrjn-empty-inner", func(big Operator) Operator {
+			return NewNRJN(big, NewSeqScan(empty), score, eScore, expr.Bin(expr.OpEq, key, eKey))
+		}},
+	}
+	for _, tc := range cases {
+		big, bigN := counted(FromTuples(sch, tups))
+		got, err := Collect(tc.build(big))
+		if err != nil || len(got) != 0 {
+			t.Fatalf("%s: dead join = %d tuples, %v", tc.name, len(got), err)
+		}
+		if bigN() > 1 {
+			t.Errorf("%s: read %d tuples of the live input after the join was dead, want <= 1", tc.name, bigN())
 		}
 	}
 }

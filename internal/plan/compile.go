@@ -17,17 +17,6 @@ func Compile(cat *catalog.Catalog, n *Node) (exec.Operator, error) {
 // Config collects the compilation knobs for CompileWith; the zero value
 // compiles exactly like Compile.
 type Config struct {
-	// Trace is invoked for every (plan node, compiled operator) pair, letting
-	// callers keep handles to instrumented operators — e.g. rank-joins whose
-	// measured depths are compared against the optimizer's estimates after
-	// execution. Under Analyze the operator is the node's stats collector,
-	// which forwards exec.StatsReporter.
-	Trace func(*Node, exec.Operator)
-	// Budget, when set, is wired into every buffering operator (rank-join
-	// and TA queues and hash tables, TopK heaps, sorts, hash-join build
-	// tables) so the whole tree draws from one per-query allowance.
-	// CompileTree wires the tree's own budget instead.
-	Budget *exec.Budget
 	// Analyze, when set, threads an exec.Analyzed stats collector between
 	// every pair of operators (EXPLAIN ANALYZE) and records the node→collector
 	// mapping in it. The per-tuple overhead is one counter increment per
@@ -52,8 +41,12 @@ func CompileWith(cat *catalog.Catalog, n *Node, cfg Config) (exec.Operator, erro
 type compiler struct {
 	cat *catalog.Catalog
 	cfg Config
-	// tree, when set, records the operators CompileTree re-arms and reports.
-	tree *Tree
+	// tree, when set, records the operators CompileTree re-arms and reports,
+	// and budget is its budget, wired into every buffering operator
+	// (rank-join and TA queues and hash tables, TopK heaps, sorts, hash-join
+	// build tables) so the whole tree draws from one per-session allowance.
+	tree   *Tree
+	budget *exec.Budget
 }
 
 func (c *compiler) compile(n *Node) (exec.Operator, error) {
@@ -66,11 +59,8 @@ func (c *compiler) compile(n *Node) (exec.Operator, error) {
 	}
 	if c.cfg.Analyze != nil {
 		// The collector replaces the built operator before it is wired into
-		// its parent (and before Trace sees it).
+		// its parent.
 		op = c.cfg.Analyze.collect(n, op)
-	}
-	if c.cfg.Trace != nil {
-		c.cfg.Trace(n, op)
 	}
 	return op, nil
 }
@@ -100,7 +90,7 @@ func (c *compiler) build(n *Node) (exec.Operator, error) {
 			return nil, err
 		}
 		s := exec.NewSort(in, n.SortKeys...)
-		s.Budget = c.cfg.Budget
+		s.Budget = c.budget
 		s.SizeHint = int(n.Input().Card)
 		return s, nil
 
@@ -152,7 +142,7 @@ func (c *compiler) build(n *Node) (exec.Operator, error) {
 			return nil, err
 		}
 		t := exec.NewTopK(in, n.Score, n.K)
-		t.Budget = c.cfg.Budget
+		t.Budget = c.budget
 		return t, nil
 
 	case OpRankAgg:
@@ -160,7 +150,7 @@ func (c *compiler) build(n *Node) (exec.Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		ta.Budget = c.cfg.Budget
+		ta.Budget = c.budget
 		return ta, nil
 
 	case OpIndexRange:
@@ -206,7 +196,7 @@ func (c *compiler) build(n *Node) (exec.Operator, error) {
 			return nil, fmt.Errorf("plan: hash join without equi-predicate")
 		}
 		hj := exec.NewHashJoin(l, r, n.EqPreds[0].L, n.EqPreds[0].R, n.residualAfterPrimary())
-		hj.Budget = c.cfg.Budget
+		hj.Budget = c.budget
 		hj.BuildSizeHint = int(n.Left().Card)
 		hj.PerTupleBuild = c.cfg.ScalarRef
 		return hj, nil
@@ -231,7 +221,7 @@ func (c *compiler) build(n *Node) (exec.Operator, error) {
 		}
 		h := exec.NewHRJN(l, r, n.LScore, n.RScore,
 			n.EqPreds[0].L, n.EqPreds[0].R, n.residualAfterPrimary())
-		h.Budget = c.cfg.Budget
+		h.Budget = c.budget
 		return h, nil
 
 	case OpNRJN:
@@ -243,7 +233,7 @@ func (c *compiler) build(n *Node) (exec.Operator, error) {
 		if len(n.EqPreds) > 0 {
 			nr.LeftKey, nr.RightKey = n.EqPreds[0].L, n.EqPreds[0].R
 		}
-		nr.Budget = c.cfg.Budget
+		nr.Budget = c.budget
 		return nr, nil
 
 	case OpAnyK:
@@ -259,7 +249,7 @@ func (c *compiler) build(n *Node) (exec.Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		ak.Budget = c.cfg.Budget
+		ak.Budget = c.budget
 		return ak, nil
 
 	default:

@@ -347,21 +347,31 @@ func TestPropagateKThroughBlocking(t *testing.T) {
 	}
 }
 
-func TestCompileTraceVisitsEveryNode(t *testing.T) {
+// TestCompileTreeReportsRankJoins: a compiled tree hands out each rank join
+// it compiled with its plan node, as the stats handle sessions read measured
+// depths from.
+func TestCompileTreeReportsRankJoins(t *testing.T) {
 	e := newEnv(t, 2, 300, 0.05)
 	j := e.hrjn(e.scoreScan(t, "T1"), e.scoreScan(t, "T2"), "T1", "T2")
-	var visited []OpType
-	op, err := CompileWith(e.cat, j, Config{Trace: func(n *Node, _ exec.Operator) {
-		visited = append(visited, n.Op)
-	}})
+	tr, err := CompileTree(e.cat, j, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(visited) != 3 {
-		t.Fatalf("visited %d nodes, want 3", len(visited))
+	if len(tr.Joins) != 1 || len(tr.AnyKs) != 0 {
+		t.Fatalf("tree reports %d joins and %d any-k operators, want 1 and 0", len(tr.Joins), len(tr.AnyKs))
 	}
-	if _, ok := op.(*exec.HRJN); !ok {
-		t.Error("root operator should be HRJN")
+	if tr.Joins[0].Node != j {
+		t.Error("join handle carries the wrong plan node")
+	}
+	h, ok := tr.Joins[0].Op.(*exec.HRJN)
+	if !ok {
+		t.Fatalf("join handle is %T, want *exec.HRJN", tr.Joins[0].Op)
+	}
+	if _, err := exec.CollectK(tr.Root, 5); err != nil {
+		t.Fatal(err)
+	}
+	if st := h.Stats(); st.LeftDepth == 0 || st.RightDepth == 0 || st.Emitted != 5 {
+		t.Errorf("handle stats after 5 rows = %+v", st)
 	}
 }
 
@@ -447,32 +457,33 @@ func TestRankAggHonoursContextAndBudget(t *testing.T) {
 	// k of half the corpus forces sorted access deep into both lists: tens of
 	// milliseconds, far past the 1 ms deadline.
 	ta := &Node{Op: OpRankAgg, TAInputs: inputs, K: 25000}
-	compile := func(budget *exec.Budget) exec.Operator {
+	compile := func(l exec.ResourceLimits) *Tree {
 		t.Helper()
-		op, err := CompileWith(cat, ta, Config{Budget: budget})
+		tr, err := CompileTree(cat, ta, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return op
+		tr.Budget.Arm(l)
+		return tr
 	}
 
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := exec.CollectKCtx(cancelled, compile(nil), ta.K); !errors.Is(err, exec.ErrQueryCancelled) {
+	if _, err := exec.CollectKCtx(cancelled, compile(exec.ResourceLimits{}).Root, ta.K); !errors.Is(err, exec.ErrQueryCancelled) {
 		t.Errorf("pre-cancelled ctx: got %v, want ErrQueryCancelled", err)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
-	if _, err := exec.CollectKCtx(ctx, compile(nil), ta.K); !errors.Is(err, exec.ErrDeadlineExceeded) {
+	if _, err := exec.CollectKCtx(ctx, compile(exec.ResourceLimits{}).Root, ta.K); !errors.Is(err, exec.ErrDeadlineExceeded) {
 		t.Errorf("1 ms deadline: got %v, want ErrDeadlineExceeded", err)
 	}
 
-	budget := exec.NewBudget(exec.ResourceLimits{MaxBufferedTuples: 1})
-	if _, err := exec.CollectK(compile(budget), ta.K); !errors.Is(err, exec.ErrBudgetExceeded) {
+	tr := compile(exec.ResourceLimits{MaxBufferedTuples: 1})
+	if _, err := exec.CollectK(tr.Root, ta.K); !errors.Is(err, exec.ErrBudgetExceeded) {
 		t.Errorf("1-tuple budget: got %v, want ErrBudgetExceeded", err)
 	}
-	if n := budget.Buffered(); n != 0 {
+	if n := tr.Budget.Buffered(); n != 0 {
 		t.Errorf("failed drain left %d tuples charged", n)
 	}
 }

@@ -44,13 +44,11 @@ type TreeOp struct {
 	Op   exec.StatsReporter
 }
 
-// CompileTree compiles n against cat into a reusable tree. cfg.Budget is
-// ignored: the tree wires its own budget. cfg.Trace and cfg.Analyze apply as
-// in CompileWith.
+// CompileTree compiles n against cat into a reusable tree under cfg, as
+// CompileWith does, wiring the tree's own budget into its operators.
 func CompileTree(cat *catalog.Catalog, n *Node, cfg Config) (*Tree, error) {
 	t := &Tree{Plan: n, Budget: new(exec.Budget)}
-	cfg.Budget = t.Budget
-	c := &compiler{cat: cat, cfg: cfg, tree: t}
+	c := &compiler{cat: cat, cfg: cfg, tree: t, budget: t.Budget}
 	op, err := c.compile(n)
 	if err != nil {
 		return nil, err
