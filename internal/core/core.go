@@ -190,8 +190,12 @@ type optimizer struct {
 	entries []entryInfo
 	// memo holds the retained plans of every subset, indexed by mask.
 	memo [][]memoPlan
-	pc   pruneCounters
-	kmin float64
+	// acc accumulates the MEMO entry being enumerated (see maskAcc).
+	acc maskAcc
+	// orders holds the interned order properties; id i+1 is orders[i].
+	orders []plan.OrderProp
+	pc     pruneCounters
+	kmin   float64
 	// equiv groups join columns into equivalence classes; joins holds the
 	// transitive closure of the query's join predicates.
 	equiv *equivClasses

@@ -3,6 +3,7 @@ package core
 import (
 	"crypto/sha256"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -88,6 +89,92 @@ var goldenDepthHints = map[string]estimate.Observed{
 	"T1,T2,T3|T4": {K: 10, DL: 400, DR: 35},
 }
 
+// goldenKs and goldenVariants are the k values (0: no LIMIT) and the
+// pruning-relevant option sets the golden covers for every shape.
+var goldenKs = []int{1, 10, 50, 0}
+
+var goldenVariants = []struct {
+	name string
+	opts Options
+}{
+	{"default", Options{}},
+	{"no-anyk", Options{DisableAnyK: true}},
+	{"no-protection", Options{DisablePipelineProtection: true}},
+	{"depth-hints", Options{DepthHints: goldenDepthHints}},
+}
+
+// mixedCatalog holds four ranked tables of different sizes and key
+// domains, so that the plans of one MEMO entry — reached through splits
+// whose selectivity products associate differently — differ in Card in the
+// last bits, which the plan-churn catalog's equal tables never do.
+func mixedCatalog() *catalog.Catalog {
+	cat := catalog.New()
+	for i, n := range []int{1200, 1500, 1800, 2100} {
+		name := fmt.Sprintf("T%d", i+1)
+		cat.AddTable(workload.Ranked(workload.RankedConfig{Name: name, N: n, Selectivity: 0.005 * float64(i+1), Seed: 2004 + int64(i)*7919}))
+		for _, col := range []string{"score", "key"} {
+			if _, err := cat.CreateIndex(name, col, false); err != nil {
+				panic(err)
+			}
+		}
+	}
+	return cat
+}
+
+// TestMemoPlanFacts checks what the DP stores beside every retained plan
+// against the plan itself, bit for bit: full is Cost(Card), atK is
+// Cost(kmin) (full when the query has no k or the plan cannot produce k
+// rows), order is the interned id of the plan's order property and
+// pipelined its flag. Join candidates are costed from per-split local facts
+// (splitCosts) and their inputs' stored costs, never by walking the plan, so
+// this is what keeps that shortcut equal to Cost. On the mixed catalog a
+// memo that served a method's facts by position in the loop, ignoring the
+// cardinalities it was computed for, fails here: some candidates would get
+// the facts of a plan whose Card differs in the last bits.
+func TestMemoPlanFacts(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cat  *catalog.Catalog
+	}{{"plan-churn", churnCatalog()}, {"mixed", mixedCatalog()}} {
+		for si, s := range churnShapes {
+			for _, k := range goldenKs {
+				q := s.query(t, k)
+				for _, v := range goldenVariants {
+					o, err := newOptimizer(c.cat, q, v.opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					o.runDP()
+					checked, bad := 0, 0
+					for mask, plans := range o.memo {
+						for _, mp := range plans {
+							checked++
+							n := mp.n
+							full, atK := n.Cost(n.Card), n.Cost(n.Card)
+							if o.kmin > 0 && o.kmin < n.Card {
+								atK = n.Cost(o.kmin)
+							}
+							id := o.intern(n.Props.Order).id
+							if math.Float64bits(mp.full) != math.Float64bits(full) ||
+								math.Float64bits(mp.atK) != math.Float64bits(atK) ||
+								mp.order != id || mp.pipelined != n.Props.Pipelined {
+								if bad++; bad <= 3 {
+									t.Errorf("%s shape %d k=%d %s, entry %s: %s stored full=%v atK=%v order=%d pipelined=%v, want %v, %v, %d, %v",
+										c.name, si, k, v.name, o.entries[mask].label, plan.Summary(n),
+										mp.full, mp.atK, mp.order, mp.pipelined, full, atK, id, n.Props.Pipelined)
+								}
+							}
+						}
+					}
+					if checked == 0 {
+						t.Fatalf("%s shape %d k=%d %s: empty memo", c.name, si, k, v.name)
+					}
+				}
+			}
+		}
+	}
+}
+
 // memoDigest condenses one MEMO entry — every retained plan's summary and
 // full-output cost to the last bit, in retention order — to "n=<plans>
 // <sha256 prefix>", which keeps the golden reviewable (one line per entry
@@ -109,20 +196,11 @@ func memoDigest(plans []*plan.Node) string {
 // not to be regenerated for them.
 func TestDPEquivalenceGolden(t *testing.T) {
 	cat := churnCatalog()
-	variants := []struct {
-		name string
-		opts Options
-	}{
-		{"default", Options{}},
-		{"no-anyk", Options{DisableAnyK: true}},
-		{"no-protection", Options{DisablePipelineProtection: true}},
-		{"depth-hints", Options{DepthHints: goldenDepthHints}},
-	}
 	var b strings.Builder
 	for si, s := range churnShapes {
-		for _, k := range []int{1, 10, 50, 0} {
+		for _, k := range goldenKs {
 			q := s.query(t, k)
-			for _, v := range variants {
+			for _, v := range goldenVariants {
 				res, err := Optimize(cat, q, v.opts)
 				if err != nil {
 					t.Fatalf("shape %d k=%d %s: %v", si, k, v.name, err)

@@ -58,16 +58,44 @@ type joinInfo struct {
 	lBit, rBit uint64
 }
 
-// memoPlan is one retained plan beside the two costs every dominance test
-// compares. Both are constants of the plan: full is its cost at full output
-// — what Cost(max(a.Card, b.Card)) always evaluates to, since Cost clamps k
-// to the plan's own Card — and atK its cost at the query's k (equal to full
-// when the query has no k or the plan cannot produce k rows). They live
-// here rather than on plan.Node because nodes are cloned on every cache hit
-// and only the optimizer ever compares them.
+// memoPlan is one retained plan beside what every dominance test compares.
+// full is its cost at full output — what Cost(max(a.Card, b.Card)) always
+// evaluates to, since Cost clamps k to the plan's own Card — and atK its
+// cost at the query's k (equal to full when the query has no k or the plan
+// cannot produce k rows); order is its order property's interned id and
+// pipelined its First-N-Rows flag. They live here rather than on plan.Node
+// because nodes are cloned on every cache hit and only the optimizer ever
+// compares them.
 type memoPlan struct {
 	n         *plan.Node
 	full, atK float64
+	order     orderID
+	pipelined bool
+}
+
+// orderID names an order property within one optimizer run: equal
+// properties get equal ids and NoOrder is 0, so "a's order covers b's" is
+// b == 0 || a == b (see intern).
+type orderID int32
+
+// order is an order property beside its interned id.
+type order struct {
+	prop plan.OrderProp
+	id   orderID
+}
+
+// intern returns p with its id, registering p if no equal property has one.
+func (o *optimizer) intern(p plan.OrderProp) order {
+	if p.Kind == plan.OrderNone {
+		return order{prop: p}
+	}
+	for i, q := range o.orders {
+		if q.Equal(p) {
+			return order{prop: p, id: orderID(i + 1)}
+		}
+	}
+	o.orders = append(o.orders, p)
+	return order{prop: p, id: orderID(len(o.orders))}
 }
 
 // input is a plan in the role of a join input: candidates over it ask what
@@ -103,26 +131,87 @@ func (in *input) cost(k float64) float64 {
 	return in.atK
 }
 
-// costed evaluates a plan's two pruning endpoints. l and r are the plan's
-// children as costed inputs; nil l means they are not known and the plan is
-// walked.
-func (o *optimizer) costed(n *plan.Node, l, r *input) memoPlan {
+// atK reports whether a plan of the given cardinality has a pruning
+// endpoint below its full output: the query has a k and the plan can
+// produce more than k rows.
+func (o *optimizer) atK(card float64) bool { return o.kmin > 0 && o.kmin < card }
+
+// costed evaluates a plan's two pruning endpoints. in is the plan's one
+// input as a costed input (a glued sort's); nil means the plan is walked.
+func (o *optimizer) costed(n *plan.Node, in *input) memoPlan {
 	cost := n.Cost
-	if l != nil {
-		inputCost := func(i int, k float64) float64 {
-			if i == 0 {
-				return l.cost(k)
-			}
-			return r.cost(k)
-		}
+	if in != nil {
+		inputCost := func(_ int, k float64) float64 { return in.cost(k) }
 		cost = func(k float64) float64 { return n.CostFrom(k, inputCost) }
 	}
 	mp := memoPlan{n: n, full: cost(n.Card)}
 	mp.atK = mp.full
-	if o.kmin > 0 && o.kmin < n.Card {
+	if o.atK(n.Card) {
 		mp.atK = cost(o.kmin)
 	}
 	return mp
+}
+
+// joinMethods counts the join methods a split generates; methodSlot numbers
+// them (n must be one of them).
+const joinMethods = 6
+
+func methodSlot(op plan.OpType) int {
+	switch op {
+	case plan.OpNLJ:
+		return 0
+	case plan.OpINLJ:
+		return 1
+	case plan.OpHashJoin:
+		return 2
+	case plan.OpMergeJoin:
+		return 3
+	case plan.OpHRJN:
+		return 4
+	}
+	return 5 // plan.OpNRJN
+}
+
+// splitCosts is the per-split tier of a join candidate's cost: each join
+// method's plan.Local — the depth model's depths, the demands on the inputs
+// and the method's own cost terms — at both pruning endpoints. Every
+// candidate of one method in one split is the same prototype over different
+// inputs, so its Local depends only on the demand and on the candidate's
+// and its inputs' Card, which plans of one entry share up to the last bits
+// (the selectivity product associates differently per split). An entry is
+// therefore keyed by those cardinalities — the values demanded, not the
+// position in the loop — and a candidate whose key differs in any bit
+// costs afresh and takes the method's slot. It is fixed-size storage in the
+// accumulator, emptied per split.
+type splitCosts [joinMethods]localEntry
+
+// localEntry is one method's Local at full output (demand card) and at the
+// query's k, for a candidate of the given cardinality over inputs of lCard
+// and rCard (0 for an index nested-loops join's absent input); card is NaN
+// in an empty entry.
+type localEntry struct {
+	card, lCard, rCard float64
+	full, atK          plan.Local
+}
+
+// reset empties the memo for the next split.
+func (c *splitCosts) reset() {
+	for i := range c {
+		c[i].card = math.NaN()
+	}
+}
+
+// local returns the join candidate n's local facts, computing them when the
+// method's entry holds another key.
+func (c *splitCosts) local(o *optimizer, n *plan.Node, lCard, rCard float64) *localEntry {
+	e := &c[methodSlot(n.Op)]
+	if e.card != n.Card || e.lCard != lCard || e.rCard != rCard {
+		*e = localEntry{card: n.Card, lCard: lCard, rCard: rCard, full: n.Local(n.Card)}
+		if o.atK(n.Card) {
+			e.atK = n.Local(o.kmin)
+		}
+	}
+	return e
 }
 
 // planNodes strips the cost endpoints off an entry's plans.

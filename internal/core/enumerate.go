@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"rankopt/internal/exec"
 	"rankopt/internal/expr"
@@ -225,21 +226,29 @@ func (o *optimizer) sortInto(w *joinNode, p *plan.Node, keys []exec.SortKey, ord
 // maskAcc accumulates the candidate plans of one MEMO entry during
 // enumeration: candidates are pruned against the entry's local list, which
 // is published to the memo (and its counters folded into the optimizer's)
-// once the entry is complete.
+// once the entry is complete. The optimizer keeps one and resets it per
+// entry, so its scratch storage is allocated once per run.
 type maskAcc struct {
 	o     *optimizer
 	mask  uint64
 	e     *entryInfo
 	plans []memoPlan
 	pc    pruneCounters
-	// scratch is where join candidates are assembled: a candidate is costed
-	// and pruned in place and only copied to the heap if it survives. l and
-	// r are its children as costed inputs.
-	scratch joinNode
-	l, r    *input
+	// protos are where join candidates are assembled, one node per
+	// prototype a split fills in (see joinSplit): a candidate overwrites
+	// only its children, Op, Card and Props, is costed and pruned in place
+	// and is copied to the heap only if it survives. cur is the candidate,
+	// l and r its children as costed inputs.
+	protos [3]joinNode
+	cur    *joinNode
+	l, r   *input
 	// spare holds the glued sorts of earlier splits that no candidate kept
 	// at the time referenced (see input.kept), for the next split to reuse.
 	spare []*joinNode
+	// costs is the current split's per-method local cost facts, and sides
+	// its two sides' inputs (see sideInputs).
+	costs splitCosts
+	sides [2][]sideInput
 }
 
 // joinNode is a plan node allocated together with its (up to two) child
@@ -249,43 +258,61 @@ type joinNode struct {
 	kids [2]*plan.Node
 }
 
+// newAcc readies the optimizer's accumulator for the entry of mask.
 func (o *optimizer) newAcc(mask uint64) *maskAcc {
-	return &maskAcc{o: o, mask: mask, e: &o.entries[mask]}
+	a := &o.acc
+	a.o, a.mask, a.e, a.plans, a.pc = o, mask, &o.entries[mask], nil, pruneCounters{}
+	return a
 }
 
-// candidate resets the scratch node to proto over the given children (r is
-// nil for a unary-shaped node) and returns it for the caller to finish.
-func (a *maskAcc) candidate(proto *plan.Node, l, r *input) *plan.Node {
-	a.l, a.r = l, r
-	a.scratch.n = *proto
-	a.scratch.kids[0] = l.n
-	a.scratch.n.Children = a.scratch.kids[:1]
+// candidate makes proto, one of the accumulator's protos, the candidate
+// over the given children (r is nil for a unary-shaped node) and returns its
+// node for the caller to finish.
+func (a *maskAcc) candidate(proto *joinNode, l, r *input) *plan.Node {
+	a.cur, a.l, a.r = proto, l, r
+	proto.kids[0] = l.n
+	proto.n.Children = proto.kids[:1]
 	if r != nil {
-		a.scratch.kids[1] = r.n
-		a.scratch.n.Children = a.scratch.kids[:2]
+		proto.kids[1] = r.n
+		proto.n.Children = proto.kids[:2]
 	}
-	return &a.scratch.n
+	return &proto.n
 }
 
-// add costs a candidate and applies property + cost pruning to the local
-// plan list. The scratch candidate is costed over its known inputs and, if
-// it survives, moved to the heap here; any other node is walked and stored
-// as given.
-func (a *maskAcc) add(cand *plan.Node) {
+// add costs a node built outside the scratch space (an access path, an
+// any-k plan) by walking it and prunes it into the entry as given.
+func (a *maskAcc) add(n *plan.Node) {
+	a.insert(n, a.o.intern(n.Props.Order).id, false)
+}
+
+// addCandidate costs the current candidate, whose order property has the
+// given id, over its known inputs and prunes it into the entry, moving it to
+// the heap only if it survives.
+func (a *maskAcc) addCandidate(order orderID) {
+	a.insert(&a.cur.n, order, true)
+}
+
+// insert applies property + cost pruning to the local plan list.
+func (a *maskAcc) insert(n *plan.Node, order orderID, scratch bool) {
 	a.pc.gen++
 	if tr := a.o.opts.Tracer; tr != nil {
 		tr.OnDecision(Decision{Kind: DecisionCandidate, Level: a.e.level, Entry: a.e.label})
 	}
-	scratch := cand == &a.scratch.n
+	var mp memoPlan
+	switch {
+	case a.o.opts.KeepAllPlans:
+		mp = memoPlan{n: n}
+	case scratch:
+		mp = a.costJoin(n)
+	default:
+		mp = a.o.costed(n, nil)
+	}
+	mp.order, mp.pipelined = order, n.Props.Pipelined
 	kept := true
 	if a.o.opts.KeepAllPlans {
-		a.plans = append(a.plans, memoPlan{n: cand})
+		a.plans = append(a.plans, mp)
 	} else {
-		var l, r *input
-		if scratch {
-			l, r = a.l, a.r
-		}
-		a.plans, kept = a.o.insertPruned(a.e, a.plans, a.o.costed(cand, l, r), &a.pc)
+		a.plans, kept = a.o.insertPruned(a.e, a.plans, mp, &a.pc)
 	}
 	if kept && scratch {
 		a.l.kept = true
@@ -293,10 +320,33 @@ func (a *maskAcc) add(cand *plan.Node) {
 			a.r.kept = true
 		}
 		j := new(joinNode)
-		*j = a.scratch
-		j.n.Children = j.kids[:len(cand.Children)]
+		*j = *a.cur
+		j.n.Children = j.kids[:len(n.Children)]
 		a.plans[len(a.plans)-1].n = &j.n
 	}
+}
+
+// costJoin evaluates the current candidate n's pruning endpoints from its
+// inputs' known costs and its method's local facts for this split.
+func (a *maskAcc) costJoin(n *plan.Node) memoPlan {
+	l, r := a.l, a.r
+	rCard := 0.0
+	if r != nil {
+		rCard = r.n.Card
+	}
+	loc := a.costs.local(a.o, n, l.n.Card, rCard)
+	inputCost := func(i int, k float64) float64 {
+		if i == 0 {
+			return l.cost(k)
+		}
+		return r.cost(k)
+	}
+	mp := memoPlan{n: n, full: n.CostWith(loc.full, inputCost)}
+	mp.atK = mp.full
+	if a.o.atK(n.Card) {
+		mp.atK = n.CostWith(loc.atK, inputCost)
+	}
+	return mp
 }
 
 // enumerateJoins runs the bottom-up DP over table subsets, generating every
@@ -339,6 +389,9 @@ func (o *optimizer) enumerateMask(acc *maskAcc) {
 // candidate pairing it.
 type sideInput struct {
 	p input
+	// stream is the order p keeps when an order-preserving join streams it
+	// past the other side.
+	stream order
 	// merge is p ordered on the split's primary join column.
 	merge input
 	// ranked is p ordered on its side's score expression; ranked.n is nil
@@ -348,42 +401,53 @@ type sideInput struct {
 
 // glue returns p under a sort enforcer producing the given order, built in
 // recycled storage when there is some and costed from p's known cost.
-func (a *maskAcc) glue(p *input, keys []exec.SortKey, order plan.OrderProp) input {
+func (a *maskAcc) glue(p *input, keys []exec.SortKey, ord order) input {
 	var j *joinNode
 	if n := len(a.spare); n > 0 {
 		j, a.spare = a.spare[n-1], a.spare[:n-1]
 	} else {
 		j = new(joinNode)
 	}
-	w := a.o.sortInto(j, p.n, keys, order)
-	in := newInput(w, a.o.costed(w, p, nil).full)
+	w := a.o.sortInto(j, p.n, keys, ord.prop)
+	in := newInput(w, a.o.costed(w, p).full)
 	in.glued = j
 	return in
 }
 
-// sideInputs prepares one side of a split: col is the side's column of the
-// primary join predicate; e describes the side's table subset.
-func (a *maskAcc) sideInputs(plans []memoPlan, col expr.ColRef, e *entryInfo, rankJoins bool) []sideInput {
-	colOrder := plan.ColOrder(col, false)
-	colKeys := []exec.SortKey{{E: col}}
-	var scoreKeys []exec.SortKey
+// sideInputs prepares one side of a split in the accumulator's buffer for
+// side (0 left, 1 right): col is the side's column of the primary join
+// predicate; e describes the side's table subset, other the other side's.
+func (a *maskAcc) sideInputs(side int, plans []memoPlan, col expr.ColRef, e, other *entryInfo, rankJoins bool) []sideInput {
+	colOrder := a.o.intern(plan.ColOrder(col, false))
+	var rank order
 	if rankJoins {
-		scoreKeys = sortKeysByScore(e.score)
+		rank = a.o.intern(e.order)
 	}
-	out := make([]sideInput, len(plans))
+	var colKeys, scoreKeys []exec.SortKey
+	out := slices.Grow(a.sides[side][:0], len(plans))[:len(plans)]
+	a.sides[side] = out
 	for i, mp := range plans {
 		in := &out[i]
-		in.p = newInput(mp.n, mp.full)
+		*in = sideInput{p: newInput(mp.n, mp.full)}
+		if p := preserveOuter(mp.n.Props, other); p.Kind != plan.OrderNone {
+			in.stream = order{prop: p, id: mp.order}
+		}
 		in.merge = in.p
-		if !mp.n.Props.Order.Covers(colOrder) {
+		if !covers(mp.order, colOrder.id) {
+			if colKeys == nil {
+				colKeys = []exec.SortKey{{E: col}}
+			}
 			in.merge = a.glue(&in.p, colKeys, colOrder)
 		}
 		if rankJoins {
 			switch {
-			case mp.n.Props.Order.Covers(e.order):
+			case covers(mp.order, rank.id):
 				in.ranked = in.p
 			case !a.o.opts.DisableEnforcedRankInputs:
-				in.ranked = a.glue(&in.p, scoreKeys, e.order)
+				if scoreKeys == nil {
+					scoreKeys = sortKeysByScore(e.score)
+				}
+				in.ranked = a.glue(&in.p, scoreKeys, rank)
 			}
 		}
 	}
@@ -404,23 +468,28 @@ func (a *maskAcc) release(side []sideInput) {
 
 // joinSplit generates all join candidates for one ordered (sub, rest) split.
 // Everything that is a fact of the split — the order properties each join
-// method produces or requires, the rank-join parameters, the enforced-sort
-// inputs — is settled before the (p1 × p2) loop, which only assembles,
-// costs and prunes.
+// method produces or requires and their ids, the rank-join parameters, the
+// enforced-sort inputs and, on first use, each method's local cost facts
+// (splitCosts) — is settled once per split, and the (p1 × p2) loop only
+// assembles, costs and prunes.
 func (o *optimizer) joinSplit(acc *maskAcc, sp *splitInfo) {
 	eL, eR := &o.entries[sp.sub], &o.entries[sp.rest]
 	preds, s := sp.preds, sp.sel
 	rankJoins := o.rankAware() && len(eL.ranked) > 0 && len(eR.ranked) > 0
-	lefts := acc.sideInputs(o.memo[sp.sub], preds[0].L, eL, rankJoins)
-	rights := acc.sideInputs(o.memo[sp.rest], preds[0].R, eR, rankJoins)
+	acc.costs.reset()
+	lefts := acc.sideInputs(0, o.memo[sp.sub], preds[0].L, eL, eR, rankJoins)
+	rights := acc.sideInputs(1, o.memo[sp.rest], preds[0].R, eR, eL, rankJoins)
 
-	join := plan.Node{EqPreds: preds, Sel: s, P: o.params}
-	mergeOrder := plan.ColOrder(preds[0].L, false)
-	var rankJoin plan.Node
+	// The prototypes every candidate of a method family starts from.
+	join, rankJoin, inlj := &acc.protos[0], &acc.protos[1], &acc.protos[2]
+	join.n = plan.Node{EqPreds: preds, Sel: s, P: o.params}
+	mergeOrder := o.intern(plan.ColOrder(preds[0].L, false))
+	var rankOrder order
 	var fired Decision
 	if rankJoins {
-		rankJoin = o.rankJoinProto(sp.sub, sp.rest, preds, s)
-		rankJoin.Props.Order = acc.e.order
+		rankOrder = o.intern(acc.e.order)
+		rankJoin.n = o.rankJoinProto(sp.sub, sp.rest, preds, s)
+		rankJoin.n.Props.Order = rankOrder.prop
 		if o.opts.Tracer != nil {
 			// An interesting ranking-order expression over each input side
 			// is what licenses the rank-join alternatives for this entry.
@@ -437,12 +506,11 @@ func (o *optimizer) joinSplit(acc *maskAcc, sp *splitInfo) {
 	// INLJ: inner must be a single base table with an index on the primary
 	// join column; independent of inner subplans.
 	var inner *tableInfo
-	var inlj plan.Node
 	if eR.level == 1 {
 		ti := o.tables[bits.TrailingZeros64(sp.rest)]
 		if idx := o.cat.IndexOn(ti.name, preds[0].R.Name); idx != nil {
 			inner = ti
-			inlj = plan.Node{
+			inlj.n = plan.Node{
 				Op:        plan.OpINLJ,
 				Table:     ti.name,
 				Index:     idx,
@@ -459,15 +527,12 @@ func (o *optimizer) joinSplit(acc *maskAcc, sp *splitInfo) {
 		l := &lefts[i]
 		p1 := l.p.n
 		card := s * p1.Card
-		// An order-preserving join streams p1; its order survives unless the
-		// other side contributes score terms.
-		p1Order := preserveOuter(p1.Props, eR)
 		// INLJ generated once per outer plan.
 		if inner != nil {
-			cand := acc.candidate(&inlj, &l.p, nil)
+			cand := acc.candidate(inlj, &l.p, nil)
 			cand.Card = card * inner.card
-			cand.Props = plan.Props{Order: p1Order, Pipelined: p1.Props.Pipelined}
-			acc.add(cand)
+			cand.Props = plan.Props{Order: l.stream.prop, Pipelined: p1.Props.Pipelined}
+			acc.addCandidate(l.stream.id)
 		}
 
 		for j := range rights {
@@ -476,29 +541,29 @@ func (o *optimizer) joinSplit(acc *maskAcc, sp *splitInfo) {
 			jcard := math.Max(card*p2.Card, 1e-9)
 
 			// Nested loops (outer p1, inner p2 materialized).
-			cand := acc.candidate(&join, &l.p, &r.p)
+			cand := acc.candidate(join, &l.p, &r.p)
 			cand.Op = plan.OpNLJ
 			cand.Card = jcard
-			cand.Props = plan.Props{Order: p1Order, Pipelined: p1.Props.Pipelined}
-			acc.add(cand)
+			cand.Props = plan.Props{Order: l.stream.prop, Pipelined: p1.Props.Pipelined}
+			acc.addCandidate(l.stream.id)
 
 			// Hash join (build p1, probe p2; probe order survives).
-			cand = acc.candidate(&join, &l.p, &r.p)
+			cand = acc.candidate(join, &l.p, &r.p)
 			cand.Op = plan.OpHashJoin
 			cand.Card = jcard
-			cand.Props = plan.Props{Order: preserveOuter(p2.Props, eL), Pipelined: p2.Props.Pipelined}
-			acc.add(cand)
+			cand.Props = plan.Props{Order: r.stream.prop, Pipelined: p2.Props.Pipelined}
+			acc.addCandidate(r.stream.id)
 
 			// Sort-merge join on the primary predicate, over inputs sorted
 			// by enforcers where the children lack the order.
-			cand = acc.candidate(&join, &l.merge, &r.merge)
+			cand = acc.candidate(join, &l.merge, &r.merge)
 			cand.Op = plan.OpMergeJoin
 			cand.Card = jcard
 			cand.Props = plan.Props{
-				Order:     mergeOrder,
+				Order:     mergeOrder.prop,
 				Pipelined: l.merge.n.Props.Pipelined && r.merge.n.Props.Pipelined,
 			}
-			acc.add(cand)
+			acc.addCandidate(mergeOrder.id)
 
 			if !rankJoins {
 				continue
@@ -510,19 +575,19 @@ func (o *optimizer) joinSplit(acc *maskAcc, sp *splitInfo) {
 			}
 			// HRJN needs both inputs ranked.
 			if !o.opts.DisableHRJN && l.ranked.n != nil && r.ranked.n != nil {
-				cand = acc.candidate(&rankJoin, &l.ranked, &r.ranked)
+				cand = acc.candidate(rankJoin, &l.ranked, &r.ranked)
 				cand.Op = plan.OpHRJN
 				cand.Card = jcard
 				cand.Props.Pipelined = l.ranked.n.Props.Pipelined && r.ranked.n.Props.Pipelined
-				acc.add(cand)
+				acc.addCandidate(rankOrder.id)
 			}
 			// NRJN needs only the outer ranked; the inner is materialized.
 			if !o.opts.DisableNRJN && l.ranked.n != nil {
-				cand = acc.candidate(&rankJoin, &l.ranked, &r.p)
+				cand = acc.candidate(rankJoin, &l.ranked, &r.p)
 				cand.Op = plan.OpNRJN
 				cand.Card = jcard
 				cand.Props.Pipelined = l.ranked.n.Props.Pipelined
-				acc.add(cand)
+				acc.addCandidate(rankOrder.id)
 			}
 		}
 	}

@@ -7,24 +7,35 @@ import (
 	"rankopt/internal/workload"
 )
 
-// TestOptimizeAllocs pins the allocation count of one cold 4-way
-// optimization (the plan-churn catalog's first all-tables shape at k = 10).
-// Before the per-entry table, stored cost endpoints and scratch candidates
-// this took 578 357 allocations — a plan.Node, its Children slice, two
-// enforcer sorts and several property strings per candidate, ~12 400
-// candidates — and 2 655 after. The bound sits far below the former so
-// allocating per candidate (rather than per survivor) again fails loudly.
+// TestOptimizeAllocs pins the allocation count of one cold optimization on
+// the plan-churn catalog at k = 10, for its first 3-way and first 4-way
+// shape. Before the per-entry table, stored cost endpoints and scratch
+// candidates the 4-way shape took 578 357 allocations — a plan.Node, its
+// Children slice, two enforcer sorts and several property strings per
+// candidate, ~12 400 candidates — and 2 655 after. The bounds sit just
+// above today's counts, closer than one allocation per split (12 splits on
+// the 3-way shape, 50 on the 4-way one), so allocating per split — let
+// alone per candidate — fails.
 func TestOptimizeAllocs(t *testing.T) {
 	cat := churnCatalog()
-	q := churnShapes[4].query(t, 10)
-	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := Optimize(cat, q, Options{}); err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		name  string
+		shape churnShape
+		bound float64
+	}{
+		{"3-way", churnShapes[0], 750},
+		{"4-way", churnShapes[4], 2390},
+	} {
+		q := tc.shape.query(t, 10)
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := Optimize(cat, q, Options{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s Optimize: %.0f allocs", tc.name, allocs)
+		if allocs > tc.bound {
+			t.Errorf("%s Optimize allocates %.0f times, want <= %.0f", tc.name, allocs, tc.bound)
 		}
-	})
-	t.Logf("4-way Optimize: %.0f allocs", allocs)
-	if allocs > 15000 {
-		t.Errorf("4-way Optimize allocates %.0f times, want <= 15000", allocs)
 	}
 }
 

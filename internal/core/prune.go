@@ -42,8 +42,9 @@ func (pc *pruneCounters) merge(other pruneCounters) {
 func (o *optimizer) insertPruned(e *entryInfo, plans []memoPlan, cand memoPlan, pc *pruneCounters) (_ []memoPlan, kept bool) {
 	tr := o.opts.Tracer
 	candProtected := false
-	for _, p := range plans {
-		dom, prot := o.dominatesExplained(p, cand)
+	for i := range plans {
+		p := &plans[i]
+		dom, prot := o.dominatesExplained(p, &cand)
 		if dom {
 			pc.pruned++
 			if tr != nil {
@@ -78,8 +79,9 @@ func (o *optimizer) insertPruned(e *entryInfo, plans []memoPlan, cand memoPlan, 
 		}
 	}
 	survivors := plans[:0]
-	for _, p := range plans {
-		dom, prot := o.dominatesExplained(cand, p)
+	for i := range plans {
+		p := &plans[i]
+		dom, prot := o.dominatesExplained(&cand, p)
 		if dom {
 			pc.evicted++
 			if tr != nil {
@@ -108,7 +110,7 @@ func (o *optimizer) insertPruned(e *entryInfo, plans []memoPlan, cand memoPlan, 
 				})
 			}
 		}
-		survivors = append(survivors, p)
+		survivors = append(survivors, *p)
 	}
 	return append(survivors, cand), true
 }
@@ -123,13 +125,13 @@ func (o *optimizer) insertPruned(e *entryInfo, plans []memoPlan, cand memoPlan, 
 // plans grow monotonically in k, agreement at both endpoints decides the
 // whole range; disagreement is the paper's "keep both" zone around the
 // crossover k*.
-func (o *optimizer) dominatesExplained(a, b memoPlan) (dom, protected bool) {
-	if !a.n.Props.Order.Covers(b.n.Props.Order) {
+func (o *optimizer) dominatesExplained(a, b *memoPlan) (dom, protected bool) {
+	if !covers(a.order, b.order) {
 		return false, false
 	}
 	// a's order is at least as strong; what is left of Props.Dominates is
 	// the Pipelined flag: a must be pipelined whenever b is.
-	if o.opts.DisablePipelineProtection || a.n.Props.Pipelined || !b.n.Props.Pipelined {
+	if o.opts.DisablePipelineProtection || a.pipelined || !b.pipelined {
 		return costDominates(a, b), false
 	}
 	// Only b's Pipelined flag saves it — if a also wins on cost, the
@@ -137,11 +139,15 @@ func (o *optimizer) dominatesExplained(a, b memoPlan) (dom, protected bool) {
 	return false, costDominates(a, b)
 }
 
+// covers is plan.OrderProp.Covers over interned ids: every order covers
+// DC (id 0); otherwise the properties must be identical.
+func covers(a, b orderID) bool { return b == 0 || a == b }
+
 // costDominates reports a at most as expensive as b at both endpoints of
 // the achievable k range. A plan that cannot produce the query's k rows (or
 // a query without k) has atK == full, which is what Cost's clamp made of
 // that endpoint all along, so no case split on k is needed here.
-func costDominates(a, b memoPlan) bool {
+func costDominates(a, b *memoPlan) bool {
 	if a.full > b.full+costEps {
 		return false
 	}

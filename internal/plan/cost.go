@@ -20,7 +20,8 @@ func (n *Node) inputCost(i int, k float64) float64 { return n.Children[i].Cost(k
 // CostFrom is Cost with the inputs' costs supplied by the caller: input(i, k)
 // must return Children[i].Cost(k). The optimizer costs thousands of
 // candidates over the same few inputs and already knows most of those
-// answers; everything local to n is computed here, identically to Cost.
+// answers; everything local to n is computed here, identically to Cost (a
+// caller that also knows a join's local facts uses CostWith).
 func (n *Node) CostFrom(k float64, input func(i int, k float64) float64) float64 {
 	if k > n.Card {
 		k = n.Card
@@ -49,45 +50,8 @@ func (n *Node) CostFrom(k float64, input func(i int, k float64) float64) float64
 		}
 		return input(0, need) + need*p.CPUTuple
 
-	case OpNLJ:
-		l, r := n.Left(), n.Right()
-		frac := fraction(k, n.Card)
-		outer := l.Card * frac
-		// Inner is always fully materialized.
-		return input(0, outer) + input(1, r.Card) + p.NestedLoopCPU(outer, r.Card, k)
-
-	case OpINLJ:
-		l := n.Left()
-		frac := fraction(k, n.Card)
-		outer := l.Card * frac
-		matchesPerProbe := n.Sel * n.InnerCard
-		return input(0, outer) + outer*p.IndexProbe(matchesPerProbe)
-
-	case OpHashJoin:
-		l, r := n.Left(), n.Right()
-		frac := fraction(k, n.Card)
-		probe := r.Card * frac
-		return input(0, l.Card) + p.HashBuild(l.Card) + input(1, probe) + p.HashProbe(probe, k)
-
-	case OpMergeJoin:
-		l, r := n.Left(), n.Right()
-		frac := fraction(k, n.Card)
-		return input(0, l.Card*frac) + input(1, r.Card*frac) + p.MergeCPU(l.Card*frac, r.Card*frac, k)
-
-	case OpHRJN:
-		dL, dR := n.Depths(k)
-		buffered := n.Sel * dL * dR
-		return input(0, dL) + input(1, dR) +
-			p.HashProbe(dL+dR, buffered) +
-			p.HeapPush(buffered, math.Max(buffered, 2))
-
-	case OpNRJN:
-		dL := n.nrjnOuterDepth(k)
-		r := n.Right()
-		matches := n.Sel * dL * r.Card
-		return input(0, dL) + input(1, r.Card) +
-			p.NestedLoopCPU(dL, r.Card, matches) +
-			p.HeapPush(matches, math.Max(matches, 2))
+	case OpNLJ, OpINLJ, OpHashJoin, OpMergeJoin, OpHRJN, OpNRJN:
+		return n.CostWith(n.Local(k), input)
 
 	case OpLimit:
 		kk := math.Min(k, float64(n.K))
@@ -149,6 +113,85 @@ func (n *Node) CostFrom(k float64, input func(i int, k float64) float64) float64
 	default:
 		panic("plan: Cost on unknown operator")
 	}
+}
+
+// Local is what a join node charges at one demand apart from its inputs'
+// costs: the number of tuples it demands of each input and its own cost
+// terms, which CostWith adds to the inputs' costs in the order Cost always
+// has. It follows from the node's own fields, its and its children's Card
+// and the demand alone, so a caller costing many joins of one shape over
+// inputs of the same cardinalities may compute it once and reuse it.
+type Local struct {
+	Need, Terms [2]float64
+}
+
+// Local returns the join node's local facts at demand k, clamped as Cost
+// clamps it. The node must be a nested-loops, index nested-loops, hash,
+// merge or rank join.
+func (n *Node) Local(k float64) Local {
+	if k > n.Card {
+		k = n.Card
+	}
+	if k < 0 {
+		k = 0
+	}
+	p := n.P
+	switch n.Op {
+	case OpNLJ:
+		r := n.Right()
+		outer := n.Left().Card * fraction(k, n.Card)
+		// Inner is always fully materialized.
+		return Local{Need: [2]float64{outer, r.Card}, Terms: [2]float64{p.NestedLoopCPU(outer, r.Card, k)}}
+
+	case OpINLJ:
+		outer := n.Left().Card * fraction(k, n.Card)
+		matchesPerProbe := n.Sel * n.InnerCard
+		return Local{Need: [2]float64{outer}, Terms: [2]float64{outer * p.IndexProbe(matchesPerProbe)}}
+
+	case OpHashJoin:
+		l := n.Left()
+		probe := n.Right().Card * fraction(k, n.Card)
+		return Local{Need: [2]float64{l.Card, probe}, Terms: [2]float64{p.HashBuild(l.Card), p.HashProbe(probe, k)}}
+
+	case OpMergeJoin:
+		frac := fraction(k, n.Card)
+		dL, dR := n.Left().Card*frac, n.Right().Card*frac
+		return Local{Need: [2]float64{dL, dR}, Terms: [2]float64{p.MergeCPU(dL, dR, k)}}
+
+	case OpHRJN:
+		dL, dR := n.Depths(k)
+		buffered := n.Sel * dL * dR
+		return Local{Need: [2]float64{dL, dR}, Terms: [2]float64{
+			p.HashProbe(dL+dR, buffered),
+			p.HeapPush(buffered, math.Max(buffered, 2)),
+		}}
+
+	case OpNRJN:
+		dL := n.nrjnOuterDepth(k)
+		r := n.Right()
+		matches := n.Sel * dL * r.Card
+		return Local{Need: [2]float64{dL, r.Card}, Terms: [2]float64{
+			p.NestedLoopCPU(dL, r.Card, matches),
+			p.HeapPush(matches, math.Max(matches, 2)),
+		}}
+	}
+	panic("plan: Local on a non-join node")
+}
+
+// CostWith is CostFrom for a join node whose local facts the caller
+// supplies: loc must be n.Local(k) for the demand k being costed. The sum
+// is formed term by term in Cost's order, so the result is Cost's to the
+// last bit.
+func (n *Node) CostWith(loc Local, input func(i int, k float64) float64) float64 {
+	switch n.Op {
+	case OpINLJ:
+		return input(0, loc.Need[0]) + loc.Terms[0]
+	case OpHashJoin:
+		return input(0, loc.Need[0]) + loc.Terms[0] + input(1, loc.Need[1]) + loc.Terms[1]
+	case OpNLJ, OpMergeJoin:
+		return input(0, loc.Need[0]) + input(1, loc.Need[1]) + loc.Terms[0]
+	}
+	return input(0, loc.Need[0]) + input(1, loc.Need[1]) + loc.Terms[0] + loc.Terms[1]
 }
 
 // TotalCost is the cost to deliver the full output.
