@@ -275,43 +275,59 @@ func clamp01(f float64) float64 {
 	return f
 }
 
-// ComputeStats scans a relation and builds its statistics.
+// ComputeStats scans a relation and builds its statistics. Distinct values
+// are counted as Value.Equal tells them apart, without boxing one: numbers,
+// Int and Float alike, in a float64 set sized to the cardinality and reused
+// across columns; strings in a string set made when a column first holds
+// one; bools in two flags.
 func ComputeStats(rel *relation.Relation) TableStats {
 	st := TableStats{
 		Card:  rel.Cardinality(),
 		Pages: rel.Pages(),
 		Cols:  map[string]ColStats{},
 	}
+	nums := make(map[float64]struct{}, st.Card)
+	var strs map[string]struct{}
 	sch := rel.Schema()
 	for i := 0; i < sch.Len(); i++ {
 		col := sch.Column(i)
 		cs := ColStats{}
-		distinct := map[any]struct{}{}
+		clear(nums)
+		clear(strs)
+		var bools [2]bool
 		nulls := 0
 		first := true
 		for _, tup := range rel.Tuples() {
 			v := tup[i]
-			if v.IsNull() {
-				nulls++
+			f, ok := v.Float64()
+			if !ok {
+				switch v.Kind() {
+				case relation.KindNull:
+					nulls++
+				case relation.KindString:
+					if strs == nil {
+						strs = map[string]struct{}{}
+					}
+					strs[v.AsString()] = struct{}{}
+				default: // KindBool
+					bools[b2i(v.AsBool())] = true
+				}
 				continue
 			}
-			distinct[v.HashKey()] = struct{}{}
-			if v.Numeric() {
-				f := v.AsFloat()
-				if first {
-					cs.Min, cs.Max = f, f
-					first = false
-				} else {
-					if f < cs.Min {
-						cs.Min = f
-					}
-					if f > cs.Max {
-						cs.Max = f
-					}
+			nums[f] = struct{}{}
+			if first {
+				cs.Min, cs.Max = f, f
+				first = false
+			} else {
+				if f < cs.Min {
+					cs.Min = f
+				}
+				if f > cs.Max {
+					cs.Max = f
 				}
 			}
 		}
-		cs.Distinct = len(distinct)
+		cs.Distinct = len(nums) + len(strs) + b2i(bools[0]) + b2i(bools[1])
 		if st.Card > 0 {
 			cs.NullFrac = float64(nulls) / float64(st.Card)
 		}
@@ -321,4 +337,12 @@ func ComputeStats(rel *relation.Relation) TableStats {
 		st.Cols[col.Name] = cs
 	}
 	return st
+}
+
+// b2i is 1 for true, 0 for false.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -1,41 +1,57 @@
 package engine
 
 import (
+	"fmt"
 	"runtime/debug"
 	"testing"
 
 	"rankopt/internal/core"
+	"rankopt/internal/plan"
 	"rankopt/internal/workload"
 )
 
-// TestRankJoinSessionAllocs pins what one warm session allocates on three of
-// the benchmark's catalogs. A warm session takes a compiled tree from its
+// TestRankJoinSessionAllocs pins what one warm session allocates on the
+// benchmark's four catalogs. A warm session takes a compiled tree from its
 // template and hands it back, so it allocates no operator, schema, bound
-// evaluator, plan copy or drain batch; what is left is its rows, its
-// Response and its registry entry.
+// evaluator, plan copy or drain batch. Every rank operator whose parent
+// copies its rows (RankAssign, a parent HRJN) carves them from pooled
+// chunks, so no released row is an object of its own either; what is left
+// is the answer rows' arena chunk, the Response, its rank-join stats and the
+// registry entry.
 //
 // On plan-churn's (four 1 500-row tables, selectivity 0.01) a tree of rank
 // joins over Sort enforcers digs ~1 400 tuples deep to return 25 rows. The
 // rank joins queue their candidates as row references and build a row only
-// when it is released, so the count follows the rows that leave each join,
-// not the thousands of combinations queued and dropped at Close. Building
-// every queued candidate cost 2 586 objects on the 4-way shape and 3 024 on
-// the 3-way one; allocating each join's hash tables per request, 825 on the
-// 4-way shape; compiling a tree per request, 730 and 521.
+// when it is released, so the count does not follow the thousands of
+// combinations queued and dropped at Close. Building every queued candidate
+// cost 2 586 objects on the 4-way shape and 3 024 on the 3-way one;
+// allocating each join's hash tables per request, 825 on the 4-way shape;
+// compiling a tree per request, 730 and 521; one fresh object per released
+// row, 524 and 394. 24 of the 3-way shape's 36 are a rank join's queue
+// growing past maxPooledQueue, which the pool does not keep.
 //
 // On point-topk's (three 20 000-row tables, selectivity 0.002) one HRJN over
 // two index scans returns 10 rows after a shallow pull, so the session's
 // fixed cost is all there is: allocating the HRJN's hash tables per request
-// cost 121 objects, and compiling a tree per request 91.
+// cost 121 objects, compiling a tree per request 91, and a fresh object per
+// released row 20.
 //
 // On sharded-skew's (two 16 000-row tables range-partitioned on their 400
 // keys into 4 shards, one running at a time) the top shard runs and three
-// are pruned; compiling the running shard's tree per request cost 150.
+// are pruned; compiling the running shard's tree per request cost 150, and a
+// fresh object per row its rank join released and its RankAssign.Next
+// answered with, 56.
+//
+// On deep-dig's (the 5 000-object multimedia corpus) AnyK drains three
+// features and enumerates 10 answers; a fresh object per row it released
+// cost 18.
 func TestRankJoinSessionAllocs(t *testing.T) {
 	churn, _ := workload.RankedSet(4, workload.RankedConfig{N: 1500, Selectivity: 0.01, Seed: 2004})
 	point, _ := workload.RankedSet(3, workload.RankedConfig{N: 20000, Selectivity: 0.002, Seed: 2004})
 	churnEng, pointEng := New(churn, core.Options{}), New(point, core.Options{})
 	skewEng := NewWithConfig(skewedShardCatalog(t, 16000, 400), Config{Shards: 4, ShardWidth: 1})
+	corpus, _ := workload.Corpus(workload.CorpusConfig{Objects: 5000, Features: 4, Seed: 2004})
+	digEng := New(corpus, core.Options{})
 	for _, tc := range []struct {
 		name  string
 		eng   *Engine
@@ -44,12 +60,13 @@ func TestRankJoinSessionAllocs(t *testing.T) {
 		bound float64
 	}{
 		{"4-way", churnEng, "SELECT * FROM T1, T2, T3, T4 WHERE T1.key = T2.key AND T2.key = T3.key AND T3.key = T4.key " +
-			"ORDER BY 0.1*T1.score + 0.2*T2.score + 0.3*T3.score + 0.4*T4.score DESC LIMIT 25", 25, 524},
+			"ORDER BY 0.1*T1.score + 0.2*T2.score + 0.3*T3.score + 0.4*T4.score DESC LIMIT 25", 25, 15},
 		{"3-way", churnEng, "SELECT * FROM T2, T3, T4 WHERE T2.key = T3.key AND T3.key = T4.key " +
-			"ORDER BY 0.6*T2.score + 0.1*T3.score + 0.3*T4.score DESC LIMIT 25", 25, 394},
+			"ORDER BY 0.6*T2.score + 0.1*T3.score + 0.3*T4.score DESC LIMIT 25", 25, 37},
 		{"point-topk", pointEng, "SELECT * FROM T1, T2 WHERE T1.key = T2.key " +
-			"ORDER BY T1.score + T2.score DESC LIMIT 10", 10, 20},
-		{"sharded-skew", skewEng, skewedShardSQL, 10, 56},
+			"ORDER BY T1.score + T2.score DESC LIMIT 10", 10, 11},
+		{"sharded-skew", skewEng, skewedShardSQL, 10, 41},
+		{"deep-dig", digEng, fmt.Sprintf(deepDigSQL, 10), 10, 9},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			req := Request{SQL: tc.sql}
@@ -57,8 +74,9 @@ func TestRankJoinSessionAllocs(t *testing.T) {
 			if resp.Err != nil {
 				t.Fatal(resp.Err)
 			}
-			if len(resp.Tuples) != tc.rows || (len(resp.RankJoins) == 0) != resp.Sharded {
-				t.Fatalf("%d rows over %d rank joins (sharded %v), want %d rows over a rank join", len(resp.Tuples), len(resp.RankJoins), resp.Sharded, tc.rows)
+			ranked := len(resp.RankJoins) > 0 || resp.Plan.CountOps(plan.OpAnyK) > 0
+			if len(resp.Tuples) != tc.rows || ranked == resp.Sharded {
+				t.Fatalf("%d rows over %d rank joins (sharded %v), want %d rows over a rank join or AnyK", len(resp.Tuples), len(resp.RankJoins), resp.Sharded, tc.rows)
 			}
 			if raceBuild {
 				t.Skip("allocation counts are only stable outside -race")
@@ -74,6 +92,60 @@ func TestRankJoinSessionAllocs(t *testing.T) {
 			t.Logf("%s session: %.0f allocs", tc.name, got)
 			if got > tc.bound {
 				t.Errorf("%s session allocates %.0f objects, want <= %.0f", tc.name, got, tc.bound)
+			}
+		})
+	}
+}
+
+// deepDigSQL is deep-dig's 3-feature shape, which the planner runs with AnyK
+// on the 5 000-object corpus, at LIMIT %d.
+const deepDigSQL = "SELECT * FROM ColorLayout, Texture, Edges WHERE ColorLayout.id = Texture.id AND Texture.id = Edges.id " +
+	"ORDER BY ColorLayout.score + Texture.score + Edges.score DESC LIMIT %d"
+
+// TestSessionAllocsIndependentOfK checks that a warm session's allocation
+// count does not follow k: a tree of HRJNs on plan-churn's catalog and AnyK
+// on deep-dig's allocate the same at k = 10 and k = 100. Every row a rank
+// operator releases below the root comes from the pooled release chunks and
+// the root's rows from one arena chunk, so one object per released row — ten
+// times as many at k = 100 — fails it. The HRJN shape is one whose queues
+// stay within maxPooledQueue at k = 100: past it a queue is regrown every
+// session, which follows the depth reached, not the rows released.
+func TestSessionAllocsIndependentOfK(t *testing.T) {
+	if raceBuild {
+		t.Skip("allocation counts are only stable outside -race")
+	}
+	churn, _ := workload.RankedSet(4, workload.RankedConfig{N: 1500, Selectivity: 0.01, Seed: 2004})
+	corpus, _ := workload.Corpus(workload.CorpusConfig{Objects: 5000, Features: 4, Seed: 2004})
+	for _, tc := range []struct {
+		name string
+		eng  *Engine
+		sql  string // with %d for the LIMIT
+		// The plan must hold at least ops operators of type op.
+		op  plan.OpType
+		ops int
+	}{
+		{"hrjn-tree", New(churn, core.Options{}), "SELECT * FROM T1, T2, T3 WHERE T1.key = T2.key AND T2.key = T3.key " +
+			"ORDER BY 0.2*T1.score + 0.3*T2.score + 0.5*T3.score DESC LIMIT %d", plan.OpHRJN, 2},
+		{"anyk", New(corpus, core.Options{}), deepDigSQL, plan.OpAnyK, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var allocs [2]float64
+			for i, k := range []int{10, 100} {
+				req := Request{SQL: fmt.Sprintf(tc.sql, k)}
+				resp := tc.eng.Run(req)
+				if resp.Err != nil || len(resp.Tuples) != k {
+					t.Fatalf("k=%d: %d rows, %v", k, len(resp.Tuples), resp.Err)
+				}
+				if resp.Plan.CountOps(tc.op) < tc.ops {
+					t.Fatalf("planned with fewer than %d %v:\n%s", tc.ops, tc.op, plan.Explain(resp.Plan))
+				}
+				gc := debug.SetGCPercent(-1)
+				allocs[i] = testing.AllocsPerRun(10, func() { tc.eng.Run(req) })
+				debug.SetGCPercent(gc)
+			}
+			t.Logf("%s session: %.0f allocs at k=10, %.0f at k=100", tc.name, allocs[0], allocs[1])
+			if allocs[1] != allocs[0] {
+				t.Errorf("a session allocates %.0f objects at k=100 and %.0f at k=10, want the same", allocs[1], allocs[0])
 			}
 		})
 	}

@@ -60,6 +60,7 @@ type AnyK struct {
 	// buf queues the pending solutions; every input is read out before the
 	// first one is pushed, so its release step always drains.
 	buf rankBuffer[anykSol]
+	releaseRows
 
 	cancel canceller
 }
@@ -591,7 +592,7 @@ func (j *AnyK) Next() (relation.Tuple, bool, error) {
 		}
 	}
 
-	out := make(relation.Tuple, 0, j.schema.Len())
+	out := j.newRow(j.schema.Len())
 	for lvl := range j.levels {
 		out = append(out, j.levels[lvl].tuples[j.path[lvl]]...)
 	}
@@ -621,5 +622,6 @@ func (j *AnyK) Close() error {
 	}
 	j.built = false
 	j.buf.close()
+	j.recycleRows()
 	return closeAll(j.Inputs)
 }

@@ -28,7 +28,8 @@ const DefaultBatchSize = 256
 // pointed at a borrowed read-only view of an existing tuple slice (SetView —
 // how SeqScan hands out a window of the heap with zero copies). The tuples inside
 // follow the same ownership rule as Next: once handed to the caller they
-// are caller-owned and never recycled.
+// are caller-owned and never recycled — the one exception being a rank
+// operator's rows handed to a parent that copies them (see Operator.Next).
 type Batch struct {
 	// own is the batch's recycled append target; tuples is the live
 	// contents — own[:n] after an appended fill, a borrowed slice after
@@ -55,7 +56,7 @@ func (b *Batch) Len() int { return len(b.tuples) }
 func (b *Batch) Cap() int { return cap(b.tuples) }
 
 // Tuples returns the filled prefix. The slice is valid until the next Reset
-// or refill; the tuples themselves remain valid (caller-owned).
+// or refill; the tuples themselves remain valid (owned as Next's are).
 func (b *Batch) Tuples() []relation.Tuple { return b.tuples }
 
 // Reset empties the batch for an appended refill, re-aiming it at its own
@@ -77,14 +78,16 @@ func (b *Batch) Reset() {
 }
 
 // drop empties the batch and clears its array of the tuples it referenced,
-// keeping its capacity: an operator that keeps its batch across Close and
-// Open holds no tuple of a finished run. A nil batch is a no-op.
+// keeping its capacity — grown by the last fill too, so a session that pulls
+// more than the first one did grows the array once, not every run: an
+// operator that keeps its batch across Close and Open holds no tuple of a
+// finished run. A nil batch is a no-op.
 func (b *Batch) drop() {
 	if b == nil {
 		return
 	}
+	b.Reset()
 	clear(b.own[:cap(b.own)])
-	b.tuples, b.viewed = b.own[:0], false
 }
 
 // SetView points the batch at a borrowed read-only tuple slice with zero
@@ -121,7 +124,7 @@ type BatchOperator interface {
 	// demand — LIMIT-style consumers pass their remaining need so lazy
 	// children are not overpulled — but operators whose unit of work fans out
 	// (a hash-join probe emitting every match of a probe tuple) may overshoot
-	// it for one round. The tuples appended to out are caller-owned exactly
+	// it for one round. The tuples appended to out are owned exactly
 	// as if returned by Next.
 	NextBatch(out *Batch, max int) (ok bool, err error)
 }

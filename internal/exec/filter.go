@@ -193,13 +193,15 @@ func (p *Project) bind() error {
 	return nil
 }
 
-// Next implements Operator.
+// Next implements Operator, carving the row from the arena NextBatch uses:
+// with no batch announced, its chunks start at one row and double, so k rows
+// pulled one at a time cost about log2(k) allocations.
 func (p *Project) Next() (relation.Tuple, bool, error) {
 	t, ok, err := p.In.Next()
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	out := make(relation.Tuple, len(p.evals))
+	out := p.arena.alloc(len(p.evals))
 	for i, ev := range p.evals {
 		v, err := ev(t)
 		if err != nil {
@@ -355,13 +357,17 @@ func (r *RankAssign) Open(ctx context.Context) error {
 			return err
 		}
 		r.ev = ev
+		// Every input row is copied into an output row, and the input batch
+		// is cleared at Close before the input is closed.
+		readCopied(r.In)
 	}
 	r.rank = 0
 	r.src.reset(ctx, r.In)
 	return nil
 }
 
-// Next implements Operator.
+// Next implements Operator, carving the row from the arena as Project.Next
+// does — the path a shard coordinator pulls each pipeline's answers through.
 func (r *RankAssign) Next() (relation.Tuple, bool, error) {
 	t, ok, err := r.In.Next()
 	if err != nil || !ok {
@@ -372,9 +378,9 @@ func (r *RankAssign) Next() (relation.Tuple, bool, error) {
 		return nil, false, err
 	}
 	r.rank++
-	out := make(relation.Tuple, 0, len(t)+2)
-	out = append(out, t...)
-	out = append(out, v, relation.Int(r.rank))
+	out := r.arena.alloc(len(t) + 2)
+	copy(out, t)
+	out[len(t)], out[len(t)+1] = v, relation.Int(r.rank)
 	return out, true, nil
 }
 

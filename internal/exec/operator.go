@@ -25,7 +25,10 @@ type Operator interface {
 	// closed every child it managed to open; callers must not Close a failed
 	// operator.
 	Open(ctx context.Context) error
-	// Next returns the next tuple; ok=false signals exhaustion.
+	// Next returns the next tuple; ok=false signals exhaustion. The tuple is
+	// the caller's to keep, with one exception: a rank operator (HRJN, NRJN,
+	// AnyK, TA) whose parent copies every row it reads and marked it so
+	// (readCopied) hands out rows valid only until the operator's own Close.
 	Next() (t relation.Tuple, ok bool, err error)
 	// Close releases resources (recursively closing children).
 	Close() error

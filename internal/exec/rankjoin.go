@@ -336,6 +336,75 @@ func (p *queuePool[T]) give(a *[]scoreItem[T], items []scoreItem[T]) {
 	p.Put(a)
 }
 
+// releaseRows builds the rows a rank operator releases. By default each is a
+// fresh array, caller-owned forever. A parent that copies every row it reads
+// into rows of its own and holds none past its own Close, which runs before
+// its input's — RankAssign, HRJN, NRJN's outer — marks its direct input with
+// readCopied when it binds it; the operator then carves its rows from pooled
+// value chunks and hands them back, cleared, at its own Close. A session then
+// allocates no object per released row. The chunks live in one package-level
+// pool, never on the operator between runs, so an idle tree holds no row.
+type releaseRows struct {
+	// copied is set by a copying parent; chunk is the newest chunk of this
+	// run (each links to the one filled before it) and spare its unused tail.
+	copied bool
+	chunk  *releaseChunk
+	spare  []relation.Value
+}
+
+// releaseChunkValues is the size of one pooled chunk: 20 kB of values, the
+// rows of a shallow top-k session's every rank join in one or two chunks.
+const releaseChunkValues = 512
+
+// releaseChunk is one pooled block of release-row values.
+type releaseChunk struct {
+	vals [releaseChunkValues]relation.Value
+	prev *releaseChunk
+}
+
+var releaseChunkPool = sync.Pool{New: func() any { return new(releaseChunk) }}
+
+// readCopied marks in, when it is a rank operator, as read by a parent that
+// copies what it reads (see releaseRows). Any other operator is left alone.
+func readCopied(in Operator) {
+	if r, ok := in.(interface{ readCopied() }); ok {
+		r.readCopied()
+	}
+}
+
+// readCopied is the mark, promoted to every operator embedding the rows.
+func (r *releaseRows) readCopied() { r.copied = true }
+
+// newRow returns an empty row with room for n values: a fresh array unless
+// the parent copies, else carved from the run's chunks.
+func (r *releaseRows) newRow(n int) relation.Tuple {
+	if !r.copied || n > releaseChunkValues {
+		return make(relation.Tuple, 0, n)
+	}
+	if len(r.spare) < n {
+		c := releaseChunkPool.Get().(*releaseChunk)
+		c.prev, r.chunk = r.chunk, c
+		r.spare = c.vals[:]
+	}
+	t := r.spare[:0:n]
+	r.spare = r.spare[n:]
+	return t
+}
+
+// recycleRows hands the run's chunks back to the pool, each cleared of the
+// values it held (Close). The newest chunk's unused tail is still clear.
+func (r *releaseRows) recycleRows() {
+	used := releaseChunkValues - len(r.spare)
+	for c := r.chunk; c != nil; {
+		prev := c.prev
+		clear(c.vals[:used])
+		c.prev = nil
+		releaseChunkPool.Put(c)
+		c, used = prev, releaseChunkValues
+	}
+	r.chunk, r.spare = nil, nil
+}
+
 // rankBuffer is a rank operator's ranking buffer: the score queue, the
 // release step, and the bookkeeping around them. acct is the operator's one
 // accountant — its input buffers (hash tables, the NRJN inner, AnyK's
@@ -437,6 +506,7 @@ type HRJN struct {
 	buf    rankBuffer[rowRefs]
 	// scratch is the one row the residual is evaluated on.
 	scratch relation.Tuple
+	releaseRows
 
 	// live counts the inputs not yet exhausted; zero means no further result
 	// can form. next is the input Alternate polls next. thresh and dom cache
@@ -636,6 +706,10 @@ func (j *HRJN) bind() error {
 		return err
 	}
 	j.resEv = ev
+	// Each input row is held in a hash table until this join's Close and
+	// copied into the rows it releases.
+	readCopied(j.Left)
+	readCopied(j.Right)
 	return nil
 }
 
@@ -765,7 +839,7 @@ func (j *HRJN) Next() (relation.Tuple, bool, error) {
 			return nil, false, err
 		}
 		if c, ok := j.buf.release(j.thresh, j.live == 0); ok {
-			return j.row(make(relation.Tuple, 0, j.schema.Len()), &c), true, nil
+			return j.row(j.newRow(j.schema.Len()), &c), true, nil
 		}
 		if j.live == 0 {
 			return nil, false, nil
@@ -783,6 +857,7 @@ func (j *HRJN) Close() error {
 	j.ins[1].release()
 	j.buf.close()
 	j.scratch = nil
+	j.recycleRows()
 	err1 := j.Left.Close()
 	err2 := j.Right.Close()
 	if err1 != nil {
@@ -830,6 +905,7 @@ type NRJN struct {
 	buf   rankBuffer[outerPair]
 	// scratch is the one row Pred is evaluated on.
 	scratch relation.Tuple
+	releaseRows
 
 	cancel canceller
 }
@@ -982,6 +1058,10 @@ func (j *NRJN) bind() error {
 		return err
 	}
 	j.predEv = ev
+	// An outer row is held on the queue until this join's Close at the
+	// latest and copied into the row it releases. The inner is not marked:
+	// it is closed at the end of Open while its rows stay in the chains.
+	readCopied(j.Left)
 	return nil
 }
 
@@ -1020,7 +1100,7 @@ func (j *NRJN) Next() (relation.Tuple, bool, error) {
 		// reading the outer out.
 		exhausted := j.outer.done || j.inner.seen == 0
 		if c, ok := j.buf.release(j.threshold(), exhausted); ok {
-			return j.row(make(relation.Tuple, 0, j.schema.Len()), c), true, nil
+			return j.row(j.newRow(j.schema.Len()), c), true, nil
 		}
 		if exhausted {
 			return nil, false, nil
@@ -1065,5 +1145,6 @@ func (j *NRJN) Close() error {
 	j.inner.release()
 	j.buf.close()
 	j.scratch = nil
+	j.recycleRows()
 	return j.Left.Close()
 }

@@ -186,3 +186,99 @@ func rowSet(rows []relation.Tuple) []string {
 	slices.Sort(out)
 	return out
 }
+
+// TestReleaseRowsFollowTheParent checks who owns a rank operator's released
+// rows. Under a copying parent (RankAssign here) HRJN, NRJN and AnyK carve
+// them from pooled chunks and hand the chunks back, cleared, at their own
+// Close; the parent's rows survive that Close. At the root nothing marks the
+// operator, and every row it released is its own array that outlives the
+// operator's Close.
+func TestReleaseRowsFollowTheParent(t *testing.T) {
+	lkey, rkey := expr.Col("L", "key"), expr.Col("R", "key")
+	lscore, rscore := expr.Col("L", "score"), expr.Col("R", "score")
+	lsch, ltups := tagged("L", 300, 15, 1, false)
+	rsch, rtups := tagged("R", 300, 15, 4, false)
+	rows := func(op Operator) *releaseRows {
+		switch j := op.(type) {
+		case *HRJN:
+			return &j.releaseRows
+		case *NRJN:
+			return &j.releaseRows
+		case *AnyK:
+			return &j.releaseRows
+		}
+		t.Fatalf("%T releases no rows", op)
+		return nil
+	}
+	builds := map[string]func() Operator{
+		"HRJN": func() Operator {
+			return NewHRJN(FromTuples(lsch, ltups), FromTuples(rsch, rtups), lscore, rscore, lkey, rkey, nil)
+		},
+		"NRJN": func() Operator {
+			j := NewNRJN(FromTuples(lsch, ltups), FromTuples(rsch, rtups), lscore, rscore, expr.Bin(expr.OpEq, lkey, rkey))
+			j.LeftKey, j.RightKey = lkey, rkey
+			return j
+		},
+		"AnyK": func() Operator {
+			j, err := NewAnyK([]Operator{FromTuples(lsch, ltups), FromTuples(rsch, rtups)},
+				[]expr.Expr{lscore, rscore}, []expr.Expr{lkey}, []expr.Expr{rkey})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return j
+		},
+	}
+	const k = 40
+	for name, build := range builds {
+		t.Run(name, func(t *testing.T) {
+			root := build()
+			got, err := CollectK(root, k)
+			if err != nil || len(got) != k {
+				t.Fatalf("root: %d rows, %v", len(got), err)
+			}
+			if r := rows(root); r.copied || r.chunk != nil {
+				t.Fatalf("root: marked %v, holding a chunk %v", r.copied, r.chunk != nil)
+			}
+			for i, row := range got {
+				if row[0].IsNull() || row[len(row)-1].IsNull() {
+					t.Fatalf("root: row %d reads %v after Close", i, row)
+				}
+			}
+
+			child := build()
+			ra := NewRankAssign(child, expr.Bin(expr.OpAdd, lscore, rscore))
+			if err := ra.Open(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			var out []relation.Tuple
+			for len(out) < k {
+				row, ok, err := ra.Next()
+				if err != nil || !ok {
+					t.Fatalf("under RankAssign: row %d: %v, %v", len(out), ok, err)
+				}
+				out = append(out, row)
+			}
+			r := rows(child)
+			chunk := r.chunk
+			if !r.copied || chunk == nil {
+				t.Fatalf("under RankAssign: marked %v, holding a chunk %v", r.copied, chunk != nil)
+			}
+			if err := ra.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if r.chunk != nil || r.spare != nil || chunk.prev != nil {
+				t.Fatal("the chunks were not handed back at Close")
+			}
+			for i, v := range chunk.vals {
+				if !v.IsNull() {
+					t.Fatalf("value %d of a recycled chunk reads %v", i, v)
+				}
+			}
+			for i, row := range out {
+				if !slices.Equal(row[:len(row)-2], got[i]) || row[len(row)-1].AsInt() != int64(i+1) {
+					t.Fatalf("row %d reads %v after Close, want %v ranked %d", i, row, got[i], i+1)
+				}
+			}
+		})
+	}
+}

@@ -44,6 +44,7 @@ type TA struct {
 	schema *relation.Schema
 	ins    []taList
 	buf    rankBuffer[rowRefs]
+	releaseRows
 	// seen interns every id read by sorted access: an id it already holds
 	// was completed at its first read.
 	seen keyTable
@@ -216,7 +217,7 @@ func (t *TA) Next() (relation.Tuple, bool, error) {
 
 // row builds result c's output row: each list's heap row, in input order.
 func (t *TA) row(c *rowRefs) relation.Tuple {
-	out := make(relation.Tuple, 0, t.schema.Len())
+	out := t.newRow(t.schema.Len())
 	for i := range t.Inputs {
 		out = append(out, t.Inputs[i].Rel.Tuple(int(c[i]))...)
 	}
@@ -226,5 +227,6 @@ func (t *TA) row(c *rowRefs) relation.Tuple {
 // Close implements Operator.
 func (t *TA) Close() error {
 	t.buf.close()
+	t.recycleRows()
 	return nil
 }
