@@ -48,8 +48,12 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		orders, err := core.InterestingOrders(cat, q, core.Options{})
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Println("-- interesting order expressions (Table 1) --")
-		for _, io := range res.InterestingOrders {
+		for _, io := range orders {
 			fmt.Printf("   %-50s %s\n", io.Expr, strings.Join(io.Reasons, " and "))
 		}
 		fmt.Println("-- chosen plan --")

@@ -184,7 +184,7 @@ func sortedLabels(ms ...map[string]int) []string {
 // rank-aware optimizer collects for Query Q2 and why.
 func Table1() (*Table, error) {
 	cat := abcCatalog(1000)
-	res, err := core.Optimize(cat, q2Query(), core.Options{})
+	orders, err := core.InterestingOrders(cat, q2Query(), core.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -192,7 +192,7 @@ func Table1() (*Table, error) {
 		Title:   "Table 1: interesting order expressions in Query Q2",
 		Columns: []string{"interesting order expression", "reason"},
 	}
-	for _, io := range res.InterestingOrders {
+	for _, io := range orders {
 		t.AddRow(io.Expr, strings.Join(io.Reasons, " and "))
 	}
 	return t, nil

@@ -134,8 +134,6 @@ type Result struct {
 	// PlansProtected counts pipelined plans that survived a cheaper blocking
 	// rival only through the First-N-Rows protection.
 	PlansProtected int
-	// InterestingOrders reproduces Table 1 for the query.
-	InterestingOrders []InterestingOrder
 	// Planner is the strategy that actually produced Best (greedy requests
 	// that fell back report PlannerDP here).
 	Planner PlannerMode
@@ -269,7 +267,6 @@ func Optimize(cat *catalog.Catalog, q *logical.Query, opts Options) (*Result, er
 		PlansGenerated:       o.pc.gen,
 		PlansPruned:          o.pc.pruned + o.pc.evicted,
 		PlansProtected:       o.pc.protected,
-		InterestingOrders:    o.interestingOrders(),
 		Planner:              planner,
 		GreedyFallback:       fallback,
 		GreedyFallbackReason: fallbackReason,

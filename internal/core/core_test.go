@@ -197,12 +197,12 @@ func TestInterestingOrdersTable1(t *testing.T) {
 	for i := range q.Score.Terms {
 		q.Score.Terms[i].Weight = 0.3
 	}
-	res, err := Optimize(cat, q, Options{})
+	orders, err := InterestingOrders(cat, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	byExpr := map[string][]string{}
-	for _, io := range res.InterestingOrders {
+	for _, io := range orders {
 		byExpr[io.Expr] = io.Reasons
 	}
 	// Join columns.
@@ -233,8 +233,8 @@ func TestInterestingOrdersTable1(t *testing.T) {
 		t.Errorf("%s should be interesting for Orderby: %v", full, byExpr[full])
 	}
 	// Paper count for Q2: 6 columns + 3 pairs + 1 full = 10 rows.
-	if len(res.InterestingOrders) != 10 {
-		t.Errorf("Table 1 rows = %d, want 10", len(res.InterestingOrders))
+	if len(orders) != 10 {
+		t.Errorf("Table 1 rows = %d, want 10", len(orders))
 	}
 }
 
@@ -498,8 +498,12 @@ func TestGroupedQueryEndToEnd(t *testing.T) {
 		}
 	}
 	// Group-by column is an interesting order.
+	orders, err := InterestingOrders(cat, q, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	found := false
-	for _, io := range res.InterestingOrders {
+	for _, io := range orders {
 		if io.Expr == "T1.key" && hasReason(io.Reasons, "GroupBy") {
 			found = true
 		}

@@ -5,8 +5,24 @@ import (
 	"sort"
 	"strings"
 
+	"rankopt/internal/catalog"
 	"rankopt/internal/expr"
+	"rankopt/internal/logical"
 )
+
+// InterestingOrders reproduces the paper's Table 1 for q under opts without
+// planning it (see interestingOrders). Optimize does not build it; a traced
+// Optimize emits the same rows as DecisionInterestingOrder decisions.
+func InterestingOrders(cat *catalog.Catalog, q *logical.Query, opts Options) ([]InterestingOrder, error) {
+	if err := q.Validate(); err != nil {
+		return nil, err
+	}
+	o, err := newOptimizer(cat, q, opts)
+	if err != nil {
+		return nil, err
+	}
+	return o.interestingOrders(), nil
+}
 
 // interestingOrders reproduces the paper's Table 1 for the query: the
 // interesting order expressions the rank-aware optimizer collects, with the

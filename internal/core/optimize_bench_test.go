@@ -23,8 +23,8 @@ func TestOptimizeAllocs(t *testing.T) {
 		shape churnShape
 		bound float64
 	}{
-		{"3-way", churnShapes[0], 750},
-		{"4-way", churnShapes[4], 2390},
+		{"3-way", churnShapes[0], 680},
+		{"4-way", churnShapes[4], 2210},
 	} {
 		q := tc.shape.query(t, 10)
 		allocs := testing.AllocsPerRun(5, func() {

@@ -94,10 +94,11 @@ func TestAnalyzeOffLeavesNoCollector(t *testing.T) {
 
 // TestAnalyzeEmptyInput runs EXPLAIN ANALYZE over a plan whose filter
 // eliminates every row — the zero-output estimator path. The session must
-// finish cleanly with zero tuples, and every plan node (rank joins
-// included) must carry finite, non-negative cardinality and depth
-// estimates: the estimate.Propagate zero-OutCard short-circuit feeding
-// NaN/Inf into EstDL/EstDR pre-sizing is exactly the regression this pins.
+// finish cleanly with zero tuples, and every plan node must carry a finite,
+// non-negative cardinality estimate and every rank join finite,
+// non-negative depth estimates: the estimate.Propagate zero-OutCard
+// short-circuit feeding NaN/Inf into EstDL/EstDR is exactly the regression
+// this pins.
 func TestAnalyzeEmptyInput(t *testing.T) {
 	eng := testEngine(t, core.Options{})
 	resp := eng.Run(Request{
@@ -118,12 +119,14 @@ func TestAnalyzeEmptyInput(t *testing.T) {
 		if math.IsNaN(n.Card) || math.IsInf(n.Card, 0) || n.Card < 0 {
 			t.Errorf("%s: degenerate card estimate %v", n.Op, n.Card)
 		}
-		for _, v := range []float64{n.EstDL, n.EstDR} {
+	})
+	for _, rj := range resp.RankJoins {
+		for _, v := range []float64{rj.EstDL, rj.EstDR} {
 			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-				t.Errorf("%s: degenerate depth estimate %v", n.Op, v)
+				t.Errorf("%s: degenerate depth estimate %v", rj.Op, v)
 			}
 		}
-	})
+	}
 	// The rendered tree must also be well-formed (no NaN leaking into the
 	// est columns the REPL shows).
 	out := plan.FormatAnalyze(resp.Plan, resp.Analysis, false)

@@ -521,8 +521,8 @@ func (e *Engine) run(ctx context.Context, req Request, limits exec.ResourceLimit
 	// per-shard stats collectors and trace lanes ride the fan-out (the
 	// optimizer runs once above; only execution is parallel). Plans the
 	// partitioning cannot cover fall back and are counted. The tiers differ
-	// only in the root operator: the single tier's tree reports progress
-	// itself, the coordinator reports its own.
+	// only in the root operator and in who counts the emitted tuples: the
+	// root drain on the single tier, the coordinator on the sharded one.
 	sharded := e.shardable(root, pi.k)
 	if len(e.shards) > 0 && !sharded {
 		e.met.shardFallbacks.Add(1)
@@ -531,6 +531,7 @@ func (e *Engine) run(ctx context.Context, req Request, limits exec.ResourceLimit
 		op    exec.Operator
 		batch *exec.Batch
 		merge *exec.ShardMerge
+		prog  *exec.Progress
 	)
 	cs := tr.Begin("compile", "pipeline")
 	if sharded {
@@ -543,8 +544,8 @@ func (e *Engine) run(ctx context.Context, req Request, limits exec.ResourceLimit
 		if t, err = p.tree(e.cat, root, -1); err != nil {
 			err = fmt.Errorf("engine: compile: %w", err)
 		} else {
-			t.Arm(pi.k, limits, &en.prog)
-			op, batch = t.Root, t.Batch()
+			t.Arm(pi.k, limits)
+			op, batch, prog = t.Root, t.Batch(), &en.prog
 			if p.collect {
 				resp.Analysis = p.runs[0].Analysis
 			}
@@ -558,7 +559,7 @@ func (e *Engine) run(ctx context.Context, req Request, limits exec.ResourceLimit
 	en.setState(QueryExecuting)
 	es := tr.Begin("execute", "pipeline")
 	execStart := time.Now()
-	tuples, err := exec.CollectBatch(ctx, op, batch)
+	tuples, err := exec.CollectBatch(ctx, op, batch, prog)
 	execNanos := time.Since(execStart).Nanoseconds()
 	tr.End(es)
 	p.gathered()

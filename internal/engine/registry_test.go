@@ -40,7 +40,8 @@ func TestQueryRegistryLifecycle(t *testing.T) {
 	eng := testEngine(t, core.Options{})
 	good := testRequests(1, false)[0]
 	good.ID = "client-1"
-	if resp := eng.Run(good); resp.Err != nil {
+	resp := eng.Run(good)
+	if resp.Err != nil {
 		t.Fatal(resp.Err)
 	}
 	if resp := eng.Run(Request{SQL: "SELECT * FROM"}); resp.Err == nil {
@@ -57,8 +58,8 @@ func TestQueryRegistryLifecycle(t *testing.T) {
 	if ok.State != "done" || ok.ClientID != "client-1" || ok.SQL != good.SQL {
 		t.Errorf("finished session row wrong: %+v", ok)
 	}
-	if ok.Emitted == 0 || ok.K == 0 || ok.Emitted > ok.K {
-		t.Errorf("rank-aware progress wrong: emitted=%d k=%d", ok.Emitted, ok.K)
+	if ok.Emitted == 0 || ok.Emitted != int64(len(resp.Tuples)) || ok.K == 0 || ok.Emitted > ok.K {
+		t.Errorf("rank-aware progress wrong: emitted=%d rows=%d k=%d", ok.Emitted, len(resp.Tuples), ok.K)
 	}
 	if ok.ElapsedMillis <= 0 {
 		t.Errorf("finished session has no elapsed time: %+v", ok)
@@ -173,15 +174,20 @@ func TestQueriesEndpoint(t *testing.T) {
 }
 
 // TestRegistryShardedProgress: a sharded session's registry row reports the
-// fan-out — sharded flag, total shard count — after it finishes.
+// fan-out — sharded flag, total shard count — after it finishes, and the
+// coordinator's emitted count, which nothing else adds to.
 func TestRegistryShardedProgress(t *testing.T) {
 	cat := partitionedCatalog(t)
 	eng := NewWithConfig(cat, Config{Shards: 2})
 	if err := eng.ShardError(); err != nil {
 		t.Fatal(err)
 	}
-	if resp := eng.Run(testRequests(1, false)[0]); resp.Err != nil {
+	resp := eng.Run(testRequests(1, false)[0])
+	if resp.Err != nil {
 		t.Fatal(resp.Err)
+	}
+	if !resp.Sharded {
+		t.Fatal("session did not run sharded")
 	}
 	qs := eng.Queries()
 	if len(qs) != 1 {
@@ -191,8 +197,8 @@ func TestRegistryShardedProgress(t *testing.T) {
 	if !qi.Sharded || qi.ShardsTotal != 2 || qi.ShardsDone != qi.ShardsTotal-int32(qi.ShardsLive) {
 		t.Errorf("sharded progress wrong: %+v", qi)
 	}
-	if qi.State != "done" || qi.Emitted == 0 {
-		t.Errorf("sharded session row wrong: %+v", qi)
+	if qi.State != "done" || qi.Emitted == 0 || qi.Emitted != int64(len(resp.Tuples)) {
+		t.Errorf("sharded session row wrong (%d rows): %+v", len(resp.Tuples), qi)
 	}
 }
 

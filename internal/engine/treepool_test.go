@@ -146,7 +146,7 @@ func TestTreePoolConcurrentSessions(t *testing.T) {
 // session's k must read the request's, not the template plan's 20: the rows
 // returned, the registry's k, the sharded tier's merge, and — unsharded — the
 // depth-model estimates in Response.RankJoins, which must equal what
-// Instantiate(k) annotates.
+// PropagateK over Instantiate(k) computes.
 func TestTemplateServesSessionK(t *testing.T) {
 	cat := partitionedCatalog(t)
 	for _, tc := range []struct {
@@ -188,9 +188,10 @@ func TestTemplateServesSessionK(t *testing.T) {
 					continue
 				}
 				var wantEst []string
-				tmpl.Instantiate(k).Walk(func(n *plan.Node) {
+				plan.PropagateK(tmpl.Instantiate(k), float64(k), func(n *plan.Node, nk float64) {
 					if n.Op.IsRankJoin() {
-						wantEst = append(wantEst, fmt.Sprintf("%v %.9g %.9g", n.Op, n.EstDL, n.EstDR))
+						dL, dR := n.Depths(nk)
+						wantEst = append(wantEst, fmt.Sprintf("%v %.9g %.9g", n.Op, dL, dR))
 					}
 				})
 				var gotEst []string
@@ -198,7 +199,7 @@ func TestTemplateServesSessionK(t *testing.T) {
 					gotEst = append(gotEst, fmt.Sprintf("%s %.9g %.9g", rj.Op, rj.EstDL, rj.EstDR))
 				}
 				if len(wantEst) == 0 || strings.Join(gotEst, "; ") != strings.Join(wantEst, "; ") {
-					t.Errorf("k=%d: estimates %v, Instantiate(k) annotates %v", k, gotEst, wantEst)
+					t.Errorf("k=%d: estimates %v, PropagateK over Instantiate(k) gives %v", k, gotEst, wantEst)
 				}
 			}
 		})

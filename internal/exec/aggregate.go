@@ -197,10 +197,13 @@ type HashAggregate struct {
 	In      Operator
 	GroupBy []expr.ColRef
 	Aggs    []AggSpec
+	// Budget, when set, is charged for every group held.
+	Budget *Budget
 
 	schema *relation.Schema
 	out    []relation.Tuple
 	pos    int
+	acct   accountant
 	// Groups records the group count after Open, for instrumentation.
 	Groups int
 }
@@ -226,12 +229,15 @@ func (h *HashAggregate) Schema() *relation.Schema {
 }
 
 // Open implements Operator: the blocking drain polls the context on
-// the sampling cadence.
+// the sampling cadence and charges the budget per new group. A failed Open
+// drops the groups and returns their charge.
 func (h *HashAggregate) Open(ctx context.Context) error {
 	if err := h.In.Open(ctx); err != nil {
 		return err
 	}
 	if err := h.load(ctx); err != nil {
+		h.out = nil
+		h.acct.releaseAll()
 		closeQuietly(h.In)
 		return err
 	}
@@ -254,6 +260,8 @@ func (h *HashAggregate) load(ctx context.Context) error {
 		accs    []accumulator
 	}
 	groups := map[string]*group{}
+	h.acct.releaseAll()
+	h.acct.budget = h.Budget.bound()
 	var c canceller
 	c.reset(ctx)
 	for {
@@ -280,6 +288,9 @@ func (h *HashAggregate) load(ctx context.Context) error {
 		}
 		g := groups[kb.String()]
 		if g == nil {
+			if err := h.acct.charge(1); err != nil {
+				return err
+			}
 			g = &group{keyVals: keyVals, accs: newAccumulators(h.Aggs)}
 			groups[kb.String()] = g
 		}
@@ -334,6 +345,7 @@ func (h *HashAggregate) Next() (relation.Tuple, bool, error) {
 // Close implements Operator.
 func (h *HashAggregate) Close() error {
 	h.out = nil
+	h.acct.releaseAll()
 	return h.In.Close()
 }
 
@@ -353,6 +365,7 @@ type SortedAggregate struct {
 	accs    []accumulator
 	started bool
 	done    bool
+	cancel  canceller
 }
 
 // NewSortedAggregate constructs the operator; GroupBy must be non-empty.
@@ -393,6 +406,7 @@ func (s *SortedAggregate) Open(ctx context.Context) error {
 	s.curKey = nil
 	s.started = false
 	s.done = false
+	s.cancel.reset(ctx)
 	return nil
 }
 
@@ -415,12 +429,16 @@ func sameKey(a, b relation.Tuple) bool {
 	return true
 }
 
-// Next implements Operator.
+// Next implements Operator. The group loop polls the context on the
+// sampling cadence.
 func (s *SortedAggregate) Next() (relation.Tuple, bool, error) {
 	if s.done {
 		return nil, false, nil
 	}
 	for {
+		if err := s.cancel.poll(); err != nil {
+			return nil, false, err
+		}
 		t, ok, err := s.In.Next()
 		if err != nil {
 			return nil, false, err

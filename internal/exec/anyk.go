@@ -202,16 +202,6 @@ func (j *AnyK) Stats() RankJoinStats {
 	return j.buf.stats(j.ins[0].depth, j.ins[len(j.ins)-1].depth)
 }
 
-// gauges exposes the queue high-water mark (and, on a binary path, the two
-// input depths) to the Analyzed collector.
-func (j *AnyK) gauges() analyzeGauges {
-	g := analyzeGauges{maxQueue: j.buf.maxQueue}
-	if len(j.ins) == 2 {
-		g.leftDepth, g.rightDepth = j.ins[0].depth, j.ins[1].depth
-	}
-	return g
-}
-
 // Open implements Operator. The build itself is deferred to the first
 // Next call so cancellation during the (blocking) build surfaces as a Next
 // error like every other operator's pull loop.

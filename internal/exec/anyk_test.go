@@ -266,6 +266,11 @@ func TestAnyKStatsAndGauges(t *testing.T) {
 	if st.LeftDepth != depths[0] || st.RightDepth != depths[2] || st.Emitted != 1 {
 		t.Errorf("Stats = %+v", st)
 	}
+	// EXPLAIN ANALYZE's collector reads the same Stats.
+	if g := Analyze(j).ExecStats(); g.LeftDepth != int64(st.LeftDepth) ||
+		g.RightDepth != int64(st.RightDepth) || g.MaxQueue != int64(st.MaxQueue) {
+		t.Errorf("collector depths (%d,%d) queue %d, Stats %+v", g.LeftDepth, g.RightDepth, g.MaxQueue, st)
+	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"rankopt/internal/catalog"
 	"rankopt/internal/expr"
 	"rankopt/internal/relation"
 )
@@ -325,6 +326,67 @@ func TestFilterRejectLoopCancellation(t *testing.T) {
 	})
 }
 
+// TestClassicInnerLoopCancellation extends the reject-loop regression to the
+// classic operators' inner loops: with the context cancelled after Open, the
+// nested-loops reject loop, the index nested-loops match loop, the merge
+// join's advance loop over disjoint keys and the sorted aggregate's group
+// loop must each stop within the polling cadence instead of draining their
+// outer input.
+func TestClassicInnerLoopCancellation(t *testing.T) {
+	rejectAll := expr.Bin(expr.OpLt, expr.Col("S", "score"), expr.FloatLit(0))
+	rows := make([][3]float64, 1000)
+	for i := range rows {
+		rows[i] = [3]float64{float64(i), 1, 1}
+	}
+	inner := makeRel("R", rows)
+	cat := catalog.New()
+	cat.AddTable(inner)
+	idx, err := cat.CreateIndex("R", "key", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sKey, rKey := expr.Col("S", "key"), expr.Col("R", "key")
+	for _, tc := range []struct {
+		name  string
+		build func(outer Operator) Operator
+	}{
+		{"nlj", func(outer Operator) Operator {
+			return NewNestedLoopsJoin(outer, NewSeqScan(inner), rejectAll)
+		}},
+		{"inlj", func(outer Operator) Operator {
+			return NewIndexNLJoin(outer, inner, idx, sKey, rejectAll)
+		}},
+		{"smj", func(outer Operator) Operator {
+			// Every outer key (1) sorts below the right side's (2).
+			r := makeRel("R", [][3]float64{{0, 2, 1}})
+			right := &slowSource{schema: r.Schema(), tuple: r.Tuples()[0], n: 1000}
+			return NewSortMergeJoin(outer, right, sKey, rKey, nil)
+		}},
+		{"sorted_agg", func(outer Operator) Operator {
+			return NewSortedAggregate(outer, []expr.ColRef{sKey}, []AggSpec{{Func: AggCount}})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			outer := newSlowSource(2000, nil)
+			op := tc.build(outer)
+			ctx, cancel := context.WithCancel(context.Background())
+			if err := op.Open(ctx); err != nil {
+				t.Fatal(err)
+			}
+			cancel()
+			if _, _, err := op.Next(); !errors.Is(err, ErrQueryCancelled) {
+				t.Fatalf("inner loop ignored cancellation: %v", err)
+			}
+			if outer.pos > 2*cancelCheckPeriod {
+				t.Fatalf("pulled %d outer tuples after cancel (cadence %d)", outer.pos, cancelCheckPeriod)
+			}
+			if err := op.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // TestCollectKCtxCancellation covers the CollectK fix: the k-bounded drain
 // now opens with the query context and polls it, so a
 // cancelled context stops the pull loop instead of running to k.
@@ -514,7 +576,7 @@ func TestBatchDrainAllocBudgets(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			allocs := testing.AllocsPerRun(5, func() {
-				if _, _, err := drain(ctx, c.mk(), nil, pullBatch, noLimit, countRows); err != nil {
+				if _, _, err := drain(ctx, c.mk(), nil, nil, pullBatch, noLimit, countRows); err != nil {
 					t.Fatal(err)
 				}
 			})

@@ -159,11 +159,11 @@ func TestRankAssign(t *testing.T) {
 	}
 }
 
-// counted wraps in with WithProgress, the production counting wrapper, and
-// returns a reader of how many tuples have been pulled through it.
+// counted wraps in with the Analyzed collector and returns a reader of how
+// many tuples have been pulled through it.
 func counted(in Operator) (Operator, func() int) {
-	var p Progress
-	return WithProgress(in, &p), func() int { return int(p.Snapshot().Emitted) }
+	a := Analyze(in)
+	return a, func() int { return int(a.ExecStats().TuplesOut) }
 }
 
 // errOp is a degenerate operator that fails on Open.
@@ -182,7 +182,13 @@ func TestCounterAndHelpers(t *testing.T) {
 	c, n := counted(NewSeqScan(rel))
 	got, err := CollectK(c, 2)
 	if err != nil || len(got) != 2 || n() != 2 {
-		t.Fatalf("CollectK/WithProgress: %v %v count=%d", got, err, n())
+		t.Fatalf("CollectK: %v %v count=%d", got, err, n())
+	}
+	// The root drain counts every tuple it pulls into the progress block.
+	var p Progress
+	got, err = CollectBatch(context.Background(), NewSeqScan(rel), nil, &p)
+	if err != nil || len(got) != 3 || p.Snapshot().Emitted != 3 {
+		t.Fatalf("CollectBatch: %v %v emitted=%d", got, err, p.Snapshot().Emitted)
 	}
 	if err := errOperator("boom").Open(context.Background()); err == nil {
 		t.Error("errOperator should fail")

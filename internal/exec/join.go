@@ -26,6 +26,8 @@ func bindPred(pred expr.Expr, sch *relation.Schema) (expr.Eval, error) {
 type NestedLoopsJoin struct {
 	Left, Right Operator
 	Pred        expr.Expr
+	// Budget, when set, is charged for every materialized inner tuple.
+	Budget *Budget
 
 	schema *relation.Schema
 	ev     expr.Eval
@@ -33,6 +35,8 @@ type NestedLoopsJoin struct {
 	cur    relation.Tuple
 	ipos   int
 	done   bool
+	acct   accountant
+	cancel canceller
 }
 
 // NewNestedLoopsJoin constructs the join; Pred may be nil (cross product).
@@ -46,19 +50,19 @@ func NewNestedLoopsJoin(left, right Operator, pred expr.Expr) *NestedLoopsJoin {
 // Schema implements Operator.
 func (j *NestedLoopsJoin) Schema() *relation.Schema { return j.schema }
 
-// Open implements Operator: materializes the inner input, polling the context.
+// Open implements Operator: materializes the inner input, polling the
+// context. A failed Open drops the inner and returns its charge.
 func (j *NestedLoopsJoin) Open(ctx context.Context) error {
 	if err := j.Left.Open(ctx); err != nil {
 		return err
 	}
-	inner, err := CollectCtx(ctx, j.Right)
-	if err != nil {
-		closeQuietly(j.Left)
-		return err
-	}
-	j.inner = inner
 	ev, err := bindPred(j.Pred, j.schema)
+	if err == nil {
+		err = j.load(ctx)
+	}
 	if err != nil {
+		j.inner = nil
+		j.acct.releaseAll()
 		closeQuietly(j.Left)
 		return err
 	}
@@ -66,14 +70,19 @@ func (j *NestedLoopsJoin) Open(ctx context.Context) error {
 	j.cur = nil
 	j.ipos = 0
 	j.done = false
+	j.cancel.reset(ctx)
 	return nil
 }
 
-// Next implements Operator.
+// Next implements Operator. The outer pull and the inner reject loop poll
+// the context on the sampling cadence.
 func (j *NestedLoopsJoin) Next() (relation.Tuple, bool, error) {
 	for {
 		if j.done {
 			return nil, false, nil
+		}
+		if err := j.cancel.poll(); err != nil {
+			return nil, false, err
 		}
 		if j.cur == nil {
 			t, ok, err := j.Left.Next()
@@ -88,6 +97,9 @@ func (j *NestedLoopsJoin) Next() (relation.Tuple, bool, error) {
 			j.ipos = 0
 		}
 		for j.ipos < len(j.inner) {
+			if err := j.cancel.poll(); err != nil {
+				return nil, false, err
+			}
 			out := j.cur.Concat(j.inner[j.ipos])
 			j.ipos++
 			pass, err := expr.EvalBool(j.ev, out)
@@ -102,9 +114,43 @@ func (j *NestedLoopsJoin) Next() (relation.Tuple, bool, error) {
 	}
 }
 
+// load opens the inner input and materializes it batch-at-a-time, charging
+// each batch before it is kept: an inner larger than the budget fails after
+// one batch too many, not after the whole input is in memory.
+func (j *NestedLoopsJoin) load(ctx context.Context) error {
+	j.acct.releaseAll()
+	j.acct.budget = j.Budget.bound()
+	j.inner = nil
+	if err := j.Right.Open(ctx); err != nil {
+		return err
+	}
+	var src batchSource
+	src.reset(ctx, j.Right)
+	b := NewBatch(DefaultBatchSize)
+	for {
+		err := CtxErr(ctx)
+		ok := false
+		if err == nil {
+			ok, err = src.next(b, DefaultBatchSize)
+		}
+		if err == nil && ok {
+			err = j.acct.charge(b.Len())
+		}
+		if err != nil {
+			closeQuietly(j.Right)
+			return err
+		}
+		if !ok {
+			return j.Right.Close()
+		}
+		j.inner = append(j.inner, b.Tuples()...)
+	}
+}
+
 // Close implements Operator.
 func (j *NestedLoopsJoin) Close() error {
 	j.inner = nil
+	j.acct.releaseAll()
 	return j.Left.Close()
 }
 
@@ -129,6 +175,7 @@ type IndexNLJoin struct {
 	matches []int
 	mpos    int
 	done    bool
+	cancel  canceller
 	// Probes counts index lookups, for cost validation.
 	Probes int
 }
@@ -168,14 +215,19 @@ func (j *IndexNLJoin) Open(ctx context.Context) error {
 	j.cur = nil
 	j.done = false
 	j.Probes = 0
+	j.cancel.reset(ctx)
 	return nil
 }
 
-// Next implements Operator.
+// Next implements Operator. The outer pull and the match loop poll the
+// context on the sampling cadence.
 func (j *IndexNLJoin) Next() (relation.Tuple, bool, error) {
 	for {
 		if j.done {
 			return nil, false, nil
+		}
+		if err := j.cancel.poll(); err != nil {
+			return nil, false, err
 		}
 		if j.cur == nil {
 			t, ok, err := j.Left.Next()
@@ -196,6 +248,9 @@ func (j *IndexNLJoin) Next() (relation.Tuple, bool, error) {
 			j.matches = j.img.Lookup(key)
 		}
 		for j.mpos < len(j.matches) {
+			if err := j.cancel.poll(); err != nil {
+				return nil, false, err
+			}
 			rid := j.matches[j.mpos]
 			j.mpos++
 			out := j.cur.Concat(j.InnerRel.Tuple(rid))
@@ -640,6 +695,7 @@ type SortMergeJoin struct {
 	group      []relation.Tuple // right tuples sharing the current key
 	gpos       int
 	emitting   bool
+	cancel     canceller
 }
 
 // NewSortMergeJoin constructs the join.
@@ -662,6 +718,7 @@ func (j *SortMergeJoin) Open(ctx context.Context) error {
 		closeQuietly(j.Left)
 		return err
 	}
+	j.cancel.reset(ctx)
 	if err := j.prime(); err != nil {
 		closeQuietly(j.Left, j.Right)
 		return err
@@ -691,7 +748,13 @@ func (j *SortMergeJoin) prime() error {
 	return j.advanceRight()
 }
 
+// advanceLeft and advanceRight pull the next tuple of one side, polling the
+// context on the sampling cadence: every step of the merge and of the group
+// gathering goes through them.
 func (j *SortMergeJoin) advanceLeft() error {
+	if err := j.cancel.poll(); err != nil {
+		return err
+	}
 	t, ok, err := j.Left.Next()
 	if err != nil {
 		return err
@@ -710,6 +773,9 @@ func (j *SortMergeJoin) advanceLeft() error {
 }
 
 func (j *SortMergeJoin) advanceRight() error {
+	if err := j.cancel.poll(); err != nil {
+		return err
+	}
 	t, ok, err := j.Right.Next()
 	if err != nil {
 		return err
@@ -733,6 +799,9 @@ func (j *SortMergeJoin) Next() (relation.Tuple, bool, error) {
 		// Emit pending (left, group) combinations.
 		if j.emitting {
 			for j.gpos < len(j.group) {
+				if err := j.cancel.poll(); err != nil {
+					return nil, false, err
+				}
 				out := j.lTup.Concat(j.group[j.gpos])
 				j.gpos++
 				pass, err := expr.EvalBool(j.resEv, out)

@@ -11,8 +11,9 @@ import (
 // This file is the robustness layer of the executor: typed errors for
 // cancellation and resource exhaustion, per-query ResourceLimits, and the
 // shared atomic Budget that buffering operators (rank-join and TA queues,
-// rank-join hash tables, the TopK heap, Sort buffers, HashJoin build tables)
-// charge for every tuple they hold. A runaway rank-join — deep cL/cR reads
+// rank-join hash tables, the TopK heap, Sort buffers, HashJoin build tables,
+// nested-loops inners, HashAggregate groups) charge for every tuple they
+// hold. A runaway rank-join — deep cL/cR reads
 // when the Section 4 depth estimates miss — now fails with a typed error
 // instead of growing its queues until the process OOMs.
 
@@ -43,8 +44,9 @@ type ResourceLimits struct {
 	Deadline time.Time
 	// MaxBufferedTuples caps the tuples buffered across the whole operator
 	// tree at any instant: rank-join and TA ranking queues, rank-join hash
-	// tables, TopK heaps, Sort buffers and HashJoin build tables all charge
-	// one shared budget. Zero means unlimited.
+	// tables, TopK heaps, Sort buffers, HashJoin build tables, nested-loops
+	// inners and HashAggregate groups all charge one shared budget. Zero
+	// means unlimited.
 	MaxBufferedTuples int64
 	// MaxDepthPerInput caps how many tuples a rank-join may consume from any
 	// single input — the direct guard against the runaway-depth failure mode.

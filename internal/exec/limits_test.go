@@ -75,6 +75,48 @@ func TestNRJNBudgetStopsInnerLoad(t *testing.T) {
 	}
 }
 
+// NestedLoopsJoin charges its materialized inner per batch and
+// HashAggregate each group it holds: a limit below either size fails with the
+// typed error and leaves nothing charged.
+func TestBudgetCoversNLJInnerAndAggregateGroups(t *testing.T) {
+	const limit = 100
+	osch, otups := buildRankedInput(10, 5, 1)
+	isch, itups := buildRankedInput(1000, 1000, 3)
+	for _, tc := range []struct {
+		name  string
+		build func(*Budget) Operator
+	}{
+		{"nlj", func(b *Budget) Operator {
+			j := NewNestedLoopsJoin(FromTuples(osch, otups), FromTuples(isch, itups), nil)
+			j.Budget = b
+			return j
+		}},
+		{"hash_agg", func(b *Budget) Operator {
+			h := NewHashAggregate(FromTuples(isch, itups), []expr.ColRef{expr.Col("A", "key")}, []AggSpec{{Func: AggCount}})
+			h.Budget = b
+			return h
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := NewBudget(ResourceLimits{MaxBufferedTuples: limit})
+			if _, err := Collect(tc.build(b)); !errors.Is(err, ErrBudgetExceeded) {
+				t.Fatalf("want ErrBudgetExceeded, got %v", err)
+			}
+			if b.Buffered() != 0 {
+				t.Fatalf("budget not released after failed Open: %d still charged", b.Buffered())
+			}
+			// A sufficient budget runs clean and is back at zero after Close.
+			b = NewBudget(ResourceLimits{MaxBufferedTuples: 1 << 20})
+			if _, err := Collect(tc.build(b)); err != nil {
+				t.Fatal(err)
+			}
+			if b.Buffered() != 0 {
+				t.Fatalf("budget not released after Close: %d still charged", b.Buffered())
+			}
+		})
+	}
+}
+
 func TestDepthExceededTyped(t *testing.T) {
 	b := NewBudget(ResourceLimits{MaxDepthPerInput: 7})
 	j := limitedHRJN(4000, 5, b)

@@ -173,9 +173,6 @@ func TestOpenFailureClosesOpenedChildren(t *testing.T) {
 		{"cancelled-analyzed", func(c ...*lifecycleOp) Operator {
 			return Analyze(NewSort(c[0], byScore))
 		}, 1, true},
-		{"cancelled-progress", func(c ...*lifecycleOp) Operator {
-			return WithProgress(NewSort(c[0], byScore), &Progress{})
-		}, 1, true},
 	}
 	for _, tc := range cases {
 		children := make([]*lifecycleOp, 2)

@@ -81,13 +81,14 @@ const (
 // check per batch) into b — a fresh DefaultBatchSize batch when nil — or,
 // with perTuple, one tuple per Next polling ctx on the canceller cadence.
 // limit < 0 drains to exhaustion; keep retains the tuples, otherwise they are
-// only counted. A caller's batch comes back empty and cleared of the tuples
+// only counted. Every tuple pulled is also counted into prog (nil counts
+// nothing). A caller's batch comes back empty and cleared of the tuples
 // it carried. A failed Open needs no Close: per the
 // Operator contract the operator has already released whatever it opened. On
 // any later failure — including cancellation — the tree is closed before
 // returning, so a cancelled query never leaks goroutines, pooled buffers, or
 // open state; n then counts the tuples pulled before the failure.
-func drain(ctx context.Context, op Operator, b *Batch, perTuple bool, limit int, keep bool) (out []relation.Tuple, n int, err error) {
+func drain(ctx context.Context, op Operator, b *Batch, prog *Progress, perTuple bool, limit int, keep bool) (out []relation.Tuple, n int, err error) {
 	if err := CtxErr(ctx); err != nil {
 		return nil, 0, err
 	}
@@ -129,6 +130,7 @@ func drain(ctx context.Context, op Operator, b *Batch, perTuple bool, limit int,
 			break
 		}
 		n += len(got)
+		prog.AddEmitted(int64(len(got)))
 		if keep {
 			out = append(out, got...)
 		}
@@ -148,14 +150,15 @@ func Collect(op Operator) ([]relation.Tuple, error) {
 // CollectCtx collects every tuple of op under a query context, pulling
 // batch-at-a-time.
 func CollectCtx(ctx context.Context, op Operator) ([]relation.Tuple, error) {
-	return CollectBatch(ctx, op, nil)
+	return CollectBatch(ctx, op, nil, nil)
 }
 
 // CollectBatch is CollectCtx pulling into the caller's batch b (a fresh one
-// when nil), which a compiled tree keeps across sessions. b comes back
-// empty, cleared of the tuples it carried.
-func CollectBatch(ctx context.Context, op Operator, b *Batch) ([]relation.Tuple, error) {
-	out, _, err := drain(ctx, op, b, pullBatch, noLimit, keepRows)
+// when nil), which a compiled tree keeps across sessions, and counting the
+// tuples it pulls into the session's progress block prog (nil counts
+// nothing). b comes back empty, cleared of the tuples it carried.
+func CollectBatch(ctx context.Context, op Operator, b *Batch, prog *Progress) ([]relation.Tuple, error) {
+	out, _, err := drain(ctx, op, b, prog, pullBatch, noLimit, keepRows)
 	return out, err
 }
 
@@ -164,7 +167,7 @@ func CollectBatch(ctx context.Context, op Operator, b *Batch) ([]relation.Tuple,
 // oracle cross-checks every plan through both drains — any batch-vs-tuple
 // divergence fails the comparison.
 func CollectPerTupleCtx(ctx context.Context, op Operator) ([]relation.Tuple, error) {
-	out, _, err := drain(ctx, op, nil, pullTuple, noLimit, keepRows)
+	out, _, err := drain(ctx, op, nil, nil, pullTuple, noLimit, keepRows)
 	return out, err
 }
 
@@ -179,7 +182,7 @@ func CollectK(op Operator, k int) ([]relation.Tuple, error) {
 // rank-join roots past k, destroying exactly the early termination top-k
 // callers use CollectK for.
 func CollectKCtx(ctx context.Context, op Operator, k int) ([]relation.Tuple, error) {
-	out, _, err := drain(ctx, op, nil, pullTuple, max(k, 0), keepRows)
+	out, _, err := drain(ctx, op, nil, nil, pullTuple, max(k, 0), keepRows)
 	return out, err
 }
 

@@ -10,9 +10,10 @@ import (
 // OpStats are the runtime counters EXPLAIN ANALYZE reports for one operator.
 // Every field is a plain scalar — no interfaces, maps, or slices — so
 // collecting them on the per-tuple path costs a handful of integer stores
-// and zero allocations. Depth, queue, heap, and sort fields are filled from
-// the wrapped operator's own gauges (see analyzeGauges) and stay zero for
-// operators without that internal state.
+// and zero allocations. Depth and queue fields are filled from a rank
+// operator's Stats, heap and sort fields from the wrapped operator's own
+// gauges (see analyzeGauges); they stay zero for operators without that
+// internal state.
 type OpStats struct {
 	// Opens counts successful Open calls: 1 after a run, 0 after a failed
 	// Open.
@@ -65,18 +66,18 @@ func (s OpStats) EstNextNanos() int64 {
 // so the sampling test is a mask, not a division.
 const nextSamplePeriod = 32
 
-// analyzeGauges are the internal high-water marks and counters an operator
-// hands to its Analyzed collector. Operators without such state simply do not
-// implement gaugeReporter.
+// analyzeGauges are the internal high-water marks and counters a blocking
+// operator hands to its Analyzed collector. Operators without such state
+// simply do not implement gaugeReporter.
 type analyzeGauges struct {
-	leftDepth, rightDepth int
-	maxQueue, maxHeap     int
-	sortBuffered          int
-	sortEmitted           int
+	maxHeap      int
+	sortBuffered int
+	sortEmitted  int
 }
 
-// gaugeReporter is implemented by operators with internal gauges worth
-// surfacing in EXPLAIN ANALYZE (HRJN, NRJN, AnyK, TopK, Sort).
+// gaugeReporter is implemented by the blocking operators with internal gauges
+// worth surfacing in EXPLAIN ANALYZE (TopK, Sort); rank operators report
+// through StatsReporter.
 type gaugeReporter interface {
 	gauges() analyzeGauges
 }
@@ -157,13 +158,17 @@ func (a *Analyzed) Close() error {
 	return a.In.Close()
 }
 
-// captureGauges copies the wrapped operator's internal gauges into the stats.
+// captureGauges copies the wrapped operator's depths, queue high-water mark
+// and internal gauges into the stats.
 func (a *Analyzed) captureGauges() {
-	if gr, ok := a.In.(gaugeReporter); ok {
-		g := gr.gauges()
-		a.stats.LeftDepth = int64(g.leftDepth)
-		a.stats.RightDepth = int64(g.rightDepth)
-		a.stats.MaxQueue = int64(g.maxQueue)
+	switch o := a.In.(type) {
+	case StatsReporter:
+		st := o.Stats()
+		a.stats.LeftDepth = int64(st.LeftDepth)
+		a.stats.RightDepth = int64(st.RightDepth)
+		a.stats.MaxQueue = int64(st.MaxQueue)
+	case gaugeReporter:
+		g := o.gauges()
 		a.stats.MaxHeap = int64(g.maxHeap)
 		a.stats.SortBuffered = int64(g.sortBuffered)
 		a.stats.SortEmitted = int64(g.sortEmitted)
@@ -175,14 +180,4 @@ func (a *Analyzed) captureGauges() {
 func (a *Analyzed) ExecStats() OpStats {
 	a.captureGauges()
 	return a.stats
-}
-
-// Stats forwards the inner operator's rank-join stats so StatsReporter
-// consumers (the engine's measured-vs-estimated depth report) see through
-// the collector.
-func (a *Analyzed) Stats() RankJoinStats {
-	if sr, ok := a.In.(StatsReporter); ok {
-		return sr.Stats()
-	}
-	return RankJoinStats{}
 }

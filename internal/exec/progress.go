@@ -1,24 +1,22 @@
 package exec
 
 import (
-	"context"
 	"math"
 	"sync/atomic"
-
-	"rankopt/internal/relation"
 )
 
 // Progress is a lock-free, shared rank-aware progress block for one running
-// query. The executing goroutines (a ShardMerge coordinator or a ProgressOp
-// wrapped around a single-path root) store into it; observers (the live query
-// registry behind /debug/queries) load from it concurrently. Every field is
-// an atomic scalar, so updating costs a handful of stores per tuple and
-// snapshotting never blocks execution. All methods are nil-receiver safe:
-// an unobserved query carries a nil *Progress at zero cost.
+// query. The executing goroutines (a ShardMerge coordinator, or the root
+// drain CollectBatch of a single-path session) store into it; observers (the
+// live query registry behind /debug/queries) load from it concurrently.
+// Every field is an atomic scalar, so updating costs a handful of stores per
+// tuple and snapshotting never blocks execution. All methods are
+// nil-receiver safe: an unobserved query carries a nil *Progress at zero
+// cost.
 type Progress struct {
 	// emitted is the number of result tuples produced so far: buffered top-k
-	// candidates for a ShardMerge (capped at k), tuples pulled through the
-	// root for a single-path query.
+	// candidates for a ShardMerge (capped at k), tuples the root drain
+	// pulled for a single-path query.
 	emitted atomic.Int64
 	// kth and bound are float64 bit patterns: the current k-th (lowest
 	// surviving) buffered score, and the best score any still-live source
@@ -146,70 +144,4 @@ func (p *Progress) Snapshot() ProgressSnapshot {
 		ShardsTotal: p.shardsTotal.Load(),
 		Merging:     p.merging.Load(),
 	}
-}
-
-// ProgressOp wraps a single-path plan root and counts emitted tuples into a
-// shared Progress block with one atomic add per tuple (per batch on the
-// vectorized path). It forwards the batch contract, so wrapping a vectorized
-// root does not knock it back to per-tuple pulls.
-type ProgressOp struct {
-	In   Operator
-	prog *Progress
-	src  batchSource
-}
-
-// WithProgress wraps op so tuples pulled through it are counted into prog.
-// A nil prog returns op unchanged.
-func WithProgress(op Operator, prog *Progress) Operator {
-	if prog == nil {
-		return op
-	}
-	return &ProgressOp{In: op, prog: prog}
-}
-
-// Report points the counting at prog (nil counts nothing): a compiled tree
-// that serves many sessions keeps its ProgressOp and retargets it at each
-// session's block before opening it.
-func (p *ProgressOp) Report(prog *Progress) { p.prog = prog }
-
-// Schema implements Operator.
-func (p *ProgressOp) Schema() *relation.Schema { return p.In.Schema() }
-
-// Open implements Operator, forwarding the context to the input.
-func (p *ProgressOp) Open(ctx context.Context) error {
-	if err := p.In.Open(ctx); err != nil {
-		return err
-	}
-	p.src.reset(ctx, p.In)
-	return nil
-}
-
-// Next implements Operator.
-func (p *ProgressOp) Next() (relation.Tuple, bool, error) {
-	t, ok, err := p.In.Next()
-	if ok {
-		p.prog.AddEmitted(1)
-	}
-	return t, ok, err
-}
-
-// NextBatch implements BatchOperator, counting whole batches at once.
-func (p *ProgressOp) NextBatch(out *Batch, max int) (bool, error) {
-	ok, err := p.src.next(out, max)
-	if ok {
-		p.prog.AddEmitted(int64(out.Len()))
-	}
-	return ok, err
-}
-
-// Close implements Operator.
-func (p *ProgressOp) Close() error { return p.In.Close() }
-
-// Stats forwards the inner operator's rank-join stats so StatsReporter
-// consumers see through the wrapper.
-func (p *ProgressOp) Stats() RankJoinStats {
-	if sr, ok := p.In.(StatsReporter); ok {
-		return sr.Stats()
-	}
-	return RankJoinStats{}
 }

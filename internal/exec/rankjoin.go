@@ -86,8 +86,9 @@ type RankJoinStats struct {
 }
 
 // StatsReporter is implemented by operators that measure their input depths
-// and ranking-buffer usage (HRJN, NRJN and AnyK); the experiment harness and
-// the CLI use it to compare measurements with the optimizer's estimates.
+// and ranking-buffer usage (HRJN, NRJN and AnyK). It is the one source of
+// those figures: the engine's session report, the experiment harness and the
+// EXPLAIN ANALYZE collector all read it.
 type StatsReporter interface {
 	Stats() RankJoinStats
 }
@@ -645,14 +646,6 @@ func (j *HRJN) Schema() *relation.Schema { return j.schema }
 // Stats returns the measured depths and buffer high-water mark.
 func (j *HRJN) Stats() RankJoinStats { return j.buf.stats(j.ins[0].depth, j.ins[1].depth) }
 
-// gauges exposes the internal high-water marks to the Analyzed collector.
-func (j *HRJN) gauges() analyzeGauges { return rankGauges(j.Stats()) }
-
-// rankGauges maps a rank join's stats onto the Analyzed collector's gauges.
-func rankGauges(st RankJoinStats) analyzeGauges {
-	return analyzeGauges{leftDepth: st.LeftDepth, rightDepth: st.RightDepth, maxQueue: st.MaxQueue}
-}
-
 // Open implements Operator: the context is forwarded to both inputs and
 // polled by Next's pull loop on the sampling cadence.
 func (j *HRJN) Open(ctx context.Context) error {
@@ -934,9 +927,6 @@ func (j *NRJN) Schema() *relation.Schema { return j.schema }
 // equals the materialized inner size before NULL-score drops (the
 // nested-loops strategy consumes the inner fully).
 func (j *NRJN) Stats() RankJoinStats { return j.buf.stats(j.outer.depth, j.inner.depth) }
-
-// gauges exposes the internal high-water marks to the Analyzed collector.
-func (j *NRJN) gauges() analyzeGauges { return rankGauges(j.Stats()) }
 
 // Open implements Operator: inner materialization (the blocking part
 // of Open) runs under the context, and Next's outer loop polls it.

@@ -1,11 +1,9 @@
 package oracle
 
 import (
-	"context"
 	"fmt"
 
 	"rankopt/internal/core"
-	"rankopt/internal/exec"
 	"rankopt/internal/plan"
 	"rankopt/internal/sqlparse"
 )
@@ -56,31 +54,7 @@ func RunAnyK(c Case) (AnyKReport, error) {
 			continue
 		}
 		anyk++
-		op, err := plan.Compile(c.cat, root)
-		if err != nil {
-			return AnyKReport{}, fmt.Errorf("seed %d anyk plan %d: compile: %w\n%s", c.Seed, pi, err, plan.Explain(root))
-		}
-		tuples, err := exec.Collect(op)
-		if err != nil {
-			return AnyKReport{}, fmt.Errorf("seed %d anyk plan %d: execute: %w\n%s", c.Seed, pi, err, plan.Explain(root))
-		}
-		opRef, err := plan.CompileWith(c.cat, root, plan.Config{ScalarRef: true})
-		if err != nil {
-			return AnyKReport{}, fmt.Errorf("seed %d anyk plan %d: recompile: %w\n%s", c.Seed, pi, err, plan.Explain(root))
-		}
-		ref, err := exec.CollectPerTupleCtx(context.Background(), opRef)
-		if err != nil {
-			return AnyKReport{}, fmt.Errorf("seed %d anyk plan %d: per-tuple execute: %w\n%s", c.Seed, pi, err, plan.Explain(root))
-		}
-		if err := compareTuples(ref, tuples); err != nil {
-			return AnyKReport{}, fmt.Errorf("seed %d anyk plan %d: batch vs per-tuple: %w\nquery: %s\n%s",
-				c.Seed, pi, err, c.SQL, plan.Explain(root))
-		}
-		got := make([]float64, len(tuples))
-		for i, t := range tuples {
-			got[i] = t[len(t)-2].AsFloat()
-		}
-		if err := compareScores(want, got); err != nil {
+		if err := c.checkPlan(root, want); err != nil {
 			return AnyKReport{}, fmt.Errorf("seed %d anyk plan %d: %w\nquery: %s\n%s",
 				c.Seed, pi, err, c.SQL, plan.Explain(root))
 		}

@@ -238,41 +238,7 @@ func Run(c Case) (Report, error) {
 	rep := Report{SQL: c.SQL, Plans: len(res.AllPlans), Results: len(want)}
 	for pi, root := range res.AllPlans {
 		rep.TAPlans += min(root.CountOps(plan.OpRankAgg), 1)
-		// Every plan executes twice — batch-at-a-time (the production drain)
-		// and as the scalar reference executor (ScalarRef compile, one tuple
-		// per Next) — from two independent compilations, so leftover operator
-		// state cannot mask a divergence. The batch result is checked against
-		// brute force; the reference result must match it tuple-for-tuple,
-		// value-for-value. The reference side keeps pre-vectorization
-		// internals (interface-keyed hash-join build), so this also
-		// differentially tests the open-addressing numeric table against an
-		// independent implementation on every generated plan.
-		op, err := plan.Compile(c.cat, root)
-		if err != nil {
-			return Report{}, fmt.Errorf("seed %d plan %d: compile: %w\n%s", c.Seed, pi, err, plan.Explain(root))
-		}
-		tuples, err := exec.Collect(op)
-		if err != nil {
-			return Report{}, fmt.Errorf("seed %d plan %d: execute: %w\n%s", c.Seed, pi, err, plan.Explain(root))
-		}
-		opRef, err := plan.CompileWith(c.cat, root, plan.Config{ScalarRef: true})
-		if err != nil {
-			return Report{}, fmt.Errorf("seed %d plan %d: recompile: %w\n%s", c.Seed, pi, err, plan.Explain(root))
-		}
-		ref, err := exec.CollectPerTupleCtx(context.Background(), opRef)
-		if err != nil {
-			return Report{}, fmt.Errorf("seed %d plan %d: per-tuple execute: %w\n%s", c.Seed, pi, err, plan.Explain(root))
-		}
-		if err := compareTuples(ref, tuples); err != nil {
-			return Report{}, fmt.Errorf("seed %d plan %d/%d: batch vs per-tuple: %w\nquery: %s\n%s",
-				c.Seed, pi, len(res.AllPlans), err, c.SQL, plan.Explain(root))
-		}
-		got := make([]float64, len(tuples))
-		for i, t := range tuples {
-			// SELECT * keeps the RankAssign layout: score at len-2, rank last.
-			got[i] = t[len(t)-2].AsFloat()
-		}
-		if err := compareScores(want, got); err != nil {
+		if err := c.checkPlan(root, want); err != nil {
 			return Report{}, fmt.Errorf("seed %d plan %d/%d: %w\nquery: %s\n%s",
 				c.Seed, pi, len(res.AllPlans), err, c.SQL, plan.Explain(root))
 		}
@@ -293,17 +259,55 @@ func Run(c Case) (Report, error) {
 	if err != nil {
 		return Report{}, fmt.Errorf("seed %d: greedy execute: %w\n%s", c.Seed, err, plan.Explain(gres.Best))
 	}
-	ggot := make([]float64, len(gtuples))
-	for i, t := range gtuples {
-		ggot[i] = t[len(t)-2].AsFloat()
-	}
-	if err := compareScores(want, ggot); err != nil {
+	if err := compareScores(want, rowScores(gtuples)); err != nil {
 		return Report{}, fmt.Errorf("seed %d: greedy plan: %w\nquery: %s\n%s",
 			c.Seed, err, c.SQL, plan.Explain(gres.Best))
 	}
 
 	rep.GreedyFallback = gres.GreedyFallback
 	return rep, nil
+}
+
+// checkPlan executes one plan twice — batch-at-a-time (the production drain)
+// and as the scalar reference executor (ScalarRef compile, one tuple per
+// Next) — from two independent compilations, so leftover operator state
+// cannot mask a divergence. The batch result is checked against the
+// brute-force scores want; the reference result must match it
+// tuple-for-tuple, value-for-value. The reference side keeps
+// pre-vectorization internals (interface-keyed hash-join build), so this also
+// differentially tests the open-addressing numeric table against an
+// independent implementation on every generated plan.
+func (c Case) checkPlan(root *plan.Node, want []float64) error {
+	op, err := plan.Compile(c.cat, root)
+	if err != nil {
+		return fmt.Errorf("compile: %w", err)
+	}
+	tuples, err := exec.Collect(op)
+	if err != nil {
+		return fmt.Errorf("execute: %w", err)
+	}
+	opRef, err := plan.CompileWith(c.cat, root, plan.Config{ScalarRef: true})
+	if err != nil {
+		return fmt.Errorf("recompile: %w", err)
+	}
+	ref, err := exec.CollectPerTupleCtx(context.Background(), opRef)
+	if err != nil {
+		return fmt.Errorf("per-tuple execute: %w", err)
+	}
+	if err := compareTuples(ref, tuples); err != nil {
+		return fmt.Errorf("batch vs per-tuple: %w", err)
+	}
+	return compareScores(want, rowScores(tuples))
+}
+
+// rowScores extracts each answer row's score: SELECT * keeps the RankAssign
+// layout, score at len-2, rank last.
+func rowScores(tuples []relation.Tuple) []float64 {
+	got := make([]float64, len(tuples))
+	for i, t := range tuples {
+		got[i] = t[len(t)-2].AsFloat()
+	}
+	return got
 }
 
 // compareTuples asserts two result sets are identical: same count, same

@@ -114,8 +114,8 @@ func RunReuse(c Case, opts core.Options) (ReuseReport, error) {
 				if f.cancel {
 					ctx = &lateCancel{Context: ctx, after: 1}
 				}
-				tree.Arm(k, f.limits, nil)
-				_, err := exec.CollectBatch(ctx, tree.Root, tree.Batch())
+				tree.Arm(k, f.limits)
+				_, err := exec.CollectBatch(ctx, tree.Root, tree.Batch(), nil)
 				if err != nil && !errors.Is(err, f.want) {
 					return rep, fail(fmt.Errorf("failing session at k=%d: got %v, want %v", k, err, f.want))
 				}
@@ -137,8 +137,8 @@ func RunReuse(c Case, opts core.Options) (ReuseReport, error) {
 // checkReused runs one good session of tree at k and compares it with a
 // fresh compile of the template instantiated at k and with brute force.
 func (c Case) checkReused(tmpl *plan.Template, tree *plan.Tree, ap *plan.AnalyzedPlan, k int, ref []float64) error {
-	tree.Arm(k, exec.ResourceLimits{MaxBufferedTuples: 1 << 40, MaxDepthPerInput: 1 << 40}, nil)
-	got, err := exec.CollectBatch(context.Background(), tree.Root, tree.Batch())
+	tree.Arm(k, exec.ResourceLimits{MaxBufferedTuples: 1 << 40, MaxDepthPerInput: 1 << 40})
+	got, err := exec.CollectBatch(context.Background(), tree.Root, tree.Batch(), nil)
 	if err != nil {
 		return fmt.Errorf("reused session at k=%d: %w", k, err)
 	}
@@ -151,8 +151,8 @@ func (c Case) checkReused(tmpl *plan.Template, tree *plan.Tree, ap *plan.Analyze
 	if err != nil {
 		return fmt.Errorf("fresh compile at k=%d: %w", k, err)
 	}
-	fresh.Arm(k, exec.ResourceLimits{}, nil)
-	want, err := exec.CollectBatch(context.Background(), fresh.Root, fresh.Batch())
+	fresh.Arm(k, exec.ResourceLimits{})
+	want, err := exec.CollectBatch(context.Background(), fresh.Root, fresh.Batch(), nil)
 	if err != nil {
 		return fmt.Errorf("fresh session at k=%d: %w", k, err)
 	}
@@ -172,11 +172,7 @@ func (c Case) checkReused(tmpl *plan.Template, tree *plan.Tree, ap *plan.Analyze
 			return fmt.Errorf("k=%d: EXPLAIN ANALYZE counts of node %d: reused %+v, fresh %+v", k, i, reused[i], fresher[i])
 		}
 	}
-	scores := make([]float64, len(got))
-	for i, t := range got {
-		scores[i] = t[len(t)-2].AsFloat()
-	}
-	if err := compareScores(ref, scores); err != nil {
+	if err := compareScores(ref, rowScores(got)); err != nil {
 		return fmt.Errorf("k=%d: reused session vs brute force: %w", k, err)
 	}
 	return nil

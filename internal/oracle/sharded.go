@@ -59,12 +59,7 @@ func RunSharded(c Case, counts ...int) (ShardReport, error) {
 		if resp.Err != nil {
 			return fmt.Errorf("seed %d %s: %w", c.Seed, label, resp.Err)
 		}
-		got := make([]float64, len(resp.Tuples))
-		for i, t := range resp.Tuples {
-			// SELECT * keeps the RankAssign layout: score at len-2, rank last.
-			got[i] = t[len(t)-2].AsFloat()
-		}
-		if err := compareScores(want, got); err != nil {
+		if err := compareScores(want, rowScores(resp.Tuples)); err != nil {
 			return fmt.Errorf("seed %d %s: %w\nquery: %s", c.Seed, label, err, c.SQL)
 		}
 		if c.idJoin && resp.Plan.CountOps(plan.OpRankAgg) == 0 {

@@ -27,28 +27,18 @@ func (ap *AnalyzedPlan) collect(n *Node, op exec.Operator) exec.Operator {
 	return a
 }
 
-// Stats returns the runtime counters collected for plan node n.
+// Stats returns the runtime counters collected for plan node n (false when
+// n was not compiled by this plan).
 func (ap *AnalyzedPlan) Stats(n *Node) (exec.OpStats, bool) {
-	a := ap.Collector(n)
-	if a == nil {
+	if ap == nil || ap.ops[n] == nil {
 		return exec.OpStats{}, false
 	}
-	return a.ExecStats(), true
-}
-
-// Collector returns node n's stats collector (nil when n was not compiled by
-// this plan). The collector forwards exec.StatsReporter, so rank-join
-// consumers can use it wherever they used the bare operator.
-func (ap *AnalyzedPlan) Collector(n *Node) *exec.Analyzed {
-	if ap == nil {
-		return nil
-	}
-	return ap.ops[n]
+	return ap.ops[n].ExecStats(), true
 }
 
 // effectiveK extracts the top-k bound the plan executes under: the topmost
 // k-bearing operator's K, falling back to the root cardinality for
-// unbounded plans (mirroring Template.Instantiate).
+// unbounded plans.
 func effectiveK(root *Node) float64 {
 	k := 0
 	root.Walk(func(n *Node) {
@@ -66,22 +56,27 @@ func effectiveK(root *Node) float64 {
 // indented shape with an estimated-vs-actual row count (the estimate is the
 // depth model's propagated demand at the query's k, which is what the
 // executor was expected to pull, not the full-output cardinality) and, on
-// rank-join nodes, the Section 4 depth estimates against the depths actually
-// reached, with relative errors. withTimes adds the sampled Open/Next wall
-// times — keep it off when output must be byte-stable (golden tests).
+// rank-join nodes, the Section 4 depth estimates at that demand against the
+// depths actually reached, with relative errors. withTimes adds the sampled
+// Open/Next wall times — keep it off when output must be byte-stable (golden
+// tests).
 func FormatAnalyze(root *Node, ap *AnalyzedPlan, withTimes bool) string {
 	effK := effectiveK(root)
-	// est holds the propagated expected pull count per node (Algorithm
-	// Propagate): for rank-join children that is the estimated depth, for
-	// blocking children the full input.
-	est := map[*Node]float64{}
-	PropagateK(root, effK, func(n *Node, k float64) {
-		est[n] = math.Min(k, n.Card)
-	})
 	var b strings.Builder
 	fmt.Fprintf(&b, "EXPLAIN ANALYZE (k=%.0f)\n", effK)
-	formatAnalyze(&b, root, 0, ap, est, withTimes)
+	formatAnalyze(&b, root, 0, ap, demands(root, effK), withTimes)
 	return b.String()
+}
+
+// demands holds the propagated expected pull count per node at top-k bound
+// k (Algorithm Propagate): for rank-join children that is the estimated
+// depth, for blocking children the full input. A rank join's own demand is
+// what its depth estimates are computed at, as DemandAt gives the session
+// report.
+func demands(root *Node, k float64) map[*Node]float64 {
+	est := map[*Node]float64{}
+	PropagateK(root, k, func(n *Node, nk float64) { est[n] = nk })
+	return est
 }
 
 func formatAnalyze(b *strings.Builder, n *Node, depth int, ap *AnalyzedPlan, est map[*Node]float64, withTimes bool) {
@@ -99,10 +94,11 @@ func formatAnalyze(b *strings.Builder, n *Node, depth int, ap *AnalyzedPlan, est
 		}
 		b.WriteByte('\n')
 		if n.Op.IsRankJoin() {
+			dL, dR := n.Depths(est[n])
 			fmt.Fprintf(b, "%s  depths: dL est=%.0f act=%d err=%s | dR est=%.0f act=%d err=%s | queue hwm=%d\n",
 				indent,
-				n.EstDL, st.LeftDepth, relErrPct(n.EstDL, st.LeftDepth),
-				n.EstDR, st.RightDepth, relErrPct(n.EstDR, st.RightDepth),
+				dL, st.LeftDepth, relErrPct(dL, st.LeftDepth),
+				dR, st.RightDepth, relErrPct(dR, st.RightDepth),
 				st.MaxQueue)
 		}
 		if n.Op == OpTopK {

@@ -71,11 +71,7 @@ func FormatShardedAnalyze(root *Node, sa *ShardedAnalysis, withTimes bool) strin
 			continue
 		}
 		b.WriteByte('\n')
-		est := map[*Node]float64{}
-		PropagateK(r.Root, effK, func(n *Node, k float64) {
-			est[n] = math.Min(k, n.Card)
-		})
-		formatAnalyze(&b, r.Root, 2, r.Analysis, est, withTimes)
+		formatAnalyze(&b, r.Root, 2, r.Analysis, demands(r.Root, effK), withTimes)
 	}
 	return b.String()
 }

@@ -44,7 +44,8 @@ type compiler struct {
 	// tree, when set, records the operators CompileTree re-arms and reports,
 	// and budget is its budget, wired into every buffering operator
 	// (rank-join and TA queues and hash tables, TopK heaps, sorts, hash-join
-	// build tables) so the whole tree draws from one per-session allowance.
+	// build tables, nested-loops inners, hash-aggregate groups) so the whole
+	// tree draws from one per-session allowance.
 	tree   *Tree
 	budget *exec.Budget
 }
@@ -127,7 +128,9 @@ func (c *compiler) build(n *Node) (exec.Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return exec.NewHashAggregate(in, n.GroupBy, n.Aggs), nil
+		h := exec.NewHashAggregate(in, n.GroupBy, n.Aggs)
+		h.Budget = c.budget
+		return h, nil
 
 	case OpSortAgg:
 		in, err := c.compile(n.Input())
@@ -168,7 +171,9 @@ func (c *compiler) build(n *Node) (exec.Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return exec.NewNestedLoopsJoin(l, r, n.fullJoinPred()), nil
+		j := exec.NewNestedLoopsJoin(l, r, n.fullJoinPred())
+		j.Budget = c.budget
+		return j, nil
 
 	case OpINLJ:
 		l, err := c.compile(n.Left())

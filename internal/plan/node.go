@@ -245,11 +245,6 @@ type Node struct {
 	BaseN            float64
 	LSlab, RSlab     float64
 
-	// EstDL/EstDR are the depth-model estimates for a rank-join node at the
-	// query's k, filled by AnnotateDepthHints on an instantiated plan for
-	// EXPLAIN ANALYZE (zero on a template's shared plan).
-	EstDL, EstDR float64
-
 	// DepthHint, when non-nil on a rank-join node, carries empirically
 	// observed depths for this table split (the engine's feedback loop).
 	// Depths consults it before the Section-4 model. The pointed-to value is

@@ -1,7 +1,6 @@
 package plan
 
 import (
-	"math"
 	"runtime"
 	"sync"
 )
@@ -12,7 +11,7 @@ import (
 // that hits the cache, so nothing may ever mutate it. A plain session takes
 // a compiled tree (Take), arms it with its own k and limits, and returns it
 // after Close (Put); it reads its k-dependent estimates from the shared plan
-// through DemandAt. Sessions that print or annotate their plan (EXPLAIN,
+// through DemandAt. Sessions that print or analyze their plan (EXPLAIN,
 // EXPLAIN ANALYZE, traced) work on a private Instantiate copy instead.
 type Template struct {
 	root *Node
@@ -84,8 +83,7 @@ func (t *Template) Put(slot int, tree *Tree) {
 }
 
 // Instantiate returns a session-private copy of the plan, rebound to the
-// requested k (when positive) and annotated with the rank joins' depth
-// estimates for EXPLAIN ANALYZE. The fingerprint the cache keys on
+// requested k (when positive). The fingerprint the cache keys on
 // parameterizes k out, so a template built at one k serves queries at
 // another: the plan shape is reused and only the Limit/TopK/TA bounds are
 // patched — the standard parameterized-plan trade (the shape was costed at
@@ -95,11 +93,6 @@ func (t *Template) Instantiate(k int) *Node {
 	if k > 0 {
 		RebindK(root, k)
 	}
-	effK := float64(k)
-	if effK <= 0 {
-		effK = root.Card
-	}
-	AnnotateDepthHints(root, effK)
 	return root
 }
 
@@ -121,39 +114,17 @@ func (n *Node) Clone() *Node {
 	return &c
 }
 
-// RebindK patches a new top-k bound into the k-bearing operators of a plan
-// (Limit, TopKSort, RankAggregateTA) and refreshes the cardinality estimates
-// above them. Only scalar fields are written, so it must run on a Clone,
-// never on a cached template tree.
+// RebindK patches a new top-k bound k > 0 into the k-bearing operators of a
+// plan (Limit, TopKSort, RankAggregateTA) and refreshes the cardinality
+// estimates above them (cardAt). Only scalar fields are written, so it must
+// run on a Clone, never on a cached template tree.
 func RebindK(root *Node, k int) {
-	for _, c := range root.Children {
-		RebindK(c, k)
-	}
-	n := root
-	switch n.Op {
-	case OpLimit, OpTopK:
-		n.K = k
-		n.Card = math.Min(float64(k), n.Input().Card)
-	case OpRankAgg:
-		n.K = k
-		n.Card = math.Min(float64(k), math.Max(n.BaseN, 1))
-	case OpRank, OpProject:
-		// Pass-through operators track their input's (possibly re-limited)
-		// cardinality.
-		if len(n.Children) == 1 {
-			n.Card = n.Input().Card
+	root.Walk(func(n *Node) {
+		switch n.Op {
+		case OpLimit, OpTopK, OpRankAgg:
+			n.K = k
 		}
-	}
-}
-
-// AnnotateDepthHints walks the plan pushing the requested output count down
-// (Algorithm Propagate) and records each rank-join's estimated input depths
-// in EstDL/EstDR, which EXPLAIN ANALYZE prints next to the measured ones.
-func AnnotateDepthHints(root *Node, k float64) {
-	PropagateK(root, k, func(n *Node, nk float64) {
-		if n.Op.IsRankJoin() {
-			n.EstDL, n.EstDR = n.Depths(nk)
-		}
+		n.Card = cardAt(n, k)
 	})
 }
 

@@ -113,25 +113,20 @@ func TestRebindKPatchesBounds(t *testing.T) {
 	}
 }
 
-// Instantiate must annotate EstDL/EstDR on every rank join for executor
-// pre-sizing.
+// Every rank join of an instantiated plan must get positive depth estimates
+// at the demand Algorithm Propagate gives it — what EXPLAIN ANALYZE prints.
 func TestInstantiateAnnotatesDepthHints(t *testing.T) {
 	root, k := optimizeSQL(t, templateSQL)
 	inst := plan.NewTemplate(root, k, plan.PlanCounters{}).Instantiate(k)
 	var sawJoin bool
-	var walk func(n *plan.Node)
-	walk = func(n *plan.Node) {
+	plan.PropagateK(inst, float64(k), func(n *plan.Node, nk float64) {
 		if n.Op.IsRankJoin() {
 			sawJoin = true
-			if n.EstDL <= 0 || n.EstDR <= 0 {
-				t.Errorf("%v has empty depth hints (dL=%v dR=%v)", n.Op, n.EstDL, n.EstDR)
+			if dL, dR := n.Depths(nk); dL <= 0 || dR <= 0 {
+				t.Errorf("%v has empty depth estimates (dL=%v dR=%v)", n.Op, dL, dR)
 			}
 		}
-		for _, c := range n.Children {
-			walk(c)
-		}
-	}
-	walk(inst)
+	})
 	if !sawJoin {
 		t.Skip("optimizer chose a plan without a rank join on this workload")
 	}

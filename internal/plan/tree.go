@@ -8,15 +8,14 @@ import (
 // Tree is one compiled operator tree, built to serve many sessions one at a
 // time. Compiling a plan — operator structs, concatenated schemas, bound
 // score and key evaluators — is the same work for every session of a cached
-// template; only the top-k bound, the resource limits and the progress block
-// differ. A Tree keeps the construction-time state and re-arms exactly those
-// three before each session (Arm, Share). Run-time buffers do not stay with
+// template; only the top-k bound and the resource limits differ. A Tree
+// keeps the construction-time state and re-arms exactly those two before
+// each session (Arm, Share). Run-time buffers do not stay with
 // it: every operator returns its hash tables, queues and sort arrays to the
 // executor's pools at Close, so an idle tree holds no tuple of the session
 // it served.
 type Tree struct {
-	// Root is the operator a session opens and drains: the compiled plan
-	// under a progress counter.
+	// Root is the operator a session opens and drains: the compiled plan.
 	Root exec.Operator
 	// Plan is the plan the tree was compiled from. Sessions share it, so it
 	// is never written: its Limit and TopK bounds are the template's, not
@@ -32,7 +31,6 @@ type Tree struct {
 	// enumerators with their plan nodes, in compile order.
 	Joins, AnyKs []TreeOp
 
-	prog   *exec.ProgressOp
 	limits []*exec.Limit
 	topks  []*exec.TopK
 	batch  *exec.Batch
@@ -53,8 +51,7 @@ func CompileTree(cat *catalog.Catalog, n *Node, cfg Config) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.prog = &exec.ProgressOp{In: op}
-	t.Root = t.prog
+	t.Root = op
 	sch := op.Schema()
 	t.Columns = make([]string, sch.Len())
 	for i := range t.Columns {
@@ -84,12 +81,10 @@ func (t *Tree) note(n *Node, op exec.Operator) {
 }
 
 // Arm readies the tree for a session at top-k bound k (0 keeps the plan's
-// bounds) under limits l, counting its output into prog. Call it only on a
-// tree no session has open.
-func (t *Tree) Arm(k int, l exec.ResourceLimits, prog *exec.Progress) {
+// bounds) under limits l. Call it only on a tree no session has open.
+func (t *Tree) Arm(k int, l exec.ResourceLimits) {
 	t.setK(k)
 	t.Budget.Arm(l)
-	t.prog.Report(prog)
 	want := exec.DefaultBatchSize
 	if k > 0 {
 		want = min(k, want)
@@ -101,11 +96,10 @@ func (t *Tree) Arm(k int, l exec.ResourceLimits, prog *exec.Progress) {
 
 // Share readies the tree as one shard pipeline of a sharded session at
 // top-k bound k: its operators charge the session budget b (nil = no
-// limits), and the coordinator reports progress.
+// limits).
 func (t *Tree) Share(k int, b *exec.Budget) {
 	t.setK(k)
 	t.Budget.Share(b)
-	t.prog.Report(nil)
 }
 
 func (t *Tree) setK(k int) {
