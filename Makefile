@@ -71,10 +71,12 @@ oracle:
 oracle-quick:
 	$(GO) test ./internal/oracle -quick
 
-# Short native-fuzz budget per sqlparse target.
+# Short native-fuzz budget per target: the two sqlparse targets and the
+# whole-session FuzzEngine.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=15s ./internal/sqlparse
 	$(GO) test -run=NONE -fuzz=FuzzFingerprint -fuzztime=15s ./internal/sqlparse
+	$(GO) test -run=NONE -fuzz=FuzzEngine -fuzztime=15s ./internal/engine
 
 # The REPL's debug endpoints, booted and curled.
 debug-smoke:

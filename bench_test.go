@@ -41,7 +41,6 @@ func BenchmarkFig06EffectOfK(b *testing.B)              { runExperiment(b, "fig6
 func BenchmarkFig13DepthVsK(b *testing.B)               { runExperiment(b, "fig13") }
 func BenchmarkFig14DepthVsSelectivity(b *testing.B)     { runExperiment(b, "fig14") }
 func BenchmarkFig15BufferSize(b *testing.B)             { runExperiment(b, "fig15") }
-func BenchmarkAblationPolling(b *testing.B)             { runExperiment(b, "polling") }
 func BenchmarkAblationJoinChoices(b *testing.B)         { runExperiment(b, "joins") }
 func BenchmarkAblationPruning(b *testing.B)             { runExperiment(b, "pruning") }
 func BenchmarkAblationDistributions(b *testing.B)       { runExperiment(b, "dists") }

@@ -79,7 +79,6 @@ func main() {
 		slowQuery   = flag.Duration("slowquery", 0, "log sessions at or over this duration to stderr, e.g. 100ms (0 = off)")
 		plannerMode = flag.String("planner", "dp", "join-order planner: dp (System-R memo) or greedy (no-stats fast path with DP fallback)")
 		shards      = flag.Int("shards", 0, "serve from this many hash-partitioned shards (scatter-gather top-k tier; 0 = off)")
-		feedback    = flag.Float64("depth-feedback", 0, "re-optimize a query when its measured rank-join depths exceed the estimates by this ratio (0 = off, try 2)")
 	)
 	flag.Parse()
 
@@ -100,10 +99,9 @@ func main() {
 		os.Exit(2)
 	}
 	cfg := engine.Config{
-		Options:            core.Options{DisableRankAware: *baseline, Planner: planner},
-		DisablePlanCache:   *noCache,
-		DepthFeedbackRatio: *feedback,
-		Shards:             *shards,
+		Options:          core.Options{DisableRankAware: *baseline, Planner: planner},
+		DisablePlanCache: *noCache,
+		Shards:           *shards,
 	}
 	if *shards > 0 {
 		// The sharded tier needs a partition spec per table: the ranked set
@@ -221,8 +219,6 @@ func printMetrics(w io.Writer, eng *engine.Engine) {
 	fmt.Fprintf(w, "optimizer: runs=%d generated=%d pruned=%d protected=%d traced=%d slow=%d anyk-plans=%d\n",
 		m.OptimizerRuns, m.PlansGenerated, m.PlansPruned, m.PlansProtected,
 		m.TracedQueries, m.SlowQueries, m.AnyKPlans)
-	fmt.Fprintf(w, "depth feedback: observations=%d accepted=%d replans=%d\n",
-		m.DepthObservations, m.DepthAccepted, m.DepthReplans)
 	if m.ShardedQueries > 0 || m.ShardFallbacks > 0 {
 		fmt.Fprintf(w, "sharded: queries=%d fallbacks=%d started=%d pruned=%d early-stopped=%d saved=%d\n",
 			m.ShardedQueries, m.ShardFallbacks,

@@ -8,53 +8,8 @@ import (
 	"rankopt/internal/expr"
 	"rankopt/internal/logical"
 	"rankopt/internal/plan"
-	"rankopt/internal/relation"
 	"rankopt/internal/workload"
 )
-
-// sortedScoreScan returns an operator over rel in descending score order
-// (column layout id/key/score from the workload generator).
-func sortedScoreScan(rel *relation.Relation) exec.Operator {
-	tuples := rel.SortedBy(func(a, b relation.Tuple) bool {
-		return a[2].AsFloat() > b[2].AsFloat()
-	})
-	return exec.FromTuples(rel.Schema(), tuples)
-}
-
-// AblationPolling compares HRJN polling strategies on an asymmetric
-// workload: the left input's scores span [0,1], the right input's only
-// [0,0.1]. Adaptive polling keeps pulling the higher frontier and should
-// consume no more total tuples than blind alternation.
-func AblationPolling() (*Table, error) {
-	const (
-		n = 20000
-		s = 0.01
-		k = 50
-	)
-	t := &Table{
-		Title:   "Ablation: HRJN polling strategy (asymmetric scores, n=20k, s=0.01, k=50)",
-		Columns: []string{"strategy", "left depth", "right depth", "total", "max buffer"},
-	}
-	for _, strat := range []struct {
-		name string
-		s    exec.PullStrategy
-	}{{"alternate", exec.Alternate}, {"adaptive", exec.Adaptive}} {
-		a := workload.Ranked(workload.RankedConfig{Name: "A", N: n, Selectivity: s, Seed: 5})
-		b := workload.Ranked(workload.RankedConfig{Name: "B", N: n, Selectivity: s, Seed: 6, ScoreMax: 0.1})
-		j := exec.NewHRJN(sortedScoreScan(a), sortedScoreScan(b),
-			expr.Sum(expr.ScoreTerm{Weight: 1, E: expr.Col("A", "score")}),
-			expr.Sum(expr.ScoreTerm{Weight: 1, E: expr.Col("B", "score")}),
-			expr.Col("A", "key"), expr.Col("B", "key"), nil)
-		j.Strategy = strat.s
-		if _, err := exec.CollectK(j, k); err != nil {
-			return nil, err
-		}
-		st := j.Stats()
-		t.AddRow(strat.name, st.LeftDepth, st.RightDepth,
-			st.LeftDepth+st.RightDepth, st.MaxQueue)
-	}
-	return t, nil
-}
 
 // AblationJoinChoices reruns the optimizer on the same top-k join query with
 // individual rank-join choices disabled, reporting the chosen operator mix

@@ -22,7 +22,6 @@ func All() []Experiment {
 		{"fig13", "Figure 13: depth estimation accuracy vs k", Fig13},
 		{"fig14", "Figure 14: depth estimation accuracy vs selectivity", Fig14},
 		{"fig15", "Figure 15: buffer size estimation", Fig15},
-		{"polling", "Ablation: HRJN polling strategies", AblationPolling},
 		{"joins", "Ablation: rank-join choices", AblationJoinChoices},
 		{"pruning", "Ablation: pruning ingredients", AblationPruning},
 		{"dists", "Ablation: depth-model robustness across score distributions", AblationDistributions},

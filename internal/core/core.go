@@ -17,7 +17,6 @@ import (
 
 	"rankopt/internal/catalog"
 	"rankopt/internal/costmodel"
-	"rankopt/internal/estimate"
 	"rankopt/internal/exec"
 	"rankopt/internal/expr"
 	"rankopt/internal/logical"
@@ -102,12 +101,6 @@ type Options struct {
 	// Planner selects the join-order strategy: the System-R DP (default) or
 	// the greedy fast path (see PlannerGreedy).
 	Planner PlannerMode
-	// DepthHints carries empirically observed rank-join depths keyed by
-	// plan.DepthHintKey (sorted left tables + "|" + sorted right tables).
-	// When a rank join is built over a keyed table split, the hint overrides
-	// the Section-4 uniform-score depth estimate — the feedback loop's way of
-	// re-optimizing with measured depths instead of the model.
-	DepthHints map[string]estimate.Observed
 }
 
 // Result is the optimizer output.

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"rankopt/internal/catalog"
-	"rankopt/internal/estimate"
 	"rankopt/internal/logical"
 	"rankopt/internal/plan"
 	"rankopt/internal/sqlparse"
@@ -77,18 +76,6 @@ func churnCatalog() *catalog.Catalog {
 	return cat
 }
 
-// goldenDepthHints exercises the feedback loop's override on single-table and
-// composite splits in both orientations.
-var goldenDepthHints = map[string]estimate.Observed{
-	"T1|T2":       {K: 10, DL: 40, DR: 65},
-	"T2|T1":       {K: 10, DL: 65, DR: 40},
-	"T3|T4":       {K: 5, DL: 25, DR: 30},
-	"T1,T2|T3":    {K: 10, DL: 120, DR: 90},
-	"T4|T2,T3":    {K: 20, DL: 70, DR: 300},
-	"T1,T2|T3,T4": {K: 10, DL: 200, DR: 150},
-	"T1,T2,T3|T4": {K: 10, DL: 400, DR: 35},
-}
-
 // goldenKs and goldenVariants are the k values (0: no LIMIT) and the
 // pruning-relevant option sets the golden covers for every shape.
 var goldenKs = []int{1, 10, 50, 0}
@@ -100,7 +87,6 @@ var goldenVariants = []struct {
 	{"default", Options{}},
 	{"no-anyk", Options{DisableAnyK: true}},
 	{"no-protection", Options{DisablePipelineProtection: true}},
-	{"depth-hints", Options{DepthHints: goldenDepthHints}},
 }
 
 // mixedCatalog holds four ranked tables of different sizes and key

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"math/bits"
-	"sort"
 	"strings"
 
 	"rankopt/internal/expr"
@@ -24,9 +23,6 @@ type entryInfo struct {
 	level int
 	// label names the MEMO entry: the tables in query order, comma-joined.
 	label string
-	// hintSide is the subset's half of a plan.DepthHintKey: the tables in
-	// sorted order, comma-joined.
-	hintSide string
 	// ranked lists the subset's ranked tables in query order.
 	ranked []*tableInfo
 	// order is the OrderRank property over the ranked tables — the
@@ -281,8 +277,6 @@ func (o *optimizer) newEntry(mask uint64) entryInfo {
 		}
 	}
 	e.label = strings.Join(names, ",")
-	sort.Strings(names)
-	e.hintSide = strings.Join(names, ",")
 	if len(e.ranked) > 0 {
 		e.order = plan.RankOrder(rankedNames...)
 		e.baseN = math.Exp(logSum / float64(len(e.ranked)))

@@ -596,10 +596,9 @@ func (o *optimizer) joinSplit(acc *maskAcc, sp *splitInfo) {
 }
 
 // rankJoinProto builds what every rank-join node over the ordered split
-// (sub, rest) shares — scores, depth-model parameters and the feedback
-// loop's empirical depth hint — leaving Op, Children, Card and Props to the
-// caller. It serves the DP enumeration and the greedy planner alike, so the
-// node shape and the hint attachment live in exactly one place.
+// (sub, rest) shares — scores and depth-model parameters — leaving Op,
+// Children, Card and Props to the caller. It serves the DP enumeration and
+// the greedy planner alike, so the node shape lives in exactly one place.
 func (o *optimizer) rankJoinProto(sub, rest uint64, preds []logical.JoinPred, s float64) plan.Node {
 	eL, eR := o.entry(sub), o.entry(rest)
 	n := plan.Node{
@@ -617,11 +616,6 @@ func (o *optimizer) rankJoinProto(sub, rest uint64, preds []logical.JoinPred, s 
 	}
 	if len(eR.ranked) == 1 {
 		n.RSlab = eR.ranked[0].termSlab
-	}
-	if len(o.opts.DepthHints) > 0 {
-		if ob, ok := o.opts.DepthHints[eL.hintSide+"|"+eR.hintSide]; ok {
-			n.DepthHint = &ob
-		}
 	}
 	return n
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"rankopt/internal/estimate"
 	"rankopt/internal/exec"
 	"rankopt/internal/expr"
 	"rankopt/internal/logical"
@@ -192,42 +191,5 @@ func TestParsePlannerMode(t *testing.T) {
 	}
 	if PlannerGreedy.String() != "greedy" || PlannerDP.String() != "dp" {
 		t.Fatal("String round-trip broken")
-	}
-}
-
-// A DepthHints entry keyed by the rank join's table split must attach to the
-// constructed node (and therefore drive Depths and executor pre-sizing).
-func TestDepthHintAttaches(t *testing.T) {
-	cat, _ := workload.RankedSet(2, workload.RankedConfig{N: 20000, Selectivity: 0.05, Seed: 305})
-	q := rankedQuery(2, 5)
-	// Hints are side-sensitive; the engine records both orientations of a
-	// split (depths swapped), so the DP finds a match whichever side it
-	// puts left.
-	hints := map[string]estimate.Observed{
-		"T1|T2": {K: 5, DL: 42, DR: 37},
-		"T2|T1": {K: 5, DL: 37, DR: 42},
-	}
-	for _, mode := range []PlannerMode{PlannerDP, PlannerGreedy} {
-		res, err := Optimize(cat, q, Options{Planner: mode, DepthHints: hints})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var hinted *plan.Node
-		res.Best.Walk(func(n *plan.Node) {
-			if n.Op.IsRankJoin() && n.DepthHint != nil {
-				hinted = n
-			}
-		})
-		if hinted == nil {
-			t.Fatalf("mode %v: no rank join carries the depth hint\n%s", mode, plan.Explain(res.Best))
-		}
-		dl, dr := hinted.Depths(5)
-		wantL, wantR := 42.0, 37.0
-		if len(hinted.Left().Tables()) == 1 && hinted.Left().Tables()[0] == "T2" {
-			wantL, wantR = 37, 42
-		}
-		if math.Abs(dl-wantL) > 1e-9 || math.Abs(dr-wantR) > 1e-9 {
-			t.Fatalf("mode %v: hinted depths %v/%v, want %v/%v", mode, dl, dr, wantL, wantR)
-		}
 	}
 }

@@ -135,6 +135,53 @@ func TestAnalyzeEmptyInput(t *testing.T) {
 	}
 }
 
+// TestNRJNReportsChargedDepths: an NRJN drains its inner, and its cost
+// charges it the whole inner (plan.Node.Local). Response.RankJoins must
+// report the depths the cost charges: the inner's card, which is what the
+// executor reads, and the NRJN's outer depth at the demand Algorithm
+// Propagate gives the join. The plan is plan-churn's first shape at k = 1,
+// whose default-options plan is an NRJN over an HRJN.
+func TestNRJNReportsChargedDepths(t *testing.T) {
+	cat, _ := workload.RankedSet(4, workload.RankedConfig{N: 1500, Selectivity: 0.01, Seed: 2004})
+	eng := New(cat, core.Options{})
+	const k = 1
+	resp := eng.Run(Request{SQL: fmt.Sprintf("SELECT * FROM T1, T2, T3 WHERE T1.key = T2.key AND T2.key = T3.key "+
+		"ORDER BY 0.2*T1.score + 0.3*T2.score + 0.5*T3.score DESC LIMIT %d", k)})
+	if resp.Err != nil {
+		t.Fatal(resp.Err)
+	}
+	var nrjn *plan.Node
+	resp.Plan.Walk(func(n *plan.Node) {
+		if n.Op == plan.OpNRJN {
+			nrjn = n
+		}
+	})
+	if nrjn == nil {
+		t.Fatalf("plan has no NRJN:\n%s", plan.Explain(resp.Plan))
+	}
+	demand, ok := plan.DemandAt(resp.Plan, k, nrjn)
+	if !ok {
+		t.Fatal("NRJN not reached by DemandAt")
+	}
+	outer, inner := nrjn.Local(demand).Need[0], nrjn.Right().Card
+	var found bool
+	for _, rj := range resp.RankJoins {
+		if rj.Op != plan.OpNRJN.String() {
+			continue
+		}
+		found = true
+		if rj.EstDR != inner || rj.EstDR != float64(rj.Stats.RightDepth) {
+			t.Errorf("NRJN inner: est %v, inner card %v, read %d; want all equal", rj.EstDR, inner, rj.Stats.RightDepth)
+		}
+		if rj.EstDL != outer {
+			t.Errorf("NRJN outer: est %v, want the charged outer depth %v", rj.EstDL, outer)
+		}
+	}
+	if !found {
+		t.Fatalf("Response.RankJoins has no NRJN: %+v", resp.RankJoins)
+	}
+}
+
 // TestAnalyzedDepthAccuracy is the engine-path depth-model gate: analyzed
 // sessions over the three 2-way rotations and the 3-way join of a RankedSet
 // catalog, at several k, must report estimated and executed depths for every

@@ -79,11 +79,6 @@ type textEntry struct {
 type planEntry struct {
 	tmpl  *plan.Template
 	epoch uint64
-	// hintEpoch is the depth-feedback hint epoch the template was optimized
-	// under (always 0 when the feedback loop is off). A moved hint epoch
-	// means new empirical depth observations exist for this fingerprint, so
-	// the entry is treated as a miss and the query re-optimizes with them.
-	hintEpoch uint64
 }
 
 func newPlanCache() *planCache {
@@ -120,8 +115,8 @@ func (c *planCache) lookupText(sql string, epoch uint64) (fp string, k int, ok b
 }
 
 // lookupPlan resolves a fingerprint to its cached template under the
-// current catalog-stats epoch and depth-feedback hint epoch.
-func (c *planCache) lookupPlan(fp string, epoch, hintEpoch uint64) (*plan.Template, bool) {
+// current catalog-stats epoch.
+func (c *planCache) lookupPlan(fp string, epoch uint64) (*plan.Template, bool) {
 	if c == nil {
 		return nil, false
 	}
@@ -132,7 +127,7 @@ func (c *planCache) lookupPlan(fp string, epoch, hintEpoch uint64) (*plan.Templa
 	if !ok {
 		return nil, false
 	}
-	if e.epoch != epoch || e.hintEpoch != hintEpoch {
+	if e.epoch != epoch {
 		delete(s.plans, fp)
 		c.invalidations.Add(1)
 		return nil, false
@@ -155,7 +150,7 @@ func (c *planCache) storeText(sql, fp string, k int, epoch uint64) {
 }
 
 // storePlan publishes a template under its fingerprint.
-func (c *planCache) storePlan(fp string, tmpl *plan.Template, epoch, hintEpoch uint64) {
+func (c *planCache) storePlan(fp string, tmpl *plan.Template, epoch uint64) {
 	if c == nil {
 		return
 	}
@@ -165,7 +160,7 @@ func (c *planCache) storePlan(fp string, tmpl *plan.Template, epoch, hintEpoch u
 	if len(s.plans) >= shardCap {
 		evictOne(s.plans)
 	}
-	s.plans[fp] = planEntry{tmpl: tmpl, epoch: epoch, hintEpoch: hintEpoch}
+	s.plans[fp] = planEntry{tmpl: tmpl, epoch: epoch}
 }
 
 // miss counts a session that ran the full parse+optimize pipeline.

@@ -26,14 +26,11 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
-	"math"
 	"strconv"
-	"strings"
 	"time"
 
 	"rankopt/internal/catalog"
 	"rankopt/internal/core"
-	"rankopt/internal/estimate"
 	"rankopt/internal/exec"
 	"rankopt/internal/plan"
 	"rankopt/internal/relation"
@@ -67,11 +64,6 @@ type Engine struct {
 	shards     []*catalog.Catalog
 	shardWidth int
 	shardErr   error
-	// feedback stores the depth-feedback loop's empirical observations;
-	// nil when Config.DepthFeedbackRatio is 0. fbRatio is the measured-over-
-	// estimated depth ratio beyond which an execution's depths are recorded.
-	feedback *feedbackStore
-	fbRatio  float64
 	// reg is the live query registry (see registry.go): every session gets
 	// an ID, a queued→planning→executing→merging→done/aborted state machine,
 	// rank-aware progress, and cancel-by-id. Always on; the per-session cost
@@ -119,17 +111,6 @@ type Config struct {
 	// order of their a-priori score ceiling and may be pruned without ever
 	// starting.
 	ShardWidth int
-	// DepthFeedbackRatio, when positive, turns on the depth-feedback loop:
-	// after each execution the measured rank-join depths are compared to the
-	// optimizer's Section-4 estimates, and a join whose actual depth exceeds
-	// ratio × estimated has its depths recorded against the query's
-	// fingerprint and table split. The recorded observation invalidates the
-	// fingerprint's cached plan, so the next session of that shape
-	// re-optimizes with the empirical depths injected into the cost model
-	// (core.Options.DepthHints) — mispriced plans are repriced with ground
-	// truth after one epoch. 2 is a reasonable production value (re-plan on
-	// 2× misprediction); 0 disables the loop.
-	DepthFeedbackRatio float64
 }
 
 // New constructs an engine over a loaded catalog with the plan cache
@@ -160,10 +141,6 @@ func NewWithConfig(cat *catalog.Catalog, cfg Config) *Engine {
 			e.shards = shards
 			e.shardWidth = cfg.ShardWidth
 		}
-	}
-	if cfg.DepthFeedbackRatio > 0 {
-		e.feedback = newFeedbackStore()
-		e.fbRatio = cfg.DepthFeedbackRatio
 	}
 	return e
 }
@@ -215,8 +192,10 @@ type RankJoinStat struct {
 	Pred string
 	// Stats are the measured depths and buffer size.
 	Stats exec.RankJoinStats
-	// EstDL and EstDR are the optimizer's Section-4 depth-model estimates
-	// for this join at the session's k, for measured-vs-estimated display.
+	// EstDL and EstDR are the input depths the optimizer's cost charges
+	// this join at the session's k (plan.Node.Local): the Section-4 model's
+	// for an HRJN, the one-sided outer depth and the whole inner for an
+	// NRJN. They are shown next to the measured depths.
 	EstDL, EstDR float64
 }
 
@@ -331,7 +310,7 @@ func (e *Engine) planFor(tr *trace.Trace, sql string) (planInfo, *core.DecisionT
 	}
 	wouldHit := false
 	if fp, qk, ok := e.cache.lookupText(sql, epoch); ok {
-		if tmpl, ok := e.cache.lookupPlan(fp, epoch, e.hintEpochFor(fp)); ok {
+		if tmpl, ok := e.cache.lookupPlan(fp, epoch); ok {
 			if tr == nil {
 				e.cache.hits.Add(1)
 				return planInfo{tmpl: tmpl, root: tmpl.Root(), hit: true, fp: fp, counters: tmpl.Counters, k: qk}, nil, nil
@@ -351,24 +330,17 @@ func (e *Engine) planFor(tr *trace.Trace, sql string) (planInfo, *core.DecisionT
 	fp := sqlparse.Fingerprint(q)
 	tr.End(fs)
 	e.cache.storeText(sql, fp, q.K, epoch)
-	// hints and hintEpoch are read together so the template stored below is
-	// labeled with exactly the observations the optimizer saw.
-	hints, hintEpoch := e.hintsFor(fp)
 	opts := e.opts
-	opts.DepthHints = hints
 	var dt *core.DecisionTrace
 	if tr != nil {
 		dt = core.NewDecisionTrace()
 		opts.Tracer = dt
-	} else if tmpl, ok := e.cache.lookupPlan(fp, epoch, hintEpoch); ok {
+	} else if tmpl, ok := e.cache.lookupPlan(fp, epoch); ok {
 		// Level 2: canonical fingerprint — skips optimization.
 		e.cache.hits.Add(1)
 		return planInfo{tmpl: tmpl, root: tmpl.Root(), hit: true, fp: fp, counters: tmpl.Counters, k: q.K}, nil, nil
 	} else {
 		e.cache.miss()
-	}
-	if len(hints) > 0 {
-		e.met.depthReplans.Add(1)
 	}
 	os := tr.Begin("optimize", "pipeline")
 	res, err := core.Optimize(e.cat, q, opts)
@@ -385,26 +357,8 @@ func (e *Engine) planFor(tr *trace.Trace, sql string) (planInfo, *core.DecisionT
 	tr.End(os)
 	e.met.observeOptimize(counters)
 	tmpl := plan.NewTemplate(res.Best, q.K, counters)
-	e.cache.storePlan(fp, tmpl, epoch, hintEpoch)
+	e.cache.storePlan(fp, tmpl, epoch)
 	return planInfo{tmpl: tmpl, root: tmpl.Root(), fp: fp, counters: counters, k: q.K}, dt, nil
-}
-
-// hintEpochFor returns the fingerprint's depth-feedback hint epoch (0 when
-// the loop is off).
-func (e *Engine) hintEpochFor(fp string) uint64 {
-	if e.feedback == nil {
-		return 0
-	}
-	return e.feedback.epochFor(fp)
-}
-
-// hintsFor returns the fingerprint's empirical depth hints and their epoch
-// (nil, 0 when the loop is off or nothing was observed).
-func (e *Engine) hintsFor(fp string) (map[string]estimate.Observed, uint64) {
-	if e.feedback == nil {
-		return nil, 0
-	}
-	return e.feedback.snapshot(fp)
 }
 
 // Run executes one complete query session and never panics on malformed
@@ -687,15 +641,13 @@ func (p *pipelines) release() {
 }
 
 // finish is the shared tail of both tiers: output columns, the rank-join
-// depth report with the depth model's estimates at the session's k, the
-// depth-feedback capture, and the depth/latency histograms. Stats are read
-// only after the drain closed the operators (and joined any shard workers):
-// the session holds the trees, so no other goroutine can observe partial
-// stats. Sharded sessions report their per-shard rank joins only when
-// collecting, and feed no depth feedback.
+// depth report with the depths the cost model charges at the session's k
+// (plan.Node.Local), and the depth/latency histograms. Stats are read only
+// after the drain closed the operators (and joined any shard workers): the
+// session holds the trees, so no other goroutine can observe partial stats.
+// Sharded sessions report their per-shard rank joins only when collecting.
 func (e *Engine) finish(resp *Response, p *pipelines) {
 	resp.Columns = append([]string(nil), p.columns...)
-	feedback := e.feedback != nil && resp.Fingerprint != ""
 	for _, st := range p.trees {
 		for _, h := range st.tree.Joins {
 			stats := h.Op.Stats()
@@ -710,20 +662,17 @@ func (e *Engine) finish(resp *Response, p *pipelines) {
 				name = fmt.Sprintf("%s[shard %d]", name, st.shard)
 			}
 			demand, _ := plan.DemandAt(st.tree.Plan, p.k, h.Node)
-			estDL, estDR := h.Node.Depths(demand)
+			need := h.Node.Local(demand).Need
 			resp.RankJoins = append(resp.RankJoins, RankJoinStat{
 				Op:    name,
 				Pred:  rankJoinPredLabel(h.Node),
 				Stats: stats,
-				EstDL: estDL,
-				EstDR: estDR,
+				EstDL: need[0],
+				EstDR: need[1],
 			})
-			if feedback && st.shard < 0 {
-				e.observeDepths(resp.Fingerprint, h.Node, stats, demand, estDL, estDR)
-			}
 		}
 		// An any-k enumerator's "depths" are its drained inputs: histogram
-		// only, never depth feedback.
+		// only.
 		for _, h := range st.tree.AnyKs {
 			stats := h.Op.Stats()
 			e.met.observeOpDepth(histOpAnyK, int64(stats.LeftDepth))
@@ -733,42 +682,6 @@ func (e *Engine) finish(resp *Response, p *pipelines) {
 	for _, r := range p.runs {
 		e.observeAnalyzedOps(r.Root, r.Analysis)
 	}
-}
-
-// observeDepths is the depth-feedback capture: when a rank-join's measured
-// depths exceed the estimates estDL/estDR at the join's demand by the
-// configured ratio, the observation is recorded under BOTH orientations of
-// its table split (depths swapped) — the DP enumerates mirrored splits, so
-// the hint must match whichever side the re-optimization puts left. An
-// accepted observation bumps the fingerprint's hint epoch, lazily
-// invalidating its cached plan.
-func (e *Engine) observeDepths(fp string, n *plan.Node, st exec.RankJoinStats, demand, estDL, estDR float64) {
-	aL, aR := float64(st.LeftDepth), float64(st.RightDepth)
-	if n.Op == plan.OpNRJN {
-		// An NRJN drains its inner wholesale by construction, so the
-		// measured right depth says nothing about the model — comparing it
-		// against estDR flags every NRJN as mis-estimated forever, and
-		// recording the full inner cardinality would poison the mirrored
-		// HRJN candidates at re-plan time. Only the outer depth is a real
-		// estimate; keep the model's inner figure in the observation.
-		if aL <= e.fbRatio*math.Max(estDL, 1) {
-			return
-		}
-		aR = math.Max(estDR, 1)
-	} else if aL <= e.fbRatio*math.Max(estDL, 1) && aR <= e.fbRatio*math.Max(estDR, 1) {
-		return
-	}
-	k := math.Max(demand, 1)
-	e.met.depthObservations.Add(1)
-	bumped := e.feedback.observe(fp, plan.DepthHintKey(n), estimate.Observed{K: k, DL: aL, DR: aR})
-	if e.feedback.observe(fp, mirrorHintKey(n), estimate.Observed{K: k, DL: aR, DR: aL}) || bumped {
-		e.met.depthAccepted.Add(1)
-	}
-}
-
-// mirrorHintKey is DepthHintKey with the sides swapped.
-func mirrorHintKey(n *plan.Node) string {
-	return strings.Join(n.Right().Tables(), ",") + "|" + strings.Join(n.Left().Tables(), ",")
 }
 
 // addExecSpans synthesizes the execute span's contents from the runtime

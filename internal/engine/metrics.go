@@ -219,15 +219,6 @@ type metrics struct {
 	// actually fires in traffic.
 	anykPlans atomic.Uint64
 
-	// depthObservations..depthReplans report the depth-feedback loop:
-	// rank-joins whose measured depths blew past the estimates by the
-	// configured ratio, observations accepted into the store (new split or
-	// materially deeper — each bumps a hint epoch), and fresh optimizations
-	// that ran with empirical depth hints injected.
-	depthObservations atomic.Uint64
-	depthAccepted     atomic.Uint64
-	depthReplans      atomic.Uint64
-
 	// latency is the session latency histogram (nanoseconds).
 	latency opHist
 }
@@ -363,14 +354,6 @@ type Metrics struct {
 	// enumerator.
 	AnyKPlans uint64 `json:"anyk_plans"`
 
-	// DepthObservations..DepthReplans report the depth-feedback loop (all
-	// zero when Config.DepthFeedbackRatio is 0): mispredicted rank-joins
-	// seen, observations accepted into the feedback store, and
-	// re-optimizations that ran with empirical depth hints.
-	DepthObservations uint64 `json:"depth_feedback_observations"`
-	DepthAccepted     uint64 `json:"depth_feedback_accepted"`
-	DepthReplans      uint64 `json:"depth_feedback_replans"`
-
 	AvgLatencyMillis float64 `json:"avg_latency_ms"`
 	// P50LatencyMillis and P99LatencyMillis are histogram-quantile estimates:
 	// the upper bound of the bucket containing the quantile (the usual
@@ -468,9 +451,6 @@ func (e *Engine) Snapshot() Metrics {
 		PlansPruned:        e.met.optPruned.Load(),
 		PlansProtected:     e.met.optProtected.Load(),
 		AnyKPlans:          e.met.anykPlans.Load(),
-		DepthObservations:  e.met.depthObservations.Load(),
-		DepthAccepted:      e.met.depthAccepted.Load(),
-		DepthReplans:       e.met.depthReplans.Load(),
 		Runtime:            readRuntimeStats(),
 	}
 	m.GreedyFallbacksByReason = map[string]uint64{}
@@ -584,9 +564,6 @@ func (e *Engine) serveMetricsText(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(w, "# TYPE raqo_optimizer_plans_pruned_total counter\nraqo_optimizer_plans_pruned_total %d\n", m.PlansPruned)
 	fmt.Fprintf(w, "# TYPE raqo_optimizer_plans_protected_total counter\nraqo_optimizer_plans_protected_total %d\n", m.PlansProtected)
 	fmt.Fprintf(w, "# TYPE raqo_anyk_plans_total counter\nraqo_anyk_plans_total %d\n", m.AnyKPlans)
-	fmt.Fprintf(w, "# TYPE raqo_depth_feedback_observations_total counter\nraqo_depth_feedback_observations_total %d\n", m.DepthObservations)
-	fmt.Fprintf(w, "# TYPE raqo_depth_feedback_accepted_total counter\nraqo_depth_feedback_accepted_total %d\n", m.DepthAccepted)
-	fmt.Fprintf(w, "# TYPE raqo_depth_feedback_replans_total counter\nraqo_depth_feedback_replans_total %d\n", m.DepthReplans)
 	fmt.Fprintf(w, "# TYPE raqo_goroutines gauge\nraqo_goroutines %d\n", m.Runtime.Goroutines)
 	fmt.Fprintf(w, "# TYPE raqo_heap_alloc_bytes gauge\nraqo_heap_alloc_bytes %d\n", m.Runtime.HeapAllocBytes)
 	fmt.Fprintf(w, "# TYPE raqo_gc_cycles_total counter\nraqo_gc_cycles_total %d\n", m.Runtime.GCCycles)

@@ -66,7 +66,7 @@ func sameScores(a, b []float64) bool {
 // templateOf returns the engine's cached template for fingerprint fp.
 func templateOf(t *testing.T, eng *Engine, fp string) *plan.Template {
 	t.Helper()
-	tmpl, ok := eng.cache.lookupPlan(fp, eng.cat.StatsEpoch(), 0)
+	tmpl, ok := eng.cache.lookupPlan(fp, eng.cat.StatsEpoch())
 	if !ok {
 		t.Fatalf("no cached template for %q", fp)
 	}

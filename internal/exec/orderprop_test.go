@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"rankopt/internal/expr"
-	"rankopt/internal/ranking"
 	"rankopt/internal/relation"
 	"rankopt/internal/workload"
 )
@@ -17,9 +16,9 @@ import (
 // the executor — HRJN, NRJN, TA, AnyK, ShardMerge — must emit monotonically
 // non-increasing combined scores with deterministic tie-breaking, across
 // seeded randomized workloads. The monotonicity check
-// reuses ranking.Bounds.Observe, the same machinery the threshold operators
+// reuses scoreBounds.Observe, the same machinery the threshold operators
 // trust at runtime, so a violation here surfaces as the production
-// *ranking.OrderViolationError rather than a bespoke test assertion.
+// *OrderViolationError rather than a bespoke test assertion.
 
 // rankedCase builds one ranked operator plus the score extractor for its
 // output tuples. Construction happens per run so determinism can be checked
@@ -83,7 +82,6 @@ func rankedOperatorCases(t *testing.T) []rankedCase {
 				expr.Bin(expr.OpEq, expr.Col("A", "key"), expr.Col("B", "key")))
 			return j, pathScore(2)
 		}},
-		hrjnCase("HRJN-adaptive", func(j *HRJN) { j.Strategy = Adaptive }, nil),
 		// The residual is not monotone in the combined score, so it rejects
 		// candidates on both sides of every threshold.
 		hrjnCase("HRJN-residual", func(j *HRJN) {
@@ -199,10 +197,10 @@ func TestRankedOrderProperty(t *testing.T) {
 						}
 					}
 				}
-				bounds := ranking.NewBounds(1)
+				bounds := newScoreBounds(1)
 				for i, s := range scores {
 					if err := bounds.Observe(0, s); err != nil {
-						var ov *ranking.OrderViolationError
+						var ov *OrderViolationError
 						if !errors.As(err, &ov) {
 							t.Fatalf("seed %d: Observe returned untyped error %v", seed, err)
 						}

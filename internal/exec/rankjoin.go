@@ -61,18 +61,6 @@ func finiteScore(s float64, op string, input int) (float64, error) {
 	return s, nil
 }
 
-// PullStrategy selects which input an HRJN polls next.
-type PullStrategy uint8
-
-const (
-	// Alternate polls the two inputs in turn while both are live.
-	Alternate PullStrategy = iota
-	// Adaptive pulls from the input under the dominating threshold term
-	// (threshold = max(lastL+topR, topL+lastR)): only that pull can lower
-	// the bound, which pays off when score distributions differ.
-	Adaptive
-)
-
 // RankJoinStats captures the measured quantities the paper's Section 5
 // experiments report: the depth reached into each input, the high-water mark
 // of the output priority queue (the operator's ranking buffer), and the
@@ -494,8 +482,6 @@ type HRJN struct {
 	LeftKey, RightKey expr.Expr
 	// Residual is an optional extra join predicate over the result tuple.
 	Residual expr.Expr
-	// Strategy selects the polling policy (default Alternate).
-	Strategy PullStrategy
 	// Budget, when set, is charged for every tuple buffered in the hash
 	// tables and the ranking queue, and consulted for the per-input depth
 	// limit. Nil means unlimited.
@@ -510,11 +496,10 @@ type HRJN struct {
 	releaseRows
 
 	// live counts the inputs not yet exhausted; zero means no further result
-	// can form. next is the input Alternate polls next. thresh and dom cache
-	// the threshold and the input under its dominating term between pulls.
+	// can form. next is the input polled next. thresh caches the threshold
+	// between pulls.
 	live, next int
 	thresh     float64
-	dom        int
 
 	cancel canceller
 }
@@ -670,7 +655,7 @@ func (j *HRJN) Open(ctx context.Context) error {
 	j.cancel.reset(ctx)
 	j.buf.reset(budget)
 	j.live, j.next = len(j.ins), 0
-	j.thresh, j.dom = j.bound()
+	j.thresh = j.bound()
 	return nil
 }
 
@@ -706,44 +691,35 @@ func (j *HRJN) bind() error {
 	return nil
 }
 
-// bound returns the threshold — the upper bound on the combined score of
-// every join result not yet in the priority queue — and the live input under
-// its dominating term. Each term is summed directly, so no rounding
-// difference between them can flip an Adaptive tie.
-func (j *HRJN) bound() (threshold float64, dom int) {
+// bound returns the threshold: the upper bound on the combined score of
+// every join result not yet in the priority queue.
+func (j *HRJN) bound() float64 {
 	l, r := &j.ins[0], &j.ins[1]
 	if l.seen == 0 || r.seen == 0 {
 		// Cannot bound anything before seeing one tuple per input.
-		return math.Inf(1), 0
+		return math.Inf(1)
 	}
 	// Only combinations with a new tuple of a live input remain unseen.
-	threshold, dom = math.Inf(-1), -1
+	threshold := math.Inf(-1)
 	if !l.done {
-		threshold, dom = l.last+r.top, 0
+		threshold = l.last + r.top
 	}
-	if !r.done {
-		if t := l.top + r.last; dom < 0 || t > threshold {
-			threshold, dom = t, 1
-		}
+	if t := l.top + r.last; !r.done && t > threshold {
+		threshold = t
 	}
-	return threshold, dom
+	return threshold
 }
 
 // choose picks the next input to poll: each live input must deliver one
 // scored tuple before any bound exists, so those go first, left before
-// right; after that the strategy decides.
+// right; after that the inputs alternate: the input due next unless it is
+// done, then the other.
 func (j *HRJN) choose() int {
 	for i := range j.ins {
 		if in := &j.ins[i]; !in.done && in.seen == 0 {
 			return i
 		}
 	}
-	if j.Strategy == Adaptive {
-		// Only pulling the input under the dominating term lowers the
-		// threshold.
-		return j.dom
-	}
-	// Alternate: the input due next unless it is done, then the other.
 	i := j.next
 	if j.ins[i].done {
 		i = 1 - i
@@ -840,7 +816,7 @@ func (j *HRJN) Next() (relation.Tuple, bool, error) {
 		if err := j.pull(j.choose()); err != nil {
 			return nil, false, err
 		}
-		j.thresh, j.dom = j.bound()
+		j.thresh = j.bound()
 	}
 }
 

@@ -53,12 +53,10 @@ func combinedScores(t *testing.T, tuples []relation.Tuple) []float64 {
 	return out
 }
 
-func newTestHRJN(a, b *relation.Relation, strategy PullStrategy) *HRJN {
-	j := NewHRJN(rankedScan(a), rankedScan(b),
+func newTestHRJN(a, b *relation.Relation) *HRJN {
+	return NewHRJN(rankedScan(a), rankedScan(b),
 		expr.Col("A", "score"), expr.Col("B", "score"),
 		expr.Col("A", "key"), expr.Col("B", "key"), nil)
-	j.Strategy = strategy
-	return j
 }
 
 // The headline invariant: HRJN's first k results carry exactly the top-k
@@ -68,20 +66,18 @@ func TestHRJNTopKMatchesReference(t *testing.T) {
 	b := workload.Ranked(workload.RankedConfig{Name: "B", N: 400, Selectivity: 0.02, Seed: 52})
 	for _, k := range []int{1, 5, 25, 100} {
 		want := topKReference(a, b, k)
-		for _, strat := range []PullStrategy{Alternate, Adaptive} {
-			j := newTestHRJN(a, b, strat)
-			got, err := CollectK(j, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			scores := combinedScores(t, got)
-			if len(scores) != len(want) {
-				t.Fatalf("k=%d strat=%d: %d results, want %d", k, strat, len(scores), len(want))
-			}
-			for i := range want {
-				if math.Abs(scores[i]-want[i]) > 1e-9 {
-					t.Fatalf("k=%d strat=%d: score[%d]=%v, want %v", k, strat, i, scores[i], want[i])
-				}
+		j := newTestHRJN(a, b)
+		got, err := CollectK(j, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scores := combinedScores(t, got)
+		if len(scores) != len(want) {
+			t.Fatalf("k=%d: %d results, want %d", k, len(scores), len(want))
+		}
+		for i := range want {
+			if math.Abs(scores[i]-want[i]) > 1e-9 {
+				t.Fatalf("k=%d: score[%d]=%v, want %v", k, i, scores[i], want[i])
 			}
 		}
 	}
@@ -91,7 +87,7 @@ func TestHRJNEmitsAllResultsWhenDrained(t *testing.T) {
 	a := workload.Ranked(workload.RankedConfig{Name: "A", N: 200, Selectivity: 0.05, Seed: 61})
 	b := workload.Ranked(workload.RankedConfig{Name: "B", N: 200, Selectivity: 0.05, Seed: 62})
 	all := topKReference(a, b, 1<<30)
-	j := newTestHRJN(a, b, Alternate)
+	j := newTestHRJN(a, b)
 	got, err := Collect(j)
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +107,7 @@ func TestHRJNEmitsAllResultsWhenDrained(t *testing.T) {
 func TestHRJNEarlyOut(t *testing.T) {
 	a := workload.Ranked(workload.RankedConfig{Name: "A", N: 5000, Selectivity: 0.01, Seed: 71})
 	b := workload.Ranked(workload.RankedConfig{Name: "B", N: 5000, Selectivity: 0.01, Seed: 72})
-	j := newTestHRJN(a, b, Alternate)
+	j := newTestHRJN(a, b)
 	if _, err := CollectK(j, 10); err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +159,7 @@ func TestHRJNResidualPredicate(t *testing.T) {
 func TestHRJNEmptyInputs(t *testing.T) {
 	a := makeRel("A", nil)
 	b := makeRel("B", [][3]float64{{0, 1, 0.5}})
-	j := newTestHRJN(a, b, Alternate)
+	j := newTestHRJN(a, b)
 	got, err := Collect(j)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty join: %v, %v", got, err)
@@ -279,7 +275,7 @@ func TestRankJoinsAgreeProperty(t *testing.T) {
 		n := 120
 		a := workload.Ranked(workload.RankedConfig{Name: "A", N: n, Selectivity: 0.05, Seed: seed})
 		b := workload.Ranked(workload.RankedConfig{Name: "B", N: n, Selectivity: 0.05, Seed: seed + 1})
-		h := newTestHRJN(a, b, Alternate)
+		h := newTestHRJN(a, b)
 		hg, err := Collect(h)
 		if err != nil {
 			return false
@@ -310,48 +306,12 @@ func TestRankJoinsAgreeProperty(t *testing.T) {
 	}
 }
 
-// Adaptive polling pulls the input under the dominating threshold term.
-// With a flat-scored right input, the topL+lastR term dominates, so the
-// right input must be dug deeper — and the total consumption must not
-// exceed blind alternation, which wastes pulls on the left.
-func TestHRJNAdaptiveDepths(t *testing.T) {
-	gen := func() (*relation.Relation, *relation.Relation) {
-		a := workload.Ranked(workload.RankedConfig{Name: "A", N: 2000, Selectivity: 0.02, Seed: 111, ScoreMin: 0, ScoreMax: 1})
-		b := workload.Ranked(workload.RankedConfig{Name: "B", N: 2000, Selectivity: 0.02, Seed: 112, ScoreMin: 0, ScoreMax: 0.1})
-		return a, b
-	}
-	a, b := gen()
-	ad := newTestHRJN(a, b, Adaptive)
-	if _, err := CollectK(ad, 20); err != nil {
-		t.Fatal(err)
-	}
-	adSt := ad.Stats()
-	if adSt.LeftDepth == 0 || adSt.RightDepth == 0 {
-		t.Fatal("adaptive depths not recorded")
-	}
-	// Strictly: blind alternation reads both inputs to the same depth, so a
-	// tie would mean the strategy was ignored.
-	if adSt.RightDepth <= adSt.LeftDepth {
-		t.Errorf("adaptive should dig the flat-scored input deeper: left=%d right=%d",
-			adSt.LeftDepth, adSt.RightDepth)
-	}
-	al := newTestHRJN(a, b, Alternate)
-	if _, err := CollectK(al, 20); err != nil {
-		t.Fatal(err)
-	}
-	alSt := al.Stats()
-	if adSt.LeftDepth+adSt.RightDepth >= alSt.LeftDepth+alSt.RightDepth {
-		t.Errorf("adaptive consumed no less than alternate: %d vs %d",
-			adSt.LeftDepth+adSt.RightDepth, alSt.LeftDepth+alSt.RightDepth)
-	}
-}
-
 func BenchmarkHRJNTop10(b *testing.B) {
 	a := workload.Ranked(workload.RankedConfig{Name: "A", N: 20000, Selectivity: 0.001, Seed: 121})
 	bb := workload.Ranked(workload.RankedConfig{Name: "B", N: 20000, Selectivity: 0.001, Seed: 122})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		j := newTestHRJN(a, bb, Alternate)
+		j := newTestHRJN(a, bb)
 		if _, err := CollectK(j, 10); err != nil {
 			b.Fatal(err)
 		}

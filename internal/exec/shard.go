@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"rankopt/internal/ranking"
 	"rankopt/internal/relation"
 )
 
@@ -105,7 +104,7 @@ type ShardMergeStats struct {
 
 // ShardMerge is the coordinator operator: it runs the shard pipelines on
 // worker goroutines and produces the global top-k in descending score order,
-// using ranking.Bounds to stop pulling from — and immediately cancel — any
+// using scoreBounds to stop pulling from — and immediately cancel — any
 // shard whose best possible remaining score cannot beat the current k-th
 // result. At most StartWidth shards run concurrently; the rest wait in
 // descending-ceiling order and are pruned without ever starting when their
@@ -204,7 +203,7 @@ func (m *ShardMerge) gather(ctx context.Context) error {
 		width = runtime.GOMAXPROCS(0)
 	}
 
-	bounds := ranking.NewBounds(n)
+	bounds := newScoreBounds(n)
 	for i, in := range m.inputs {
 		bounds.SetCeiling(i, in.Ceiling)
 	}
@@ -225,7 +224,7 @@ func (m *ShardMerge) gather(ctx context.Context) error {
 		msgs    = make(chan shardMsg, min(2*width, 2*n))
 		cancels = make([]context.CancelFunc, n) // one per started shard
 		wg      sync.WaitGroup
-		h       = make(ranking.Heap[relation.Tuple], 0, sizeHint(float64(m.k)))
+		h       = make(topHeap[relation.Tuple], 0, sizeHint(float64(m.k)))
 		next    int // cursor into order: shards not yet started or pruned
 		running int
 		live    = make([]bool, n)
@@ -436,7 +435,7 @@ func runShard(ctx context.Context, i int, op Operator, msgs chan<- shardMsg) err
 }
 
 // absorb folds one shard tuple into the bounds and the top-k heap.
-func (m *ShardMerge) absorb(msg shardMsg, bounds *ranking.Bounds, pulled []int, h *ranking.Heap[relation.Tuple]) error {
+func (m *ShardMerge) absorb(msg shardMsg, bounds *scoreBounds, pulled []int, h *topHeap[relation.Tuple]) error {
 	score := math.Inf(-1) // NULL scores sort after everything, like ORDER BY
 	if v := msg.tuple[m.scoreCol]; !v.IsNull() {
 		if f, ok := v.Float64(); ok {
@@ -451,7 +450,7 @@ func (m *ShardMerge) absorb(msg shardMsg, bounds *ranking.Bounds, pulled []int, 
 	tie := int64(msg.shard)<<32 | int64(pulled[msg.shard])
 	pulled[msg.shard]++
 	m.stats.TuplesPulled++
-	if h.Offer(ranking.Entry[relation.Tuple]{Score: score, Tie: tie, Val: msg.tuple}, m.k) {
+	if h.Offer(heapEntry[relation.Tuple]{Score: score, Tie: tie, Val: msg.tuple}, m.k) {
 		if err := m.acct.charge(1); err != nil {
 			return err
 		}
@@ -499,4 +498,94 @@ func (m *ShardMerge) Close() error {
 	m.acct.releaseAll()
 	m.out, m.pos = nil, 0
 	return nil
+}
+
+// OrderViolationError reports a source that broke the descending-order
+// contract scoreBounds depends on: it emitted a score above its own bound,
+// or a NaN, which cannot be ordered at all. Silently keeping the stale-tight
+// bound would let threshold-style pruning (the sharded merge) cut a source
+// that could still beat the k-th score — wrong answers instead of a loud
+// failure.
+type OrderViolationError struct {
+	Source int
+	Score  float64
+	Bound  float64
+}
+
+func (e *OrderViolationError) Error() string {
+	if math.IsNaN(e.Score) {
+		return fmt.Sprintf("exec: source %d emitted NaN score (bound %v) — scores must be orderable and descending", e.Source, e.Bound)
+	}
+	return fmt.Sprintf("exec: source %d emitted score %v above its bound %v — sources must emit in descending order", e.Source, e.Score, e.Bound)
+}
+
+// orderSlack is the tolerance around bound u when asserting descending order:
+// a-priori ceilings and stream scores are computed by differently ordered
+// float arithmetic, so exact comparison would misfire on rounding noise.
+func orderSlack(u float64) float64 {
+	a := math.Abs(u)
+	if a < 1 || math.IsInf(a, 0) {
+		a = 1
+	}
+	return 1e-9 * a
+}
+
+// scoreBounds tracks per-source upper bounds for threshold-style early
+// termination; it is the sharded coordinator merge's threshold state. Every
+// source emits scores in descending order, so the last observed score bounds
+// everything the source can still produce, an optional a-priori ceiling
+// (e.g. derived from per-shard statistics) bounds a source before it has
+// emitted anything, and an exhausted source can produce nothing at all.
+//
+// scoreBounds is not safe for concurrent use; callers serialize access (the
+// coordinator observes from a single merge goroutine).
+type scoreBounds struct {
+	upper     []float64
+	exhausted []bool
+}
+
+// newScoreBounds tracks n sources, each initially unbounded (+Inf).
+func newScoreBounds(n int) *scoreBounds {
+	b := &scoreBounds{upper: make([]float64, n), exhausted: make([]bool, n)}
+	for i := range b.upper {
+		b.upper[i] = math.Inf(1)
+	}
+	return b
+}
+
+// SetCeiling tightens source i's bound with an a-priori ceiling, typically
+// computed from statistics before the source has produced anything. Looser
+// ceilings than the current bound are ignored.
+func (b *scoreBounds) SetCeiling(i int, v float64) {
+	if v < b.upper[i] {
+		b.upper[i] = v
+	}
+}
+
+// Observe records a score emitted by source i. Because sources emit in
+// descending order, the observation bounds every future emission. A score
+// above the current bound (beyond rounding slack) or a NaN breaks that
+// contract and returns an *OrderViolationError; the bound is left unchanged.
+func (b *scoreBounds) Observe(i int, score float64) error {
+	u := b.upper[i]
+	if math.IsNaN(score) || score > u+orderSlack(u) {
+		return &OrderViolationError{Source: i, Score: score, Bound: u}
+	}
+	if score < u {
+		b.upper[i] = score
+	}
+	return nil
+}
+
+// Exhaust marks source i as having no further output.
+func (b *scoreBounds) Exhaust(i int) { b.exhausted[i] = true }
+
+// Upper returns the best score source i can still produce: -Inf once
+// exhausted, +Inf before any observation or ceiling, otherwise the tightest
+// known bound.
+func (b *scoreBounds) Upper(i int) float64 {
+	if b.exhausted[i] {
+		return math.Inf(-1)
+	}
+	return b.upper[i]
 }

@@ -189,7 +189,10 @@ func (b Binary) Bind(sch *relation.Schema) (Eval, error) {
 			if lv.IsNull() {
 				return relation.Null(), nil
 			}
-			lb := lv.AsBool()
+			lb, err := truth(lv)
+			if err != nil {
+				return relation.Null(), err
+			}
 			if op == OpAnd && !lb {
 				return relation.Bool(false), nil
 			}
@@ -203,7 +206,8 @@ func (b Binary) Bind(sch *relation.Schema) (Eval, error) {
 			if rv.IsNull() {
 				return relation.Null(), nil
 			}
-			return relation.Bool(rv.AsBool()), nil
+			rb, err := truth(rv)
+			return relation.Bool(rb), err
 		}
 		rv, err := re(t)
 		if err != nil {
@@ -340,6 +344,16 @@ func EvalBool(ev Eval, t relation.Tuple) (bool, error) {
 	}
 	if v.IsNull() {
 		return false, nil
+	}
+	return truth(v)
+}
+
+// truth is a non-NULL value's truth as a condition. Only a boolean has one:
+// `WHERE T.id` parses, but an integer is no condition, and the query fails
+// with an error instead of the panic AsBool would raise.
+func truth(v relation.Value) (bool, error) {
+	if v.Kind() != relation.KindBool {
+		return false, fmt.Errorf("expr: %s value used as a condition", v.Kind())
 	}
 	return v.AsBool(), nil
 }

@@ -80,6 +80,27 @@ func TestDivisionByZero(t *testing.T) {
 	}
 }
 
+// A non-boolean condition, alone or as an AND/OR operand, is an error, not
+// a panic.
+func TestNonBooleanCondition(t *testing.T) {
+	tup := relation.Tuple{relation.Float(1.5), relation.Int(7), relation.Float(2.5)}
+	isTrue := Bin(OpLt, Col("A", "c2"), IntLit(9))
+	for _, e := range []Expr{
+		Col("A", "c2"),
+		Bin(OpAnd, Col("A", "c2"), isTrue),
+		Bin(OpAnd, isTrue, Col("A", "c2")),
+		Bin(OpOr, Col("A", "c1"), isTrue),
+	} {
+		ev, err := e.Bind(testSchema())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := EvalBool(ev, tup); err == nil {
+			t.Errorf("%s as a condition: no error", e)
+		}
+	}
+}
+
 func TestComparisons(t *testing.T) {
 	tup := relation.Tuple{relation.Float(2), relation.Int(3), relation.Float(2)}
 	cases := []struct {

@@ -94,7 +94,8 @@ func formatAnalyze(b *strings.Builder, n *Node, depth int, ap *AnalyzedPlan, est
 		}
 		b.WriteByte('\n')
 		if n.Op.IsRankJoin() {
-			dL, dR := n.Depths(est[n])
+			need := n.Local(est[n]).Need
+			dL, dR := need[0], need[1]
 			fmt.Fprintf(b, "%s  depths: dL est=%.0f act=%d err=%s | dR est=%.0f act=%d err=%s | queue hwm=%d\n",
 				indent,
 				dL, st.LeftDepth, relErrPct(dL, st.LeftDepth),

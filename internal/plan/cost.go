@@ -223,15 +223,6 @@ func (n *Node) Depths(k float64) (float64, float64) {
 	if k > n.Card && n.Card >= 1 {
 		k = n.Card
 	}
-	// An empirical observation from the feedback loop overrides the model:
-	// the executor measured these depths on this exact table split.
-	if n.DepthHint != nil {
-		if dl, dr := n.DepthHint.DepthsAt(k); dl > 0 || dr > 0 {
-			dL := math.Min(math.Max(dl, 1), n.Left().Card)
-			dR := math.Min(math.Max(dr, 1), n.Right().Card)
-			return math.Max(dL, 0), math.Max(dR, 0)
-		}
-	}
 	s := n.Sel
 	if s <= 0 {
 		s = 1e-9
@@ -270,10 +261,6 @@ func (n *Node) Depths(k float64) (float64, float64) {
 // sides are single ranked base inputs with known slabs; hierarchies fall
 // back to the symmetric model's left depth.
 func (n *Node) nrjnOuterDepth(k float64) float64 {
-	if n.DepthHint != nil {
-		dL, _ := n.Depths(k)
-		return dL
-	}
 	if k < 1 {
 		k = 1
 	}
@@ -297,8 +284,9 @@ func (n *Node) nrjnOuterDepth(k float64) float64 {
 }
 
 // PropagateK walks the plan tree pushing the requested output count k down
-// to every node: rank-join children receive the operator's estimated depths
-// (Algorithm Propagate), blocking and streaming operators receive their
+// to every node: rank-join children receive the depths the operator's cost
+// charges them (Local.Need: Algorithm Propagate's estimated depths for an
+// HRJN, the one-sided outer depth and the whole inner for an NRJN), blocking and streaming operators receive their
 // natural demands. visit is called with each node and its required k.
 func PropagateK(root *Node, k float64, visit func(n *Node, k float64)) {
 	propagate(root, 0, k, func(n *Node, nk float64) bool { visit(n, nk); return false })
@@ -316,8 +304,8 @@ func propagate(n *Node, bound int, k float64, visit func(n *Node, k float64) boo
 	}
 	switch {
 	case n.Op.IsRankJoin():
-		dL, dR := n.Depths(k)
-		return propagate(n.Left(), bound, dL, visit) || propagate(n.Right(), bound, dR, visit)
+		need := n.Local(k).Need
+		return propagate(n.Left(), bound, need[0], visit) || propagate(n.Right(), bound, need[1], visit)
 	case n.Op == OpLimit:
 		lk := n.K
 		if bound > 0 {

@@ -13,7 +13,6 @@ import (
 
 	"rankopt/internal/catalog"
 	"rankopt/internal/costmodel"
-	"rankopt/internal/estimate"
 	"rankopt/internal/exec"
 	"rankopt/internal/expr"
 	"rankopt/internal/logical"
@@ -245,12 +244,6 @@ type Node struct {
 	BaseN            float64
 	LSlab, RSlab     float64
 
-	// DepthHint, when non-nil on a rank-join node, carries empirically
-	// observed depths for this table split (the engine's feedback loop).
-	// Depths consults it before the Section-4 model. The pointed-to value is
-	// immutable, so Clone shares it.
-	DepthHint *estimate.Observed
-
 	// P supplies the cost parameters; set once by the planner on every node.
 	P *costmodel.Params
 
@@ -284,15 +277,6 @@ func (n *Node) collectTables(set map[string]bool) {
 	for _, c := range n.Children {
 		c.collectTables(set)
 	}
-}
-
-// DepthHintKey identifies a rank-join's table split for the depth-feedback
-// loop: sorted left base tables + "|" + sorted right base tables. The
-// optimizer attaches hints and the engine records observations under the
-// same key, so measured depths map back onto the same split when the query
-// is re-planned.
-func DepthHintKey(n *Node) string {
-	return strings.Join(n.Left().Tables(), ",") + "|" + strings.Join(n.Right().Tables(), ",")
 }
 
 // Walk visits the subtree pre-order.

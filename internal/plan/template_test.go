@@ -115,15 +115,15 @@ func TestRebindKPatchesBounds(t *testing.T) {
 
 // Every rank join of an instantiated plan must get positive depth estimates
 // at the demand Algorithm Propagate gives it — what EXPLAIN ANALYZE prints.
-func TestInstantiateAnnotatesDepthHints(t *testing.T) {
+func TestInstantiateDepthEstimates(t *testing.T) {
 	root, k := optimizeSQL(t, templateSQL)
 	inst := plan.NewTemplate(root, k, plan.PlanCounters{}).Instantiate(k)
 	var sawJoin bool
 	plan.PropagateK(inst, float64(k), func(n *plan.Node, nk float64) {
 		if n.Op.IsRankJoin() {
 			sawJoin = true
-			if dL, dR := n.Depths(nk); dL <= 0 || dR <= 0 {
-				t.Errorf("%v has empty depth estimates (dL=%v dR=%v)", n.Op, dL, dR)
+			if need := n.Local(nk).Need; need[0] <= 0 || need[1] <= 0 {
+				t.Errorf("%v has empty depth estimates (dL=%v dR=%v)", n.Op, need[0], need[1])
 			}
 		}
 	})
