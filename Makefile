@@ -5,7 +5,7 @@ GO ?= go
 CI_STEPS := fmt vet build examples race allocs race-repeat bench-smoke \
 	experiments oracle-quick fuzz debug-smoke smoke-sharded-skew smoke-deep-dig
 
-.PHONY: all test bench benchmark oracle ci $(CI_STEPS)
+.PHONY: all test bench benchmark oracle loc ci $(CI_STEPS)
 
 all: ci
 
@@ -52,6 +52,13 @@ bench-smoke:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# Non-test Go lines per package directory and in total: the before -> after
+# figure a design change reports.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' -not -path './.git/*' | sort | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); sub(/^\.\//, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%6d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%6d  total\n", t }'
 
 # Every registered paper figure and ablation, run once to the end.
 experiments:

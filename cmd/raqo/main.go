@@ -45,7 +45,6 @@ import (
 	"log/slog"
 	"net/http"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -77,7 +76,7 @@ func main() {
 		traceFlag   = flag.Bool("trace", false, "run traced sessions: print the optimizer decision trace and query span tree")
 		traceJSON   = flag.String("trace-json", "", "write each traced session's Chrome trace-event JSON to this file")
 		slowQuery   = flag.Duration("slowquery", 0, "log sessions at or over this duration to stderr, e.g. 100ms (0 = off)")
-		plannerMode = flag.String("planner", "dp", "join-order planner: dp (System-R memo) or greedy (no-stats fast path with DP fallback)")
+		plannerMode = flag.String("planner", "dp", "join-order planner: dp (System-R memo over every table subset) or greedy (the same enumeration over one greedy join order)")
 		shards      = flag.Int("shards", 0, "serve from this many hash-partitioned shards (scatter-gather top-k tier; 0 = off)")
 	)
 	flag.Parse()
@@ -224,13 +223,6 @@ func printMetrics(w io.Writer, eng *engine.Engine) {
 			m.ShardedQueries, m.ShardFallbacks,
 			m.ShardsStarted, m.ShardsPruned, m.ShardsEarlyStopped, m.ShardTuplesSaved)
 	}
-	if len(m.GreedyFallbacksByReason) > 0 {
-		var total uint64
-		for _, v := range m.GreedyFallbacksByReason {
-			total += v
-		}
-		fmt.Fprintf(w, "greedy fallbacks: total=%d%s\n", total, reasonSuffix(m.GreedyFallbacksByReason))
-	}
 	for _, op := range m.Operators {
 		if op.DepthCount == 0 && op.LatencyCount == 0 {
 			continue
@@ -242,26 +234,6 @@ func printMetrics(w io.Writer, eng *engine.Engine) {
 	fmt.Fprintf(w, "runtime: goroutines=%d heap=%dKB objects=%d gc=%d pause-p99=%.0fµs\n",
 		m.Runtime.Goroutines, m.Runtime.HeapAllocBytes/1024, m.Runtime.HeapObjects,
 		m.Runtime.GCCycles, m.Runtime.GCPauseP99Micros)
-}
-
-// reasonSuffix renders a non-zero reason->count map as " (a=1 b=2)" with
-// stable (sorted) key order, or "" when everything is zero.
-func reasonSuffix(byReason map[string]uint64) string {
-	keys := make([]string, 0, len(byReason))
-	for k, v := range byReason {
-		if v > 0 {
-			keys = append(keys, k)
-		}
-	}
-	if len(keys) == 0 {
-		return ""
-	}
-	sort.Strings(keys)
-	parts := make([]string, len(keys))
-	for i, k := range keys {
-		parts[i] = fmt.Sprintf("%s=%d", k, byReason[k])
-	}
-	return " (" + strings.Join(parts, " ") + ")"
 }
 
 // printQueries renders the live query registry (the REPL's `\queries`

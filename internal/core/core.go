@@ -12,6 +12,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -30,11 +31,10 @@ const (
 	// PlannerDP is the paper's System-R bottom-up dynamic programming over
 	// every connected table subset (the default).
 	PlannerDP PlannerMode = iota
-	// PlannerGreedy skips the memo entirely: joins are ordered greedily by
-	// visible selectivity and join-graph connectivity, emitting one left-deep
-	// plan in microseconds. Shapes greedy cannot order confidently (grouped
-	// queries, traced sessions, plan-space collection) fall back to the DP;
-	// Result.GreedyFallback reports when that happened.
+	// PlannerGreedy fixes the join order first — most constrained table
+	// first, then the connected table keeping the intermediate result
+	// smallest — and runs the DP's enumeration and pruning on that path's
+	// prefixes only: n-1 subsets instead of every connected one.
 	PlannerGreedy
 )
 
@@ -98,8 +98,9 @@ type Options struct {
 	// Tracer, when non-nil, observes every enumeration and pruning decision
 	// (see tracer.go), in the enumeration's deterministic order.
 	Tracer Tracer
-	// Planner selects the join-order strategy: the System-R DP (default) or
-	// the greedy fast path (see PlannerGreedy).
+	// Planner selects which table subsets are enumerated: all of them (the
+	// System-R DP, default) or one greedy join order's prefixes (see
+	// PlannerGreedy).
 	Planner PlannerMode
 }
 
@@ -127,14 +128,6 @@ type Result struct {
 	// PlansProtected counts pipelined plans that survived a cheaper blocking
 	// rival only through the First-N-Rows protection.
 	PlansProtected int
-	// Planner is the strategy that actually produced Best (greedy requests
-	// that fell back report PlannerDP here).
-	Planner PlannerMode
-	// GreedyFallback is set when PlannerGreedy was requested but the query
-	// shape forced the DP path; GreedyFallbackReason then names why (one of
-	// the GreedyFallback* constants).
-	GreedyFallback       bool
-	GreedyFallbackReason string
 }
 
 // InterestingOrder is one row of the paper's Table 1.
@@ -174,13 +167,10 @@ type optimizer struct {
 	// references no single query table), so a subset's partial score is a
 	// mask test per term.
 	termBit []uint64
-	// entries holds every table subset's facts, indexed by mask (see
-	// entry.go). The DP fills it before enumeration starts and only reads it
-	// afterwards; it stays nil on the greedy path, whose O(n) subsets are
-	// derived on demand by the same constructor.
-	entries []entryInfo
-	// memo holds the retained plans of every subset, indexed by mask.
-	memo [][]memoPlan
+	// entries maps a table subset's mask to its facts and retained plans,
+	// which live in slab (see entry).
+	entries map[uint64]*entryInfo
+	slab    []entryInfo
 	// acc accumulates the MEMO entry being enumerated (see maskAcc).
 	acc maskAcc
 	// orders holds the interned order properties; id i+1 is orders[i].
@@ -215,6 +205,18 @@ func newOptimizer(cat *catalog.Catalog, q *logical.Query, opts Options) (*optimi
 	if err := o.buildTableInfo(); err != nil {
 		return nil, err
 	}
+	if err := o.checkColumns(); err != nil {
+		return nil, err
+	}
+	// The DP enumerates every table subset; a greedy path has one entry per
+	// table and one per longer prefix.
+	n := len(o.tables)
+	size := 1<<n - 1
+	if opts.Planner == PlannerGreedy {
+		size = 2*n - 1
+	}
+	o.entries = make(map[uint64]*entryInfo, size)
+	o.slab = make([]entryInfo, 0, size)
 	o.equiv = newEquivClasses(q.Joins)
 	o.joins = o.joinInfos(o.equiv.closure(q.Joins))
 	return o, nil
@@ -230,56 +232,56 @@ func Optimize(cat *catalog.Catalog, q *logical.Query, opts Options) (*Result, er
 		return nil, err
 	}
 
-	planner := PlannerDP
-	fallback := false
-	fallbackReason := ""
-	var best, bestJoin *plan.Node
-	var all []*plan.Node
 	if opts.Planner == PlannerGreedy {
-		if g, reason := o.greedyPlan(); g != nil {
-			planner = PlannerGreedy
-			best, bestJoin, all, err = o.finish([]*plan.Node{g})
-		} else {
-			fallback = true
-			fallbackReason = reason
-		}
-	}
-	if planner == PlannerDP {
+		o.runGreedy()
+	} else {
 		o.runDP()
-		o.traceMemoState()
-		best, bestJoin, all, err = o.finish(planNodes(o.memo[o.fullMask()]))
 	}
+	o.traceMemoState()
+	best, bestJoin, all, err := o.finish()
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{
-		Best:                 best,
-		BestJoin:             bestJoin,
-		AllPlans:             all,
-		Memo:                 map[string][]*plan.Node{},
-		PlansGenerated:       o.pc.gen,
-		PlansPruned:          o.pc.pruned + o.pc.evicted,
-		PlansProtected:       o.pc.protected,
-		Planner:              planner,
-		GreedyFallback:       fallback,
-		GreedyFallbackReason: fallbackReason,
+		Best:           best,
+		BestJoin:       bestJoin,
+		AllPlans:       all,
+		Memo:           map[string][]*plan.Node{},
+		PlansGenerated: o.pc.gen,
+		PlansPruned:    o.pc.pruned + o.pc.evicted,
+		PlansProtected: o.pc.protected,
 	}
-	for mask, plans := range o.memo {
-		if len(plans) > 0 {
-			res.Memo[o.entries[mask].label] = planNodes(plans)
-			res.PlansKept += len(plans)
+	for _, e := range o.entries {
+		if len(e.plans) > 0 {
+			res.Memo[e.label] = planNodes(e.plans)
+			res.PlansKept += len(e.plans)
 		}
 	}
 	return res, nil
 }
 
-// runDP is the System-R enumeration: per-subset facts first (read-only from
-// here on), then the base access paths, then the join levels.
+// runDP is the System-R enumeration: the base access paths, then every
+// subset of two or more tables, level by level, split every way.
 func (o *optimizer) runDP() {
-	o.buildEntries()
-	o.memo = make([][]memoPlan, len(o.entries))
 	o.enumerateBase()
-	o.enumerateJoins()
+	full := o.fullMask()
+	masks := make([]uint64, 0, int(full)-len(o.tables))
+	for size := 2; size <= len(o.tables); size++ {
+		for mask := uint64(1); mask <= full; mask++ {
+			if bits.OnesCount64(mask) == size {
+				masks = append(masks, mask)
+			}
+		}
+	}
+	o.enumerateJoins(masks, allSubs)
+}
+
+// allSubs appends the left side of every ordered split of mask to subs.
+func allSubs(subs []uint64, mask uint64) []uint64 {
+	for sub := (mask - 1) & mask; sub > 0; sub = (sub - 1) & mask {
+		subs = append(subs, sub)
+	}
+	return subs
 }
 
 // traceMemoState emits the post-enumeration snapshot to the tracer: the
@@ -297,22 +299,20 @@ func (o *optimizer) traceMemoState() {
 			Note: strings.Join(io.Reasons, "; "),
 		})
 	}
-	var masks []uint64
-	for mask, plans := range o.memo {
-		if len(plans) > 0 {
-			masks = append(masks, uint64(mask))
+	var kept []*entryInfo
+	for _, e := range o.entries {
+		if len(e.plans) > 0 {
+			kept = append(kept, e)
 		}
 	}
-	sort.Slice(masks, func(i, j int) bool {
-		ei, ej := &o.entries[masks[i]], &o.entries[masks[j]]
-		if ei.level != ej.level {
-			return ei.level < ej.level
+	sort.Slice(kept, func(i, j int) bool {
+		if kept[i].level != kept[j].level {
+			return kept[i].level < kept[j].level
 		}
-		return ei.label < ej.label
+		return kept[i].label < kept[j].label
 	})
-	for _, mask := range masks {
-		e := &o.entries[mask]
-		for _, p := range o.memo[mask] {
+	for _, e := range kept {
+		for _, p := range e.plans {
 			tr.OnDecision(Decision{
 				Kind:  DecisionKept,
 				Level: e.level,
@@ -369,6 +369,59 @@ func (o *optimizer) buildTableInfo() error {
 		o.termBit[ix] = o.tableBit(o.q.Score.Terms[ix].Table())
 	}
 	return nil
+}
+
+// checkColumns rejects a query naming a column its table's catalog schema
+// lacks, so a query that cannot execute fails here rather than being
+// planned, cached and failing at every execution. An unqualified name must
+// belong to some query table; SELECT's rank output column is no table's.
+func (o *optimizer) checkColumns() error {
+	q := o.q
+	var cols []expr.ColRef
+	for _, j := range q.Joins {
+		cols = append(cols, j.L, j.R)
+	}
+	for _, f := range q.Filters {
+		cols = f.AddColumns(cols)
+	}
+	cols = q.Score.AddColumns(cols)
+	cols = append(cols, q.GroupBy...)
+	for _, a := range q.Aggs {
+		if a.Arg != nil {
+			cols = a.Arg.AddColumns(cols)
+		}
+	}
+	if q.OrderBy.Name != "" {
+		cols = append(cols, q.OrderBy)
+	}
+	for _, it := range q.Select {
+		if c, ok := it.E.(expr.ColRef); ok && c == expr.Col("", "rank") {
+			continue
+		}
+		cols = it.E.AddColumns(cols)
+	}
+	for _, c := range cols {
+		if !o.hasColumn(c) {
+			return fmt.Errorf("core: unknown column %s", c)
+		}
+	}
+	return nil
+}
+
+// hasColumn reports whether a query table named by c (any of them when c is
+// unqualified) has the column in its catalog schema.
+func (o *optimizer) hasColumn(c expr.ColRef) bool {
+	for _, ti := range o.tables {
+		if c.Table != "" && c.Table != ti.name {
+			continue
+		}
+		if tab, err := o.cat.Table(ti.name); err == nil {
+			if _, err := tab.Rel.Schema().Resolve("", c.Name); err == nil {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // rankAware reports whether rank-aware enumeration applies to this query.

@@ -918,3 +918,67 @@ func TestTopKSelectionPlanRejectsNonSelections(t *testing.T) {
 		t.Error("filtered queries must not yield a TA plan")
 	}
 }
+
+// Optimize rejects a column its table's schema lacks wherever the query names
+// it, and the error names the column; SELECT's rank output column is no
+// table's and passes.
+func TestOptimizeRejectsUnknownColumns(t *testing.T) {
+	cat, _ := workload.RankedSet(2, workload.RankedConfig{N: 50, Selectivity: 0.1, Seed: 307})
+	bad := expr.Col("T1", "nosuch")
+	grouped := func() *logical.Query {
+		return &logical.Query{
+			Tables:  []string{"T1", "T2"},
+			Joins:   []logical.JoinPred{{L: expr.Col("T1", "key"), R: expr.Col("T2", "key")}},
+			GroupBy: []expr.ColRef{expr.Col("T1", "key")},
+			Aggs:    []logical.AggItem{{Func: "SUM", Arg: expr.Col("T2", "score"), As: "s"}},
+		}
+	}
+	for name, edit := range map[string]func() *logical.Query{
+		"join": func() *logical.Query {
+			q := rankedQuery(2, 5)
+			q.Joins[0].L = bad
+			return q
+		},
+		"filter": func() *logical.Query {
+			q := rankedQuery(2, 5)
+			q.Filters = []expr.Expr{expr.Bin(expr.OpLt, bad, expr.IntLit(3))}
+			return q
+		},
+		"score": func() *logical.Query {
+			q := rankedQuery(2, 5)
+			q.Score.Terms[0].E = bad
+			return q
+		},
+		"group by": func() *logical.Query {
+			q := grouped()
+			q.GroupBy = []expr.ColRef{bad}
+			return q
+		},
+		"aggregate": func() *logical.Query {
+			q := grouped()
+			q.Aggs[0].Arg = bad
+			return q
+		},
+		"order by": func() *logical.Query {
+			q := rankedQuery(2, 5)
+			q.Score = expr.ScoreSum{}
+			q.OrderBy = bad
+			return q
+		},
+		"select": func() *logical.Query {
+			q := rankedQuery(2, 5)
+			q.Select = []logical.SelectItem{{E: expr.Col("", "nosuch"), As: "x"}}
+			return q
+		},
+	} {
+		_, err := Optimize(cat, edit(), Options{})
+		if err == nil || !strings.Contains(err.Error(), "nosuch") {
+			t.Errorf("%s: err = %v, want an error naming the unknown column", name, err)
+		}
+	}
+	q := rankedQuery(2, 5)
+	q.Select = []logical.SelectItem{{E: expr.Col("", "rank"), As: "rank"}, {E: expr.Col("", "score"), As: "s"}}
+	if _, err := Optimize(cat, q, Options{}); err != nil {
+		t.Errorf("rank and an unqualified known column: %v", err)
+	}
+}

@@ -132,8 +132,8 @@ func TestMemoPlanFacts(t *testing.T) {
 					}
 					o.runDP()
 					checked, bad := 0, 0
-					for mask, plans := range o.memo {
-						for _, mp := range plans {
+					for _, e := range o.entries {
+						for _, mp := range e.plans {
 							checked++
 							n := mp.n
 							full, atK := n.Cost(n.Card), n.Cost(n.Card)
@@ -146,7 +146,7 @@ func TestMemoPlanFacts(t *testing.T) {
 								mp.order != id || mp.pipelined != n.Props.Pipelined {
 								if bad++; bad <= 3 {
 									t.Errorf("%s shape %d k=%d %s, entry %s: %s stored full=%v atK=%v order=%d pipelined=%v, want %v, %v, %d, %v",
-										c.name, si, k, v.name, o.entries[mask].label, plan.Summary(n),
+										c.name, si, k, v.name, e.label, plan.Summary(n),
 										mp.full, mp.atK, mp.order, mp.pipelined, full, atK, id, n.Props.Pipelined)
 								}
 							}

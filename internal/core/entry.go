@@ -11,13 +11,13 @@ import (
 )
 
 // This file holds the optimizer's representation: what is derived once per
-// table subset (entryInfo), once per ordered split of a subset (splitInfo)
+// table subset (entryInfo), once per ordered split of a subset (splitCosts)
 // and once per retained plan (memoPlan), so that the enumeration's inner
 // loop does per candidate only what differs per candidate.
 
-// entryInfo is everything the planner asks about one table subset. None of
-// it depends on the plans the subset ends up holding, so it is derived from
-// the mask alone, once.
+// entryInfo is everything the planner asks about one table subset and the
+// plans it retained. None of the facts depends on those plans, so they are
+// derived from the mask alone, once, on first use.
 type entryInfo struct {
 	// level is the DP size level (number of tables).
 	level int
@@ -33,18 +33,9 @@ type entryInfo struct {
 	// baseN is the geometric mean cardinality of the ranked tables (the
 	// depth model's representative n); 1 when none is ranked.
 	baseN float64
-	// splits lists the subset's connected ordered splits in enumeration
-	// order. Only the DP fills it (buildEntries).
-	splits []splitInfo
-}
-
-// splitInfo is one ordered (sub, rest) split of a subset with the closure
-// join predicates connecting the two sides, reduced to one per equivalence
-// class, and the product of their selectivities.
-type splitInfo struct {
-	sub, rest uint64
-	preds     []logical.JoinPred
-	sel       float64
+	// plans are the subset's retained plans, published when the subset has
+	// been enumerated.
+	plans []memoPlan
 }
 
 // joinInfo is one closure join predicate with the table bits of its two
@@ -249,14 +240,20 @@ func (o *optimizer) selectivityBetween(m1, m2 uint64) ([]logical.JoinPred, float
 	return preds, s
 }
 
-// entry returns the facts of a table subset: from the table when the DP
-// built it, derived on the spot for the greedy walk's handful of subsets.
+// entry returns the entry of a table subset, deriving its facts on first use.
+// Entries live in o.slab; a full slab is replaced, never grown, so the
+// addresses handed out stay valid.
 func (o *optimizer) entry(mask uint64) *entryInfo {
-	if o.entries != nil {
-		return &o.entries[mask]
+	if e := o.entries[mask]; e != nil {
+		return e
 	}
-	e := o.newEntry(mask)
-	return &e
+	if len(o.slab) == cap(o.slab) {
+		o.slab = make([]entryInfo, 0, max(len(o.slab), 1))
+	}
+	o.slab = append(o.slab, o.newEntry(mask))
+	e := &o.slab[len(o.slab)-1]
+	o.entries[mask] = e
+	return e
 }
 
 // newEntry derives a subset's facts from its mask.
@@ -287,21 +284,4 @@ func (o *optimizer) newEntry(mask uint64) entryInfo {
 		}
 	}
 	return e
-}
-
-// buildEntries fills the per-subset table for the DP: every subset's facts
-// and, for subsets of two or more tables, every connected ordered split with
-// its reduced predicates and selectivity (no Cartesian products).
-func (o *optimizer) buildEntries() {
-	o.entries = make([]entryInfo, o.fullMask()+1)
-	for mask := uint64(1); mask < uint64(len(o.entries)); mask++ {
-		e := o.newEntry(mask)
-		for sub := (mask - 1) & mask; sub > 0; sub = (sub - 1) & mask {
-			rest := mask ^ sub
-			if preds, s := o.selectivityBetween(sub, rest); len(preds) > 0 {
-				e.splits = append(e.splits, splitInfo{sub: sub, rest: rest, preds: preds, sel: s})
-			}
-		}
-		o.entries[mask] = e
-	}
 }

@@ -90,7 +90,7 @@ func (o *optimizer) enumerateBase() {
 		}
 
 		// Publish each entry as it completes.
-		o.memo[acc.mask] = acc.plans
+		acc.e.plans = acc.plans
 		o.pc.merge(acc.pc)
 	}
 }
@@ -261,7 +261,7 @@ type joinNode struct {
 // newAcc readies the optimizer's accumulator for the entry of mask.
 func (o *optimizer) newAcc(mask uint64) *maskAcc {
 	a := &o.acc
-	a.o, a.mask, a.e, a.plans, a.pc = o, mask, &o.entries[mask], nil, pruneCounters{}
+	a.o, a.mask, a.e, a.plans, a.pc = o, mask, o.entry(mask), nil, pruneCounters{}
 	return a
 }
 
@@ -349,38 +349,33 @@ func (a *maskAcc) costJoin(n *plan.Node) memoPlan {
 	return mp
 }
 
-// enumerateJoins runs the bottom-up DP over table subsets, generating every
-// join alternative for every connected split of every subset. Masks are
-// visited in size-level order and each publishes its plans as it completes:
-// a mask reads only strictly smaller entries, all finished at earlier levels.
-func (o *optimizer) enumerateJoins() {
-	n := len(o.tables)
-	full := o.fullMask()
-	for size := 2; size <= n; size++ {
-		for mask := uint64(1); mask <= full; mask++ {
-			if o.entries[mask].level != size {
+// enumerateJoins enumerates the subsets of masks in order, each from those
+// of its ordered splits (sub, mask^sub) whose sides are connected and both
+// already hold plans, taking the candidate subs from subs. Every mask
+// publishes its plans as it completes, and reads only entries that completed
+// before it: the DP passes every subset level by level with allSubs, greedy
+// its path's prefixes with the two splits of each (see runGreedy).
+func (o *optimizer) enumerateJoins(masks []uint64, subs func(subs []uint64, mask uint64) []uint64) {
+	var buf []uint64
+	for _, mask := range masks {
+		acc := o.newAcc(mask)
+		buf = subs(buf[:0], mask)
+		for _, sub := range buf {
+			rest := mask ^ sub
+			l, r := o.entries[sub], o.entries[rest]
+			if l == nil || r == nil || len(l.plans) == 0 || len(r.plans) == 0 {
 				continue
 			}
-			acc := o.newAcc(mask)
-			o.enumerateMask(acc)
-			o.memo[mask] = acc.plans
-			o.pc.merge(acc.pc)
+			if preds, s := o.selectivityBetween(sub, rest); len(preds) > 0 {
+				o.joinSplit(acc, sub, rest, preds, s)
+			}
 		}
+		// The any-k enumerator covers the whole subset in one operator, so it
+		// is generated per mask rather than per split.
+		o.anyKCandidates(acc)
+		acc.e.plans = acc.plans
+		o.pc.merge(acc.pc)
 	}
-}
-
-// enumerateMask generates every join alternative for one subset mask,
-// reading only memo entries of strictly smaller size.
-func (o *optimizer) enumerateMask(acc *maskAcc) {
-	for i := range acc.e.splits {
-		sp := &acc.e.splits[i]
-		if len(o.memo[sp.sub]) > 0 && len(o.memo[sp.rest]) > 0 {
-			o.joinSplit(acc, sp)
-		}
-	}
-	// The any-k enumerator covers the whole subset in one operator, so it is
-	// generated per mask rather than per split.
-	o.anyKCandidates(acc)
 }
 
 // sideInput is one memo plan as a join input of one split: the plan itself
@@ -466,19 +461,19 @@ func (a *maskAcc) release(side []sideInput) {
 	}
 }
 
-// joinSplit generates all join candidates for one ordered (sub, rest) split.
-// Everything that is a fact of the split — the order properties each join
+// joinSplit generates all join candidates for one ordered (sub, rest) split,
+// joined by preds — the closure predicates connecting its sides, one per
+// equivalence class — of combined selectivity s. Everything that is a fact of the split — the order properties each join
 // method produces or requires and their ids, the rank-join parameters, the
 // enforced-sort inputs and, on first use, each method's local cost facts
 // (splitCosts) — is settled once per split, and the (p1 × p2) loop only
 // assembles, costs and prunes.
-func (o *optimizer) joinSplit(acc *maskAcc, sp *splitInfo) {
-	eL, eR := &o.entries[sp.sub], &o.entries[sp.rest]
-	preds, s := sp.preds, sp.sel
+func (o *optimizer) joinSplit(acc *maskAcc, sub, rest uint64, preds []logical.JoinPred, s float64) {
+	eL, eR := o.entry(sub), o.entry(rest)
 	rankJoins := o.rankAware() && len(eL.ranked) > 0 && len(eR.ranked) > 0
 	acc.costs.reset()
-	lefts := acc.sideInputs(0, o.memo[sp.sub], preds[0].L, eL, eR, rankJoins)
-	rights := acc.sideInputs(1, o.memo[sp.rest], preds[0].R, eR, eL, rankJoins)
+	lefts := acc.sideInputs(0, eL.plans, preds[0].L, eL, eR, rankJoins)
+	rights := acc.sideInputs(1, eR.plans, preds[0].R, eR, eL, rankJoins)
 
 	// The prototypes every candidate of a method family starts from.
 	join, rankJoin, inlj := &acc.protos[0], &acc.protos[1], &acc.protos[2]
@@ -488,7 +483,7 @@ func (o *optimizer) joinSplit(acc *maskAcc, sp *splitInfo) {
 	var fired Decision
 	if rankJoins {
 		rankOrder = o.intern(acc.e.order)
-		rankJoin.n = o.rankJoinProto(sp.sub, sp.rest, preds, s)
+		rankJoin.n = o.rankJoinProto(sub, rest, preds, s)
 		rankJoin.n.Props.Order = rankOrder.prop
 		if o.opts.Tracer != nil {
 			// An interesting ranking-order expression over each input side
@@ -507,7 +502,7 @@ func (o *optimizer) joinSplit(acc *maskAcc, sp *splitInfo) {
 	// join column; independent of inner subplans.
 	var inner *tableInfo
 	if eR.level == 1 {
-		ti := o.tables[bits.TrailingZeros64(sp.rest)]
+		ti := o.tables[bits.TrailingZeros64(rest)]
 		if idx := o.cat.IndexOn(ti.name, preds[0].R.Name); idx != nil {
 			inner = ti
 			inlj.n = plan.Node{
@@ -597,8 +592,7 @@ func (o *optimizer) joinSplit(acc *maskAcc, sp *splitInfo) {
 
 // rankJoinProto builds what every rank-join node over the ordered split
 // (sub, rest) shares — scores and depth-model parameters — leaving Op,
-// Children, Card and Props to the caller. It serves the DP enumeration and
-// the greedy planner alike, so the node shape lives in exactly one place.
+// Children, Card and Props to the caller.
 func (o *optimizer) rankJoinProto(sub, rest uint64, preds []logical.JoinPred, s float64) plan.Node {
 	eL, eR := o.entry(sub), o.entry(rest)
 	n := plan.Node{
@@ -618,16 +612,6 @@ func (o *optimizer) rankJoinProto(sub, rest uint64, preds []logical.JoinPred, s 
 		n.RSlab = eR.ranked[0].termSlab
 	}
 	return n
-}
-
-// rankJoinNode builds a heap rank-join node over plans l and r covering
-// masks sub and rest (the greedy planner's entry to rankJoinProto).
-func (o *optimizer) rankJoinNode(op plan.OpType, l, r *plan.Node, sub, rest uint64, preds []logical.JoinPred, s, jcard float64) *plan.Node {
-	n := o.rankJoinProto(sub, rest, preds, s)
-	n.Op = op
-	n.Children = []*plan.Node{l, r}
-	n.Card = jcard
-	return &n
 }
 
 // preserveOuter propagates an input's order property through an

@@ -10,16 +10,16 @@ import (
 	"rankopt/internal/relation"
 )
 
-// finish selects the final plan from the given full-expression alternatives
-// (the full-mask memo entry for the DP, a single plan for the greedy path):
+// finish selects the final plan from the full-query MEMO entry's plans:
 // every plan is completed (gluing a sort enforcer when it lacks the required
 // output order), costs are compared at the query's k, and the winner is
 // wrapped with rank annotation, limit, and projection as the query demands.
 // With Options.CollectAllPlans set, every completed-and-assembled alternative
 // is returned in all — the differential-testing oracle executes each one and
 // asserts identical results.
-func (o *optimizer) finish(plans []*plan.Node) (best, bestJoin *plan.Node, all []*plan.Node, err error) {
+func (o *optimizer) finish() (best, bestJoin *plan.Node, all []*plan.Node, err error) {
 	full := o.entry(o.fullMask())
+	plans := planNodes(full.plans)
 	if len(plans) == 0 {
 		return nil, nil, nil, fmt.Errorf("core: no plan found for %s", full.label)
 	}

@@ -1,9 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
+	"rankopt/internal/catalog"
 	"rankopt/internal/exec"
 	"rankopt/internal/expr"
 	"rankopt/internal/logical"
@@ -24,9 +28,6 @@ func TestGreedyMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("m=%d: %v", m, err)
 		}
-		if res.Planner != PlannerGreedy || res.GreedyFallback {
-			t.Fatalf("m=%d: planner=%v fallback=%v, want greedy", m, res.Planner, res.GreedyFallback)
-		}
 		got := runBest(t, cat, res)
 		want := referenceTopK(t, cat, q, 10)
 		if len(got) != len(want) {
@@ -40,13 +41,13 @@ func TestGreedyMatchesReference(t *testing.T) {
 	}
 }
 
-// TestGreedyPlanQualityAcrossSelectivity is the two-speed planner's quality
+// TestGreedyPlanQualityAcrossSelectivity is the greedy planner's quality
 // gate on the 4-way ranked chain join, swept across three selectivity
-// decades: greedy must plan without falling back to the DP, choose a plan
-// whose k-cost is within 1.2x of the DP's under the shared cost model, and
-// execute the DP's top-k on a 120-row catalog of the same shape. The worst
-// cost ratio at 3 000 rows is 1.16 (sel 0.05; the other two points tie). Every
-// check is a count or a cost, never a clock.
+// decades: greedy must choose a plan whose k-cost is within 1.2x of the DP's
+// under the shared cost model, and execute the DP's top-k on a 120-row
+// catalog of the same shape. The three points tie at 3 000 rows since greedy
+// enumerates its path with the DP's enumerator. Every check is a count or a
+// cost, never a clock.
 func TestGreedyPlanQualityAcrossSelectivity(t *testing.T) {
 	const k = 10
 	q := rankedQuery(4, k)
@@ -62,9 +63,6 @@ func TestGreedyPlanQualityAcrossSelectivity(t *testing.T) {
 		g, err := Optimize(cat, q, Options{Planner: PlannerGreedy})
 		if err != nil {
 			t.Fatal(err)
-		}
-		if g.GreedyFallback {
-			t.Fatalf("sel=%g: greedy fell back to the DP (%s)", sel, g.GreedyFallbackReason)
 		}
 		ratio := g.Best.Cost(k) / dp.Best.Cost(k)
 		t.Logf("sel=%g: greedy/DP cost ratio %.2f", sel, ratio)
@@ -111,9 +109,6 @@ func TestGreedyNonRankingAndFiltered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Planner != PlannerGreedy {
-		t.Fatalf("non-ranking query fell back: %+v", res.GreedyFallback)
-	}
 	op, err := plan.Compile(cat, res.Best)
 	if err != nil {
 		t.Fatalf("compile: %v\n%s", err, plan.Explain(res.Best))
@@ -150,33 +145,116 @@ func TestGreedyNonRankingAndFiltered(t *testing.T) {
 	}
 }
 
-// Shapes greedy cannot order confidently fall back to the DP and say so.
-func TestGreedyFallback(t *testing.T) {
-	// Single table.
-	cat1, _ := workload.RankedSet(1, workload.RankedConfig{N: 200, Selectivity: 0.1, Seed: 303})
-	res, err := Optimize(cat1, rankedQuery(1, 5), Options{Planner: PlannerGreedy})
+// Greedy's MEMO is its path: every table's access paths and one entry per
+// longer prefix, each prefix one table larger than the one before. On a
+// 4-way chain that is 4 + 3 entries where the DP holds every connected
+// subset.
+func TestGreedyMemoIsPathPrefixes(t *testing.T) {
+	cat, _ := workload.RankedSet(4, workload.RankedConfig{N: 300, Selectivity: 0.05, Seed: 305})
+	res, err := Optimize(cat, rankedQuery(4, 10), Options{Planner: PlannerGreedy})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Planner != PlannerDP || !res.GreedyFallback {
-		t.Fatalf("single-table: planner=%v fallback=%v, want DP fallback", res.Planner, res.GreedyFallback)
+	bySize := map[int][]string{}
+	for label := range res.Memo {
+		n := len(strings.Split(label, ","))
+		bySize[n] = append(bySize[n], label)
 	}
+	if len(bySize[1]) != 4 || len(res.Memo) != 7 {
+		t.Fatalf("memo %v: want 4 single-table entries and 3 prefixes", bySize)
+	}
+	for n := 2; n <= 4; n++ {
+		if len(bySize[n]) != 1 {
+			t.Fatalf("memo %v: want one prefix of %d tables", bySize, n)
+		}
+	}
+	for n := 3; n <= 4; n++ {
+		cur := strings.Split(bySize[n][0], ",")
+		for _, name := range strings.Split(bySize[n-1][0], ",") {
+			if !slices.Contains(cur, name) {
+				t.Fatalf("prefix %v does not extend %v", cur, bySize[n-1])
+			}
+		}
+	}
+}
 
-	// Grouped query.
+// A single-table query and a grouped join plan greedily and return the DP's
+// answers.
+func TestGreedySingleTableAndGrouped(t *testing.T) {
+	cat1, _ := workload.RankedSet(1, workload.RankedConfig{N: 200, Selectivity: 0.1, Seed: 303})
 	cat2, _ := workload.RankedSet(2, workload.RankedConfig{N: 300, Selectivity: 0.1, Seed: 304})
-	qg := &logical.Query{
+	grouped := &logical.Query{
 		Tables:  []string{"T1", "T2"},
 		Joins:   []logical.JoinPred{{L: expr.Col("T1", "key"), R: expr.Col("T2", "key")}},
 		GroupBy: []expr.ColRef{expr.Col("T1", "key")},
 		Aggs:    []logical.AggItem{{Func: "COUNT", As: "n"}},
 	}
-	res2, err := Optimize(cat2, qg, Options{Planner: PlannerGreedy})
+	for _, tc := range []struct {
+		name string
+		cat  *catalog.Catalog
+		q    *logical.Query
+	}{
+		{"single-table", cat1, rankedQuery(1, 5)},
+		{"grouped", cat2, grouped},
+	} {
+		dp, err := Optimize(tc.cat, tc.q, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := Optimize(tc.cat, tc.q, Options{Planner: PlannerGreedy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, got := resultRows(t, tc.cat, dp), resultRows(t, tc.cat, g)
+		if len(want) == 0 || !slices.Equal(got, want) {
+			t.Errorf("%s: greedy rows %v, DP rows %v", tc.name, got, want)
+		}
+	}
+}
+
+// resultRows executes the chosen plan and renders its rows sorted, so plans
+// that emit the same groups in another order compare equal.
+func resultRows(t *testing.T, cat *catalog.Catalog, res *Result) []string {
+	t.Helper()
+	op, err := plan.Compile(cat, res.Best)
+	if err != nil {
+		t.Fatalf("compile: %v\n%s", err, plan.Explain(res.Best))
+	}
+	tuples, err := exec.Collect(op)
+	if err != nil {
+		t.Fatalf("execute: %v\n%s", err, plan.Explain(res.Best))
+	}
+	out := make([]string, len(tuples))
+	for i, tup := range tuples {
+		out[i] = fmt.Sprint(tup)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// A 16-table chain plans greedily with 16 + 15 MEMO entries: greedy stores
+// its path, never a per-subset table (2^16 entries here). The check is a
+// count, not a clock.
+func TestGreedyWideChainMemo(t *testing.T) {
+	const m = 16
+	cat, names := workload.RankedSet(m, workload.RankedConfig{N: 40, Selectivity: 0.2, Seed: 306})
+	q := chainShape(names).query(t, 5)
+	res, err := Optimize(cat, q, Options{Planner: PlannerGreedy})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Planner != PlannerDP || !res2.GreedyFallback {
-		t.Fatalf("grouped: planner=%v fallback=%v, want DP fallback", res2.Planner, res2.GreedyFallback)
+	if len(res.Memo) != 2*m-1 {
+		t.Fatalf("greedy memo holds %d entries, want %d", len(res.Memo), 2*m-1)
 	}
+}
+
+// chainShape is an equal-weight ranked chain join over the tables.
+func chainShape(tables []string) churnShape {
+	weights := make([]float64, len(tables))
+	for i := range weights {
+		weights[i] = 1
+	}
+	return churnShape{tables: tables, weights: weights}
 }
 
 func TestParsePlannerMode(t *testing.T) {

@@ -39,26 +39,38 @@ func TestOptimizeAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkOptimize times one cold DP optimization per join width over the
-// plan-churn data shape, so
+// BenchmarkOptimize times one cold optimization per planner and join width
+// over the plan-churn data shape, so
 //
 //	go test -run '^$' -bench Optimize -cpuprofile cpu.out ./internal/core
 //
-// answers "where did core.optimize_ms go".
+// answers "where did core.optimize_ms go". Greedy also plans 8-, 16- and
+// 24-table chains, widths whose every-subset DP is out of reach.
 func BenchmarkOptimize(b *testing.B) {
-	cat, _ := workload.RankedSet(5, workload.RankedConfig{N: 1500, Selectivity: 0.01, Seed: 2004})
-	all := churnShape{
-		tables:  []string{"T1", "T2", "T3", "T4", "T5"},
-		weights: []float64{0.1, 0.2, 0.3, 0.4, 0.5},
+	cat, names := workload.RankedSet(24, workload.RankedConfig{N: 1500, Selectivity: 0.01, Seed: 2004})
+	weights := []float64{0.1, 0.2, 0.3, 0.4, 0.5}
+	type run struct {
+		name  string
+		shape churnShape
+		opts  Options
 	}
-	for _, width := range []int{3, 4, 5} {
-		b.Run(fmt.Sprintf("%dway", width), func(b *testing.B) {
-			s := churnShape{tables: all.tables[:width], weights: all.weights[:width]}
-			q := s.query(b, 10)
+	var runs []run
+	for _, p := range []PlannerMode{PlannerDP, PlannerGreedy} {
+		for _, width := range []int{3, 4, 5} {
+			s := churnShape{tables: names[:width], weights: weights[:width]}
+			runs = append(runs, run{fmt.Sprintf("%v/%dway", p, width), s, Options{Planner: p}})
+		}
+	}
+	for _, width := range []int{8, 16, 24} {
+		runs = append(runs, run{fmt.Sprintf("greedy/chain%d", width), chainShape(names[:width]), Options{Planner: PlannerGreedy}})
+	}
+	for _, r := range runs {
+		b.Run(r.name, func(b *testing.B) {
+			q := r.shape.query(b, 10)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := Optimize(cat, q, Options{}); err != nil {
+				if _, err := Optimize(cat, q, r.opts); err != nil {
 					b.Fatal(err)
 				}
 			}

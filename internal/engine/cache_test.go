@@ -54,6 +54,24 @@ func TestCacheHitOnRepeat(t *testing.T) {
 	}
 }
 
+// TestUnknownColumnNotCached: a query naming a column its table lacks fails
+// at optimize, naming the column, on every run, and never becomes a cached
+// template that fails again at every execution.
+func TestUnknownColumnNotCached(t *testing.T) {
+	eng := New(cacheTestCatalog(t), core.Options{})
+	const sql = "SELECT * FROM T1, T2 WHERE T1.key = T2.key ORDER BY T1.nosuch + T2.score DESC LIMIT 3"
+	for run := 1; run <= 2; run++ {
+		resp := eng.Run(Request{SQL: sql})
+		if resp.Err == nil || !strings.Contains(resp.Err.Error(), "engine: optimize") ||
+			!strings.Contains(resp.Err.Error(), "T1.nosuch") {
+			t.Fatalf("run %d: err = %v, want an optimize error naming T1.nosuch", run, resp.Err)
+		}
+	}
+	if st := eng.CacheStats(); st.Entries != 0 {
+		t.Fatalf("cache holds %d entries, want 0", st.Entries)
+	}
+}
+
 // TestCacheHitAcrossSpellings: lexically different spellings of one query —
 // whitespace, keyword case, a different LIMIT — normalize to one fingerprint
 // and share a template.

@@ -348,7 +348,6 @@ func (e *Engine) planFor(tr *trace.Trace, sql string) (planInfo, *core.DecisionT
 		tr.End(os)
 		return planInfo{}, nil, fmt.Errorf("engine: optimize: %w", err)
 	}
-	e.met.observeGreedy(res)
 	counters := countersOf(res)
 	tr.AnnotateInt(os, "plans_generated", int64(counters.Generated))
 	tr.AnnotateInt(os, "plans_kept", int64(counters.Kept))

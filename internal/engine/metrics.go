@@ -19,7 +19,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"rankopt/internal/core"
 	"rankopt/internal/exec"
 	"rankopt/internal/plan"
 )
@@ -137,27 +136,6 @@ func (h *opHist) quantile(bounds []int64, q float64) float64 {
 	return float64(bounds[len(bounds)-1])
 }
 
-// greedyReasonNames spell the `reason` label of raqo_greedy_fallbacks_total;
-// the order must match greedyReasonIndex.
-var greedyReasonNames = [...]string{
-	core.GreedyFallbackSingleTable,
-	core.GreedyFallbackGrouped,
-	core.GreedyFallbackTraced,
-	core.GreedyFallbackKeepAll,
-	core.GreedyFallbackNoPlan,
-}
-
-const numGreedyReasons = len(greedyReasonNames)
-
-func greedyReasonIndex(reason string) int {
-	for i, r := range greedyReasonNames {
-		if r == reason {
-			return i
-		}
-	}
-	return -1
-}
-
 // metrics is the engine's live counter block. All fields are atomics:
 // observation happens once per session (never per tuple) from arbitrarily
 // many worker goroutines.
@@ -194,11 +172,6 @@ type metrics struct {
 	shardsPruned       atomic.Uint64
 	shardsEarlyStopped atomic.Uint64
 	shardTuplesSaved   atomic.Uint64
-
-	// greedyFallbacks counts PlannerGreedy sessions that ran the DP anyway,
-	// by reason (see greedyReasonNames) — the labeled mirror of
-	// core.Result.GreedyFallback.
-	greedyFallbacks [numGreedyReasons]atomic.Uint64
 
 	// opDepth / opLatency are the per-operator-type histograms: depths dug
 	// (every session, via the rank-join stats hook) and operator wall time
@@ -244,16 +217,6 @@ func (m *metrics) observeSharded(st *exec.ShardMergeStats, execNanos int64) {
 	m.shardTuplesSaved.Add(uint64(st.TuplesSaved))
 	m.opDepth[histOpShardMerge].observe(opDepthBounds[:], int64(st.TuplesPulled))
 	m.opLatency[histOpShardMerge].observe(latencyBoundsNanos, execNanos)
-}
-
-// observeGreedy counts a greedy-planner fallback by reason.
-func (m *metrics) observeGreedy(res *core.Result) {
-	if !res.GreedyFallback {
-		return
-	}
-	if i := greedyReasonIndex(res.GreedyFallbackReason); i >= 0 {
-		m.greedyFallbacks[i].Add(1)
-	}
 }
 
 // observeOpDepth / observeOpLatency fold one operator measurement into the
@@ -333,10 +296,6 @@ type Metrics struct {
 	ShardsPruned       uint64 `json:"shards_pruned"`
 	ShardsEarlyStopped uint64 `json:"shards_early_stopped"`
 	ShardTuplesSaved   uint64 `json:"shard_tuples_saved"`
-
-	// GreedyFallbacksByReason counts PlannerGreedy sessions that fell back
-	// to the DP, by cause (empty map when the greedy planner is unused).
-	GreedyFallbacksByReason map[string]uint64 `json:"greedy_fallbacks_by_reason"`
 
 	// Operators are the per-operator-type depth/latency histograms in
 	// summary form (full buckets are on /metrics).
@@ -453,12 +412,6 @@ func (e *Engine) Snapshot() Metrics {
 		AnyKPlans:          e.met.anykPlans.Load(),
 		Runtime:            readRuntimeStats(),
 	}
-	m.GreedyFallbacksByReason = map[string]uint64{}
-	for i, name := range greedyReasonNames {
-		if v := e.met.greedyFallbacks[i].Load(); v > 0 {
-			m.GreedyFallbacksByReason[name] = v
-		}
-	}
 	for i, name := range histOpNames {
 		d, l := &e.met.opDepth[i], &e.met.opLatency[i]
 		m.Operators = append(m.Operators, OperatorMetrics{
@@ -551,10 +504,6 @@ func (e *Engine) serveMetricsText(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(w, "# TYPE raqo_slow_queries_total counter\nraqo_slow_queries_total %d\n", m.SlowQueries)
 	fmt.Fprintf(w, "# TYPE raqo_sharded_queries_total counter\nraqo_sharded_queries_total %d\n", m.ShardedQueries)
 	fmt.Fprintf(w, "# TYPE raqo_shard_fallbacks_total counter\nraqo_shard_fallbacks_total{reason=\"non_shardable\"} %d\n", m.ShardFallbacks)
-	fmt.Fprintf(w, "# TYPE raqo_greedy_fallbacks_total counter\n")
-	for i, name := range greedyReasonNames {
-		fmt.Fprintf(w, "raqo_greedy_fallbacks_total{reason=%q} %d\n", name, e.met.greedyFallbacks[i].Load())
-	}
 	fmt.Fprintf(w, "# TYPE raqo_shards_started_total counter\nraqo_shards_started_total %d\n", m.ShardsStarted)
 	fmt.Fprintf(w, "# TYPE raqo_shards_pruned_total counter\nraqo_shards_pruned_total %d\n", m.ShardsPruned)
 	fmt.Fprintf(w, "# TYPE raqo_shards_early_stopped_total counter\nraqo_shards_early_stopped_total %d\n", m.ShardsEarlyStopped)

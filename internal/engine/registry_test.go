@@ -362,7 +362,7 @@ func promLint(t *testing.T, text string) {
 }
 
 // TestMetricsTextLints serves /metrics after mixed traffic — sharded,
-// analyzed, greedy-fallback, errored — and lints the exposition: families
+// analyzed, greedy single-table, errored — and lints the exposition: families
 // declared once, no duplicate or orphan series, cumulative histograms, and
 // the new labeled counter families present.
 func TestMetricsTextLints(t *testing.T) {
@@ -379,7 +379,7 @@ func TestMetricsTextLints(t *testing.T) {
 	if resp := eng.Run(areq); resp.Err != nil {
 		t.Fatal(resp.Err)
 	}
-	// A single-table query trips the greedy fallback taxonomy.
+	// A single-table query plans greedily too.
 	if resp := eng.Run(Request{SQL: "SELECT * FROM T1 ORDER BY T1.score DESC LIMIT 3"}); resp.Err != nil {
 		t.Fatal(resp.Err)
 	}
@@ -398,7 +398,6 @@ func TestMetricsTextLints(t *testing.T) {
 	promLint(t, text)
 	for _, want := range []string{
 		`raqo_shard_fallbacks_total{reason="non_shardable"}`,
-		`raqo_greedy_fallbacks_total{reason="single_table"} 1`,
 		`raqo_operator_depth_bucket{op="HRJN",le="+Inf"}`,
 		`raqo_operator_depth_bucket{op="ShardMerge",le="+Inf"}`,
 		`raqo_operator_latency_seconds_count{op="ShardMerge"}`,

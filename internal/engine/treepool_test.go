@@ -10,7 +10,9 @@ import (
 	"testing"
 
 	"rankopt/internal/catalog"
+	"rankopt/internal/core"
 	"rankopt/internal/plan"
+	"rankopt/internal/workload"
 )
 
 // treePoolSQL is the one query shape the pool tests serve, at LIMIT %d.
@@ -141,41 +143,62 @@ func TestTreePoolConcurrentSessions(t *testing.T) {
 	}
 }
 
-// TestTemplateServesSessionK builds one template at k = 20 and serves it at
-// k = 1, 5 and 10 from its pooled trees on both tiers. Every consumer of the
-// session's k must read the request's, not the template plan's 20: the rows
-// returned, the registry's k, the sharded tier's merge, and — unsharded — the
-// depth-model estimates in Response.RankJoins, which must equal what
-// PropagateK over Instantiate(k) computes.
+// TestTemplateServesSessionK builds one template and serves it at other k
+// from its pooled trees: an HRJN tree built at k = 20 on both tiers, and an
+// NRJN-over-HRJN tree built at k = 2. Every consumer of the session's k must
+// read the request's, not the template plan's: the rows returned, the
+// registry's k, the sharded tier's merge, and — unsharded — the depth-model
+// estimates in Response.RankJoins, which must equal the depths the cost
+// charges (Local.Need) where PropagateK over Instantiate(k) places each join.
 func TestTemplateServesSessionK(t *testing.T) {
-	cat := partitionedCatalog(t)
+	twoWay := partitionedCatalog(t)
+	nrjnCat, _ := workload.RankedSet(4, workload.RankedConfig{N: 1500, Selectivity: 0.01, Seed: 2004})
+	const nrjnSQL = "SELECT * FROM T1, T2, T3 WHERE T1.key = T2.key AND T2.key = T3.key " +
+		"ORDER BY 0.2*T1.score + 0.3*T2.score + 0.5*T3.score DESC LIMIT %d"
 	for _, tc := range []struct {
-		name string
-		cfg  Config
+		name  string
+		cat   *catalog.Catalog
+		cfg   Config
+		sql   string
+		built int
+		ks    []int
+		// op is a rank-join operator the template must contain.
+		op   plan.OpType
+		want func(k int) []float64
 	}{
-		{"unsharded", Config{}},
-		{"sharded", Config{Shards: 4}},
+		{"unsharded", twoWay, Config{}, treePoolSQL, 20, []int{1, 5, 10}, plan.OpHRJN,
+			func(k int) []float64 { return bruteTopScores(t, twoWay, k) }},
+		{"sharded", twoWay, Config{Shards: 4}, treePoolSQL, 20, []int{1, 5, 10}, plan.OpHRJN,
+			func(k int) []float64 { return bruteTopScores(t, twoWay, k) }},
+		{"nrjn", nrjnCat, Config{}, nrjnSQL, 2, []int{1, 3, 5}, plan.OpNRJN,
+			func(k int) []float64 {
+				// A cold engine plans this k afresh.
+				return scoresOf(New(nrjnCat, core.Options{}).Run(Request{SQL: fmt.Sprintf(nrjnSQL, k)}))
+			}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			eng := NewWithConfig(cat, tc.cfg)
-			built := eng.Run(Request{SQL: fmt.Sprintf(treePoolSQL, 20)})
+			eng := NewWithConfig(tc.cat, tc.cfg)
+			built := eng.Run(Request{SQL: fmt.Sprintf(tc.sql, tc.built)})
 			if built.Err != nil {
 				t.Fatal(built.Err)
 			}
 			tmpl := templateOf(t, eng, built.Fingerprint)
-			if tmpl.K() != 20 {
-				t.Fatalf("template built at k=%d, want 20", tmpl.K())
+			if tmpl.K() != tc.built {
+				t.Fatalf("template built at k=%d, want %d", tmpl.K(), tc.built)
 			}
-			for _, k := range []int{1, 5, 10} {
-				resp := eng.Run(Request{SQL: fmt.Sprintf(treePoolSQL, k)})
+			if tmpl.Root().CountOps(tc.op) == 0 {
+				t.Fatalf("template has no %v:\n%s", tc.op, plan.Explain(tmpl.Root()))
+			}
+			for _, k := range tc.ks {
+				resp := eng.Run(Request{SQL: fmt.Sprintf(tc.sql, k)})
 				if resp.Err != nil {
 					t.Fatal(resp.Err)
 				}
 				if !resp.CacheHit || resp.Plan != tmpl.Root() {
 					t.Fatalf("k=%d: hit=%v, plan is the template's: %v", k, resp.CacheHit, resp.Plan == tmpl.Root())
 				}
-				if len(resp.Tuples) != k || !sameScores(scoresOf(resp), bruteTopScores(t, cat, k)) {
-					t.Errorf("k=%d: %d rows %v", k, len(resp.Tuples), scoresOf(resp))
+				if want := tc.want(k); len(resp.Tuples) != k || !sameScores(scoresOf(resp), want) {
+					t.Errorf("k=%d: %d rows %v, want %v", k, len(resp.Tuples), scoresOf(resp), want)
 				}
 				qs := eng.Queries()
 				if got := qs[len(qs)-1].K; got != int64(k) {
@@ -190,16 +213,19 @@ func TestTemplateServesSessionK(t *testing.T) {
 				var wantEst []string
 				plan.PropagateK(tmpl.Instantiate(k), float64(k), func(n *plan.Node, nk float64) {
 					if n.Op.IsRankJoin() {
-						dL, dR := n.Depths(nk)
-						wantEst = append(wantEst, fmt.Sprintf("%v %.9g %.9g", n.Op, dL, dR))
+						need := n.Local(nk).Need
+						wantEst = append(wantEst, fmt.Sprintf("%v %.9g %.9g", n.Op, need[0], need[1]))
 					}
 				})
 				var gotEst []string
 				for _, rj := range resp.RankJoins {
 					gotEst = append(gotEst, fmt.Sprintf("%s %.9g %.9g", rj.Op, rj.EstDL, rj.EstDR))
 				}
+				// RankJoins lists the joins bottom-up, PropagateK top-down.
+				slices.Sort(gotEst)
+				slices.Sort(wantEst)
 				if len(wantEst) == 0 || strings.Join(gotEst, "; ") != strings.Join(wantEst, "; ") {
-					t.Errorf("k=%d: estimates %v, PropagateK over Instantiate(k) gives %v", k, gotEst, wantEst)
+					t.Errorf("k=%d: estimates %v, Local.Need over Instantiate(k) gives %v", k, gotEst, wantEst)
 				}
 			}
 		})

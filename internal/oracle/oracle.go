@@ -52,9 +52,6 @@ type Report struct {
 	Plans int
 	// Results is the agreed result count (min(k, join size)).
 	Results int
-	// GreedyFallback reports whether the greedy planner cross-check fell
-	// back to the DP for this case (single-table shapes do).
-	GreedyFallback bool
 	// TAPlans is how many of the executed plans carried the TA operator.
 	TAPlans int
 }
@@ -244,7 +241,7 @@ func Run(c Case) (Report, error) {
 		}
 	}
 
-	// Greedy cross-check: the fast-path planner must agree with brute force
+	// Greedy cross-check: the greedy join order must agree with brute force
 	// on every corpus case (the plan may differ from the DP's; the answer
 	// may not).
 	gres, err := core.Optimize(c.cat, q, core.Options{Planner: core.PlannerGreedy})
@@ -263,8 +260,6 @@ func Run(c Case) (Report, error) {
 		return Report{}, fmt.Errorf("seed %d: greedy plan: %w\nquery: %s\n%s",
 			c.Seed, err, c.SQL, plan.Explain(gres.Best))
 	}
-
-	rep.GreedyFallback = gres.GreedyFallback
 	return rep, nil
 }
 

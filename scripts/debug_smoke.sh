@@ -100,7 +100,7 @@ for ln in text.splitlines():
             sys.exit(f"prom lint: non-cumulative buckets in {fam}{labels}")
         samples[key] = (bound, float(val))
 
-for want in ("raqo_shard_fallbacks_total", "raqo_greedy_fallbacks_total",
+for want in ("raqo_shard_fallbacks_total",
              "raqo_operator_depth", "raqo_operator_latency_seconds"):
     if want not in typed:
         sys.exit(f"prom lint: missing family {want}")
