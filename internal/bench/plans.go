@@ -63,7 +63,6 @@ func twoRelPlans(n, s float64) (sortPlan, rankPlan *plan.Node) {
 		Card:     s * n * n,
 		Sel:      s,
 		LLeaves:  1, RLeaves: 1,
-		BaseN: n,
 		LSlab: 1 / n, RSlab: 1 / n,
 		P:     &params,
 		Props: plan.Props{Order: plan.RankOrder("L", "R"), Pipelined: true},

@@ -185,7 +185,6 @@ func (o *optimizer) anyKNode(mask uint64, path []*tableInfo, preds []logical.Joi
 		// Sel is the representative adjacent-pair selectivity: the cost
 		// model's expected per-key bucket size is Sel times the input card.
 		Sel:   math.Pow(selProd, 1/float64(m-1)),
-		BaseN: e.baseN,
 		P:     o.params,
 		Props: plan.Props{Order: e.order, Pipelined: false},
 	}

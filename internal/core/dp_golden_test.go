@@ -177,9 +177,11 @@ func memoDigest(plans []*plan.Node) string {
 // counters, the chosen plan and its cost to the last bit, and every MEMO
 // entry's retained plans in order — for the plan-churn shapes across k and
 // the pruning-relevant option variants. The golden was recorded at commit
-// 7dab661, before the optimizer's representation was reworked; it exists to
-// prove later representation changes decision-for-decision identical and is
-// not to be regenerated for them.
+// 7dab661, before the optimizer's representation was reworked, and
+// re-recorded when hierarchy rank joins' depths moved to
+// estimate.Alternating; it exists to prove representation changes
+// decision-for-decision identical and is regenerated (go test -update) only
+// for a deliberate change of plans or costs.
 func TestDPEquivalenceGolden(t *testing.T) {
 	cat := churnCatalog()
 	var b strings.Builder
@@ -222,7 +224,7 @@ func TestDPEquivalenceGolden(t *testing.T) {
 		t.Fatalf("read golden: %v", err)
 	}
 	if got != string(want) {
-		t.Errorf("DP outcome diverged from the golden recorded at 7dab661: got %d bytes, want %d", len(got), len(want))
+		t.Errorf("DP outcome diverged from the golden: got %d bytes, want %d", len(got), len(want))
 		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
 		section := ""
 		for i := 0; i < len(gl) && i < len(wl); i++ {

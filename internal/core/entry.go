@@ -30,9 +30,6 @@ type entryInfo struct {
 	order plan.OrderProp
 	// score is the partial ranking function over the subset's tables.
 	score expr.ScoreSum
-	// baseN is the geometric mean cardinality of the ranked tables (the
-	// depth model's representative n); 1 when none is ranked.
-	baseN float64
 	// plans are the subset's retained plans, published when the subset has
 	// been enumerated.
 	plans []memoPlan
@@ -258,10 +255,9 @@ func (o *optimizer) entry(mask uint64) *entryInfo {
 
 // newEntry derives a subset's facts from its mask.
 func (o *optimizer) newEntry(mask uint64) entryInfo {
-	e := entryInfo{level: bits.OnesCount64(mask), order: plan.NoOrder, baseN: 1}
+	e := entryInfo{level: bits.OnesCount64(mask), order: plan.NoOrder}
 	names := make([]string, 0, e.level)
 	var rankedNames []string
-	logSum := 0.0
 	for _, ti := range o.tables {
 		if mask&(1<<uint(ti.idx)) == 0 {
 			continue
@@ -270,13 +266,11 @@ func (o *optimizer) newEntry(mask uint64) entryInfo {
 		if ti.term != nil {
 			e.ranked = append(e.ranked, ti)
 			rankedNames = append(rankedNames, ti.name)
-			logSum += math.Log(ti.card)
 		}
 	}
 	e.label = strings.Join(names, ",")
 	if len(e.ranked) > 0 {
 		e.order = plan.RankOrder(rankedNames...)
-		e.baseN = math.Exp(logSum / float64(len(e.ranked)))
 	}
 	for ix, bit := range o.termBit {
 		if bit&mask != 0 {

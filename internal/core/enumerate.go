@@ -602,7 +602,6 @@ func (o *optimizer) rankJoinProto(sub, rest uint64, preds []logical.JoinPred, s 
 		Sel:     s,
 		LLeaves: len(eL.ranked),
 		RLeaves: len(eR.ranked),
-		BaseN:   o.entry(sub | rest).baseN,
 		P:       o.params,
 	}
 	if len(eL.ranked) == 1 {

@@ -191,10 +191,12 @@ func (o *optimizer) topKSelectionPlan() *plan.Node {
 		return nil
 	}
 	inputs := make([]exec.TAInput, 0, len(o.tables))
+	logSum := 0.0
 	for _, ti := range o.tables {
 		if ti.term == nil || !ti.termIsCol {
 			return nil
 		}
+		logSum += math.Log(ti.card)
 		// Find this table's join column; it must be unique and in cls.
 		var idCol string
 		for _, j := range o.joins {
@@ -240,15 +242,16 @@ func (o *optimizer) topKSelectionPlan() *plan.Node {
 			Weight:   ti.term.Weight,
 		})
 	}
-	full := o.entry(o.fullMask())
+	// TA's objects: the geometric mean of its lists' lengths.
+	baseN := math.Exp(logSum / float64(len(inputs)))
 	return &plan.Node{
 		Op:       plan.OpRankAgg,
 		TAInputs: inputs,
 		K:        o.q.K,
-		Card:     math.Min(float64(o.q.K), full.baseN),
-		BaseN:    full.baseN,
+		Card:     math.Min(float64(o.q.K), baseN),
+		BaseN:    baseN,
 		P:        o.params,
-		Props:    plan.Props{Order: full.order},
+		Props:    plan.Props{Order: o.entry(o.fullMask()).order},
 	}
 }
 

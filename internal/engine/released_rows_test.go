@@ -22,7 +22,8 @@ import (
 // them back at its Close, so later sessions, on any goroutine and of any
 // template, write into them; the rows a session answers with must never be
 // among them. The shapes cover every rank operator's release rows: a tree of
-// HRJNs (plan-churn's 4-way shape), an NRJN, AnyK and TA on the multimedia
+// HRJNs (plan-churn's 4-way shape at k ≤ 10; above that it plans AnyK), an
+// NRJN, AnyK and TA on the multimedia
 // corpus, and sharded-skew on 4 shards, whose coordinator pulls each shard's
 // answers through RankAssign.Next. After one kept session per shape at its
 // largest k, 4 goroutines run 200 rounds of a session of every shape at
@@ -66,7 +67,7 @@ func TestReleasedRowPoolReuse(t *testing.T) {
 		sharded bool
 	}{
 		{"hrjn-tree", New(churn, core.Options{}), "SELECT * FROM T1, T2, T3, T4 WHERE T1.key = T2.key AND T2.key = T3.key AND T3.key = T4.key " +
-			"ORDER BY 0.1*T1.score + 0.2*T2.score + 0.3*T3.score + 0.4*T4.score DESC LIMIT %d", 50, plan.OpHRJN, false},
+			"ORDER BY 0.1*T1.score + 0.2*T2.score + 0.3*T3.score + 0.4*T4.score DESC LIMIT %d", 10, plan.OpHRJN, false},
 		{"nrjn", New(nrjnCatalog(), core.Options{}), "SELECT * FROM A, C WHERE A.nk = C.nk ORDER BY A.score + C.score DESC LIMIT %d", 25, plan.OpNRJN, false},
 		{"anyk", New(corpus, anyKOpts), "SELECT * FROM ColorHist, ColorLayout, Texture WHERE ColorHist.id = ColorLayout.id AND ColorLayout.id = Texture.id " +
 			"ORDER BY ColorHist.score + ColorLayout.score + Texture.score DESC LIMIT %d", 100, plan.OpAnyK, false},

@@ -12,7 +12,6 @@ import (
 	"rankopt/internal/catalog"
 	"rankopt/internal/core"
 	"rankopt/internal/plan"
-	"rankopt/internal/workload"
 )
 
 // treePoolSQL is the one query shape the pool tests serve, at LIMIT %d.
@@ -145,16 +144,14 @@ func TestTreePoolConcurrentSessions(t *testing.T) {
 
 // TestTemplateServesSessionK builds one template and serves it at other k
 // from its pooled trees: an HRJN tree built at k = 20 on both tiers, and an
-// NRJN-over-HRJN tree built at k = 2. Every consumer of the session's k must
+// HRJN-over-NRJN tree built at k = 2. Every consumer of the session's k must
 // read the request's, not the template plan's: the rows returned, the
 // registry's k, the sharded tier's merge, and — unsharded — the depth-model
 // estimates in Response.RankJoins, which must equal the depths the cost
 // charges (Local.Need) where PropagateK over Instantiate(k) places each join.
 func TestTemplateServesSessionK(t *testing.T) {
 	twoWay := partitionedCatalog(t)
-	nrjnCat, _ := workload.RankedSet(4, workload.RankedConfig{N: 1500, Selectivity: 0.01, Seed: 2004})
-	const nrjnSQL = "SELECT * FROM T1, T2, T3 WHERE T1.key = T2.key AND T2.key = T3.key " +
-		"ORDER BY 0.2*T1.score + 0.3*T2.score + 0.5*T3.score DESC LIMIT %d"
+	nrjnCat := nrjnTreeCatalog()
 	for _, tc := range []struct {
 		name  string
 		cat   *catalog.Catalog
@@ -170,10 +167,10 @@ func TestTemplateServesSessionK(t *testing.T) {
 			func(k int) []float64 { return bruteTopScores(t, twoWay, k) }},
 		{"sharded", twoWay, Config{Shards: 4}, treePoolSQL, 20, []int{1, 5, 10}, plan.OpHRJN,
 			func(k int) []float64 { return bruteTopScores(t, twoWay, k) }},
-		{"nrjn", nrjnCat, Config{}, nrjnSQL, 2, []int{1, 3, 5}, plan.OpNRJN,
+		{"nrjn", nrjnCat, Config{}, nrjnTreeSQL, 2, []int{1, 3, 5}, plan.OpNRJN,
 			func(k int) []float64 {
 				// A cold engine plans this k afresh.
-				return scoresOf(New(nrjnCat, core.Options{}).Run(Request{SQL: fmt.Sprintf(nrjnSQL, k)}))
+				return scoresOf(New(nrjnCat, core.Options{}).Run(Request{SQL: fmt.Sprintf(nrjnTreeSQL, k)}))
 			}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

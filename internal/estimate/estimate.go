@@ -10,7 +10,9 @@
 //   - the hierarchy case where an input is itself the output of rank-joining
 //     j base inputs (its scores follow the sum-of-uniforms distribution u_j):
 //     Equation 1 score quantiles, the worst-case Equations 2–5, and the
-//     average-case closed forms;
+//     average-case closed forms (the paper's bounds);
+//   - the depth an alternating binary HRJN reaches over such inputs, the
+//     estimate the optimizer costs hierarchies with;
 //   - Algorithm Propagate (Figure 8), which pushes the root k down a
 //     rank-join plan tree, annotating every operator with its depths; and
 //   - the buffer upper bound dL·dR·s of Section 5.3.
@@ -150,6 +152,40 @@ func HierarchyAvg(k, s float64, l, r int, n float64) (Depths, error) {
 		DL: math.Exp(lnDL),
 		DR: math.Exp(lnDR),
 	}, nil
+}
+
+// Alternating estimates the depths a binary HRJN reaches over an l-leaf
+// input of mL tuples and an r-leaf input of mR tuples. HRJN alternates
+// between its inputs, so it reads both to one depth: dL = dR = d. With
+// scores in units of one leaf's range, Equation 1 puts a j-leaf input of m
+// tuples δ_j(d) = (j!·d/m)^{1/j} below its top score after d tuples. At
+// depth c = sqrt(k/s) on both sides the s·c² = k join results seen so far
+// lie at most Δ = δ_l(c) + δ_r(c) below the top; the threshold
+// top − min(δ_l(d), δ_r(d)) falls past them once both sides have dropped
+// Δ, at
+//
+//	d = max(mL·Δ^l / l!, mR·Δ^r / r!).
+//
+// At l = r = 1 and mL = mR this is TwoUniform's symmetric 2·sqrt(k/s).
+// CL and CR hold c.
+func Alternating(k, s float64, l, r int, mL, mR float64) (Depths, error) {
+	if err := checkKS(k, s); err != nil {
+		return Depths{}, err
+	}
+	if l < 1 || r < 1 {
+		return Depths{}, fmt.Errorf("estimate: sides must aggregate >=1 inputs (l=%d r=%d)", l, r)
+	}
+	if mL <= 0 || mR <= 0 {
+		return Depths{}, fmt.Errorf("estimate: non-positive input cardinality %v/%v", mL, mR)
+	}
+	c := math.Sqrt(k / s)
+	// ln δ_j(d) and its inverse, ln d = ln m + j·ln Δ − ln j!.
+	lnDrop := func(j int, m float64) float64 { return (lnFact(j) + math.Log(c) - math.Log(m)) / float64(j) }
+	lnDelta := math.Log(math.Exp(lnDrop(l, mL)) + math.Exp(lnDrop(r, mR)))
+	d := math.Exp(math.Max(
+		math.Log(mL)+float64(l)*lnDelta-lnFact(l),
+		math.Log(mR)+float64(r)*lnDelta-lnFact(r)))
+	return Depths{CL: c, CR: c, DL: d, DR: d}, nil
 }
 
 // ScoreQuantile is Equation 1: the expected score of the i-th largest of m

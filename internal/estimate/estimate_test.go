@@ -119,6 +119,57 @@ func TestHierarchySymmetryMirrors(t *testing.T) {
 	}
 }
 
+func TestAlternatingBaseCase(t *testing.T) {
+	// l = r = 1 over inputs of one size is TwoUniform's symmetric case,
+	// whatever that size: cL = cR = sqrt(k/s), dL = dR = 2·sqrt(k/s).
+	for _, c := range []struct{ k, s, m float64 }{{100, 0.01, 5000}, {1, 0.005, 4000}, {50, 0.1, 60}} {
+		a, err := Alternating(c.k, c.s, 1, 1, c.m, c.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tu, err := TwoUniform(c.k, c.s, 1/c.m, 1/c.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !almostEq(a.CL, tu.CL, 1e-12) || !almostEq(a.CR, tu.CR, 1e-12) ||
+			!almostEq(a.DL, tu.DL, 1e-12) || !almostEq(a.DR, tu.DR, 1e-12) {
+			t.Errorf("k=%v s=%v m=%v: Alternating %+v, TwoUniform %+v", c.k, c.s, c.m, a, tu)
+		}
+	}
+}
+
+func TestAlternatingOneDepth(t *testing.T) {
+	// HRJN alternates, so both sides get one depth; it grows with k.
+	const n, s = 1500.0, 0.01
+	card := func(j int) float64 { return math.Pow(n, float64(j)) * math.Pow(s, float64(j-1)) }
+	for _, lr := range [][2]int{{1, 2}, {2, 1}, {2, 2}, {1, 3}, {3, 2}, {1, 1}} {
+		l, r := lr[0], lr[1]
+		prev := 0.0
+		for k := 1.0; k <= 500; k++ {
+			d, err := Alternating(k, s, l, r, card(l), card(r))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d.DL != d.DR {
+				t.Fatalf("l=%d r=%d k=%v: dL %v != dR %v", l, r, k, d.DL, d.DR)
+			}
+			if d.DL < prev {
+				t.Fatalf("l=%d r=%d: depth fell from %v to %v at k=%v", l, r, prev, d.DL, k)
+			}
+			prev = d.DL
+		}
+	}
+	for _, bad := range []struct {
+		k, s   float64
+		l, r   int
+		mL, mR float64
+	}{{0, 0.1, 1, 2, 10, 10}, {1, 2, 1, 2, 10, 10}, {1, 0.1, 0, 2, 10, 10}, {1, 0.1, 1, 2, 0, 10}} {
+		if _, err := Alternating(bad.k, bad.s, bad.l, bad.r, bad.mL, bad.mR); err == nil {
+			t.Errorf("Alternating%+v: want an error", bad)
+		}
+	}
+}
+
 func TestHierarchyAvgBaseCase(t *testing.T) {
 	// l = r = 1: dL = sqrt(2k/s).
 	d, err := HierarchyAvg(100, 0.01, 1, 1, 5000)

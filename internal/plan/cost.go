@@ -211,8 +211,11 @@ func fraction(k, card float64) float64 {
 }
 
 // Depths returns the estimated input depths (dL, dR) a rank-join node needs
-// to deliver its top-k results, clamped to what the children can produce.
-// Non-rank-join nodes panic.
+// to deliver its top-k results, clamped to what the children can produce:
+// TwoUniform's when both inputs are single leaves with known slabs,
+// otherwise estimate.Alternating's over the children's cardinalities, since
+// HRJN reads a hierarchy's two inputs to one depth. Non-rank-join nodes
+// panic.
 func (n *Node) Depths(k float64) (float64, float64) {
 	if !n.Op.IsRankJoin() {
 		panic("plan: Depths on non-rank-join node")
@@ -235,11 +238,7 @@ func (n *Node) Depths(k float64) (float64, float64) {
 	if n.LLeaves == 1 && n.RLeaves == 1 && n.LSlab > 0 && n.RSlab > 0 {
 		d, err = estimate.TwoUniform(k, s, n.LSlab, n.RSlab)
 	} else {
-		baseN := n.BaseN
-		if baseN < 1 {
-			baseN = 1
-		}
-		d, err = estimate.HierarchyWorst(k, s, maxInt(n.LLeaves, 1), maxInt(n.RLeaves, 1), baseN)
+		d, err = estimate.Alternating(k, s, maxInt(n.LLeaves, 1), maxInt(n.RLeaves, 1), n.Left().Card, n.Right().Card)
 	}
 	if err != nil {
 		// Degenerate parameters: fall back to consuming everything.

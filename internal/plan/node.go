@@ -237,12 +237,12 @@ type Node struct {
 	// InnerCard is the inner relation cardinality for OpINLJ.
 	InnerCard float64
 
-	// LLeaves/RLeaves, BaseN, LSlab/RSlab parameterize the Section 4 depth
-	// model for rank-join nodes: the number of ranked base inputs on each
-	// side, the representative base cardinality, and the leaf score slabs.
+	// LLeaves/RLeaves and LSlab/RSlab parameterize the Section 4 depth model
+	// for rank-join nodes: the number of ranked base inputs on each side and
+	// the leaf score slabs. BaseN is a TA node's number of objects.
 	LLeaves, RLeaves int
-	BaseN            float64
 	LSlab, RSlab     float64
+	BaseN            float64
 
 	// P supplies the cost parameters; set once by the planner on every node.
 	P *costmodel.Params
