@@ -6,26 +6,21 @@ import (
 )
 
 // Explain renders the plan tree in a pg-style indented format with operator
-// names, key details, estimated cardinality, total cost, and properties.
+// names, key details, estimated cardinality, cost, and properties. Each
+// node's cost is charged at the demand PropagateK gives it when the root
+// delivers its whole output: what its parent's cost charges it.
 func Explain(n *Node) string {
 	var b strings.Builder
-	explainAt(&b, n, 0, n.Card)
+	explainAt(&b, n, 0, demands(n, n.Card))
 	return b.String()
 }
 
-func explainAt(b *strings.Builder, n *Node, depth int, k float64) {
+func explainAt(b *strings.Builder, n *Node, depth int, demand map[*Node]float64) {
 	indent := strings.Repeat("  ", depth)
 	fmt.Fprintf(b, "%s%s%s  (card=%.0f cost=%.1f %s)\n",
-		indent, n.Op, detail(n), n.Card, n.Cost(k), propsStr(n))
-	// Children of a rank-join are charged for the propagated depths.
-	if n.Op.IsRankJoin() {
-		dL, dR := n.Depths(k)
-		explainAt(b, n.Left(), depth+1, dL)
-		explainAt(b, n.Right(), depth+1, dR)
-		return
-	}
+		indent, n.Op, detail(n), n.Card, n.Cost(demand[n]), propsStr(n))
 	for _, c := range n.Children {
-		explainAt(b, c, depth+1, c.Card)
+		explainAt(b, c, depth+1, demand)
 	}
 }
 
