@@ -3,7 +3,8 @@ GO ?= go
 # CI_STEPS is the one list of checks: .github/workflows/ci.yml runs each as
 # its own step (`make <step>`), and `make ci` runs them all, in this order.
 CI_STEPS := fmt vet build examples race allocs race-repeat bench-smoke \
-	experiments oracle-quick fuzz debug-smoke smoke-sharded-skew smoke-deep-dig
+	experiments oracle-quick fuzz debug-smoke smoke-sharded-skew smoke-deep-dig \
+	smoke-plan-churn
 
 .PHONY: all test bench benchmark oracle loc ci $(CI_STEPS)
 
@@ -96,3 +97,6 @@ smoke-sharded-skew:
 
 smoke-deep-dig:
 	$(GO) run ./benchmark -workload deep-dig -seconds 3
+
+smoke-plan-churn:
+	$(GO) run ./benchmark -workload plan-churn -seconds 3
