@@ -4,7 +4,7 @@ GO ?= go
 # its own step (`make <step>`), and `make ci` runs them all, in this order.
 CI_STEPS := fmt vet build examples race allocs race-repeat bench-smoke \
 	experiments oracle-quick fuzz debug-smoke smoke-sharded-skew smoke-deep-dig \
-	smoke-plan-churn
+	smoke-plan-churn smoke-point-topk
 
 .PHONY: all test bench benchmark oracle loc ci $(CI_STEPS)
 
@@ -100,3 +100,6 @@ smoke-deep-dig:
 
 smoke-plan-churn:
 	$(GO) run ./benchmark -workload plan-churn -seconds 3
+
+smoke-point-topk:
+	$(GO) run ./benchmark -workload point-topk -seconds 3

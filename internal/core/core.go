@@ -173,7 +173,8 @@ type optimizer struct {
 	slab    []entryInfo
 	// acc accumulates the MEMO entry being enumerated (see maskAcc).
 	acc maskAcc
-	// orders holds the interned order properties; id i+1 is orders[i].
+	// orders holds the interned orders, a column order under its class's
+	// representative column; id i+1 is orders[i].
 	orders []plan.OrderProp
 	pc     pruneCounters
 	kmin   float64
@@ -202,7 +203,9 @@ func newOptimizer(cat *catalog.Catalog, q *logical.Query, opts Options) (*optimi
 	if q.K > 0 {
 		o.kmin = float64(q.K)
 	}
-	if err := o.buildTableInfo(); err != nil {
+	o.equiv = newEquivClasses(q.Joins)
+	closure, implied := o.equiv.closure(q.Joins)
+	if err := o.buildTableInfo(implied); err != nil {
 		return nil, err
 	}
 	if err := o.checkColumns(); err != nil {
@@ -217,8 +220,7 @@ func newOptimizer(cat *catalog.Catalog, q *logical.Query, opts Options) (*optimi
 	}
 	o.entries = make(map[uint64]*entryInfo, size)
 	o.slab = make([]entryInfo, 0, size)
-	o.equiv = newEquivClasses(q.Joins)
-	o.joins = o.joinInfos(o.equiv.closure(q.Joins))
+	o.joins = o.joinInfos(closure)
 	return o, nil
 }
 
@@ -324,7 +326,11 @@ func (o *optimizer) traceMemoState() {
 	}
 }
 
-func (o *optimizer) buildTableInfo() error {
+// buildTableInfo derives the per-table facts. A table's filters are the
+// query's own plus the implied same-table equalities over its columns: no
+// join applies those, so only as filters do every access path and the
+// table's cardinality see them.
+func (o *optimizer) buildTableInfo(implied []logical.JoinPred) error {
 	for i, name := range o.q.Tables {
 		tab, err := o.cat.Table(name)
 		if err != nil {
@@ -336,6 +342,11 @@ func (o *optimizer) buildTableInfo() error {
 			rawCard: float64(tab.Stats.Card),
 			filtSel: 1,
 			filters: o.q.FiltersFor(name),
+		}
+		for _, p := range implied {
+			if p.L.Table == name && !hasEquality(ti.filters, p.L, p.R) {
+				ti.filters = append(ti.filters, expr.Bin(expr.OpEq, p.L, p.R))
+			}
 		}
 		for _, f := range ti.filters {
 			ti.filtSel *= o.cat.FilterSelectivity(f)
@@ -369,6 +380,16 @@ func (o *optimizer) buildTableInfo() error {
 		o.termBit[ix] = o.tableBit(o.q.Score.Terms[ix].Table())
 	}
 	return nil
+}
+
+// hasEquality reports whether filters state a = b, either way round.
+func hasEquality(filters []expr.Expr, a, b expr.ColRef) bool {
+	for _, f := range filters {
+		if expr.Equal(f, expr.Bin(expr.OpEq, a, b)) || expr.Equal(f, expr.Bin(expr.OpEq, b, a)) {
+			return true
+		}
+	}
+	return false
 }
 
 // checkColumns rejects a query naming a column its table's catalog schema

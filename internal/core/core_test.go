@@ -614,12 +614,12 @@ func TestTransitiveJoinClosure(t *testing.T) {
 		{L: expr.Col("T1", "key"), R: expr.Col("T2", "key")},
 		{L: expr.Col("T2", "key"), R: expr.Col("T3", "key")},
 	})
-	closure := eq.closure([]logical.JoinPred{
+	closure, same := eq.closure([]logical.JoinPred{
 		{L: expr.Col("T1", "key"), R: expr.Col("T2", "key")},
 		{L: expr.Col("T2", "key"), R: expr.Col("T3", "key")},
 	})
-	if len(closure) != 3 {
-		t.Fatalf("closure has %d predicates, want 3", len(closure))
+	if len(closure) != 3 || len(same) != 0 {
+		t.Fatalf("closure has %d cross-table and %d same-table predicates, want 3 and 0", len(closure), len(same))
 	}
 	if !eq.sameClass(expr.Col("T1", "key"), expr.Col("T3", "key")) {
 		t.Error("T1.key and T3.key must share a class")
@@ -641,7 +641,7 @@ func TestTransitiveJoinClosure(t *testing.T) {
 	if eq2.sameClass(expr.Col("A", "c2"), expr.Col("C", "c2")) {
 		t.Error("different join columns must not merge")
 	}
-	closure2 := eq2.closure([]logical.JoinPred{
+	closure2, _ := eq2.closure([]logical.JoinPred{
 		{L: expr.Col("A", "c2"), R: expr.Col("B", "c1")},
 		{L: expr.Col("B", "c2"), R: expr.Col("C", "c2")},
 	})

@@ -179,9 +179,12 @@ func memoDigest(plans []*plan.Node) string {
 // the pruning-relevant option variants. The golden was recorded at commit
 // 7dab661, before the optimizer's representation was reworked, and
 // re-recorded when hierarchy rank joins' depths moved to
-// estimate.Alternating; it exists to prove representation changes
-// decision-for-decision identical and is regenerated (go test -update) only
-// for a deliberate change of plans or costs.
+// estimate.Alternating, and when a join-equivalence class's column orders
+// became one order — that time with every chosen plan and best cost
+// unchanged, only the counters and MEMO digests moving. It exists to prove
+// representation changes decision-for-decision identical and is
+// regenerated (go test -update) only for a deliberate change of plans,
+// costs or of what the MEMO keeps.
 func TestDPEquivalenceGolden(t *testing.T) {
 	cat := churnCatalog()
 	var b strings.Builder

@@ -57,9 +57,9 @@ type memoPlan struct {
 	pipelined bool
 }
 
-// orderID names an order property within one optimizer run: equal
-// properties get equal ids and NoOrder is 0, so "a's order covers b's" is
-// b == 0 || a == b (see intern).
+// orderID names an order within one optimizer run: properties that order
+// the rows alike get equal ids and NoOrder is 0, so "a's order covers b's"
+// is b == 0 || a == b (see covers and intern).
 type orderID int32
 
 // order is an order property beside its interned id.
@@ -68,17 +68,27 @@ type order struct {
 	id   orderID
 }
 
-// intern returns p with its id, registering p if no equal property has one.
+// intern returns p with its id, registering p if no property of the same
+// order has one. Column orders are registered per join-equivalence class
+// and direction: every MEMO entry applies one predicate of each class
+// across each split and filters each table on the class's same-table
+// equalities, so the class's columns are equal in every row of every entry
+// that holds them, and a plan sorted on one is sorted on all. The returned
+// prop keeps p's own column, which EXPLAIN prints.
 func (o *optimizer) intern(p plan.OrderProp) order {
 	if p.Kind == plan.OrderNone {
 		return order{prop: p}
 	}
+	key := p
+	if p.Kind == plan.OrderCol {
+		key.Col = o.equiv.find(p.Col)
+	}
 	for i, q := range o.orders {
-		if q.Equal(p) {
+		if q.Equal(key) {
 			return order{prop: p, id: orderID(i + 1)}
 		}
 	}
-	o.orders = append(o.orders, p)
+	o.orders = append(o.orders, key)
 	return order{prop: p, id: orderID(len(o.orders))}
 }
 

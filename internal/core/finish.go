@@ -24,17 +24,17 @@ func (o *optimizer) finish() (best, bestJoin *plan.Node, all []*plan.Node, err e
 		return nil, nil, nil, fmt.Errorf("core: no plan found for %s", full.label)
 	}
 
-	var required plan.OrderProp
+	var required order
 	var finalKeys []exec.SortKey
 	switch {
 	case o.q.Ranking():
-		required = full.order
+		required = o.intern(full.order)
 		finalKeys = sortKeysByScore(o.q.Score)
 	case o.q.OrderBy.Name != "":
-		required = plan.ColOrder(o.q.OrderBy, o.q.OrderDesc)
+		required = o.intern(plan.ColOrder(o.q.OrderBy, o.q.OrderDesc))
 		finalKeys = []exec.SortKey{{E: o.q.OrderBy, Desc: o.q.OrderDesc}}
 	default:
-		required = plan.NoOrder
+		required = o.intern(plan.NoOrder)
 	}
 
 	// A top-k-selection query (all tables ranked, joined on one unique-key
@@ -54,7 +54,7 @@ func (o *optimizer) finish() (best, bestJoin *plan.Node, all []*plan.Node, err e
 	var completed []finishedPlan
 	for _, p := range plans {
 		finished := p
-		if !p.Props.Order.Covers(required) {
+		if !o.ordered(p, required) {
 			if o.opts.UseTopKSort && o.q.Ranking() && o.q.K > 0 {
 				finished = &plan.Node{
 					Op:       plan.OpTopK,
@@ -63,10 +63,10 @@ func (o *optimizer) finish() (best, bestJoin *plan.Node, all []*plan.Node, err e
 					K:        o.q.K,
 					Card:     math.Min(float64(o.q.K), p.Card),
 					P:        o.params,
-					Props:    plan.Props{Order: required},
+					Props:    plan.Props{Order: required.prop},
 				}
 			} else {
-				finished = o.sortWrap(p, finalKeys, required)
+				finished = o.sortWrap(p, finalKeys, required.prop)
 			}
 		}
 		if o.opts.CollectAllPlans {
@@ -130,6 +130,13 @@ func (o *optimizer) finish() (best, bestJoin *plan.Node, all []*plan.Node, err e
 	return best, bestJoin, all, nil
 }
 
+// ordered reports whether plan p of the full entry delivers the required
+// order, by id, so a plan sorted on another column of the required
+// column's class qualifies.
+func (o *optimizer) ordered(p *plan.Node, required order) bool {
+	return covers(o.intern(p.Props.Order).id, required.id)
+}
+
 // assembleFinal wraps a completed (ordered) plan with the rank annotation,
 // limit, and projection the query demands — the tail every alternative
 // shares, so oracle plans differ only below it.
@@ -182,18 +189,18 @@ func (o *optimizer) topKSelectionPlan() *plan.Node {
 	if o.opts.DisableRankAggregate || !o.rankAware() || o.q.K <= 0 {
 		return nil
 	}
-	if len(o.q.Tables) < 2 || len(o.q.Filters) > 0 || len(o.q.Joins) == 0 {
+	if len(o.q.Tables) < 2 || len(o.q.Joins) == 0 {
 		return nil
 	}
 	// One equivalence class across all predicates.
-	cls := o.equiv.classOf(o.q.Joins[0].L)
-	if cls == "" {
+	cls, ok := o.equiv.classOf(o.q.Joins[0].L)
+	if !ok {
 		return nil
 	}
 	inputs := make([]exec.TAInput, 0, len(o.tables))
 	logSum := 0.0
 	for _, ti := range o.tables {
-		if ti.term == nil || !ti.termIsCol {
+		if ti.term == nil || !ti.termIsCol || len(ti.filters) > 0 {
 			return nil
 		}
 		logSum += math.Log(ti.card)
@@ -202,7 +209,7 @@ func (o *optimizer) topKSelectionPlan() *plan.Node {
 		for _, j := range o.joins {
 			for _, c := range []expr.ColRef{j.L, j.R} {
 				if c.Table == ti.name {
-					if o.equiv.classOf(c) != cls {
+					if c2, _ := o.equiv.classOf(c); c2 != cls {
 						return nil // more than one join class
 					}
 					if idCol != "" && idCol != c.Name {
@@ -283,7 +290,7 @@ func (o *optimizer) bestAggregation(plans []*plan.Node) (*plan.Node, error) {
 			best = n
 		}
 	}
-	groupOrder := plan.ColOrder(o.q.GroupBy[0], false)
+	groupOrder := o.intern(plan.ColOrder(o.q.GroupBy[0], false))
 	sortKeys := make([]exec.SortKey, len(o.q.GroupBy))
 	for i, g := range o.q.GroupBy {
 		sortKeys[i] = exec.SortKey{E: g}
@@ -301,8 +308,8 @@ func (o *optimizer) bestAggregation(plans []*plan.Node) (*plan.Node, error) {
 		in := p
 		// A single group column ordered ascending streams directly; multi
 		// column grouping (or unordered plans) takes a sort enforcer.
-		if len(o.q.GroupBy) > 1 || !p.Props.Order.Covers(groupOrder) {
-			in = o.sortWrap(p, sortKeys, groupOrder)
+		if len(o.q.GroupBy) > 1 || !o.ordered(p, groupOrder) {
+			in = o.sortWrap(p, sortKeys, groupOrder.prop)
 		}
 		consider(&plan.Node{
 			Op:       plan.OpSortAgg,
@@ -311,7 +318,7 @@ func (o *optimizer) bestAggregation(plans []*plan.Node) (*plan.Node, error) {
 			Aggs:     aggs,
 			Card:     groups,
 			P:        o.params,
-			Props:    plan.Props{Order: groupOrder, Pipelined: in.Props.Pipelined},
+			Props:    plan.Props{Order: groupOrder.prop, Pipelined: in.Props.Pipelined},
 		})
 	}
 	if best == nil {

@@ -129,8 +129,8 @@ func (o *optimizer) dominatesExplained(a, b *memoPlan) (dom, protected bool) {
 	if !covers(a.order, b.order) {
 		return false, false
 	}
-	// a's order is at least as strong; what is left of Props.Dominates is
-	// the Pipelined flag: a must be pipelined whenever b is.
+	// a's order is at least as strong; what is left is the Pipelined flag:
+	// a must be pipelined whenever b is.
 	if o.opts.DisablePipelineProtection || a.pipelined || !b.pipelined {
 		return costDominates(a, b), false
 	}
@@ -139,8 +139,11 @@ func (o *optimizer) dominatesExplained(a, b *memoPlan) (dom, protected bool) {
 	return false, costDominates(a, b)
 }
 
-// covers is plan.OrderProp.Covers over interned ids: every order covers
-// DC (id 0); otherwise the properties must be identical.
+// covers reports whether having the order with id a satisfies a
+// requirement of the order with id b: every order covers DC (id 0);
+// otherwise the ids must be equal, as the column orders of one
+// join-equivalence class and direction are (see intern). Pruning, the merge
+// inputs and the final ORDER BY and GROUP BY all ask it.
 func covers(a, b orderID) bool { return b == 0 || a == b }
 
 // costDominates reports a at most as expensive as b at both endpoints of

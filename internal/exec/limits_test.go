@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"errors"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -324,6 +325,10 @@ func TestBudgetAddsNoAllocations(t *testing.T) {
 			}
 		})
 	}
+	// The HRJN takes its hash store and release chunks from sync.Pools,
+	// which a GC empties: one between two runs makes the next rebuild what
+	// the others reuse. With GC off, both counts see the same warm pools.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	without := run(nil)
 	with := run(NewBudget(ResourceLimits{MaxBufferedTuples: 1 << 20, MaxDepthPerInput: 1 << 20}))
 	if raceBuild {

@@ -115,7 +115,8 @@ func RankOrder(tables ...string) OrderProp {
 }
 
 // Key returns the canonical string of the property, for EXPLAIN and trace
-// text; comparisons go through Equal and Covers.
+// text; comparisons go through Equal (the optimizer compares interned ids,
+// under which one join-equivalence class's column orders are one order).
 func (o OrderProp) Key() string {
 	switch o.Kind {
 	case OrderNone:
@@ -147,15 +148,6 @@ func (o OrderProp) Equal(p OrderProp) bool {
 	return true
 }
 
-// Covers reports whether having property o satisfies a requirement of p:
-// every property covers DC; otherwise they must be identical.
-func (o OrderProp) Covers(p OrderProp) bool {
-	if p.Kind == OrderNone {
-		return true
-	}
-	return o.Equal(p)
-}
-
 // Props is the physical property vector of a plan.
 type Props struct {
 	Order OrderProp
@@ -163,15 +155,6 @@ type Props struct {
 	// whole inputs — the First-N-Rows property that protects rank-join
 	// plans from being pruned by cheaper blocking plans.
 	Pipelined bool
-}
-
-// Dominates reports whether properties p are at least as strong as q:
-// p's order covers q's and p is pipelined whenever q is.
-func (p Props) Dominates(q Props) bool {
-	if q.Pipelined && !p.Pipelined {
-		return false
-	}
-	return p.Order.Covers(q.Order)
 }
 
 // Node is one physical plan operator. It is a flat struct: fields apply per

@@ -94,33 +94,11 @@ func TestOrderPropSemantics(t *testing.T) {
 	if col.Equal(colD) {
 		t.Error("direction matters")
 	}
-	if !col.Covers(dc) || !rank.Covers(dc) {
-		t.Error("every order covers DC")
-	}
-	if dc.Covers(col) || col.Covers(rank) {
-		t.Error("weak orders must not cover strong requirements")
+	if dc.Equal(col) || col.Equal(rank) {
+		t.Error("orders of different kinds must differ")
 	}
 	if dc.Key() != "DC" {
 		t.Errorf("DC key = %q", dc.Key())
-	}
-}
-
-func TestPropsDominance(t *testing.T) {
-	rankPipe := Props{Order: RankOrder("A"), Pipelined: true}
-	rankBlock := Props{Order: RankOrder("A"), Pipelined: false}
-	dcPipe := Props{Order: NoOrder, Pipelined: true}
-
-	if !rankPipe.Dominates(rankBlock) {
-		t.Error("pipelined dominates blocking with same order")
-	}
-	if rankBlock.Dominates(rankPipe) {
-		t.Error("blocking cannot dominate pipelined")
-	}
-	if !rankPipe.Dominates(dcPipe) {
-		t.Error("ordered dominates DC")
-	}
-	if dcPipe.Dominates(rankPipe) {
-		t.Error("DC cannot dominate ordered")
 	}
 }
 
