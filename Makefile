@@ -47,7 +47,7 @@ race-repeat:
 # One iteration of each ranked-execution microbenchmark EXPERIMENTS.md and
 # DESIGN.md quote, so they keep compiling and running. No timing is gated.
 bench-smoke:
-	$(GO) test -run=NONE -bench 'AnyKBuild|HRJNPull' -benchtime 1x -benchmem ./internal/exec
+	$(GO) test -run=NONE -bench 'AnyKBuild|HRJNPull|SortEnforcer' -benchtime 1x -benchmem ./internal/exec
 	$(GO) test -run=NONE -bench TAPlan -benchtime 1x -benchmem ./internal/oracle
 	$(GO) test -run=NONE -bench Optimize -benchtime 1x ./internal/core
 

@@ -232,15 +232,25 @@ func (c *Catalog) JoinSelectivity(l, r expr.ColRef) float64 {
 }
 
 // FilterSelectivity estimates the selectivity of a single-table predicate.
-// Equality against a constant uses 1/V; range predicates use the uniform
-// fraction of the [Min,Max] interval; everything else falls back to 1/3
-// (System R's default for unanalyzable predicates).
+// Equality against a constant uses 1/V; equality of two columns uses
+// 1/max(V(a), V(b)), as an equi-join does, when both distinct counts are
+// known; range predicates use the uniform fraction of the [Min,Max]
+// interval; everything else falls back to 1/3 (System R's default for
+// unanalyzable predicates).
 func (c *Catalog) FilterSelectivity(e expr.Expr) float64 {
 	b, ok := e.(expr.Binary)
 	if !ok {
 		return 1.0 / 3
 	}
 	col, cok := b.L.(expr.ColRef)
+	if other, ook := b.R.(expr.ColRef); cok && ook && b.Op == expr.OpEq {
+		va := c.ColStats(col.Table, col.Name).Distinct
+		vb := c.ColStats(other.Table, other.Name).Distinct
+		if va > 0 && vb > 0 {
+			return 1.0 / float64(max(va, vb))
+		}
+		return 1.0 / 3
+	}
 	lit, lok := b.R.(expr.Const)
 	if !cok || !lok {
 		return 1.0 / 3

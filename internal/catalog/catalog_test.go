@@ -177,6 +177,29 @@ func TestFilterSelectivity(t *testing.T) {
 	}
 }
 
+// TestFilterSelectivityColumnEquality: a same-table column = column filter
+// is estimated as an equi-join is, 1/max(V(a), V(b)), so no more rows pass
+// than the column with fewer values could pair up; without both distinct
+// counts, and for other comparisons of two columns, it keeps the 1/3
+// default.
+func TestFilterSelectivityColumnEquality(t *testing.T) {
+	c := New()
+	c.AddTable(makeTable("A", 101)) // id: 101 distinct, grp: 10
+	for _, tc := range []struct {
+		e    expr.Expr
+		want float64
+	}{
+		{expr.Bin(expr.OpEq, expr.Col("A", "id"), expr.Col("A", "grp")), 1.0 / 101},
+		{expr.Bin(expr.OpEq, expr.Col("A", "grp"), expr.Col("A", "id")), 1.0 / 101},
+		{expr.Bin(expr.OpEq, expr.Col("A", "grp"), expr.Col("A", "missing")), 1.0 / 3},
+		{expr.Bin(expr.OpLt, expr.Col("A", "id"), expr.Col("A", "grp")), 1.0 / 3},
+	} {
+		if s := c.FilterSelectivity(tc.e); s != tc.want {
+			t.Errorf("%s: selectivity %v, want %v", tc.e, s, tc.want)
+		}
+	}
+}
+
 func TestCardinalityAndNames(t *testing.T) {
 	c := New()
 	c.AddTable(makeTable("B", 7))

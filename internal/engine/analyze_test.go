@@ -22,16 +22,16 @@ Limit(10)  (rows est=10 act=10 err=0.0%)
     HRJN(T3.key = T2.key)  (rows est=10 act=10 err=0.0%)
       depths: dL est=111 act=53 err=109.7% | dR est=111 act=52 err=113.7% | queue hwm=43
       Sort(1*T3.score desc)  (rows est=111 act=53 err=109.7%)
-        buffered=2000 emitted=53
-        SeqScan(T3)  (rows est=2000 act=2000 err=0.0%)
+        index=idx_T3_score emitted=53
+        SeqScan(T3)  (rows est=2000 not read)
       HRJN(T2.key = T1.key)  (rows est=111 act=52 err=113.7%)
         depths: dL est=211 act=116 err=81.8% | dR est=211 act=115 err=83.4% | queue hwm=74
         Sort(1*T2.score desc)  (rows est=211 act=116 err=81.8%)
-          buffered=2000 emitted=116
-          SeqScan(T2)  (rows est=2000 act=2000 err=0.0%)
+          index=idx_T2_score emitted=116
+          SeqScan(T2)  (rows est=2000 not read)
         Sort(1*T1.score desc)  (rows est=211 act=115 err=83.4%)
-          buffered=2000 emitted=115
-          SeqScan(T1)  (rows est=2000 act=2000 err=0.0%)
+          index=idx_T1_score emitted=115
+          SeqScan(T1)  (rows est=2000 not read)
 `
 
 // TestAnalyzeGoldenTree pins the \analyze rendering end to end: a 3-way

@@ -48,6 +48,9 @@ type OpStats struct {
 	// SortBuffered and SortEmitted are the tuples a Sort materialized and the
 	// tuples its consumer read; the incremental sort only ordered the latter.
 	SortBuffered, SortEmitted int64
+	// SortIndex names the index a Sort walked instead of buffering its
+	// input, "" when it buffered.
+	SortIndex string
 }
 
 // EstNextNanos estimates the total pull-side wall time: the per-tuple Next
@@ -73,6 +76,7 @@ type analyzeGauges struct {
 	maxHeap      int
 	sortBuffered int
 	sortEmitted  int
+	sortIndex    string
 }
 
 // gaugeReporter is implemented by the blocking operators with internal gauges
@@ -172,6 +176,7 @@ func (a *Analyzed) captureGauges() {
 		a.stats.MaxHeap = int64(g.maxHeap)
 		a.stats.SortBuffered = int64(g.sortBuffered)
 		a.stats.SortEmitted = int64(g.sortEmitted)
+		a.stats.SortIndex = g.sortIndex
 	}
 }
 

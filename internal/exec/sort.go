@@ -1,10 +1,13 @@
 package exec
 
 import (
+	"cmp"
 	"context"
 	"math"
+	"slices"
 	"sync"
 
+	"rankopt/internal/catalog"
 	"rankopt/internal/expr"
 	"rankopt/internal/relation"
 )
@@ -29,6 +32,10 @@ type SortKey struct {
 // The emitted sequence is that of a stable sort: ties on every key break on
 // arrival order. NULL sorts before every value and NaN before every number
 // (ascending; DESC reverses both), so the order is total.
+//
+// When the order already exists — an index on the one column the key reads,
+// over the relation the input scans (see IndexOrder) — Sort walks that
+// index instead and the input is never opened.
 type Sort struct {
 	In   Operator
 	Keys []SortKey
@@ -39,6 +46,11 @@ type Sort struct {
 	// lend its tuples (the compiler passes the plan's input cardinality), so
 	// the drain does not grow it by doubling.
 	SizeHint int
+	// Index, when set, is an index in the Sort's own order. Open walks its
+	// sorted image instead of draining the input whenever the indexed
+	// column holds numbers only: the walk buffers nothing and charges no
+	// budget (the image is catalog memory, as it is for IndexScan).
+	Index *IndexOrder
 
 	// evals are the bound key evaluators, one per key.
 	evals []expr.Eval
@@ -53,6 +65,36 @@ type Sort struct {
 	buffered int
 	cancel   canceller
 	acct     accountant
+	// walking is set while Open chose the index walk, and kept past Close
+	// for gauges.
+	walking bool
+	walk    indexWalk
+}
+
+// IndexOrder is an index whose order is a Sort's own: the Sort's one key is
+// Weight times column Col of Rel (Weight finite and positive; 1 for the bare
+// column), Idx indexes that column, and the Sort's input is a bare scan of
+// Rel.
+type IndexOrder struct {
+	Idx    *catalog.Index
+	Rel    *relation.Relation
+	Col    int
+	Weight float64
+}
+
+// indexWalk is an open Sort's walk of its index: the image positions not yet
+// reached and the run of equal keys being emitted.
+type indexWalk struct {
+	// rids are the positions not yet reached, the ascending walk taking
+	// from the front and the descending one from the back.
+	rids   []int
+	vals   []float64
+	tuples []relation.Tuple
+	weight float64
+	desc   bool
+	// run is the rest of the current run of equal keys, in heap order;
+	// merged holds a run that spans several column values.
+	run, merged []int
 }
 
 // sortBuffers are the arrays an open Sort works in.
@@ -98,13 +140,20 @@ func (s *Sort) Schema() *relation.Schema { return s.In.Schema() }
 // the Analyzed collector: their gap is the ordering work a partial read
 // never paid for.
 func (s *Sort) gauges() analyzeGauges {
-	return analyzeGauges{sortBuffered: s.buffered, sortEmitted: s.pos}
+	g := analyzeGauges{sortBuffered: s.buffered, sortEmitted: s.pos}
+	if s.walking {
+		g.sortIndex = s.Index.Idx.Name
+	}
+	return g
 }
 
 // Open implements Operator: the blocking drain polls the context and
 // charges the budget for every buffered tuple. A failed Open leaves nothing
 // charged.
 func (s *Sort) Open(ctx context.Context) error {
+	if s.openWalk() {
+		return nil
+	}
 	if err := s.In.Open(ctx); err != nil {
 		return err
 	}
@@ -114,6 +163,81 @@ func (s *Sort) Open(ctx context.Context) error {
 		return err
 	}
 	return nil
+}
+
+// openWalk starts the index walk when the Sort has an index in its order and
+// the indexed column holds no NULL and no string or bool, reporting whether
+// it did. A walk emits what the incremental sort would: the image keeps
+// equal column values in heap order, and nextRun emits each run of equal
+// keys in heap order too.
+func (s *Sort) openWalk() bool {
+	s.walking = false
+	ix := s.Index
+	if ix == nil {
+		return false
+	}
+	tuples := ix.Rel.Tuples()
+	img := ix.Rel.ColumnImage(ix.Col)
+	if img == nil || img.Null != nil || len(img.Vals) != len(tuples) {
+		return false
+	}
+	rids := ix.Idx.Image().Rids
+	if len(rids) != len(tuples) {
+		return false
+	}
+	s.walk = indexWalk{rids: rids, vals: img.Vals, tuples: tuples, weight: ix.Weight,
+		desc: s.Keys[0].Desc, merged: s.walk.merged}
+	s.walking = true
+	s.pos, s.buffered = 0, 0
+	return true
+}
+
+// key is the sort key of heap row rid, as sortKeyBits orders the weighted
+// value the key expression evaluates to.
+func (w *indexWalk) key(rid int) uint64 { return sortKeyBits(w.weight*w.vals[rid], false) }
+
+// nextRun takes the next run of equal keys off the walk — the front
+// ascending, the back descending; a positive weight keeps equal keys
+// adjacent in the image — and leaves it in run in heap order. A run of one
+// column value is in heap order already; one that spans several (distinct
+// values the weight maps to one key) is sorted by row id.
+func (w *indexWalk) nextRun() {
+	r := w.rids
+	if w.desc {
+		lo := len(r) - 1
+		k := w.key(r[lo])
+		for lo > 0 && w.key(r[lo-1]) == k {
+			lo--
+		}
+		w.run, w.rids = r[lo:], r[:lo]
+	} else {
+		hi := 1
+		k := w.key(r[0])
+		for hi < len(r) && w.key(r[hi]) == k {
+			hi++
+		}
+		w.run, w.rids = r[:hi], r[hi:]
+	}
+	if cmp.Compare(w.vals[w.run[0]], w.vals[w.run[len(w.run)-1]]) != 0 {
+		w.merged = append(w.merged[:0], w.run...)
+		slices.Sort(w.merged)
+		w.run = w.merged
+	}
+}
+
+// walkNext is Next of an index walk.
+func (s *Sort) walkNext() (relation.Tuple, bool, error) {
+	w := &s.walk
+	if len(w.run) == 0 {
+		if len(w.rids) == 0 {
+			return nil, false, nil
+		}
+		w.nextRun()
+	}
+	t := w.tuples[w.run[0]]
+	w.run = w.run[1:]
+	s.pos++
+	return t, true, nil
 }
 
 // drain buffers the opened input and evaluates the sort keys, leaving the
@@ -265,6 +389,9 @@ func sortKeyBits(f float64, desc bool) uint64 {
 
 // Next implements Operator.
 func (s *Sort) Next() (relation.Tuple, bool, error) {
+	if s.walking {
+		return s.walkNext()
+	}
 	if s.sortBuffers == nil || s.pos >= len(s.ents) {
 		return nil, false, nil
 	}
@@ -279,9 +406,10 @@ func (s *Sort) Next() (relation.Tuple, bool, error) {
 }
 
 // release returns the arrays to the pool, cleared of the tuples they
-// referenced, and the budget charge with them. The counts gauges reports
-// survive it.
+// referenced, and the budget charge with them, and drops a walk's hold on
+// the heap. The counts gauges reports survive it.
 func (s *Sort) release() {
+	s.walk = indexWalk{merged: s.walk.merged[:0]}
 	if b := s.sortBuffers; b != nil {
 		clear(b.own)
 		clear(b.vals)

@@ -82,9 +82,13 @@ func demands(root *Node, k float64) map[*Node]float64 {
 func formatAnalyze(b *strings.Builder, n *Node, depth int, ap *AnalyzedPlan, est map[*Node]float64, withTimes bool) {
 	indent := strings.Repeat("  ", depth)
 	st, ok := ap.Stats(n)
-	if !ok {
+	switch {
+	case !ok:
 		fmt.Fprintf(b, "%s%s%s  (rows est=%.0f act=?)\n", indent, n.Op, detail(n), est[n])
-	} else {
+	case st.Opens == 0 && st.NextCalls == 0:
+		// A Sort that walked an index never opens its scan.
+		fmt.Fprintf(b, "%s%s%s  (rows est=%.0f not read)\n", indent, n.Op, detail(n), est[n])
+	default:
 		fmt.Fprintf(b, "%s%s%s  (rows est=%.0f act=%d err=%s)",
 			indent, n.Op, detail(n), est[n], st.TuplesOut, relErrPct(est[n], st.TuplesOut))
 		if withTimes {
@@ -105,7 +109,9 @@ func formatAnalyze(b *strings.Builder, n *Node, depth int, ap *AnalyzedPlan, est
 		if n.Op == OpTopK {
 			fmt.Fprintf(b, "%s  heap hwm=%d\n", indent, st.MaxHeap)
 		}
-		if n.Op == OpSort {
+		if n.Op == OpSort && st.SortIndex != "" {
+			fmt.Fprintf(b, "%s  index=%s emitted=%d\n", indent, st.SortIndex, st.SortEmitted)
+		} else if n.Op == OpSort {
 			fmt.Fprintf(b, "%s  buffered=%d emitted=%d\n", indent, st.SortBuffered, st.SortEmitted)
 		}
 	}

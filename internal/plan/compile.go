@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"math"
 
 	"rankopt/internal/catalog"
 	"rankopt/internal/exec"
@@ -93,6 +94,7 @@ func (c *compiler) build(n *Node) (exec.Operator, error) {
 		s := exec.NewSort(in, n.SortKeys...)
 		s.Budget = c.budget
 		s.SizeHint = int(n.Input().Card)
+		s.Index = c.indexOrder(n)
 		return s, nil
 
 	case OpFilter:
@@ -260,6 +262,52 @@ func (c *compiler) build(n *Node) (exec.Operator, error) {
 	default:
 		return nil, fmt.Errorf("plan: cannot compile operator %v", n.Op)
 	}
+}
+
+// indexOrder returns the index whose order is Sort n's own, or nil: n has one
+// key, that key is column c of the table its bare SeqScan input reads or one
+// finite, positive multiple of c, and the catalog indexes c. The scalar
+// reference executor keeps sorting, so the oracle compares the two.
+func (c *compiler) indexOrder(n *Node) *exec.IndexOrder {
+	in := n.Input()
+	if c.cfg.ScalarRef || len(n.SortKeys) != 1 || in.Op != OpSeqScan {
+		return nil
+	}
+	col, w, ok := weightedColumn(n.SortKeys[0].E)
+	if !ok {
+		return nil
+	}
+	tab, err := c.cat.Table(in.Table)
+	if err != nil {
+		return nil
+	}
+	sch := tab.Rel.Schema()
+	pos, err := sch.Resolve(col.Table, col.Name)
+	if err != nil {
+		return nil
+	}
+	idx := c.cat.IndexOn(in.Table, sch.Column(pos).Name)
+	if idx == nil {
+		return nil
+	}
+	return &exec.IndexOrder{Idx: idx, Rel: tab.Rel, Col: pos, Weight: w}
+}
+
+// weightedColumn splits a sort key that is a column, or a one-term score sum
+// w*column with w finite and positive, into the column and its weight.
+func weightedColumn(e expr.Expr) (expr.ColRef, float64, bool) {
+	switch k := e.(type) {
+	case expr.ColRef:
+		return k, 1, true
+	case expr.ScoreSum:
+		if len(k.Terms) != 1 {
+			break
+		}
+		col, ok := k.Terms[0].E.(expr.ColRef)
+		w := k.Terms[0].Weight
+		return col, w, ok && w > 0 && w <= math.MaxFloat64
+	}
+	return expr.ColRef{}, 0, false
 }
 
 func (c *compiler) children(n *Node) (exec.Operator, exec.Operator, error) {

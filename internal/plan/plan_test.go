@@ -500,3 +500,83 @@ func TestRankAggHonoursContextAndBudget(t *testing.T) {
 		t.Errorf("failed drain left %d tuples charged", n)
 	}
 }
+
+// TestCompileSortWalksIndexImage: the compiler hands a Sort the index in its
+// order exactly when the Sort has one key, that key is an indexed column of
+// the table its bare SeqScan input reads — the column or one finite,
+// positive multiple of it — and the compile is not the scalar reference;
+// a shard catalog's Sort gets the shard's own index. Every other Sort
+// buffers its input as before.
+func TestCompileSortWalksIndexImage(t *testing.T) {
+	e := newEnv(t, 2, 300, 0.05)
+	score := expr.Col("T1", "score")
+	term := func(w float64) expr.Expr { return expr.Sum(expr.ScoreTerm{Weight: w, E: score}) }
+	sortOver := func(in *Node, keys ...expr.Expr) *Node {
+		n := &Node{Op: OpSort, Children: []*Node{in}, Card: in.Card, P: &params}
+		for _, k := range keys {
+			n.SortKeys = append(n.SortKeys, exec.SortKey{E: k, Desc: true})
+		}
+		return n
+	}
+	filtered := &Node{Op: OpFilter, Children: []*Node{e.seqScan("T1")},
+		Pred: expr.Bin(expr.OpLt, expr.Col("T1", "id"), expr.IntLit(100)), Card: 100, P: &params}
+	hj := &Node{Op: OpHashJoin, Children: []*Node{e.seqScan("T1"), e.seqScan("T2")},
+		EqPreds: []logical.JoinPred{{L: expr.Col("T1", "key"), R: expr.Col("T2", "key")}}, Card: 100, P: &params}
+	for _, tc := range []struct {
+		name   string
+		n      *Node
+		cfg    Config
+		index  string
+		weight float64
+	}{
+		{"bare column", sortOver(e.seqScan("T1"), score), Config{}, "idx_T1_score", 1},
+		{"weight 1", sortOver(e.seqScan("T1"), term(1)), Config{}, "idx_T1_score", 1},
+		{"weight 0.3", sortOver(e.seqScan("T1"), term(0.3)), Config{}, "idx_T1_score", 0.3},
+		{"key index", sortOver(e.seqScan("T1"), expr.Col("T1", "key")), Config{}, "idx_T1_key", 1},
+		{"unindexed column", sortOver(e.seqScan("T1"), expr.Col("T1", "id")), Config{}, "", 0},
+		{"weight 0", sortOver(e.seqScan("T1"), term(0)), Config{}, "", 0},
+		{"negative weight", sortOver(e.seqScan("T1"), term(-1)), Config{}, "", 0},
+		{"infinite weight", sortOver(e.seqScan("T1"), term(math.Inf(1))), Config{}, "", 0},
+		{"NaN weight", sortOver(e.seqScan("T1"), term(math.NaN())), Config{}, "", 0},
+		{"two keys", sortOver(e.seqScan("T1"), score, expr.Col("T1", "key")), Config{}, "", 0},
+		{"two terms", sortOver(e.seqScan("T1"), expr.Sum(expr.ScoreTerm{Weight: 1, E: score},
+			expr.ScoreTerm{Weight: 1, E: expr.Col("T1", "key")})), Config{}, "", 0},
+		{"filter input", sortOver(filtered, score), Config{}, "", 0},
+		{"join input", sortOver(hj, score), Config{}, "", 0},
+		{"scalar reference", sortOver(e.seqScan("T1"), score), Config{ScalarRef: true}, "", 0},
+	} {
+		op, err := CompileWith(e.cat, tc.n, tc.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		ix := op.(*exec.Sort).Index
+		switch {
+		case tc.index == "" && ix != nil:
+			t.Errorf("%s: Sort walks %s, want it to buffer its input", tc.name, ix.Idx.Name)
+		case tc.index != "" && ix == nil:
+			t.Errorf("%s: Sort buffers its input, want it to walk %s", tc.name, tc.index)
+		case ix != nil && (ix.Idx.Name != tc.index || ix.Weight != tc.weight):
+			t.Errorf("%s: Sort walks %s at weight %v, want %s at %v", tc.name, ix.Idx.Name, ix.Weight, tc.index, tc.weight)
+		}
+	}
+
+	for _, name := range e.names {
+		if err := e.cat.SetPartition(name, catalog.PartitionSpec{Column: "key", Kind: catalog.PartitionHash}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	shards, err := e.cat.Shard(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, sc := range shards {
+		op, err := Compile(sc, sortOver(e.seqScan("T1"), term(0.5)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tab, _ := sc.Table("T1")
+		if ix := op.(*exec.Sort).Index; ix == nil || ix.Idx != sc.IndexOn("T1", "score") || ix.Rel != tab.Rel {
+			t.Errorf("shard %d: Sort is not given the shard's own score index", i)
+		}
+	}
+}
