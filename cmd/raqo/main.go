@@ -417,9 +417,9 @@ func runQuery(w io.Writer, eng *engine.Engine, sql string, o queryOpts) error {
 	if o.Stats && len(resp.RankJoins) > 0 {
 		fmt.Fprintln(w, "-- rank-join depths: measured vs estimated --")
 		for _, rj := range resp.RankJoins {
-			fmt.Fprintf(w, "%s(%s): measured dL=%d dR=%d buffer=%d | estimated dL=%.0f dR=%.0f\n",
+			fmt.Fprintf(w, "%s(%s): measured dL=%d dR=%d buffer=%d | estimated dL=%.0f dR=%.0f buffer=%.0f\n",
 				rj.Op, rj.Pred, rj.Stats.LeftDepth, rj.Stats.RightDepth, rj.Stats.MaxQueue,
-				rj.EstDL, rj.EstDR)
+				rj.EstDL, rj.EstDR, rj.EstQueue)
 		}
 	}
 	fmt.Fprintln(w, strings.Join(resp.Columns, " | "))

@@ -97,7 +97,7 @@ func TestRunQueryAnalyzeThreeWay(t *testing.T) {
 	if got := strings.Count(out, "depths: dL est="); got != 2 {
 		t.Errorf("want 2 rank-join depth lines (3-way join), got %d:\n%s", got, out)
 	}
-	for _, want := range []string{"act=", "err=", "queue hwm=", "(open=", "next≈", "(10 rows)"} {
+	for _, want := range []string{"act=", "err=", "queue est=", "(open=", "next≈", "(10 rows)"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("analyze output missing %q:\n%s", want, out)
 		}

@@ -20,12 +20,12 @@ const goldenAnalyze = `EXPLAIN ANALYZE (k=10)
 Limit(10)  (rows est=10 act=10 err=0.0%)
   Rank(1*T1.score + 1*T2.score + 1*T3.score)  (rows est=10 act=10 err=0.0%)
     HRJN(T3.key = T2.key)  (rows est=10 act=10 err=0.0%)
-      depths: dL est=111 act=53 err=109.7% | dR est=111 act=52 err=113.7% | queue hwm=43
+      depths: dL est=111 act=53 err=109.7% | dR est=111 act=52 err=113.7% | queue est=124 hwm=43
       Sort(1*T3.score desc)  (rows est=111 act=53 err=109.7%)
         index=idx_T3_score emitted=53
         SeqScan(T3)  (rows est=2000 not read)
       HRJN(T2.key = T1.key)  (rows est=111 act=52 err=113.7%)
-        depths: dL est=211 act=116 err=81.8% | dR est=211 act=115 err=83.4% | queue hwm=74
+        depths: dL est=211 act=116 err=81.8% | dR est=211 act=115 err=83.4% | queue est=445 hwm=74
         Sort(1*T2.score desc)  (rows est=211 act=116 err=81.8%)
           index=idx_T2_score emitted=116
           SeqScan(T2)  (rows est=2000 not read)
@@ -140,7 +140,7 @@ func TestAnalyzeOffLeavesNoCollector(t *testing.T) {
 // eliminates every row — the zero-output estimator path. The session must
 // finish cleanly with zero tuples, and every plan node must carry a finite,
 // non-negative cardinality estimate and every rank join finite,
-// non-negative depth estimates: the estimate.Propagate zero-OutCard
+// non-negative depth and queue estimates: the estimate.Propagate zero-OutCard
 // short-circuit feeding NaN/Inf into EstDL/EstDR is exactly the regression
 // this pins.
 func TestAnalyzeEmptyInput(t *testing.T) {
@@ -165,9 +165,9 @@ func TestAnalyzeEmptyInput(t *testing.T) {
 		}
 	})
 	for _, rj := range resp.RankJoins {
-		for _, v := range []float64{rj.EstDL, rj.EstDR} {
+		for _, v := range []float64{rj.EstDL, rj.EstDR, rj.EstQueue} {
 			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-				t.Errorf("%s: degenerate depth estimate %v", rj.Op, v)
+				t.Errorf("%s: degenerate depth or queue estimate %v", rj.Op, v)
 			}
 		}
 	}
@@ -206,7 +206,8 @@ func nrjnTreeCatalog() *catalog.Catalog {
 // charges it the whole inner (plan.Node.Local). Response.RankJoins must
 // report the depths the cost charges: the inner's card, which is what the
 // executor reads, and the NRJN's outer depth at the demand Algorithm
-// Propagate gives the join through the HRJN above it.
+// Propagate gives the join through the HRJN above it, with the queue the
+// cost charges for the matches of those depths (s·dL·|R|).
 func TestNRJNReportsChargedDepths(t *testing.T) {
 	eng := New(nrjnTreeCatalog(), core.Options{})
 	const k = 1
@@ -227,7 +228,8 @@ func TestNRJNReportsChargedDepths(t *testing.T) {
 	if !ok {
 		t.Fatal("NRJN not reached by DemandAt")
 	}
-	outer, inner := nrjn.Local(demand).Need[0], nrjn.Right().Card
+	loc := nrjn.Local(demand)
+	outer, inner := loc.Need[0], nrjn.Right().Card
 	var found bool
 	for _, rj := range resp.RankJoins {
 		if rj.Op != plan.OpNRJN.String() {
@@ -239,6 +241,9 @@ func TestNRJNReportsChargedDepths(t *testing.T) {
 		}
 		if rj.EstDL != outer {
 			t.Errorf("NRJN outer: est %v, want the charged outer depth %v", rj.EstDL, outer)
+		}
+		if want := nrjn.Sel * outer * inner; rj.EstQueue != want || loc.Queue != want || want <= 0 {
+			t.Errorf("NRJN queue: est %v, Local %v, want the charged matches %v", rj.EstQueue, loc.Queue, want)
 		}
 	}
 	if !found {

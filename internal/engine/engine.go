@@ -197,6 +197,9 @@ type RankJoinStat struct {
 	// for an HRJN, the one-sided outer depth and the whole inner for an
 	// NRJN. They are shown next to the measured depths.
 	EstDL, EstDR float64
+	// EstQueue is the ranking-queue size the same cost charges at that
+	// demand (plan.Local.Queue), shown next to Stats.MaxQueue.
+	EstQueue float64
 }
 
 // Response is one query session's complete outcome. Err is set (and the
@@ -661,13 +664,14 @@ func (e *Engine) finish(resp *Response, p *pipelines) {
 				name = fmt.Sprintf("%s[shard %d]", name, st.shard)
 			}
 			demand, _ := plan.DemandAt(st.tree.Plan, p.k, h.Node)
-			need := h.Node.Local(demand).Need
+			loc := h.Node.Local(demand)
 			resp.RankJoins = append(resp.RankJoins, RankJoinStat{
-				Op:    name,
-				Pred:  rankJoinPredLabel(h.Node),
-				Stats: stats,
-				EstDL: need[0],
-				EstDR: need[1],
+				Op:       name,
+				Pred:     rankJoinPredLabel(h.Node),
+				Stats:    stats,
+				EstDL:    loc.Need[0],
+				EstDR:    loc.Need[1],
+				EstQueue: loc.Queue,
 			})
 		}
 		// An any-k enumerator's "depths" are its drained inputs: histogram

@@ -20,15 +20,21 @@ import (
 // registry entry.
 //
 // On plan-churn's (four 1 500-row tables, selectivity 0.01) a tree of rank
-// joins over Sort enforcers digs ~1 400 tuples deep to return 25 rows. The
-// rank joins queue their candidates as row references and build a row only
+// joins over index-walking Sorts digs ~1 400 tuples deep to return 25 rows
+// (the 3-way shape, and the 4-way one on a template first planned at
+// k = 10; planned cold at k = 25 the 4-way shape is an AnyK). The rank
+// joins queue their candidates as row references and build a row only
 // when it is released, so the count does not follow the thousands of
 // combinations queued and dropped at Close. Building every queued candidate
 // cost 2 586 objects on the 4-way shape and 3 024 on the 3-way one;
 // allocating each join's hash tables per request, 825 on the 4-way shape;
 // compiling a tree per request, 730 and 521; one fresh object per released
-// row, 524 and 394. 24 of the 3-way shape's 36 are a rank join's queue
-// growing past maxPooledQueue, which the pool does not keep.
+// row, 524 and 394. Each rank operator takes its queue's array from the
+// size class its last run's queue reached, so a warm session neither
+// allocates a queue nor regrows one, however deep it digs: the 4-way
+// shape's queues pass 1 024 items at k = 50, and when the pool dropped
+// every array past that size at Close the 3-way session cost 36 objects
+// and the 4-way one at k = 50 39.
 //
 // On point-topk's (three 20 000-row tables, selectivity 0.002) one HRJN over
 // two index scans returns 10 rows after a shallow pull, so the session's
@@ -58,17 +64,24 @@ func TestRankJoinSessionAllocs(t *testing.T) {
 		sql   string
 		rows  int
 		bound float64
+		// first, when set, is the request that plans the template, and some
+		// rank join's queue must pass queue items.
+		first string
+		queue int
 	}{
-		{"4-way", churnEng, "SELECT * FROM T1, T2, T3, T4 WHERE T1.key = T2.key AND T2.key = T3.key AND T3.key = T4.key " +
-			"ORDER BY 0.1*T1.score + 0.2*T2.score + 0.3*T3.score + 0.4*T4.score DESC LIMIT 25", 25, 15},
+		{"4-way", churnEng, fmt.Sprintf(churn4SQL, 25), 25, 15, "", 0},
+		{"4-way-k50", New(churn, core.Options{}), fmt.Sprintf(churn4SQL, 50), 50, 15, fmt.Sprintf(churn4SQL, 10), 1 << 10},
 		{"3-way", churnEng, "SELECT * FROM T2, T3, T4 WHERE T2.key = T3.key AND T3.key = T4.key " +
-			"ORDER BY 0.6*T2.score + 0.1*T3.score + 0.3*T4.score DESC LIMIT 25", 25, 37},
+			"ORDER BY 0.6*T2.score + 0.1*T3.score + 0.3*T4.score DESC LIMIT 25", 25, 13, "", 0},
 		{"point-topk", pointEng, "SELECT * FROM T1, T2 WHERE T1.key = T2.key " +
-			"ORDER BY T1.score + T2.score DESC LIMIT 10", 10, 11},
-		{"sharded-skew", skewEng, skewedShardSQL, 10, 41},
-		{"deep-dig", digEng, fmt.Sprintf(deepDigSQL, 10), 10, 9},
+			"ORDER BY T1.score + T2.score DESC LIMIT 10", 10, 11, "", 0},
+		{"sharded-skew", skewEng, skewedShardSQL, 10, 41, "", 0},
+		{"deep-dig", digEng, fmt.Sprintf(deepDigSQL, 10), 10, 9, "", 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			if tc.first != "" {
+				tc.eng.Run(Request{SQL: tc.first})
+			}
 			req := Request{SQL: tc.sql}
 			resp := tc.eng.Run(req) // warm the plan cache
 			if resp.Err != nil {
@@ -77,6 +90,9 @@ func TestRankJoinSessionAllocs(t *testing.T) {
 			ranked := len(resp.RankJoins) > 0 || resp.Plan.CountOps(plan.OpAnyK) > 0
 			if len(resp.Tuples) != tc.rows || ranked == resp.Sharded {
 				t.Fatalf("%d rows over %d rank joins (sharded %v), want %d rows over a rank join or AnyK", len(resp.Tuples), len(resp.RankJoins), resp.Sharded, tc.rows)
+			}
+			if q := maxQueue(resp); tc.queue > 0 && q <= tc.queue {
+				t.Fatalf("the deepest rank-join queue holds %d items, want a shape whose queue passes %d", q, tc.queue)
 			}
 			if raceBuild {
 				t.Skip("allocation counts are only stable outside -race")
@@ -97,6 +113,19 @@ func TestRankJoinSessionAllocs(t *testing.T) {
 	}
 }
 
+// churn4SQL is plan-churn's 4-way shape on its catalog, at LIMIT %d.
+const churn4SQL = "SELECT * FROM T1, T2, T3, T4 WHERE T1.key = T2.key AND T2.key = T3.key AND T3.key = T4.key " +
+	"ORDER BY 0.1*T1.score + 0.2*T2.score + 0.3*T3.score + 0.4*T4.score DESC LIMIT %d"
+
+// maxQueue is the largest queue high-water mark among resp's rank joins.
+func maxQueue(resp Response) int {
+	m := 0
+	for _, rj := range resp.RankJoins {
+		m = max(m, rj.Stats.MaxQueue)
+	}
+	return m
+}
+
 // deepDigSQL is deep-dig's 3-feature shape, which the planner runs with AnyK
 // on the 5 000-object corpus, at LIMIT %d.
 const deepDigSQL = "SELECT * FROM ColorLayout, Texture, Edges WHERE ColorLayout.id = Texture.id AND Texture.id = Edges.id " +
@@ -107,9 +136,10 @@ const deepDigSQL = "SELECT * FROM ColorLayout, Texture, Edges WHERE ColorLayout.
 // on deep-dig's allocate the same at k = 10 and k = 100. Every row a rank
 // operator releases below the root comes from the pooled release chunks and
 // the root's rows from one arena chunk, so one object per released row — ten
-// times as many at k = 100 — fails it. The HRJN shape is one whose queues
-// stay within maxPooledQueue at k = 100: past it a queue is regrown every
-// session, which follows the depth reached, not the rows released.
+// times as many at k = 100 — fails it. The HRJN shape is plan-churn's 4-way
+// one, whose queues dig deeper as k grows: a warm operator takes its queue
+// from the size class its last run reached, so a deeper dig allocates no
+// more objects than a shallow one.
 func TestSessionAllocsIndependentOfK(t *testing.T) {
 	if raceBuild {
 		t.Skip("allocation counts are only stable outside -race")
@@ -124,8 +154,7 @@ func TestSessionAllocsIndependentOfK(t *testing.T) {
 		op  plan.OpType
 		ops int
 	}{
-		{"hrjn-tree", New(churn, core.Options{}), "SELECT * FROM T1, T2, T3 WHERE T1.key = T2.key AND T2.key = T3.key " +
-			"ORDER BY 0.2*T1.score + 0.3*T2.score + 0.5*T3.score DESC LIMIT %d", plan.OpHRJN, 2},
+		{"hrjn-tree", New(churn, core.Options{}), churn4SQL, plan.OpHRJN, 2},
 		{"anyk", New(corpus, core.Options{}), deepDigSQL, plan.OpAnyK, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

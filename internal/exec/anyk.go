@@ -74,8 +74,6 @@ type anykBuffers struct {
 	// sorts are the quicksort states of the buckets enumeration has walked
 	// past their best member, at most one per successor pushed.
 	sorts []incSort
-	// queue is the backing array of the pending-solution heap.
-	queue []scoreItem[anykSol]
 	batch *Batch
 	// grp and fill are link's scratch: each entry's bucket (-1 once it is
 	// known to complete no result) and each bucket's write cursor.
@@ -181,7 +179,8 @@ func NewAnyK(inputs []Operator, scores, leftKeys, rightKeys []expr.Expr) (*AnyK,
 			len(inputs), len(scores), len(leftKeys), len(rightKeys))
 	}
 	return &AnyK{Inputs: inputs, Scores: scores, LeftKeys: leftKeys, RightKeys: rightKeys,
-		schema: concatSchemas(inputs), ins: make([]rankedInput, len(inputs))}, nil
+		schema: concatSchemas(inputs), ins: make([]rankedInput, len(inputs)),
+		buf: rankBuffer[anykSol]{pool: &solQueues}}, nil
 }
 
 // Schema implements Operator.
@@ -229,7 +228,6 @@ func (j *AnyK) Open(ctx context.Context) error {
 	}
 	j.levels = j.levels[:m]
 	j.sorts = j.sorts[:0]
-	j.buf.pq.items = j.queue[:0]
 	return nil
 }
 
@@ -606,7 +604,6 @@ func (j *AnyK) Close() error {
 		if b.batch != nil {
 			b.batch.Reset()
 		}
-		b.queue, j.buf.pq.items = j.buf.pq.items[:0], nil
 		j.anykBuffers = nil
 		anykBufferPool.Put(b)
 	}

@@ -1,8 +1,10 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"rankopt/internal/expr"
@@ -26,6 +28,26 @@ func idScored(table string, n int, seed int64, sorted bool) (*relation.Schema, [
 			score = float64(n-i) / float64(n)
 		}
 		tuples[i] = relation.Tuple{relation.Int(int64(ids[i])), relation.Float(score)}
+	}
+	return sch, tuples
+}
+
+// keyScored builds one key-joined input: n rows (key, score), keys drawn
+// uniformly from 0..keys-1, scores uniform in [0, w), best score first.
+func keyScored(table string, n, keys int, w float64, seed int64) (*relation.Schema, []relation.Tuple) {
+	sch := relation.NewSchema(
+		relation.Column{Table: table, Name: "key", Kind: relation.KindInt},
+		relation.Column{Table: table, Name: "score", Kind: relation.KindFloat},
+	)
+	rng := rand.New(rand.NewSource(seed))
+	scores := make([]float64, n)
+	for i := range scores {
+		scores[i] = w * rng.Float64()
+	}
+	slices.SortFunc(scores, func(a, b float64) int { return cmp.Compare(b, a) })
+	tuples := make([]relation.Tuple, n)
+	for i := range tuples {
+		tuples[i] = relation.Tuple{relation.Int(int64(rng.Intn(keys))), relation.Float(scores[i])}
 	}
 	return sch, tuples
 }
@@ -86,21 +108,44 @@ func BenchmarkAnyKBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkHRJNPull is the rank-join pull path alone: a binary HRJN over two
-// sorted 20 000-row id-joined inputs read for k = 50, no hints — every pull
-// inserts into one hash table and probes the other.
+// BenchmarkHRJNPull is the rank-join pull path alone, read for k = 50 with
+// no hints. shallow/ is a fresh binary HRJN over two sorted 20 000-row
+// id-joined inputs: every pull inserts into one hash table and probes the
+// other, and the queue stays small. deep/ is one HRJN over two 2 000-row
+// inputs joined on 20 keys, the right one's scores a twentieth of the
+// left's, reopened every iteration as a compiled tree is per session: its
+// queue reaches ~1 500 items, and each run takes its array from the size
+// class the run before reached.
 func BenchmarkHRJNPull(b *testing.B) {
-	const n, k = 20000, 50
-	lsch, ltup := idScored("A", n, 1, true)
-	rsch, rtup := idScored("B", n, 2, true)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		j := NewHRJN(FromTuples(lsch, ltup), FromTuples(rsch, rtup),
-			expr.Col("A", "score"), expr.Col("B", "score"),
-			expr.Col("A", "id"), expr.Col("B", "id"), nil)
-		out, err := CollectK(j, k)
-		if err != nil || len(out) != k {
-			b.Fatalf("%d results, %v", len(out), err)
+	const k = 50
+	b.Run("shallow", func(b *testing.B) {
+		const n = 20000
+		lsch, ltup := idScored("A", n, 1, true)
+		rsch, rtup := idScored("B", n, 2, true)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			j := NewHRJN(FromTuples(lsch, ltup), FromTuples(rsch, rtup),
+				expr.Col("A", "score"), expr.Col("B", "score"),
+				expr.Col("A", "id"), expr.Col("B", "id"), nil)
+			out, err := CollectK(j, k)
+			if err != nil || len(out) != k {
+				b.Fatalf("%d results, %v", len(out), err)
+			}
 		}
-	}
+	})
+	b.Run("deep", func(b *testing.B) {
+		lsch, ltup := keyScored("L", 2000, 20, 1, 1)
+		rsch, rtup := keyScored("R", 2000, 20, 0.05, 2)
+		j := pairJoins["HRJN"](FromTuples(lsch, ltup), FromTuples(rsch, rtup)).(*HRJN)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			out, err := CollectK(j, k)
+			if err != nil || len(out) != k {
+				b.Fatalf("%d results, %v", len(out), err)
+			}
+			if q := j.Stats().MaxQueue; q <= 1<<10 {
+				b.Fatalf("the queue reached %d items, want a run past 1 024", q)
+			}
+		}
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -289,40 +290,56 @@ func (q *scoreQueue[T]) pop() T {
 	return v
 }
 
-// queuePool hands a closed rank operator's queue array to the next one
-// opened, as hashStorePool does for its hash tables, so a warm operator
-// neither allocates its queue nor regrows it. A pooled array carries
-// capacity, never content, and one past maxPooledQueue is not kept.
-type queuePool[T any] struct{ sync.Pool }
+// queuePool files closed rank operators' queue arrays by power-of-two
+// capacity class, one sync.Pool per class, as hashStorePool does for hash
+// tables: a warm operator neither allocates its queue nor regrows it. A
+// pooled array carries capacity, never content. No class is capped: an
+// array is only handed to a queue that asks for its class, so shallow
+// traffic never keeps a deep dig's array in circulation, and a class no
+// queue draws from is emptied by the collector like any sync.Pool.
+type queuePool[T any] struct {
+	classes [queueClasses]sync.Pool
+}
 
-// maxPooledQueue caps the queue items a pooled array carries (48 kB of HRJN
-// candidates). Shallow top-k pulls fit; a deep dig's queue is dropped at
-// Close and the next one grows its own, so the pool never keeps the deep
-// pulls' queues alive between requests.
-const maxPooledQueue = 1 << 10
+// Class c holds arrays of exactly 1<<(minQueueShift+c) items; the smallest
+// is 16 (768 bytes of HRJN candidates).
+const (
+	minQueueShift = 4
+	queueClasses  = bits.UintSize - minQueueShift
+)
 
-// Queue arrays by payload: HRJN combinations and TA objects, NRJN pairs.
+// Queue arrays by payload: HRJN combinations and TA objects, NRJN pairs,
+// AnyK solutions.
 var (
 	refsQueues queuePool[rowRefs]
 	pairQueues queuePool[outerPair]
+	solQueues  queuePool[anykSol]
 )
 
-// take returns an empty array from the pool, in the holder it travels in.
-func (p *queuePool[T]) take() *[]scoreItem[T] {
-	if a, ok := p.Get().(*[]scoreItem[T]); ok {
+// take returns an empty array of the smallest class holding n items, in the
+// holder it travels in; an empty class makes one of exactly its size.
+func (p *queuePool[T]) take(n int) *[]scoreItem[T] {
+	c := 0
+	if n > 1<<minQueueShift {
+		c = bits.Len(uint(n-1)) - minQueueShift
+	}
+	if a, ok := p.classes[c].Get().(*[]scoreItem[T]); ok {
 		return a
 	}
-	return new([]scoreItem[T])
+	a := make([]scoreItem[T], 0, 1<<(minQueueShift+c))
+	return &a
 }
 
-// give returns items to the pool in holder a, cleared of the payloads it held.
+// give returns items to the pool in holder a, cleared of the payloads it
+// held, under the largest class its capacity fills.
 func (p *queuePool[T]) give(a *[]scoreItem[T], items []scoreItem[T]) {
-	if cap(items) > maxPooledQueue {
-		items = nil
+	c := bits.Len(uint(cap(items))) - 1 - minQueueShift
+	if c < 0 {
+		return
 	}
 	clear(items)
 	*a = items[:0]
-	p.Put(a)
+	p.classes[c].Put(a)
 }
 
 // releaseRows builds the rows a rank operator releases. By default each is a
@@ -403,28 +420,37 @@ type rankBuffer[T any] struct {
 	acct     accountant
 	maxQueue int
 	emitted  int
-	// pool supplies the queue's array, held in arr between reset and close
-	// (nil: AnyK keeps its queue with the rest of its pooled buffers).
+	// pool supplies the queue's array, held in arr between reset and close.
 	pool *queuePool[T]
 	arr  *[]scoreItem[T]
 }
 
 // reset prepares the buffer for a run charging budget (called from Open).
+// The queue's array is taken from the class of the last run's high-water
+// mark, so a warm operator reopens with the capacity its last run reached.
 func (b *rankBuffer[T]) reset(budget *Budget) {
 	b.acct.releaseAll()
 	b.acct.budget = budget
-	if b.pool != nil && b.arr == nil {
-		b.arr = b.pool.take()
+	if b.arr == nil {
+		b.arr = b.pool.take(b.maxQueue)
 		b.pq.items = *b.arr
 	}
 	b.pq.items, b.pq.seq = b.pq.items[:0], 0
 	b.maxQueue, b.emitted = 0, 0
 }
 
-// offer charges and queues one pending result.
+// offer charges and queues one pending result. A full queue moves into the
+// next class's array and gives its old one back, so the queue's array is
+// always a pooled class.
 func (b *rankBuffer[T]) offer(score float64, v T) error {
 	if err := b.acct.charge(1); err != nil {
 		return err
+	}
+	if n := len(b.pq.items); n == cap(b.pq.items) {
+		a := b.pool.take(n + 1)
+		*a = append(*a, b.pq.items...)
+		b.pool.give(b.arr, b.pq.items)
+		b.arr, b.pq.items = a, *a
 	}
 	b.pq.push(score, v)
 	if n := len(b.pq.items); n > b.maxQueue {

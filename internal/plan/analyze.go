@@ -98,13 +98,13 @@ func formatAnalyze(b *strings.Builder, n *Node, depth int, ap *AnalyzedPlan, est
 		}
 		b.WriteByte('\n')
 		if n.Op.IsRankJoin() {
-			need := n.Local(est[n]).Need
-			dL, dR := need[0], need[1]
-			fmt.Fprintf(b, "%s  depths: dL est=%.0f act=%d err=%s | dR est=%.0f act=%d err=%s | queue hwm=%d\n",
+			loc := n.Local(est[n])
+			dL, dR := loc.Need[0], loc.Need[1]
+			fmt.Fprintf(b, "%s  depths: dL est=%.0f act=%d err=%s | dR est=%.0f act=%d err=%s | queue est=%.0f hwm=%d\n",
 				indent,
 				dL, st.LeftDepth, relErrPct(dL, st.LeftDepth),
 				dR, st.RightDepth, relErrPct(dR, st.RightDepth),
-				st.MaxQueue)
+				loc.Queue, st.MaxQueue)
 		}
 		if n.Op == OpTopK {
 			fmt.Fprintf(b, "%s  heap hwm=%d\n", indent, st.MaxHeap)

@@ -123,6 +123,10 @@ func (n *Node) CostFrom(k float64, input func(i int, k float64) float64) float64
 // inputs of the same cardinalities may compute it once and reuse it.
 type Local struct {
 	Need, Terms [2]float64
+	// Queue is a rank join's expected ranking-queue size, the matches its
+	// heap terms charge (Section 4's buffer bound: s·dL·dR for an HRJN,
+	// s·dL·|R| for an NRJN); 0 for any other join.
+	Queue float64
 }
 
 // Local returns the join node's local facts at demand k, clamped as Cost
@@ -164,7 +168,7 @@ func (n *Node) Local(k float64) Local {
 		return Local{Need: [2]float64{dL, dR}, Terms: [2]float64{
 			p.HashProbe(dL+dR, buffered),
 			p.HeapPush(buffered, math.Max(buffered, 2)),
-		}}
+		}, Queue: buffered}
 
 	case OpNRJN:
 		dL := n.nrjnOuterDepth(k)
@@ -173,7 +177,7 @@ func (n *Node) Local(k float64) Local {
 		return Local{Need: [2]float64{dL, r.Card}, Terms: [2]float64{
 			p.NestedLoopCPU(dL, r.Card, matches),
 			p.HeapPush(matches, math.Max(matches, 2)),
-		}}
+		}, Queue: matches}
 	}
 	panic("plan: Local on a non-join node")
 }
