@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"log/slog"
 	"strconv"
+	"sync"
 	"time"
 
 	"rankopt/internal/catalog"
@@ -495,6 +496,9 @@ func (e *Engine) run(ctx context.Context, req Request, limits exec.ResourceLimit
 		p.budget = exec.NewBudget(limits)
 		merge, err = e.shardMerge(root, &p, &en.prog)
 		op = merge
+		// The drain clears the batch before it returns.
+		batch = gatherBatches.Get().(*exec.Batch)
+		defer gatherBatches.Put(batch)
 	} else {
 		var t *plan.Tree
 		if t, err = p.tree(e.cat, root, -1); err != nil {
@@ -543,6 +547,10 @@ func (e *Engine) run(ctx context.Context, req Request, limits exec.ResourceLimit
 	resp.Elapsed = time.Since(start)
 	return resp
 }
+
+// gatherBatches are the batches the sharded tier's gathers drain into, as the
+// unsharded tier drains into its tree's own: a session allocates none.
+var gatherBatches = sync.Pool{New: func() any { return exec.NewBatch(exec.DefaultBatchSize) }}
 
 // sessionTree is one compiled tree a session ran, with the pipeline it
 // belongs to (-1 on the unsharded tier, else its shard).

@@ -40,13 +40,17 @@ import (
 // two index scans returns 10 rows after a shallow pull, so the session's
 // fixed cost is all there is: allocating the HRJN's hash tables per request
 // cost 121 objects, compiling a tree per request 91, and a fresh object per
-// released row 20.
+// released row 20. Its weighted shape reads one input through a Sort that
+// walks the score index. Both read scores and join keys from the column
+// images the inputs bind at Open, which allocates nothing: the weighted
+// shape is pinned at the 10 objects it took when every input was read on
+// the tuple path.
 //
 // On sharded-skew's (two 16 000-row tables range-partitioned on their 400
 // keys into 4 shards, one running at a time) the top shard runs and three
-// are pruned; compiling the running shard's tree per request cost 150, and a
+// are pruned; compiling the running shard's tree per request cost 150, a
 // fresh object per row its rank join released and its RankAssign.Next
-// answered with, 56.
+// answered with 56, and a fresh batch for the gather to drain into 2.
 //
 // On deep-dig's (the 5 000-object multimedia corpus) AnyK drains three
 // features and enumerates 10 answers; a fresh object per row it released
@@ -75,7 +79,9 @@ func TestRankJoinSessionAllocs(t *testing.T) {
 			"ORDER BY 0.6*T2.score + 0.1*T3.score + 0.3*T4.score DESC LIMIT 25", 25, 13, "", 0},
 		{"point-topk", pointEng, "SELECT * FROM T1, T2 WHERE T1.key = T2.key " +
 			"ORDER BY T1.score + T2.score DESC LIMIT 10", 10, 11, "", 0},
-		{"sharded-skew", skewEng, skewedShardSQL, 10, 41, "", 0},
+		{"point-topk-weighted", pointEng, "SELECT * FROM T1, T2 WHERE T1.key = T2.key " +
+			"ORDER BY 0.3*T1.score + 0.7*T2.score DESC LIMIT 10", 10, 10, "", 0},
+		{"sharded-skew", skewEng, skewedShardSQL, 10, 39, "", 0},
 		{"deep-dig", digEng, fmt.Sprintf(deepDigSQL, 10), 10, 9, "", 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

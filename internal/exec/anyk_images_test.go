@@ -144,9 +144,8 @@ func imagedLevels(t *testing.T, j *AnyK) (score, keys []bool) {
 	}
 	m := len(j.levels)
 	for i := range j.levels {
-		im := &j.levels[i].img
-		score = append(score, len(im.terms) > 0)
-		keys = append(keys, (i == m-1 || im.lkey != nil) && (i == 0 || im.rkey != nil))
+		score = append(score, j.ins[i].imaged)
+		keys = append(keys, (i == m-1 || j.lkeys[i].img != nil) && (i == 0 || j.rkeys[i-1].img != nil))
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)

@@ -172,7 +172,7 @@ type IndexNLJoin struct {
 	resEv   expr.Eval
 	img     *relation.SortedImage
 	cur     relation.Tuple
-	matches []int
+	matches []int32
 	mpos    int
 	done    bool
 	cancel  canceller
@@ -253,7 +253,7 @@ func (j *IndexNLJoin) Next() (relation.Tuple, bool, error) {
 			}
 			rid := j.matches[j.mpos]
 			j.mpos++
-			out := j.cur.Concat(j.InnerRel.Tuple(rid))
+			out := j.cur.Concat(j.InnerRel.Tuple(int(rid)))
 			pass, err := expr.EvalBool(j.resEv, out)
 			if err != nil {
 				return nil, false, err

@@ -262,11 +262,24 @@ func (kt *keyTable) otherID(k relation.Value, add bool) int32 {
 }
 
 // keyEval evaluates a join key: by direct column load when the key is a bare
-// column, else through the bound expression.
+// column, else through the bound expression. A bare key over a stored row
+// source is read from its column image instead, while a rank input binds one
+// (rankedInput.bindImages).
+//
+// A rank operator reads a row's key once (read) and then files it in its own
+// table and probes another's (intern, find). The key read last is held here,
+// a number as its float64 widening, so the tables' numeric entry points take
+// it directly: passing a Value through the calls cost a third of the
+// image-read pull on BenchmarkHRJNPull/indexed.
 type keyEval struct {
 	ev   expr.Eval
 	col  int
 	bare bool
+	img  *relation.ColumnImage
+	// f is the key read last when num is set, else v (a string or bool).
+	f   float64
+	v   relation.Value
+	num bool
 }
 
 // bindKey binds a join-key expression against its input's schema.
@@ -276,6 +289,42 @@ func bindKey(key expr.Expr, sch *relation.Schema) (k keyEval, err error) {
 	}
 	k.col, k.bare = expr.ColIndex(key, sch)
 	return k, nil
+}
+
+// read reads the key of the row with id rid and tuple t for intern and find,
+// reporting whether it is NULL: from the column image when one is bound, else
+// from the tuple. The image holds numbers widened as Value.Float64 widens
+// them, so Int(3) and Float(3) stay one key and a NaN key still matches
+// nothing.
+func (k *keyEval) read(t relation.Tuple, rid int32) (null bool, err error) {
+	if img := k.img; img != nil {
+		k.f, k.num = img.Vals[rid], true
+		return img.IsNull(int(rid)), nil
+	}
+	v, err := k.of(t)
+	if err != nil {
+		return false, err
+	}
+	if k.f, k.num = v.Float64(); !k.num {
+		k.v = v
+	}
+	return v.IsNull(), nil
+}
+
+// intern files the non-NULL key read last in kt (keyTable.intern).
+func (k *keyEval) intern(kt *keyTable) int32 {
+	if k.num {
+		return kt.internFloat(k.f)
+	}
+	return kt.intern(k.v)
+}
+
+// find looks the key read last up in kt (keyTable.find).
+func (k *keyEval) find(kt *keyTable) int32 {
+	if k.num {
+		return kt.findFloat(k.f)
+	}
+	return kt.find(k.v)
 }
 
 // of returns the key of tuple t.

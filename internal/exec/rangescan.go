@@ -21,7 +21,7 @@ type IndexRangeScan struct {
 	HasLo, HasHi bool
 
 	// rids are the image positions in range not yet read.
-	rids []int
+	rids []int32
 }
 
 // NewIndexRangeScan constructs the scan.
@@ -52,12 +52,21 @@ func (s *IndexRangeScan) Open(context.Context) error {
 
 // Next implements Operator.
 func (s *IndexRangeScan) Next() (relation.Tuple, bool, error) {
+	t, _, ok, err := s.nextRow()
+	return t, ok, err
+}
+
+// storedRows implements rowSource.
+func (s *IndexRangeScan) storedRows() *relation.Relation { return s.Rel }
+
+// nextRow implements rowSource.
+func (s *IndexRangeScan) nextRow() (relation.Tuple, int32, bool, error) {
 	if len(s.rids) == 0 {
-		return nil, false, nil
+		return nil, 0, false, nil
 	}
 	rid := s.rids[0]
 	s.rids = s.rids[1:]
-	return s.Rel.Tuple(rid), true, nil
+	return s.Rel.Tuple(int(rid)), rid, true, nil
 }
 
 // Close implements Operator.

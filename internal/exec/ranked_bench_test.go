@@ -9,6 +9,7 @@ import (
 
 	"rankopt/internal/expr"
 	"rankopt/internal/relation"
+	"rankopt/internal/workload"
 )
 
 // idScored builds one feature table of the deep-dig shape: n rows
@@ -115,7 +116,10 @@ func BenchmarkAnyKBuild(b *testing.B) {
 // inputs joined on 20 keys, the right one's scores a twentieth of the
 // left's, reopened every iteration as a compiled tree is per session: its
 // queue reaches ~1 500 items, and each run takes its array from the size
-// class the run before reached.
+// class the run before reached. indexed/ is point-topk's shape: one HRJN over
+// descending IndexScans of two stored 20 000-row tables joined on a key of
+// selectivity 0.002, read for k = 10 and reopened every iteration, so its
+// inputs read scores and keys from the column images.
 func BenchmarkHRJNPull(b *testing.B) {
 	const k = 50
 	b.Run("shallow", func(b *testing.B) {
@@ -148,4 +152,33 @@ func BenchmarkHRJNPull(b *testing.B) {
 			}
 		}
 	})
+	b.Run("indexed", func(b *testing.B) {
+		j := indexedHRJN(b, 20000)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			out, err := CollectK(j, 10)
+			if err != nil || len(out) != 10 {
+				b.Fatalf("%d results, %v", len(out), err)
+			}
+		}
+	})
+}
+
+// indexedHRJN is point-topk's 2-way plan over n-row tables: an HRJN of
+// descending score IndexScans of T1 and T2, each scored by a one-term
+// ScoreSum of its score column and joined on key.
+func indexedHRJN(tb testing.TB, n int) *HRJN {
+	tb.Helper()
+	cat, _ := workload.RankedSet(2, workload.RankedConfig{N: n, Selectivity: 0.002, Seed: 1})
+	scan := func(name string) (Operator, expr.Expr, expr.Expr) {
+		tab, err := cat.Table(name)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return NewIndexScan(tab.Rel, cat.IndexOn(name, "score"), true),
+			expr.Sum(expr.ScoreTerm{Weight: 1, E: expr.Col(name, "score")}), expr.Col(name, "key")
+	}
+	l, ls, lk := scan("T1")
+	r, rs, rk := scan("T2")
+	return NewHRJN(l, r, ls, rs, lk, rk, nil)
 }

@@ -92,9 +92,22 @@ type scored struct {
 // inputs, NRJN's outer and inner, and AnyK's levels all consume tuples
 // through it, so the depth cap, the NULL-score drop, the NaN/±Inf boundary
 // and the descending-score contract are each enforced in exactly one place.
+//
+// Every row it reads carries a row id. While the input reads a stored
+// relation by row id (see bindImages), the score comes from that relation's
+// column images at the row id and the tuple is only passed on; otherwise the
+// row id is -1 and the score is evaluated on the tuple.
 type rankedInput struct {
 	in    Operator
 	score expr.Eval
+	// terms[:nterms] are the score's weighted columns in ScoreSum term order
+	// (see setTerms); imaged is set while a run reads the score from their
+	// images.
+	terms  [maxImageTerms]scoreImage
+	nterms int
+	imaged bool
+	// rowSrc is the input while a run reads it by row id, nil otherwise.
+	rowSrc rowSource
 	// budget is consulted for the per-input depth cap (nil = unlimited).
 	budget *Budget
 	// op and idx name the input in errors.
@@ -121,6 +134,7 @@ func (r *rankedInput) bind(op string, idx int, in Operator, score expr.Expr, ord
 		return err
 	}
 	*r = rankedInput{in: in, score: ev, op: op, idx: idx, ordered: ordered}
+	r.setTerms(score, in.Schema())
 	return nil
 }
 
@@ -143,39 +157,53 @@ func (r *rankedInput) reset(budget *Budget) {
 // sequence numbers follow. The readers that drain their input whatever they
 // find (NRJN's inner, AnyK's levels, Sort) go through batchSource or
 // tupleLender and call admit directly.
-func (r *rankedInput) read() (t relation.Tuple, s float64, ok bool, err error) {
-	t, ok, err = r.in.Next()
+func (r *rankedInput) read() (t relation.Tuple, rid int32, s float64, ok bool, err error) {
+	rid = -1
+	if r.rowSrc != nil {
+		t, rid, ok, err = r.rowSrc.nextRow()
+	} else {
+		t, ok, err = r.in.Next()
+	}
 	if err != nil {
-		return nil, 0, false, err
+		return nil, 0, 0, false, err
 	}
 	if !ok {
 		r.done = true
-		return nil, 0, false, nil
+		return nil, 0, 0, false, nil
 	}
-	s, ok, err = r.admit(t)
-	return t, s, ok, err
+	s, ok, err = r.admit(t, rid)
+	return t, rid, s, ok, err
 }
 
-// admit validates one consumed tuple and folds its score into top/last/seen.
-// The tuple counts toward the depth before any NULL-score drop.
-func (r *rankedInput) admit(t relation.Tuple) (s float64, ok bool, err error) {
+// admit validates one consumed row and folds its score into top/last/seen.
+// The row counts toward the depth before any NULL-score drop.
+func (r *rankedInput) admit(t relation.Tuple, rid int32) (s float64, ok bool, err error) {
 	if err := r.count(); err != nil {
 		return 0, false, err
 	}
-	v, err := r.score(t)
-	if err != nil {
-		return 0, false, err
+	var f float64
+	null := false
+	if r.imaged {
+		f, null = r.imageScore(rid)
+	} else {
+		v, err := r.score(t)
+		if err != nil {
+			return 0, false, err
+		}
+		if null = v.IsNull(); !null {
+			f = v.AsFloat()
+		}
 	}
-	if v.IsNull() {
+	if null {
 		// NULL scores cannot participate in ranking; drop the tuple.
 		return 0, false, nil
 	}
-	return r.fold(v.AsFloat())
+	return r.fold(f)
 }
 
-// admitScore is admit for a tuple whose score was read without it (AnyK's
-// column images): the same depth count and cap, NULL drop and fold, in the
-// same order.
+// admitScore is admit for a row whose score was read without its tuple (TA's
+// weighted index column): the same depth count and cap, NULL drop and fold,
+// in the same order.
 func (r *rankedInput) admitScore(v float64, null bool) (s float64, ok bool, err error) {
 	if err := r.count(); err != nil {
 		return 0, false, err
@@ -623,9 +651,6 @@ func sizeHint(est float64) int {
 	return int(est)
 }
 
-// insert buffers sc under key k.
-func (in *hashInput) insert(k relation.Value, sc scored) { in.file(in.keys.intern(k), sc) }
-
 // file buffers sc at the tail of group g's chain; g equal to the number of
 // chains opens the next one.
 func (in *hashInput) file(g int32, sc scored) {
@@ -675,6 +700,7 @@ func (j *HRJN) Open(ctx context.Context) error {
 	for i := range j.ins {
 		in := &j.ins[i]
 		in.reset(budget)
+		in.openRows(&in.key)
 		in.take()
 		in.keys.reset(0, probeLoad)
 	}
@@ -759,7 +785,7 @@ func (j *HRJN) choose() int {
 // the order they were read.
 func (j *HRJN) pull(i int) error {
 	in := &j.ins[i]
-	t, s, ok, err := in.read()
+	t, rid, s, ok, err := in.read()
 	if err != nil {
 		return err
 	}
@@ -776,20 +802,16 @@ func (j *HRJN) pull(i int) error {
 	if !ok {
 		return nil
 	}
-	k, err := in.key.of(t)
-	if err != nil {
+	if null, err := in.key.read(t, rid); err != nil || null {
 		return err
-	}
-	if k.IsNull() {
-		return nil
 	}
 	// The inserted tuple is buffered in its hash table until Close.
 	if err := j.buf.acct.charge(1); err != nil {
 		return err
 	}
-	in.insert(k, scored{t, s})
+	in.file(in.key.intern(&in.keys), scored{t, s})
 	other := &j.ins[1-i]
-	g := other.keys.find(k)
+	g := in.key.find(&other.keys)
 	if g < 0 {
 		return nil
 	}
@@ -848,8 +870,11 @@ func (j *HRJN) Next() (relation.Tuple, bool, error) {
 
 // Close implements Operator.
 func (j *HRJN) Close() error {
-	j.ins[0].release()
-	j.ins[1].release()
+	for i := range j.ins {
+		in := &j.ins[i]
+		in.release()
+		in.unbindImages(&in.key)
+	}
 	j.buf.close()
 	j.scratch = nil
 	j.recycleRows()
@@ -1000,7 +1025,7 @@ func (j *NRJN) buffer(ctx context.Context) error {
 		}
 		in.rows = slices.Grow(in.rows, b.Len())
 		for _, t := range b.Tuples() {
-			s, ok, err := in.admit(t)
+			s, ok, err := in.admit(t, -1)
 			if err != nil {
 				return err
 			}
@@ -1009,14 +1034,14 @@ func (j *NRJN) buffer(ctx context.Context) error {
 			}
 			g := int32(0)
 			if keyed {
-				k, err := in.key.of(t)
+				null, err := in.key.read(t, -1)
 				if err != nil {
 					return err
 				}
-				if k.IsNull() {
+				if null {
 					continue
 				}
-				g = in.keys.intern(k)
+				g = in.key.intern(&in.keys)
 			}
 			in.file(g, scored{t, s})
 		}
@@ -1070,11 +1095,11 @@ func (j *NRJN) threshold() float64 {
 func (j *NRJN) matches(t relation.Tuple) (int32, error) {
 	g := int32(0)
 	if j.keyed() {
-		k, err := j.lkey.of(t)
-		if err != nil {
+		null, err := j.lkey.read(t, -1)
+		if err != nil || null {
 			return -1, err
 		}
-		g = j.inner.keys.find(k)
+		g = j.lkey.find(&j.inner.keys)
 	}
 	if g < 0 || int(g) >= len(j.inner.chains) {
 		return -1, nil
@@ -1097,7 +1122,7 @@ func (j *NRJN) Next() (relation.Tuple, bool, error) {
 		if exhausted {
 			return nil, false, nil
 		}
-		t, s, ok, err := j.outer.read()
+		t, _, s, ok, err := j.outer.read()
 		if err != nil {
 			return nil, false, err
 		}

@@ -71,7 +71,7 @@ type IndexScan struct {
 
 	// rids are the image positions not yet read: the scan takes from the
 	// front, or from the back when Desc.
-	rids []int
+	rids []int32
 }
 
 // NewIndexScan constructs an index-ordered scan.
@@ -92,7 +92,7 @@ func (s *IndexScan) Open(context.Context) error {
 }
 
 // next takes the next row id in scan order; ok is false when none is left.
-func (s *IndexScan) next() (rid int, ok bool) {
+func (s *IndexScan) next() (rid int32, ok bool) {
 	n := len(s.rids)
 	if n == 0 {
 		return 0, false
@@ -107,14 +107,23 @@ func (s *IndexScan) next() (rid int, ok bool) {
 
 // Next implements Operator.
 func (s *IndexScan) Next() (relation.Tuple, bool, error) {
+	t, _, ok, err := s.nextRow()
+	return t, ok, err
+}
+
+// storedRows implements rowSource.
+func (s *IndexScan) storedRows() *relation.Relation { return s.Rel }
+
+// nextRow implements rowSource.
+func (s *IndexScan) nextRow() (relation.Tuple, int32, bool, error) {
 	rid, ok := s.next()
 	if !ok {
-		return nil, false, nil
+		return nil, 0, false, nil
 	}
-	if rid >= s.Rel.Cardinality() {
-		return nil, false, fmt.Errorf("exec: index %s holds rid %d beyond relation %s", s.Idx.Name, rid, s.Rel.Name)
+	if int(rid) >= s.Rel.Cardinality() {
+		return nil, 0, false, fmt.Errorf("exec: index %s holds rid %d beyond relation %s", s.Idx.Name, rid, s.Rel.Name)
 	}
-	return s.Rel.Tuple(rid), true, nil
+	return s.Rel.Tuple(int(rid)), rid, true, nil
 }
 
 // NextBatch implements BatchOperator: the interface-call and validity-check
@@ -127,10 +136,10 @@ func (s *IndexScan) NextBatch(out *Batch, max int) (bool, error) {
 		if !ok {
 			break
 		}
-		if rid >= n {
+		if int(rid) >= n {
 			return false, fmt.Errorf("exec: index %s holds rid %d beyond relation %s", s.Idx.Name, rid, s.Rel.Name)
 		}
-		out.Append(s.Rel.Tuple(rid))
+		out.Append(s.Rel.Tuple(int(rid)))
 	}
 	return out.Len() > 0, nil
 }

@@ -58,7 +58,10 @@ type Sort struct {
 	*sortBuffers
 	// tuples is the input in arrival order: the input's own slice when it
 	// lends one (see tupleLender), the copy in sortBuffers.own otherwise.
+	// heap is the relation when tuples is its whole heap, so that an entry's
+	// arrival position is its row id (see storedRows).
 	tuples []relation.Tuple
+	heap   *relation.Relation
 	// ents[:pos] was emitted. buffered is the drained tuple count, kept past
 	// Close for gauges.
 	pos      int
@@ -87,14 +90,14 @@ type IndexOrder struct {
 type indexWalk struct {
 	// rids are the positions not yet reached, the ascending walk taking
 	// from the front and the descending one from the back.
-	rids   []int
+	rids   []int32
 	vals   []float64
 	tuples []relation.Tuple
 	weight float64
 	desc   bool
 	// run is the rest of the current run of equal keys, in heap order;
 	// merged holds a run that spans several column values.
-	run, merged []int
+	run, merged []int32
 }
 
 // sortBuffers are the arrays an open Sort works in.
@@ -194,7 +197,7 @@ func (s *Sort) openWalk() bool {
 
 // key is the sort key of heap row rid, as sortKeyBits orders the weighted
 // value the key expression evaluates to.
-func (w *indexWalk) key(rid int) uint64 { return sortKeyBits(w.weight*w.vals[rid], false) }
+func (w *indexWalk) key(rid int32) uint64 { return sortKeyBits(w.weight*w.vals[rid], false) }
 
 // nextRun takes the next run of equal keys off the walk — the front
 // ascending, the back descending; a positive weight keeps equal keys
@@ -225,19 +228,19 @@ func (w *indexWalk) nextRun() {
 	}
 }
 
-// walkNext is Next of an index walk.
-func (s *Sort) walkNext() (relation.Tuple, bool, error) {
+// walkNext is nextRow of an index walk.
+func (s *Sort) walkNext() (relation.Tuple, int32, bool, error) {
 	w := &s.walk
 	if len(w.run) == 0 {
 		if len(w.rids) == 0 {
-			return nil, false, nil
+			return nil, 0, false, nil
 		}
 		w.nextRun()
 	}
-	t := w.tuples[w.run[0]]
+	rid := w.run[0]
 	w.run = w.run[1:]
 	s.pos++
-	return t, true, nil
+	return w.tuples[rid], rid, true, nil
 }
 
 // drain buffers the opened input and evaluates the sort keys, leaving the
@@ -249,7 +252,7 @@ func (s *Sort) drain(ctx context.Context) error {
 	s.acct.releaseAll()
 	s.acct.budget = s.Budget.bound()
 	s.cancel.reset(ctx)
-	s.pos, s.buffered = 0, 0
+	s.pos, s.buffered, s.heap = 0, 0, nil
 	if s.sortBuffers == nil {
 		s.sortBuffers = sortBufferPool.Get().(*sortBuffers)
 	}
@@ -337,6 +340,7 @@ func (s *Sort) bind() error {
 // with one context check per batch.
 func (s *Sort) buffer(ctx context.Context) error {
 	if lender, ok := s.In.(tupleLender); ok {
+		s.heap = wholeHeap(s.In)
 		s.tuples = lender.lendRest()
 		return s.acct.charge(len(s.tuples))
 	}
@@ -389,20 +393,36 @@ func sortKeyBits(f float64, desc bool) uint64 {
 
 // Next implements Operator.
 func (s *Sort) Next() (relation.Tuple, bool, error) {
+	t, _, ok, err := s.nextRow()
+	return t, ok, err
+}
+
+// storedRows implements rowSource: the walked index's relation, or the
+// relation whose whole heap the drain ordered.
+func (s *Sort) storedRows() *relation.Relation {
+	if s.walking {
+		return s.Index.Rel
+	}
+	return s.heap
+}
+
+// nextRow implements rowSource. An entry's arrival position is its row id
+// when the drain ordered a whole heap.
+func (s *Sort) nextRow() (relation.Tuple, int32, bool, error) {
 	if s.walking {
 		return s.walkNext()
 	}
 	if s.sortBuffers == nil || s.pos >= len(s.ents) {
-		return nil, false, nil
+		return nil, 0, false, nil
 	}
 	if s.pos == s.sorted {
 		if err := s.refine(&s.cancel); err != nil {
-			return nil, false, err
+			return nil, 0, false, err
 		}
 	}
-	t := s.tuples[s.ents[s.pos].seq]
+	seq := s.ents[s.pos].seq
 	s.pos++
-	return t, true, nil
+	return s.tuples[seq], int32(seq), true, nil
 }
 
 // release returns the arrays to the pool, cleared of the tuples they
@@ -419,6 +439,7 @@ func (s *Sort) release() {
 		s.sortBuffers, s.tuples = nil, nil
 		sortBufferPool.Put(b)
 	}
+	s.heap = nil
 	s.acct.releaseAll()
 }
 

@@ -61,7 +61,7 @@ type TA struct {
 // image random access probes.
 type taList struct {
 	rankedInput
-	rids []int
+	rids []int32
 	ids  *relation.SortedImage
 }
 
@@ -143,7 +143,7 @@ func (t *TA) access(i int) error {
 	rid := l.rids[n-1]
 	l.rids = l.rids[:n-1]
 	in := &t.Inputs[i]
-	tup := in.Rel.Tuple(rid)
+	tup := in.Rel.Tuple(int(rid))
 	v := tup[in.ScorePos]
 	s, ok, err := l.admitScore(in.Weight*v.AsFloat(), v.IsNull())
 	if err != nil || !ok {
@@ -155,7 +155,7 @@ func (t *TA) access(i int) error {
 	}
 	var pick rowRefs
 	var scores [maxJoinWidth]float64
-	pick[i], scores[i] = int32(rid), s
+	pick[i], scores[i] = rid, s
 	for j := range t.ins {
 		if j == i {
 			continue
@@ -164,7 +164,7 @@ func (t *TA) access(i int) error {
 		if err != nil || !ok {
 			return err
 		}
-		pick[j], scores[j] = int32(r), s
+		pick[j], scores[j] = r, s
 	}
 	total := 0.0
 	for j := range t.ins {
@@ -177,7 +177,7 @@ func (t *TA) access(i int) error {
 // ok=false means the object is missing from the list or has no score there,
 // so it is not a join result. An id held by more than one row breaks the
 // unique-id premise and fails.
-func (t *TA) probe(j int, id relation.Value) (rid int, s float64, ok bool, err error) {
+func (t *TA) probe(j int, id relation.Value) (rid int32, s float64, ok bool, err error) {
 	t.probes++
 	rids := t.ins[j].ids.Lookup(id)
 	switch {
@@ -187,7 +187,7 @@ func (t *TA) probe(j int, id relation.Value) (rid int, s float64, ok bool, err e
 		return 0, 0, false, fmt.Errorf("exec: TA input %d holds %d rows for id %v; ids must be unique", j, len(rids), id)
 	}
 	in := &t.Inputs[j]
-	v := in.Rel.Tuple(rids[0])[in.ScorePos]
+	v := in.Rel.Tuple(int(rids[0]))[in.ScorePos]
 	if v.IsNull() {
 		return 0, 0, false, nil
 	}

@@ -26,10 +26,10 @@ type Config struct {
 	Analyze *AnalyzedPlan
 	// ScalarRef compiles the scalar reference executor: operators with a
 	// vectorized internal phase fall back to their pre-batch per-tuple form
-	// (today that is the hash join's build and table layout). Combined with a
-	// per-tuple drain this reproduces the executor exactly as it was before
-	// batch execution landed — the independent side of the differential
-	// oracle.
+	// (the hash join's build and table layout), Sorts never walk an index,
+	// and rank operators read their inputs on the tuple path rather than
+	// from column images (exec.TuplePath). Combined with a per-tuple drain
+	// this is the independent side of the differential oracle.
 	ScalarRef bool
 }
 
@@ -219,7 +219,7 @@ func (c *compiler) build(n *Node) (exec.Operator, error) {
 		return exec.NewSortMergeJoin(l, r, n.EqPreds[0].L, n.EqPreds[0].R, n.residualAfterPrimary()), nil
 
 	case OpHRJN:
-		l, r, err := c.children(n)
+		l, r, err := c.rankChildren(n)
 		if err != nil {
 			return nil, err
 		}
@@ -250,7 +250,7 @@ func (c *compiler) build(n *Node) (exec.Operator, error) {
 			if err != nil {
 				return nil, err
 			}
-			ins[i] = in
+			ins[i] = c.rankInput(in)
 		}
 		ak, err := exec.NewAnyK(ins, n.AnyKScores, n.AnyKLKeys, n.AnyKRKeys)
 		if err != nil {
@@ -320,6 +320,25 @@ func (c *compiler) children(n *Node) (exec.Operator, exec.Operator, error) {
 		return nil, nil, err
 	}
 	return l, r, nil
+}
+
+// rankChildren compiles a binary rank operator's inputs (see rankInput).
+func (c *compiler) rankChildren(n *Node) (exec.Operator, exec.Operator, error) {
+	l, r, err := c.children(n)
+	if err != nil {
+		return nil, nil, err
+	}
+	return c.rankInput(l), c.rankInput(r), nil
+}
+
+// rankInput is in as a rank operator reads it: the scalar reference reads
+// every input on the tuple path, so the oracle compares that with the
+// column-image reads of stored row sources.
+func (c *compiler) rankInput(in exec.Operator) exec.Operator {
+	if c.cfg.ScalarRef {
+		return exec.TuplePath(in)
+	}
+	return in
 }
 
 // fullJoinPred combines all equi-predicates and the residual into one

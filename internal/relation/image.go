@@ -141,10 +141,10 @@ func buildImage(tuples []Tuple, col int) *ColumnImage {
 // CompareSortKey order of that value, equal values in heap order (Int(3) and
 // Float(3) are one value, as are -0 and +0; NaN sorts below every number).
 // Walking Rids forward is an ascending index scan, walking it backward a
-// descending one. Like a ColumnImage it is immutable once built and read
-// without locking.
+// descending one. A row id is 4 bytes: Append keeps a heap within MaxRows.
+// Like a ColumnImage it is immutable once built and read without locking.
 type SortedImage struct {
-	Rids []int
+	Rids []int32
 	// rows is the heap the image was built over, for Key.
 	rows []Tuple
 	col  int
@@ -163,19 +163,19 @@ func buildSorted(tuples []Tuple, col int) *SortedImage {
 			}
 			return cmp.Compare(a.rid, b.rid)
 		})
-		s.Rids = make([]int, len(keys))
+		s.Rids = make([]int32, len(keys))
 		for i, k := range keys {
 			s.Rids[i] = k.rid
 		}
 		return s
 	}
-	s.Rids = make([]int, 0, len(tuples))
+	s.Rids = make([]int32, 0, len(tuples))
 	for i, t := range tuples {
 		if !t[col].IsNull() {
-			s.Rids = append(s.Rids, i)
+			s.Rids = append(s.Rids, int32(i))
 		}
 	}
-	slices.SortFunc(s.Rids, func(a, b int) int {
+	slices.SortFunc(s.Rids, func(a, b int32) int {
 		if c := CompareSortKey(tuples[a][col], tuples[b][col]); c != 0 {
 			return c
 		}
@@ -187,7 +187,7 @@ func buildSorted(tuples []Tuple, col int) *SortedImage {
 // floatKey is one row of a numeric column's sort: its key and row id.
 type floatKey struct {
 	f   float64
-	rid int
+	rid int32
 }
 
 // floatKeys reads the non-NULL values of column col as floatKeys; ok is false
@@ -196,7 +196,7 @@ func floatKeys(tuples []Tuple, col int) (keys []floatKey, ok bool) {
 	keys = make([]floatKey, 0, len(tuples))
 	for i, t := range tuples {
 		if f, ok := t[col].Float64(); ok {
-			keys = append(keys, floatKey{f, i})
+			keys = append(keys, floatKey{f, int32(i)})
 		} else if !t[col].IsNull() {
 			return nil, false
 		}
@@ -220,7 +220,7 @@ func (s *SortedImage) SeekPast(key Value) int { return s.search(key, true) }
 // in a hash join. The equal run is walked rather than searched: a caller
 // reads every row of it anyway, and a unique key's run ends at the next
 // position.
-func (s *SortedImage) Lookup(key Value) []int {
+func (s *SortedImage) Lookup(key Value) []int32 {
 	if f, ok := key.Float64(); key.IsNull() || ok && f != f {
 		return nil
 	}

@@ -107,10 +107,10 @@ func TestColumnImageInvalidatedByAppend(t *testing.T) {
 		t.Fatalf("the old image changed: %+v", old)
 	}
 	sorted := r.SortedImage(0)
-	if sorted == oldSorted || !slices.Equal(sorted.Rids, []int{2, 3, 0, 4}) {
+	if sorted == oldSorted || !slices.Equal(sorted.Rids, []int32{2, 3, 0, 4}) {
 		t.Fatalf("after Append: sorted image %v, want a rebuilt [2 3 0 4]", sorted.Rids)
 	}
-	if !slices.Equal(oldSorted.Rids, []int{2, 3, 0}) {
+	if !slices.Equal(oldSorted.Rids, []int32{2, 3, 0}) {
 		t.Fatalf("the old sorted image changed: %v", oldSorted.Rids)
 	}
 	r.DropSortedImage(0)
@@ -160,15 +160,15 @@ func TestColumnImageViews(t *testing.T) {
 
 // stableOrder is the reference order of a sorted image: the non-NULL rows
 // of column col, stably sorted by CompareSortKey.
-func stableOrder(r *Relation, col int) []int {
-	var rids []int
+func stableOrder(r *Relation, col int) []int32 {
+	var rids []int32
 	for i, t := range r.Tuples() {
 		if !t[col].IsNull() {
-			rids = append(rids, i)
+			rids = append(rids, int32(i))
 		}
 	}
 	sort.SliceStable(rids, func(i, j int) bool {
-		return CompareSortKey(r.Tuple(rids[i])[col], r.Tuple(rids[j])[col]) < 0
+		return CompareSortKey(r.Tuple(int(rids[i]))[col], r.Tuple(int(rids[j]))[col]) < 0
 	})
 	return rids
 }
@@ -245,10 +245,10 @@ func TestSortedImageLarge(t *testing.T) {
 // string column orders by its strings.
 func TestSortedImageSkipsNulls(t *testing.T) {
 	r := imageRel()
-	if got := r.SortedImage(0).Rids; !slices.Equal(got, []int{2, 3, 0}) {
+	if got := r.SortedImage(0).Rids; !slices.Equal(got, []int32{2, 3, 0}) {
 		t.Fatalf("key image %v, want [2 3 0]: NaN first, -0, 3, the NULL left out", got)
 	}
-	if got := r.SortedImage(2).Rids; !slices.Equal(got, []int{0, 1, 2}) {
+	if got := r.SortedImage(2).Rids; !slices.Equal(got, []int32{0, 1, 2}) {
 		t.Fatalf("name image %v, want [0 1 2]", got)
 	}
 	nulls := New("N", NewSchema(Column{Table: "N", Name: "k", Kind: KindInt}))
@@ -272,7 +272,7 @@ func TestSortedImageLookupSmall(t *testing.T) {
 		t.Fatalf("image holds %d rows, want 5", len(img.Rids))
 	}
 	for _, key := range []Value{Int(3), Float(3)} {
-		if got := img.Lookup(key); !slices.Equal(got, []int{1, 3}) {
+		if got := img.Lookup(key); !slices.Equal(got, []int32{1, 3}) {
 			t.Fatalf("Lookup(%v) = %v, want [1 3]", key, got)
 		}
 	}
@@ -291,7 +291,7 @@ func TestSortedImageNaNKey(t *testing.T) {
 		nan.MustAppend(Tuple{Float(k)})
 	}
 	img := nan.SortedImage(0)
-	for k, want := range map[float64][]int{1: {0}, 2: {1}, 3: {3}} {
+	for k, want := range map[float64][]int32{1: {0}, 2: {1}, 3: {3}} {
 		if got := img.Lookup(Float(k)); !slices.Equal(got, want) {
 			t.Fatalf("keys {1 2 NaN 3}: Lookup(%v) = %v, want %v", k, got, want)
 		}
@@ -322,10 +322,10 @@ func TestSortedImageAgainstReferenceMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 30; trial++ {
 		r := randomKeyRel(rng, rng.Intn(2000)+1)
-		ref := map[float64][]int{}
+		ref := map[float64][]int32{}
 		for i, t := range r.Tuples() {
 			if !t[0].IsNull() {
-				ref[t[0].AsFloat()] = append(ref[t[0].AsFloat()], i)
+				ref[t[0].AsFloat()] = append(ref[t[0].AsFloat()], int32(i))
 			}
 		}
 		img := r.SortedImage(0)

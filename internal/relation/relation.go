@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -35,16 +36,24 @@ func New(name string, schema *Schema) *Relation {
 // Schema returns the relation's schema.
 func (r *Relation) Schema() *Schema { return r.schema }
 
-// Append adds a tuple. The tuple must match the schema arity.
+// MaxRows is the most rows a heap holds, so that every row id fits in the
+// int32 row ids of its sorted images and of the executor's row sources.
+const MaxRows = math.MaxInt32
+
+// Append adds a tuple. The tuple must match the schema arity, and the heap
+// must have room for it (MaxRows).
 func (r *Relation) Append(t Tuple) error {
 	if len(t) != r.schema.Len() {
 		return fmt.Errorf("relation: tuple arity %d does not match schema %s", len(t), r.schema)
+	}
+	if len(r.tuples) >= MaxRows {
+		return fmt.Errorf("relation %s: heap is full at %d rows", r.Name, MaxRows)
 	}
 	r.tuples = append(r.tuples, t)
 	return nil
 }
 
-// MustAppend is Append that panics on arity mismatch; used by generators and
+// MustAppend is Append that panics on error; used by generators and
 // tests where the schema is statically known.
 func (r *Relation) MustAppend(t Tuple) {
 	if err := r.Append(t); err != nil {
