@@ -331,6 +331,13 @@ type RankAssign struct {
 	src    batchSource
 	in     *Batch
 	arena  tupleArena
+	// gathered is the row slot of the shard gather this run feeds, nil
+	// outside one: the rows are then carved from pooled chunks (rows) and
+	// handed to the slot at Close, since the gather copies every row it
+	// keeps and recycles the slot once its last in-flight row is read (see
+	// shardRun). Outside a gather the rows are the caller's, from arena.
+	gathered *releaseRows
+	rows     releaseRows
 }
 
 // NewRankAssign constructs the rank annotator.
@@ -363,11 +370,21 @@ func (r *RankAssign) Open(ctx context.Context) error {
 	}
 	r.rank = 0
 	r.src.reset(ctx, r.In)
+	r.gathered = gatheredRows(ctx)
+	r.rows.copied = r.gathered != nil
 	return nil
 }
 
-// Next implements Operator, carving the row from the arena as Project.Next
-// does — the path a shard coordinator pulls each pipeline's answers through.
+// newRow returns an output row of n values (see gathered).
+func (r *RankAssign) newRow(n int) relation.Tuple {
+	if r.gathered != nil {
+		return r.rows.newRow(n)[:n]
+	}
+	return r.arena.alloc(n)
+}
+
+// Next implements Operator, carving the row as newRow does — the path a shard
+// coordinator pulls each pipeline's answers through.
 func (r *RankAssign) Next() (relation.Tuple, bool, error) {
 	t, ok, err := r.In.Next()
 	if err != nil || !ok {
@@ -378,14 +395,14 @@ func (r *RankAssign) Next() (relation.Tuple, bool, error) {
 		return nil, false, err
 	}
 	r.rank++
-	out := r.arena.alloc(len(t) + 2)
+	out := r.newRow(len(t) + 2)
 	copy(out, t)
 	out[len(t)], out[len(t)+1] = v, relation.Int(r.rank)
 	return out, true, nil
 }
 
-// NextBatch implements BatchOperator, carving the widened output tuples from
-// the arena.
+// NextBatch implements BatchOperator, carving the widened output tuples as
+// newRow does.
 func (r *RankAssign) NextBatch(out *Batch, max int) (bool, error) {
 	out.Reset()
 	if r.in == nil {
@@ -402,7 +419,7 @@ func (r *RankAssign) NextBatch(out *Batch, max int) (bool, error) {
 			return false, err
 		}
 		r.rank++
-		row := r.arena.alloc(len(t) + 2)
+		row := r.newRow(len(t) + 2)
 		copy(row, t)
 		row[len(t)] = v
 		row[len(t)+1] = relation.Int(r.rank)
@@ -415,5 +432,9 @@ func (r *RankAssign) NextBatch(out *Batch, max int) (bool, error) {
 func (r *RankAssign) Close() error {
 	r.in.drop()
 	r.arena = tupleArena{}
+	if r.gathered != nil {
+		r.rows.handOver(r.gathered)
+		r.gathered = nil
+	}
 	return r.In.Close()
 }

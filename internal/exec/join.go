@@ -577,7 +577,7 @@ func (j *HashJoin) NextBatch(out *Batch, max int) (bool, error) {
 			// extracts and normalizes every key's bit pattern into kbuf,
 			// applying the build side's min-max join filter: keys outside
 			// the reachable range — with NULL, non-numeric, and NaN keys,
-			// which match nothing either — mark their slot emptyKeyBits, and
+			// which match nothing either — mark their kbuf entry emptyKeyBits, and
 			// pass two skips their hash and table walk entirely. On
 			// selective joins the filter prunes most probes down to two
 			// float compares. Splitting the passes also breaks the per-tuple
@@ -621,16 +621,17 @@ func (j *HashJoin) NextBatch(out *Batch, max int) (bool, error) {
 					continue
 				}
 				i := (hashBits(fb) >> shift) & mask
+				sb := slotBits(fb)
 				for {
 					kb := keys[i&mask]
-					if kb == fb {
+					if kb == sb {
 						t := in[x]
 						for _, m := range j.groups[nt.ids[i&mask]] {
 							out.Append(j.arena.concat(m, t))
 						}
 						break
 					}
-					if kb == emptyKeyBits {
+					if kb == 0 {
 						break
 					}
 					i = (i + 1) & mask

@@ -51,6 +51,9 @@ type OpStats struct {
 	// SortIndex names the index a Sort walked instead of buffering its
 	// input, "" when it buffered.
 	SortIndex string
+	// SortImageKeys is set when a buffering Sort read its leading key from
+	// the column images of the whole heap its input lent.
+	SortImageKeys bool
 }
 
 // EstNextNanos estimates the total pull-side wall time: the per-tuple Next
@@ -73,10 +76,11 @@ const nextSamplePeriod = 32
 // operator hands to its Analyzed collector. Operators without such state
 // simply do not implement gaugeReporter.
 type analyzeGauges struct {
-	maxHeap      int
-	sortBuffered int
-	sortEmitted  int
-	sortIndex    string
+	maxHeap       int
+	sortBuffered  int
+	sortEmitted   int
+	sortIndex     string
+	sortImageKeys bool
 }
 
 // gaugeReporter is implemented by the blocking operators with internal gauges
@@ -177,6 +181,7 @@ func (a *Analyzed) captureGauges() {
 		a.stats.SortBuffered = int64(g.sortBuffered)
 		a.stats.SortEmitted = int64(g.sortEmitted)
 		a.stats.SortIndex = g.sortIndex
+		a.stats.SortImageKeys = g.sortImageKeys
 	}
 }
 

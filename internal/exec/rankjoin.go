@@ -100,12 +100,8 @@ type scored struct {
 type rankedInput struct {
 	in    Operator
 	score expr.Eval
-	// terms[:nterms] are the score's weighted columns in ScoreSum term order
-	// (see setTerms); imaged is set while a run reads the score from their
-	// images.
-	terms  [maxImageTerms]scoreImage
-	nterms int
-	imaged bool
+	// scoreImages reads the score from column images while imaged is set.
+	scoreImages
 	// rowSrc is the input while a run reads it by row id, nil otherwise.
 	rowSrc rowSource
 	// budget is consulted for the per-input depth cap (nil = unlimited).
@@ -134,7 +130,7 @@ func (r *rankedInput) bind(op string, idx int, in Operator, score expr.Expr, ord
 		return err
 	}
 	*r = rankedInput{in: in, score: ev, op: op, idx: idx, ordered: ordered}
-	r.setTerms(score, in.Schema())
+	r.setScore(score, in.Schema())
 	return nil
 }
 
@@ -199,19 +195,6 @@ func (r *rankedInput) admit(t relation.Tuple, rid int32) (s float64, ok bool, er
 		return 0, false, nil
 	}
 	return r.fold(f)
-}
-
-// admitScore is admit for a row whose score was read without its tuple (TA's
-// weighted index column): the same depth count and cap, NULL drop and fold,
-// in the same order.
-func (r *rankedInput) admitScore(v float64, null bool) (s float64, ok bool, err error) {
-	if err := r.count(); err != nil {
-		return 0, false, err
-	}
-	if null {
-		return 0, false, nil
-	}
-	return r.fold(v)
 }
 
 // count counts one consumed tuple toward the depth and checks the cap.
@@ -436,6 +419,25 @@ func (r *releaseRows) recycleRows() {
 		releaseChunkPool.Put(c)
 		c, used = prev, releaseChunkValues
 	}
+	r.chunk, r.spare = nil, nil
+}
+
+// handOver moves the run's chunks to dst, behind any dst holds already, and
+// leaves r empty: the rows stay valid until dst recycles them. Only the
+// newest chunk's unused tail is known clear, so the chunks dst held are
+// cleared whole when it does.
+func (r *releaseRows) handOver(dst *releaseRows) {
+	if r.chunk == nil {
+		return
+	}
+	if dst.chunk != nil {
+		oldest := r.chunk
+		for oldest.prev != nil {
+			oldest = oldest.prev
+		}
+		oldest.prev = dst.chunk
+	}
+	dst.chunk, dst.spare = r.chunk, r.spare
 	r.chunk, r.spare = nil, nil
 }
 

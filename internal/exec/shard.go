@@ -123,8 +123,16 @@ type ShardMerge struct {
 	scoreCol int
 	rankCol  int
 
-	acct  accountant
-	out   []relation.Tuple
+	acct accountant
+	// runs are the shards' states of the last gather, kept until Close, which
+	// recycles the rows their pipelines handed over (see shardRun).
+	runs []shardRun
+	// block holds the kept rows: absorb copies each row it keeps into it, so
+	// the gather holds no shard row once absorb returns.
+	block tupleArena
+	// out holds the winners best first, their rows in block; Next replays
+	// out[pos:].
+	out   topHeap[relation.Tuple]
 	pos   int
 	stats ShardMergeStats
 }
@@ -191,9 +199,59 @@ func (m *ShardMerge) Open(ctx context.Context) error {
 	m.Progress.SetShards(len(m.inputs))
 	if err := m.gather(ctx); err != nil {
 		m.acct.releaseAll()
+		m.recycle()
 		return err
 	}
 	return nil
+}
+
+// shardRun is one shard's state in a gather. It is also the shard worker's
+// context: the worker's cancellable context, plus the slot (rows) under
+// gatherKey that the shard pipeline's operators hand the rows they carved to
+// at their Close (see gatheredRows). The merge recycles those rows at its own
+// Close: the pipeline closes before its worker reports done, while up to
+// 2×width of its rows may still wait in the channel, and only once the
+// gather has drained the channel is no row of any shard referenced — absorb
+// copies the rows it keeps.
+type shardRun struct {
+	context.Context // nil until the shard starts
+	cancel          context.CancelFunc
+	// rows is written only by the shard's worker, before it reports done.
+	rows releaseRows
+	// live, stopped and pulled are the gather's: the shard runs, was
+	// cancelled by the bound test, and had this many rows consumed.
+	live, stopped bool
+	pulled        int
+}
+
+// gatherKey is the context key of a shard worker's row slot.
+type gatherKey struct{}
+
+// Value implements context.Context: the row slot under gatherKey, every
+// other key from the worker's context.
+func (r *shardRun) Value(key any) any {
+	if key == (gatherKey{}) {
+		return &r.rows
+	}
+	return r.Context.Value(key)
+}
+
+// gatheredRows returns the row slot of the shard worker whose context ctx
+// is or derives from, nil outside a gather. An operator that finds one may
+// carve its rows from pooled chunks and hand them to the slot at Close
+// (releaseRows.handOver) instead of allocating rows its consumer owns.
+func gatheredRows(ctx context.Context) *releaseRows {
+	rows, _ := ctx.Value(gatherKey{}).(*releaseRows)
+	return rows
+}
+
+// recycle hands the rows the shard pipelines handed over back to their
+// pool. Every worker has been joined and the channel drained by then.
+func (m *ShardMerge) recycle() {
+	for i := range m.runs {
+		m.runs[i].rows.recycleRows()
+	}
+	m.runs = nil
 }
 
 func (m *ShardMerge) gather(ctx context.Context) error {
@@ -222,21 +280,21 @@ func (m *ShardMerge) gather(ctx context.Context) error {
 		// shard that can run at once, is the backpressure credit that keeps
 		// fast shards from running far ahead of the gather.
 		msgs    = make(chan shardMsg, min(2*width, 2*n))
-		cancels = make([]context.CancelFunc, n) // one per started shard
+		runs    = make([]shardRun, n)
 		wg      sync.WaitGroup
 		h       = make(topHeap[relation.Tuple], 0, sizeHint(float64(m.k)))
 		next    int // cursor into order: shards not yet started or pruned
 		running int
-		live    = make([]bool, n)
-		stopped = make([]bool, n)
-		pulled  = make([]int, n)
 		failure error
 	)
+	m.runs = runs
+	m.block = tupleArena{}
+	m.block.reserve(sizeHint(float64(m.k)), m.schema.Len())
 	full := func() bool { return len(h) >= m.k }
 	kth := func() float64 { return h[0].Score }
 	cancelAll := func() {
-		for _, c := range cancels {
-			if c != nil {
+		for i := range runs {
+			if c := runs[i].cancel; c != nil {
 				c()
 			}
 		}
@@ -264,15 +322,15 @@ func (m *ShardMerge) gather(ctx context.Context) error {
 				m.Progress.ShardFinished(false)
 				continue
 			}
-			sctx, cancel := context.WithCancel(ctx)
-			cancels[i] = cancel
+			run := &runs[i]
+			run.Context, run.cancel = context.WithCancel(ctx)
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				err := runShard(sctx, i, m.inputs[i].Op, msgs)
+				err := runShard(run, i, m.inputs[i].Op, msgs)
 				msgs <- shardMsg{shard: i, done: true, err: err}
 			}()
-			live[i] = true
+			run.live = true
 			running++
 			m.stats.Started++
 			m.stats.PerShard[i].StartAt = time.Now()
@@ -285,14 +343,15 @@ func (m *ShardMerge) gather(ctx context.Context) error {
 		if !full() {
 			return
 		}
-		for i := 0; i < n; i++ {
-			if live[i] && !stopped[i] && bounds.Upper(i) <= kth() {
+		for i := range runs {
+			run := &runs[i]
+			if run.live && !run.stopped && bounds.Upper(i) <= kth() {
 				m.stats.PerShard[i].Bound = bounds.Upper(i)
 				m.stats.PerShard[i].Cause = ShardCauseEarlyStopped
-				cancels[i]()
-				stopped[i] = true
+				run.cancel()
+				run.stopped = true
 				m.stats.EarlyStopped++
-				if saved := m.k - pulled[i]; saved > 0 {
+				if saved := m.k - run.pulled; saved > 0 {
 					m.stats.TuplesSaved += saved
 				}
 			}
@@ -316,10 +375,11 @@ func (m *ShardMerge) gather(ctx context.Context) error {
 			fail(CtxErr(ctx))
 			continue
 		}
+		run := &runs[msg.shard]
 		if msg.done {
 			running--
-			live[msg.shard] = false
-			wasStopped := stopped[msg.shard]
+			run.live = false
+			wasStopped := run.stopped
 			out := &m.stats.PerShard[msg.shard]
 			if !wasStopped {
 				// Capture the live bound before Exhaust collapses it.
@@ -327,7 +387,7 @@ func (m *ShardMerge) gather(ctx context.Context) error {
 			}
 			bounds.Exhaust(msg.shard)
 			out.EndAt = time.Now()
-			out.Pulled = pulled[msg.shard]
+			out.Pulled = run.pulled
 			switch {
 			case msg.err == nil:
 				if !wasStopped {
@@ -352,7 +412,7 @@ func (m *ShardMerge) gather(ctx context.Context) error {
 		if failure != nil {
 			continue
 		}
-		if err := m.absorb(msg, bounds, pulled, &h); err != nil {
+		if err := m.absorb(msg, run, bounds, &h); err != nil {
 			fail(err)
 			continue
 		}
@@ -366,23 +426,17 @@ func (m *ShardMerge) gather(ctx context.Context) error {
 	}
 	m.Progress.SetMerging()
 
-	// Assemble the winners best first, copied into one value block (the shard
-	// pipelines that produced them are closed) with the rank column rewritten
-	// to the global rank.
+	// The winners, best first, are the block rows absorb copied them into,
+	// with the rank column rewritten to the global rank.
 	h.SortBest()
-	w := m.schema.Len()
-	block := make([]relation.Value, len(h)*w)
-	m.out = make([]relation.Tuple, len(h))
-	for i, e := range h {
-		t := relation.Tuple(block[i*w : (i+1)*w : (i+1)*w])
-		copy(t, e.Val)
-		if m.rankCol >= 0 {
-			t[m.rankCol] = relation.Int(int64(i + 1))
+	if m.rankCol >= 0 {
+		for i, e := range h {
+			e.Val[m.rankCol] = relation.Int(int64(i + 1))
 		}
-		m.out[i] = t
 	}
-	if len(m.out) > 0 {
-		if v, ok := m.out[len(m.out)-1][m.scoreCol].Float64(); ok {
+	m.out = h
+	if len(h) > 0 {
+		if v, ok := h[len(h)-1].Val[m.scoreCol].Float64(); ok {
 			m.stats.KthScore = v
 		}
 	}
@@ -434,8 +488,11 @@ func runShard(ctx context.Context, i int, op Operator, msgs chan<- shardMsg) err
 	}
 }
 
-// absorb folds one shard tuple into the bounds and the top-k heap.
-func (m *ShardMerge) absorb(msg shardMsg, bounds *scoreBounds, pulled []int, h *topHeap[relation.Tuple]) error {
+// absorb folds one shard tuple into the bounds and the top-k heap. A tuple
+// the heap keeps is copied into a block row first — a new one while the
+// heap fills, else the row of the entry it evicts — so the shard may reuse
+// its row once absorb returns.
+func (m *ShardMerge) absorb(msg shardMsg, run *shardRun, bounds *scoreBounds, h *topHeap[relation.Tuple]) error {
 	score := math.Inf(-1) // NULL scores sort after everything, like ORDER BY
 	if v := msg.tuple[m.scoreCol]; !v.IsNull() {
 		if f, ok := v.Float64(); ok {
@@ -447,12 +504,24 @@ func (m *ShardMerge) absorb(msg shardMsg, bounds *scoreBounds, pulled []int, h *
 	}
 	// Equal scores keep the lower shard, then its earlier arrival: the tie
 	// key is the shard number over the shard's arrival count.
-	tie := int64(msg.shard)<<32 | int64(pulled[msg.shard])
-	pulled[msg.shard]++
+	tie := int64(msg.shard)<<32 | int64(run.pulled)
+	run.pulled++
 	m.stats.TuplesPulled++
-	if h.Offer(heapEntry[relation.Tuple]{Score: score, Tie: tie, Val: msg.tuple}, m.k) {
-		if err := m.acct.charge(1); err != nil {
-			return err
+	// The slot conditions are Offer's own: it grows the heap below k and
+	// replaces the weakest entry for a strictly better score.
+	var row relation.Tuple
+	switch {
+	case len(*h) < m.k:
+		row = m.block.alloc(m.schema.Len())
+	case score > (*h)[0].Score:
+		row = (*h)[0].Val
+	}
+	if row != nil {
+		copy(row, msg.tuple)
+		if h.Offer(heapEntry[relation.Tuple]{Score: score, Tie: tie, Val: row}, m.k) {
+			if err := m.acct.charge(1); err != nil {
+				return err
+			}
 		}
 	}
 	if m.Progress != nil {
@@ -488,15 +557,17 @@ func (m *ShardMerge) Next() (relation.Tuple, bool, error) {
 	if m.pos >= len(m.out) {
 		return nil, false, nil
 	}
-	t := m.out[m.pos]
+	t := m.out[m.pos].Val
 	m.pos++
 	return t, true, nil
 }
 
-// Close implements Operator, releasing the buffered winners' budget charge.
+// Close implements Operator, releasing the buffered winners' budget charge
+// and recycling the rows the shard pipelines handed over.
 func (m *ShardMerge) Close() error {
 	m.acct.releaseAll()
-	m.out, m.pos = nil, 0
+	m.recycle()
+	m.out, m.pos, m.block = nil, 0, tupleArena{}
 	return nil
 }
 

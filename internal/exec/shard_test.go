@@ -632,3 +632,82 @@ func TestBoundsOrderViolation(t *testing.T) {
 		t.Fatalf("-Inf observation rejected: %v", err)
 	}
 }
+
+// ringShard emits its descending scores through a ring of rows it reuses:
+// each Next overwrites the row it returned len(ring) calls before. A gather
+// whose channel holds at most credit rows has absorbed that row by then once
+// the ring holds credit+2 rows, so only a gather that copies what it keeps
+// still answers correctly.
+type ringShard struct {
+	base   int
+	scores []float64
+	ring   []relation.Tuple
+	n      int
+}
+
+func newRingShard(base, credit int, scores []float64) *ringShard {
+	r := &ringShard{base: base, scores: scores, ring: make([]relation.Tuple, credit+2)}
+	for i := range r.ring {
+		r.ring[i] = make(relation.Tuple, 3)
+	}
+	return r
+}
+
+func (r *ringShard) Schema() *relation.Schema   { return shardSchema() }
+func (r *ringShard) Open(context.Context) error { r.n = 0; return nil }
+func (r *ringShard) Close() error               { return nil }
+func (r *ringShard) Next() (relation.Tuple, bool, error) {
+	if r.n >= len(r.scores) {
+		return nil, false, nil
+	}
+	row := r.ring[r.n%len(r.ring)]
+	row[0], row[1], row[2] = relation.Int(int64(r.base+r.n)), relation.Float(r.scores[r.n]), relation.Int(int64(r.n+1))
+	r.n++
+	return row, true, nil
+}
+
+// TestShardMergeRowsCopiedOnAbsorb: shard inputs that reuse each row once the
+// gather has absorbed it (ringShard) still merge to brute force's top-k, ids
+// and scores: the gather keeps no shard row past absorb.
+func TestShardMergeRowsCopiedOnAbsorb(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const shards, perShard, k = 4, 60, 10
+	type row struct {
+		id    int64
+		score float64
+	}
+	var all []row
+	inputs := make([]ShardInput, shards)
+	for s := 0; s < shards; s++ {
+		scores := make([]float64, perShard)
+		for i := range scores {
+			scores[i] = rng.Float64() * 100
+		}
+		sort.Sort(sort.Reverse(sort.Float64Slice(scores)))
+		for i, sc := range scores {
+			all = append(all, row{int64(s*perShard + i), sc})
+		}
+		// StartWidth 1: the channel holds at most 2 rows.
+		inputs[s] = ShardInput{Op: newRingShard(s*perShard, 2, scores), Ceiling: math.Inf(1)}
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i].score > all[j].score })
+	for run := 0; run < 20; run++ {
+		m, err := NewShardMerge(inputs, k, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.StartWidth = 1
+		out, err := Collect(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out) != k {
+			t.Fatalf("run %d: %d rows, want %d", run, len(out), k)
+		}
+		for i, tup := range out {
+			if got := (row{tup[0].AsInt(), tup[1].AsFloat()}); got != all[i] || tup[2].AsInt() != int64(i+1) {
+				t.Fatalf("run %d, rank %d: row %v (rank column %v), want %v", run, i+1, got, tup[2], all[i])
+			}
+		}
+	}
+}

@@ -52,8 +52,11 @@ type Sort struct {
 	// budget (the image is catalog memory, as it is for IndexScan).
 	Index *IndexOrder
 
-	// evals are the bound key evaluators, one per key.
+	// evals are the bound key evaluators, one per key; lead binds the
+	// leading key to column images for a drain of a whole lent heap (see
+	// drain).
 	evals []expr.Eval
+	lead  scoreImages
 	// The arrays of an open Sort, nil while it is closed.
 	*sortBuffers
 	// tuples is the input in arrival order: the input's own slice when it
@@ -68,10 +71,12 @@ type Sort struct {
 	buffered int
 	cancel   canceller
 	acct     accountant
-	// walking is set while Open chose the index walk, and kept past Close
-	// for gauges.
-	walking bool
-	walk    indexWalk
+	// walking is set while Open chose the index walk, and imageKeys while the
+	// drain encoded the leading key from column images; both are kept past
+	// Close for gauges.
+	walking   bool
+	imageKeys bool
+	walk      indexWalk
 }
 
 // IndexOrder is an index whose order is a Sort's own: the Sort's one key is
@@ -143,7 +148,7 @@ func (s *Sort) Schema() *relation.Schema { return s.In.Schema() }
 // the Analyzed collector: their gap is the ordering work a partial read
 // never paid for.
 func (s *Sort) gauges() analyzeGauges {
-	g := analyzeGauges{sortBuffered: s.buffered, sortEmitted: s.pos}
+	g := analyzeGauges{sortBuffered: s.buffered, sortEmitted: s.pos, sortImageKeys: s.imageKeys}
 	if s.walking {
 		g.sortIndex = s.Index.Idx.Name
 	}
@@ -191,7 +196,7 @@ func (s *Sort) openWalk() bool {
 	s.walk = indexWalk{rids: rids, vals: img.Vals, tuples: tuples, weight: ix.Weight,
 		desc: s.Keys[0].Desc, merged: s.walk.merged}
 	s.walking = true
-	s.pos, s.buffered = 0, 0
+	s.pos, s.buffered, s.imageKeys = 0, 0, false
 	return true
 }
 
@@ -248,11 +253,18 @@ func (s *Sort) walkNext() (relation.Tuple, int32, bool, error) {
 // numeric and non-NULL — the ranked case — the entries carry it as an
 // ordered integer and most comparisons never leave the entry array; once a
 // tuple breaks that, the leading key joins the others in vals.
+//
+// When the input lent a whole heap, an entry's position is its row id, and a
+// leading key that is a bare numeric column or a ScoreSum of them is read
+// from the relation's column images through the rank inputs' score binding
+// (scoreImages) rather than evaluated on each tuple: the same value, so the
+// same encoded key, without a closure call and a tuple load per row. A NULL
+// term breaks the encoding exactly as a NULL Value does.
 func (s *Sort) drain(ctx context.Context) error {
 	s.acct.releaseAll()
 	s.acct.budget = s.Budget.bound()
 	s.cancel.reset(ctx)
-	s.pos, s.buffered, s.heap = 0, 0, nil
+	s.pos, s.buffered, s.heap, s.imageKeys = 0, 0, nil, false
 	if s.sortBuffers == nil {
 		s.sortBuffers = sortBufferPool.Get().(*sortBuffers)
 	}
@@ -268,21 +280,28 @@ func (s *Sort) drain(ctx context.Context) error {
 	s.start(resized(s.ents, n), 0)
 
 	encoded := len(s.Keys) > 0
+	imaged := encoded && s.heap != nil && s.lead.bindScore(s.heap)
 	for i := 0; encoded && i < n; i++ {
 		if err := s.cancel.poll(); err != nil {
 			return err
 		}
-		v, err := evals[0](s.tuples[i])
-		if err != nil {
-			return err
+		var f float64
+		if imaged {
+			var null bool
+			f, null = s.lead.imageScore(int32(i))
+			encoded = !null
+		} else {
+			v, err := evals[0](s.tuples[i])
+			if err != nil {
+				return err
+			}
+			f, encoded = v.Float64()
 		}
-		f, numeric := v.Float64()
-		if !numeric {
-			encoded = false
-			break
+		if encoded {
+			s.ents[i] = sortEnt{key: sortKeyBits(f, s.Keys[0].Desc), seq: i}
 		}
-		s.ents[i] = sortEnt{key: sortKeyBits(f, s.Keys[0].Desc), seq: i}
 	}
+	s.imageKeys = imaged && encoded
 	tie := s.Keys
 	if encoded {
 		tie, evals = tie[1:], evals[1:]
@@ -332,6 +351,9 @@ func (s *Sort) bind() error {
 		evals[i] = ev
 	}
 	s.evals = evals
+	if len(s.Keys) > 0 {
+		s.lead.setScore(s.Keys[0].E, s.In.Schema())
+	}
 	return nil
 }
 
@@ -440,6 +462,7 @@ func (s *Sort) release() {
 		sortBufferPool.Put(b)
 	}
 	s.heap = nil
+	s.lead.unbindScore()
 	s.acct.releaseAll()
 }
 

@@ -237,16 +237,20 @@ func TestSortIndexImageBudget(t *testing.T) {
 
 // BenchmarkSortEnforcer is the Sort enforcer under a rank join's read: a
 // descending Sort over a bare scan of n random scores, read d = 50 deep and
-// closed, given the score index (the walk) and not (the incremental sort).
+// closed, given the score index (the walk) and not (the incremental sort,
+// which keys the lent heap from its column images), and not behind TuplePath
+// (the incremental sort over a copy, keyed on each tuple).
 func BenchmarkSortEnforcer(b *testing.B) {
 	for _, n := range []int{1500, 20000} {
 		cat := walkRel(n, int64(n), func(rng *rand.Rand, _ int) relation.Value { return relation.Float(rng.Float64()) })
 		key := SortKey{E: expr.Sum(expr.ScoreTerm{Weight: 0.3, E: expr.Col("W", "x")}), Desc: true}
 		walk, sorted := walkSorts(cat, "x", key, 0.3)
+		tab, _ := cat.Table("W")
+		tuples := NewSort(TuplePath(NewSeqScan(tab.Rel)), key)
 		for _, c := range []struct {
 			name string
 			s    *Sort
-		}{{"indexed", walk}, {"unindexed", sorted}} {
+		}{{"indexed", walk}, {"unindexed", sorted}, {"unindexed/tuplepath", tuples}} {
 			b.Run(fmt.Sprintf("%s/n=%d/d=50", c.name, n), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {

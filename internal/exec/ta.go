@@ -25,10 +25,10 @@ type TAInput struct {
 // TA answers a top-k selection — m ranked lists over the same objects,
 // joined on a unique id — with Fagin's Threshold Algorithm, as the fourth
 // operator on the rank kernel. One step is one sorted access, round-robin
-// over the lists: the weighted score goes through rankedInput.admitScore
-// (depth cap, NULL drop, NaN/±Inf boundary, descending contract), and an id
-// seen for the first time is completed at once by a random access to every
-// other list's id image. A complete object is a join result and is queued in
+// over the lists: the weighted score is read from the score column's image
+// (scoreImages) through rankedInput.admit (depth cap, NULL drop, NaN/±Inf
+// boundary, descending contract), and an id seen for the first time is
+// completed at once by a random access to every other list's id image. A complete object is a join result and is queued in
 // the rankBuffer by its heap rows; one missing from some list is not, and is
 // dropped. A queued result leaves once it beats the TA threshold Σ last_i —
 // no unseen object can score more — and the queue drains once any list is
@@ -56,9 +56,9 @@ type TA struct {
 	cancel canceller
 }
 
-// taList is one TA input's read state: the shared reader's bookkeeping, the
-// score image's positions not yet read (taken from the back), and the id
-// image random access probes.
+// taList is one TA input's read state: the shared reader's bookkeeping and
+// score binding, the score index's positions not yet read (taken from the
+// back), and the id image random access probes.
 type taList struct {
 	rankedInput
 	rids []int32
@@ -97,7 +97,9 @@ func (t *TA) Accesses() (sorted, random int) {
 }
 
 // Open implements Operator. The lists are stored images, so Open only resets
-// the read state; a done context fails here, and Next polls it.
+// the read state and binds each list's score image; a done context or a
+// score column holding a string or bool fails here, and Next polls the
+// context.
 func (t *TA) Open(ctx context.Context) error {
 	if err := CtxErr(ctx); err != nil {
 		return err
@@ -109,10 +111,16 @@ func (t *TA) Open(ctx context.Context) error {
 	t.next, t.probes, t.exhausted = 0, 0, false
 	for i := range t.ins {
 		in := &t.Inputs[i]
-		t.ins[i] = taList{
+		l := &t.ins[i]
+		*l = taList{
 			rankedInput: rankedInput{budget: budget, op: "TA", idx: i, ordered: true},
 			rids:        in.ScoreIdx.Image().Rids,
 			ids:         in.IDIdx.Image(),
+		}
+		l.setColumn(in.Weight, in.ScorePos)
+		if !l.bindScore(in.Rel) {
+			t.unbind()
+			return fmt.Errorf("exec: TA input %d scores a column holding non-numeric values", i)
 		}
 	}
 	return nil
@@ -142,14 +150,12 @@ func (t *TA) access(i int) error {
 	}
 	rid := l.rids[n-1]
 	l.rids = l.rids[:n-1]
-	in := &t.Inputs[i]
-	tup := in.Rel.Tuple(int(rid))
-	v := tup[in.ScorePos]
-	s, ok, err := l.admitScore(in.Weight*v.AsFloat(), v.IsNull())
+	s, ok, err := l.admit(nil, rid)
 	if err != nil || !ok {
 		return err
 	}
-	id := tup[in.IDPos]
+	in := &t.Inputs[i]
+	id := in.Rel.Tuple(int(rid))[in.IDPos]
 	if n := t.seen.groups; id.IsNull() || t.seen.intern(id) < n {
 		return nil
 	}
@@ -186,12 +192,11 @@ func (t *TA) probe(j int, id relation.Value) (rid int32, s float64, ok bool, err
 	case len(rids) > 1:
 		return 0, 0, false, fmt.Errorf("exec: TA input %d holds %d rows for id %v; ids must be unique", j, len(rids), id)
 	}
-	in := &t.Inputs[j]
-	v := in.Rel.Tuple(int(rids[0]))[in.ScorePos]
-	if v.IsNull() {
+	s, null := t.ins[j].imageScore(rids[0])
+	if null {
 		return 0, 0, false, nil
 	}
-	s, err = finiteScore(in.Weight*v.AsFloat(), "TA", j)
+	s, err = finiteScore(s, "TA", j)
 	return rids[0], s, err == nil, err
 }
 
@@ -228,5 +233,13 @@ func (t *TA) row(c *rowRefs) relation.Tuple {
 func (t *TA) Close() error {
 	t.buf.close()
 	t.recycleRows()
+	t.unbind()
 	return nil
+}
+
+// unbind drops every list's score image.
+func (t *TA) unbind() {
+	for i := range t.ins {
+		t.ins[i].unbindScore()
+	}
 }

@@ -41,6 +41,23 @@ func TestDifferentialCorpus(t *testing.T) {
 	}
 }
 
+// TestDifferentialCorpusUnindexedScores runs the first cases of the corpus
+// with every score index dropped, so the rank joins' inputs are Sorts that
+// drain whole scanned heaps and key them from the column images; the scalar
+// reference keys a copy of each on its tuples, so the two key paths meet on
+// every plan.
+func TestDifferentialCorpusUnindexedScores(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		c := Generate(seed)
+		for _, name := range c.names {
+			c.cat.DropIndex(name, "score")
+		}
+		if _, err := Run(c); err != nil {
+			t.Fatalf("unindexed scores: %v", err)
+		}
+	}
+}
+
 // TestShardedDifferentialCorpus runs every corpus case through full engines
 // at shard counts 1, 2, and 4 plus an unsharded engine, asserting all four
 // top-k score sequences match the brute-force reference. Shard count 1 is the

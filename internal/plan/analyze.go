@@ -112,7 +112,11 @@ func formatAnalyze(b *strings.Builder, n *Node, depth int, ap *AnalyzedPlan, est
 		if n.Op == OpSort && st.SortIndex != "" {
 			fmt.Fprintf(b, "%s  index=%s emitted=%d\n", indent, st.SortIndex, st.SortEmitted)
 		} else if n.Op == OpSort {
-			fmt.Fprintf(b, "%s  buffered=%d emitted=%d\n", indent, st.SortBuffered, st.SortEmitted)
+			keys := ""
+			if st.SortImageKeys {
+				keys = " keys=image"
+			}
+			fmt.Fprintf(b, "%s  buffered=%d emitted=%d%s\n", indent, st.SortBuffered, st.SortEmitted, keys)
 		}
 	}
 	for _, c := range n.Children {

@@ -26,9 +26,10 @@ type Config struct {
 	Analyze *AnalyzedPlan
 	// ScalarRef compiles the scalar reference executor: operators with a
 	// vectorized internal phase fall back to their pre-batch per-tuple form
-	// (the hash join's build and table layout), Sorts never walk an index,
-	// and rank operators read their inputs on the tuple path rather than
-	// from column images (exec.TuplePath). Combined with a per-tuple drain
+	// (the hash join's build and table layout), Sorts never walk an index
+	// nor key a lent heap from its column images, and rank operators read
+	// their inputs on the tuple path rather than from column images
+	// (exec.TuplePath). Combined with a per-tuple drain
 	// this is the independent side of the differential oracle.
 	ScalarRef bool
 }
@@ -91,7 +92,8 @@ func (c *compiler) build(n *Node) (exec.Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		s := exec.NewSort(in, n.SortKeys...)
+		// The scalar reference sorts a copy, keyed on the tuples.
+		s := exec.NewSort(c.rankInput(in), n.SortKeys...)
 		s.Budget = c.budget
 		s.SizeHint = int(n.Input().Card)
 		s.Index = c.indexOrder(n)
@@ -331,9 +333,9 @@ func (c *compiler) rankChildren(n *Node) (exec.Operator, exec.Operator, error) {
 	return c.rankInput(l), c.rankInput(r), nil
 }
 
-// rankInput is in as a rank operator reads it: the scalar reference reads
-// every input on the tuple path, so the oracle compares that with the
-// column-image reads of stored row sources.
+// rankInput is in as a rank operator or a Sort reads it: the scalar
+// reference reads every input on the tuple path, so the oracle compares that
+// with the column-image reads of stored row sources.
 func (c *compiler) rankInput(in exec.Operator) exec.Operator {
 	if c.cfg.ScalarRef {
 		return exec.TuplePath(in)

@@ -580,3 +580,32 @@ func TestCompileSortWalksIndexImage(t *testing.T) {
 		}
 	}
 }
+
+// TestAnalyzeSortImageKeys: EXPLAIN ANALYZE marks a Sort that keyed the
+// whole heap its input lent from column images with keys=image; the scalar
+// reference compile's Sort, which keys a copy on its tuples, shows none.
+func TestAnalyzeSortImageKeys(t *testing.T) {
+	e := newEnv(t, 1, 300, 0.05)
+	tab, err := e.cat.Table("T1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := exec.SortKey{E: expr.Sum(expr.ScoreTerm{Weight: 0.4, E: expr.Col("T1", "score")}), Desc: true}
+	for _, tc := range []struct {
+		in   exec.Operator
+		want string
+	}{
+		{exec.NewSeqScan(tab.Rel), "  buffered=300 emitted=7 keys=image\n"},
+		{exec.TuplePath(exec.NewSeqScan(tab.Rel)), "  buffered=300 emitted=7\n"},
+	} {
+		n := &Node{Op: OpSort, Children: []*Node{e.seqScan("T1")}, SortKeys: []exec.SortKey{key}, Card: 300, P: &params}
+		ap := &AnalyzedPlan{}
+		op := ap.collect(n, exec.NewSort(tc.in, key))
+		if _, err := exec.CollectK(op, 7); err != nil {
+			t.Fatal(err)
+		}
+		if got := FormatAnalyze(n, ap, false); !strings.Contains(got, tc.want) {
+			t.Errorf("EXPLAIN ANALYZE\n%s\nwant the Sort's line %q", got, tc.want)
+		}
+	}
+}
