@@ -118,18 +118,11 @@ func (dt *DecisionTrace) OnDecision(d Decision) {
 }
 
 // Decisions returns a copy of the recorded events (candidate counts live in
-// Candidates, not here).
+// TotalCandidates, not here).
 func (dt *DecisionTrace) Decisions() []Decision {
 	dt.mu.Lock()
 	defer dt.mu.Unlock()
 	return append([]Decision(nil), dt.decisions...)
-}
-
-// Candidates returns the number of candidate plans the entry saw.
-func (dt *DecisionTrace) Candidates(entry string) int {
-	dt.mu.Lock()
-	defer dt.mu.Unlock()
-	return dt.candidates[entry]
 }
 
 // TotalCandidates returns the number of candidate plans recorded across all

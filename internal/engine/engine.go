@@ -499,17 +499,13 @@ func (e *Engine) run(ctx context.Context, req Request, limits exec.ResourceLimit
 		// The drain clears the batch before it returns.
 		batch = gatherBatches.Get().(*exec.Batch)
 		defer gatherBatches.Put(batch)
+	} else if t, run, cerr := compile(p.tmpl, p.collect, e.cat, root, -1); cerr != nil {
+		err = fmt.Errorf("engine: compile: %w", cerr)
 	} else {
-		var t *plan.Tree
-		if t, err = p.tree(e.cat, root, -1); err != nil {
-			err = fmt.Errorf("engine: compile: %w", err)
-		} else {
-			t.Arm(pi.k, limits)
-			op, batch, prog = t.Root, t.Batch(), &en.prog
-			if p.collect {
-				resp.Analysis = p.runs[0].Analysis
-			}
-		}
+		p.add(-1, t, run)
+		t.Arm(pi.k, limits)
+		op, batch, prog = t.Root, t.Batch(), &en.prog
+		resp.Analysis = run.Analysis
 	}
 	tr.End(cs)
 	if err != nil {
@@ -574,10 +570,9 @@ type pipelines struct {
 	// by every shard pipeline and the coordinator (an unsharded tree arms its
 	// own).
 	budget *exec.Budget
-	// trees are the trees the session ran, in pipeline order; columns are
-	// the output column names they share.
-	trees   []sessionTree
-	columns []string
+	// trees are the trees the session ran, in pipeline order; they share
+	// their output column names.
+	trees []sessionTree
 	// runs holds every pipeline's analyzed plan when collect is set.
 	runs []plan.ShardRun
 	// shards are the sharded tier's per-shard slots (see shard.go): each is
@@ -586,68 +581,69 @@ type pipelines struct {
 	shards []shardPipeline
 }
 
-// gathered folds the per-shard slots into p in ascending shard order, so the
-// rank-join report and the shard analysis are deterministic. Call it only
-// after the gather returned: its workers are joined by then.
+// add records a tree the session ran as pipeline number shard, with its
+// analyzed run when collecting.
+func (p *pipelines) add(shard int, t *plan.Tree, run plan.ShardRun) {
+	p.trees = append(p.trees, sessionTree{shard, t})
+	if run.Analysis != nil {
+		p.runs = append(p.runs, run)
+	}
+}
+
+// gathered folds the built per-shard slots into p in ascending shard order,
+// so the rank-join report and the shard analysis are deterministic. Call it
+// only once no worker of the gather runs: after the gather returned, or when
+// it never started.
 func (p *pipelines) gathered() {
 	for i := range p.shards {
-		s := &p.shards[i].pipelines
-		p.trees = append(p.trees, s.trees...)
-		p.runs = append(p.runs, s.runs...)
+		if s := &p.shards[i]; s.tree != nil {
+			p.add(s.shard, s.tree, s.run)
+		}
 	}
 	p.shards = nil
 }
 
-// tree returns a tree for root on cat as pipeline number shard: a pooled one
-// of the template when the session is plain and one is free, else a fresh
-// compile — of a clone rebound to the shard catalog, on the sharded tier.
-func (p *pipelines) tree(cat *catalog.Catalog, root *plan.Node, shard int) (*plan.Tree, error) {
-	var t *plan.Tree
-	if !p.collect && p.tmpl != nil {
-		t = p.tmpl.Take(shard + 1)
+// compile returns a tree for root on cat as pipeline number shard: a pooled
+// one of tmpl when the session is plain (collect unset) and one is free, else
+// a fresh compile — of a clone rebound to the shard catalog, on the sharded
+// tier — with, when collect is set, its analyzed run.
+func compile(tmpl *plan.Template, collect bool, cat *catalog.Catalog, root *plan.Node, shard int) (*plan.Tree, plan.ShardRun, error) {
+	if !collect && tmpl != nil {
+		if t := tmpl.Take(shard + 1); t != nil {
+			return t, plan.ShardRun{}, nil
+		}
 	}
-	if t == nil {
+	if shard >= 0 {
+		root = root.Clone()
+		if err := plan.Rebind(root, cat); err != nil {
+			return nil, plan.ShardRun{}, fmt.Errorf("engine: shard %d: %w", shard, err)
+		}
+	}
+	run := plan.ShardRun{Shard: shard, Root: root}
+	if collect {
+		run.Analysis = &plan.AnalyzedPlan{}
+	}
+	t, err := plan.CompileTree(cat, root, plan.Config{Analyze: run.Analysis})
+	if err != nil {
 		if shard >= 0 {
-			root = root.Clone()
-			if err := plan.Rebind(root, cat); err != nil {
-				return nil, fmt.Errorf("engine: shard %d: %w", shard, err)
-			}
+			err = fmt.Errorf("engine: shard %d compile: %w", shard, err)
 		}
-		var ap *plan.AnalyzedPlan
-		if p.collect {
-			ap = &plan.AnalyzedPlan{}
-		}
-		var err error
-		if t, err = plan.CompileTree(cat, root, plan.Config{Analyze: ap}); err != nil {
-			if shard >= 0 {
-				err = fmt.Errorf("engine: shard %d compile: %w", shard, err)
-			}
-			return nil, err
-		}
-		if p.collect {
-			p.runs = append(p.runs, plan.ShardRun{Shard: shard, Root: root, Analysis: ap})
-		}
+		return nil, plan.ShardRun{}, err
 	}
-	p.trees = append(p.trees, sessionTree{shard, t})
-	p.columns = t.Columns
-	return t, nil
+	return t, run, nil
 }
 
 // release hands a plain session's trees back to its template once it no
 // longer reads them.
 func (p *pipelines) release() {
+	p.gathered()
 	if p.collect || p.tmpl == nil {
 		return
 	}
 	for _, st := range p.trees {
 		p.tmpl.Put(st.shard+1, st.tree)
 	}
-	for i := range p.shards {
-		for _, st := range p.shards[i].trees {
-			p.tmpl.Put(st.shard+1, st.tree)
-		}
-	}
-	p.trees, p.shards = nil, nil
+	p.trees = nil
 }
 
 // finish is the shared tail of both tiers: output columns, the rank-join
@@ -657,7 +653,7 @@ func (p *pipelines) release() {
 // session holds the trees, so no other goroutine can observe partial stats.
 // Sharded sessions report their per-shard rank joins only when collecting.
 func (e *Engine) finish(resp *Response, p *pipelines) {
-	resp.Columns = append([]string(nil), p.columns...)
+	resp.Columns = append([]string(nil), p.trees[0].tree.Columns...)
 	for _, st := range p.trees {
 		for _, h := range st.tree.Joins {
 			stats := h.Op.Stats()

@@ -191,83 +191,87 @@ func (e *Engine) shardMerge(root *plan.Node, p *pipelines, prog *exec.Progress) 
 func (p *pipelines) shardInputs(shards []*catalog.Catalog, root *plan.Node) ([]exec.ShardInput, error) {
 	score := root.Input().Score
 	p.shards = make([]shardPipeline, len(shards))
+	shared := &shardShared{collect: p.collect, tmpl: p.tmpl, k: p.k, budget: p.budget, root: root}
 	inputs := make([]exec.ShardInput, len(shards))
 	first := 0
 	for i, sc := range shards {
-		p.shards[i] = shardPipeline{pipelines: pipelines{collect: p.collect, tmpl: p.tmpl, k: p.k, budget: p.budget},
-			shard: i, cat: sc, root: root}
+		p.shards[i] = shardPipeline{shared: shared, shard: i, cat: sc}
 		inputs[i].Ceiling = shardCeiling(sc, score)
 		if inputs[i].Ceiling > inputs[first].Ceiling {
 			first = i
 		}
 	}
-	op, err := p.shards[first].build()
-	if err != nil {
+	if err := p.shards[first].build(); err != nil {
 		return nil, err
 	}
-	p.columns = p.shards[first].columns
-	schema := op.Schema()
+	shared.schema = p.shards[first].tree.Root.Schema()
 	for i := range inputs {
-		p.shards[i].schema = schema
 		inputs[i].Op = &p.shards[i]
 	}
-	inputs[first].Op = op
 	return inputs, nil
 }
 
-// shardPipeline is one shard's slot on the sharded tier: the tree and
-// analyzed-plan handles its build leaves behind, written only by the
-// goroutine that builds it. As an exec.Operator it is the shard's input
-// until the gather starts it: Open takes the template's pooled tree for the
-// shard or compiles one from a clone of the session plan rebound to the shard
-// catalog — on the shard's worker goroutine — then opens it, so a shard the
-// gather prunes is never built.
+// shardShared is what the shard slots of a session share: the session's
+// pipelines fields a build reads, the session plan each shard's build
+// rebinds, and the schema every shard pipeline outputs.
+type shardShared struct {
+	collect bool
+	tmpl    *plan.Template
+	k       int
+	budget  *exec.Budget
+	root    *plan.Node
+	schema  *relation.Schema
+}
+
+// shardPipeline is one shard's slot on the sharded tier: its catalog, the
+// session's shared fields, and what its build leaves behind —
+// the shard's tree and, when collecting, its analyzed run — written only by
+// the goroutine that builds it. As an exec.Operator it is the shard's input:
+// Open takes the template's pooled tree for the shard or compiles one from a
+// clone of the session plan rebound to the shard catalog — on the shard's
+// worker goroutine, unless shardInputs built it — then opens it, so a shard
+// the gather prunes is never built.
 type shardPipeline struct {
-	pipelines
+	shared *shardShared
 	shard  int
 	cat    *catalog.Catalog
-	root   *plan.Node
-	schema *relation.Schema
-	op     exec.Operator // nil until Open built it
+	tree   *plan.Tree // nil until built
+	run    plan.ShardRun
 }
 
 // build gives the slot its shard's tree, armed to charge the session budget
 // at the session's k.
-func (s *shardPipeline) build() (exec.Operator, error) {
-	t, err := s.tree(s.cat, s.root, s.shard)
+func (s *shardPipeline) build() error {
+	sh := s.shared
+	t, run, err := compile(sh.tmpl, sh.collect, s.cat, sh.root, s.shard)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	t.Share(s.k, s.budget)
-	return t.Root, nil
+	t.Share(sh.k, sh.budget)
+	s.tree, s.run = t, run
+	return nil
 }
 
 // Schema implements exec.Operator: the schema every shard pipeline shares.
-func (s *shardPipeline) Schema() *relation.Schema { return s.schema }
+func (s *shardPipeline) Schema() *relation.Schema { return s.shared.schema }
 
 // Open implements exec.Operator, building the pipeline on first use. A build
 // error fails Open with nothing opened.
 func (s *shardPipeline) Open(ctx context.Context) error {
-	if s.op == nil {
-		op, err := s.build()
-		if err != nil {
+	if s.tree == nil {
+		if err := s.build(); err != nil {
 			return err
 		}
-		s.op = op
 	}
-	return s.op.Open(ctx)
+	return s.tree.Root.Open(ctx)
 }
 
 // Next implements exec.Operator.
-func (s *shardPipeline) Next() (relation.Tuple, bool, error) { return s.op.Next() }
+func (s *shardPipeline) Next() (relation.Tuple, bool, error) { return s.tree.Root.Next() }
 
-// Close implements exec.Operator; a slot never built has nothing to close.
-func (s *shardPipeline) Close() error {
-	if s.op == nil {
-		return nil
-	}
-	return s.op.Close()
-}
+// Close implements exec.Operator. The gather closes only pipelines that
+// opened, so the slot is built.
+func (s *shardPipeline) Close() error { return s.tree.Root.Close() }
 
 // addShardSpans synthesizes the sharded execute trace: one Chrome lane per
 // shard worker carrying the shard's lifetime span (outcome cause, tuples

@@ -330,14 +330,12 @@ type RankAssign struct {
 	rank   int64
 	src    batchSource
 	in     *Batch
-	arena  tupleArena
-	// gathered is the row slot of the shard gather this run feeds, nil
-	// outside one: the rows are then carved from pooled chunks (rows) and
-	// handed to the slot at Close, since the gather copies every row it
-	// keeps and recycles the slot once its last in-flight row is read (see
-	// shardRun). Outside a gather the rows are the caller's, from arena.
-	gathered *releaseRows
-	rows     releaseRows
+	// The output rows are the caller's, from arena, unless a shard gather
+	// reads them (readByGather): it copies every row it keeps and closes the
+	// pipeline only once it has absorbed the last one, so they are then
+	// carved from pooled chunks (releaseRows) and recycled at Close.
+	arena tupleArena
+	releaseRows
 }
 
 // NewRankAssign constructs the rank annotator.
@@ -370,15 +368,14 @@ func (r *RankAssign) Open(ctx context.Context) error {
 	}
 	r.rank = 0
 	r.src.reset(ctx, r.In)
-	r.gathered = gatheredRows(ctx)
-	r.rows.copied = r.gathered != nil
+	r.copied = readByGather(ctx)
 	return nil
 }
 
-// newRow returns an output row of n values (see gathered).
+// newRow returns an output row of n values (see arena).
 func (r *RankAssign) newRow(n int) relation.Tuple {
-	if r.gathered != nil {
-		return r.rows.newRow(n)[:n]
+	if r.copied {
+		return r.releaseRows.newRow(n)[:n]
 	}
 	return r.arena.alloc(n)
 }
@@ -432,9 +429,6 @@ func (r *RankAssign) NextBatch(out *Batch, max int) (bool, error) {
 func (r *RankAssign) Close() error {
 	r.in.drop()
 	r.arena = tupleArena{}
-	if r.gathered != nil {
-		r.rows.handOver(r.gathered)
-		r.gathered = nil
-	}
+	r.recycleRows()
 	return r.In.Close()
 }

@@ -23,9 +23,9 @@ import (
 // So is everything NRJN reads: no benchmark workload runs it, so it binds no
 // image (DESIGN §17).
 
-// rowSource is an operator that reads a stored relation by row id:
-// IndexScan, IndexRangeScan, and a Sort that walks its index or orders a
-// whole lent heap. Its Schema is the relation's.
+// rowSource is an operator that reads a stored relation by row id: an
+// IndexScan (over a key range or not) and a Sort that walks its index or
+// orders a whole lent heap. Its Schema is the relation's.
 type rowSource interface {
 	Operator
 	// storedRows reports, once the operator is open, the relation whose heap

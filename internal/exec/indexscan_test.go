@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"rankopt/internal/catalog"
@@ -330,6 +331,45 @@ func TestIndexScanAllocs(t *testing.T) {
 		}
 		if allocs != 0 {
 			t.Errorf("%s: Open, drain and Close allocate %.0f objects, want 0", tc.name, allocs)
+		}
+	}
+}
+
+// TestIndexScanRidBeyondRelation: an index whose image holds more rows than
+// the relation the scan reads (here, an index built on a longer copy) fails
+// the scan with an error naming the row id, on either drain and for plain,
+// descending and range scans alike, instead of indexing past the heap.
+func TestIndexScanRidBeyondRelation(t *testing.T) {
+	long := tieRel("R", 60, 12)
+	short := relation.New("R", long.Schema())
+	for _, tup := range long.Tuples()[:10] {
+		short.MustAppend(tup)
+	}
+	cat := catalog.New()
+	cat.AddTable(long)
+	idx, err := cat.CreateIndex("R", "k", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		op   Operator
+	}{
+		{"ascending", NewIndexScan(short, idx, false)},
+		{"descending", NewIndexScan(short, idx, true)},
+		{"range", NewIndexRangeScan(short, idx, relation.Int(0), relation.Int(5), true, true)},
+	} {
+		for _, drain := range []struct {
+			name    string
+			collect func(Operator) ([]relation.Tuple, error)
+		}{
+			{"batch", Collect},
+			{"tuple", func(op Operator) ([]relation.Tuple, error) { return CollectPerTupleCtx(context.Background(), op) }},
+		} {
+			_, err := drain.collect(tc.op)
+			if err == nil || !strings.Contains(err.Error(), "beyond relation") {
+				t.Errorf("%s scan, %s drain: err = %v, want a rid-beyond-relation error", tc.name, drain.name, err)
+			}
 		}
 	}
 }

@@ -422,25 +422,6 @@ func (r *releaseRows) recycleRows() {
 	r.chunk, r.spare = nil, nil
 }
 
-// handOver moves the run's chunks to dst, behind any dst holds already, and
-// leaves r empty: the rows stay valid until dst recycles them. Only the
-// newest chunk's unused tail is known clear, so the chunks dst held are
-// cleared whole when it does.
-func (r *releaseRows) handOver(dst *releaseRows) {
-	if r.chunk == nil {
-		return
-	}
-	if dst.chunk != nil {
-		oldest := r.chunk
-		for oldest.prev != nil {
-			oldest = oldest.prev
-		}
-		oldest.prev = dst.chunk
-	}
-	dst.chunk, dst.spare = r.chunk, r.spare
-	r.chunk, r.spare = nil, nil
-}
-
 // rankBuffer is a rank operator's ranking buffer: the score queue, the
 // release step, and the bookkeeping around them. acct is the operator's one
 // accountant — its input buffers (hash tables, the NRJN inner, AnyK's

@@ -63,15 +63,21 @@ func (s *SeqScan) Close() error { return nil }
 // IndexScan reads a relation through an index in key order: it walks the
 // index's sorted image forward, or backward for a descending scan — the
 // sorted access rank joins require (highest score first), equal keys in
-// reverse heap order.
+// reverse heap order. Lo and Hi, when HasLo / HasHi are set, narrow the scan
+// to the rows whose key falls in [Lo, Hi], both inclusive: the optimizer's
+// index range scan for sargable filters — `col >= c`, `col = c`, ... —
+// touching only the matching fraction of an indexed relation; strict
+// inequalities keep the original predicate as a residual filter above it.
 type IndexScan struct {
 	Rel  *relation.Relation
 	Idx  *catalog.Index
 	Desc bool
-
 	// rids are the image positions not yet read: the scan takes from the
-	// front, or from the back when Desc.
-	rids []int32
+	// front, or from the back when Desc. They sit beside the fields every
+	// row reads, ahead of the range bounds only Open reads.
+	rids         []int32
+	Lo, Hi       relation.Value
+	HasLo, HasHi bool
 }
 
 // NewIndexScan constructs an index-ordered scan.
@@ -79,15 +85,30 @@ func NewIndexScan(rel *relation.Relation, idx *catalog.Index, desc bool) *IndexS
 	return &IndexScan{Rel: rel, Idx: idx, Desc: desc}
 }
 
+// NewIndexRangeScan constructs an ascending index scan over the keys in
+// [lo, hi], each bound only when hasLo / hasHi is set.
+func NewIndexRangeScan(rel *relation.Relation, idx *catalog.Index, lo, hi relation.Value, hasLo, hasHi bool) *IndexScan {
+	return &IndexScan{Rel: rel, Idx: idx, Lo: lo, Hi: hi, HasLo: hasLo, HasHi: hasHi}
+}
+
 // Schema implements Operator.
 func (s *IndexScan) Schema() *relation.Schema { return s.Rel.Schema() }
 
-// Open implements Operator.
+// Open implements Operator: a range scan's bounds are two binary searches in
+// the index's sorted image.
 func (s *IndexScan) Open(context.Context) error {
 	if s.Idx == nil {
 		return fmt.Errorf("exec: index scan without index on %s", s.Rel.Name)
 	}
-	s.rids = s.Idx.Image().Rids
+	img := s.Idx.Image()
+	lo, hi := 0, len(img.Rids)
+	if s.HasLo {
+		lo = img.Seek(s.Lo)
+	}
+	if s.HasHi {
+		hi = max(lo, img.SeekPast(s.Hi))
+	}
+	s.rids = img.Rids[lo:hi]
 	return nil
 }
 

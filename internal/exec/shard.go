@@ -104,11 +104,11 @@ type ShardMergeStats struct {
 
 // ShardMerge is the coordinator operator: it runs the shard pipelines on
 // worker goroutines and produces the global top-k in descending score order,
-// using scoreBounds to stop pulling from — and immediately cancel — any
-// shard whose best possible remaining score cannot beat the current k-th
-// result. At most StartWidth shards run concurrently; the rest wait in
-// descending-ceiling order and are pruned without ever starting when their
-// ceiling fails the same test. Like Sort, the merge is a blocking operator:
+// using each shard's bound (see shardRun) to stop pulling from — and
+// immediately cancel — any shard whose best possible remaining score cannot
+// beat the current k-th result. At most StartWidth shards run concurrently;
+// the rest wait in descending-ceiling order and are pruned without ever
+// starting when their ceiling fails the same test. Like Sort, the merge is a blocking operator:
 // the gather runs inside Open and Next replays the buffered winners.
 type ShardMerge struct {
 	inputs []ShardInput
@@ -124,9 +124,6 @@ type ShardMerge struct {
 	rankCol  int
 
 	acct accountant
-	// runs are the shards' states of the last gather, kept until Close, which
-	// recycles the rows their pipelines handed over (see shardRun).
-	runs []shardRun
 	// block holds the kept rows: absorb copies each row it keeps into it, so
 	// the gather holds no shard row once absorb returns.
 	block tupleArena
@@ -185,9 +182,9 @@ func (m *ShardMerge) Schema() *relation.Schema { return m.schema }
 func (m *ShardMerge) Stats() ShardMergeStats { return m.stats }
 
 // Open implements Operator: the whole scatter-gather runs here. On
-// error, every started shard worker has already closed its pipeline and been
-// joined, and pending shards were never opened — the Operator contract's
-// Open-failure guarantee, extended across goroutines.
+// error, every opened shard pipeline has already been closed and every
+// worker joined, and pending shards were never opened — the Operator
+// contract's Open-failure guarantee, extended across goroutines.
 func (m *ShardMerge) Open(ctx context.Context) error {
 	m.acct.releaseAll()
 	m.out, m.pos = nil, 0
@@ -199,59 +196,47 @@ func (m *ShardMerge) Open(ctx context.Context) error {
 	m.Progress.SetShards(len(m.inputs))
 	if err := m.gather(ctx); err != nil {
 		m.acct.releaseAll()
-		m.recycle()
 		return err
 	}
 	return nil
 }
 
-// shardRun is one shard's state in a gather. It is also the shard worker's
-// context: the worker's cancellable context, plus the slot (rows) under
-// gatherKey that the shard pipeline's operators hand the rows they carved to
-// at their Close (see gatheredRows). The merge recycles those rows at its own
-// Close: the pipeline closes before its worker reports done, while up to
-// 2×width of its rows may still wait in the channel, and only once the
-// gather has drained the channel is no row of any shard referenced — absorb
-// copies the rows it keeps.
+// shardRun is one shard's record in a gather. Once the shard starts it is
+// also the shard worker's context: the worker's cancellable context, which
+// answers gatherKey (see readByGather).
 type shardRun struct {
 	context.Context // nil until the shard starts
 	cancel          context.CancelFunc
-	// rows is written only by the shard's worker, before it reports done.
-	rows releaseRows
+	// bound is the best score the shard can still produce: its a-priori
+	// ceiling, then its last-emitted score (it emits in descending order),
+	// and -Inf once it is pruned or done.
+	bound float64
 	// live, stopped and pulled are the gather's: the shard runs, was
 	// cancelled by the bound test, and had this many rows consumed.
 	live, stopped bool
 	pulled        int
 }
 
-// gatherKey is the context key of a shard worker's row slot.
+// gatherKey is the context key a shard worker's context answers.
 type gatherKey struct{}
 
-// Value implements context.Context: the row slot under gatherKey, every
-// other key from the worker's context.
+// Value implements context.Context: true under gatherKey, every other key
+// from the worker's context.
 func (r *shardRun) Value(key any) any {
 	if key == (gatherKey{}) {
-		return &r.rows
+		return true
 	}
 	return r.Context.Value(key)
 }
 
-// gatheredRows returns the row slot of the shard worker whose context ctx
-// is or derives from, nil outside a gather. An operator that finds one may
-// carve its rows from pooled chunks and hand them to the slot at Close
-// (releaseRows.handOver) instead of allocating rows its consumer owns.
-func gatheredRows(ctx context.Context) *releaseRows {
-	rows, _ := ctx.Value(gatherKey{}).(*releaseRows)
-	return rows
-}
-
-// recycle hands the rows the shard pipelines handed over back to their
-// pool. Every worker has been joined and the channel drained by then.
-func (m *ShardMerge) recycle() {
-	for i := range m.runs {
-		m.runs[i].rows.recycleRows()
-	}
-	m.runs = nil
+// readByGather reports whether ctx is or derives from a shard worker's
+// context. The gather copies every row it keeps as it absorbs it, and closes
+// the shard's pipeline only once it has absorbed the shard's last row, so an
+// operator under it may carve its rows from pooled chunks it recycles at its
+// own Close instead of allocating rows its consumer owns.
+func readByGather(ctx context.Context) bool {
+	b, _ := ctx.Value(gatherKey{}).(bool)
+	return b
 }
 
 func (m *ShardMerge) gather(ctx context.Context) error {
@@ -261,9 +246,12 @@ func (m *ShardMerge) gather(ctx context.Context) error {
 		width = runtime.GOMAXPROCS(0)
 	}
 
-	bounds := newScoreBounds(n)
+	runs := make([]shardRun, n)
 	for i, in := range m.inputs {
-		bounds.SetCeiling(i, in.Ceiling)
+		runs[i].bound = in.Ceiling
+		if math.IsNaN(in.Ceiling) {
+			runs[i].bound = math.Inf(1) // a NaN ceiling bounds nothing
+		}
 	}
 	// Launch order: best ceiling first, so the k-th score rises as fast as
 	// possible and later shards face the hardest possible test.
@@ -280,14 +268,12 @@ func (m *ShardMerge) gather(ctx context.Context) error {
 		// shard that can run at once, is the backpressure credit that keeps
 		// fast shards from running far ahead of the gather.
 		msgs    = make(chan shardMsg, min(2*width, 2*n))
-		runs    = make([]shardRun, n)
 		wg      sync.WaitGroup
 		h       = make(topHeap[relation.Tuple], 0, sizeHint(float64(m.k)))
 		next    int // cursor into order: shards not yet started or pruned
 		running int
 		failure error
 	)
-	m.runs = runs
 	m.block = tupleArena{}
 	m.block.reserve(sizeHint(float64(m.k)), m.schema.Len())
 	full := func() bool { return len(h) >= m.k }
@@ -306,17 +292,16 @@ func (m *ShardMerge) gather(ctx context.Context) error {
 		cancelAll()
 	}
 	// beaten reports that shard i cannot contribute to the final top-k.
-	beaten := func(i int) bool { return full() && bounds.Upper(i) <= kth() }
+	beaten := func(i int) bool { return full() && runs[i].bound <= kth() }
 	startMore := func() {
 		for failure == nil && running < width && next < n {
 			i := order[next]
 			next++
 			if beaten(i) {
-				// The bound a pruned shard lost to is its own ceiling; record
-				// it before Exhaust collapses Upper(i) to -Inf.
-				m.stats.PerShard[i].Bound = bounds.Upper(i)
+				// The bound a pruned shard lost to is its own ceiling.
+				m.stats.PerShard[i].Bound = runs[i].bound
 				m.stats.PerShard[i].Cause = ShardCausePruned
-				bounds.Exhaust(i)
+				runs[i].bound = math.Inf(-1)
 				m.stats.Pruned++
 				m.stats.TuplesSaved += m.k
 				m.Progress.ShardFinished(false)
@@ -327,8 +312,8 @@ func (m *ShardMerge) gather(ctx context.Context) error {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				err := runShard(run, i, m.inputs[i].Op, msgs)
-				msgs <- shardMsg{shard: i, done: true, err: err}
+				opened, err := runShard(run, i, m.inputs[i].Op, msgs)
+				msgs <- shardMsg{shard: i, done: true, opened: opened, err: err}
 			}()
 			run.live = true
 			running++
@@ -345,8 +330,8 @@ func (m *ShardMerge) gather(ctx context.Context) error {
 		}
 		for i := range runs {
 			run := &runs[i]
-			if run.live && !run.stopped && bounds.Upper(i) <= kth() {
-				m.stats.PerShard[i].Bound = bounds.Upper(i)
+			if run.live && !run.stopped && run.bound <= kth() {
+				m.stats.PerShard[i].Bound = run.bound
 				m.stats.PerShard[i].Cause = ShardCauseEarlyStopped
 				run.cancel()
 				run.stopped = true
@@ -379,28 +364,36 @@ func (m *ShardMerge) gather(ctx context.Context) error {
 		if msg.done {
 			running--
 			run.live = false
+			err := msg.err
+			if msg.opened {
+				// Every tuple of the shard travelled ahead of this message and
+				// absorb has copied or dropped it: nothing reads the
+				// pipeline's rows any more.
+				if cerr := m.inputs[msg.shard].Op.Close(); err == nil {
+					err = cerr
+				}
+			}
 			wasStopped := run.stopped
 			out := &m.stats.PerShard[msg.shard]
 			if !wasStopped {
-				// Capture the live bound before Exhaust collapses it.
-				out.Bound = bounds.Upper(msg.shard)
+				out.Bound = run.bound
 			}
-			bounds.Exhaust(msg.shard)
+			run.bound = math.Inf(-1)
 			out.EndAt = time.Now()
 			out.Pulled = run.pulled
 			switch {
-			case msg.err == nil:
+			case err == nil:
 				if !wasStopped {
 					m.stats.Exhausted++
 					out.Cause = ShardCauseExhausted
 				}
 				// A stopped shard that still drained cleanly keeps its
 				// early_stopped cause: the bound test ended it.
-			case wasStopped && errors.Is(msg.err, ErrQueryCancelled):
+			case wasStopped && errors.Is(err, ErrQueryCancelled):
 				// The stop we asked for; not a query failure.
 			default:
 				out.Cause = ShardCauseError
-				fail(msg.err)
+				fail(err)
 			}
 			m.Progress.ShardFinished(true)
 			if failure == nil {
@@ -412,7 +405,7 @@ func (m *ShardMerge) gather(ctx context.Context) error {
 		if failure != nil {
 			continue
 		}
-		if err := m.absorb(msg, run, bounds, &h); err != nil {
+		if err := m.absorb(msg, runs, &h); err != nil {
 			fail(err)
 			continue
 		}
@@ -444,64 +437,66 @@ func (m *ShardMerge) gather(ctx context.Context) error {
 }
 
 // shardMsg is one event on the gather's channel: a tuple from a shard, or the
-// shard's completion (done, with its terminal error if any). A shard's done
-// travels behind its own tuples in the one FIFO, so it cannot be received
-// before them — on a channel of its own it could, and the gather would count
-// the shard finished and end with those tuples unread.
+// shard's completion (done, with whether its pipeline opened and its
+// terminal error if any). A shard's done travels behind its own tuples in the
+// one FIFO, so it cannot be received before them — on a channel of its own
+// it could, and the gather would count the shard finished and end with those
+// tuples unread, or close the pipeline under them.
 type shardMsg struct {
-	shard int
-	tuple relation.Tuple
-	done  bool
-	err   error
+	shard        int
+	tuple        relation.Tuple
+	done, opened bool
+	err          error
 }
 
-// runShard is shard i's worker: it drains the pipeline to exhaustion or
-// cancellation, forwarding its tuples on msgs. The worker owns the pipeline —
-// it opens it and closes it on every exit path — so no operator is touched
-// from two goroutines, and a stopped shard has released its resources before
-// its done report goes out.
-func runShard(ctx context.Context, i int, op Operator, msgs chan<- shardMsg) error {
+// runShard is shard i's worker: it opens the pipeline and drains it to
+// exhaustion or cancellation, forwarding its tuples on msgs, and reports
+// whether Open succeeded. It never closes the pipeline: the gather does, when
+// it receives the done message the worker sends next (see shardMsg). The
+// pipeline thus passes from one goroutine to the other through the channel,
+// and none of its rows outlives its Close.
+func runShard(ctx context.Context, i int, op Operator, msgs chan<- shardMsg) (opened bool, err error) {
 	if err := op.Open(ctx); err != nil {
-		return err
+		return false, err
 	}
 	for {
 		// One unconditional check per tuple: a stop must not cost more than
 		// one in-flight tuple of extra shard work.
 		if err := CtxErr(ctx); err != nil {
-			_ = op.Close()
-			return err
+			return true, err
 		}
 		t, ok, err := op.Next()
-		if err != nil {
-			_ = op.Close()
-			return err
-		}
-		if !ok {
-			return op.Close()
+		if err != nil || !ok {
+			return true, err
 		}
 		select {
 		case msgs <- shardMsg{shard: i, tuple: t}:
 		case <-ctx.Done():
-			_ = op.Close()
-			return CtxErr(ctx)
+			return true, CtxErr(ctx)
 		}
 	}
 }
 
-// absorb folds one shard tuple into the bounds and the top-k heap. A tuple
-// the heap keeps is copied into a block row first — a new one while the
-// heap fills, else the row of the entry it evicts — so the shard may reuse
-// its row once absorb returns.
-func (m *ShardMerge) absorb(msg shardMsg, run *shardRun, bounds *scoreBounds, h *topHeap[relation.Tuple]) error {
+// absorb folds one shard tuple into its shard's bound and the top-k heap.
+// Shards emit in descending order, so the score becomes the bound; a score
+// above the bound (beyond rounding slack) or a NaN breaks that contract and
+// fails the gather with an *OrderViolationError. A tuple the heap keeps is
+// copied into a block row first — a new one while the heap fills, else the
+// row of the entry it evicts — so the shard may reuse its row once absorb
+// returns.
+func (m *ShardMerge) absorb(msg shardMsg, runs []shardRun, h *topHeap[relation.Tuple]) error {
 	score := math.Inf(-1) // NULL scores sort after everything, like ORDER BY
 	if v := msg.tuple[m.scoreCol]; !v.IsNull() {
 		if f, ok := v.Float64(); ok {
 			score = f
 		}
 	}
-	if err := bounds.Observe(msg.shard, score); err != nil {
-		return fmt.Errorf("exec: shard stream broke the descending-order contract: %w", err)
+	run := &runs[msg.shard]
+	if u := run.bound; math.IsNaN(score) || score > u+orderSlack(u) {
+		return fmt.Errorf("exec: shard stream broke the descending-order contract: %w",
+			&OrderViolationError{Source: msg.shard, Score: score, Bound: u})
 	}
+	run.bound = min(run.bound, score)
 	// Equal scores keep the lower shard, then its earlier arrival: the tie
 	// key is the shard number over the shard's arrival count.
 	tie := int64(msg.shard)<<32 | int64(run.pulled)
@@ -530,10 +525,8 @@ func (m *ShardMerge) absorb(msg shardMsg, run *shardRun, bounds *scoreBounds, h 
 			m.Progress.SetKth((*h)[0].Score)
 		}
 		best := math.Inf(-1)
-		for i := range m.inputs {
-			if u := bounds.Upper(i); u > best {
-				best = u
-			}
+		for i := range runs {
+			best = max(best, runs[i].bound)
 		}
 		m.Progress.SetBound(best)
 	}
@@ -562,17 +555,15 @@ func (m *ShardMerge) Next() (relation.Tuple, bool, error) {
 	return t, true, nil
 }
 
-// Close implements Operator, releasing the buffered winners' budget charge
-// and recycling the rows the shard pipelines handed over.
+// Close implements Operator, releasing the buffered winners' budget charge.
 func (m *ShardMerge) Close() error {
 	m.acct.releaseAll()
-	m.recycle()
 	m.out, m.pos, m.block = nil, 0, tupleArena{}
 	return nil
 }
 
 // OrderViolationError reports a source that broke the descending-order
-// contract scoreBounds depends on: it emitted a score above its own bound,
+// contract the gather's shard bounds depend on: it emitted a score above its own bound,
 // or a NaN, which cannot be ordered at all. Silently keeping the stale-tight
 // bound would let threshold-style pruning (the sharded merge) cut a source
 // that could still beat the k-th score — wrong answers instead of a loud
@@ -599,64 +590,4 @@ func orderSlack(u float64) float64 {
 		a = 1
 	}
 	return 1e-9 * a
-}
-
-// scoreBounds tracks per-source upper bounds for threshold-style early
-// termination; it is the sharded coordinator merge's threshold state. Every
-// source emits scores in descending order, so the last observed score bounds
-// everything the source can still produce, an optional a-priori ceiling
-// (e.g. derived from per-shard statistics) bounds a source before it has
-// emitted anything, and an exhausted source can produce nothing at all.
-//
-// scoreBounds is not safe for concurrent use; callers serialize access (the
-// coordinator observes from a single merge goroutine).
-type scoreBounds struct {
-	upper     []float64
-	exhausted []bool
-}
-
-// newScoreBounds tracks n sources, each initially unbounded (+Inf).
-func newScoreBounds(n int) *scoreBounds {
-	b := &scoreBounds{upper: make([]float64, n), exhausted: make([]bool, n)}
-	for i := range b.upper {
-		b.upper[i] = math.Inf(1)
-	}
-	return b
-}
-
-// SetCeiling tightens source i's bound with an a-priori ceiling, typically
-// computed from statistics before the source has produced anything. Looser
-// ceilings than the current bound are ignored.
-func (b *scoreBounds) SetCeiling(i int, v float64) {
-	if v < b.upper[i] {
-		b.upper[i] = v
-	}
-}
-
-// Observe records a score emitted by source i. Because sources emit in
-// descending order, the observation bounds every future emission. A score
-// above the current bound (beyond rounding slack) or a NaN breaks that
-// contract and returns an *OrderViolationError; the bound is left unchanged.
-func (b *scoreBounds) Observe(i int, score float64) error {
-	u := b.upper[i]
-	if math.IsNaN(score) || score > u+orderSlack(u) {
-		return &OrderViolationError{Source: i, Score: score, Bound: u}
-	}
-	if score < u {
-		b.upper[i] = score
-	}
-	return nil
-}
-
-// Exhaust marks source i as having no further output.
-func (b *scoreBounds) Exhaust(i int) { b.exhausted[i] = true }
-
-// Upper returns the best score source i can still produce: -Inf once
-// exhausted, +Inf before any observation or ceiling, otherwise the tightest
-// known bound.
-func (b *scoreBounds) Upper(i int) float64 {
-	if b.exhausted[i] {
-		return math.Inf(-1)
-	}
-	return b.upper[i]
 }

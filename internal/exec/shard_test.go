@@ -305,6 +305,79 @@ func TestShardMergeNaNScore(t *testing.T) {
 	}
 }
 
+// TestShardMergeAboveCeiling: a shard's a-priori ceiling is its first bound,
+// so a shard that emits above it breaks the same contract as one whose
+// scores rise, and must fail the gather with the typed error.
+func TestShardMergeAboveCeiling(t *testing.T) {
+	inputs := []ShardInput{{Op: shardStream(0, 11, 10), Ceiling: 10}}
+	m, err := NewShardMerge(inputs, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	openErr := m.Open(context.Background())
+	var ov *OrderViolationError
+	if !errors.As(openErr, &ov) {
+		t.Fatalf("Open = %v, want wrapped *OrderViolationError", openErr)
+	}
+	if ov.Source != 0 || ov.Score != 11 || ov.Bound != 10 {
+		t.Fatalf("violation detail = %+v", *ov)
+	}
+}
+
+// TestShardMergeOrderSlack: equal scores, a repeat within rounding slack of
+// the bound (or of the ceiling), and -Inf after real scores are all legal
+// descending streams, not order violations.
+func TestShardMergeOrderSlack(t *testing.T) {
+	inputs := []ShardInput{
+		{Op: shardStream(0, 5+1e-12, 5, 5, 5+1e-12, math.Inf(-1)), Ceiling: 5},
+		{Op: shardStream(10, 4, 4), Ceiling: math.Inf(1)},
+	}
+	m, err := NewShardMerge(inputs, 7, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := Collect(m)
+	if err != nil {
+		t.Fatalf("a legal stream failed the gather: %v", err)
+	}
+	if got := mergeScores(t, out); len(got) != 7 || !math.IsInf(got[6], -1) {
+		t.Fatalf("top-7 = %v", got)
+	}
+}
+
+// TestShardMergeBoundLifecycle: a shard's bound is its ceiling until it
+// emits (a pruned shard reports the ceiling it lost with), then its last
+// score (a stopped or exhausted shard reports that); a NaN ceiling bounds
+// nothing, so its shard must start.
+func TestShardMergeBoundLifecycle(t *testing.T) {
+	inputs := []ShardInput{
+		{Op: shardStream(0, 10, 9, 8), Ceiling: 10},
+		{Op: &descendingForever{start: 0.5, step: 0.1}, Ceiling: 0.5},
+		{Op: shardStream(20, 7), Ceiling: math.NaN()},
+	}
+	m, err := NewShardMerge(inputs, 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.StartWidth = 1
+	if _, err := Collect(m); err != nil {
+		t.Fatal(err)
+	}
+	st := m.Stats()
+	if st.Started != 2 || st.Pruned != 1 {
+		t.Fatalf("stats %+v, want 2 started and 1 pruned", st)
+	}
+	for i, want := range []struct {
+		bound float64
+		cause string
+	}{{8, ""}, {0.5, ShardCausePruned}, {7, ""}} {
+		o := st.PerShard[i]
+		if o.Bound != want.bound || (want.cause != "" && o.Cause != want.cause) {
+			t.Errorf("shard %d: bound %v, cause %q; want %v, %q", i, o.Bound, o.Cause, want.bound, want.cause)
+		}
+	}
+}
+
 // TestShardMergeWorkerError: one shard's pipeline error fails the whole
 // gather, and every worker is joined and closed before Open returns.
 func TestShardMergeWorkerError(t *testing.T) {
@@ -544,92 +617,6 @@ func TestShardMergeDoneBehindTuples(t *testing.T) {
 					iter, i+1, got[i], strong[i], got)
 			}
 		}
-	}
-}
-
-func TestBoundsLifecycle(t *testing.T) {
-	b := newScoreBounds(3)
-	if !math.IsInf(b.Upper(0), 1) {
-		t.Fatal("unobserved bounds must be +Inf")
-	}
-	b.SetCeiling(0, 10)
-	b.SetCeiling(0, 20) // ceilings only tighten
-	if b.Upper(0) != 10 {
-		t.Fatalf("Upper(0) = %v after ceilings 10 then 20", b.Upper(0))
-	}
-	if err := b.Observe(0, 7); err != nil {
-		t.Fatalf("descending observation rejected: %v", err)
-	}
-	if err := b.Observe(0, 9); err == nil { // rising score = order violation
-		t.Fatal("rising score must be rejected")
-	}
-	if b.Upper(0) != 7 { // and the stale bound must not loosen either
-		t.Fatalf("Upper(0) = %v after observing 7 then rejected 9", b.Upper(0))
-	}
-	if err := b.Observe(1, 4); err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsInf(b.Upper(2), 1) { // list 2 still unobserved
-		t.Fatalf("Upper(2) = %v", b.Upper(2))
-	}
-	if err := b.Observe(2, 5); err != nil {
-		t.Fatal(err)
-	}
-	if b.Upper(1) != 4 || b.Upper(2) != 5 {
-		t.Fatalf("Upper(1), Upper(2) = %v, %v, want 4, 5", b.Upper(1), b.Upper(2))
-	}
-	b.Exhaust(0)
-	if !math.IsInf(b.Upper(0), -1) {
-		t.Fatal("exhausted list must report -Inf upper bound")
-	}
-	if b.Upper(1) != 4 || b.Upper(2) != 5 {
-		t.Fatal("lists 1 and 2 are still live")
-	}
-	b.Exhaust(1)
-	b.Exhaust(2)
-	for i := 0; i < 3; i++ {
-		if !math.IsInf(b.Upper(i), -1) {
-			t.Fatalf("Upper(%d) after exhaustion = %v", i, b.Upper(i))
-		}
-	}
-}
-
-// Out-of-order and NaN observations must fail loudly with the typed error —
-// silently keeping a stale-tight bound would let threshold pruning cut a
-// source that can still beat the k-th score.
-func TestBoundsOrderViolation(t *testing.T) {
-	b := newScoreBounds(2)
-	if err := b.Observe(0, 5); err != nil {
-		t.Fatal(err)
-	}
-	err := b.Observe(0, 5.1)
-	var ov *OrderViolationError
-	if !errors.As(err, &ov) {
-		t.Fatalf("rising score: got %v, want *OrderViolationError", err)
-	}
-	if ov.Source != 0 || ov.Score != 5.1 || ov.Bound != 5 {
-		t.Fatalf("violation detail = %+v", *ov)
-	}
-	// Equal and within-slack repeats are rounding noise, not violations.
-	if err := b.Observe(0, 5); err != nil {
-		t.Fatalf("equal score rejected: %v", err)
-	}
-	if err := b.Observe(0, 5+1e-12); err != nil {
-		t.Fatalf("within-slack score rejected: %v", err)
-	}
-	// NaN can never be ordered; it must be rejected even on a fresh source.
-	if err := b.Observe(1, math.NaN()); !errors.As(err, &ov) {
-		t.Fatalf("NaN: got %v, want *OrderViolationError", err)
-	}
-	// A first observation above an a-priori ceiling breaks the same contract.
-	b2 := newScoreBounds(1)
-	b2.SetCeiling(0, 10)
-	if err := b2.Observe(0, 11); !errors.As(err, &ov) {
-		t.Fatalf("above-ceiling score: got %v, want *OrderViolationError", err)
-	}
-	// -Inf (NULL scores sorting last) is a legal descending observation.
-	if err := b2.Observe(0, math.Inf(-1)); err != nil {
-		t.Fatalf("-Inf observation rejected: %v", err)
 	}
 }
 
