@@ -179,6 +179,32 @@ func TestAnalyzeEmptyInput(t *testing.T) {
 	}
 }
 
+// TestFilteredScanCostsWhatItsFilterCharges: a Filter of selectivity s
+// charges its input k/s rows (plan.Node.CostFrom), here the whole of T1.
+// EXPLAIN must price the scan at that demand and EXPLAIN ANALYZE estimate
+// it, not pass the Filter's own demand through.
+func TestFilteredScanCostsWhatItsFilterCharges(t *testing.T) {
+	eng := testEngine(t, core.Options{})
+	resp := eng.Run(Request{
+		SQL:     "SELECT * FROM T1, T2 WHERE T1.key = T2.key AND T1.id < 400 ORDER BY T1.score + T2.score DESC LIMIT 10",
+		Analyze: true,
+	})
+	if resp.Err != nil {
+		t.Fatal(resp.Err)
+	}
+	explain := plan.Explain(resp.Plan)
+	analyze := plan.FormatAnalyze(resp.Plan, resp.Analysis, false)
+	for _, want := range []struct{ out, line string }{
+		{explain, "Filter((T1.id < 400))  (card=400 cost=60.0"},
+		{explain, "SeqScan(T1)  (card=2000 cost=40.0 "},
+		{analyze, "SeqScan(T1)  (rows est=2000 act=2000 err=0.0%)"},
+	} {
+		if !strings.Contains(want.out, want.line) {
+			t.Errorf("missing %q in:\n%s", want.line, want.out)
+		}
+	}
+}
+
 // nrjnTreeSQL is plan-churn's first shape; over nrjnTreeCatalog its plan at
 // k ≤ 5 is an HRJN over an NRJN over single leaves.
 const nrjnTreeSQL = "SELECT * FROM T1, T2, T3 WHERE T1.key = T2.key AND T2.key = T3.key " +

@@ -17,6 +17,10 @@ import (
 // treePoolSQL is the one query shape the pool tests serve, at LIMIT %d.
 const treePoolSQL = "SELECT * FROM T1, T2 WHERE T1.key = T2.key ORDER BY T1.score + T2.score DESC LIMIT %d"
 
+// projectedSQL is treePoolSQL with a SELECT list whose next-to-last column
+// is the score, where scoresOf reads it.
+const projectedSQL = "SELECT T1.id, T1.score + T2.score AS s, T2.id FROM T1, T2 WHERE T1.key = T2.key ORDER BY T1.score + T2.score DESC LIMIT %d"
+
 // bruteTopScores is the best k combined scores of T1 ⋈ T2 on key.
 func bruteTopScores(t *testing.T, cat *catalog.Catalog, k int) []float64 {
 	t.Helper()
@@ -166,6 +170,10 @@ func TestTemplateServesSessionK(t *testing.T) {
 		{"unsharded", twoWay, Config{}, treePoolSQL, 20, []int{1, 5, 10}, plan.OpHRJN,
 			func(k int) []float64 { return bruteTopScores(t, twoWay, k) }},
 		{"sharded", twoWay, Config{Shards: 4}, treePoolSQL, 20, []int{1, 5, 10}, plan.OpHRJN,
+			func(k int) []float64 { return bruteTopScores(t, twoWay, k) }},
+		// A SELECT list puts a Project above the Limit, so a session above
+		// the template's k reaches its rank join through both.
+		{"projected", twoWay, Config{}, projectedSQL, 5, []int{1, 5, 20}, plan.OpHRJN,
 			func(k int) []float64 { return bruteTopScores(t, twoWay, k) }},
 		{"nrjn", nrjnCat, Config{}, nrjnTreeSQL, 2, []int{1, 3, 5}, plan.OpNRJN,
 			func(k int) []float64 {

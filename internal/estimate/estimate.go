@@ -203,16 +203,6 @@ func ScoreQuantile(j int, n, i, m float64) (float64, error) {
 	return jf*n - math.Exp(ln/jf), nil
 }
 
-// AnyKDepths returns the Theorem 1 any-k depths for the two-relation uniform
-// case — the symmetric minimizers of the depth bound subject to s·cL·cR ≥ k.
-func AnyKDepths(k, s, x, y float64) (cL, cR float64, err error) {
-	d, err := TwoUniform(k, s, x, y)
-	if err != nil {
-		return 0, 0, err
-	}
-	return d.CL, d.CR, nil
-}
-
 // BufferUpperBound is the Section 5.3 bound on the rank-join ranking-queue
 // size: all dL·dR·s expected join results may be buffered before any can be
 // reported.

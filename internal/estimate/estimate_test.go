@@ -262,10 +262,11 @@ func TestAnyKDepthsTheorem1(t *testing.T) {
 		k = 30
 		s = 0.01 // key domain of 100
 	)
-	cL, cR, err := AnyKDepths(k, s, 1.0/n, 1.0/n)
+	d, err := TwoUniform(k, s, 1.0/n, 1.0/n)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cL, cR := d.CL, d.CR
 	if s*cL*cR < k-1e-9 {
 		t.Fatalf("constraint violated: s·cL·cR = %v", s*cL*cR)
 	}

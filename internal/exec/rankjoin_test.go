@@ -1,7 +1,9 @@
 package exec
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -13,8 +15,9 @@ import (
 // rankedScan returns an operator over rel sorted descending by score —
 // the sorted access path a rank-join input requires.
 func rankedScan(rel *relation.Relation) Operator {
-	tuples := rel.SortedBy(func(a, b relation.Tuple) bool {
-		return a[2].AsFloat() > b[2].AsFloat()
+	tuples := slices.Clone(rel.Tuples())
+	slices.SortStableFunc(tuples, func(a, b relation.Tuple) int {
+		return cmp.Compare(b[2].AsFloat(), a[2].AsFloat())
 	})
 	return FromTuples(rel.Schema(), tuples)
 }

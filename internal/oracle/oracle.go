@@ -281,11 +281,11 @@ func (c Case) checkPlan(root *plan.Node, want []float64) error {
 	if err != nil {
 		return fmt.Errorf("execute: %w", err)
 	}
-	opRef, err := plan.CompileWith(c.cat, root, plan.Config{ScalarRef: true})
+	refTree, err := plan.CompileTree(c.cat, root, plan.Config{ScalarRef: true})
 	if err != nil {
 		return fmt.Errorf("recompile: %w", err)
 	}
-	ref, err := exec.CollectPerTupleCtx(context.Background(), opRef)
+	ref, err := exec.CollectPerTupleCtx(context.Background(), refTree.Root)
 	if err != nil {
 		return fmt.Errorf("per-tuple execute: %w", err)
 	}

@@ -10,7 +10,7 @@ import (
 )
 
 // AnalyzedPlan maps the nodes of one compiled plan to their runtime stats
-// collectors. It is filled by CompileWith (pass a fresh &AnalyzedPlan{} as
+// collectors. It is filled by CompileTree (pass a fresh &AnalyzedPlan{} as
 // Config.Analyze) and consumed by FormatAnalyze after execution; like the
 // operator tree it belongs to a single session.
 type AnalyzedPlan struct {

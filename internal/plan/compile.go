@@ -10,12 +10,13 @@ import (
 )
 
 // Compile lowers a physical plan into an executable operator tree bound to
-// the given catalog.
+// the given catalog: CompileTree's operators under the zero Config, without
+// a Tree or its budget.
 func Compile(cat *catalog.Catalog, n *Node) (exec.Operator, error) {
-	return CompileWith(cat, n, Config{})
+	return (&compiler{cat: cat}).compile(n)
 }
 
-// Config collects the compilation knobs for CompileWith; the zero value
+// Config collects the compilation knobs for CompileTree; the zero value
 // compiles exactly like Compile.
 type Config struct {
 	// Analyze, when set, threads an exec.Analyzed stats collector between
@@ -32,12 +33,6 @@ type Config struct {
 	// (exec.TuplePath). Combined with a per-tuple drain
 	// this is the independent side of the differential oracle.
 	ScalarRef bool
-}
-
-// CompileWith compiles n under the given configuration.
-func CompileWith(cat *catalog.Catalog, n *Node, cfg Config) (exec.Operator, error) {
-	c := &compiler{cat: cat, cfg: cfg}
-	return c.compile(n)
 }
 
 type compiler struct {

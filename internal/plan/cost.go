@@ -224,19 +224,7 @@ func (n *Node) Depths(k float64) (float64, float64) {
 	if !n.Op.IsRankJoin() {
 		panic("plan: Depths on non-rank-join node")
 	}
-	if k < 1 {
-		k = 1
-	}
-	if k > n.Card && n.Card >= 1 {
-		k = n.Card
-	}
-	s := n.Sel
-	if s <= 0 {
-		s = 1e-9
-	}
-	if s > 1 {
-		s = 1
-	}
+	k, s := n.depthArgs(k)
 	var d estimate.Depths
 	var err error
 	if n.LLeaves == 1 && n.RLeaves == 1 && n.LSlab > 0 && n.RSlab > 0 {
@@ -259,25 +247,32 @@ func (n *Node) Depths(k float64) (float64, float64) {
 	return dL, dR
 }
 
-// nrjnOuterDepth estimates the outer depth of an NRJN node: its inner is
-// consumed fully and unsorted, so the one-sided analysis applies when both
-// sides are single ranked base inputs with known slabs; hierarchies fall
-// back to the symmetric model's left depth.
-func (n *Node) nrjnOuterDepth(k float64) float64 {
+// depthArgs clamps a rank join's demand k to [1, Card] and its selectivity
+// to (0, 1], the arguments of every depth estimate of the join.
+func (n *Node) depthArgs(k float64) (float64, float64) {
 	if k < 1 {
 		k = 1
 	}
 	if k > n.Card && n.Card >= 1 {
 		k = n.Card
 	}
+	s := n.Sel
+	if s <= 0 {
+		s = 1e-9
+	}
+	if s > 1 {
+		s = 1
+	}
+	return k, s
+}
+
+// nrjnOuterDepth estimates the outer depth of an NRJN node: its inner is
+// consumed fully and unsorted, so the one-sided analysis applies when both
+// sides are single ranked base inputs with known slabs; hierarchies fall
+// back to the symmetric model's left depth.
+func (n *Node) nrjnOuterDepth(k float64) float64 {
+	k, s := n.depthArgs(k)
 	if n.LLeaves == 1 && n.RLeaves == 1 && n.LSlab > 0 && n.RSlab > 0 {
-		s := n.Sel
-		if s <= 0 {
-			s = 1e-9
-		}
-		if s > 1 {
-			s = 1
-		}
 		if d, err := estimate.OneSidedDepth(k, s, n.LSlab, n.RSlab); err == nil {
 			return math.Min(math.Max(d, 1), n.Left().Card)
 		}
@@ -287,46 +282,41 @@ func (n *Node) nrjnOuterDepth(k float64) float64 {
 }
 
 // PropagateK walks the plan tree pushing the requested output count k down
-// to every node: rank-join children receive the depths the operator's cost
-// charges them (Local.Need: Algorithm Propagate's estimated depths for an
-// HRJN, the one-sided outer depth and the whole inner for an NRJN), blocking and streaming operators receive their
-// natural demands. visit is called with each node and its required k.
+// to every node, as Algorithm Propagate does: each child receives the
+// demand its parent's CostFrom charges it at the parent's own demand
+// (Local.Need below a join — the estimated depths below a rank join — the
+// whole input below a blocking operator, k/Sel below a Filter), so what is
+// walked is what the optimizer priced. visit is called with each node and
+// its required k, parents before children.
 func PropagateK(root *Node, k float64, visit func(n *Node, k float64)) {
 	propagate(root, 0, k, func(n *Node, nk float64) bool { visit(n, nk); return false })
 }
 
 // propagate is PropagateK over the plan as RebindK(root, bound) would leave
-// it (bound 0: as it is), read without writing it: the Limit/TopK/RankAgg
-// bounds become bound and the cardinalities RebindK refreshes are
-// recomputed (cardAt). It stops once visit returns true, and reports
-// whether it did.
+// it (bound 0: as it is), read without writing it: each node's demand is
+// capped at the Card RebindK leaves (cardAt), and a child's is what
+// n.CostFrom passes it, except in the k-bearing head RebindK rewrites, where
+// a Limit passes min(k, bound) and a Rank or Project passes k. It stops once
+// visit returns true, and reports whether it did.
 func propagate(n *Node, bound int, k float64, visit func(n *Node, k float64) bool) bool {
 	k = math.Min(k, cardAt(n, bound))
 	if visit(n, k) {
 		return true
 	}
+	stop := false
+	input := func(i int, ck float64) float64 {
+		stop = stop || propagate(n.Children[i], bound, ck, visit)
+		return 0
+	}
 	switch {
-	case n.Op.IsRankJoin():
-		need := n.Local(k).Need
-		return propagate(n.Left(), bound, need[0], visit) || propagate(n.Right(), bound, need[1], visit)
-	case n.Op == OpLimit:
-		lk := n.K
-		if bound > 0 {
-			lk = bound
-		}
-		return propagate(n.Input(), bound, math.Min(k, float64(lk)), visit)
-	case n.Op == OpSort || n.Op == OpHashAgg || n.Op == OpTopK:
-		// Blocking: the child is consumed fully.
-		return propagate(n.Input(), bound, cardAt(n.Input(), bound), visit)
-	case len(n.Children) == 1:
-		return propagate(n.Input(), bound, k, visit)
+	case bound > 0 && n.Op == OpLimit:
+		input(0, math.Min(k, float64(bound)))
+	case bound > 0 && (n.Op == OpRank || n.Op == OpProject):
+		input(0, k)
+	default:
+		n.CostFrom(k, input)
 	}
-	for _, c := range n.Children {
-		if propagate(c, bound, cardAt(c, bound), visit) {
-			return true
-		}
-	}
-	return false
+	return stop
 }
 
 // cardAt is n.Card as RebindK(root, bound) leaves it (bound 0: as it is).

@@ -6,9 +6,11 @@ import (
 )
 
 // Explain renders the plan tree in a pg-style indented format with operator
-// names, key details, estimated cardinality, cost, and properties. Each
-// node's cost is charged at the demand PropagateK gives it when the root
-// delivers its whole output: what its parent's cost charges it.
+// names, key details, estimated cardinality, cost, and properties. The root
+// is priced at its whole output and every other node at the demand
+// PropagateK gives it there, which is the demand its parent's CostFrom
+// charges it: a node's printed cost is the share of its parent's cost it
+// stands for.
 func Explain(n *Node) string {
 	var b strings.Builder
 	explainAt(&b, n, 0, demands(n, n.Card))

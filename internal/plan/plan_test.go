@@ -545,11 +545,11 @@ func TestCompileSortWalksIndexImage(t *testing.T) {
 		{"join input", sortOver(hj, score), Config{}, "", 0},
 		{"scalar reference", sortOver(e.seqScan("T1"), score), Config{ScalarRef: true}, "", 0},
 	} {
-		op, err := CompileWith(e.cat, tc.n, tc.cfg)
+		tree, err := CompileTree(e.cat, tc.n, tc.cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		ix := op.(*exec.Sort).Index
+		ix := tree.Root.(*exec.Sort).Index
 		switch {
 		case tc.index == "" && ix != nil:
 			t.Errorf("%s: Sort walks %s, want it to buffer its input", tc.name, ix.Idx.Name)

@@ -130,10 +130,12 @@ func RebindK(root *Node, k int) {
 
 // DemandAt is the output count Algorithm Propagate asks of node target at
 // top-k bound k (0 = unbounded): what PropagateK over Instantiate(k) passes
-// target, read from the shared plan without copying it. Rank joins sit below
-// every k-bearing operator, so their own Depths inputs are the same on the
-// shared plan and on an instantiation. ok is false when target is not in the
-// plan.
+// target, read from the shared plan without copying it. Below the plan's
+// k-bearing head (the Limit and the Rank and Project above it, which
+// RebindK rewrites) each demand is the one the parent's CostFrom charges,
+// and rank joins sit below that head, so their own Depths inputs are the
+// same on the shared plan and on an instantiation. ok is false when target
+// is not in the plan.
 func DemandAt(root *Node, k int, target *Node) (demand float64, ok bool) {
 	nk := float64(k)
 	if k <= 0 {

@@ -42,8 +42,8 @@ type TreeOp struct {
 	Op   exec.StatsReporter
 }
 
-// CompileTree compiles n against cat into a reusable tree under cfg, as
-// CompileWith does, wiring the tree's own budget into its operators.
+// CompileTree compiles n against cat into a reusable tree under cfg, wiring
+// the tree's own budget into its operators.
 func CompileTree(cat *catalog.Catalog, n *Node, cfg Config) (*Tree, error) {
 	t := &Tree{Plan: n, Budget: new(exec.Budget)}
 	c := &compiler{cat: cat, cfg: cfg, tree: t, budget: t.Budget}

@@ -3,7 +3,6 @@ package relation
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -81,22 +80,3 @@ func (r *Relation) Tuple(i int) Tuple { return r.tuples[i] }
 
 // Tuples returns the underlying tuple slice. Callers must not mutate it.
 func (r *Relation) Tuples() []Tuple { return r.tuples }
-
-// SortedBy returns a new slice of the relation's tuples sorted by the given
-// less function. The relation itself is unchanged.
-func (r *Relation) SortedBy(less func(a, b Tuple) bool) []Tuple {
-	out := make([]Tuple, len(r.tuples))
-	copy(out, r.tuples)
-	sort.SliceStable(out, func(i, j int) bool { return less(out[i], out[j]) })
-	return out
-}
-
-// Rename returns a shallow view of the relation under a new name, with every
-// schema column requalified to the alias. Tuples are shared.
-func (r *Relation) Rename(alias string) *Relation {
-	cols := r.schema.Columns()
-	for i := range cols {
-		cols[i].Table = alias
-	}
-	return &Relation{Name: alias, schema: NewSchema(cols...), tuples: r.tuples, PageSize: r.PageSize}
-}

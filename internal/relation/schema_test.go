@@ -91,26 +91,6 @@ func TestRelationBasics(t *testing.T) {
 	if err := r.Append(Tuple{Int(1), Int(2)}); err == nil {
 		t.Error("arity mismatch should fail")
 	}
-	sorted := r.SortedBy(func(a, b Tuple) bool { return a[0].AsInt() > b[0].AsInt() })
-	if sorted[0][0].AsInt() != 24 {
-		t.Error("SortedBy descending failed")
-	}
-	if r.Tuple(0)[0].AsInt() != 0 {
-		t.Error("SortedBy must not mutate the relation")
-	}
-}
-
-func TestRelationRename(t *testing.T) {
-	s := NewSchema(Column{Table: "T", Name: "k", Kind: KindInt})
-	r := New("T", s)
-	r.MustAppend(Tuple{Int(5)})
-	v := r.Rename("X")
-	if _, err := v.Schema().Resolve("X", "k"); err != nil {
-		t.Fatalf("renamed schema: %v", err)
-	}
-	if v.Cardinality() != 1 || v.Tuple(0)[0].AsInt() != 5 {
-		t.Error("rename should share tuples")
-	}
 }
 
 func TestRelationPagesEdge(t *testing.T) {
