@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"log/slog"
 	"strconv"
-	"sync"
 	"time"
 
 	"rankopt/internal/catalog"
@@ -472,202 +471,103 @@ func (e *Engine) run(ctx context.Context, req Request, limits exec.ResourceLimit
 	if root.CountOps(plan.OpAnyK) > 0 {
 		e.met.anykPlans.Add(1)
 	}
-	p := pipelines{collect: collect, tmpl: pi.tmpl, k: pi.k}
-	// Sharded tier: qualifying plans run one pipeline per shard under the
-	// early-stop coordinator — including Analyze and traced sessions, whose
-	// per-shard stats collectors and trace lanes ride the fan-out (the
-	// optimizer runs once above; only execution is parallel). Plans the
-	// partitioning cannot cover fall back and are counted. The tiers differ
-	// only in the root operator and in who counts the emitted tuples: the
-	// root drain on the single tier, the coordinator on the sharded one.
-	sharded := e.shardable(root, pi.k)
-	if len(e.shards) > 0 && !sharded {
-		e.met.shardFallbacks.Add(1)
-	}
-	var (
-		op    exec.Operator
-		batch *exec.Batch
-		merge *exec.ShardMerge
-		prog  *exec.Progress
-	)
+	// Both tiers run one tree: a single pipeline, or, when the plan shards,
+	// a ShardMerge over one pipeline per shard, also for Analyze and traced
+	// sessions. A plain session borrows its template's pooled tree; one whose
+	// k rules sharding out (k ≤ 0, which no SQL LIMIT gives) compiles its
+	// own, so a pooled tree is sharded exactly when its template's plan is.
+	plain := !collect && (pi.k > 0 || !e.shardable(root))
 	cs := tr.Begin("compile", "pipeline")
-	if sharded {
-		en.sharded.Store(true)
-		p.budget = exec.NewBudget(limits)
-		merge, err = e.shardMerge(root, &p, &en.prog)
-		op = merge
-		// The drain clears the batch before it returns.
-		batch = gatherBatches.Get().(*exec.Batch)
-		defer gatherBatches.Put(batch)
-	} else if t, run, cerr := compile(p.tmpl, p.collect, e.cat, root, -1); cerr != nil {
-		err = fmt.Errorf("engine: compile: %w", cerr)
-	} else {
-		p.add(-1, t, run)
-		t.Arm(pi.k, limits)
-		op, batch, prog = t.Root, t.Batch(), &en.prog
-		resp.Analysis = run.Analysis
-	}
+	t, err := e.compile(pi.tmpl, root, pi.k, plain, collect)
 	tr.End(cs)
 	if err != nil {
-		p.release()
-		return fail(err)
+		return fail(fmt.Errorf("engine: compile: %w", err))
 	}
+	t.Arm(pi.k, limits)
+	prog := t.Progress(&en.prog)
+	resp.Analysis = t.Analysis
 	en.setState(QueryExecuting)
 	es := tr.Begin("execute", "pipeline")
 	execStart := time.Now()
-	tuples, err := exec.CollectBatch(ctx, op, batch, prog)
+	tuples, err := exec.CollectBatch(ctx, t.Root, t.Batch(), prog)
 	execNanos := time.Since(execStart).Nanoseconds()
 	tr.End(es)
-	p.gathered()
-	if sharded && err == nil {
-		// The shard workers were joined before the gather returned, so reading
-		// the per-shard operators and coordinator stats here races with nothing.
+	// The drain has returned, and with it the gather joined its workers, so
+	// reading the tree's operators and the merge's stats races with nothing.
+	runs := t.Runs()
+	merge, _ := t.Root.(*exec.ShardMerge)
+	if merge == nil && len(e.shards) > 0 {
+		e.met.shardFallbacks.Add(1)
+	} else if merge != nil && err == nil {
 		st := merge.Stats()
 		resp.Sharded, resp.ShardStats = true, &st
-		if p.collect {
-			resp.ShardAnalysis = &plan.ShardedAnalysis{Stats: st, Shards: p.runs}
+		if collect {
+			resp.ShardAnalysis = &plan.ShardedAnalysis{Stats: st, Shards: runs}
 		}
 		e.met.observeSharded(&st, execNanos)
 	}
 	// A failed gather has no shard outcomes to lay out.
-	if tr != nil && (!sharded || err == nil) {
-		addExecSpans(tr, es, execStart, root, &resp, p.runs, len(tuples))
+	if tr != nil && (merge == nil || err == nil) {
+		addExecSpans(tr, es, execStart, root, &resp, runs, len(tuples))
+	}
+	if err == nil {
+		resp.Tuples = tuples
+		e.finish(&resp, t, pi.k, collect)
+	}
+	if plain {
+		pi.tmpl.Put(t)
 	}
 	if err != nil {
-		p.release()
 		return fail(fmt.Errorf("engine: execute: %w", err))
 	}
-	resp.Tuples = tuples
-	e.finish(&resp, &p)
-	p.release()
 	resp.Elapsed = time.Since(start)
 	return resp
 }
 
-// gatherBatches are the batches the sharded tier's gathers drain into, as the
-// unsharded tier drains into its tree's own: a session allocates none.
-var gatherBatches = sync.Pool{New: func() any { return exec.NewBatch(exec.DefaultBatchSize) }}
-
-// sessionTree is one compiled tree a session ran, with the pipeline it
-// belongs to (-1 on the unsharded tier, else its shard).
-type sessionTree struct {
-	shard int
-	tree  *plan.Tree
-}
-
-// pipelines is what a session's operator trees — one on the unsharded tier,
-// one per started shard on the sharded — leave behind for the
-// post-execution report.
-type pipelines struct {
-	// collect threads a stats collector between every pair of operators.
-	// Collecting sessions compile their trees fresh and keep none.
-	collect bool
-	// tmpl lends and takes back the trees of a plain session (nil: compile
-	// fresh and keep none); k is the session's top-k bound.
-	tmpl *plan.Template
-	k    int
-	// budget is the session's shared allowance on the sharded tier, charged
-	// by every shard pipeline and the coordinator (an unsharded tree arms its
-	// own).
-	budget *exec.Budget
-	// trees are the trees the session ran, in pipeline order; they share
-	// their output column names.
-	trees []sessionTree
-	// runs holds every pipeline's analyzed plan when collect is set.
-	runs []plan.ShardRun
-	// shards are the sharded tier's per-shard slots (see shard.go): each is
-	// written only by the goroutine that builds its pipeline, and gathered
-	// folds them into the fields above once the gather has joined its workers.
-	shards []shardPipeline
-}
-
-// add records a tree the session ran as pipeline number shard, with its
-// analyzed run when collecting.
-func (p *pipelines) add(shard int, t *plan.Tree, run plan.ShardRun) {
-	p.trees = append(p.trees, sessionTree{shard, t})
-	if run.Analysis != nil {
-		p.runs = append(p.runs, run)
-	}
-}
-
-// gathered folds the built per-shard slots into p in ascending shard order,
-// so the rank-join report and the shard analysis are deterministic. Call it
-// only once no worker of the gather runs: after the gather returned, or when
-// it never started.
-func (p *pipelines) gathered() {
-	for i := range p.shards {
-		if s := &p.shards[i]; s.tree != nil {
-			p.add(s.shard, s.tree, s.run)
+// compile returns the session's tree: one of tmpl's pooled trees when the
+// session is plain and one is free, else a fresh compile of root — sharded
+// when the plan qualifies for the sharded tier at k — with stats collectors
+// when collect is set.
+func (e *Engine) compile(tmpl *plan.Template, root *plan.Node, k int, plain, collect bool) (*plan.Tree, error) {
+	if plain {
+		if t := tmpl.Take(); t != nil {
+			return t, nil
 		}
 	}
-	p.shards = nil
-}
-
-// compile returns a tree for root on cat as pipeline number shard: a pooled
-// one of tmpl when the session is plain (collect unset) and one is free, else
-// a fresh compile — of a clone rebound to the shard catalog, on the sharded
-// tier — with, when collect is set, its analyzed run.
-func compile(tmpl *plan.Template, collect bool, cat *catalog.Catalog, root *plan.Node, shard int) (*plan.Tree, plan.ShardRun, error) {
-	if !collect && tmpl != nil {
-		if t := tmpl.Take(shard + 1); t != nil {
-			return t, plan.ShardRun{}, nil
-		}
+	if k > 0 && e.shardable(root) {
+		return plan.CompileSharded(e.shards, root, e.shardWidth, collect)
 	}
-	if shard >= 0 {
-		root = root.Clone()
-		if err := plan.Rebind(root, cat); err != nil {
-			return nil, plan.ShardRun{}, fmt.Errorf("engine: shard %d: %w", shard, err)
-		}
-	}
-	run := plan.ShardRun{Shard: shard, Root: root}
+	var cfg plan.Config
 	if collect {
-		run.Analysis = &plan.AnalyzedPlan{}
+		cfg.Analyze = &plan.AnalyzedPlan{}
 	}
-	t, err := plan.CompileTree(cat, root, plan.Config{Analyze: run.Analysis})
-	if err != nil {
-		if shard >= 0 {
-			err = fmt.Errorf("engine: shard %d compile: %w", shard, err)
+	return plan.CompileTree(e.cat, root, cfg)
+}
+
+// finish is the report both tiers share, over every pipeline the session
+// ran: output columns, the rank-join depth report with the depths the cost
+// model charges at the session's k (plan.Node.Local), and the depth/latency
+// histograms. Sharded sessions report per-shard rank joins only when
+// collecting.
+func (e *Engine) finish(resp *Response, t *plan.Tree, k int, collect bool) {
+	resp.Columns = append([]string(nil), t.Columns...)
+	t.Pipelines(func(shard int, p *plan.Tree, ran bool) {
+		if !ran {
+			return
 		}
-		return nil, plan.ShardRun{}, err
-	}
-	return t, run, nil
-}
-
-// release hands a plain session's trees back to its template once it no
-// longer reads them.
-func (p *pipelines) release() {
-	p.gathered()
-	if p.collect || p.tmpl == nil {
-		return
-	}
-	for _, st := range p.trees {
-		p.tmpl.Put(st.shard+1, st.tree)
-	}
-	p.trees = nil
-}
-
-// finish is the shared tail of both tiers: output columns, the rank-join
-// depth report with the depths the cost model charges at the session's k
-// (plan.Node.Local), and the depth/latency histograms. Stats are read only
-// after the drain closed the operators (and joined any shard workers): the
-// session holds the trees, so no other goroutine can observe partial stats.
-// Sharded sessions report their per-shard rank joins only when collecting.
-func (e *Engine) finish(resp *Response, p *pipelines) {
-	resp.Columns = append([]string(nil), p.trees[0].tree.Columns...)
-	for _, st := range p.trees {
-		for _, h := range st.tree.Joins {
+		for _, h := range p.Joins {
 			stats := h.Op.Stats()
 			idx := histOpIndex(h.Node.Op)
 			e.met.observeOpDepth(idx, int64(stats.LeftDepth))
 			e.met.observeOpDepth(idx, int64(stats.RightDepth))
 			name := h.Node.Op.String()
-			if st.shard >= 0 {
-				if !p.collect {
+			if shard >= 0 {
+				if !collect {
 					continue
 				}
-				name = fmt.Sprintf("%s[shard %d]", name, st.shard)
+				name = fmt.Sprintf("%s[shard %d]", name, shard)
 			}
-			demand, _ := plan.DemandAt(st.tree.Plan, p.k, h.Node)
+			demand, _ := plan.DemandAt(p.Plan, k, h.Node)
 			loc := h.Node.Local(demand)
 			resp.RankJoins = append(resp.RankJoins, RankJoinStat{
 				Op:       name,
@@ -680,15 +580,15 @@ func (e *Engine) finish(resp *Response, p *pipelines) {
 		}
 		// An any-k enumerator's "depths" are its drained inputs: histogram
 		// only.
-		for _, h := range st.tree.AnyKs {
+		for _, h := range p.AnyKs {
 			stats := h.Op.Stats()
 			e.met.observeOpDepth(histOpAnyK, int64(stats.LeftDepth))
 			e.met.observeOpDepth(histOpAnyK, int64(stats.RightDepth))
 		}
-	}
-	for _, r := range p.runs {
-		e.observeAnalyzedOps(r.Root, r.Analysis)
-	}
+		if p.Analysis != nil {
+			e.observeAnalyzedOps(p.Plan, p.Analysis)
+		}
+	})
 }
 
 // addExecSpans synthesizes the execute span's contents from the runtime

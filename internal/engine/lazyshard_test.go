@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -22,9 +23,11 @@ import (
 // 4 range shards, one running at a time): the top shard runs and the other
 // three are pruned on their ceilings, so only the top shard's pipeline may be
 // cloned, rebound and compiled. Building all four cost about 51 objects per
-// shard; a session that built them measured 307, and one whose gather kept
-// the shard bounds in a struct and two slices beside the per-shard records
-// 30.
+// shard; a session that built them measured 307, one whose gather kept the
+// shard bounds in a struct and two slices beside the per-shard records 30,
+// and one that rebuilt the merge, its shard inputs and its gather's
+// scaffolding around pooled shard trees, with a context per started shard,
+// 28.
 func TestShardedSessionAllocs(t *testing.T) {
 	eng := NewWithConfig(skewedShardCatalog(t, 16000, 400), Config{Shards: 4, ShardWidth: 1})
 	req := Request{SQL: skewedShardSQL}
@@ -38,7 +41,7 @@ func TestShardedSessionAllocs(t *testing.T) {
 	if raceBuild {
 		t.Skip("allocation counts are only stable outside -race")
 	}
-	const bound = 28
+	const bound = 11
 	// The collector is paused as in TestRankJoinSessionAllocs: a session
 	// that refills the pools a collection emptied is charged for it.
 	gc := debug.SetGCPercent(-1)
@@ -114,7 +117,7 @@ func waitGoroutines(t *testing.T, before int) {
 // is closed once, no worker is left behind and the registry records the
 // abort.
 func TestShardLazyBuildFailure(t *testing.T) {
-	const buildErr = "engine: shard 0: plan: rebind: no index on"
+	const buildErr = "plan: shard 0: plan: rebind: no index on"
 	cat := indexedSkewCatalog(t)
 	newEngine := func(width int) *Engine {
 		eng := NewWithConfig(cat, Config{Options: indexOnly, Shards: 4, ShardWidth: width})
@@ -168,34 +171,39 @@ func TestShardLazyBuildFailure(t *testing.T) {
 				t.Fatalf("registry state %q, want aborted", last.State)
 			}
 			waitGoroutines(t, before)
-
-			// The same inputs under a budget and lifecycle counters the test can
-			// read: every successful Open is matched by exactly one Close.
 			pi, _, err := eng.planFor(nil, sql)
 			if err != nil {
 				t.Fatal(err)
 			}
-			p := pipelines{budget: exec.NewBudget(exec.ResourceLimits{MaxBufferedTuples: 1 << 30})}
-			inputs, err := p.shardInputs(eng.shards, pi.root)
+			// The failed session handed its tree back with nothing charged.
+			if tree := pi.tmpl.Take(); tree == nil || tree.Budget.Buffered() != 0 {
+				t.Fatalf("pooled tree after the abort: %v", tree)
+			}
+
+			// A fresh sharded tree of the same plan, its shard inputs under
+			// lifecycle counters the test can read: every successful Open is
+			// matched by exactly one Close.
+			tree, err := plan.CompileSharded(eng.shards, pi.root, tc.width, false)
 			if err != nil {
 				t.Fatalf("shard 0 must not be built before the gather starts it: %v", err)
 			}
+			tree.Arm(tc.k, exec.ResourceLimits{MaxBufferedTuples: 1 << 30})
+			inputs := slices.Clone(tree.ShardInputs())
 			counted := make([]*lifecycle, len(inputs))
 			for i := range inputs {
 				counted[i] = &lifecycle{Operator: inputs[i].Op}
 				inputs[i].Op = counted[i]
 			}
-			merge, err := exec.NewShardMerge(inputs, tc.k, p.budget)
+			merge, err := exec.NewShardMerge(inputs, tc.k, tree.Budget)
 			if err != nil {
 				t.Fatal(err)
 			}
 			merge.StartWidth = tc.width
 			_, err = exec.CollectCtx(context.Background(), merge)
-			p.gathered()
 			if err == nil || !strings.Contains(err.Error(), buildErr) {
 				t.Fatalf("gather err %v, want shard 0's build error", err)
 			}
-			if b := p.budget.Buffered(); b != 0 {
+			if b := tree.Budget.Buffered(); b != 0 {
 				t.Errorf("budget holds %d tuples after the abort, want 0", b)
 			}
 			for i, c := range counted {
@@ -286,5 +294,99 @@ func TestShardConcurrentLazyCompiles(t *testing.T) {
 		if !found {
 			t.Errorf("shard %d not rendered as pruned and never started:\n%s", i, out)
 		}
+	}
+}
+
+// TestShardedTreePoolBuildsOnlyStartedShard serves warm sessions of the
+// skewed catalog's template from several goroutines at k from 1 to 20. The
+// gather starts only shard 3 and prunes the other three on their ceilings,
+// so every tree the template pools afterwards is a sharded tree with shard
+// 3's pipeline built and shards 0–2 never built, and holds no charged tuple.
+func TestShardedTreePoolBuildsOnlyStartedShard(t *testing.T) {
+	const goroutines, sessions = 4, 25
+	eng := NewWithConfig(skewedShardCatalog(t, 4000, 100), Config{Shards: 4, ShardWidth: 1})
+	warm := eng.Run(Request{SQL: skewedShardSQL})
+	if warm.Err != nil {
+		t.Fatal(warm.Err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for s := 0; s < sessions; s++ {
+				k := 1 + (g*sessions+s)%20
+				sql := strings.Replace(skewedShardSQL, "LIMIT 10", fmt.Sprintf("LIMIT %d", k), 1)
+				resp := eng.Run(Request{SQL: sql, Limits: exec.ResourceLimits{MaxBufferedTuples: 1 << 30}})
+				if resp.Err != nil {
+					t.Error(resp.Err)
+					return
+				}
+				if st := resp.ShardStats; len(resp.Tuples) != k || st == nil || st.Started != 1 || st.Pruned != 3 {
+					t.Errorf("k=%d: %d rows, shard stats %+v; want k rows, 1 started and 3 pruned", k, len(resp.Tuples), st)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	tmpl := templateOf(t, eng, warm.Fingerprint)
+	trees := 0
+	for tree := tmpl.Take(); tree != nil; tree = tmpl.Take() {
+		trees++
+		if _, ok := tree.Root.(*exec.ShardMerge); !ok {
+			t.Fatal("the template pools an unsharded tree")
+		}
+		if b := tree.Budget.Buffered(); b != 0 {
+			t.Errorf("an idle tree holds %d charged tuples", b)
+		}
+		tree.Pipelines(func(shard int, p *plan.Tree, _ bool) {
+			if built := p != nil; built != (shard == 3) {
+				t.Errorf("shard %d: built = %v", shard, built)
+			}
+		})
+	}
+	if trees == 0 {
+		t.Fatal("the template kept no tree")
+	}
+}
+
+// TestShardedPooledMergeKeepsAnswers: one engine serves a sharded template
+// serially, so every session after the first reuses the first session's
+// tree, merge included. A session's answer rows and its per-shard outcome
+// rows are its own: later sessions at other k must leave them as they were.
+// On the skewed catalog one shard runs; on the hash-partitioned one all four
+// run at once, so rows reach the merge in a different order every session.
+func TestShardedPooledMergeKeepsAnswers(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cat  *catalog.Catalog
+		cfg  Config
+		sql  string
+	}{
+		{"skewed", skewedShardCatalog(t, 4000, 100), Config{Shards: 4, ShardWidth: 1}, skewedShardSQL},
+		{"all-started", partitionedCatalog(t), Config{Shards: 4, ShardWidth: 4}, fmt.Sprintf(treePoolSQL, 10)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := NewWithConfig(tc.cat, tc.cfg)
+			first := eng.Run(Request{SQL: tc.sql})
+			if first.Err != nil || first.ShardStats == nil {
+				t.Fatalf("err %v, shard stats %v", first.Err, first.ShardStats)
+			}
+			tuples, perShard := fmt.Sprint(first.Tuples), fmt.Sprintf("%+v", first.ShardStats.PerShard)
+			for _, k := range []int{1, 25, 3, 10, 7, 12} {
+				sql := strings.Replace(tc.sql, "LIMIT 10", fmt.Sprintf("LIMIT %d", k), 1)
+				resp := eng.Run(Request{SQL: sql})
+				if resp.Err != nil || !resp.CacheHit || !resp.Sharded || len(resp.Tuples) != k {
+					t.Fatalf("k=%d: err %v, cache hit %v, sharded %v, %d rows", k, resp.Err, resp.CacheHit, resp.Sharded, len(resp.Tuples))
+				}
+			}
+			if got := fmt.Sprint(first.Tuples); got != tuples {
+				t.Errorf("the first session's answer changed under later sessions:\n got %s\nwant %s", got, tuples)
+			}
+			if got := fmt.Sprintf("%+v", first.ShardStats.PerShard); got != perShard {
+				t.Errorf("the first session's shard outcomes changed under later sessions:\n got %s\nwant %s", got, perShard)
+			}
+		})
 	}
 }

@@ -66,7 +66,6 @@ type queryEntry struct {
 
 	state    atomic.Uint32
 	k        atomic.Int64
-	sharded  atomic.Bool
 	endNanos atomic.Int64
 	errMsg   atomic.Pointer[string]
 	prog     exec.Progress
@@ -188,7 +187,7 @@ func (en *queryEntry) info() QueryInfo {
 		ClientID:      en.clientID,
 		SQL:           en.sql,
 		State:         state.String(),
-		Sharded:       en.sharded.Load(),
+		Sharded:       ps.ShardsTotal > 0,
 		K:             en.k.Load(),
 		ElapsedMillis: float64(elapsed.Nanoseconds()) / 1e6,
 		Emitted:       ps.Emitted,

@@ -11,6 +11,7 @@ import (
 
 	"rankopt/internal/catalog"
 	"rankopt/internal/core"
+	"rankopt/internal/exec"
 	"rankopt/internal/plan"
 )
 
@@ -82,10 +83,11 @@ func templateOf(t *testing.T, eng *Engine, fp string) *plan.Template {
 // template, at k from 1 to 20, on an unsharded engine and on a 4-shard one
 // where every shard starts. Sessions take the template's compiled trees and
 // hand them back, so one tree serves sessions of many goroutines in turn;
-// every answer must be brute force's, and afterwards every free list must
-// hold each tree at most once — a tree handed to two sessions at once would
-// come back twice. CI repeats it under the race detector, where two sessions
-// sharing a tree would also race on its operators.
+// every answer must be brute force's, and afterwards the template's free list
+// must hold each tree at most once — a tree handed to two sessions at once
+// would come back twice — and only trees of the engine's tier. CI repeats it
+// under the race detector, where two sessions sharing a tree would also race
+// on its operators.
 func TestTreePoolConcurrentSessions(t *testing.T) {
 	const goroutines, sessions, maxK, shards = 8, 200, 20, 4
 	cat := partitionedCatalog(t)
@@ -127,20 +129,21 @@ func TestTreePoolConcurrentSessions(t *testing.T) {
 			}
 			wg.Wait()
 			tmpl := templateOf(t, eng, warm.Fingerprint)
-			for slot := 0; slot <= shards; slot++ {
-				seen := map[*plan.Tree]bool{}
-				for tree := tmpl.Take(slot); tree != nil; tree = tmpl.Take(slot) {
-					if seen[tree] {
-						t.Fatalf("slot %d holds a tree twice", slot)
-					}
-					seen[tree] = true
-					if b := tree.Budget.Buffered(); b != 0 {
-						t.Errorf("slot %d: an idle tree holds %d charged tuples", slot, b)
-					}
+			seen := map[*plan.Tree]bool{}
+			for tree := tmpl.Take(); tree != nil; tree = tmpl.Take() {
+				if seen[tree] {
+					t.Fatal("the free list holds a tree twice")
 				}
-				if len(seen) == 0 && (slot == 0) == (tc.cfg.Shards == 0) {
-					t.Errorf("slot %d kept no tree", slot)
+				seen[tree] = true
+				if b := tree.Budget.Buffered(); b != 0 {
+					t.Errorf("an idle tree holds %d charged tuples", b)
 				}
+				if _, sharded := tree.Root.(*exec.ShardMerge); sharded != (tc.cfg.Shards > 0) {
+					t.Errorf("the free list holds a tree with sharded = %v", sharded)
+				}
+			}
+			if len(seen) == 0 {
+				t.Error("the template kept no tree")
 			}
 		})
 	}

@@ -65,50 +65,26 @@ func (l ResourceLimits) Enabled() bool {
 // and costs one pointer test on the hot path.
 //
 // A compiled tree that serves many sessions owns one Budget, wired into its
-// operators once, and re-arms it before each session: Arm with the
-// session's limits, or Share to charge a session budget the tree does not
-// own (a shard pipeline of the sharded tier). Operators resolve the budget
-// they charge at Open (see bound), so an unarmed or unlimited one costs them
-// nothing.
+// operators once — into every shard pipeline and the merge of a sharded
+// tree too — and re-arms it with each session's limits (Arm). Operators
+// resolve the budget they charge at Open (see bound), so an unarmed or
+// unlimited one costs them nothing.
 type Budget struct {
 	maxBuffered int64
 	maxDepth    int64
 	buffered    atomic.Int64
-	// shared, when set by Share, is the budget this one stands for.
-	shared *Budget
-}
-
-// NewBudget builds the budget enforcing l's tuple and depth caps, or nil
-// when l sets neither — keeping the unlimited execution path completely
-// untouched.
-func NewBudget(l ResourceLimits) *Budget {
-	if l.MaxBufferedTuples <= 0 && l.MaxDepthPerInput <= 0 {
-		return nil
-	}
-	return &Budget{maxBuffered: l.MaxBufferedTuples, maxDepth: l.MaxDepthPerInput}
 }
 
 // Arm readies a tree-owned budget for its next session under limits l. The
 // tree must not be open: Arm writes plain fields the operators read at Open.
 func (b *Budget) Arm(l ResourceLimits) {
-	b.maxBuffered, b.maxDepth, b.shared = l.MaxBufferedTuples, l.MaxDepthPerInput, nil
+	b.maxBuffered, b.maxDepth = l.MaxBufferedTuples, l.MaxDepthPerInput
 }
 
-// Share readies a tree-owned budget to forward its next session's charges
-// to s (nil = no limits), like Arm.
-func (b *Budget) Share(s *Budget) {
-	b.maxBuffered, b.maxDepth, b.shared = 0, 0, s
-}
-
-// bound resolves the budget an operator opened now charges: the shared
-// budget, b itself when it sets a limit, or nil when no limit applies.
+// bound resolves the budget an operator opened now charges: b itself when it
+// sets a limit, or nil when no limit applies.
 func (b *Budget) bound() *Budget {
-	switch {
-	case b == nil:
-		return nil
-	case b.shared != nil:
-		return b.shared
-	case b.maxBuffered <= 0 && b.maxDepth <= 0:
+	if b == nil || b.maxBuffered <= 0 && b.maxDepth <= 0 {
 		return nil
 	}
 	return b

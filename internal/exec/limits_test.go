@@ -10,6 +10,15 @@ import (
 	"rankopt/internal/expr"
 )
 
+// NewBudget builds the budget enforcing l's tuple and depth caps, or nil
+// when l sets neither, as a session's tree arms its own.
+func NewBudget(l ResourceLimits) *Budget {
+	if l.MaxBufferedTuples <= 0 && l.MaxDepthPerInput <= 0 {
+		return nil
+	}
+	return &Budget{maxBuffered: l.MaxBufferedTuples, maxDepth: l.MaxDepthPerInput}
+}
+
 // limitedHRJN builds the standard test join with a budget attached.
 func limitedHRJN(n, mod int, budget *Budget) *HRJN {
 	lsch, ltups := buildRankedInput(n, mod, 1)

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"rankopt/internal/relation"
@@ -15,14 +16,14 @@ import (
 
 // This file is the scatter-gather serving tier's executor half: ShardMerge,
 // the coordinator operator. It runs each shard's pipeline on its own worker
-// goroutine under its own cancellable context, gathers the shard streams, and
-// applies the paper's Section-3 bounding argument across shards: every shard
-// emits its local top-k in descending score order, so a shard's last-emitted
-// score (or, before it has emitted anything, an a-priori ceiling computed
-// from shard statistics) bounds everything it can still produce. Once the
-// global top-k buffer is full, any shard whose bound cannot beat the k-th
-// buffered score is cancelled immediately — and a shard whose ceiling
-// already fails the test is never started at all.
+// goroutine, whose context is the gather's record of the shard, gathers the
+// shard streams, and applies the paper's Section-3 bounding argument across
+// shards: every shard emits its local top-k in descending score order, so a
+// shard's last-emitted score (or, before it has emitted anything, an
+// a-priori ceiling computed from shard statistics) bounds everything it can
+// still produce. Once the global top-k buffer is full, any shard whose bound
+// cannot beat the k-th buffered score is stopped immediately — and a shard
+// whose ceiling already fails the test is never started at all.
 
 // ShardInput is one shard's pipeline as seen by the coordinator.
 type ShardInput struct {
@@ -42,7 +43,7 @@ const (
 	// ShardCausePruned: never started — its a-priori ceiling could not beat
 	// the k-th score by the time its launch turn came.
 	ShardCausePruned = "pruned"
-	// ShardCauseEarlyStopped: cancelled mid-stream once its live bound (last
+	// ShardCauseEarlyStopped: stopped mid-stream once its live bound (last
 	// emitted score) fell to or below the k-th score.
 	ShardCauseEarlyStopped = "early_stopped"
 	// ShardCauseExhausted: ran to completion.
@@ -85,7 +86,7 @@ type ShardMergeStats struct {
 	// Pruned shards were never started: their a-priori ceiling could not beat
 	// the k-th score by the time their turn came.
 	Pruned int `json:"pruned"`
-	// EarlyStopped shards were cancelled mid-stream once their bound fell to
+	// EarlyStopped shards were stopped mid-stream once their bound fell to
 	// or below the k-th score.
 	EarlyStopped int `json:"early_stopped"`
 	// Exhausted shards ran to completion.
@@ -104,15 +105,18 @@ type ShardMergeStats struct {
 
 // ShardMerge is the coordinator operator: it runs the shard pipelines on
 // worker goroutines and produces the global top-k in descending score order,
-// using each shard's bound (see shardRun) to stop pulling from — and
-// immediately cancel — any shard whose best possible remaining score cannot
-// beat the current k-th result. At most StartWidth shards run concurrently;
+// using each shard's bound (see shardRun) to stop, at once, any shard whose
+// best possible remaining score cannot beat the current k-th result. At most StartWidth shards run concurrently;
 // the rest wait in descending-ceiling order and are pruned without ever
 // starting when their ceiling fails the same test. Like Sort, the merge is a blocking operator:
-// the gather runs inside Open and Next replays the buffered winners.
+// the gather runs inside Open and Next replays the buffered winners. A merge
+// is reopenable with K, the ceilings and Progress rewritten in between: it
+// keeps the gather's scaffolding and allocates per gather only what it hands
+// out, the answer block and the PerShard rows.
 type ShardMerge struct {
 	inputs []ShardInput
-	k      int
+	// K is the global top-k bound, positive.
+	K int
 	// StartWidth caps concurrently running shards; 0 means GOMAXPROCS.
 	StartWidth int
 	// Progress, when non-nil, receives the gather's live rank-aware progress
@@ -123,7 +127,8 @@ type ShardMerge struct {
 	scoreCol int
 	rankCol  int
 
-	acct accountant
+	budget *Budget
+	acct   accountant
 	// block holds the kept rows: absorb copies each row it keeps into it, so
 	// the gather holds no shard row once absorb returns.
 	block tupleArena
@@ -132,6 +137,16 @@ type ShardMerge struct {
 	out   topHeap[relation.Tuple]
 	pos   int
 	stats ShardMergeStats
+
+	// The gather's scaffolding, kept across gathers: one record per shard
+	// (see shardRun), the launch order, the workers' channel and join, and
+	// the abort channel, which a gather that aborts closes and the next
+	// replaces.
+	runs  []shardRun
+	order []int
+	msgs  chan shardMsg
+	abort chan struct{}
+	wg    sync.WaitGroup
 }
 
 // NewShardMerge builds the coordinator over the shard inputs for a global
@@ -170,8 +185,8 @@ func NewShardMerge(inputs []ShardInput, k int, budget *Budget) (*ShardMerge, err
 				i+1, in.Op.Schema(), schema)
 		}
 	}
-	return &ShardMerge{inputs: inputs, k: k, schema: schema, scoreCol: scoreCol, rankCol: rankCol,
-		acct: accountant{budget: budget}}, nil
+	return &ShardMerge{inputs: inputs, K: k, schema: schema, scoreCol: scoreCol, rankCol: rankCol,
+		budget: budget}, nil
 }
 
 // Schema implements Operator.
@@ -187,7 +202,8 @@ func (m *ShardMerge) Stats() ShardMergeStats { return m.stats }
 // contract's Open-failure guarantee, extended across goroutines.
 func (m *ShardMerge) Open(ctx context.Context) error {
 	m.acct.releaseAll()
-	m.out, m.pos = nil, 0
+	m.acct.budget = m.budget.bound()
+	m.out, m.pos = m.out[:0], 0
 	m.stats = ShardMergeStats{Shards: len(m.inputs), KthScore: math.NaN(),
 		PerShard: make([]ShardOutcome, len(m.inputs))}
 	for i := range m.stats.PerShard {
@@ -202,31 +218,49 @@ func (m *ShardMerge) Open(ctx context.Context) error {
 }
 
 // shardRun is one shard's record in a gather. Once the shard starts it is
-// also the shard worker's context: the worker's cancellable context, which
-// answers gatherKey (see readByGather).
+// also the worker's whole context: Err reports stop, which the gather sets,
+// and Done is the gather's abort channel (a worker stopped alone needs no
+// wakeup: the gather receives until every worker has reported). Deadline and
+// every Value but gatherKey's are the session's.
 type shardRun struct {
-	context.Context // nil until the shard starts
-	cancel          context.CancelFunc
+	session context.Context // nil until the shard starts
+	done    <-chan struct{}
+	stop    atomic.Bool
 	// bound is the best score the shard can still produce: its a-priori
 	// ceiling, then its last-emitted score (it emits in descending order),
 	// and -Inf once it is pruned or done.
 	bound float64
 	// live, stopped and pulled are the gather's: the shard runs, was
-	// cancelled by the bound test, and had this many rows consumed.
+	// stopped by the bound test, and had this many rows consumed.
 	live, stopped bool
 	pulled        int
+}
+
+// Deadline implements context.Context: the session's.
+func (r *shardRun) Deadline() (time.Time, bool) { return r.session.Deadline() }
+
+// Done implements context.Context: closed when the gather aborts.
+func (r *shardRun) Done() <-chan struct{} { return r.done }
+
+// Err implements context.Context: context.Canceled once the gather stopped
+// the shard or aborted.
+func (r *shardRun) Err() error {
+	if r.stop.Load() {
+		return context.Canceled
+	}
+	return nil
 }
 
 // gatherKey is the context key a shard worker's context answers.
 type gatherKey struct{}
 
 // Value implements context.Context: true under gatherKey, every other key
-// from the worker's context.
+// from the session's context.
 func (r *shardRun) Value(key any) any {
 	if key == (gatherKey{}) {
 		return true
 	}
-	return r.Context.Value(key)
+	return r.session.Value(key)
 }
 
 // readByGather reports whether ctx is or derives from a shard worker's
@@ -245,17 +279,30 @@ func (m *ShardMerge) gather(ctx context.Context) error {
 	if width <= 0 {
 		width = runtime.GOMAXPROCS(0)
 	}
-
-	runs := make([]shardRun, n)
+	// The channel's buffer, two messages per shard that can run at once, is
+	// the backpressure credit that keeps fast shards from running far ahead
+	// of the gather. A gather leaves it empty for the next.
+	if credit := min(2*width, 2*n); cap(m.msgs) != credit {
+		m.msgs = make(chan shardMsg, credit)
+	}
+	if len(m.runs) != n {
+		m.runs, m.order = make([]shardRun, n), make([]int, n)
+	}
+	if m.abort == nil {
+		m.abort = make(chan struct{})
+	}
+	runs := m.runs
 	for i, in := range m.inputs {
-		runs[i].bound = in.Ceiling
+		run := &runs[i]
+		run.stop.Store(false)
+		run.bound, run.live, run.stopped, run.pulled = in.Ceiling, false, false, 0
 		if math.IsNaN(in.Ceiling) {
-			runs[i].bound = math.Inf(1) // a NaN ceiling bounds nothing
+			run.bound = math.Inf(1) // a NaN ceiling bounds nothing
 		}
 	}
 	// Launch order: best ceiling first, so the k-th score rises as fast as
 	// possible and later shards face the hardest possible test.
-	order := make([]int, n)
+	order := m.order
 	for i := range order {
 		order[i] = i
 	}
@@ -263,33 +310,30 @@ func (m *ShardMerge) gather(ctx context.Context) error {
 		return compareScoreDesc(m.inputs[a].Ceiling, m.inputs[b].Ceiling)
 	})
 
+	hint := sizeHint(float64(m.K))
+	h := m.out[:0]
+	if cap(h) < hint {
+		h = make(topHeap[relation.Tuple], 0, hint)
+	}
 	var (
-		// msgs is the workers' one channel. Its buffer, two messages per
-		// shard that can run at once, is the backpressure credit that keeps
-		// fast shards from running far ahead of the gather.
-		msgs    = make(chan shardMsg, min(2*width, 2*n))
-		wg      sync.WaitGroup
-		h       = make(topHeap[relation.Tuple], 0, sizeHint(float64(m.k)))
 		next    int // cursor into order: shards not yet started or pruned
 		running int
 		failure error
 	)
 	m.block = tupleArena{}
-	m.block.reserve(sizeHint(float64(m.k)), m.schema.Len())
-	full := func() bool { return len(h) >= m.k }
+	m.block.reserve(hint, m.schema.Len())
+	full := func() bool { return len(h) >= m.K }
 	kth := func() float64 { return h[0].Score }
-	cancelAll := func() {
-		for i := range runs {
-			if c := runs[i].cancel; c != nil {
-				c()
-			}
-		}
-	}
+	// fail records the gather's first error and stops every worker.
 	fail := func(err error) {
 		if failure == nil {
 			failure = err
+			for i := range runs {
+				runs[i].stop.Store(true)
+			}
+			close(m.abort)
+			m.abort = nil
 		}
-		cancelAll()
 	}
 	// beaten reports that shard i cannot contribute to the final top-k.
 	beaten := func(i int) bool { return full() && runs[i].bound <= kth() }
@@ -303,17 +347,17 @@ func (m *ShardMerge) gather(ctx context.Context) error {
 				m.stats.PerShard[i].Cause = ShardCausePruned
 				runs[i].bound = math.Inf(-1)
 				m.stats.Pruned++
-				m.stats.TuplesSaved += m.k
+				m.stats.TuplesSaved += m.K
 				m.Progress.ShardFinished(false)
 				continue
 			}
 			run := &runs[i]
-			run.Context, run.cancel = context.WithCancel(ctx)
-			wg.Add(1)
+			run.session, run.done = ctx, m.abort
+			m.wg.Add(1)
 			go func() {
-				defer wg.Done()
-				opened, err := runShard(run, i, m.inputs[i].Op, msgs)
-				msgs <- shardMsg{shard: i, done: true, opened: opened, err: err}
+				defer m.wg.Done()
+				opened, err := runShard(run, i, m.inputs[i].Op, m.msgs)
+				m.msgs <- shardMsg{shard: i, done: true, opened: opened, err: err}
 			}()
 			run.live = true
 			running++
@@ -323,7 +367,7 @@ func (m *ShardMerge) gather(ctx context.Context) error {
 		}
 	}
 	// reap early-stops every live shard whose bound fell to or below the
-	// k-th score: cancel its context now, not at Close.
+	// k-th score: stop its worker now, not at Close.
 	reap := func() {
 		if !full() {
 			return
@@ -333,10 +377,10 @@ func (m *ShardMerge) gather(ctx context.Context) error {
 			if run.live && !run.stopped && run.bound <= kth() {
 				m.stats.PerShard[i].Bound = run.bound
 				m.stats.PerShard[i].Cause = ShardCauseEarlyStopped
-				run.cancel()
+				run.stop.Store(true)
 				run.stopped = true
 				m.stats.EarlyStopped++
-				if saved := m.k - run.pulled; saved > 0 {
+				if saved := m.K - run.pulled; saved > 0 {
 					m.stats.TuplesSaved += saved
 				}
 			}
@@ -347,15 +391,15 @@ func (m *ShardMerge) gather(ctx context.Context) error {
 	// none is running is what lets each one exit.
 	startMore()
 	for running > 0 {
-		// Once aborting, every worker is cancelled: stop watching ctx and
-		// keep receiving so each can deliver its remaining tuples and done.
+		// Once aborting, every worker is stopped: stop watching ctx and keep
+		// receiving so each can deliver its remaining tuples and done.
 		var quit <-chan struct{}
 		if failure == nil {
 			quit = ctx.Done()
 		}
 		var msg shardMsg
 		select {
-		case msg = <-msgs:
+		case msg = <-m.msgs:
 		case <-quit:
 			fail(CtxErr(ctx))
 			continue
@@ -412,9 +456,10 @@ func (m *ShardMerge) gather(ctx context.Context) error {
 		reap()
 		startMore()
 	}
-	wg.Wait()
-	cancelAll() // release the finished shards' contexts
+	m.wg.Wait()
 	if failure != nil {
+		clear(h)
+		m.out = h[:0]
 		return failure
 	}
 	m.Progress.SetMerging()
@@ -506,14 +551,14 @@ func (m *ShardMerge) absorb(msg shardMsg, runs []shardRun, h *topHeap[relation.T
 	// replaces the weakest entry for a strictly better score.
 	var row relation.Tuple
 	switch {
-	case len(*h) < m.k:
+	case len(*h) < m.K:
 		row = m.block.alloc(m.schema.Len())
 	case score > (*h)[0].Score:
 		row = (*h)[0].Val
 	}
 	if row != nil {
 		copy(row, msg.tuple)
-		if h.Offer(heapEntry[relation.Tuple]{Score: score, Tie: tie, Val: row}, m.k) {
+		if h.Offer(heapEntry[relation.Tuple]{Score: score, Tie: tie, Val: row}, m.K) {
 			if err := m.acct.charge(1); err != nil {
 				return err
 			}
@@ -521,7 +566,7 @@ func (m *ShardMerge) absorb(msg shardMsg, runs []shardRun, h *topHeap[relation.T
 	}
 	if m.Progress != nil {
 		m.Progress.SetEmitted(int64(len(*h)))
-		if len(*h) >= m.k {
+		if len(*h) >= m.K {
 			m.Progress.SetKth((*h)[0].Score)
 		}
 		best := math.Inf(-1)
@@ -555,10 +600,13 @@ func (m *ShardMerge) Next() (relation.Tuple, bool, error) {
 	return t, true, nil
 }
 
-// Close implements Operator, releasing the buffered winners' budget charge.
+// Close implements Operator, releasing the buffered winners' budget charge
+// and dropping the answer block; the heap keeps its capacity for the next
+// gather.
 func (m *ShardMerge) Close() error {
 	m.acct.releaseAll()
-	m.out, m.pos, m.block = nil, 0, tupleArena{}
+	clear(m.out)
+	m.out, m.pos, m.block = m.out[:0], 0, tupleArena{}
 	return nil
 }
 

@@ -1,11 +1,14 @@
 package oracle
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 
 	"rankopt/internal/catalog"
 	"rankopt/internal/core"
 	"rankopt/internal/engine"
+	"rankopt/internal/exec"
 	"rankopt/internal/plan"
 	"rankopt/internal/sqlparse"
 )
@@ -26,16 +29,21 @@ type ShardReport struct {
 // shard count — and asserts every top-k score sequence agrees with the
 // brute-force reference. The catalog is hash-partitioned on the join key, so
 // every generated query (chain equi-joins on "key", or on "id" for a TA case)
-// is co-partitioned and eligible for the scatter-gather path; a run that
-// nonetheless falls back is still checked for correctness but not counted as
-// sharded. TA cases run under taChosen, and every engine must execute the TA
-// plan.
+// is co-partitioned and eligible for the scatter-gather path, and a sharded
+// engine's session that falls back fails the case. TA cases run under
+// taChosen, and every engine must execute the TA plan. Each engine then serves the case at every reuseKs bound after a
+// session over a one-tuple budget, so the corpus also runs its pooled trees
+// after a failed session and at other k.
 func RunSharded(c Case, counts ...int) (ShardReport, error) {
 	q, err := sqlparse.Parse(c.SQL)
 	if err != nil {
 		return ShardReport{}, fmt.Errorf("seed %d: parse %q: %w", c.Seed, c.SQL, err)
 	}
-	want, err := c.reference(q)
+	ks := reuseKs(c.K)
+	// The largest bound's reference holds every smaller one's as its prefix.
+	top := c
+	top.K = ks[len(ks)-1]
+	full, err := top.reference(q)
 	if err != nil {
 		return ShardReport{}, err
 	}
@@ -50,27 +58,42 @@ func RunSharded(c Case, counts ...int) (ShardReport, error) {
 		}
 	}
 
-	rep := ShardReport{SQL: c.SQL, Counts: counts, Results: len(want)}
+	rep := ShardReport{SQL: c.SQL, Counts: counts, Results: min(c.K, len(full))}
 	check := func(label string, eng *engine.Engine, wantSharded bool) error {
 		if err := eng.ShardError(); err != nil {
 			return fmt.Errorf("seed %d %s: %w", c.Seed, label, err)
 		}
-		resp := eng.Run(engine.Request{ID: label, SQL: c.SQL})
-		if resp.Err != nil {
-			return fmt.Errorf("seed %d %s: %w", c.Seed, label, resp.Err)
+		// The first session at the case's k; then, at each reuseKs bound, one
+		// over a one-tuple budget and one that takes the tree it handed back.
+		for i, k := range append([]int{c.K}, ks...) {
+			sql := strings.TrimSuffix(c.SQL, fmt.Sprintf(" LIMIT %d", c.K)) + fmt.Sprintf(" LIMIT %d", k)
+			limits := []exec.ResourceLimits{{}}
+			if i > 0 {
+				limits = []exec.ResourceLimits{{MaxBufferedTuples: 1}, {}}
+			}
+			for _, l := range limits {
+				at := fmt.Sprintf("%s k=%d budget=%d", label, k, l.MaxBufferedTuples)
+				resp := eng.Run(engine.Request{ID: at, SQL: sql, Limits: l})
+				if l.Enabled() && errors.Is(resp.Err, exec.ErrBudgetExceeded) {
+					continue
+				}
+				if resp.Err != nil {
+					return fmt.Errorf("seed %d %s: %w", c.Seed, at, resp.Err)
+				}
+				if err := compareScores(full[:min(k, len(full))], rowScores(resp.Tuples)); err != nil {
+					return fmt.Errorf("seed %d %s: %w\nquery: %s", c.Seed, at, err, sql)
+				}
+				if c.idJoin && resp.Plan.CountOps(plan.OpRankAgg) == 0 {
+					return fmt.Errorf("seed %d %s: engine did not run the TA plan\nquery: %s\n%s",
+						c.Seed, at, sql, plan.Explain(resp.Plan))
+				}
+				if resp.Sharded != wantSharded {
+					return fmt.Errorf("seed %d %s: sharded = %v\nquery: %s", c.Seed, at, resp.Sharded, sql)
+				}
+			}
 		}
-		if err := compareScores(want, rowScores(resp.Tuples)); err != nil {
-			return fmt.Errorf("seed %d %s: %w\nquery: %s", c.Seed, label, err, c.SQL)
-		}
-		if c.idJoin && resp.Plan.CountOps(plan.OpRankAgg) == 0 {
-			return fmt.Errorf("seed %d %s: engine did not run the TA plan\nquery: %s\n%s",
-				c.Seed, label, c.SQL, plan.Explain(resp.Plan))
-		}
-		if resp.Sharded {
+		if wantSharded {
 			rep.Sharded++
-		} else if wantSharded {
-			return fmt.Errorf("seed %d %s: fell back to the single-engine path\nquery: %s",
-				c.Seed, label, c.SQL)
 		}
 		return nil
 	}

@@ -9,7 +9,8 @@ import (
 // optimizer run, held by the engine's plan cache, plus the compiled operator
 // trees its sessions hand back. The plan tree is shared by every session
 // that hits the cache, so nothing may ever mutate it. A plain session takes
-// a compiled tree (Take), arms it with its own k and limits, and returns it
+// a compiled tree (Take) — a sharded one (CompileSharded) when the plan runs
+// on the sharded tier — arms it with its own k and limits, and returns it
 // after Close (Put); it reads its k-dependent estimates from the shared plan
 // through DemandAt. Sessions that print or analyze their plan (EXPLAIN,
 // EXPLAIN ANALYZE, traced) work on a private Instantiate copy instead.
@@ -21,12 +22,11 @@ type Template struct {
 	// cache hits can still report it.
 	Counters PlanCounters
 
-	// free holds the compiled trees no session has, one list per pool slot
-	// (see Take), each at most GOMAXPROCS long — as many as can run at
-	// once. It is a plain list under mu rather than a sync.Pool, so a warm
-	// session finds a tree whatever the collector did.
+	// free holds the compiled trees no session has, at most GOMAXPROCS —
+	// as many as can run at once. It is a plain list under mu rather than a
+	// sync.Pool, so a warm session finds a tree whatever the collector did.
 	mu   sync.Mutex
-	free [][]*Tree
+	free []*Tree
 }
 
 // PlanCounters is one optimizer run's enumeration and pruning tally: plans
@@ -52,33 +52,29 @@ func (t *Template) K() int { return t.k }
 // Root returns the shared plan tree. Callers must not write to it.
 func (t *Template) Root() *Node { return t.root }
 
-// Take hands out one of the template's compiled trees for pool slot (0 for
-// the unsharded tier, 1+i for shard i), or nil when none is free and the
-// caller must compile one. A template replaced in the plan cache takes its
-// trees with it.
-func (t *Template) Take(slot int) *Tree {
+// Take hands out one of the template's compiled trees, or nil when none is
+// free and the caller must compile one. A template replaced in the plan
+// cache takes its trees with it.
+func (t *Template) Take() *Tree {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if slot >= len(t.free) || len(t.free[slot]) == 0 {
+	n := len(t.free)
+	if n == 0 {
 		return nil
 	}
-	l := t.free[slot]
-	tree := l[len(l)-1]
-	l[len(l)-1] = nil
-	t.free[slot] = l[:len(l)-1]
+	tree := t.free[n-1]
+	t.free[n-1] = nil
+	t.free = t.free[:n-1]
 	return tree
 }
 
-// Put hands a closed tree back to slot's free list, which keeps at most
+// Put hands a closed tree back to the free list, which keeps at most
 // GOMAXPROCS trees and drops the rest.
-func (t *Template) Put(slot int, tree *Tree) {
+func (t *Template) Put(tree *Tree) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for slot >= len(t.free) {
-		t.free = append(t.free, nil)
-	}
-	if len(t.free[slot]) < runtime.GOMAXPROCS(0) {
-		t.free[slot] = append(t.free[slot], tree)
+	if len(t.free) < runtime.GOMAXPROCS(0) {
+		t.free = append(t.free, tree)
 	}
 }
 

@@ -3,6 +3,7 @@ package plan
 import (
 	"rankopt/internal/catalog"
 	"rankopt/internal/exec"
+	"rankopt/internal/relation"
 )
 
 // Tree is one compiled operator tree, built to serve many sessions one at a
@@ -10,10 +11,14 @@ import (
 // score and key evaluators — is the same work for every session of a cached
 // template; only the top-k bound and the resource limits differ. A Tree
 // keeps the construction-time state and re-arms exactly those two before
-// each session (Arm, Share). Run-time buffers do not stay with
+// each session (Arm). Run-time buffers do not stay with
 // it: every operator returns its hash tables, queues and sort arrays to the
 // executor's pools at Close, so an idle tree holds no tuple of the session
 // it served.
+//
+// A sharded tree (CompileSharded) is the same thing for the sharded tier:
+// its Root is the exec.ShardMerge, over one pipeline per shard, each a Tree
+// of its own on the sharded tree's Budget.
 type Tree struct {
 	// Root is the operator a session opens and drains: the compiled plan.
 	Root exec.Operator
@@ -25,6 +30,9 @@ type Tree struct {
 	// at compile time and re-armed per session. It reads zero between
 	// sessions.
 	Budget *exec.Budget
+	// Analysis holds the collectors of Config.Analyze; nil on a sharded
+	// tree, whose shard pipelines have their own.
+	Analysis *AnalyzedPlan
 	// Columns are the qualified output column names.
 	Columns []string
 	// Joins and AnyKs are the stats handles of the rank joins and any-k
@@ -34,6 +42,14 @@ type Tree struct {
 	limits []*exec.Limit
 	topks  []*exec.TopK
 	batch  *exec.Batch
+	// A sharded tree's (CompileSharded): the merge over one input per shard,
+	// whose Op is the shard's pipeline, and the schema every pipeline
+	// outputs; analyze gives each pipeline its own stats collectors.
+	merge   *exec.ShardMerge
+	inputs  []exec.ShardInput
+	shards  []shardPipeline
+	schema  *relation.Schema
+	analyze bool
 }
 
 // TreeOp pairs a compiled operator, as its stats handle, with its plan node.
@@ -45,8 +61,13 @@ type TreeOp struct {
 // CompileTree compiles n against cat into a reusable tree under cfg, wiring
 // the tree's own budget into its operators.
 func CompileTree(cat *catalog.Catalog, n *Node, cfg Config) (*Tree, error) {
-	t := &Tree{Plan: n, Budget: new(exec.Budget)}
-	c := &compiler{cat: cat, cfg: cfg, tree: t, budget: t.Budget}
+	return compileTree(cat, n, cfg, new(exec.Budget))
+}
+
+// compileTree is CompileTree with budget b wired into the operators.
+func compileTree(cat *catalog.Catalog, n *Node, cfg Config, b *exec.Budget) (*Tree, error) {
+	t := &Tree{Plan: n, Budget: b, Analysis: cfg.Analyze}
+	c := &compiler{cat: cat, cfg: cfg, tree: t, budget: b}
 	op, err := c.compile(n)
 	if err != nil {
 		return nil, err
@@ -81,10 +102,13 @@ func (t *Tree) note(n *Node, op exec.Operator) {
 }
 
 // Arm readies the tree for a session at top-k bound k (0 keeps the plan's
-// bounds) under limits l. Call it only on a tree no session has open.
+// bounds) under limits l. Call it only on a tree no session has open. On a
+// sharded tree it also arms the merge and every built shard pipeline with k,
+// and recomputes each shard's ceiling (armShards).
 func (t *Tree) Arm(k int, l exec.ResourceLimits) {
 	t.setK(k)
 	t.Budget.Arm(l)
+	t.armShards()
 	want := exec.DefaultBatchSize
 	if k > 0 {
 		want = min(k, want)
@@ -92,14 +116,6 @@ func (t *Tree) Arm(k int, l exec.ResourceLimits) {
 	if t.batch == nil || t.batch.Cap() < want {
 		t.batch = exec.NewBatch(want)
 	}
-}
-
-// Share readies the tree as one shard pipeline of a sharded session at
-// top-k bound k: its operators charge the session budget b (nil = no
-// limits).
-func (t *Tree) Share(k int, b *exec.Budget) {
-	t.setK(k)
-	t.Budget.Share(b)
 }
 
 func (t *Tree) setK(k int) {
@@ -112,6 +128,24 @@ func (t *Tree) setK(k int) {
 	for _, tk := range t.topks {
 		tk.K = k
 	}
+	if t.merge != nil {
+		t.merge.K = k
+		for i := range t.shards {
+			if p := t.shards[i].tree; p != nil {
+				p.setK(k)
+			}
+		}
+	}
+}
+
+// Progress returns the progress block the drain of Root counts into: p, or
+// nil on a sharded tree, whose merge reports the gather's progress into p.
+func (t *Tree) Progress(p *exec.Progress) *exec.Progress {
+	if t.merge == nil {
+		return p
+	}
+	t.merge.Progress = p
+	return nil
 }
 
 // Batch is the batch an armed tree's root drains into, sized by the
